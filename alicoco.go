@@ -219,9 +219,9 @@ func loadArtifacts(path string) (*pipeline.Artifacts, error) {
 }
 
 // LoadFrozen builds a CoCo from a snapshot file written by SaveFrozen,
-// skipping world generation, model training, and the Freeze pass: cold
-// start is proportional to disk bandwidth. The loaded CoCo serves every
-// query path; offline paths that need the live net or the world
+// skipping world and corpus generation, net construction, and the Freeze
+// pass: cold start is proportional to disk bandwidth. The loaded CoCo
+// serves every query path; offline paths that need the live net or the world
 // (InferImplicitRelations, SampleSessions, Glosses) report that they are
 // unavailable.
 func LoadFrozen(path string) (*CoCo, error) {

@@ -26,10 +26,12 @@ import (
 	"alicoco/internal/world"
 )
 
-// benchArts is the shared tiny testbed, built once.
+// benchA and benchM are the shared tiny testbed and its trained models,
+// built once.
 var (
 	benchOnce sync.Once
 	benchA    *pipeline.Artifacts
+	benchM    *pipeline.Models
 )
 
 func benchArtifacts(b *testing.B) *pipeline.Artifacts {
@@ -43,15 +45,25 @@ func benchArtifacts(b *testing.B) *pipeline.Artifacts {
 		if err != nil {
 			panic(err)
 		}
-		benchA = a
+		m, err := a.TrainModels()
+		if err != nil {
+			panic(err)
+		}
+		benchA, benchM = a, m
 	})
 	return benchA
 }
 
-func benchEmbed(a *pipeline.Artifacts) func([]string) mat.Vec {
+// benchModels returns the models trained on the shared testbed.
+func benchModels(b *testing.B) *pipeline.Models {
+	benchArtifacts(b)
+	return benchM
+}
+
+func benchEmbed(m *pipeline.Models) func([]string) mat.Vec {
 	return func(tokens []string) mat.Vec {
-		vs := a.W2V.EmbedSeq(tokens)
-		out := mat.NewVec(a.W2V.Dim)
+		vs := m.W2V.EmbedSeq(tokens)
+		out := mat.NewVec(m.W2V.Dim)
 		for _, v := range vs {
 			out.Add(v)
 		}
@@ -81,7 +93,8 @@ func BenchmarkTable2BuildNet(b *testing.B) {
 // sweep: train the projection model at N=60 and evaluate MAP (E2).
 func BenchmarkFig9LeftNegativeRatio(b *testing.B) {
 	a := benchArtifacts(b)
-	d := hypernym.BuildDataset(a.World, benchEmbed(a), 5)
+	m := benchModels(b)
+	d := hypernym.BuildDataset(a.World, benchEmbed(m), 5)
 	pos := d.TrainPos
 	if len(pos) > 120 {
 		pos = pos[:120]
@@ -89,7 +102,7 @@ func BenchmarkFig9LeftNegativeRatio(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		train := d.TrainSet(pos, 60, 7)
-		model := hypernym.NewProjection(a.W2V.Dim, 4, 9)
+		model := hypernym.NewProjection(m.W2V.Dim, 4, 9)
 		model.Fit(train, 3, 0.01, 32, 13)
 		ev := d.Evaluate(model, d.TestPos, 0, 1)
 		if ev.MAP < 0 {
@@ -101,13 +114,14 @@ func BenchmarkFig9LeftNegativeRatio(b *testing.B) {
 // BenchmarkFig9RightStrategies runs one UCS active-learning loop (E3).
 func BenchmarkFig9RightStrategies(b *testing.B) {
 	a := benchArtifacts(b)
-	d := hypernym.BuildDataset(a.World, benchEmbed(a), 5)
+	m := benchModels(b)
+	d := hypernym.BuildDataset(a.World, benchEmbed(m), 5)
 	pos := d.TrainPos
 	if len(pos) > 120 {
 		pos = pos[:120]
 	}
 	pool := append(d.TrainSet(pos, 4, 21), d.HardNegatives(pos, 2, 22)...)
-	cfg := hypernym.DefaultALConfig(a.W2V.Dim)
+	cfg := hypernym.DefaultALConfig(m.W2V.Dim)
 	cfg.K = len(pool) / 8
 	cfg.MaxIters = 3
 	cfg.Epochs = 2
@@ -123,13 +137,14 @@ func BenchmarkFig9RightStrategies(b *testing.B) {
 // BenchmarkTable3ActiveLearning compares UCS against Random end-to-end (E4).
 func BenchmarkTable3ActiveLearning(b *testing.B) {
 	a := benchArtifacts(b)
-	d := hypernym.BuildDataset(a.World, benchEmbed(a), 5)
+	m := benchModels(b)
+	d := hypernym.BuildDataset(a.World, benchEmbed(m), 5)
 	pos := d.TrainPos
 	if len(pos) > 120 {
 		pos = pos[:120]
 	}
 	pool := append(d.TrainSet(pos, 4, 21), d.HardNegatives(pos, 2, 22)...)
-	cfg := hypernym.DefaultALConfig(a.W2V.Dim)
+	cfg := hypernym.DefaultALConfig(m.W2V.Dim)
 	cfg.K = len(pool) / 8
 	cfg.MaxIters = 3
 	cfg.Epochs = 2
@@ -145,6 +160,7 @@ func BenchmarkTable3ActiveLearning(b *testing.B) {
 // knowledge-enhanced concept classifier (E5).
 func BenchmarkTable4Classification(b *testing.B) {
 	a := benchArtifacts(b)
+	m := benchModels(b)
 	w := a.World
 	domainIdx := make(map[world.Domain]int)
 	for i, d := range world.Domains {
@@ -158,8 +174,8 @@ func BenchmarkTable4Classification(b *testing.B) {
 		fz := &conceptgen.Featurizer{
 			CharVocab: text.NewVocab(),
 			WordVocab: text.NewVocab(),
-			POS:       a.POS,
-			LM:        a.LM,
+			POS:       m.POS,
+			LM:        m.LM,
 			GlossDim:  cfg.GlossDim,
 			UseLM:     true,
 			DomainOf: func(word string) int {
@@ -174,7 +190,7 @@ func BenchmarkTable4Classification(b *testing.B) {
 				if len(ids) == 0 {
 					return mat.NewVec(cfg.GlossDim)
 				}
-				v := a.Glossary.Vec(ids[0])
+				v := m.Glossary.Vec(ids[0])
 				out := mat.NewVec(cfg.GlossDim)
 				copy(out, v)
 				return out
@@ -199,13 +215,14 @@ func BenchmarkTable4Classification(b *testing.B) {
 // BenchmarkTable5Tagging trains and evaluates the fuzzy-CRF tagger (E6).
 func BenchmarkTable5Tagging(b *testing.B) {
 	a := benchArtifacts(b)
+	m := benchModels(b)
 	train, test := tagging.BuildDataset(a.World, 120, 60, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := tagging.DefaultConfig()
 		cfg.UseKnowledge = false
 		cfg.Epochs = 2
-		tg := tagging.NewTagger(world.DomainNames(), a.POS, nil, cfg)
+		tg := tagging.NewTagger(world.DomainNames(), m.POS, nil, cfg)
 		tg.Train(train)
 		_, _, f1 := tagging.Evaluate(tg, test)
 		if f1 < 0 {
@@ -218,16 +235,17 @@ func BenchmarkTable5Tagging(b *testing.B) {
 // against BM25 (E7).
 func BenchmarkTable6Matching(b *testing.B) {
 	a := benchArtifacts(b)
+	m := benchModels(b)
 	pairs := matching.BuildPairs(a.World, 300, 300)
 	train, test := matching.SplitPairs(pairs, 0.8, 9)
-	knowledge := matching.KnowledgeFn(a.World, a.Glossary)
+	knowledge := matching.KnowledgeFn(a.World, m.Glossary)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc := matching.DefaultTrainConfig()
 		tc.Epochs = 2
-		m := matching.NewKADSM(a.W2V.Vec, knowledge, a.W2V.Dim, tc)
-		m.Train(train)
-		res := matching.Evaluate(m, test)
+		model := matching.NewKADSM(m.W2V.Vec, knowledge, m.W2V.Dim, tc)
+		model.Train(train)
+		res := matching.Evaluate(model, test)
 		bm := matching.BM25Squashed{BM25: matching.NewBM25()}
 		bm.Train(train)
 		resB := matching.Evaluate(bm, test)
@@ -315,6 +333,7 @@ func BenchmarkRecommend(b *testing.B) {
 // BenchmarkAblationFuzzyVsPlainCRF compares the two CRF losses directly.
 func BenchmarkAblationFuzzyVsPlainCRF(b *testing.B) {
 	a := benchArtifacts(b)
+	m := benchModels(b)
 	train, test := tagging.BuildDataset(a.World, 120, 60, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -323,7 +342,7 @@ func BenchmarkAblationFuzzyVsPlainCRF(b *testing.B) {
 			cfg.UseFuzzy = fuzzy
 			cfg.UseKnowledge = false
 			cfg.Epochs = 2
-			tg := tagging.NewTagger(world.DomainNames(), a.POS, nil, cfg)
+			tg := tagging.NewTagger(world.DomainNames(), m.POS, nil, cfg)
 			tg.Train(train)
 			tagging.Evaluate(tg, test)
 		}
@@ -334,17 +353,18 @@ func BenchmarkAblationFuzzyVsPlainCRF(b *testing.B) {
 // gloss knowledge sequence.
 func BenchmarkAblationKnowledgeInMatching(b *testing.B) {
 	a := benchArtifacts(b)
+	m := benchModels(b)
 	pairs := matching.BuildPairs(a.World, 200, 200)
 	train, test := matching.SplitPairs(pairs, 0.8, 9)
-	knowledge := matching.KnowledgeFn(a.World, a.Glossary)
+	knowledge := matching.KnowledgeFn(a.World, m.Glossary)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, kn := range []func([]string) []mat.Vec{nil, knowledge} {
 			tc := matching.DefaultTrainConfig()
 			tc.Epochs = 2
-			m := matching.NewKADSM(a.W2V.Vec, kn, a.W2V.Dim, tc)
-			m.Train(train)
-			matching.Evaluate(m, test)
+			model := matching.NewKADSM(m.W2V.Vec, kn, m.W2V.Dim, tc)
+			model.Train(train)
+			matching.Evaluate(model, test)
 		}
 	}
 }
@@ -465,11 +485,11 @@ func BenchmarkFrozenVsLockedNodesOfKind(b *testing.B) {
 // --- cold-start benchmarks ---------------------------------------------
 //
 // The pair contrasts the two ways a server can reach serving state:
-// rebuild everything from scratch (world, corpus, embeddings, net, freeze)
-// versus re-reading the frozen binary snapshot from a byte stream.
+// rebuild from scratch (world, corpus, pattern mining, net, freeze) versus
+// re-reading the frozen binary snapshot from a byte stream.
 // scripts/bench.sh records both in BENCH_core.json; the frozen side is
-// expected to win by orders of magnitude since it is bounded by I/O
-// bandwidth, not model training.
+// expected to win since it is bounded by I/O bandwidth, not by generating
+// and indexing the world. Neither trains a model: serving reads none.
 
 // BenchmarkColdStartLive measures a from-scratch cold start at test scale:
 // the full pipeline build ending in a published frozen snapshot.

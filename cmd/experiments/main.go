@@ -57,10 +57,11 @@ func main() {
 
 // testbed is the shared world + corpus + embedding stack.
 type testbed struct {
-	scale string
-	arts  *pipeline.Artifacts
-	embed func(tokens []string) mat.Vec
-	dim   int
+	scale  string
+	arts   *pipeline.Artifacts
+	models *pipeline.Models
+	embed  func(tokens []string) mat.Vec
+	dim    int
 }
 
 func buildTestbed(scale string) *testbed {
@@ -70,8 +71,8 @@ func buildTestbed(scale string) *testbed {
 	}
 	// Stronger embeddings for the model experiments. Workers=1 keeps
 	// training bit-exact deterministic so the reproduced tables are
-	// stable across reruns and machines (the serving pipeline defaults
-	// to parallel training; reproduction trades speed for exactness).
+	// stable across reruns and machines (the default options train in
+	// parallel; reproduction trades speed for exactness).
 	opts.W2V.Dim = 32
 	opts.W2V.Epochs = 10
 	opts.W2V.Workers = 1
@@ -80,9 +81,14 @@ func buildTestbed(scale string) *testbed {
 		fmt.Fprintln(os.Stderr, "build failed:", err)
 		os.Exit(1)
 	}
-	tb := &testbed{scale: scale, arts: arts, dim: opts.W2V.Dim}
+	models, err := arts.TrainModels()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "train failed:", err)
+		os.Exit(1)
+	}
+	tb := &testbed{scale: scale, arts: arts, models: models, dim: opts.W2V.Dim}
 	tb.embed = func(tokens []string) mat.Vec {
-		vs := arts.W2V.EmbedSeq(tokens)
+		vs := models.W2V.EmbedSeq(tokens)
 		out := mat.NewVec(tb.dim)
 		for _, v := range vs {
 			out.Add(v)
@@ -217,7 +223,7 @@ func expTable3(tb *testbed) {
 
 func expTable4(tb *testbed) {
 	w := tb.arts.World
-	glossary := tb.arts.Glossary
+	glossary := tb.models.Glossary
 	domainIdx := make(map[world.Domain]int)
 	for i, d := range world.Domains {
 		domainIdx[d] = i + 1
@@ -241,8 +247,8 @@ func expTable4(tb *testbed) {
 		fz := &conceptgen.Featurizer{
 			CharVocab: text.NewVocab(),
 			WordVocab: text.NewVocab(),
-			POS:       tb.arts.POS,
-			LM:        tb.arts.LM,
+			POS:       tb.models.POS,
+			LM:        tb.models.LM,
 			GlossDim:  cfg.GlossDim,
 			UseLM:     useLM,
 			DomainOf: func(word string) int {
@@ -315,7 +321,7 @@ func expTable5(tb *testbed) {
 	}
 	train, test := tagging.BuildDataset(w, extra, extra/2, 3)
 	ambiguous := tagging.FilterAmbiguous(w, test)
-	tm := tagging.BuildTextMatrix(tb.arts.Corpus.All(), tb.arts.D2V, 8)
+	tm := tagging.BuildTextMatrix(tb.arts.Corpus.All(), tb.models.D2V, 8)
 
 	runCfg := func(fuzzy, know bool) (float64, float64, float64, float64) {
 		cfg := tagging.DefaultConfig()
@@ -325,7 +331,7 @@ func expTable5(tb *testbed) {
 		if know {
 			tmFn = tm
 		}
-		tg := tagging.NewTagger(world.DomainNames(), tb.arts.POS, tmFn, cfg)
+		tg := tagging.NewTagger(world.DomainNames(), tb.models.POS, tmFn, cfg)
 		tg.Train(train)
 		p, r, f1 := tagging.Evaluate(tg, test)
 		_, _, f1Amb := tagging.Evaluate(tg, ambiguous)
@@ -363,8 +369,8 @@ func expTable6(tb *testbed) {
 	pairs := matching.BuildPairs(w, nPairs, nPairs)
 	train, test := matching.SplitPairs(pairs, 0.8, 9)
 	groups := matching.BuildGroupedEval(w, 25, 30, 77)
-	knowledge := matching.KnowledgeFn(w, tb.arts.Glossary)
-	embed := tb.arts.W2V.Vec
+	knowledge := matching.KnowledgeFn(w, tb.models.Glossary)
+	embed := tb.models.W2V.Vec
 
 	tc := matching.DefaultTrainConfig()
 	tc.Epochs = 8

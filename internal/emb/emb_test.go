@@ -1,6 +1,7 @@
 package emb
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -42,6 +43,38 @@ func TestWord2VecDeterminism(t *testing.T) {
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Fatal("training is not deterministic")
+		}
+	}
+}
+
+// TestWord2VecSequentialPinned pins Workers=1 training bit for bit: the
+// first four In and Out components of two words, as float64 bit patterns.
+// Any change to the sequential update order or arithmetic moves them.
+func TestWord2VecSequentialPinned(t *testing.T) {
+	cfg := DefaultW2VConfig()
+	cfg.Dim = 8
+	cfg.Epochs = 2
+	cfg.Workers = 1
+	m := TrainWord2Vec(toyCorpus(), cfg)
+	for _, tc := range []struct {
+		word    string
+		in, out [4]uint64
+	}{
+		{"grill",
+			[4]uint64{0xbffaea02123da075, 0xbfd70d24bea046ab, 0x3ff6089e44b029af, 0xbff2559b6b2e162d},
+			[4]uint64{0x4000f3c33ccd1824, 0xbfd9bf51eb6f0246, 0xbfda6c873384b61c, 0xbfc1040397f0f60a}},
+		{"wedding",
+			[4]uint64{0xbfe682107d1fdeb8, 0xbfd6cdcf52dd49ff, 0x3fc3bfbd947806b6, 0x3ff00af46fd99fad},
+			[4]uint64{0x3fe59853319f36e8, 0x3feea3577b9a497a, 0xbff6e7afe442e1e4, 0x3fe3e8936bb339c2}},
+	} {
+		id := m.Vocab.ID(tc.word)
+		for i := range tc.in {
+			if got := math.Float64bits(m.In.Row(id)[i]); got != tc.in[i] {
+				t.Fatalf("%s In[%d] = %#016x, want %#016x", tc.word, i, got, tc.in[i])
+			}
+			if got := math.Float64bits(m.Out.Row(id)[i]); got != tc.out[i] {
+				t.Fatalf("%s Out[%d] = %#016x, want %#016x", tc.word, i, got, tc.out[i])
+			}
 		}
 	}
 }

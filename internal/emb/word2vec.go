@@ -29,7 +29,7 @@ type W2VConfig struct {
 	// with more workers each shard's sampling sequence is still fixed by
 	// (Seed, shard, epoch), but concurrent row updates may interleave
 	// differently between runs, so final vectors can differ in the last
-	// bits. The pipeline sets Workers to GOMAXPROCS.
+	// bits. pipeline.DefaultOptions sets Workers to GOMAXPROCS.
 	Workers int
 }
 
@@ -79,19 +79,20 @@ func TrainWord2Vec(corpus [][]string, cfg W2VConfig) *Word2Vec {
 		m.trainSharded(corpus, cfg, workers)
 		return m
 	}
+	scratch := &pairScratch{dIn: mat.NewVec(m.Dim)}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LR * (1 - float64(epoch)/float64(cfg.Epochs+1))
 		for _, sent := range corpus {
-			m.trainSentence(sent, cfg.Negative, cfg.Window, lr, rng, nil, nil, nil)
+			m.trainSentence(sent, cfg.Negative, cfg.Window, lr, rng, scratch, nil, nil)
 		}
 	}
 	return m
 }
 
 // trainSentence runs the skip-gram window loop over one sentence. With nil
-// locks it performs the classic sequential updates; with striped locks and
-// a scratch buffer it performs the lock-protected HogWild-style updates of
-// sharded training.
+// locks it performs the classic sequential updates; with striped locks it
+// performs the lock-protected HogWild-style updates of sharded training.
+// Either way the pair updates run on the caller's scratch.
 func (m *Word2Vec) trainSentence(sent []string, negative, window int, lr float64, rng *rand.Rand, s *pairScratch, inMu, outMu *stripedLocks) {
 	ids := m.Vocab.EncodeFixed(sent)
 	for i, center := range ids {
@@ -108,7 +109,7 @@ func (m *Word2Vec) trainSentence(sent []string, negative, window int, lr float64
 				continue
 			}
 			if inMu == nil {
-				m.trainPair(center, ctx, negative, lr, rng)
+				m.trainPair(center, ctx, negative, lr, rng, s)
 			} else {
 				m.trainPairLocked(center, ctx, negative, lr, rng, s, inMu, outMu)
 			}
@@ -125,9 +126,10 @@ type stripedLocks [lockStripes]sync.Mutex
 
 func (s *stripedLocks) of(row int) *sync.Mutex { return &s[row&(lockStripes-1)] }
 
-// pairScratch is per-worker scratch so sharded updates allocate nothing.
+// pairScratch is per-training (sequential) or per-worker (sharded) scratch,
+// so pair updates allocate nothing.
 type pairScratch struct {
-	in  mat.Vec // stable copy of the center row for this pair
+	in  mat.Vec // stable copy of the center row for this pair (sharded only)
 	dIn mat.Vec // accumulated center-row gradient
 }
 
@@ -184,9 +186,10 @@ func (m *Word2Vec) buildUnigramTable(counts map[string]int) {
 
 // trainPair performs one SGNS update: center's In vector against ctx's Out
 // vector (positive) and sampled negatives.
-func (m *Word2Vec) trainPair(center, ctx, negative int, lr float64, rng *rand.Rand) {
+func (m *Word2Vec) trainPair(center, ctx, negative int, lr float64, rng *rand.Rand, s *pairScratch) {
 	in := m.In.Row(center)
-	dIn := mat.NewVec(m.Dim)
+	dIn := s.dIn
+	clear(dIn)
 	update := func(outID int, label float64) {
 		out := m.Out.Row(outID)
 		p := mat.Sigmoid(in.Dot(out))

@@ -1,13 +1,17 @@
 // Package pipeline orchestrates the end-to-end semi-automatic construction
-// of the concept net (Sections 3-6): generate/ingest corpora, train the
-// embedding substrate, build the taxonomy layer, import and mine primitive
-// concepts, generate and link e-commerce concepts, and associate items —
-// producing a complete core.Net plus the trained artifacts around it.
+// of the concept net (Sections 3-6): generate/ingest corpora, build the
+// taxonomy layer, import and mine primitive concepts, generate and link
+// e-commerce concepts, and associate items — producing a complete core.Net
+// and its frozen serving snapshot. The served net reads no trained model,
+// so Build trains none; callers that run the paper's models (the
+// experiments) train the embedding substrate with Artifacts.TrainModels.
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 
 	"alicoco/internal/core"
@@ -23,7 +27,9 @@ type Options struct {
 	Queries int
 	Reviews int
 	Guides  int
-	W2V     emb.W2VConfig
+	// W2V configures the word2vec training of TrainModels; Build trains
+	// nothing.
+	W2V emb.W2VConfig
 
 	// MinePatternIsA additionally runs Hearst-pattern mining over the
 	// guides corpus and adds the discovered isA edges.
@@ -64,15 +70,10 @@ func TinyOptions() Options {
 
 // Artifacts bundles everything the build produces.
 type Artifacts struct {
-	Opts     Options
-	World    *world.World
-	Corpus   *world.Corpus
-	W2V      *emb.Word2Vec
-	D2V      *emb.Doc2Vec
-	Glossary *emb.Glossary
-	LM       *text.NGramLM
-	POS      *text.POSTagger
-	Net      *core.Net
+	Opts   Options
+	World  *world.World
+	Corpus *world.Corpus
+	Net    *core.Net
 
 	// Frozen is the read-optimized immutable snapshot of Net taken when
 	// the build finished — the store serving code should query (the
@@ -109,16 +110,9 @@ func Build(opts Options) (*Artifacts, error) {
 		DomainCls: make(map[world.Domain]core.NodeID),
 	}
 	a.World = world.New(opts.World)
+	// The corpus feeds Hearst-pattern mining (Corpus.Guides) and the
+	// models TrainModels fits.
 	a.Corpus = a.World.GenCorpus(opts.Queries, opts.Reviews, opts.Guides)
-
-	// Embedding substrate (Sections 4-6 models all consume these).
-	a.W2V = emb.TrainWord2Vec(a.Corpus.All(), opts.W2V)
-	a.D2V = emb.NewDoc2Vec(a.W2V)
-	a.Glossary = emb.BuildGlossary(a.World.Glosses, a.D2V)
-	a.LM = text.NewNGramLM()
-	a.LM.Train(a.Corpus.All())
-	a.POS = text.NewPOSTagger()
-	a.learnPOSLexicon()
 
 	a.Net = core.NewNet()
 	if err := a.buildTaxonomy(); err != nil {
@@ -149,20 +143,50 @@ func (a *Artifacts) Refreeze() *core.FrozenNet {
 	return a.Frozen
 }
 
+// Models is the embedding and language substrate the paper's Sections 4-6
+// models consume: word vectors, the document encoder and gloss knowledge
+// base built on them, the n-gram LM, and the POS tagger.
+type Models struct {
+	W2V      *emb.Word2Vec
+	D2V      *emb.Doc2Vec
+	Glossary *emb.Glossary
+	LM       *text.NGramLM
+	POS      *text.POSTagger
+}
+
+// TrainModels fits the Models from the build's world and corpus under
+// Opts.W2V. Each call trains afresh; with Opts.W2V.Workers <= 1 two calls
+// return bit-identical models. Snapshot-loaded artifacts carry no world or
+// corpus, so TrainModels reports an error for them.
+func (a *Artifacts) TrainModels() (*Models, error) {
+	if a.World == nil || a.Corpus == nil {
+		return nil, errors.New("pipeline: train models: artifacts carry no world or corpus (snapshot-loaded)")
+	}
+	m := &Models{}
+	m.W2V = emb.TrainWord2Vec(a.Corpus.All(), a.Opts.W2V)
+	m.D2V = emb.NewDoc2Vec(m.W2V)
+	m.Glossary = emb.BuildGlossary(a.World.Glosses, m.D2V)
+	m.LM = text.NewNGramLM()
+	m.LM.Train(a.Corpus.All())
+	m.POS = text.NewPOSTagger()
+	learnPOSLexicon(m.POS, a.World)
+	return m, nil
+}
+
 // learnPOSLexicon seeds the POS tagger from the world's vocabulary.
-func (a *Artifacts) learnPOSLexicon() {
+func learnPOSLexicon(tagger *text.POSTagger, w *world.World) {
 	nounDomains := map[world.Domain]bool{
 		world.Category: true, world.Brand: true, world.IP: true,
 		world.Organization: true, world.Location: true, world.Time: true,
 		world.Audience: true, world.Event: true, world.Quantity: true,
 	}
-	for _, p := range a.World.Primitives {
+	for _, p := range w.Primitives {
 		pos := text.PosAdj
 		if nounDomains[p.Domain] {
 			pos = text.PosNoun
 		}
 		for _, tok := range p.Tokens {
-			a.POS.Learn(tok, pos)
+			tagger.Learn(tok, pos)
 		}
 	}
 }
@@ -196,22 +220,25 @@ func (a *Artifacts) buildTaxonomy() error {
 		}
 	}
 	// Schema: family classes carry property domains; categories are
-	// used_in events and suitable_when times.
-	for fam, doms := range world.FamilyAttributes() {
+	// used_in events and suitable_when times. The tables are maps, so they
+	// are walked in key order: the order edges are added is the order of
+	// each domain class's in-adjacency, and with it the bytes of the
+	// frozen shards.
+	families := world.FamilyAttributes()
+	for _, fam := range sortedKeys(families) {
 		famCls := a.Net.FirstByNameKind(fam, core.KindClass)
 		if famCls == core.InvalidNode {
 			continue
 		}
-		for _, d := range doms {
+		for _, d := range families[fam] {
 			if err := a.Net.AddEdge(famCls, a.DomainCls[d], core.EdgeSchema, "has_property", 1); err != nil {
 				return err
 			}
 		}
 	}
 	addSchema := func(table map[string][]string, rel string, targetDomain world.Domain) error {
-		for key, leaves := range table {
-			_ = key
-			for _, leaf := range leaves {
+		for _, key := range sortedKeys(table) {
+			for _, leaf := range table[key] {
 				leafCls := a.Net.FirstByNameKind(leaf, core.KindClass)
 				if leafCls == core.InvalidNode {
 					continue
@@ -230,6 +257,16 @@ func (a *Artifacts) buildTaxonomy() error {
 		return err
 	}
 	return addSchema(world.FunctionRequirements(), "has_function", world.Function)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // buildPrimitives imports every primitive concept, its instanceOf link, the

@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"alicoco/internal/core"
+	"alicoco/internal/mat"
 	"alicoco/internal/world"
 )
 
@@ -149,6 +151,68 @@ func TestBuildDeterministic(t *testing.T) {
 	a2 := buildTiny(t)
 	if a1.Net.NumNodes() != a2.Net.NumNodes() || a1.Net.NumEdges() != a2.Net.NumEdges() {
 		t.Fatal("build not deterministic")
+	}
+}
+
+// sameBits reports whether two vectors are bit-for-bit equal.
+func sameBits(a, b mat.Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestTrainModelsDeterministicSequential(t *testing.T) {
+	opts := TinyOptions()
+	opts.W2V.Workers = 1
+	a, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err := a.TrainModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := a.TrainModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.W2V == m2.W2V {
+		t.Fatal("each call should train afresh")
+	}
+	if !sameBits(m1.W2V.In.Data, m2.W2V.In.Data) || !sameBits(m1.W2V.Out.Data, m2.W2V.Out.Data) {
+		t.Fatal("word2vec In/Out differ between two Workers=1 trainings")
+	}
+	if len(m1.Glossary.Vecs) == 0 || len(m1.Glossary.Vecs) != len(m2.Glossary.Vecs) {
+		t.Fatalf("glossary sizes %d vs %d", len(m1.Glossary.Vecs), len(m2.Glossary.Vecs))
+	}
+	for id, v := range m1.Glossary.Vecs {
+		if !sameBits(v, m2.Glossary.Vecs[id]) {
+			t.Fatalf("glossary vector %d differs between two Workers=1 trainings", id)
+		}
+	}
+	if m1.LM == nil || m1.POS == nil || m1.D2V == nil {
+		t.Fatal("missing model")
+	}
+}
+
+func TestTrainModelsNeedsWorldAndCorpus(t *testing.T) {
+	a := buildTiny(t)
+	var buf bytes.Buffer
+	if err := a.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := loaded.TrainModels(); err == nil || m != nil {
+		t.Fatalf("TrainModels on snapshot-loaded artifacts = %v, %v; want an error", m, err)
 	}
 }
 

@@ -112,6 +112,17 @@ type shardMetaWire struct {
 	Serving   ServingMeta
 }
 
+// Gob numbers wire types process-wide in the order it first meets them and
+// writes those numbers into the stream, so meta.bin's bytes would depend on
+// what else the process had gob-encoded before (a single-file snapshot, say).
+// Meeting shardMetaWire first, at init, gives it the same numbers in every
+// process, which keeps MetaChecksum a function of content alone.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(shardMetaWire{}); err != nil {
+		panic(err)
+	}
+}
+
 type nodePair struct {
 	Key  int
 	Node core.NodeID

@@ -18,7 +18,7 @@ func TestArtifactsSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Net != nil || b.World != nil || b.W2V != nil {
+	if b.Net != nil || b.World != nil || b.Corpus != nil {
 		t.Fatal("loaded artifacts should be serving-only")
 	}
 	if b.Frozen.NumNodes() != a.Frozen.NumNodes() || b.Frozen.NumEdges() != a.Frozen.NumEdges() {

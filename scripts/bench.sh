@@ -45,6 +45,7 @@ awk '
 BEGIN { print "[" ; first = 1 }
 /^Benchmark/ {
     name = $1
+    sub(/-[0-9]+$/, "", name)  # drop the -GOMAXPROCS suffix: names stay comparable across hosts
     ns = ""; bytes = ""; allocs = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op")     ns = $(i-1)
