@@ -11,14 +11,10 @@
 package alicoco
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -28,7 +24,6 @@ import (
 	"alicoco/internal/apps/recommend"
 	"alicoco/internal/apps/search"
 	"alicoco/internal/core"
-	"alicoco/internal/faultfs"
 	"alicoco/internal/inference"
 	"alicoco/internal/par"
 	"alicoco/internal/pipeline"
@@ -38,7 +33,7 @@ import (
 )
 
 // DefaultQueryCacheCapacity is the per-cache entry budget (one cache for
-// search, one for recommendation) a Build- or LoadFrozen-constructed CoCo
+// search, one for recommendation) a Build- or LoadShardedFrozen-constructed CoCo
 // starts with; SetQueryCacheCapacity adjusts it at runtime.
 const DefaultQueryCacheCapacity = 4096
 
@@ -71,7 +66,7 @@ func Default() Options {
 //
 // All query methods read one servingState loaded atomically, so they are
 // safe to call concurrently with InferImplicitRelations, Refreeze, and
-// ReloadFrozen (each publishes a fresh snapshot by swapping the pointer,
+// ReloadShards (each publishes a fresh snapshot by swapping the pointer,
 // never by mutating one in place).
 type CoCo struct {
 	arts       atomic.Pointer[pipeline.Artifacts]
@@ -81,7 +76,7 @@ type CoCo struct {
 
 	// shardCount is the partition size live refreezes maintain: a CoCo
 	// built with BuildSharded re-partitions into the same number of shards
-	// on every refreeze (inference, Refreeze). 0 or 1 means unsharded.
+	// on every refreeze (inference, Refreeze). 0 or 1 means one shard.
 	// Written only at construction, before the CoCo escapes.
 	shardCount int
 
@@ -121,21 +116,16 @@ type servingReader interface {
 type servingState struct {
 	reader servingReader
 
-	// Exactly one of the two stores below backs reader. frozen is the
-	// whole net (or the sole shard of an N=1 partition, which keeps N=1 on
-	// the unsharded fast path); shards is the scatter-gather set for N>1.
-	frozen *core.FrozenNet
+	// shards is the partition being served. reader is the scatter-gather
+	// set for N>1; for N=1 it is the sole shard, so one shard stays on the
+	// unsharded fast path.
 	shards *core.ShardSet
 
-	// Sharded-snapshot bookkeeping: where the shards were loaded from and
-	// the manifest they were verified against (nil for in-process freezes),
-	// plus per-shard serving metadata. shardInfo is set whenever the state
-	// was published from a partition, even an in-memory one. When the
-	// snapshot came out of a generation catalog, shardRoot is the store
-	// root (shardDir is then the generation's directory under it) and
-	// catalogGen the committed generation being served — what RollbackTo
-	// and the scrubber anchor on; both are zero for flat directories and
-	// in-process freezes.
+	// Snapshot bookkeeping: the store root the partition was loaded from,
+	// the generation directory under it, the committed generation served
+	// (what RollbackTo and the scrubber anchor on) and the manifest the
+	// shards were verified against — all zero for in-process freezes —
+	// plus per-shard serving metadata.
 	shardDir   string
 	shardRoot  string
 	catalogGen uint64
@@ -167,17 +157,17 @@ type ShardServingInfo struct {
 
 // ServingInfo identifies the snapshot queries are currently served from:
 // where it came from, how many times serving has been republished, the
-// checksum of the snapshot file (when loaded from disk), and when it went
-// live — the operational metadata a fleet needs to tell which net version
+// content checksum of the generation (when loaded from disk), and when it
+// went live — the operational metadata a fleet needs to tell which net version
 // each replica is answering with.
 type ServingInfo struct {
-	Source      string    // "build", "snapshot", "shards", "refreeze", or "rollback"
+	Source      string    // "build", "shards", "refreeze", or "rollback"
 	Generation  uint64    // increments with every published serving state
 	Checksum    string    // CRC-32 (hex) of the loaded snapshot content; "" for in-process freezes
 	PublishedAt time.Time // when this serving state was swapped in
 	Nodes       int
 	Edges       int
-	Shards      int    // partition size; 0 when serving an unpartitioned net
+	Shards      int    // partition size
 	CatalogGen  uint64 // snapshot-store generation being served; 0 when not catalog-backed
 }
 
@@ -199,71 +189,10 @@ func Build(opts Options) (*CoCo, error) {
 	}
 	// Serving always runs on the frozen snapshot: lock-free, zero-alloc
 	// reads, postings pre-sorted at freeze time.
+	arts.Shards = []*core.FrozenNet{arts.Frozen}
 	c := newCoCo()
 	c.arts.Store(arts)
-	c.publish(arts, "build")
-	return c, nil
-}
-
-// loadArtifacts reads a frozen snapshot file into a serving-only
-// Artifacts bundle. The open goes through faultfs so chaos tests can
-// inject slow, short, and corrupt reads against the real loader; with no
-// fault armed it is a plain os.Open.
-func loadArtifacts(path string) (*pipeline.Artifacts, error) {
-	f, err := faultfs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return pipeline.LoadSnapshot(bufio.NewReaderSize(f, 1<<20))
-}
-
-// LoadFrozen builds a CoCo from a snapshot file written by SaveFrozen,
-// skipping world and corpus generation, net construction, and the Freeze
-// pass: cold start is proportional to disk bandwidth. The loaded CoCo
-// serves every query path; offline paths that need the live net or the world
-// (InferImplicitRelations, SampleSessions, Glosses) report that they are
-// unavailable.
-func LoadFrozen(path string) (*CoCo, error) {
-	arts, err := loadArtifacts(path)
-	if err != nil {
-		return nil, err
-	}
-	c := newCoCo()
-	c.arts.Store(arts)
-	c.publish(arts, "snapshot")
-	return c, nil
-}
-
-// SaveFrozen writes the serving state — the frozen net plus the serving
-// metadata — to a snapshot file LoadFrozen can restore. The write has full
-// crash-safety discipline (temp sibling, fsync file, checked close,
-// rename, fsync parent directory), so neither a crash mid-save nor a power
-// loss right after the rename can leave a corrupt or empty snapshot at the
-// published path. It holds the offline lock so a concurrent refreeze
-// cannot swap the frozen net mid-serialization.
-func (c *CoCo) SaveFrozen(path string) error {
-	c.offline.Lock()
-	defer c.offline.Unlock()
-	return snapstore.WriteFileAtomic(filepath.Dir(path), filepath.Base(path), func(w io.Writer) error {
-		return c.arts.Load().SaveSnapshot(w)
-	})
-}
-
-// ReloadFrozen reads a snapshot file and hot-swaps it into serving: queries
-// running concurrently keep answering from the old snapshot until the
-// atomic pointer swap, then see the new one. This is how a running server
-// ingests new edges without a restart.
-func (c *CoCo) ReloadFrozen(path string) error {
-	arts, err := loadArtifacts(path)
-	if err != nil {
-		return err
-	}
-	c.offline.Lock()
-	defer c.offline.Unlock()
-	c.arts.Store(arts)
-	c.publish(arts, "snapshot")
-	return nil
+	return c, c.publishShards(arts, "build", shardLoc{}, nil)
 }
 
 // Refreeze republishes the live net's current state to the serving engines,
@@ -295,12 +224,11 @@ func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	return c, c.publishShards(arts, "build", shardLoc{}, nil)
 }
 
-// NumShards reports the partition size of the published serving state;
-// 0 means serving is unpartitioned.
+// NumShards reports the partition size of the published serving state.
 func (c *CoCo) NumShards() int { return c.serving.Load().info.Shards }
 
-// ShardInfos describes each shard of the published serving partition —
-// nil when serving is unpartitioned. The slice is a copy.
+// ShardInfos describes each shard of the published serving partition. The
+// slice is a copy.
 func (c *CoCo) ShardInfos() []ShardServingInfo {
 	return append([]ShardServingInfo(nil), c.serving.Load().shardInfo...)
 }
@@ -328,11 +256,13 @@ func (c *CoCo) SaveShardsRetain(dir string, count, retain int) (*pipeline.ShardM
 	return c.arts.Load().SaveShardsRetain(dir, count, retain)
 }
 
-// LoadShardedFrozen builds a CoCo from a sharded snapshot written by
-// SaveShards: a snapshot-store root (the newest committed generation
-// loads), a generation directory, or a pre-catalog flat directory. Shards
-// load and verify in parallel; the CoCo serves every query path,
-// scatter-gathering across the partition.
+// LoadShardedFrozen builds a CoCo from the newest committed generation of
+// the snapshot store at dir (written by SaveShards), skipping world and
+// corpus generation, net construction and freezing. Anything other than a
+// store root is an error. Shards load and verify in parallel; the CoCo
+// serves every query path, while the offline paths that need the live net
+// or the world (InferImplicitRelations, SampleSessions, Glosses) report
+// that they are unavailable.
 func LoadShardedFrozen(dir string) (*CoCo, error) {
 	loc, err := resolveShardDir(dir)
 	if err != nil {
@@ -350,36 +280,29 @@ func LoadShardedFrozen(dir string) (*CoCo, error) {
 	return c, nil
 }
 
-// shardLoc names where a sharded snapshot lives: the directory holding
-// its files, plus — when it came out of a generation catalog — the store
-// root and committed generation ID.
+// shardLoc names where a snapshot lives: the generation directory holding
+// its files, the store root, and the committed generation ID.
 type shardLoc struct {
 	dir  string
 	root string
 	gen  uint64
 }
 
-// resolveShardDir maps a snapshot directory argument through the
-// generation catalog: a store root resolves to its newest committed
-// generation, anything else to itself.
+// resolveShardDir maps a store root to its newest committed generation.
 func resolveShardDir(dir string) (shardLoc, error) {
-	resolved, gen, isStore, err := snapstore.ResolveDir(dir)
+	resolved, gen, err := snapstore.ResolveDir(dir)
 	if err != nil {
 		return shardLoc{}, err
 	}
-	loc := shardLoc{dir: resolved}
-	if isStore {
-		loc.root, loc.gen = dir, gen
-	}
-	return loc, nil
+	return shardLoc{dir: resolved, root: dir, gen: gen}, nil
 }
 
-// ReloadShards re-reads a sharded snapshot (store root, generation dir, or
-// flat dir — see LoadShardedFrozen) and hot-swaps the changed parts into
-// serving. It diffs the on-disk manifest against the partition currently
-// served: shards whose checksums match keep their in-memory form (and, via
-// the content stamp, their cache entries); only changed shards are read
-// from disk — so a new catalog generation that touched one shard reloads
+// ReloadShards re-reads the newest generation of the snapshot store at dir
+// and hot-swaps the changed parts into serving. It diffs that generation's
+// manifest against the partition currently served: shards whose checksums
+// match keep their in-memory form (and, via the content stamp, their cache
+// entries); only changed shards are read from disk — so a new catalog
+// generation that touched one shard reloads
 // one shard, even though it lives in a fresh gen-%06d directory. It
 // returns how many shards were (re)loaded — 0 means the snapshot holds
 // exactly what is already being served; when it is also the same directory
@@ -402,7 +325,7 @@ func (c *CoCo) ReloadShards(dir string) (int, error) {
 		return 0, err
 	}
 	prev := c.serving.Load()
-	if prev == nil || prev.manifest == nil || prev.shards == nil || !sameShape(prev.manifest, man) {
+	if prev.manifest == nil || !sameShape(prev.manifest, man) {
 		arts, man, err := pipeline.LoadShards(loc.dir)
 		if err != nil {
 			return 0, err
@@ -433,18 +356,18 @@ func (c *CoCo) ReloadShards(dir string) (int, error) {
 	return changed, c.publishShards(&arts, "shards", loc, man)
 }
 
-// ReloadShard force-reloads one shard from a sharded snapshot directory,
-// regardless of whether its checksum changed; the rest of the partition
-// keeps serving its in-memory shards. The manifest is re-read first so
-// the shard is verified against the directory's current commit point; if
-// the partition shape on disk no longer matches serving, the reload is
-// refused (use ReloadShards, which handles shape changes).
+// ReloadShard force-reloads one shard from the newest generation of the
+// snapshot store at dir, regardless of whether its checksum changed; the
+// rest of the partition keeps serving its in-memory shards. The manifest is
+// re-read first so the shard is verified against the store's current
+// commit point; if the partition shape on disk no longer matches serving,
+// the reload is refused (use ReloadShards, which handles shape changes).
 func (c *CoCo) ReloadShard(dir string, i int) error {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	prev := c.serving.Load()
-	if prev == nil || prev.manifest == nil {
-		return errors.New("alicoco: reload shard: serving is not backed by a sharded snapshot")
+	if prev.manifest == nil {
+		return errors.New("alicoco: reload shard: serving is not backed by a snapshot store")
 	}
 	loc, err := resolveShardDir(dir)
 	if err != nil {
@@ -492,7 +415,7 @@ func (c *CoCo) RollbackTo(gen uint64) (snapstore.Gen, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	prev := c.serving.Load()
-	if prev == nil || prev.shardRoot == "" {
+	if prev.shardRoot == "" {
 		return snapstore.Gen{}, errors.New("alicoco: rollback: serving is not backed by a snapshot store")
 	}
 	store, err := snapstore.Open(prev.shardRoot, snapstore.Options{})
@@ -530,8 +453,8 @@ func (c *CoCo) RollbackTo(gen uint64) (snapstore.Gen, error) {
 
 // ScrubOnce runs one integrity pass over the generation directory serving
 // was loaded from: every file is re-hashed against the on-disk manifest
-// (itself verified against the catalog when the snapshot is
-// catalog-backed), mismatches are quarantined, and each quarantined file
+// (itself verified against the catalog entry), mismatches are quarantined,
+// and each quarantined file
 // is repaired from the newest clean source — another catalog generation
 // with matching content first, the served in-memory shard second. Repair
 // touches only the disk copy; serving reads the in-memory shards
@@ -542,24 +465,16 @@ func (c *CoCo) ScrubOnce() (*snapstore.ScrubReport, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	s := c.serving.Load()
-	if s == nil || s.shardDir == "" {
-		return nil, errors.New("alicoco: scrub: serving is not backed by an on-disk sharded snapshot")
+	if s.shardRoot == "" {
+		return nil, errors.New("alicoco: scrub: serving is not backed by a snapshot store")
 	}
-	opts := pipeline.ScrubOptions{Gen: s.catalogGen}
-	if s.shardRoot != "" {
-		store, err := snapstore.Open(s.shardRoot, snapstore.Options{})
-		if err != nil {
-			return nil, err
-		}
-		opts.Store = store
-		if g, err := store.Find(s.catalogGen); err == nil {
-			opts.ManifestChecksum = g.ManifestChecksum
-		}
+	store, err := snapstore.Open(s.shardRoot, snapstore.Options{})
+	if err != nil {
+		return nil, err
 	}
-	if s.shards != nil {
-		opts.InMem = s.shards.Shards()
-	} else if s.frozen != nil {
-		opts.InMem = []*core.FrozenNet{s.frozen}
+	opts := pipeline.ScrubOptions{Store: store, InMem: s.shards.Shards(), Gen: s.catalogGen}
+	if g, err := store.Find(s.catalogGen); err == nil {
+		opts.ManifestChecksum = g.ManifestChecksum
 	}
 	return pipeline.ScrubShardDir(s.shardDir, opts)
 }
@@ -575,42 +490,6 @@ func buildItemIndex(meta *pipeline.ServingMeta) ([]Item, map[core.NodeID]Item, m
 		fwd[im.WorldID] = im.Node
 	}
 	return items, rev, fwd
-}
-
-// publish swaps in a serving state built on the artifacts' frozen snapshot.
-// The fresh engines are stamped with the new generation, so everything the
-// query caches hold for earlier snapshots becomes unreachable in the same
-// atomic pointer store that publishes the snapshot itself.
-func (c *CoCo) publish(arts *pipeline.Artifacts, source string) {
-	frozen := arts.Frozen
-	items, rev, fwd := buildItemIndex(arts.Serving)
-	checksum := ""
-	if source == "snapshot" { // only snapshot files have a recorded CRC
-		checksum = fmt.Sprintf("%08x", frozen.Checksum())
-	}
-	stamp := qcache.Stamp{Gen: c.generation.Add(1), Sum: frozen.Checksum()}
-	se := search.NewEngine(frozen, arts.Serving.Stopwords)
-	se.UseCache(c.searchCache, stamp)
-	re := recommend.NewEngine(frozen)
-	re.UseCache(c.recCache, stamp)
-	c.serving.Store(&servingState{
-		reader:     frozen,
-		frozen:     frozen,
-		search:     se,
-		rec:        re,
-		items:      items,
-		itemByNode: rev,
-		itemNode:   fwd,
-		stamp:      stamp,
-		info: ServingInfo{
-			Source:      source,
-			Generation:  stamp.Gen,
-			Checksum:    checksum,
-			PublishedAt: time.Now(),
-			Nodes:       frozen.NumNodes(),
-			Edges:       frozen.NumEdges(),
-		},
-	})
 }
 
 // shardContentStamp derives the cache stamp of a disk-loaded shard
@@ -645,23 +524,23 @@ func sameShape(a, b *pipeline.ShardManifest) bool {
 		a.TotalNodes == b.TotalNodes && a.MetaChecksum == b.MetaChecksum
 }
 
-// publishShards swaps in a serving state backed by a shard partition
-// (arts.Shards). For a single-shard partition the engines run directly on
+// publishShards swaps in a serving state backed by the shard partition
+// arts.Shards — the one publish path for builds, loads, reloads, refreezes
+// and rollbacks. For a single-shard partition the engines run directly on
 // the sole shard — a whole frozen net — so N=1 stays on the unpartitioned
 // fast path; for N>1 they run on the scatter-gather ShardSet. loc and man
-// identify the sharded snapshot the partition was verified against (the
-// directory, and for catalog-backed snapshots the store root and committed
-// generation); both are zero for in-process freezes.
+// identify the generation the partition was verified against; both are
+// zero for in-process freezes. The fresh engines carry the new cache
+// stamp, so everything the query caches hold for other content becomes
+// unreachable in the same atomic pointer store that publishes the state.
 func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardLoc, man *pipeline.ShardManifest) error {
 	set, err := core.NewShardSet(arts.Shards)
 	if err != nil {
 		return err
 	}
 	var reader servingReader = set
-	var frozen *core.FrozenNet
 	if set.NumShards() == 1 {
-		frozen = set.Shard(0)
-		reader = frozen
+		reader = set.Shard(0)
 	}
 	items, rev, fwd := buildItemIndex(arts.Serving)
 	gen := c.generation.Add(1)
@@ -688,7 +567,7 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 		}
 		// A shard whose in-memory pointer survived the republish did not
 		// change content; keep its original publication metadata.
-		if prev != nil && prev.shards != nil && i < prev.shards.NumShards() && prev.shards.Shard(i) == sh {
+		if prev != nil && i < prev.shards.NumShards() && prev.shards.Shard(i) == sh {
 			si.Generation = prev.shardInfo[i].Generation
 			si.PublishedAt = prev.shardInfo[i].PublishedAt
 		}
@@ -700,7 +579,6 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 	re.UseCache(c.recCache, stamp)
 	c.serving.Store(&servingState{
 		reader:     reader,
-		frozen:     frozen,
 		shards:     set,
 		shardDir:   loc.dir,
 		shardRoot:  loc.root,
@@ -754,27 +632,10 @@ func (c *CoCo) refreeze() error {
 	arts := c.arts.Load()
 	if c.shardCount > 1 {
 		arts.Shards = arts.Net.FreezeShards(c.shardCount)
-		return c.publishShards(arts, "refreeze", shardLoc{}, nil)
+	} else {
+		arts.Shards = []*core.FrozenNet{arts.Refreeze()}
 	}
-	arts.Refreeze()
-	c.publish(arts, "refreeze")
-	return nil
-}
-
-// SaveSnapshot writes the mutable net to a file in the legacy gob format
-// (see SaveFrozen for the serving snapshot that restores without a
-// rebuild). It errors on a snapshot-loaded CoCo.
-func (c *CoCo) SaveSnapshot(path string) error {
-	arts := c.arts.Load()
-	if arts.Net == nil {
-		return errors.New("alicoco: save snapshot: snapshot-loaded net has no live store")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return arts.Net.Save(f)
+	return c.publishShards(arts, "refreeze", shardLoc{}, nil)
 }
 
 // Stats summarizes the net (the Table 2 shape).

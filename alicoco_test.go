@@ -116,28 +116,39 @@ func TestFacadeConceptsList(t *testing.T) {
 	}
 }
 
+// TestSaveSnapshot: every save commits the next generation of the store,
+// and a snapshot-loaded CoCo, which has no live net, cannot save.
 func TestSaveSnapshot(t *testing.T) {
 	c := buildSmall(t)
-	path := filepath.Join(t.TempDir(), "net.coco")
-	if err := c.SaveSnapshot(path); err != nil {
+	dir := t.TempDir()
+	for want := uint64(1); want <= 2; want++ {
+		_, g, err := c.SaveShardsRetain(dir, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.ID != want {
+			t.Fatalf("save committed generation %d, want %d", g.ID, want)
+		}
+	}
+	l, err := LoadShardedFrozen(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() == 0 {
-		t.Fatal("snapshot not written")
+	if _, err := l.SaveShards(t.TempDir(), 1); err == nil {
+		t.Fatal("save of a snapshot-loaded CoCo should error")
 	}
 }
 
-// TestFrozenSnapshotRoundTripFacade: SaveFrozen -> LoadFrozen restores a
+// TestFrozenSnapshotRoundTripFacade: a one-shard generation restores a
 // CoCo that answers every query path like the original, ingests a reload,
 // and reports clean errors on the offline-only paths.
 func TestFrozenSnapshotRoundTripFacade(t *testing.T) {
 	c := buildSmall(t)
-	path := filepath.Join(t.TempDir(), "net.fz")
-	if err := c.SaveFrozen(path); err != nil {
+	dir := t.TempDir()
+	if _, err := c.SaveShards(dir, 1); err != nil {
 		t.Fatal(err)
 	}
-	l, err := LoadFrozen(path)
+	l, err := LoadShardedFrozen(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,32 +191,59 @@ func TestFrozenSnapshotRoundTripFacade(t *testing.T) {
 	if err := l.Refreeze(); err == nil {
 		t.Fatal("refreeze on snapshot-loaded CoCo should error")
 	}
-	if err := l.SaveSnapshot(filepath.Join(t.TempDir(), "x.coco")); err == nil {
-		t.Fatal("legacy snapshot of snapshot-loaded CoCo should error")
-	}
-	// But the frozen snapshot itself can be re-saved and reloaded.
-	path2 := filepath.Join(t.TempDir(), "net2.fz")
-	if err := l.SaveFrozen(path2); err != nil {
+	// A newer generation reloads in place.
+	if _, err := c.SaveShards(dir, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ReloadFrozen(path2); err != nil {
+	if _, err := l.ReloadShards(dir); err != nil {
 		t.Fatal(err)
+	}
+	if info := l.ServingInfo(); info.CatalogGen != 2 || info.Shards != 1 {
+		t.Fatalf("after reload: %+v", info)
 	}
 	if res := l.Search("outdoor barbecue", 8); len(res.Cards) == 0 {
 		t.Fatal("no card after reload")
 	}
 }
 
+// TestLoadFrozenRejectsMissingAndCorrupt: the load and reload entry points
+// accept only a store root with a loadable newest generation.
 func TestLoadFrozenRejectsMissingAndCorrupt(t *testing.T) {
-	if _, err := LoadFrozen(filepath.Join(t.TempDir(), "missing.fz")); err == nil {
-		t.Fatal("missing file should error")
+	c := buildSmall(t)
+	if _, err := LoadShardedFrozen(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("missing directory should error")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.fz")
-	if err := os.WriteFile(bad, []byte("definitely not a snapshot"), 0o644); err != nil {
+	flat := t.TempDir()
+	if err := os.WriteFile(filepath.Join(flat, "shard-0000.fz"), []byte("definitely not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFrozen(bad); err == nil {
-		t.Fatal("corrupt file should error")
+	if _, err := LoadShardedFrozen(flat); err == nil {
+		t.Fatal("non-catalog directory should error")
+	}
+	store := t.TempDir()
+	if _, err := c.SaveShards(store, 2); err != nil {
+		t.Fatal(err)
+	}
+	l, err := LoadShardedFrozen(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genDir := filepath.Join(store, "gen-000001")
+	if _, err := LoadShardedFrozen(genDir); err == nil {
+		t.Fatal("generation directory should error: only store roots load")
+	}
+	if _, err := l.ReloadShards(genDir); err == nil {
+		t.Fatal("ReloadShards of a generation directory should error")
+	}
+	if err := l.ReloadShard(flat, 0); err == nil {
+		t.Fatal("ReloadShard of a non-catalog directory should error")
+	}
+	victim := filepath.Join(genDir, "shard-0001.fz")
+	if err := os.WriteFile(victim, []byte("definitely not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadShardedFrozen(store); err == nil {
+		t.Fatal("corrupt shard file should error")
 	}
 }
 

@@ -104,7 +104,7 @@ func TestBatchPinnedDuringRefreeze(t *testing.T) {
 }
 
 // TestServingInfoLifecycle follows the generation counter and source label
-// through build, refreeze, save, and reload.
+// through build, refreeze, save, load, and rollback.
 func TestServingInfoLifecycle(t *testing.T) {
 	c := buildSmall(t)
 	info := c.ServingInfo()
@@ -121,26 +121,30 @@ func TestServingInfoLifecycle(t *testing.T) {
 	if info.Source != "refreeze" || info.Generation != 2 {
 		t.Fatalf("after refreeze: %+v", info)
 	}
-	path := t.TempDir() + "/net.fz"
-	if err := c.SaveFrozen(path); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		if _, err := c.SaveShards(dir, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	loaded, err := LoadFrozen(path)
+	loaded, err := LoadShardedFrozen(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	linfo := loaded.ServingInfo()
-	if linfo.Source != "snapshot" || linfo.Generation != 1 || linfo.Checksum == "" {
+	if linfo.Source != "shards" || linfo.Generation != 1 || linfo.Checksum == "" || linfo.CatalogGen != 2 {
 		t.Fatalf("after load: %+v", linfo)
 	}
 	if linfo.Nodes != info.Nodes || linfo.Edges != info.Edges {
 		t.Fatalf("loaded counts differ: %+v vs %+v", linfo, info)
 	}
-	if err := loaded.ReloadFrozen(path); err != nil {
+	// Rolling back to a generation with the same content republishes it
+	// under the same content checksum.
+	if _, err := loaded.RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
 	linfo2 := loaded.ServingInfo()
-	if linfo2.Generation != 2 || linfo2.Checksum != linfo.Checksum {
-		t.Fatalf("after reload: %+v", linfo2)
+	if linfo2.Generation != 2 || linfo2.Checksum != linfo.Checksum || linfo2.CatalogGen != 1 {
+		t.Fatalf("after rollback: %+v", linfo2)
 	}
 }

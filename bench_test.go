@@ -7,8 +7,8 @@
 package alicoco
 
 import (
-	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +21,7 @@ import (
 	"alicoco/internal/mat"
 	"alicoco/internal/matching"
 	"alicoco/internal/pipeline"
+	"alicoco/internal/snapstore"
 	"alicoco/internal/tagging"
 	"alicoco/internal/text"
 	"alicoco/internal/world"
@@ -486,7 +487,7 @@ func BenchmarkFrozenVsLockedNodesOfKind(b *testing.B) {
 //
 // The pair contrasts the two ways a server can reach serving state:
 // rebuild from scratch (world, corpus, pattern mining, net, freeze) versus
-// re-reading the frozen binary snapshot from a byte stream.
+// loading a committed snapshot generation from disk.
 // scripts/bench.sh records both in BENCH_core.json; the frozen side is
 // expected to win since it is bounded by I/O bandwidth, not by generating
 // and indexing the world. Neither trains a model: serving reads none.
@@ -507,27 +508,44 @@ func BenchmarkColdStartLive(b *testing.B) {
 }
 
 // BenchmarkColdStartFrozen measures cold start from a snapshot: one
-// LoadSnapshot pass over the serialized bytes of the same net
-// BenchmarkColdStartLive builds.
+// pipeline.LoadShards of a one-shard generation of the same net
+// BenchmarkColdStartLive builds — manifest, meta.bin and the shard file,
+// each read and verified (the files stay in the page cache across
+// iterations).
 func BenchmarkColdStartFrozen(b *testing.B) {
 	a, err := pipeline.Build(pipeline.TinyOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := a.SaveSnapshot(&buf); err != nil {
+	root := b.TempDir()
+	if _, err := a.SaveShards(root, 1); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arts, err := pipeline.LoadSnapshot(bytes.NewReader(data))
+	dir, _, err := snapstore.ResolveDir(root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size int64
+	for _, e := range entries {
+		fi, err := e.Info()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if arts.Frozen.NumNodes() != a.Frozen.NumNodes() {
+		size += fi.Size()
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arts, _, err := pipeline.LoadShards(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if arts.Shards[0].NumNodes() != a.Frozen.NumNodes() {
 			b.Fatal("loaded net differs")
 		}
 	}
@@ -566,10 +584,13 @@ func BenchmarkFrozenSearchEngine(b *testing.B) {
 // into hit measurements (BenchmarkServeCacheHit/Miss in cmd/cocoserve
 // cover the cached path).
 func benchCoCo(b *testing.B) *CoCo {
-	a := benchArtifacts(b)
+	arts := *benchArtifacts(b)
+	arts.Shards = []*core.FrozenNet{arts.Frozen}
 	c := &CoCo{}
-	c.arts.Store(a)
-	c.publish(a, "build")
+	c.arts.Store(&arts)
+	if err := c.publishShards(&arts, "build", shardLoc{}, nil); err != nil {
+		b.Fatal(err)
+	}
 	return c
 }
 

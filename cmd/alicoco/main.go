@@ -1,28 +1,26 @@
 // Command alicoco builds the e-commerce cognitive concept net end-to-end
-// from the synthetic testbed, prints Table-2-style statistics, and
-// optionally saves a binary snapshot.
+// from the synthetic testbed, prints Table-2-style statistics, and manages
+// snapshot stores.
 //
 // Usage:
 //
-//	alicoco [-scale small|default] [-out net.coco] [-query "outdoor barbecue"]
-//	alicoco snapshot save [-scale small|default] -out net.fz
-//	alicoco snapshot save [-scale small|default] -shards 4 [-retain 4] -out netdir
-//	alicoco snapshot load -in net.fz [-query "outdoor barbecue"]
-//	alicoco snapshot verify netdir
+//	alicoco [-scale small|default] [-query "outdoor barbecue"]
+//	alicoco snapshot save [-scale small|default] [-shards N] [-retain 4] -out store
+//	alicoco snapshot load -in store [-query "outdoor barbecue"]
+//	alicoco snapshot verify store
 //	alicoco metrics lint <file|->
 //
-// `snapshot save` builds the net and writes the frozen serving snapshot —
-// a single file, or with -shards N a generation committed into the
-// snapshot store at -out: N independently reloadable shard files plus a
+// A snapshot is one generation of a snapshot store: `snapshot save` builds
+// the net and commits it into the store at -out as the next generation —
+// N independently reloadable shard files (one by default) plus a
 // checksummed manifest in a gen-NNNNNN directory, named by the store's
 // CATALOG (serve it with `cocoserve -snapshot-dir`). Repeated saves into
 // the same store append generations; -retain bounds how many the catalog
-// keeps. `snapshot load` restores a single-file snapshot without
+// keeps. `snapshot load` restores the store's newest generation without
 // rebuilding (cold start proportional to disk bandwidth) and can answer
-// queries against it. `snapshot verify` re-hashes every file of a sharded
-// snapshot — all generations of a catalog store — against its manifest and
-// catalog entry, reporting per file and exiting non-zero on any mismatch,
-// without modifying the store.
+// queries against it. `snapshot verify` re-hashes every file of every
+// generation against its manifest and catalog entry, reporting per file
+// and exiting non-zero on any mismatch, without modifying the store.
 //
 // `metrics lint` strict-parses a Prometheus text exposition (a /metrics
 // capture, or stdin with `-`) with the same validator the load driver's
@@ -68,7 +66,6 @@ func main() {
 	}
 
 	scale := flag.String("scale", "default", "build scale: small or default")
-	out := flag.String("out", "", "path to save a binary snapshot of the net")
 	query := flag.String("query", "", "optionally run one search query against the built net")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -84,14 +81,6 @@ func main() {
 		log.Fatalf("build: %v", err)
 	}
 	fmt.Println(coco.Stats().Render())
-
-	if *out != "" {
-		if err := coco.SaveSnapshot(*out); err != nil {
-			log.Fatalf("snapshot: %v", err)
-		}
-		log.Printf("snapshot written to %s", *out)
-	}
-
 	runQuery(coco, *query)
 }
 
@@ -109,13 +98,14 @@ func scaleOptions(scale string) alicoco.Options {
 	return alicoco.Default()
 }
 
-// snapshotSave builds the net and writes the frozen serving snapshot.
+// snapshotSave builds the net and commits it as the next generation of a
+// snapshot store.
 func snapshotSave(args []string) {
 	fs := flag.NewFlagSet("snapshot save", flag.ExitOnError)
 	scale := fs.String("scale", "default", "build scale: small or default")
-	out := fs.String("out", "net.fz", "path to write the frozen snapshot (a directory with -shards)")
-	shards := fs.Int("shards", 0, "write a sharded snapshot directory with this many shards instead of a single file")
-	retain := fs.Int("retain", 0, "committed generations the snapshot store keeps (with -shards; 0 means the default window)")
+	out := fs.String("out", "netstore", "snapshot store to commit the generation into (created if missing)")
+	shards := fs.Int("shards", 1, "shard files the generation is partitioned into")
+	retain := fs.Int("retain", 0, "committed generations the snapshot store keeps (0 means the default window)")
 	fs.Parse(args)
 	rejectExtraArgs(fs)
 
@@ -126,41 +116,32 @@ func snapshotSave(args []string) {
 		log.Fatalf("build: %v", err)
 	}
 	log.Printf("built in %v", time.Since(start).Round(time.Millisecond))
-	if *shards > 0 {
-		man, gen, err := coco.SaveShardsRetain(*out, *shards, *retain)
-		if err != nil {
-			log.Fatalf("save shards: %v", err)
-		}
-		log.Printf("sharded snapshot committed to %s/ as generation %d (%d shards, serve with cocoserve -snapshot-dir)",
-			*out, gen.ID, man.NumShards())
-		fmt.Println(coco.Stats().Render())
-		return
-	}
-	if err := coco.SaveFrozen(*out); err != nil {
-		log.Fatalf("save frozen: %v", err)
-	}
-	info, err := os.Stat(*out)
+	man, gen, err := coco.SaveShardsRetain(*out, *shards, *retain)
 	if err != nil {
-		log.Fatalf("stat: %v", err)
+		log.Fatalf("save: %v", err)
 	}
-	log.Printf("frozen snapshot written to %s (%d bytes)", *out, info.Size())
+	log.Printf("committed generation %d to %s/ (%d shards, serve with cocoserve -snapshot-dir)",
+		gen.ID, *out, man.NumShards())
 	fmt.Println(coco.Stats().Render())
 }
 
-// snapshotLoad restores a frozen snapshot and optionally queries it.
+// snapshotLoad restores the newest generation of a snapshot store and
+// optionally queries it.
 func snapshotLoad(args []string) {
 	fs := flag.NewFlagSet("snapshot load", flag.ExitOnError)
-	in := fs.String("in", "net.fz", "path of the frozen snapshot to load")
+	in := fs.String("in", "netstore", "snapshot store to load the newest generation of")
 	query := fs.String("query", "", "optionally run one search query against the loaded net")
 	fs.Parse(args)
 	rejectExtraArgs(fs)
 
 	start := time.Now()
-	coco, err := alicoco.LoadFrozen(*in)
+	coco, err := alicoco.LoadShardedFrozen(*in)
 	if err != nil {
-		log.Fatalf("load frozen: %v", err)
+		log.Fatalf("load: %v", err)
 	}
-	log.Printf("loaded %s in %v", *in, time.Since(start).Round(time.Millisecond))
+	info := coco.ServingInfo()
+	log.Printf("loaded generation %d of %s (%d shards) in %v",
+		info.CatalogGen, *in, info.Shards, time.Since(start).Round(time.Millisecond))
 	fmt.Println(coco.Stats().Render())
 	runQuery(coco, *query)
 }

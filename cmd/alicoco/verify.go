@@ -1,10 +1,8 @@
-// `alicoco snapshot verify <dir>`: offline integrity audit of a sharded
-// snapshot. Every file the manifest names — each shard body and the meta
-// file — is re-hashed against its recorded checksum, and when the
-// directory is a generation catalog the audit covers every committed
-// generation, anchoring each one's manifest to its catalog entry first
-// (catalog -> manifest -> file is the same chain of trust the serving
-// scrubber walks). Strictly read-only: unlike opening the store, verify
+// `alicoco snapshot verify <store>`: offline integrity audit of a snapshot
+// store. For every committed generation, the manifest is anchored to its
+// catalog entry first, then every file it names — each shard body and the
+// meta file — is re-hashed against its recorded checksum (catalog ->
+// manifest -> file is the same chain of trust the serving scrubber walks). Strictly read-only: unlike opening the store, verify
 // never sweeps or repairs anything. Exit status 0 means everything
 // verified; 1 means at least one file failed, each reported on its own
 // line.
@@ -25,25 +23,24 @@ func snapshotVerify(args []string) {
 	fs := flag.NewFlagSet("snapshot verify", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: alicoco snapshot verify <dir>")
+		fmt.Fprintln(os.Stderr, "usage: alicoco snapshot verify <store>")
 		os.Exit(2)
 	}
 	dir := fs.Arg(0)
+	if !snapstore.IsStore(dir) {
+		log.Fatalf("verify: %s is not a snapshot store (no %s)", dir, snapstore.CatalogName)
+	}
+	gens, err := snapstore.ListGenerations(dir)
+	if err != nil {
+		log.Fatalf("verify: %v", err)
+	}
+	if len(gens) == 0 {
+		log.Fatalf("verify: catalog at %s has no committed generations", dir)
+	}
 	checked, bad := 0, 0
-	if snapstore.IsStore(dir) {
-		gens, err := snapstore.ListGenerations(dir)
-		if err != nil {
-			log.Fatalf("verify: %v", err)
-		}
-		if len(gens) == 0 {
-			log.Fatalf("verify: catalog at %s has no committed generations", dir)
-		}
-		for _, g := range gens {
-			c, b := verifyGeneration(filepath.Join(dir, g.Dir), fmt.Sprintf("gen %d", g.ID), g.ManifestChecksum)
-			checked, bad = checked+c, bad+b
-		}
-	} else {
-		checked, bad = verifyGeneration(dir, dir, 0)
+	for _, g := range gens {
+		c, b := verifyGeneration(filepath.Join(dir, g.Dir), fmt.Sprintf("gen %d", g.ID), g.ManifestChecksum)
+		checked, bad = checked+c, bad+b
 	}
 	if bad > 0 {
 		fmt.Printf("FAIL: %d of %d files failed verification\n", bad, checked)
@@ -52,21 +49,19 @@ func snapshotVerify(args []string) {
 	fmt.Printf("OK: %d files verified\n", checked)
 }
 
-// verifyGeneration audits one snapshot directory: the manifest against the
-// catalog checksum when there is one, then every file the manifest names.
+// verifyGeneration audits one generation directory: the manifest against
+// the catalog checksum, then every file the manifest names.
 // It reports one line per file and never stops at the first failure — the
 // whole damage report is the point.
 func verifyGeneration(dir, label string, manifestSum uint32) (checked, bad int) {
-	if manifestSum != 0 {
-		rep := snapstore.VerifyFiles(dir, []snapstore.FileCheck{{Name: pipeline.ShardManifestName, Want: manifestSum}})[0]
-		checked++
-		bad += printReport(label, rep)
-		if !rep.OK() {
-			// An untrusted manifest proves nothing about the files below
-			// it; the per-file checks would be checking against lies.
-			fmt.Printf("%s: manifest does not match catalog; skipping per-file checks\n", label)
-			return checked, bad
-		}
+	rep := snapstore.VerifyFiles(dir, []snapstore.FileCheck{{Name: pipeline.ShardManifestName, Want: manifestSum}})[0]
+	checked++
+	bad += printReport(label, rep)
+	if !rep.OK() {
+		// An untrusted manifest proves nothing about the files below it;
+		// the per-file checks would be checking against lies.
+		fmt.Printf("%s: manifest does not match catalog; skipping per-file checks\n", label)
+		return checked, bad
 	}
 	man, err := pipeline.ReadManifest(dir)
 	if err != nil {

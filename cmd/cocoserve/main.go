@@ -12,7 +12,7 @@
 //	POST /recommend/batch   {"sessions": [[1,2,3], [4,5]], "k": 10}
 //	GET  /hypernyms?name=coat
 //	POST /reload
-//	POST /rollback  (catalog stores: republish an earlier generation)
+//	POST /rollback  (-snapshot-dir: republish an earlier generation)
 //	GET  /healthz   (liveness: 200 while the process can answer at all)
 //	GET  /readyz    (readiness: 503 while draining or saturated)
 //
@@ -24,9 +24,9 @@
 // request order.
 //
 // /stats reports the net shape plus a "snapshot" section (source, serving
-// generation, the snapshot file's checksum when loaded from disk, publish
-// time, age, serving node/edge counts) and a "cache" section with
-// hit/miss/eviction counters per cache layer.
+// generation, the content checksum and store root when loaded from disk,
+// publish time, age, serving node/edge counts, per-shard state) and a
+// "cache" section with hit/miss/eviction counters per cache layer.
 //
 // Serving is cached at two layers, both stamped with the serving
 // generation so POST /reload (or a refreeze) invalidates everything at
@@ -41,32 +41,31 @@
 //
 // Usage: cocoserve [-addr :8080] [-scale small|default]
 //
-//	[-snapshot net.fz] [-snapshot-dir dir] [-shards N]
+//	[-snapshot-dir store] [-shards N]
 //	[-refresh 5m] [-cache-size 4096]
 //	[-deadline 2s] [-batch-deadline 15s] [-max-inflight N] [-queue-depth N]
 //	[-drain-timeout 15s] [-retain 4] [-scrub-interval 10m]
 //
-// With -snapshot, startup loads the frozen serving snapshot written by
-// `alicoco snapshot save` instead of rebuilding the net — cold start is
-// proportional to disk bandwidth. POST /reload re-reads the snapshot (or
-// re-freezes the live net when built without one): the file's CRC-32 is
-// verified (along with every structural invariant) before anything is
-// swapped, so a corrupt or truncated snapshot leaves the current serving
-// state untouched. The swap itself is one atomic pointer store — in-flight
-// and concurrent queries keep answering without downtime; -refresh does
-// the same on a timer.
+// Without -snapshot-dir the server builds the net at startup (-shards N
+// partitions it; refreezes then re-freeze all N shards in parallel) and
+// POST /reload re-freezes the live net.
 //
-// With -snapshot-dir, the store is a partition of N independently frozen
-// shards (written by SaveShards: a manifest plus one file per shard).
-// POST /reload diffs the on-disk manifest against serving and re-reads
-// only the shards whose checksums changed — unchanged shards keep their
-// in-memory form and their cache entries stay warm; a no-op reload swaps
-// nothing at all. POST /reload?shard=i force-reloads one shard. Each
-// shard fails, retries, and quarantines independently: a shard file that
-// keeps failing validation is renamed aside while the other shards keep
-// reloading. /stats lists per-shard generation, checksum, publish age,
-// and consecutive-failure counts. -shards N partitions a live-built net
-// the same way (refreezes then re-freeze all N shards in parallel).
+// With -snapshot-dir, startup loads the newest committed generation of a
+// snapshot store written by `alicoco snapshot save` or SaveShards — no
+// rebuild, so cold start is proportional to disk bandwidth. A generation
+// is a partition of N independently frozen shards (a manifest plus one
+// file per shard) committed by an atomic rename of the store's CATALOG.
+// POST /reload diffs the newest generation's manifest against serving and
+// re-reads only the shards whose checksums changed — unchanged shards keep
+// their in-memory form and their cache entries stay warm; a no-op reload
+// swaps nothing at all. Every file's CRC-32 (along with every structural
+// invariant) is verified before anything is swapped, so a corrupt or
+// truncated generation leaves the current serving state untouched. The
+// swap itself is one atomic pointer store — in-flight and concurrent
+// queries keep answering without downtime; -refresh does the same on a
+// timer. POST /reload?shard=i force-reloads one shard. /stats lists
+// per-shard generation, checksum, publish age, and consecutive-failure
+// counts.
 //
 // Operational behavior (see PERF.md "Operational behavior" for budgets):
 // handler panics become 500s behind recovery middleware; cache-missing
@@ -77,31 +76,27 @@
 // liveness, /readyz is readiness (fails while draining or saturated);
 // SIGTERM/SIGINT drains in-flight requests within -drain-timeout before
 // exiting; the -refresh loop retries failed reloads with jittered
-// exponential backoff behind a circuit breaker and quarantines (renames) a
-// snapshot file that repeatedly fails validation, keeping the last good
+// exponential backoff behind a circuit breaker, keeping the last good
 // generation serving throughout. /stats carries a "resilience" section
 // with all of those counters.
 //
-// When -snapshot-dir is a generation catalog (a store written by
-// `alicoco snapshot save -dir` or SaveShards: gen-NNNNNN directories plus
-// a CATALOG file committed by atomic rename), the crash-safe snapshot
-// lifecycle engages on top of all of the above: startup sweeps any
-// torn/uncommitted save the publisher left behind; every newly published
-// generation must pass post-swap validation or the server automatically
-// rolls back down the catalog to the newest generation that loads and
-// validates clean (the bad generation is skiplisted until a newer one
-// lands); a reload breaker trip likewise re-anchors serving on the newest
-// clean generation instead of freezing on "last good in memory";
-// POST /rollback?gen=N republishes an earlier generation on demand;
-// -retain N prunes the catalog after successful reloads (the serving
-// generation is never dropped); and -scrub-interval runs a background
-// integrity scrubber that re-hashes the served generation's files against
-// its manifest — anchored by the catalog entry's manifest checksum —
-// quarantining mismatches and repairing them from the newest clean source
-// (another committed generation, else the in-memory shard). /stats gains a
-// "snapstore" section reporting the catalog, rollback history, and scrub
-// counters. A flat (pre-catalog) snapshot directory disables all of it and
-// serves exactly as before.
+// With -snapshot-dir the crash-safe snapshot lifecycle runs on top of all
+// of the above: startup sweeps any torn/uncommitted save the publisher
+// left behind; every newly published generation — by a full or a
+// single-shard reload — must pass post-swap validation or the server
+// automatically rolls back down the catalog to the newest generation that
+// loads and validates clean (the bad generation is skiplisted, and reloads
+// hold, until a newer one lands); a reload breaker trip likewise
+// re-anchors serving on the newest clean generation instead of freezing
+// on "last good in memory"; POST /rollback?gen=N republishes an earlier
+// generation on demand; -retain N prunes the catalog after successful
+// reloads (the serving generation is never dropped); and -scrub-interval
+// runs a background integrity scrubber that re-hashes the served
+// generation's files against its manifest — anchored by the catalog
+// entry's manifest checksum — quarantining mismatches and repairing them
+// from the newest clean source (another committed generation, else the
+// in-memory shard). /stats gains a "snapstore" section reporting the
+// catalog, rollback history, and scrub counters.
 package main
 
 import "alicoco/internal/serve"

@@ -15,7 +15,7 @@ import (
 //	primitive: dress, silk dress (isA dress), silk
 //	econcept: wedding party -> interpretedBy dress primitive
 //	items: item1 (dress), item2 (silk dress)
-func buildToyNet(t *testing.T) (*Net, map[string]NodeID) {
+func buildToyNet(t testing.TB) (*Net, map[string]NodeID) {
 	t.Helper()
 	n := NewNet()
 	ids := map[string]NodeID{}
@@ -210,25 +210,25 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: the frozen codec restores the toy net with its
+// incoming and name indexes intact.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	n, ids := buildToyNet(t)
 	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
+	if err := n.Freeze().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := Load(&buf)
+	m, err := LoadFrozen(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.NumNodes() != n.NumNodes() || m.NumEdges() != n.NumEdges() {
 		t.Fatal("counts differ after round trip")
 	}
-	// Incoming index must be rebuilt.
 	items := m.ItemsForEConcept(ids["eWedding"], 0)
 	if len(items) != 2 {
 		t.Fatalf("loaded net lost incoming edges: %+v", items)
 	}
-	// Name index must be rebuilt.
 	if m.FirstByNameKind("dress", KindPrimitive) == InvalidNode {
 		t.Fatal("loaded net lost name index")
 	}
@@ -239,7 +239,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not a snapshot")); err == nil {
+	if _, err := LoadFrozen(bytes.NewBufferString("not a snapshot")); err == nil {
 		t.Fatal("garbage should not load")
 	}
 }
@@ -278,7 +278,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
-// Property: Save/Load round-trips random nets exactly.
+// Property: the frozen codec round-trips random nets exactly.
 func TestPropertySaveLoadRandomNets(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -295,10 +295,10 @@ func TestPropertySaveLoadRandomNets(t *testing.T) {
 			_ = n.AddEdge(a, b, EdgeIsA, "", rng.Float64())
 		}
 		var buf bytes.Buffer
-		if err := n.Save(&buf); err != nil {
+		if err := n.Freeze().Save(&buf); err != nil {
 			return false
 		}
-		m, err := Load(&buf)
+		m, err := LoadFrozen(&buf)
 		if err != nil {
 			return false
 		}

@@ -477,7 +477,7 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 
 	nameCount := fr.count("name index")
 	if fr.err == nil {
-		f.byName = make(map[string][]NodeID, nameCount)
+		f.byName = make(map[string][]NodeID, prealloc(nameCount))
 		for i := 0; i < nameCount && fr.err == nil; i++ {
 			name := fr.str()
 			cnt := fr.count("name entry")

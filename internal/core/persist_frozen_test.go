@@ -2,14 +2,13 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"strings"
 	"testing"
 )
 
 // saveFrozen freezes-and-saves a net, failing the test on error.
-func saveFrozen(t *testing.T, f *FrozenNet) []byte {
+func saveFrozen(t testing.TB, f *FrozenNet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := f.Save(&buf); err != nil {
@@ -156,10 +155,6 @@ func TestLoadFrozenBadMagicAndVersion(t *testing.T) {
 	if _, err := LoadFrozen(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version: got %v", err)
 	}
-
-	if _, err := LoadFrozen(bytes.NewReader([]byte("garbage that is not a snapshot"))); err == nil {
-		t.Fatal("garbage should not load")
-	}
 }
 
 // TestLoadFrozenChecksum: a flipped payload byte that keeps the structure
@@ -268,118 +263,94 @@ func TestFrozenSaveRejectsOversizedStrings(t *testing.T) {
 	}
 }
 
-// --- gob (*Net) snapshot corruption: the satellite bugfixes in Load ------
+// --- targeted corruption: each file is internally consistent (valid CRC)
+// but one field is wrong, so the structural validation must catch it.
 
-// encodeGobSnapshot produces raw Save-format bytes from an arbitrary
-// snapshot value, so tests can plant invalid fields.
-func encodeGobSnapshot(t *testing.T, s snapshot) []byte {
+// savedWith freezes the toy net, applies mutate, and saves the result.
+func savedWith(t *testing.T, mutate func(f *FrozenNet)) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func twoPrimSnapshot() snapshot {
-	return snapshot{
-		Version: snapshotVersion,
-		Nodes: []Node{
-			{ID: 0, Kind: KindPrimitive, Name: "a", Domain: "Color"},
-			{ID: 1, Kind: KindPrimitive, Name: "b", Domain: "Color"},
-		},
-		Out:   [][]HalfEdge{{{Peer: 1, Kind: EdgeIsA, Weight: 1}}, nil},
-		Edges: 1,
-	}
+	n, _ := buildToyNet(t)
+	f := n.Freeze()
+	mutate(f)
+	return saveFrozen(t, f)
 }
 
 func TestLoadRejectsCorruptEdgeKind(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Out[0][0].Kind = EdgeKind(99)
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("edge kind 99 must be rejected")
-	}
-	s = twoPrimSnapshot()
-	s.Out[0][0].Kind = EdgeKind(-2)
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("negative edge kind must be rejected")
-	}
-}
-
-func TestLoadRejectsNodeIDMismatch(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Nodes[1].ID = 5
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("node id disagreeing with its index must be rejected")
-	}
-}
-
-func TestLoadRejectsNodeKindOutOfRange(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Nodes[0].Kind = NodeKind(42)
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("node kind 42 must be rejected")
-	}
-}
-
-func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Out = s.Out[:1]
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("adjacency shorter than node list must be rejected")
-	}
-}
-
-func TestLoadRecomputesEdgeCounter(t *testing.T) {
-	s := twoPrimSnapshot()
-	s.Edges = 999 // stale counter
-	n, err := Load(bytes.NewReader(encodeGobSnapshot(t, s)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.NumEdges() != 1 {
-		t.Fatalf("stale counter not recomputed: NumEdges = %d", n.NumEdges())
-	}
-	if n.ComputeStats().Edges != 1 {
-		t.Fatalf("stats still see stale counter: %d", n.ComputeStats().Edges)
-	}
-
-	s = twoPrimSnapshot()
-	s.Edges = -3
-	if _, err := Load(bytes.NewReader(encodeGobSnapshot(t, s))); err == nil {
-		t.Fatal("negative edge count must be rejected")
-	}
-}
-
-// TestLoadTruncatedGob: a truncated Save stream errors instead of panicking.
-func TestLoadTruncatedGob(t *testing.T) {
-	n, _ := buildToyNet(t)
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{0, 1, len(full) / 4, len(full) / 2, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncated gob at %d bytes loaded successfully", cut)
+	for _, kind := range []EdgeKind{99, -2} {
+		data := savedWith(t, func(f *FrozenNet) { f.out.edges[0].Kind = kind })
+		if _, err := LoadFrozen(bytes.NewReader(data)); err == nil {
+			t.Fatalf("edge kind %d must be rejected", kind)
 		}
 	}
 }
 
-// TestLoadThenFreeze: a corrupt snapshot that previously slipped through
-// Load used to panic in buildCSR/Freeze; a valid one must still freeze.
-func TestLoadThenFreeze(t *testing.T) {
-	n, _ := buildToyNet(t)
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
+func TestLoadRejectsNodeKindOutOfRange(t *testing.T) {
+	data := savedWith(t, func(f *FrozenNet) { f.nodes[0].Kind = NodeKind(42) })
+	if _, err := LoadFrozen(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("node kind 42: got %v", err)
 	}
-	m, err := Load(&buf)
+}
+
+func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
+	data := savedWith(t, func(f *FrozenNet) { f.out.off = f.out.off[:len(f.out.off)-1] })
+	if _, err := LoadFrozen(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "offset array length") {
+		t.Fatalf("offsets shorter than the node list: got %v", err)
+	}
+}
+
+// TestLoadRecomputesEdgeCounter: the loaded edge count comes from the CSR
+// itself, and a header count that disagrees with it is rejected.
+func TestLoadRecomputesEdgeCounter(t *testing.T) {
+	n, _ := buildToyNet(t)
+	full := saveFrozen(t, n.Freeze())
+	g, err := LoadFrozen(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := m.Freeze()
-	if f.NumEdges() != n.NumEdges() {
-		t.Fatalf("freeze after load: %d edges, want %d", f.NumEdges(), n.NumEdges())
+	if g.NumEdges() != n.NumEdges() || g.ComputeStats().Edges != n.NumEdges() {
+		t.Fatalf("loaded edge count %d, want %d", g.NumEdges(), n.NumEdges())
 	}
+	// The out-edge count sits after magic, version, the two kind counts,
+	// nodeCount, base and totalNodes.
+	const outEdgeCountAt = 4 + 2 + 1 + 1 + 4 + 4 + 4
+	bad := append([]byte(nil), full...)
+	putU32(bad[outEdgeCountAt:], getU32(bad[outEdgeCountAt:])+7)
+	if _, err := LoadFrozen(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "disagrees with header") {
+		t.Fatalf("stale header edge count: got %v", err)
+	}
+}
+
+// FuzzLoadFrozen: LoadFrozen must never panic, and whatever it accepts must
+// round-trip — Save of the loaded net loads back with the checksum Save
+// reported, and saving that again reproduces the same bytes.
+func FuzzLoadFrozen(f *testing.F) {
+	n, _ := buildToyNet(f)
+	full := saveFrozen(f, n.Freeze())
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	for _, sh := range buildRandomNet(f, 5).FreezeShards(3) {
+		f.Add(saveFrozen(f, sh))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := LoadFrozen(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		sum, err := g.SaveSum(&buf)
+		if err != nil {
+			t.Fatalf("accepted input does not save: %v", err)
+		}
+		h, err := LoadFrozen(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("saved form does not load: %v", err)
+		}
+		if h.Checksum() != sum {
+			t.Fatalf("round trip checksum %08x, Save reported %08x", h.Checksum(), sum)
+		}
+		again := saveFrozen(t, h)
+		if !bytes.Equal(again, buf.Bytes()) {
+			t.Fatal("second save differs from the first")
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"alicoco/internal/obs"
 	"alicoco/internal/resilience"
 )
 
@@ -76,8 +77,8 @@ type Counts struct {
 type Result struct {
 	Name      string
 	Counts    Counts
-	Lat       Hist // client-measured latency of 2xx responses
-	ShedLat   Hist // latency of 429s (how fast the gate refuses)
+	Lat       obs.Hist // client-measured latency of 2xx responses
+	ShedLat   obs.Hist // latency of 429s (how fast the gate refuses)
 	WallClock time.Duration
 	// Goodput is in-deadline successes per second of wall clock — the
 	// number overload must not collapse.

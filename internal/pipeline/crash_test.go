@@ -83,7 +83,7 @@ func recoverAndLoad(t *testing.T, root string) (*ShardManifest, uint64) {
 	if err != nil || !ok {
 		t.Fatalf("recovery lost every committed generation: ok=%v err=%v", ok, err)
 	}
-	_, man, err := LoadShards(root)
+	_, man, err := LoadShards(st.GenDir(g))
 	if err != nil {
 		t.Fatalf("recovery load: %v", err)
 	}

@@ -81,10 +81,9 @@ type Artifacts struct {
 	// Refreeze to publish a fresh snapshot.
 	Frozen *core.FrozenNet
 
-	// Shards is the partitioned form of the same snapshot when the
-	// artifacts came from a sharded snapshot directory (LoadShards) — the
-	// serving layer assembles them into a core.ShardSet. Nil for built and
-	// single-snapshot-loaded artifacts.
+	// Shards is the partition serving runs on: the shards of a loaded
+	// generation (LoadShards), or the facade's in-process freeze. The
+	// serving layer assembles them into a core.ShardSet.
 	Shards []*core.FrozenNet
 
 	// Node maps from world IDs to net node IDs.
@@ -94,7 +93,7 @@ type Artifacts struct {
 	DomainCls map[world.Domain]core.NodeID
 
 	// Serving is the world-derived metadata the serving layer needs
-	// (stopwords, item table). Build derives it from World; LoadSnapshot
+	// (stopwords, item table). Build derives it from World; LoadShards
 	// restores it, which is what lets a snapshot-loaded Artifacts serve
 	// with World == nil.
 	Serving *ServingMeta

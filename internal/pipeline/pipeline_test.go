@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -131,18 +130,21 @@ func TestSchemaEdgesPresent(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip: a one-shard generation holds exactly the built
+// frozen net.
 func TestSnapshotRoundTrip(t *testing.T) {
 	a := buildTiny(t)
-	var buf bytes.Buffer
-	if err := a.Net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.Load(&buf)
+	dir, man := saveShardDir(t, a, 1)
+	loaded, _, err := LoadShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumNodes() != a.Net.NumNodes() || loaded.NumEdges() != a.Net.NumEdges() {
+	f := loaded.Shards[0]
+	if f.NumNodes() != a.Net.NumNodes() || f.NumEdges() != a.Net.NumEdges() {
 		t.Fatal("snapshot round trip lost data")
+	}
+	if f.Checksum() != man.Shards[0].Checksum {
+		t.Fatalf("loaded checksum %08x, manifest %08x", f.Checksum(), man.Shards[0].Checksum)
 	}
 }
 
@@ -202,12 +204,8 @@ func TestTrainModelsDeterministicSequential(t *testing.T) {
 }
 
 func TestTrainModelsNeedsWorldAndCorpus(t *testing.T) {
-	a := buildTiny(t)
-	var buf bytes.Buffer
-	if err := a.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSnapshot(&buf)
+	dir, _ := saveShardDir(t, buildTiny(t), 1)
+	loaded, _, err := LoadShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ type ScrubOptions struct {
 	InMem []*core.FrozenNet
 
 	// Gen is the generation being scrubbed; it stamps the report and
-	// seeds quarantine suffixes. Zero for a flat (uncataloged) directory.
+	// seeds quarantine suffixes. Zero when scrubbing without a catalog.
 	Gen uint64
 
 	// ManifestChecksum, when non-zero, is the catalog entry's checksum the

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/gob"
@@ -19,16 +20,17 @@ import (
 	"alicoco/internal/world"
 )
 
-// Sharded snapshot persistence: one directory holds N independently
-// written, independently reloadable shard files plus the shared serving
-// metadata, tied together by a manifest:
+// Snapshot persistence: a snapshot is one generation of a snapstore
+// catalog, and a generation directory holds N independently written,
+// independently reloadable shard files plus the shared serving metadata,
+// tied together by a manifest:
 //
 //	manifest.json   shard count, partition spec, per-file checksums (commit point)
 //	meta.bin        gob snapshotExtras ("ACSM" magic + version + CRC-32 trailer)
 //	shard-0000.fz … frozen-format v2 shard files (see core/persist_frozen.go)
 //
-// Every file is written to a temp name and renamed into place, and the
-// manifest is renamed last — a crashed save never leaves a directory that
+// The files are written into the store's temp generation directory and the
+// catalog update commits it — a crashed save never leaves a generation that
 // parses as complete. Reloading one shard means re-reading the manifest,
 // loading only the files whose checksums changed, and reassembling the
 // ShardSet around the untouched in-memory shards.
@@ -80,7 +82,7 @@ type ShardManifest struct {
 func (m *ShardManifest) NumShards() int { return len(m.Shards) }
 
 // ShardLoadError attributes a sharded-load failure to one file, so callers
-// (the serving layer's per-shard breaker/quarantine) can act on the shard
+// (the serving layer's per-shard failure counts) can act on the shard
 // that failed instead of the directory as a whole.
 type ShardLoadError struct {
 	Index int
@@ -98,12 +100,12 @@ func (e *ShardLoadError) Unwrap() error { return e.Err }
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.fz", i) }
 
 // shardMetaWire is the deterministic gob wire form of snapshotExtras used
-// by the sharded meta file. The single-file snapshot encodes the extras'
-// maps directly, but Go map iteration order would make gob emit different
-// bytes for identical content — and the sharded format's MetaChecksum must
-// be a pure content hash: ReloadShards treats a changed MetaChecksum as a
-// shape change and falls back to a full reload, so a nondeterministic
-// encoding would defeat per-shard diffing on every re-save.
+// by the meta file. Encoding the extras' maps directly would make gob emit
+// different bytes for identical content (Go map iteration order), and
+// MetaChecksum must be a pure content hash: ReloadShards treats a changed
+// MetaChecksum as a shape change and falls back to a full reload, so a
+// nondeterministic encoding would defeat per-shard diffing on every
+// re-save.
 type shardMetaWire struct {
 	PrimNode  []nodePair
 	FrameNode []nodePair
@@ -114,7 +116,7 @@ type shardMetaWire struct {
 
 // Gob numbers wire types process-wide in the order it first meets them and
 // writes those numbers into the stream, so meta.bin's bytes would depend on
-// what else the process had gob-encoded before (a single-file snapshot, say).
+// what else the process had gob-encoded before.
 // Meeting shardMetaWire first, at init, gives it the same numbers in every
 // process, which keeps MetaChecksum a function of content alone.
 func init() {
@@ -191,7 +193,7 @@ func writeFileAtomic(dir, name string, emit func(w io.Writer) error) error {
 
 // SaveShards partitions the live net into count shards and commits them as
 // a new generation in the snapshot store at dir (creating the store, and
-// its catalog, if dir is new or was a flat snapshot directory). The shard
+// its catalog, if dir is new). The shard
 // files are frozen and written in parallel into a temp generation
 // directory; the catalog update is the single commit point, so a crashed
 // save leaves only debris the next open sweeps away. Retention defaults to
@@ -236,8 +238,8 @@ func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*ShardManif
 	return man, gen, nil
 }
 
-// writeShardDir persists already-frozen shards plus the serving extras as
-// one sharded snapshot directory.
+// writeShardDir persists already-frozen shards plus the serving extras into
+// one generation directory.
 func writeShardDir(dir string, shards []*core.FrozenNet, extras snapshotExtras) (*ShardManifest, error) {
 	man := &ShardManifest{
 		Version:    shardManifestVersion,
@@ -380,7 +382,9 @@ func LoadShard(dir string, man *ShardManifest, i int) (*core.FrozenNet, error) {
 		return fail(err)
 	}
 	defer f.Close()
-	sh, err := core.LoadFrozen(f)
+	// LoadFrozen decodes field by field; the buffer turns that into a few
+	// large reads.
+	sh, err := core.LoadFrozen(bufio.NewReaderSize(f, 64<<10))
 	if err != nil {
 		return fail(err)
 	}
@@ -436,19 +440,14 @@ func loadShardMeta(dir string, man *ShardManifest) (*snapshotExtras, error) {
 	return &extras, nil
 }
 
-// LoadShards loads a complete sharded snapshot: manifest, serving
+// LoadShards loads one committed generation: the manifest, the serving
 // metadata, and all shard files (in parallel), verified against the
-// manifest's checksums. dir may be a snapshot-store root (the newest
-// committed generation is loaded), a generation directory, or a
-// pre-catalog flat snapshot directory. Like LoadSnapshot it returns a
-// serving-only Artifacts — Shards holds the loaded partition and Frozen is
-// nil. Per-file failures come back as *ShardLoadError (the first failing
-// shard).
+// manifest's checksums. dir is the generation's directory; a store root
+// resolves to its newest one through snapstore.ResolveDir. It returns a
+// serving-only Artifacts — Shards holds the loaded partition and Net,
+// World and Frozen are nil. Per-file failures come back as
+// *ShardLoadError (the first failing shard).
 func LoadShards(dir string) (*Artifacts, *ShardManifest, error) {
-	dir, _, _, err := snapstore.ResolveDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: load shards: %w", err)
-	}
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, nil, err

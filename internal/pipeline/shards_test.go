@@ -22,7 +22,7 @@ func saveShardDir(t *testing.T, a *Artifacts, count int) (string, *ShardManifest
 	if err != nil {
 		t.Fatalf("SaveShards(%d): %v", count, err)
 	}
-	dir, _, _, err := snapstore.ResolveDir(root)
+	dir, _, err := snapstore.ResolveDir(root)
 	if err != nil {
 		t.Fatalf("ResolveDir: %v", err)
 	}
@@ -211,5 +211,10 @@ func TestSaveShardsRequiresLiveNet(t *testing.T) {
 	}
 	if _, err := b.SaveShards(t.TempDir(), 2); err == nil {
 		t.Fatal("SaveShards on serving-only artifacts should fail")
+	}
+	noMeta := *a
+	noMeta.Serving = nil
+	if _, err := noMeta.SaveShards(t.TempDir(), 2); err == nil {
+		t.Fatal("SaveShards without serving metadata should fail")
 	}
 }

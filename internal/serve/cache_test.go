@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,16 +13,12 @@ import (
 	"alicoco/internal/qcache"
 )
 
-// cachedFixture is a snapshot-loaded server with every cache layer on,
+// cachedFixture is a store-loaded server with every cache layer on,
 // built from the shared test net.
 func cachedFixture(t *testing.T) *server {
 	t.Helper()
-	_, _, path := snapshotFixture(t)
-	coco, err := alicoco.LoadFrozen(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newServer(coco, path, 1024)
+	_, _, dir := snapshotFixture(t)
+	return serveStore(t, dir, cacheCfg(1024))
 }
 
 // TestCachedResponsesByteIdentical is the regression guard for the
@@ -33,11 +27,7 @@ func cachedFixture(t *testing.T) *server {
 // — caching may change cost, never content.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	s := cachedFixture(t)
-	uncachedCoco, err := alicoco.LoadFrozen(s.snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached := newServer(uncachedCoco, s.snapshot, 0)
+	uncached := serveStore(t, s.store.Root(), cacheCfg(0))
 
 	sessions := testServer(t).coco.SampleSessions(2)
 	if len(sessions) == 0 {
@@ -117,8 +107,8 @@ func TestCacheHitSkipsRecomputation(t *testing.T) {
 	}
 }
 
-// TestServeNoStaleAcrossReload hammers /search and /recommend while the
-// snapshot file is swapped between two different nets and POST /reload
+// TestServeNoStaleAcrossReload hammers /search and /recommend while
+// generations of two different nets are committed in turn and POST /reload
 // republishes. Every concurrent response must match one of the two nets
 // exactly, and — the stale-generation assertion — a request issued after
 // a reload completes must answer from the just-loaded net, never from
@@ -126,48 +116,25 @@ func TestCacheHitSkipsRecomputation(t *testing.T) {
 func TestServeNoStaleAcrossReload(t *testing.T) {
 	optsA := alicoco.Options{Seed: 7, ItemsPerCategory: 2, Scenarios: 12, CorpusSentences: 150}
 	optsB := alicoco.Options{Seed: 11, ItemsPerCategory: 3, Scenarios: 12, CorpusSentences: 150}
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.fz")
-	pathB := filepath.Join(dir, "b.fz")
-	live := filepath.Join(dir, "live.fz")
-	for _, c := range []struct {
-		opts alicoco.Options
-		path string
-	}{{optsA, pathA}, {optsB, pathB}} {
-		coco, err := alicoco.Build(c.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coco.SaveFrozen(c.path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copyFile := func(src string) {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(live, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copyFile(pathA)
-	coco, err := alicoco.LoadFrozen(live)
+	cocoA, err := alicoco.Build(optsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(coco, live, 1024)
+	cocoB, err := alicoco.Build(optsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := saveStore(t, cocoA, 1)
+	s := serveStore(t, live, cacheCfg(1024))
 
 	// Canonical responses per snapshot, computed on dedicated uncached
 	// servers. The recommend session is picked dynamically: the first one
 	// both nets answer 200 with *different* bodies, so a stale hit is
 	// detectable.
-	srvA, errA := alicoco.LoadFrozen(pathA)
-	srvB, errB := alicoco.LoadFrozen(pathB)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
+	canonSrv := [2]*server{
+		serveStore(t, saveStore(t, cocoA, 1), cacheCfg(0)),
+		serveStore(t, saveStore(t, cocoB, 1), cacheCfg(0)),
 	}
-	canonSrv := [2]*server{newServer(srvA, pathA, 0), newServer(srvB, pathB, 0)}
 	urls := []string{"/search?q=outdoor+barbecue"}
 	for i := 0; i < 40; i++ {
 		u := fmt.Sprintf("/recommend?items=%d,%d,%d&k=5", i, i+1, i+2)
@@ -221,10 +188,8 @@ func TestServeNoStaleAcrossReload(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		want := i % 2 // 0 -> A, 1 -> B ... starting by switching to B
 		want = 1 - want
-		if want == 1 {
-			copyFile(pathB)
-		} else {
-			copyFile(pathA)
+		if _, err := [2]*alicoco.CoCo{cocoA, cocoB}[want].SaveShards(live, 1); err != nil {
+			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
 		s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))

@@ -32,25 +32,28 @@ import (
 	"alicoco/internal/raceflag"
 )
 
-// chaosServer clones the shared test net into a private snapshot file and
-// wires a server with an explicit resilience policy around it.
+// chaosServer commits the shared test net into a private three-shard
+// snapshot store and wires a server with an explicit resilience policy
+// around it.
 func chaosServer(t *testing.T, mutate func(*serveConfig)) *server {
 	t.Helper()
-	base := testServer(t)
-	path := filepath.Join(t.TempDir(), "live.fz")
-	if err := base.coco.SaveFrozen(path); err != nil {
-		t.Fatal(err)
-	}
-	coco, err := alicoco.LoadFrozen(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultServeConfig()
-	cfg.cacheSize = 1024
+	cfg := cacheCfg(1024)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return newServerCfg(coco, path, cfg)
+	return serveStore(t, saveStore(t, testServer(t).coco, 3), cfg)
+}
+
+// commitShards commits the shared test net into s's store as a new
+// generation of n shards. Its content differs from a generation with a
+// different shard count, so reloading it reads every shard file.
+func commitShards(t *testing.T, s *server, n int) uint64 {
+	t.Helper()
+	_, g, err := testServer(t).coco.SaveShardsRetain(s.store.Root(), n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.ID
 }
 
 // corruptFile flips one byte in the middle of path on disk.
@@ -66,11 +69,13 @@ func corruptFile(t *testing.T, path string) {
 	}
 }
 
-// TestChaosCorruptReloadKeepsServing injects corrupt reads into the
-// snapshot loader while the refresh loop fires as fast as it can and
-// clients hammer /search and /healthz: every query answer must stay
-// byte-identical to the last good generation, /healthz must never miss,
-// the breaker must open, and a manual good reload must close it again.
+// TestChaosCorruptReloadKeepsServing injects corrupt reads into the shard
+// loader while the refresh loop fires as fast as it can and clients hammer
+// /search and /healthz: every query answer must stay byte-identical to the
+// last good generation, /healthz must never miss, and once the breaker
+// trips serving is re-anchored on the last clean generation and holds
+// there — a manual reload is held too — until a newer commit arrives,
+// whose reload closes the breaker again.
 func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 	s := chaosServer(t, func(cfg *serveConfig) {
 		cfg.retries = 2
@@ -78,15 +83,18 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 		cfg.backoffMax = 4 * time.Millisecond
 		cfg.breakerThreshold = 3
 		cfg.breakerCooldown = time.Hour // stays open until the manual probe
-		cfg.quarantineAfter = 0         // keep the file in place for this test
 	})
 	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	genBefore := s.coco.ServingInfo().Generation
 
-	// Every read of the snapshot file comes back corrupted at byte 512 —
-	// deep enough to pass the header, so the CRC/structure validation has
-	// to catch it.
-	restore := faultfs.Inject(faultfs.Fault{PathContains: filepath.Base(s.snapshot), CorruptAt: 512})
+	// Generation 2 is the same net in four shards, so a reload must read
+	// its shard files — and every read of shard 1 comes back corrupted at
+	// byte 512, deep enough to pass the header, so the CRC/structure
+	// validation has to catch it.
+	bad := commitShards(t, s, 4)
+	restore := faultfs.Inject(faultfs.Fault{
+		PathContains: filepath.Join(fmt.Sprintf("gen-%06d", bad), "shard-0001.fz"),
+		CorruptAt:    512,
+	})
 	defer restore()
 
 	done := make(chan struct{})
@@ -121,27 +129,13 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 		}()
 	}
 
-	// Let the refresh loop chew on the corrupt file until the breaker
-	// opens and it stops attempting.
+	// Let the refresh loop chew on the corrupt generation until the
+	// breaker opens and it stops attempting.
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().After(deadline) == false {
-		if s.resilienceInfo().Reload.Breaker.State == "open" {
-			break
-		}
+	for time.Now().Before(deadline) && s.resilienceInfo().Reload.Breaker.State != "open" {
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(stop)
-	ri := s.resilienceInfo()
-	if ri.Reload.Failures == 0 || ri.Reload.Breaker.State != "open" {
-		close(done)
-		wg.Wait()
-		t.Fatalf("breaker never opened under corrupt reloads: %+v", ri.Reload)
-	}
-	if got := s.coco.ServingInfo().Generation; got != genBefore {
-		close(done)
-		wg.Wait()
-		t.Fatalf("corrupt reload advanced generation %d -> %d", genBefore, got)
-	}
 	close(done)
 	wg.Wait()
 	select {
@@ -149,14 +143,41 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	ri := s.resilienceInfo()
+	if ri.Reload.Failures == 0 || ri.Reload.Breaker.State != "open" {
+		t.Fatalf("breaker never opened under corrupt reloads: %+v", ri.Reload)
+	}
+	// The breaker trip rolled serving back to the last clean generation
+	// and skiplisted the corrupt one.
+	sn := s.snapstoreInfo()
+	if sn.ServingGen != 1 || sn.Rollbacks != 1 || sn.LastRollback == nil ||
+		!strings.Contains(sn.LastRollback.Reason, "breaker") {
+		t.Fatalf("no breaker rollback to gen 1: %+v", sn)
+	}
+	for _, g := range sn.Generations {
+		if g.ID == bad && !g.Bad {
+			t.Fatalf("corrupt gen %d not skiplisted: %+v", bad, sn.Generations)
+		}
+	}
 
 	// Disarm the fault: a manual POST /reload (the operator's half-open
-	// probe) publishes a good generation and re-closes the breaker.
+	// probe) is still held on the skiplisted generation.
 	restore()
-	rec := httptest.NewRecorder()
-	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("manual reload after disarm: status %d: %s", rec.Code, rec.Body.String())
+	code, body := post(s, "/reload", "")
+	if code != http.StatusOK || !strings.Contains(body, "held: ") {
+		t.Fatalf("manual reload onto the skiplisted gen: %d %s", code, body)
+	}
+	if g := s.coco.ServingInfo().CatalogGen; g != 1 {
+		t.Fatalf("hold did not hold: serving gen %d", g)
+	}
+	// A newer commit clears the hold: the reload publishes it and closes
+	// the breaker.
+	next := commitShards(t, s, 3)
+	if code, body := post(s, "/reload", ""); code != http.StatusOK {
+		t.Fatalf("reload of newer commit: %d %s", code, body)
+	}
+	if g := s.coco.ServingInfo().CatalogGen; g != next {
+		t.Fatalf("serving gen %d after newer commit, want %d", g, next)
 	}
 	if st := s.resilienceInfo().Reload.Breaker; st.State != "closed" || st.ConsecutiveFailures != 0 {
 		t.Fatalf("breaker did not close after good publish: %+v", st)
@@ -171,7 +192,8 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 func TestChaosSlowReloadKeepsServing(t *testing.T) {
 	s := chaosServer(t, nil)
 	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	defer faultfs.Inject(faultfs.Fault{PathContains: filepath.Base(s.snapshot), Delay: 2 * time.Millisecond})()
+	gen := commitShards(t, s, 4)
+	defer faultfs.Inject(faultfs.Fault{PathContains: fmt.Sprintf("gen-%06d", gen), Delay: 2 * time.Millisecond})()
 
 	reloadDone := make(chan struct{})
 	go func() {
@@ -200,76 +222,80 @@ func TestChaosSlowReloadKeepsServing(t *testing.T) {
 	if served == 0 {
 		t.Skip("reload finished before any query ran; nothing proven this round")
 	}
-	if got := s.coco.ServingInfo().Generation; got < 2 {
-		t.Fatalf("slow reload never published: generation %d", got)
+	if got := s.coco.ServingInfo().CatalogGen; got != gen {
+		t.Fatalf("slow reload never published: serving gen %d, want %d", got, gen)
 	}
 }
 
-// TestChaosQuarantineAndRecovery drives the full bad-file story: a
-// snapshot corrupted on disk fails reload repeatedly, gets renamed into
-// quarantine, serving keeps the last good generation throughout, and
-// dropping a good file back re-closes the breaker on the next publish.
+// TestChaosQuarantineAndRecovery drives the full bad-file story: the
+// newest generation is corrupted on disk, reloads of it fail until the
+// breaker trips, serving rolls back to the last clean generation (newer
+// than the one it started on) and holds there; corruption of a served file
+// is quarantined and repaired by the scrubber without disturbing serving;
+// and a newer commit re-closes the breaker on the next publish.
 func TestChaosQuarantineAndRecovery(t *testing.T) {
 	s := chaosServer(t, func(cfg *serveConfig) {
-		cfg.quarantineAfter = 2
 		cfg.breakerThreshold = 2
 		cfg.breakerCooldown = time.Hour
 	})
 	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	genBefore := s.coco.ServingInfo().Generation
-	good, err := os.ReadFile(s.snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corruptFile(t, s.snapshot)
+	clean := commitShards(t, s, 4)
+	bad := commitShards(t, s, 4)
+	corruptFile(t, filepath.Join(s.store.Root(), fmt.Sprintf("gen-%06d", bad), "shard-0002.fz"))
 
 	for i := 0; i < 2; i++ {
 		if _, err := s.tryReload(); err == nil {
-			t.Fatalf("reload %d of corrupt file succeeded", i)
+			t.Fatalf("reload %d of corrupt generation succeeded", i)
 		}
 	}
-	// Second consecutive failure crossed quarantineAfter: the bad file is
-	// renamed aside, the original path is gone.
-	if _, err := os.Stat(s.snapshot + ".quarantined"); err != nil {
-		t.Fatalf("bad snapshot not quarantined: %v", err)
-	}
-	if _, err := os.Stat(s.snapshot); !os.IsNotExist(err) {
-		t.Fatalf("bad snapshot still at original path: %v", err)
-	}
+	// The second consecutive failure tripped the breaker: serving skipped
+	// the corrupt generation and rolled back to the newest clean one.
 	ri := s.resilienceInfo()
-	if ri.Reload.Quarantined != 1 || ri.Reload.Breaker.State != "open" {
-		t.Fatalf("after quarantine: %+v", ri.Reload)
+	if ri.Reload.Breaker.State != "open" || ri.Reload.Failures != 2 {
+		t.Fatalf("after corrupt reloads: %+v", ri.Reload)
 	}
-	// The refresh loop would now fail on a missing file — which must NOT
-	// quarantine anything else or panic.
-	if _, err := s.tryReload(); err == nil {
-		t.Fatal("reload of missing file succeeded")
+	if g := s.coco.ServingInfo().CatalogGen; g != clean {
+		t.Fatalf("serving gen %d after breaker rollback, want %d", g, clean)
 	}
-	if got := s.resilienceInfo().Reload.Quarantined; got != 1 {
-		t.Fatalf("missing file bumped quarantine count to %d", got)
+	// Further reloads hold instead of retrying the skiplisted generation.
+	if src, err := s.tryReload(); err != nil || !strings.HasPrefix(src, "held:") {
+		t.Fatalf("reload after rollback: %q err=%v, want a hold", src, err)
 	}
-	// Serving never flinched.
 	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
-		t.Fatalf("search after quarantine: status %d", code)
-	}
-	if got := s.coco.ServingInfo().Generation; got != genBefore {
-		t.Fatalf("generation moved %d -> %d with no good publish", genBefore, got)
+		t.Fatalf("search after rollback: status %d", code)
 	}
 
-	// Operator drops a good file back: next reload publishes and closes
-	// the breaker.
-	if err := os.WriteFile(s.snapshot, good, 0o644); err != nil {
-		t.Fatal(err)
+	// A served file rots on disk: the scrubber quarantines it and repairs
+	// it, and serving never notices.
+	victim := filepath.Join(s.store.Root(), fmt.Sprintf("gen-%06d", clean), "shard-0001.fz")
+	corruptFile(t, victim)
+	genBefore := s.coco.ServingInfo().Generation
+	s.scrubTick()
+	sn := s.snapstoreInfo()
+	if sn.Scrub.Quarantines != 1 || sn.Scrub.Repairs != 1 || sn.Scrub.Unrepaired != 0 {
+		t.Fatalf("scrub after corruption: %+v", sn.Scrub)
 	}
+	if _, err := os.Stat(victim + ".quarantined"); err != nil {
+		t.Fatalf("rotten file not quarantined: %v", err)
+	}
+	if got := s.coco.ServingInfo().Generation; got != genBefore {
+		t.Fatalf("scrub republished serving: generation %d -> %d", genBefore, got)
+	}
+
+	// A newer commit: the next reload publishes it and closes the breaker.
+	next := commitShards(t, s, 3)
 	if _, err := s.tryReload(); err != nil {
-		t.Fatalf("reload of restored file: %v", err)
+		t.Fatalf("reload of newer commit: %v", err)
 	}
 	ri = s.resilienceInfo()
 	if ri.Reload.Breaker.State != "closed" || ri.Reload.ConsecutiveFailures != 0 {
 		t.Fatalf("breaker did not recover: %+v", ri.Reload)
 	}
-	if got := s.coco.ServingInfo().Generation; got != genBefore+1 {
-		t.Fatalf("good publish did not advance generation: %d", got)
+	if g := s.coco.ServingInfo().CatalogGen; g != next {
+		t.Fatalf("serving gen %d after newer commit, want %d", g, next)
+	}
+	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
+		t.Fatalf("search after recovery: status %d", code)
 	}
 }
 
@@ -423,8 +449,8 @@ func TestChaosOverloadSheds(t *testing.T) {
 }
 
 // TestChaosOverloadNeverServesStale combines overload shedding with
-// reload churn between two distinct snapshots: every 200 must match one
-// of the two known-good generations byte-for-byte — saturation and
+// reload churn between generations of two distinct nets: every 200 must
+// match one of the two known-good nets byte-for-byte — saturation and
 // republish may shed or delay a request, never corrupt one.
 func TestChaosOverloadNeverServesStale(t *testing.T) {
 	if testing.Short() {
@@ -432,50 +458,21 @@ func TestChaosOverloadNeverServesStale(t *testing.T) {
 	}
 	optsA := alicoco.Options{Seed: 7, ItemsPerCategory: 2, Scenarios: 12, CorpusSentences: 150}
 	optsB := alicoco.Options{Seed: 11, ItemsPerCategory: 3, Scenarios: 12, CorpusSentences: 150}
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.fz")
-	pathB := filepath.Join(dir, "b.fz")
-	live := filepath.Join(dir, "live.fz")
-	for _, c := range []struct {
-		opts alicoco.Options
-		path string
-	}{{optsA, pathA}, {optsB, pathB}} {
-		coco, err := alicoco.Build(c.opts)
+	var cocos [2]*alicoco.CoCo
+	for i, opts := range []alicoco.Options{optsA, optsB} {
+		coco, err := alicoco.Build(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := coco.SaveFrozen(c.path); err != nil {
-			t.Fatal(err)
-		}
+		cocos[i] = coco
 	}
-	copyTo := func(src string) {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(live, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copyTo(pathA)
-	coco, err := alicoco.LoadFrozen(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultServeConfig()
-	cfg.cacheSize = 256
+	cfg := cacheCfg(256)
 	cfg.maxInflight = 2
 	cfg.queueDepth = 2
-	s := newServerCfg(coco, live, cfg)
-
-	srvA, errA := alicoco.LoadFrozen(pathA)
-	srvB, errB := alicoco.LoadFrozen(pathB)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
+	s := serveStore(t, saveStore(t, cocos[0], 1), cfg)
 	const url = "/search?q=outdoor+barbecue"
-	_, canonA := get(newServer(srvA, pathA, 0), url)
-	_, canonB := get(newServer(srvB, pathB, 0), url)
+	_, canonA := get(serveStore(t, saveStore(t, cocos[0], 1), cacheCfg(0)), url)
+	_, canonB := get(serveStore(t, saveStore(t, cocos[1], 1), cacheCfg(0)), url)
 
 	h := s.handler()
 	stop := make(chan struct{})
@@ -509,10 +506,8 @@ func TestChaosOverloadNeverServesStale(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 8; i++ {
-		if i%2 == 0 {
-			copyTo(pathB)
-		} else {
-			copyTo(pathA)
+		if _, err := cocos[1-i%2].SaveShards(s.store.Root(), 1); err != nil {
+			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
@@ -649,7 +644,8 @@ func TestStatsResilienceSection(t *testing.T) {
 		t.Fatal("fresh server reports draining")
 	}
 	// A corrupt reload moves the failure counter through the HTTP surface.
-	corruptFile(t, s.snapshot)
+	gen := commitShards(t, s, 4)
+	corruptFile(t, filepath.Join(s.store.Root(), fmt.Sprintf("gen-%06d", gen), "shard-0000.fz"))
 	rec := httptest.NewRecorder()
 	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 	if rec.Code != http.StatusInternalServerError {

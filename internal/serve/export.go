@@ -6,6 +6,7 @@
 package serve
 
 import (
+	"log"
 	"net/http"
 	"time"
 
@@ -33,12 +34,9 @@ type Config struct {
 	// means the resilience defaults (5ms / 100ms).
 	TargetDelay  time.Duration
 	ShedInterval time.Duration
-	// SnapshotDir, when non-empty, wires the crash-safe snapshot store
-	// (reload/rollback/scrub against a generation catalog).
+	// SnapshotDir, when non-empty, is the snapshot store the facade was
+	// loaded from: reload, rollback and scrub run against its catalog.
 	SnapshotDir string
-	// Snapshot, when non-empty, is the single-file snapshot /reload
-	// re-reads.
-	Snapshot string
 	// SlowQuery, when > 0, logs responses slower than the threshold and
 	// counts them in cocoserve_slow_queries_total; 0 disables.
 	SlowQuery time.Duration
@@ -80,13 +78,17 @@ func (c Config) toServeConfig() serveConfig {
 // Server is an embedded cocoserve instance.
 type Server struct{ s *server }
 
-// New wires a server around a built or loaded facade. When cfg.SnapshotDir
-// names a generation catalog the snapshot lifecycle (reload diffing,
-// rollback, scrubbing) engages exactly as under the cocoserve command.
+// New wires a server around a built or loaded facade. With cfg.SnapshotDir
+// the snapshot lifecycle (reload diffing, rollback, scrubbing) engages
+// exactly as under the cocoserve command; if the store cannot be opened the
+// server logs why and serves without it.
 func New(coco *alicoco.CoCo, cfg Config) *Server {
-	s := newServerCfg(coco, cfg.Snapshot, cfg.toServeConfig())
-	s.snapshotDir = cfg.SnapshotDir
-	s.initStore()
+	s := newServerCfg(coco, cfg.toServeConfig())
+	if cfg.SnapshotDir != "" {
+		if err := s.initStore(cfg.SnapshotDir); err != nil {
+			log.Printf("snapstore: %v (reload, rollback and scrub disabled)", err)
+		}
+	}
 	return &Server{s: s}
 }
 

@@ -1,8 +1,7 @@
 // Request-lifecycle and process-lifecycle policy for cocoserve: admission
 // control with load shedding, per-endpoint deadlines, health/readiness
 // probes, hardened snapshot refresh (stoppable ticker, jittered backoff
-// retries, circuit breaker, quarantine of persistently bad files), and
-// graceful SIGTERM/SIGINT drain. The mechanisms live in
+// retries, circuit breaker), and graceful SIGTERM/SIGINT drain. The mechanisms live in
 // internal/resilience; this file is the wiring.
 package serve
 
@@ -10,13 +9,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -61,18 +58,16 @@ type serveConfig struct {
 
 	// Reload hardening: retries failed reloads per refresh trigger with
 	// backoffBase..backoffMax jittered exponential delays; breakerThreshold
-	// consecutive failures open the breaker for breakerCooldown; after
-	// quarantineAfter consecutive failures the snapshot file is renamed
-	// aside. breakerThreshold 0 disables the breaker, quarantineAfter 0
-	// disables quarantine.
+	// consecutive failures open the breaker for breakerCooldown and roll
+	// serving back to the newest clean generation. breakerThreshold 0
+	// disables the breaker.
 	retries          int
 	backoffBase      time.Duration
 	backoffMax       time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	quarantineAfter  int
 
-	// Snapstore lifecycle (catalog-backed -snapshot-dir only): retain
+	// Snapstore lifecycle (-snapshot-dir only): retain
 	// bounds how many committed generations pruning keeps on disk;
 	// scrubInterval > 0 runs the background integrity scrubber on that
 	// period; validate is the post-swap check every newly published
@@ -113,7 +108,6 @@ func defaultServeConfig() serveConfig {
 		backoffMax:       5 * time.Second,
 		breakerThreshold: 5,
 		breakerCooldown:  30 * time.Second,
-		quarantineAfter:  8,
 		retain:           snapstore.DefaultRetain,
 		validate:         defaultValidate,
 	}
@@ -269,10 +263,10 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // tryReload performs one reload attempt with the resilience bookkeeping:
-// outcome fed to the breaker, failure counters, backoff reset on success,
-// and quarantine of a snapshot file that keeps failing validation. Serving
-// keeps the last good snapshot through any number of failures — a reload
-// only ever publishes after full validation.
+// the skiplist hold, post-swap validation, the outcome fed to the breaker,
+// failure counters, and backoff reset on success. Serving keeps the last
+// good snapshot through any number of failures — a reload only ever
+// publishes after full verification.
 func (s *server) tryReload() (source string, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -288,25 +282,13 @@ func (s *server) tryReload() (source string, err error) {
 		err = s.validateSwapLocked(before)
 	}
 	if err == nil {
-		s.breaker.Success()
-		if s.backoff != nil {
-			s.backoff.Reset()
-		}
-		s.consecReloads = 0
+		s.reloadSucceededLocked()
 		clear(s.shardFails)
 		s.pruneLocked()
 		return source, nil
 	}
-	s.reloadFailures.Add(1)
-	s.breaker.Failure()
+	s.reloadFailedLocked(err)
 	s.consecReloads++
-	var sle *pipeline.ShardLoadError
-	if s.snapshotDir != "" && errors.As(err, &sle) {
-		s.noteShardFailureLocked(sle.Index, sle.File, err)
-	}
-	if s.snapshot != "" && s.cfg.quarantineAfter > 0 && s.consecReloads >= s.cfg.quarantineAfter {
-		s.quarantineSnapshot(err)
-	}
 	// Catalog-backed serving does not freeze on "last good in memory":
 	// when reloads keep failing past the breaker threshold, re-anchor on
 	// the newest older generation that still loads and validates clean.
@@ -318,88 +300,55 @@ func (s *server) tryReload() (source string, err error) {
 	return source, err
 }
 
-// tryReloadShard force-reloads one shard of the -snapshot-dir partition
-// with the same resilience bookkeeping as tryReload: the outcome feeds the
-// breaker, and a shard that keeps failing is quarantined on its own —
-// the rest of the partition keeps serving and reloading.
-func (s *server) tryReloadShard(i int) error {
+// tryReloadShard force-reloads one shard of the store's newest generation
+// under the same skiplist hold and post-swap validation as tryReload, so a
+// shard of a generation that was rolled back is never published. The
+// outcome feeds the breaker; a failure attributed to the shard counts
+// against it alone, and the rest of the partition keeps serving.
+func (s *server) tryReloadShard(i int) (source string, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	err := s.coco.ReloadShard(s.snapshotDir, i)
-	if err == nil {
-		s.breaker.Success()
-		if s.backoff != nil {
-			s.backoff.Reset()
-		}
-		s.consecReloads = 0
-		delete(s.shardFails, i)
-		return nil
+	if hold := s.reloadGateLocked(); hold != "" {
+		return "held: " + hold, nil
 	}
+	source = "shard:" + strconv.Itoa(i)
+	before := s.coco.ServingInfo().Generation
+	err = s.coco.ReloadShard(s.store.Root(), i)
+	if err == nil {
+		err = s.validateSwapLocked(before)
+	}
+	if err == nil {
+		s.reloadSucceededLocked()
+		delete(s.shardFails, i)
+		return source, nil
+	}
+	s.reloadFailedLocked(err)
+	return source, err
+}
+
+// reloadSucceededLocked closes the breaker and resets the backoff and the
+// consecutive-failure count after a good publish. Callers hold reloadMu.
+func (s *server) reloadSucceededLocked() {
+	s.breaker.Success()
+	if s.backoff != nil {
+		s.backoff.Reset()
+	}
+	s.consecReloads = 0
+}
+
+// reloadFailedLocked feeds a failed reload to the breaker and the failure
+// counter, and charges it to the shard whose file failed when the loader
+// could attribute it. Callers hold reloadMu.
+func (s *server) reloadFailedLocked(err error) {
 	s.reloadFailures.Add(1)
 	s.breaker.Failure()
 	var sle *pipeline.ShardLoadError
 	if errors.As(err, &sle) {
-		s.noteShardFailureLocked(sle.Index, sle.File, err)
-	}
-	return err
-}
-
-// noteShardFailureLocked counts a reload failure attributed to one shard
-// and quarantines that shard's file once it keeps failing — the sharded
-// analogue of quarantineSnapshot, scoped to the one bad file so the other
-// shards keep reloading. Callers hold reloadMu.
-func (s *server) noteShardFailureLocked(idx int, file string, cause error) {
-	if s.shardFails == nil {
-		s.shardFails = make(map[int]int)
-	}
-	s.shardFails[idx]++
-	if s.cfg.quarantineAfter <= 0 || s.shardFails[idx] < s.cfg.quarantineAfter {
-		return
-	}
-	s.shardFails[idx] = 0
-	// The failing file lives in the directory reloads actually read: the
-	// newest committed generation when -snapshot-dir is a catalog store,
-	// the directory itself when it is flat.
-	dir, gen := s.snapshotDir, uint64(0)
-	if resolved, g, isStore, err := snapstore.ResolveDir(dir); err == nil && isStore {
-		dir, gen = resolved, g
-	}
-	path := filepath.Join(dir, file)
-	if _, err := os.Stat(path); err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			log.Printf("quarantine: stat %s: %v", path, err)
+		if s.shardFails == nil {
+			s.shardFails = make(map[int]int)
 		}
-		return
+		s.shardFails[sle.Index]++
 	}
-	dst := snapstore.QuarantinePath(path, gen)
-	if err := os.Rename(path, dst); err != nil {
-		log.Printf("quarantine: rename %s: %v", path, err)
-		return
-	}
-	s.quarantines.Add(1)
-	log.Printf("quarantined shard %d (%s -> %s) after repeated failures (last: %v)", idx, path, dst, cause)
-}
-
-// quarantineSnapshot renames the persistently failing snapshot file aside
-// (path -> path.quarantined) so the refresh loop stops re-reading a file
-// that will never validate and an operator can inspect it; the last good
-// generation keeps serving. A file that is simply missing is not
-// quarantined — there is nothing to rename and nothing to inspect.
-func (s *server) quarantineSnapshot(cause error) {
-	if _, err := os.Stat(s.snapshot); err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			log.Printf("quarantine: stat %s: %v", s.snapshot, err)
-		}
-		return
-	}
-	dst := snapstore.QuarantinePath(s.snapshot, 0)
-	if err := os.Rename(s.snapshot, dst); err != nil {
-		log.Printf("quarantine: rename %s: %v", s.snapshot, err)
-		return
-	}
-	s.quarantines.Add(1)
-	log.Printf("quarantined snapshot %s -> %s after %d consecutive failures (last: %v)",
-		s.snapshot, dst, s.consecReloads, cause)
 }
 
 // refreshLoop reloads on a stoppable ticker. A failed reload is retried up

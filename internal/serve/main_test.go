@@ -29,7 +29,7 @@ func testServer(t testing.TB) *server {
 			srvErr = err
 			return
 		}
-		srv = newServer(coco, "", alicoco.DefaultQueryCacheCapacity)
+		srv = newServer(coco, alicoco.DefaultQueryCacheCapacity)
 	})
 	if srvErr != nil {
 		t.Fatal(srvErr)

@@ -244,7 +244,7 @@ func (m *serveMetrics) registerSnapshotCollectors(s *server) {
 				return 0
 			}, "shard", label)
 		m.reg.NewGaugeFunc("cocoserve_shard_load_failures",
-			"Consecutive reload failures attributed to one shard (quarantine countdown).",
+			"Consecutive reload failures attributed to one shard.",
 			func() float64 {
 				s.reloadMu.Lock()
 				defer s.reloadMu.Unlock()
@@ -262,9 +262,6 @@ func (m *serveMetrics) registerLifecycleCollectors(s *server) {
 	m.reg.NewCounterFunc("cocoserve_reload_retries_total",
 		"Backoff retries after a failed reload.",
 		func() uint64 { return s.reloadRetries.Load() })
-	m.reg.NewCounterFunc("cocoserve_quarantines_total",
-		"Snapshot or shard files renamed aside after repeated failures.",
-		func() uint64 { return s.quarantines.Load() })
 	m.reg.NewCounterFunc("cocoserve_rollbacks_total",
 		"Completed rollbacks (automatic and operator).",
 		func() uint64 { return s.rollbacks.Load() })

@@ -157,7 +157,7 @@ func TestSlowQueryLog(t *testing.T) {
 	cfg := defaultServeConfig()
 	cfg.cacheSize = alicoco.DefaultQueryCacheCapacity
 	cfg.slowQuery = time.Nanosecond // everything is slow
-	s := newServerCfg(coco, "", cfg)
+	s := newServerCfg(coco, cfg)
 	h := s.handler()
 
 	var buf bytes.Buffer

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -39,23 +38,22 @@ func benchServers(b *testing.B) (hit, miss *server) {
 			serveBenchErr = err
 			return
 		}
-		path := filepath.Join(dir, "net.fz")
-		if err := base.coco.SaveFrozen(path); err != nil {
+		if _, err := base.coco.SaveShards(dir, 1); err != nil {
 			serveBenchErr = err
 			return
 		}
-		cocoHit, err := alicoco.LoadFrozen(path)
+		cocoHit, err := alicoco.LoadShardedFrozen(dir)
 		if err != nil {
 			serveBenchErr = err
 			return
 		}
-		cocoMiss, err := alicoco.LoadFrozen(path)
+		cocoMiss, err := alicoco.LoadShardedFrozen(dir)
 		if err != nil {
 			serveBenchErr = err
 			return
 		}
-		serveHit = newServer(cocoHit, path, 4096)
-		serveMiss = newServer(cocoMiss, path, 0)
+		serveHit = newServer(cocoHit, 4096)
+		serveMiss = newServer(cocoMiss, 0)
 		sessions := base.coco.SampleSessions(1)
 		if len(sessions) == 0 {
 			serveBenchErr = fmt.Errorf("no sessions")

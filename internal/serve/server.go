@@ -54,16 +54,6 @@ const maxPooledEncodeBuf = 64 << 10
 type server struct {
 	coco *alicoco.CoCo
 
-	// snapshot is the file /reload re-reads; empty when the net was built
-	// live, in which case /reload re-freezes instead. Reloads serialize on
-	// the facade's own offline lock; queries are never blocked.
-	snapshot string
-
-	// snapshotDir is the sharded snapshot directory /reload diffs against
-	// serving (only shards whose checksums changed are re-read); it takes
-	// precedence over snapshot. /reload?shard=i force-reloads one shard.
-	snapshotDir string
-
 	// searchBytes / recBytes cache the *encoded JSON bytes* of the hot
 	// single-query GET endpoints, keyed on the raw query string and
 	// stamped with the facade's serving generation (a /reload invalidates
@@ -99,12 +89,14 @@ type server struct {
 	degraded       atomic.Uint64 // misses refused for lack of deadline budget
 	reloadFailures atomic.Uint64 // reload attempts that returned an error
 	reloadRetries  atomic.Uint64 // backoff retries after a failed reload
-	quarantines    atomic.Uint64 // snapshot files renamed aside
 
-	// store is the generation catalog behind -snapshot-dir, nil when the
-	// directory is flat (pre-catalog) or absent; it powers rollback,
-	// retention pruning, and scrub repair. See snapstore.go in this
-	// package.
+	// store is the generation catalog behind -snapshot-dir; nil means the
+	// net was built live, and /reload re-freezes it instead. With a store,
+	// /reload diffs its newest generation against serving (only shards
+	// whose checksums changed are re-read), /reload?shard=i force-reloads
+	// one shard, and rollback, retention pruning and scrub repair work on
+	// it. Reloads serialize on the facade's own offline lock; queries are
+	// never blocked. See snapstore.go in this package.
 	store *snapstore.Store
 
 	// Snapstore lifecycle counters surfaced by /stats.
@@ -121,8 +113,8 @@ type server struct {
 	lastScrub *snapstore.ScrubReport
 
 	// reloadMu serializes reload attempts with their failure bookkeeping
-	// (consecFailures drives quarantine); the facade's offline lock only
-	// serializes the swap itself.
+	// (consecReloads drives the breaker's auto-rollback); the facade's
+	// offline lock only serializes the swap itself.
 	reloadMu      sync.Mutex
 	consecReloads int         // consecutive reload failures, guarded by reloadMu
 	shardFails    map[int]int // consecutive failures per shard, guarded by reloadMu
@@ -152,16 +144,16 @@ type server struct {
 // newServer wires a server around a facade with the given per-cache entry
 // budget (the facade's engine-level caches are resized to match) and the
 // default resilience policy.
-func newServer(coco *alicoco.CoCo, snapshot string, cacheSize int) *server {
+func newServer(coco *alicoco.CoCo, cacheSize int) *server {
 	cfg := defaultServeConfig()
 	cfg.cacheSize = cacheSize
-	return newServerCfg(coco, snapshot, cfg)
+	return newServerCfg(coco, cfg)
 }
 
 // newServerCfg is newServer with an explicit resilience policy.
-func newServerCfg(coco *alicoco.CoCo, snapshot string, cfg serveConfig) *server {
+func newServerCfg(coco *alicoco.CoCo, cfg serveConfig) *server {
 	coco.SetQueryCacheCapacity(cfg.cacheSize)
-	s := &server{coco: coco, snapshot: snapshot, cfg: cfg}
+	s := &server{coco: coco, cfg: cfg}
 	if cfg.cacheSize > 0 {
 		s.searchBytes = qcache.New(cfg.cacheSize)
 		s.recBytes = qcache.New(cfg.cacheSize)
@@ -337,7 +329,7 @@ type statsResponse struct {
 // resilienceInfo is the /stats "resilience" section: everything a load
 // harness or an operator needs to see the server's protective machinery
 // working — admission gate state, shed and panic counters, and the reload
-// pipeline's failure/retry/breaker/quarantine state.
+// pipeline's failure/retry/breaker state.
 type resilienceInfo struct {
 	Admission        resilience.GateStats `json:"admission"`
 	PanicsRecovered  uint64               `json:"panics_recovered"`
@@ -351,7 +343,6 @@ type reloadInfo struct {
 	ConsecutiveFailures int                     `json:"consecutive_failures"`
 	Retries             uint64                  `json:"retries"`
 	BackoffAttempt      int                     `json:"backoff_attempt"`
-	Quarantined         uint64                  `json:"quarantined"`
 	Breaker             resilience.BreakerStats `json:"breaker"`
 }
 
@@ -373,7 +364,6 @@ func (s *server) resilienceInfo() resilienceInfo {
 			ConsecutiveFailures: consec,
 			Retries:             s.reloadRetries.Load(),
 			BackoffAttempt:      backoffAttempt,
-			Quarantined:         s.quarantines.Load(),
 			Breaker:             s.breaker.Stats(),
 		},
 	}
@@ -399,22 +389,21 @@ func (s *server) cacheInfo() cacheInfo {
 }
 
 type snapshotInfo struct {
-	Source      string      `json:"source"`             // build | snapshot | shards | refreeze
+	Source      string      `json:"source"`             // build | shards | refreeze | rollback
 	Generation  uint64      `json:"generation"`         // serving publishes since startup
 	Checksum    string      `json:"checksum,omitempty"` // CRC-32 of the loaded snapshot content
-	File        string      `json:"file,omitempty"`     // -snapshot path, when serving from one
-	Dir         string      `json:"dir,omitempty"`      // -snapshot-dir path, when serving shards
+	Dir         string      `json:"dir,omitempty"`      // -snapshot-dir store root, when serving from one
 	PublishedAt string      `json:"published_at"`       // RFC 3339
 	AgeSeconds  float64     `json:"age_seconds"`        // time since publish
 	Nodes       int         `json:"nodes"`
 	Edges       int         `json:"edges"`
-	Shards      []shardStat `json:"shards,omitempty"` // per-shard state of a partitioned store
+	Shards      []shardStat `json:"shards,omitempty"` // per-shard state of the served partition
 }
 
 // shardStat is one shard's slice of the /stats snapshot section:
 // generation and publish time reflect when *this shard's content* last
 // changed (a reload that skipped it leaves them alone), and failures
-// counts its consecutive reload failures toward quarantine.
+// counts its consecutive reload failures.
 type shardStat struct {
 	Index       int     `json:"index"`
 	Checksum    string  `json:"checksum,omitempty"`
@@ -432,12 +421,13 @@ func (s *server) snapshotInfo() snapshotInfo {
 		Source:      info.Source,
 		Generation:  info.Generation,
 		Checksum:    info.Checksum,
-		File:        s.snapshot,
-		Dir:         s.snapshotDir,
 		PublishedAt: info.PublishedAt.UTC().Format(time.RFC3339),
 		AgeSeconds:  time.Since(info.PublishedAt).Seconds(),
 		Nodes:       info.Nodes,
 		Edges:       info.Edges,
+	}
+	if s.store != nil {
+		out.Dir = s.store.Root()
 	}
 	if shards := s.coco.ShardInfos(); len(shards) > 0 {
 		s.reloadMu.Lock()
@@ -685,12 +675,12 @@ func (s *server) handleHypernyms(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"name": name, "hypernyms": s.coco.Hypernyms(name)})
 }
 
-// handleReload swaps in a fresh serving snapshot: re-read from the snapshot
-// file when one was configured, otherwise a re-freeze of the live net. The
-// loader verifies the file's checksum and structure before anything is
-// published, so a bad snapshot cannot displace the serving state; queries
-// keep serving the old snapshot throughout, and the swap itself is one
-// atomic pointer store.
+// handleReload swaps in a fresh serving snapshot: the newest generation of
+// the snapshot store when serving from one, otherwise a re-freeze of the
+// live net. The loader verifies every file's checksum and structure before
+// anything is published, so a bad snapshot cannot displace the serving
+// state; queries keep serving the old snapshot throughout, and the swap
+// itself is one atomic pointer store.
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -699,28 +689,22 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// A manual reload bypasses the breaker's Allow (an operator poking the
 	// endpoint is the half-open probe), but its outcome still feeds the
 	// breaker — a good publish re-closes it for the -refresh loop.
+	var source string
+	var err error
 	if shardStr, ok := queryParam(r.URL.RawQuery, "shard"); ok && shardStr != "" {
-		if s.snapshotDir == "" {
+		if s.store == nil {
 			http.Error(w, "shard reload requires -snapshot-dir", http.StatusBadRequest)
 			return
 		}
-		i, err := strconv.Atoi(shardStr)
-		if err != nil || i < 0 {
+		i, aerr := strconv.Atoi(shardStr)
+		if aerr != nil || i < 0 {
 			http.Error(w, "bad shard parameter", http.StatusBadRequest)
 			return
 		}
-		if err := s.tryReloadShard(i); err != nil {
-			http.Error(w, "reload failed: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.writeJSON(w, map[string]any{
-			"status":   "reloaded",
-			"source":   "shard:" + shardStr,
-			"snapshot": s.snapshotInfo(),
-		})
-		return
+		source, err = s.tryReloadShard(i)
+	} else {
+		source, err = s.tryReload()
 	}
-	source, err := s.tryReload()
 	if err != nil {
 		http.Error(w, "reload failed: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -733,14 +717,11 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) reload() (source string, err error) {
-	if s.snapshotDir != "" {
-		changed, err := s.coco.ReloadShards(s.snapshotDir)
-		return "shards:" + s.snapshotDir + " (" + strconv.Itoa(changed) + " reloaded)", err
+	if s.store == nil {
+		return "refreeze", s.coco.Refreeze()
 	}
-	if s.snapshot != "" {
-		return "snapshot:" + s.snapshot, s.coco.ReloadFrozen(s.snapshot)
-	}
-	return "refreeze", s.coco.Refreeze()
+	changed, err := s.coco.ReloadShards(s.store.Root())
+	return "shards:" + s.store.Root() + " (" + strconv.Itoa(changed) + " reloaded)", err
 }
 
 // mux builds the route table. Query, lifecycle, and stats routes run
@@ -772,11 +753,10 @@ func (s *server) mux() *http.ServeMux {
 func Main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.String("scale", "small", "build scale: small or default")
-	snapshot := flag.String("snapshot", "", "serve from a frozen snapshot file instead of building")
 	snapshotDir := flag.String("snapshot-dir", "",
-		"serve from a sharded snapshot directory (manifest + per-shard files); /reload re-reads only changed shards")
+		"serve the newest generation of this snapshot store instead of building; /reload re-reads only changed shards")
 	shards := flag.Int("shards", 0,
-		"partition a built net into N independently reloadable shards (ignored with -snapshot/-snapshot-dir)")
+		"partition a built net into N independently reloadable shards (ignored with -snapshot-dir)")
 	refresh := flag.Duration("refresh", 0, "if > 0, reload the snapshot (or refreeze) on this interval")
 	cacheSize := flag.Int("cache-size", alicoco.DefaultQueryCacheCapacity,
 		"query cache capacity in entries per cache layer (0 disables caching)")
@@ -796,7 +776,7 @@ func Main() {
 	drainTimeout := flag.Duration("drain-timeout", defaultDrainTimeout,
 		"how long shutdown waits for in-flight requests before giving up")
 	retain := flag.Int("retain", cfg.retain,
-		"committed snapshot generations to keep on disk when -snapshot-dir is a generation catalog")
+		"committed snapshot generations to keep on disk under -snapshot-dir")
 	scrubInterval := flag.Duration("scrub-interval", 0,
 		"if > 0, re-hash the served snapshot files against their manifest on this interval, quarantining and repairing corruption")
 	slowQuery := flag.Duration("slow-query", 0,
@@ -807,24 +787,14 @@ func Main() {
 
 	var coco *alicoco.CoCo
 	var err error
-	switch {
-	case *snapshotDir != "" && *snapshot != "":
-		log.Fatalf("-snapshot and -snapshot-dir are mutually exclusive")
-	case *snapshotDir != "":
+	if *snapshotDir != "" {
 		start := time.Now()
 		coco, err = alicoco.LoadShardedFrozen(*snapshotDir)
 		if err != nil {
-			log.Fatalf("load sharded snapshot: %v", err)
-		}
-		log.Printf("loaded %d shards from %s in %v", coco.NumShards(), *snapshotDir, time.Since(start).Round(time.Millisecond))
-	case *snapshot != "":
-		start := time.Now()
-		coco, err = alicoco.LoadFrozen(*snapshot)
-		if err != nil {
 			log.Fatalf("load snapshot: %v", err)
 		}
-		log.Printf("loaded snapshot %s in %v", *snapshot, time.Since(start).Round(time.Millisecond))
-	default:
+		log.Printf("loaded %d shards from %s in %v", coco.NumShards(), *snapshotDir, time.Since(start).Round(time.Millisecond))
+	} else {
 		opts := alicoco.Small()
 		if *scale == "default" {
 			opts = alicoco.Default()
@@ -850,10 +820,11 @@ func Main() {
 	cfg.scrubInterval = *scrubInterval
 	cfg.slowQuery = *slowQuery
 	cfg.pprofAddr = *pprofAddr
-	s := newServerCfg(coco, *snapshot, cfg)
-	s.snapshotDir = *snapshotDir
-	s.initStore()
-	if s.store != nil {
+	s := newServerCfg(coco, cfg)
+	if *snapshotDir != "" {
+		if err := s.initStore(*snapshotDir); err != nil {
+			log.Fatalf("snapstore: %v", err)
+		}
 		log.Printf("snapstore catalog at %s: serving gen %d, retain %d, scrub interval %v",
 			s.store.Root(), coco.ServingInfo().CatalogGen, s.store.Retain(), *scrubInterval)
 	}

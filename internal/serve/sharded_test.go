@@ -10,21 +10,12 @@ import (
 	"alicoco"
 )
 
-// newShardedServer saves the built net as an n-shard snapshot directory
-// and starts a server serving from it (as -snapshot-dir would).
+// newShardedServer commits the built net as an n-shard generation and
+// starts a server serving from the store (as -snapshot-dir would).
 func newShardedServer(t *testing.T, built *server, n int) (*server, string) {
 	t.Helper()
-	dir := t.TempDir()
-	if _, err := built.coco.SaveShards(dir, n); err != nil {
-		t.Fatal(err)
-	}
-	coco, err := alicoco.LoadShardedFrozen(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(coco, "", alicoco.DefaultQueryCacheCapacity)
-	s.snapshotDir = dir
-	return s, dir
+	dir := saveStore(t, built.coco, n)
+	return serveStore(t, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity)), dir
 }
 
 // TestShardedServesIdenticalAnswers: a cocoserve started from -snapshot-dir
@@ -73,8 +64,8 @@ func TestShardedServesIdenticalAnswers(t *testing.T) {
 	}
 }
 
-// TestStatsShardedSection: a sharded server's /stats names the directory
-// it serves from and lists per-shard checksum, generation, and age.
+// TestStatsShardedSection: a sharded server's /stats names the store it
+// serves from and lists per-shard checksum, generation, and age.
 func TestStatsShardedSection(t *testing.T) {
 	built := testServer(t)
 	sharded, dir := newShardedServer(t, built, 4)
@@ -86,7 +77,7 @@ func TestStatsShardedSection(t *testing.T) {
 		t.Fatal("bad sharded stats")
 	}
 	sn := resp.Snapshot
-	if sn.Source != "shards" || sn.Dir != dir || sn.Checksum == "" || sn.File != "" {
+	if sn.Source != "shards" || sn.Dir != dir || sn.Checksum == "" {
 		t.Fatalf("sharded snapshot section: %+v", sn)
 	}
 	if len(sn.Shards) != 4 {
@@ -100,13 +91,13 @@ func TestStatsShardedSection(t *testing.T) {
 			t.Fatalf("shard stat %d malformed: %+v", i, sh)
 		}
 	}
-	// The unsharded built server reports no shard section.
+	// The unsharded built server serves one in-process shard from no store.
 	var bresp statsResp
 	if _, body := get(built, "/stats"); json.Unmarshal([]byte(body), &bresp) != nil {
 		t.Fatal("bad built stats")
 	}
-	if len(bresp.Snapshot.Shards) != 0 || bresp.Snapshot.Dir != "" {
-		t.Fatalf("built server should have no shard section: %+v", bresp.Snapshot)
+	if len(bresp.Snapshot.Shards) != 1 || bresp.Snapshot.Shards[0].Checksum != "" || bresp.Snapshot.Dir != "" {
+		t.Fatalf("built server should list one unstored shard: %+v", bresp.Snapshot)
 	}
 }
 

@@ -18,39 +18,70 @@ import (
 var (
 	snapOnce   sync.Once
 	snapErr    error
-	snapPath   string
-	snapLoaded *server // serves from the loaded snapshot, reload re-reads the file
+	snapDir    string
+	snapLoaded *server // serves the store's newest generation, reload re-reads it
 )
 
-// snapshotFixture saves the shared built net to a frozen snapshot once and
-// loads a second, snapshot-backed server from it.
-func snapshotFixture(t *testing.T) (built *server, loaded *server, path string) {
+// cacheCfg is the default policy with a per-layer cache budget of n.
+func cacheCfg(n int) serveConfig {
+	cfg := defaultServeConfig()
+	cfg.cacheSize = n
+	return cfg
+}
+
+// saveStore commits coco's net into a fresh snapshot store as one
+// generation of n shards and returns the store root.
+func saveStore(t testing.TB, coco *alicoco.CoCo, n int) string {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := coco.SaveShards(dir, n); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// serveStore loads the newest generation of the store at dir and wires a
+// server over it, as `cocoserve -snapshot-dir dir` would.
+func serveStore(t testing.TB, dir string, cfg serveConfig) *server {
+	t.Helper()
+	coco, err := alicoco.LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServerCfg(coco, cfg)
+	if err := s.initStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// snapshotFixture commits the shared built net to a one-shard store once
+// and loads a second, store-backed server from it.
+func snapshotFixture(t *testing.T) (built *server, loaded *server, dir string) {
 	t.Helper()
 	built = testServer(t)
 	snapOnce.Do(func() {
 		// The fixture outlives the first test that builds it, so it cannot
 		// live in that test's TempDir.
-		dir, err := os.MkdirTemp("", "cocoserve-snap-")
+		snapDir, snapErr = os.MkdirTemp("", "cocoserve-snap-")
+		if snapErr != nil {
+			return
+		}
+		if _, snapErr = built.coco.SaveShards(snapDir, 1); snapErr != nil {
+			return
+		}
+		coco, err := alicoco.LoadShardedFrozen(snapDir)
 		if err != nil {
 			snapErr = err
 			return
 		}
-		snapPath = filepath.Join(dir, "net.fz")
-		if err := built.coco.SaveFrozen(snapPath); err != nil {
-			snapErr = err
-			return
-		}
-		coco, err := alicoco.LoadFrozen(snapPath)
-		if err != nil {
-			snapErr = err
-			return
-		}
-		snapLoaded = &server{coco: coco, snapshot: snapPath}
+		snapLoaded = &server{coco: coco}
+		snapErr = snapLoaded.initStore(snapDir)
 	})
 	if snapErr != nil {
 		t.Fatal(snapErr)
 	}
-	return built, snapLoaded, snapPath
+	return built, snapLoaded, snapDir
 }
 
 func get(s *server, url string) (int, string) {
@@ -59,8 +90,8 @@ func get(s *server, url string) (int, string) {
 	return rec.Code, rec.Body.String()
 }
 
-// TestSnapshotServesIdenticalAnswers: a cocoserve started from -snapshot
-// must answer every endpoint byte-identically to the freshly built net it
+// TestSnapshotServesIdenticalAnswers: a cocoserve started from a one-shard
+// -snapshot-dir must answer every endpoint byte-identically to the freshly built net it
 // was saved from.
 func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 	built, loaded, _ := snapshotFixture(t)
@@ -105,12 +136,13 @@ func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotSection checks the operational metadata /stats now
-// exposes: a built server reports source "build" with no checksum, a
-// snapshot-loaded one reports source "snapshot" with the file's CRC-32,
-// and both report serving counts and a sane age.
+// TestStatsSnapshotSection checks the operational metadata /stats
+// exposes: a built server reports source "build" with no checksum and no
+// store, a store-loaded one reports source "shards" with the content
+// checksum and the store root, and both report serving counts and a sane
+// age.
 func TestStatsSnapshotSection(t *testing.T) {
-	built, loaded, path := snapshotFixture(t)
+	built, loaded, dir := snapshotFixture(t)
 	type statsResp struct {
 		Snapshot snapshotInfo `json:"snapshot"`
 	}
@@ -121,10 +153,10 @@ func TestStatsSnapshotSection(t *testing.T) {
 	if _, body := get(loaded, "/stats"); json.Unmarshal([]byte(body), &l) != nil {
 		t.Fatal("bad loaded stats")
 	}
-	if b.Snapshot.Source != "build" || b.Snapshot.Checksum != "" || b.Snapshot.File != "" {
+	if b.Snapshot.Source != "build" || b.Snapshot.Checksum != "" || b.Snapshot.Dir != "" {
 		t.Fatalf("built snapshot section: %+v", b.Snapshot)
 	}
-	if l.Snapshot.Source != "snapshot" || l.Snapshot.Checksum == "" || l.Snapshot.File != path {
+	if l.Snapshot.Source != "shards" || l.Snapshot.Checksum == "" || l.Snapshot.Dir != dir {
 		t.Fatalf("loaded snapshot section: %+v", l.Snapshot)
 	}
 	for _, sn := range []snapshotInfo{b.Snapshot, l.Snapshot} {
@@ -141,38 +173,28 @@ func TestStatsSnapshotSection(t *testing.T) {
 }
 
 // TestReloadRejectsCorruptSnapshot is the checksum-verification guard: a
-// reload pointed at a corrupted snapshot file must fail without touching
-// the serving state, and the generation must not advance.
+// reload of a generation with a corrupted shard file must fail without
+// touching the serving state, and the generation must not advance.
 func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 	built := testServer(t)
-	path := filepath.Join(t.TempDir(), "net.fz")
-	if err := built.coco.SaveFrozen(path); err != nil {
-		t.Fatal(err)
-	}
-	coco, err := alicoco.LoadFrozen(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &server{coco: coco, snapshot: path}
+	dir := saveStore(t, built.coco, 1)
+	s := serveStore(t, dir, serveConfig{})
 	wantCode, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	genBefore := coco.ServingInfo().Generation
+	genBefore := s.coco.ServingInfo().Generation
 
-	// Flip one byte in the middle of the file: the CRC-32 check (or a
+	// A differently partitioned generation forces a full load; flip one
+	// byte in the middle of one of its shards: the CRC-32 check (or a
 	// structural validation before it) must reject the load.
-	data, err := os.ReadFile(path)
-	if err != nil {
+	if _, err := built.coco.SaveShards(dir, 2); err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptFile(t, filepath.Join(dir, "gen-000002", "shard-0001.fz"))
 	rec := httptest.NewRecorder()
 	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("corrupt reload: status %d, want 500 (%s)", rec.Code, rec.Body.String())
 	}
-	if got := coco.ServingInfo().Generation; got != genBefore {
+	if got := s.coco.ServingInfo().Generation; got != genBefore {
 		t.Fatalf("corrupt reload advanced generation %d -> %d", genBefore, got)
 	}
 	// Serving is untouched: the same query still answers identically.
@@ -183,11 +205,15 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 }
 
 // TestReloadHotSwapUnderLoad hammers the query endpoints from several
-// goroutines while /reload re-reads the snapshot repeatedly: every query
-// must keep succeeding with a correct answer (zero downtime), and every
-// reload must succeed. Run under -race this also proves the swap is sound.
+// goroutines while /reload swaps in new generations of the same net,
+// alternately partitioned into one and two shards so every reload is a
+// full load: every query must keep succeeding with a correct answer (zero
+// downtime), and every reload must succeed. Run under -race this also
+// proves the swap is sound.
 func TestReloadHotSwapUnderLoad(t *testing.T) {
-	_, loaded, _ := snapshotFixture(t)
+	built := testServer(t)
+	dir := saveStore(t, built.coco, 1)
+	loaded := serveStore(t, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 	_, wantSearch := get(loaded, "/search?q=outdoor+barbecue")
 
 	stop := make(chan struct{})
@@ -220,6 +246,11 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 10; i++ {
+		shards := 2 - i%2
+		if _, err := built.coco.SaveShards(dir, shards); err != nil {
+			t.Error(err)
+			break
+		}
 		rec := httptest.NewRecorder()
 		loaded.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 		if rec.Code != http.StatusOK {
@@ -234,7 +265,8 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 			t.Errorf("reload %d: bad response: %v", i, err)
 			break
 		}
-		if resp.Status != "reloaded" || resp.Snapshot.Nodes == 0 || resp.Snapshot.Edges == 0 || resp.Snapshot.Checksum == "" {
+		if resp.Status != "reloaded" || resp.Snapshot.Nodes == 0 || resp.Snapshot.Edges == 0 ||
+			resp.Snapshot.Checksum == "" || len(resp.Snapshot.Shards) != shards {
 			t.Errorf("reload %d: unexpected response %+v", i, resp)
 			break
 		}
@@ -248,7 +280,7 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestReloadRefreezesLiveNet: without a snapshot file the endpoint falls
+// TestReloadRefreezesLiveNet: without a snapshot store the endpoint falls
 // back to re-freezing the live net.
 func TestReloadRefreezesLiveNet(t *testing.T) {
 	built := testServer(t)

@@ -1,13 +1,11 @@
-// Snapshot-store lifecycle wiring for cocoserve: when -snapshot-dir points
-// at a generation catalog (a store written by `alicoco snapshot save -dir`
-// or pipeline.SaveShards), the server gains the crash-safe lifecycle on
-// top of plain reloads — automatic rollback down the catalog when a new
-// generation fails post-swap validation or trips the reload breaker, a
-// POST /rollback operator endpoint, retention pruning (-retain), a
-// background integrity scrubber (-scrub-interval), and a /stats
-// "snapstore" section reporting all of it. A flat (pre-catalog) snapshot
-// directory leaves every feature here disabled and serves exactly as
-// before.
+// Snapshot-store lifecycle wiring for cocoserve: -snapshot-dir names a
+// generation catalog (a store written by `alicoco snapshot save` or
+// SaveShards), and the server runs the crash-safe lifecycle on it —
+// automatic rollback down the catalog when a new generation fails
+// post-swap validation or trips the reload breaker, a POST /rollback
+// operator endpoint, retention pruning (-retain), a background integrity
+// scrubber (-scrub-interval), and a /stats "snapstore" section reporting
+// all of it. A server built live has no store and none of this.
 package serve
 
 import (
@@ -22,20 +20,20 @@ import (
 	"alicoco/internal/snapstore"
 )
 
-// initStore opens the generation catalog behind -snapshot-dir when there
-// is one. Open runs the torn-write recovery sweep, so by the time the
-// server accepts traffic every uncommitted temp directory from a crashed
-// save is gone.
-func (s *server) initStore() {
-	if s.snapshotDir == "" || !snapstore.IsStore(s.snapshotDir) {
-		return
+// initStore opens the generation catalog at dir, the -snapshot-dir the
+// facade was loaded from. Open runs the torn-write recovery sweep, so by
+// the time the server accepts traffic every uncommitted temp directory
+// from a crashed save is gone.
+func (s *server) initStore(dir string) error {
+	if !snapstore.IsStore(dir) {
+		return fmt.Errorf("%s is not a snapshot store (no %s)", dir, snapstore.CatalogName)
 	}
-	st, err := snapstore.Open(s.snapshotDir, snapstore.Options{Retain: s.cfg.retain})
+	st, err := snapstore.Open(dir, snapstore.Options{Retain: s.cfg.retain})
 	if err != nil {
-		log.Printf("snapstore: %v (rollback/scrub disabled)", err)
-		return
+		return err
 	}
 	s.store = st
+	return nil
 }
 
 // defaultValidate is the post-swap validation every newly published
@@ -213,7 +211,7 @@ func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.store == nil {
-		http.Error(w, "rollback requires a catalog-backed -snapshot-dir", http.StatusBadRequest)
+		http.Error(w, "rollback requires -snapshot-dir", http.StatusBadRequest)
 		return
 	}
 	var gen uint64
@@ -293,7 +291,7 @@ func (s *server) scrubTick() {
 
 // snapstoreInfo is the /stats "snapstore" section: catalog state, rollback
 // history, and scrubber counters. Enabled is false (and everything else
-// zero) when -snapshot-dir is absent or a flat pre-catalog directory.
+// zero) when the net was built live.
 type snapstoreInfo struct {
 	Enabled            bool          `json:"enabled"`
 	Root               string        `json:"root,omitempty"`

@@ -34,17 +34,7 @@ func newCatalogServer(t *testing.T, gens int) (*server, *alicoco.CoCo, string) {
 			t.Fatal(err)
 		}
 	}
-	serving, err := alicoco.LoadShardedFrozen(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(serving, "", alicoco.DefaultQueryCacheCapacity)
-	s.snapshotDir = dir
-	s.initStore()
-	if s.store == nil {
-		t.Fatal("catalog store not detected")
-	}
-	return s, coco, dir
+	return serveStore(t, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity)), coco, dir
 }
 
 // statsSnapstore fetches and decodes the /stats "snapstore" section.
@@ -192,6 +182,61 @@ func TestAutoRollbackOnValidationFailure(t *testing.T) {
 	}
 }
 
+// TestReloadShardHeldAfterRollback: a single-shard reload gets the same
+// skiplist hold and post-swap validation as a full reload. After an
+// auto-rollback off a bad generation it must not load a shard of that
+// generation and publish it unvalidated (which left /stats reporting the
+// bad generation as serving), and a shard of a newer generation that
+// fails validation is rolled back like any other publish.
+func TestReloadShardHeldAfterRollback(t *testing.T) {
+	s, coco, dir := newCatalogServer(t, 1)
+	s.cfg.validate = func(c *alicoco.CoCo) error {
+		if c.ServingInfo().CatalogGen > 1 {
+			return errors.New("golden query came back empty")
+		}
+		return nil
+	}
+	// Generation 2 has the same partition shape as generation 1, so a
+	// shard of it could be spliced into serving.
+	if _, err := coco.InferImplicitRelations(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coco.SaveShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.tryReload(); err == nil {
+		t.Fatal("reload of invalid generation succeeded")
+	}
+	if g := s.coco.ServingInfo().CatalogGen; g != 1 {
+		t.Fatalf("serving gen %d after auto-rollback, want 1", g)
+	}
+
+	before := s.coco.ServingInfo().Generation
+	code, body := post(s, "/reload?shard=1", "")
+	if code != http.StatusOK || !strings.Contains(body, "held: ") {
+		t.Fatalf("shard reload onto the skiplisted gen: %d %s", code, body)
+	}
+	if sn := statsSnapstore(t, s); sn.ServingGen != 1 {
+		t.Fatalf("/stats reports gen %d serving after a held shard reload, want 1", sn.ServingGen)
+	}
+	if got := s.coco.ServingInfo().Generation; got != before {
+		t.Fatalf("held shard reload republished: generation %d -> %d", before, got)
+	}
+
+	// Generation 3 lifts the hold, but its shard fails validation too:
+	// serving rolls back instead of keeping it.
+	if _, err := coco.SaveShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post(s, "/reload?shard=1", ""); code != http.StatusInternalServerError || !strings.Contains(body, "validation") {
+		t.Fatalf("shard reload of an invalid generation: %d %s", code, body)
+	}
+	sn := statsSnapstore(t, s)
+	if sn.ServingGen != 1 || sn.ValidationFailures < 2 {
+		t.Fatalf("snapstore stats after invalid shard reload: %+v", sn)
+	}
+}
+
 // TestScrubTickRepairsAndReports: one scrubber tick finds injected
 // corruption, quarantines and repairs it, and /stats carries the counters
 // and the last report.
@@ -228,8 +273,8 @@ func TestScrubTickRepairsAndReports(t *testing.T) {
 	}
 }
 
-// TestStatsSnapstoreDisabled: without a catalog the section stays inert —
-// flat directories and live-built servers behave exactly as before.
+// TestStatsSnapstoreDisabled: a live-built server has no store, and the
+// section stays inert.
 func TestStatsSnapstoreDisabled(t *testing.T) {
 	built := testServer(t)
 	sn := statsSnapstore(t, built)

@@ -218,25 +218,23 @@ func (s *Store) GenDir(g Gen) string { return filepath.Join(s.root, g.Dir) }
 
 func genDirName(id uint64) string { return fmt.Sprintf("%s%06d", genDirPrefix, id) }
 
-// ResolveDir maps a snapshot directory argument to the directory a loader
-// should read: for a store root it is the newest committed generation's
-// directory (gen > 0, isStore true); for anything else — a flat sharded
-// snapshot directory, or a generation directory itself — it is dir
-// unchanged. An existing store with no committed generations is an error:
-// the caller pointed at a catalog that has nothing to serve.
-func ResolveDir(dir string) (resolved string, gen uint64, isStore bool, err error) {
+// ResolveDir maps a store root to its newest committed generation's
+// directory. Anything that is not a store root — a generation directory, a
+// plain directory — is an error, as is a store with no committed
+// generations: the caller pointed at nothing to serve.
+func ResolveDir(dir string) (resolved string, gen uint64, err error) {
 	if !IsStore(dir) {
-		return dir, 0, false, nil
+		return "", 0, fmt.Errorf("snapstore: %s is not a snapshot store (no %s)", dir, CatalogName)
 	}
 	cat, err := readCatalog(dir)
 	if err != nil {
-		return "", 0, true, err
+		return "", 0, err
 	}
 	if len(cat.Generations) == 0 {
-		return "", 0, true, fmt.Errorf("snapstore: %s: catalog has no committed generations", dir)
+		return "", 0, fmt.Errorf("snapstore: %s: catalog has no committed generations", dir)
 	}
 	g := cat.Generations[len(cat.Generations)-1]
-	return filepath.Join(dir, g.Dir), g.ID, true, nil
+	return filepath.Join(dir, g.Dir), g.ID, nil
 }
 
 // Sweep is the recovery pass: it deletes every uncommitted temp directory

@@ -195,38 +195,28 @@ func TestAbortLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestResolveDir: a store root resolves to its newest generation, anything
-// else resolves to itself, and an empty catalog is an explicit error.
+// TestResolveDir: a store root resolves to its newest generation; an empty
+// catalog, a generation directory and a plain directory are all errors.
 func TestResolveDir(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A store whose catalog is empty has nothing to serve.
-	if _, err := os.Stat(filepath.Join(root, CatalogName)); err == nil {
-		if _, _, _, err := ResolveDir(root); err == nil {
-			t.Fatal("empty catalog resolved")
-		}
+	if _, _, err := ResolveDir(root); err == nil {
+		t.Fatal("store with no committed generation resolved")
 	}
 
 	commitGen(t, s, "one")
 	g2 := commitGen(t, s, "two")
-	resolved, gen, isStore, err := ResolveDir(root)
-	if err != nil || !isStore || gen != g2.ID || resolved != s.GenDir(g2) {
-		t.Fatalf("ResolveDir(store): %q gen=%d isStore=%v err=%v", resolved, gen, isStore, err)
+	resolved, gen, err := ResolveDir(root)
+	if err != nil || gen != g2.ID || resolved != s.GenDir(g2) {
+		t.Fatalf("ResolveDir(store): %q gen=%d err=%v", resolved, gen, err)
 	}
-	// Idempotent: a generation directory resolves to itself.
-	again, gen2, isStore2, err := ResolveDir(resolved)
-	if err != nil || isStore2 || gen2 != 0 || again != resolved {
-		t.Fatalf("ResolveDir(gen dir): %q gen=%d isStore=%v err=%v", again, gen2, isStore2, err)
-	}
-	// A flat directory resolves to itself.
-	flat := t.TempDir()
-	got, gen3, isStore3, err := ResolveDir(flat)
-	if err != nil || isStore3 || gen3 != 0 || got != flat {
-		t.Fatalf("ResolveDir(flat): %q gen=%d isStore=%v err=%v", got, gen3, isStore3, err)
+	for _, dir := range []string{resolved, t.TempDir()} {
+		if got, _, err := ResolveDir(dir); err == nil {
+			t.Fatalf("ResolveDir(%s) resolved a non-store directory to %q", dir, got)
+		}
 	}
 }
 

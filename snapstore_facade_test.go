@@ -210,9 +210,12 @@ func TestScrubManifestMismatchUnrepairable(t *testing.T) {
 // match a fresh load of that generation.
 func TestRollbackToFacade(t *testing.T) {
 	c := buildSmall(t)
-	root := t.TempDir()
+	root, refRoot := t.TempDir(), t.TempDir()
 	manA, err := c.SaveShards(root, 3)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SaveShards(refRoot, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.InferImplicitRelations(); err != nil {
@@ -245,8 +248,9 @@ func TestRollbackToFacade(t *testing.T) {
 		t.Fatalf("serving info after rollback: %+v", info)
 	}
 
-	// Answers now match generation A, loaded independently.
-	refA, err := LoadShardedFrozen(filepath.Join(root, "gen-000001"))
+	// Answers now match generation A, loaded independently from a store
+	// holding only that content.
+	refA, err := LoadShardedFrozen(refRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
