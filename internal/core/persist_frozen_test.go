@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
 	"strings"
 	"testing"
@@ -136,6 +137,29 @@ func TestLoadFrozenTruncated(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := LoadFrozen(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes loaded successfully", cut, len(full))
+		}
+	}
+}
+
+// TestLoadTruncatedGob: a gob dump of the mutable net in the retired
+// wire form (what `alicoco -out` used to write), whole or truncated, is
+// rejected with an error instead of being decoded or panicking.
+func TestLoadTruncatedGob(t *testing.T) {
+	n, _ := buildToyNet(t)
+	legacy := struct {
+		Version int
+		Nodes   []Node
+		Out     [][]HalfEdge
+		Edges   int
+	}{1, n.nodes, n.outAdj, n.edges}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for _, cut := range []int{0, 1, len(full) / 4, len(full) / 2, len(full) - 1, len(full)} {
+		if _, err := LoadFrozen(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("gob dump cut at %d/%d bytes loaded successfully", cut, len(full))
 		}
 	}
 }

@@ -212,9 +212,25 @@ func TestSaveShardsRequiresLiveNet(t *testing.T) {
 	if _, err := b.SaveShards(t.TempDir(), 2); err == nil {
 		t.Fatal("SaveShards on serving-only artifacts should fail")
 	}
+}
+
+// TestSaveSnapshotRequiresFrozen: artifacts without a net to freeze, or
+// without serving metadata, commit no generation.
+func TestSaveSnapshotRequiresFrozen(t *testing.T) {
+	empty := t.TempDir()
+	if _, err := (&Artifacts{}).SaveShards(empty, 1); err == nil {
+		t.Fatal("snapshot of artifacts without a net should error")
+	}
+	a := buildTiny(t)
 	noMeta := *a
 	noMeta.Serving = nil
-	if _, err := noMeta.SaveShards(t.TempDir(), 2); err == nil {
+	bare := t.TempDir()
+	if _, err := noMeta.SaveShards(bare, 2); err == nil {
 		t.Fatal("SaveShards without serving metadata should fail")
+	}
+	for _, dir := range []string{empty, bare} {
+		if _, err := os.Stat(filepath.Join(dir, snapstore.CatalogName)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: failed save left a catalog behind (stat err %v)", dir, err)
+		}
 	}
 }
