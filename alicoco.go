@@ -6,8 +6,18 @@
 // Quick start:
 //
 //	coco, err := alicoco.Build(alicoco.Small())
-//	res := coco.Search("outdoor barbecue", 10)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	res, err := coco.SearchCtx(context.Background(), "outdoor barbecue", 10)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Println(res.Cards[0].Name, res.Cards[0].Items)
+//
+// Each operation has one single form and one batch form, both taking a
+// context: SearchCtx and SearchBatchBytesCtx, RecommendCtx and
+// RecommendBatchCtx.
 package alicoco
 
 import (
@@ -709,56 +719,24 @@ type SearchResult struct {
 	Items []Item
 }
 
-// Search answers a free-text query with concept cards and item hits.
-func (c *CoCo) Search(query string, maxItems int) SearchResult {
-	return c.serving.Load().searchOne(query, maxItems)
-}
-
-// batchTokens bounds the total fan-out worker count across all concurrent
-// batch calls: each call takes as many tokens as are free (always at least
-// its calling goroutine), so one batch alone uses every core while many
-// concurrent batches degrade toward one worker each instead of spawning
-// GOMAXPROCS goroutines apiece and oversubscribing the scheduler.
-var batchTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// batchFor fans fn over [0, n) with an admission-controlled worker count.
-func batchFor(n int, fn func(i int)) {
-	workers := 1 // the calling goroutine always works
-	defer func() {
-		for ; workers > 1; workers-- {
-			<-batchTokens
-		}
-	}()
-	for workers < n {
-		select {
-		case batchTokens <- struct{}{}:
-			workers++
-			continue
-		default:
-		}
-		break
+// SearchCtx answers a free-text query with concept cards and item hits.
+//
+// Every query method takes a context. It refuses to start engine work once
+// ctx is canceled or past its deadline, and the deadline propagates all
+// the way into the engines — ctx is checked between batch items, between
+// engine phases, and per work unit just after each shard crossing, so
+// admitted-but-doomed work (one slow shard, an expired budget) is
+// abandoned at the next shard boundary instead of stalling the whole
+// scatter-gather. No query method returns partial results as success — a
+// query or batch cut short by the deadline reports the context error and
+// the caller must discard the result. Cache hits never consult ctx (they
+// are one in-memory copy), which preserves the degraded cache-hits-only
+// mode under overload.
+func (c *CoCo) SearchCtx(ctx context.Context, query string, maxItems int) (SearchResult, error) {
+	if err := ctx.Err(); err != nil {
+		return SearchResult{}, err
 	}
-	par.For(workers, n, fn)
-}
-
-// SearchBatch answers a page of queries in one call, all pinned to the
-// same serving snapshot (a concurrent reload cannot split a batch across
-// net versions) and fanned out across a bounded worker pool into
-// index-addressed slots, so results line up with queries.
-func (c *CoCo) SearchBatch(queries []string, maxItems int) []SearchResult {
 	s := c.serving.Load()
-	out := make([]SearchResult, len(queries))
-	batchFor(len(queries), func(i int) {
-		out[i] = s.searchOne(queries[i], maxItems)
-	})
-	return out
-}
-
-func (s *servingState) searchOne(query string, maxItems int) SearchResult {
-	return s.compose(s.search.Search(query, maxItems))
-}
-
-func (s *servingState) searchOneCtx(ctx context.Context, query string, maxItems int) (SearchResult, error) {
 	resp, err := s.search.SearchCtx(ctx, query, maxItems)
 	if err != nil {
 		return SearchResult{}, err
@@ -766,16 +744,27 @@ func (s *servingState) searchOneCtx(ctx context.Context, query string, maxItems 
 	return s.compose(resp), nil
 }
 
-func (s *servingState) searchOneBytes(query []byte, maxItems int) SearchResult {
-	return s.compose(s.search.SearchBytes(query, maxItems))
-}
-
-func (s *servingState) searchOneBytesCtx(ctx context.Context, query []byte, maxItems int) (SearchResult, error) {
-	resp, err := s.search.SearchBytesCtx(ctx, query, maxItems)
+// SearchBatchBytesCtx answers a page of queries held as raw bytes — the
+// serving path for batch bodies decoded without materializing one string
+// per query. The whole page reads one serving snapshot (a concurrent
+// reload cannot split a batch across net versions) and fans across a
+// bounded worker pool; workers stop picking up queries once ctx is done.
+// Results line up with queries; equal query bytes produce byte-identical
+// results and hit the same cache entries as SearchCtx.
+func (c *CoCo) SearchBatchBytesCtx(ctx context.Context, queries [][]byte, maxItems int) ([]SearchResult, error) {
+	out := make([]SearchResult, len(queries))
+	err := c.batch(ctx, len(queries), func(s *servingState, i int) error {
+		resp, err := s.search.SearchBytesCtx(ctx, queries[i], maxItems)
+		if err != nil {
+			return err
+		}
+		out[i] = s.compose(resp)
+		return nil
+	})
 	if err != nil {
-		return SearchResult{}, err
+		return nil, err
 	}
-	return s.compose(resp), nil
+	return out, nil
 }
 
 func (s *servingState) compose(resp search.Response) SearchResult {
@@ -803,38 +792,41 @@ type Recommendation struct {
 	Card   ConceptCard
 }
 
-// Recommend infers the user's scenario from viewed item IDs and returns a
-// concept card of unseen items, with the concept name as the reason.
-func (c *CoCo) Recommend(viewedItemIDs []int, k int) (Recommendation, bool) {
-	return c.serving.Load().recommendOne(viewedItemIDs, k)
+// RecommendCtx infers the user's scenario from viewed item IDs and returns
+// a concept card of unseen items, with the concept name as the reason.
+// The bool reports whether the session produced a recommendation; see
+// SearchCtx for the context contract.
+func (c *CoCo) RecommendCtx(ctx context.Context, viewedItemIDs []int, k int) (Recommendation, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return Recommendation{}, false, err
+	}
+	return c.serving.Load().recommend(ctx, viewedItemIDs, k)
 }
 
-// BatchRecommendation is one session's outcome in a RecommendBatch: Found
-// reports whether the session produced a recommendation.
+// BatchRecommendation is one session's outcome in a RecommendBatchCtx:
+// Found reports whether the session produced a recommendation.
 type BatchRecommendation struct {
 	Found bool
 	Recommendation
 }
 
-// RecommendBatch recommends for a page of sessions in one call, pinned to
-// one serving snapshot and fanned across the same bounded worker pool as
-// SearchBatch; results line up with sessions.
-func (c *CoCo) RecommendBatch(sessions [][]int, k int) []BatchRecommendation {
-	s := c.serving.Load()
+// RecommendBatchCtx recommends for a page of sessions in one call, pinned
+// to one serving snapshot and fanned across the same bounded worker pool
+// as SearchBatchBytesCtx; results line up with sessions.
+func (c *CoCo) RecommendBatchCtx(ctx context.Context, sessions [][]int, k int) ([]BatchRecommendation, error) {
 	out := make([]BatchRecommendation, len(sessions))
-	batchFor(len(sessions), func(i int) {
-		rec, ok := s.recommendOne(sessions[i], k)
+	err := c.batch(ctx, len(sessions), func(s *servingState, i int) error {
+		rec, ok, err := s.recommend(ctx, sessions[i], k)
 		out[i] = BatchRecommendation{Found: ok, Recommendation: rec}
+		return err
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func (s *servingState) recommendOne(viewedItemIDs []int, k int) (Recommendation, bool) {
-	rec, ok, _ := s.recommendOneCtx(context.Background(), viewedItemIDs, k)
-	return rec, ok
-}
-
-func (s *servingState) recommendOneCtx(ctx context.Context, viewedItemIDs []int, k int) (Recommendation, bool, error) {
+func (s *servingState) recommend(ctx context.Context, viewedItemIDs []int, k int) (Recommendation, bool, error) {
 	viewed := make([]core.NodeID, 0, len(viewedItemIDs))
 	for _, id := range viewedItemIDs {
 		if node, ok := s.itemNode[id]; ok {
@@ -842,11 +834,8 @@ func (s *servingState) recommendOneCtx(ctx context.Context, viewedItemIDs []int,
 		}
 	}
 	rec, ok, err := s.rec.RecommendCtx(ctx, viewed, k)
-	if err != nil {
+	if err != nil || !ok {
 		return Recommendation{}, false, err
-	}
-	if !ok {
-		return Recommendation{}, false, nil
 	}
 	nd, _ := s.reader.Node(rec.Concept)
 	return Recommendation{
@@ -855,115 +844,46 @@ func (s *servingState) recommendOneCtx(ctx context.Context, viewedItemIDs []int,
 	}, true, nil
 }
 
-// Deadline-aware entry points: the *Ctx variants refuse to start engine
-// work once ctx is canceled or past its deadline, and the deadline
-// propagates all the way into the engines — ctx is checked between batch
-// items, between engine phases, and per work unit just after each shard
-// crossing, so admitted-but-doomed work (one slow shard, an expired
-// budget) is abandoned at the next shard boundary instead of stalling the
-// whole scatter-gather. They never return partial results as success — a
-// query or batch cut short by the deadline reports the context error and
-// the caller must discard the result. Cache hits never consult ctx (they
-// are one in-memory copy), which preserves the degraded cache-hits-only
-// mode under overload.
+// batchTokens bounds the total fan-out worker count across all concurrent
+// batch calls: each call takes as many tokens as are free (always at least
+// its calling goroutine), so one batch alone uses every core while many
+// concurrent batches degrade toward one worker each instead of spawning
+// GOMAXPROCS goroutines apiece and oversubscribing the scheduler.
+var batchTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// SearchCtx is Search guarded by a context; see above for the
-// propagation contract.
-func (c *CoCo) SearchCtx(ctx context.Context, query string, maxItems int) (SearchResult, error) {
+// batch runs fn for every index in [0, n), all against one pinned serving
+// snapshot (a concurrent reload cannot split a batch across net versions)
+// and fanned across the admission-controlled worker pool of batchTokens.
+// Workers stop picking up items after the first error, and the call
+// reports ctx's error, so a batch cut short by its deadline is never
+// served partially.
+func (c *CoCo) batch(ctx context.Context, n int, fn func(s *servingState, i int) error) error {
 	if err := ctx.Err(); err != nil {
-		return SearchResult{}, err
-	}
-	return c.serving.Load().searchOneCtx(ctx, query, maxItems)
-}
-
-// RecommendCtx is Recommend guarded by a context; see above for the
-// propagation contract.
-func (c *CoCo) RecommendCtx(ctx context.Context, viewedItemIDs []int, k int) (Recommendation, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return Recommendation{}, false, err
-	}
-	return c.serving.Load().recommendOneCtx(ctx, viewedItemIDs, k)
-}
-
-// SearchBatchCtx is SearchBatch guarded by a context: workers stop picking
-// up new queries once ctx is done, and the call reports ctx's error (the
-// partially filled results must not be served).
-func (c *CoCo) SearchBatchCtx(ctx context.Context, queries []string, maxItems int) ([]SearchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	s := c.serving.Load()
-	out := make([]SearchResult, len(queries))
+	workers := 1 // the calling goroutine always works
+	defer func() {
+		for ; workers > 1; workers-- {
+			<-batchTokens
+		}
+	}()
+	for workers < n {
+		select {
+		case batchTokens <- struct{}{}:
+			workers++
+			continue
+		default:
+		}
+		break
+	}
 	var stopped atomic.Bool
-	batchFor(len(queries), func(i int) {
-		if stopped.Load() {
-			return
-		}
-		res, err := s.searchOneCtx(ctx, queries[i], maxItems)
-		if err != nil {
+	par.For(workers, n, func(i int) {
+		if !stopped.Load() && fn(s, i) != nil {
 			stopped.Store(true)
-			return
 		}
-		out[i] = res
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SearchBatchBytesCtx is SearchBatchCtx for queries held as raw bytes —
-// the serving path for batch bodies decoded without materializing one
-// string per query. Equal query bytes produce byte-identical results and
-// hit the same cache entries as the string entry points.
-func (c *CoCo) SearchBatchBytesCtx(ctx context.Context, queries [][]byte, maxItems int) ([]SearchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := c.serving.Load()
-	out := make([]SearchResult, len(queries))
-	var stopped atomic.Bool
-	batchFor(len(queries), func(i int) {
-		if stopped.Load() {
-			return
-		}
-		res, err := s.searchOneBytesCtx(ctx, queries[i], maxItems)
-		if err != nil {
-			stopped.Store(true)
-			return
-		}
-		out[i] = res
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RecommendBatchCtx is RecommendBatch guarded by a context, with the same
-// stop-on-deadline contract as SearchBatchCtx.
-func (c *CoCo) RecommendBatchCtx(ctx context.Context, sessions [][]int, k int) ([]BatchRecommendation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s := c.serving.Load()
-	out := make([]BatchRecommendation, len(sessions))
-	var stopped atomic.Bool
-	batchFor(len(sessions), func(i int) {
-		if stopped.Load() {
-			return
-		}
-		rec, ok, err := s.recommendOneCtx(ctx, sessions[i], k)
-		if err != nil {
-			stopped.Store(true)
-			return
-		}
-		out[i] = BatchRecommendation{Found: ok, Recommendation: rec}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ctx.Err()
 }
 
 // Concept describes one e-commerce concept: its interpreting primitive
@@ -979,14 +899,7 @@ func (c *CoCo) Concepts() []Concept {
 	var out []Concept
 	net := c.serving.Load().reader
 	for _, id := range net.NodesOfKind(core.KindEConcept) {
-		nd, _ := net.Node(id)
-		cpt := Concept{Name: nd.Name}
-		for _, he := range net.PrimitivesForEConcept(id) {
-			p, _ := net.Node(he.Peer)
-			cpt.Primitives = append(cpt.Primitives, p.Domain+":"+p.Name)
-		}
-		cpt.ItemCount = len(net.ItemsForEConcept(id, 0))
-		out = append(out, cpt)
+		out = append(out, conceptOf(net, id))
 	}
 	return out
 }
@@ -998,6 +911,11 @@ func (c *CoCo) LookupConcept(name string) (Concept, bool) {
 	if id == core.InvalidNode {
 		return Concept{}, false
 	}
+	return conceptOf(net, id), true
+}
+
+// conceptOf assembles the Concept of an e-commerce concept node.
+func conceptOf(net core.Reader, id core.NodeID) Concept {
 	nd, _ := net.Node(id)
 	cpt := Concept{Name: nd.Name}
 	for _, he := range net.PrimitivesForEConcept(id) {
@@ -1005,7 +923,7 @@ func (c *CoCo) LookupConcept(name string) (Concept, bool) {
 		cpt.Primitives = append(cpt.Primitives, p.Domain+":"+p.Name)
 	}
 	cpt.ItemCount = len(net.ItemsForEConcept(id, 0))
-	return cpt, true
+	return cpt
 }
 
 // SampleSessions exposes simulated shopping sessions (viewed item IDs and

@@ -41,8 +41,8 @@ func TestQueryCacheEquivalence(t *testing.T) {
 		q := queries[rng.Intn(len(queries))]
 		sess := sessions[rng.Intn(len(sessions))]
 		key := fmt.Sprintf("%s|%v", q, sess)
-		res := c.Search(q, 8)
-		rec, ok := c.Recommend(sess, 5)
+		res := mustSearch(t, c, q, 8)
+		rec, ok := mustRecommend(t, c, sess, 5)
 		if first, seen := miss[key]; !seen {
 			miss[key] = outcome{res: res, rec: rec, ok: ok}
 		} else if !reflect.DeepEqual(first.res, res) || first.ok != ok || !reflect.DeepEqual(first.rec, rec) {
@@ -58,7 +58,7 @@ func TestQueryCacheEquivalence(t *testing.T) {
 	c.SetQueryCacheCapacity(0)
 	for key, first := range miss {
 		q := strings.SplitN(key, "|", 2)[0]
-		if res := c.Search(q, 8); !reflect.DeepEqual(first.res, res) {
+		if res := mustSearch(t, c, q, 8); !reflect.DeepEqual(first.res, res) {
 			t.Fatalf("uncached recomputation differs for %q:\ncached  %+v\nfresh   %+v", q, first.res, res)
 		}
 	}
@@ -71,14 +71,14 @@ func TestQueryCacheInvalidatedByRepublish(t *testing.T) {
 	c := buildSmall(t)
 	const q = "barbecue outdoor" // voting query: sees inferred edges
 	for i := 0; i < 3; i++ {
-		c.Search(q, 8) // populate the gen-1 cache
+		mustSearch(t, c, q, 8) // populate the gen-1 cache
 	}
 	if _, err := c.InferImplicitRelations(); err != nil {
 		t.Fatal(err)
 	}
-	got := c.Search(q, 8)
+	got := mustSearch(t, c, q, 8)
 	c.SetQueryCacheCapacity(0) // force recomputation on the same snapshot
-	want := c.Search(q, 8)
+	want := mustSearch(t, c, q, 8)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-republish answer came from a stale generation:\ncached %+v\nfresh  %+v", got, want)
 	}
@@ -117,8 +117,8 @@ func TestQueryCacheNoStaleAcrossReload(t *testing.T) {
 		ok  bool
 	}
 	canonOf := func(c *CoCo) canon {
-		res := c.Search(q, 8)
-		rec, ok := c.Recommend(session, 5)
+		res := mustSearch(t, c, q, 8)
+		rec, ok := mustRecommend(t, c, session, 5)
 		return canon{res: res, rec: rec, ok: ok}
 	}
 	canonA, canonB := canonOf(cA), canonOf(cB)

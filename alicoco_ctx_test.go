@@ -3,60 +3,11 @@ package alicoco
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 )
 
-// TestCtxVariantsMatchPlainCalls: with a live context the *Ctx entry
-// points answer exactly like their plain counterparts.
-func TestCtxVariantsMatchPlainCalls(t *testing.T) {
-	c := buildSmall(t)
-	ctx := context.Background()
-
-	plain := c.Search("outdoor barbecue", 5)
-	got, err := c.SearchCtx(ctx, "outdoor barbecue", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, got) {
-		t.Fatal("SearchCtx differs from Search")
-	}
-
-	sessions := c.SampleSessions(3)
-	if len(sessions) == 0 {
-		t.Fatal("no sessions")
-	}
-	plainRec, plainOK := c.Recommend(sessions[0], 5)
-	gotRec, gotOK, err := c.RecommendCtx(ctx, sessions[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plainOK != gotOK || !reflect.DeepEqual(plainRec, gotRec) {
-		t.Fatal("RecommendCtx differs from Recommend")
-	}
-
-	queries := []string{"outdoor barbecue", "winter coat", "grill"}
-	plainBatch := c.SearchBatch(queries, 5)
-	gotBatch, err := c.SearchBatchCtx(ctx, queries, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainBatch, gotBatch) {
-		t.Fatal("SearchBatchCtx differs from SearchBatch")
-	}
-
-	plainRecs := c.RecommendBatch(sessions, 5)
-	gotRecs, err := c.RecommendBatchCtx(ctx, sessions, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainRecs, gotRecs) {
-		t.Fatal("RecommendBatchCtx differs from RecommendBatch")
-	}
-}
-
-// TestCtxVariantsRefuseDeadCtx: every *Ctx entry point reports the context
+// TestCtxVariantsRefuseDeadCtx: every query method reports the context
 // error instead of dispatching once the context is done.
 func TestCtxVariantsRefuseDeadCtx(t *testing.T) {
 	c := buildSmall(t)
@@ -69,8 +20,8 @@ func TestCtxVariantsRefuseDeadCtx(t *testing.T) {
 	if _, _, err := c.RecommendCtx(ctx, []int{1, 2}, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RecommendCtx err = %v", err)
 	}
-	if _, err := c.SearchBatchCtx(ctx, []string{"grill"}, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchBatchCtx err = %v", err)
+	if _, err := c.SearchBatchBytesCtx(ctx, [][]byte{[]byte("grill")}, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchBatchBytesCtx err = %v", err)
 	}
 	if _, err := c.RecommendBatchCtx(ctx, [][]int{{1}}, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RecommendBatchCtx err = %v", err)
@@ -102,7 +53,7 @@ func TestBatchCtxCancelMidFlight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cancel()
 	}()
-	res, err := c.SearchBatchCtx(ctx, queries, 5)
+	res, err := c.SearchBatchBytesCtx(ctx, queryBytes(queries), 5)
 	<-done
 	if err == nil {
 		if len(res) != len(queries) {

@@ -1,6 +1,7 @@
 package alicoco
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,55 @@ func buildSmall(t *testing.T) *CoCo {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// The must* helpers run one query method with no deadline, which cannot
+// fail; an error is reported with t.Error, so query goroutines may call
+// them too.
+
+func mustSearch(t testing.TB, c *CoCo, query string, maxItems int) SearchResult {
+	t.Helper()
+	res, err := c.SearchCtx(context.Background(), query, maxItems)
+	if err != nil {
+		t.Error(err)
+	}
+	return res
+}
+
+func mustRecommend(t testing.TB, c *CoCo, viewedItemIDs []int, k int) (Recommendation, bool) {
+	t.Helper()
+	rec, ok, err := c.RecommendCtx(context.Background(), viewedItemIDs, k)
+	if err != nil {
+		t.Error(err)
+	}
+	return rec, ok
+}
+
+func mustSearchBatch(t testing.TB, c *CoCo, queries []string, maxItems int) []SearchResult {
+	t.Helper()
+	res, err := c.SearchBatchBytesCtx(context.Background(), queryBytes(queries), maxItems)
+	if err != nil {
+		t.Error(err)
+	}
+	return res
+}
+
+func mustRecommendBatch(t testing.TB, c *CoCo, sessions [][]int, k int) []BatchRecommendation {
+	t.Helper()
+	recs, err := c.RecommendBatchCtx(context.Background(), sessions, k)
+	if err != nil {
+		t.Error(err)
+	}
+	return recs
+}
+
+// queryBytes converts queries to the byte slices the batch call takes.
+func queryBytes(queries []string) [][]byte {
+	qb := make([][]byte, len(queries))
+	for i, q := range queries {
+		qb[i] = []byte(q)
+	}
+	return qb
 }
 
 func TestBuildAndStats(t *testing.T) {
@@ -32,7 +82,7 @@ func TestBuildAndStats(t *testing.T) {
 
 func TestFacadeSearch(t *testing.T) {
 	c := buildSmall(t)
-	res := c.Search("outdoor barbecue", 8)
+	res := mustSearch(t, c, "outdoor barbecue", 8)
 	if len(res.Cards) == 0 {
 		t.Fatal("no concept card")
 	}
@@ -50,7 +100,7 @@ func TestFacadeRecommend(t *testing.T) {
 	if len(sessions) == 0 {
 		t.Fatal("no sessions")
 	}
-	rec, ok := c.Recommend(sessions[0], 5)
+	rec, ok := mustRecommend(t, c, sessions[0], 5)
 	if !ok {
 		t.Fatal("no recommendation")
 	}
@@ -156,7 +206,7 @@ func TestFrozenSnapshotRoundTripFacade(t *testing.T) {
 	if cs.Relations != ls.Relations || cs.Items != ls.Items || cs.EConcepts != ls.EConcepts {
 		t.Fatalf("stats differ:\nbuilt  %+v\nloaded %+v", cs, ls)
 	}
-	cr, lr := c.Search("outdoor barbecue", 8), l.Search("outdoor barbecue", 8)
+	cr, lr := mustSearch(t, c, "outdoor barbecue", 8), mustSearch(t, l, "outdoor barbecue", 8)
 	if len(cr.Cards) == 0 || len(cr.Cards) != len(lr.Cards) || cr.Cards[0].Name != lr.Cards[0].Name {
 		t.Fatalf("search differs: %+v vs %+v", cr.Cards, lr.Cards)
 	}
@@ -169,8 +219,8 @@ func TestFrozenSnapshotRoundTripFacade(t *testing.T) {
 	}
 	sessions := c.SampleSessions(3)
 	for _, sess := range sessions {
-		crec, cok := c.Recommend(sess, 5)
-		lrec, lok := l.Recommend(sess, 5)
+		crec, cok := mustRecommend(t, c, sess, 5)
+		lrec, lok := mustRecommend(t, l, sess, 5)
 		if cok != lok || crec.Reason != lrec.Reason || len(crec.Card.Items) != len(lrec.Card.Items) {
 			t.Fatalf("recommendation differs for %v", sess)
 		}
@@ -201,7 +251,7 @@ func TestFrozenSnapshotRoundTripFacade(t *testing.T) {
 	if info := l.ServingInfo(); info.CatalogGen != 2 || info.Shards != 1 {
 		t.Fatalf("after reload: %+v", info)
 	}
-	if res := l.Search("outdoor barbecue", 8); len(res.Cards) == 0 {
+	if res := mustSearch(t, l, "outdoor barbecue", 8); len(res.Cards) == 0 {
 		t.Fatal("no card after reload")
 	}
 }
@@ -282,13 +332,13 @@ func TestConcurrentServeDuringRefreeze(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		c.Search("outdoor barbecue", 5)
+		mustSearch(t, c, "outdoor barbecue", 5)
 		c.Hypernyms("coat")
 		c.LookupConcept("outdoor barbecue")
 	}
 	<-done
 	// After the swap, serving still answers.
-	if res := c.Search("outdoor barbecue", 5); len(res.Cards) == 0 {
+	if res := mustSearch(t, c, "outdoor barbecue", 5); len(res.Cards) == 0 {
 		t.Fatal("no card after refreeze")
 	}
 }

@@ -26,17 +26,17 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		for i := range queries {
 			queries[i] = pool[rng.Intn(len(pool))]
 		}
-		batch := c.SearchBatch(queries, 10)
+		batch := mustSearchBatch(t, c, queries, 10)
 		if len(batch) != len(queries) {
 			t.Fatalf("trial %d: %d results for %d queries", trial, len(batch), len(queries))
 		}
 		for i, q := range queries {
-			if want := c.Search(q, 10); !reflect.DeepEqual(batch[i], want) {
+			if want := mustSearch(t, c, q, 10); !reflect.DeepEqual(batch[i], want) {
 				t.Fatalf("trial %d query %d (%q): batch %+v, sequential %+v", trial, i, q, batch[i], want)
 			}
 		}
 	}
-	if got := c.SearchBatch(nil, 10); len(got) != 0 {
+	if got := mustSearchBatch(t, c, nil, 10); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
@@ -52,12 +52,12 @@ func TestRecommendBatchMatchesSequential(t *testing.T) {
 		t.Fatal("no sessions")
 	}
 	sessions = append(sessions, []int{1 << 28}, nil) // unknown item and empty session
-	batch := c.RecommendBatch(sessions, 5)
+	batch := mustRecommendBatch(t, c, sessions, 5)
 	if len(batch) != len(sessions) {
 		t.Fatalf("%d results for %d sessions", len(batch), len(sessions))
 	}
 	for i, sess := range sessions {
-		rec, ok := c.Recommend(sess, 5)
+		rec, ok := mustRecommend(t, c, sess, 5)
 		if batch[i].Found != ok {
 			t.Fatalf("session %d: batch found=%v, sequential ok=%v", i, batch[i].Found, ok)
 		}
@@ -67,14 +67,14 @@ func TestRecommendBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchPinnedDuringRefreeze hammers SearchBatch while Refreeze
+// TestBatchPinnedDuringRefreeze hammers SearchBatchBytesCtx while Refreeze
 // republishes: every batch must come back complete and internally
 // consistent (all slots answered, no mixed-version partial results),
 // proving the batch reads one pinned snapshot.
 func TestBatchPinnedDuringRefreeze(t *testing.T) {
 	c := buildSmall(t)
 	queries := []string{"outdoor barbecue", "grill", "winter coat"}
-	want := c.SearchBatch(queries, 8)
+	want := mustSearchBatch(t, c, queries, 8)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -93,7 +93,7 @@ func TestBatchPinnedDuringRefreeze(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		got := c.SearchBatch(queries, 8)
+		got := mustSearchBatch(t, c, queries, 8)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("iteration %d: batch answer drifted during refreeze", i)
 			break

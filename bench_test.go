@@ -7,6 +7,7 @@
 package alicoco
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -312,7 +313,7 @@ func BenchmarkRecommend(b *testing.B) {
 	}
 	engine := recommend.NewEngine(a.Net)
 	conceptRec := func(viewed []core.NodeID, k int) []core.NodeID {
-		rec, ok := engine.Recommend(viewed, k)
+		rec, ok := engine.RecommendRanked(viewed, k, nil)
 		if !ok {
 			return nil
 		}
@@ -461,13 +462,14 @@ func BenchmarkFrozenVsLockedRecommend(b *testing.B) {
 		"locked": recommend.NewEngine(a.Net),
 		"frozen": recommend.NewEngine(a.Frozen),
 	}
+	ctx := context.Background()
 	for _, name := range []string{"locked", "frozen"} {
 		engine := engines[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok := engine.Recommend(viewed, 10); !ok {
-					b.Fatal("no recommendation")
+				if _, ok, err := engine.RecommendCtx(ctx, viewed, 10); err != nil || !ok {
+					b.Fatal("no recommendation", err)
 				}
 			}
 		})
@@ -564,7 +566,9 @@ func BenchmarkFrozenSearchEngine(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.Search("outdoor barbecue", 10)
+				if _, err := engine.SearchCtx(context.Background(), "outdoor barbecue", 10); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -599,12 +603,13 @@ func benchCoCo(b *testing.B) *CoCo {
 func BenchmarkParallelFrozenSearch(b *testing.B) {
 	a := benchArtifacts(b)
 	engine := search.NewEngine(a.Frozen, a.World.Stopwords())
+	ctx, q := context.Background(), []byte("outdoor barbecue")
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		var resp search.Response
 		for pb.Next() {
-			engine.SearchInto(&resp, "outdoor barbecue", 10)
+			_ = engine.SearchInto(ctx, &resp, q, 10)
 		}
 	})
 }
@@ -619,12 +624,13 @@ func BenchmarkParallelFrozenRecommend(b *testing.B) {
 		viewed = append(viewed, a.ItemNode[id])
 	}
 	engine := recommend.NewEngine(a.Frozen)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		var rec recommend.Recommendation
 		for pb.Next() {
-			engine.RecommendInto(&rec, viewed, 10)
+			_, _ = engine.RecommendInto(ctx, &rec, viewed, 10)
 		}
 	})
 }
@@ -661,46 +667,57 @@ func benchBatchQueries(a *pipeline.Artifacts) []string {
 }
 
 // BenchmarkBatchServeSearch compares a 32-query page served sequentially
-// against one SearchBatch call.
+// through SearchCtx against one SearchBatchBytesCtx call.
 func BenchmarkBatchServeSearch(b *testing.B) {
 	c := benchCoCo(b)
 	queries := benchBatchQueries(benchArtifacts(b))
+	qb := queryBytes(queries)
+	ctx := context.Background()
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				c.Search(q, 10)
+				if _, err := c.SearchCtx(ctx, q, 10); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.SearchBatch(queries, 10)
+			if _, err := c.SearchBatchBytesCtx(ctx, qb, 10); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
 
 // BenchmarkBatchServeRecommend compares a page of sessions served
-// sequentially against one RecommendBatch call.
+// sequentially through RecommendCtx against one RecommendBatchCtx call.
 func BenchmarkBatchServeRecommend(b *testing.B) {
 	c := benchCoCo(b)
 	sessions := c.SampleSessions(32)
 	if len(sessions) == 0 {
 		b.Fatal("no sessions")
 	}
+	ctx := context.Background()
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, s := range sessions {
-				c.Recommend(s, 10)
+				if _, _, err := c.RecommendCtx(ctx, s, 10); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c.RecommendBatch(sessions, 10)
+			if _, err := c.RecommendBatchCtx(ctx, sessions, 10); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -736,13 +753,16 @@ func benchShardStore(b *testing.B, n int) core.Reader {
 // the sharded counterpart of BenchmarkSearchIntoReused.
 func BenchmarkShardedSearch(b *testing.B) {
 	a := benchArtifacts(b)
+	ctx, q := context.Background(), []byte("outdoor barbecue")
 	for _, n := range []int{1, 4} {
 		engine := search.NewEngine(benchShardStore(b, n), a.World.Stopwords())
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var resp search.Response
 			for i := 0; i < b.N; i++ {
-				engine.SearchInto(&resp, "outdoor barbecue", 10)
+				if err := engine.SearchInto(ctx, &resp, q, 10); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -757,14 +777,15 @@ func BenchmarkShardedRecommend(b *testing.B) {
 	for _, id := range raw[0].Viewed {
 		viewed = append(viewed, a.ItemNode[id])
 	}
+	ctx := context.Background()
 	for _, n := range []int{1, 4} {
 		engine := recommend.NewEngine(benchShardStore(b, n))
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var rec recommend.Recommendation
 			for i := 0; i < b.N; i++ {
-				if !engine.RecommendInto(&rec, viewed, 10) {
-					b.Fatal("no recommendation")
+				if ok, err := engine.RecommendInto(ctx, &rec, viewed, 10); err != nil || !ok {
+					b.Fatal("no recommendation", err)
 				}
 			}
 		})
@@ -801,11 +822,14 @@ func BenchmarkShardedFreeze(b *testing.B) {
 func BenchmarkSearchIntoReused(b *testing.B) {
 	a := benchArtifacts(b)
 	engine := search.NewEngine(a.Frozen, a.World.Stopwords())
+	ctx, q := context.Background(), []byte("outdoor barbecue")
 	var resp search.Response
-	engine.SearchInto(&resp, "outdoor barbecue", 10)
+	if err := engine.SearchInto(ctx, &resp, q, 10); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.SearchInto(&resp, "outdoor barbecue", 10)
+		_ = engine.SearchInto(ctx, &resp, q, 10)
 	}
 }

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -150,7 +151,10 @@ func runQuery(coco *alicoco.CoCo, query string) {
 	if query == "" {
 		return
 	}
-	res := coco.Search(query, 8)
+	res, err := coco.SearchCtx(context.Background(), query, 8)
+	if err != nil {
+		log.Fatalf("query: %v", err)
+	}
 	fmt.Printf("\nquery: %q\n", query)
 	for _, card := range res.Cards {
 		fmt.Printf("  concept card: %s\n", card.Name)

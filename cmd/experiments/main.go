@@ -495,7 +495,7 @@ func expRecommend(tb *testbed) {
 	cf := recommend.NewItemCF(history)
 	ranker := recommend.CoViewScore(cf)
 	conceptRec := func(viewed []core.NodeID, k int) []core.NodeID {
-		rec, ok := engine.Recommend(viewed, k)
+		rec, ok := engine.RecommendRanked(viewed, k, nil)
 		if !ok {
 			return nil
 		}

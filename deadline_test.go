@@ -114,7 +114,7 @@ func TestDeadlineBatchCanceledBySlowShard(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := c.SearchBatchCtx(ctx, queries, 12)
+	res, err := c.SearchBatchBytesCtx(ctx, queryBytes(queries), 12)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch with one slow shard: err = %v (res len %d), want DeadlineExceeded", err, len(res))
@@ -136,13 +136,13 @@ func TestAmpleDeadlineIdenticalUnderSlowShard(t *testing.T) {
 
 	want := make([]SearchResult, len(slowQueries))
 	for i, q := range slowQueries {
-		want[i] = c.Search(q, 12)
+		want[i] = mustSearch(t, c, q, 12)
 	}
 	sessions := c.SampleSessions(3)
 	wantRec := make([]Recommendation, len(sessions))
 	wantOK := make([]bool, len(sessions))
 	for i, sess := range sessions {
-		wantRec[i], wantOK[i] = c.Recommend(sess, 10)
+		wantRec[i], wantOK[i] = mustRecommend(t, c, sess, 10)
 	}
 
 	restore := faultfs.InjectQuery(faultfs.QueryFault{Shard: 2, Delay: 200 * time.Microsecond})
@@ -159,12 +159,12 @@ func TestAmpleDeadlineIdenticalUnderSlowShard(t *testing.T) {
 			t.Fatalf("SearchCtx(%q) differs under slow shard with ample deadline", q)
 		}
 	}
-	batch, err := c.SearchBatchCtx(ctx, slowQueries, 12)
+	batch, err := c.SearchBatchBytesCtx(ctx, queryBytes(slowQueries), 12)
 	if err != nil {
-		t.Fatalf("SearchBatchCtx ample deadline: %v", err)
+		t.Fatalf("SearchBatchBytesCtx ample deadline: %v", err)
 	}
 	if !reflect.DeepEqual(batch, want) {
-		t.Fatal("SearchBatchCtx differs under slow shard with ample deadline")
+		t.Fatal("SearchBatchBytesCtx differs under slow shard with ample deadline")
 	}
 	for i, sess := range sessions {
 		rec, ok, err := c.RecommendCtx(ctx, sess, 10)

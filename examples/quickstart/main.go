@@ -2,6 +2,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,10 @@ func main() {
 
 	// A shopping-scenario query: the search engine answers with a concept
 	// card, not just keyword hits.
-	res := coco.Search("outdoor barbecue", 5)
+	res, err := coco.SearchCtx(context.Background(), "outdoor barbecue", 5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, card := range res.Cards {
 		fmt.Printf("concept card: %q\n", card.Name)
 		for _, item := range card.Items {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,12 +27,16 @@ func main() {
 		byID[it.ID] = it
 	}
 
+	ctx := context.Background()
 	for i, viewed := range sessions {
 		fmt.Printf("session %d — user viewed:\n", i+1)
 		for _, id := range viewed {
 			fmt.Printf("  * %s\n", byID[id].Title)
 		}
-		rec, ok := coco.Recommend(viewed, 5)
+		rec, ok, err := coco.RecommendCtx(ctx, viewed, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if !ok {
 			fmt.Println("  (no recommendation)")
 			continue

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -26,7 +27,10 @@ func main() {
 		fmt.Printf("planning %q — understood as %v\n", scenario, cpt.Primitives)
 
 		// One suggested item per category the scenario requires.
-		res := coco.Search(scenario, 50)
+		res, err := coco.SearchCtx(context.Background(), scenario, 50)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if len(res.Cards) == 0 {
 			fmt.Println("  nothing found")
 			continue

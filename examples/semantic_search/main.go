@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,9 +25,13 @@ func main() {
 		"tools for baking",          // the Figure 2a example
 		"grill",                     // plain category query still works
 	}
+	ctx := context.Background()
 	for _, q := range queries {
 		fmt.Printf("query: %q\n", q)
-		res := coco.Search(q, 5)
+		res, err := coco.SearchCtx(ctx, q, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if len(res.Cards) > 0 {
 			for _, card := range res.Cards {
 				fmt.Printf("  card %q:\n", card.Name)

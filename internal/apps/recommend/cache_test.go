@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,8 +16,9 @@ import (
 // uncached twin.
 func TestRecommendCachedMatchesUncached(t *testing.T) {
 	a := scratchArts(t)
+	cache := qcache.New(128)
 	cached := NewEngine(a.Frozen)
-	cached.UseCache(qcache.New(128), qcache.Stamp{Gen: 1})
+	cached.UseCache(cache, qcache.Stamp{Gen: 1})
 	plain := NewEngine(a.Frozen)
 
 	rng := rand.New(rand.NewSource(31))
@@ -25,14 +27,14 @@ func TestRecommendCachedMatchesUncached(t *testing.T) {
 	for trial := 0; trial < 600; trial++ {
 		sess := sessions[rng.Intn(len(sessions))]
 		k := 1 + rng.Intn(3)*5
-		okCached := cached.RecommendInto(&reused, sess, k)
-		fresh, okFresh := plain.Recommend(sess, k)
+		okCached := mustRecommendInto(t, cached, &reused, sess, k)
+		fresh, okFresh := plain.RecommendRanked(sess, k, nil)
 		if okCached != okFresh || (okCached && !recsEqual(reused, fresh)) {
 			t.Fatalf("trial %d: cached recommendation differs (k=%d):\ncached %v %+v\nfresh  %v %+v",
 				trial, k, okCached, reused, okFresh, fresh)
 		}
 	}
-	if st := cached.CacheStats(); st.Hits == 0 {
+	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatal("stream produced no cache hits; test is vacuous")
 	}
 }
@@ -42,17 +44,20 @@ func TestRecommendCachedMatchesUncached(t *testing.T) {
 // between calls).
 func TestRecommendScoredPathBypassesCache(t *testing.T) {
 	a := scratchArts(t)
+	cache := qcache.New(128)
 	e := NewEngine(a.Frozen)
-	e.UseCache(qcache.New(128), qcache.Stamp{Gen: 1})
+	e.UseCache(cache, qcache.Stamp{Gen: 1})
 	rng := rand.New(rand.NewSource(7))
 	sess := randomSessions(a, rng, 1)[0]
 	e.RecommendRanked(sess, 5, func(_ []core.NodeID, item core.NodeID) float64 { return float64(item) })
-	if st := e.CacheStats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
+	if st := cache.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("scored path touched the cache: %+v", st)
 	}
 	// The unscored path with the same session still works and caches.
-	e.Recommend(sess, 5)
-	if st := e.CacheStats(); st.Misses != 1 {
+	if _, _, err := e.RecommendCtx(context.Background(), sess, 5); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 {
 		t.Fatalf("unscored path did not consult the cache: %+v", st)
 	}
 }
@@ -64,20 +69,22 @@ func TestRecommendCachedHitZeroAllocs(t *testing.T) {
 		t.Skip("allocation guards are not meaningful under -race (sync.Pool drops items)")
 	}
 	a := scratchArts(t)
+	cache := qcache.New(64)
 	e := NewEngine(a.Frozen)
-	e.UseCache(qcache.New(64), qcache.Stamp{Gen: 1})
+	e.UseCache(cache, qcache.Stamp{Gen: 1})
 	rng := rand.New(rand.NewSource(13))
 	sess := randomSessions(a, rng, 1)[0]
+	ctx := context.Background()
 	var rec Recommendation
-	e.RecommendInto(&rec, sess, 10) // miss: computes and stores
-	e.RecommendInto(&rec, sess, 10) // hit: warms the copy path
+	mustRecommendInto(t, e, &rec, sess, 10) // miss: computes and stores
+	mustRecommendInto(t, e, &rec, sess, 10) // hit: warms the copy path
 	allocs := testing.AllocsPerRun(200, func() {
-		e.RecommendInto(&rec, sess, 10)
+		_, _ = e.RecommendInto(ctx, &rec, sess, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("cached-hit RecommendInto allocates %.1f times per op, want 0", allocs)
 	}
-	if st := e.CacheStats(); st.Hits == 0 {
+	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatal("guard never hit the cache")
 	}
 }
@@ -86,19 +93,20 @@ func TestRecommendCachedHitZeroAllocs(t *testing.T) {
 // memoized too (found=false round-trips through the cache).
 func TestRecommendNegativeOutcomeCached(t *testing.T) {
 	a := scratchArts(t)
+	cache := qcache.New(64)
 	e := NewEngine(a.Frozen)
-	e.UseCache(qcache.New(64), qcache.Stamp{Gen: 1})
+	e.UseCache(cache, qcache.Stamp{Gen: 1})
 	var rec Recommendation
-	if e.RecommendInto(&rec, nil, 5) {
+	if mustRecommendInto(t, e, &rec, nil, 5) {
 		t.Fatal("empty session should not recommend")
 	}
-	if e.RecommendInto(&rec, nil, 5) {
+	if mustRecommendInto(t, e, &rec, nil, 5) {
 		t.Fatal("cached empty session should not recommend")
 	}
 	if rec.Concept != core.InvalidNode || rec.Reason != "" || len(rec.Items) != 0 {
 		t.Fatalf("cached negative outcome leaked state: %+v", rec)
 	}
-	if st := e.CacheStats(); st.Hits != 1 {
+	if st := cache.Stats(); st.Hits != 1 {
 		t.Fatalf("negative outcome not served from cache: %+v", st)
 	}
 }

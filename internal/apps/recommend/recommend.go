@@ -24,7 +24,7 @@ type Recommendation struct {
 	Items   []core.NodeID
 }
 
-// scratch is the per-request working memory of one Recommend call, recycled
+// scratch is the per-request working memory of one session, recycled
 // through a sync.Pool so steady-state sessions reuse the vote map, the
 // viewed-set, and the ranking heap instead of allocating their own.
 type scratch struct {
@@ -90,9 +90,6 @@ func (e *Engine) UseCache(c *qcache.Cache, stamp qcache.Stamp) {
 	e.stamp = stamp
 }
 
-// CacheStats reports the attached cache's counters (zero when uncached).
-func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
-
 // reasonFor returns the recommendation reason for a concept.
 func (e *Engine) reasonFor(concept core.NodeID) string {
 	if r, ok := e.reasons[concept]; ok {
@@ -102,41 +99,32 @@ func (e *Engine) reasonFor(concept core.NodeID) string {
 	return "for " + nd.Name
 }
 
-// Recommend infers the user's latent shopping scenario from viewed items
-// (each viewed item votes for the e-commerce concepts it serves), then
-// recommends unseen items of the winning concept. The concept name is the
-// recommendation reason (Section 8.2.2).
-func (e *Engine) Recommend(viewed []core.NodeID, k int) (Recommendation, bool) {
-	return e.RecommendRanked(viewed, k, nil)
-}
-
-// RecommendInto is Recommend writing into a caller-owned Recommendation,
-// recycling its Items backing array across sessions.
-func (e *Engine) RecommendInto(rec *Recommendation, viewed []core.NodeID, k int) bool {
-	ok, _ := e.recommendRanked(context.Background(), rec, viewed, k, nil)
-	return ok
-}
-
-// RecommendCtx is Recommend bounded by a context: the engine checks ctx
-// per viewed item during concept voting and before the candidate scan, so
-// a session stalled by one slow shard is abandoned at the next shard
+// RecommendCtx infers the user's latent shopping scenario from viewed
+// items (each viewed item votes for the e-commerce concepts it serves),
+// then recommends unseen items of the winning concept. The concept name is
+// the recommendation reason (Section 8.2.2). The engine checks ctx per
+// viewed item during concept voting and before the candidate scan, so a
+// session stalled by one slow shard is abandoned at the next shard
 // boundary instead of stalling the caller past its deadline. A cache hit
 // never consults ctx. On error the Recommendation must be discarded.
 func (e *Engine) RecommendCtx(ctx context.Context, viewed []core.NodeID, k int) (Recommendation, bool, error) {
 	var rec Recommendation
-	ok, err := e.RecommendIntoCtx(ctx, &rec, viewed, k)
+	ok, err := e.RecommendInto(ctx, &rec, viewed, k)
 	return rec, ok, err
 }
 
-// RecommendIntoCtx is RecommendInto bounded by a context; see RecommendCtx.
-func (e *Engine) RecommendIntoCtx(ctx context.Context, rec *Recommendation, viewed []core.NodeID, k int) (bool, error) {
+// RecommendInto is RecommendCtx writing into a caller-owned
+// Recommendation, recycling its Items backing array across sessions.
+func (e *Engine) RecommendInto(ctx context.Context, rec *Recommendation, viewed []core.NodeID, k int) (bool, error) {
 	return e.recommendRanked(ctx, rec, viewed, k, nil)
 }
 
-// RecommendRanked is Recommend with an item-scoring model applied inside the
-// concept's candidate set — the paper's production split of concept recall
-// followed by ranking ("recommends items with highest weights after scoring
-// with a ranking model", Section 1). score may be nil (edge-weight order).
+// RecommendRanked is the offline form of RecommendCtx, with no deadline
+// and an item-scoring model applied inside the concept's candidate set —
+// the paper's production split of concept recall followed by ranking
+// ("recommends items with highest weights after scoring with a ranking
+// model", Section 1). score may be nil (edge-weight order, the answer
+// RecommendCtx gives).
 func (e *Engine) RecommendRanked(viewed []core.NodeID, k int, score func(viewed []core.NodeID, item core.NodeID) float64) (Recommendation, bool) {
 	var rec Recommendation
 	ok, _ := e.recommendRanked(context.Background(), &rec, viewed, k, score)
@@ -144,8 +132,8 @@ func (e *Engine) RecommendRanked(viewed []core.NodeID, k int, score func(viewed 
 }
 
 // recommendRanked is the shared core: cache probe, engine dispatch, cache
-// fill. The unbounded entry points pass context.Background(), whose Err is
-// a constant nil, so the ctx checks cost nothing on the zero-alloc path.
+// fill. RecommendRanked passes context.Background(), whose Err is a
+// constant nil, so it never reports an error.
 func (e *Engine) recommendRanked(ctx context.Context, rec *Recommendation, viewed []core.NodeID, k int, score func(viewed []core.NodeID, item core.NodeID) float64) (bool, error) {
 	sc := e.pool.Get().(*scratch)
 	defer e.pool.Put(sc)

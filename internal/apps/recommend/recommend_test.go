@@ -42,7 +42,7 @@ func TestRecommendInfersScenario(t *testing.T) {
 	f := buildFixture(t)
 	e := NewEngine(f.arts.Net)
 	viewed, _ := f.sessions[0][0], f.sessions[0][1]
-	rec, ok := e.Recommend(viewed, 5)
+	rec, ok := e.RecommendRanked(viewed, 5, nil)
 	if !ok {
 		t.Fatal("no recommendation for a scenario session")
 	}
@@ -62,7 +62,7 @@ func TestConceptRecommenderBeatsItemCFOnHitRate(t *testing.T) {
 	f := buildFixture(t)
 	e := NewEngine(f.arts.Net)
 	conceptRec := func(viewed []core.NodeID, k int) []core.NodeID {
-		rec, ok := e.Recommend(viewed, k)
+		rec, ok := e.RecommendRanked(viewed, k, nil)
 		if !ok {
 			return nil
 		}
@@ -97,7 +97,7 @@ func TestItemCFRecommendsCoViewed(t *testing.T) {
 func TestRecommendEmptyViewed(t *testing.T) {
 	f := buildFixture(t)
 	e := NewEngine(f.arts.Net)
-	if _, ok := e.Recommend(nil, 5); ok {
+	if _, ok := e.RecommendRanked(nil, 5, nil); ok {
 		t.Fatal("empty view history should not recommend")
 	}
 }
@@ -117,8 +117,8 @@ func TestRecommendFrozenMatchesLive(t *testing.T) {
 	live := NewEngine(f.arts.Net)
 	frozen := NewEngine(f.arts.Frozen)
 	for _, s := range f.sessions {
-		lr, lok := live.Recommend(s[0], 5)
-		fr, fok := frozen.Recommend(s[0], 5)
+		lr, lok := live.RecommendRanked(s[0], 5, nil)
+		fr, fok := frozen.RecommendRanked(s[0], 5, nil)
 		if lok != fok {
 			t.Fatalf("ok differs for session %v", s[0])
 		}
@@ -133,14 +133,14 @@ func TestRecommendFrozenMatchesLive(t *testing.T) {
 		}
 	}
 	lrep := Replay(f.arts.Net, func(v []core.NodeID, k int) []core.NodeID {
-		r, ok := live.Recommend(v, k)
+		r, ok := live.RecommendRanked(v, k, nil)
 		if !ok {
 			return nil
 		}
 		return r.Items
 	}, f.sessions, 10)
 	frep := Replay(f.arts.Frozen, func(v []core.NodeID, k int) []core.NodeID {
-		r, ok := frozen.Recommend(v, k)
+		r, ok := frozen.RecommendRanked(v, k, nil)
 		if !ok {
 			return nil
 		}

@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"sync"
@@ -31,6 +32,17 @@ func randomSessions(a *pipeline.Artifacts, rng *rand.Rand, n int) [][]core.NodeI
 		out[i] = sess
 	}
 	return out
+}
+
+// mustRecommendInto runs one session through RecommendInto with no
+// deadline.
+func mustRecommendInto(t testing.TB, e *Engine, rec *Recommendation, viewed []core.NodeID, k int) bool {
+	t.Helper()
+	ok, err := e.RecommendInto(context.Background(), rec, viewed, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
 }
 
 func recsEqual(a, b Recommendation) bool {
@@ -80,7 +92,7 @@ func refRankedItems(net core.Reader, best core.NodeID, viewed []core.NodeID, k i
 
 // TestRecommendIntoReusedMatchesFresh replays randomized sessions through
 // one reused Recommendation and checks every answer against a fresh
-// Recommend call.
+// RecommendCtx call.
 func TestRecommendIntoReusedMatchesFresh(t *testing.T) {
 	a := scratchArts(t)
 	e := NewEngine(a.Frozen)
@@ -88,8 +100,11 @@ func TestRecommendIntoReusedMatchesFresh(t *testing.T) {
 	var reused Recommendation
 	for _, sess := range randomSessions(a, rng, 300) {
 		k := 1 + rng.Intn(8)
-		gotOK := e.RecommendInto(&reused, sess, k)
-		fresh, wantOK := e.Recommend(sess, k)
+		gotOK := mustRecommendInto(t, e, &reused, sess, k)
+		fresh, wantOK, err := e.RecommendCtx(context.Background(), sess, k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if gotOK != wantOK {
 			t.Fatalf("session %v: ok %v vs %v", sess, gotOK, wantOK)
 		}
@@ -136,7 +151,7 @@ func TestRecommendConcurrent(t *testing.T) {
 	want := make([]Recommendation, len(sessions))
 	okWant := make([]bool, len(sessions))
 	for i, s := range sessions {
-		want[i], okWant[i] = e.Recommend(s, 5)
+		want[i], okWant[i] = e.RecommendRanked(s, 5, nil)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -146,8 +161,8 @@ func TestRecommendConcurrent(t *testing.T) {
 			var rec Recommendation
 			for i := 0; i < 150; i++ {
 				si := (g + i) % len(sessions)
-				ok := e.RecommendInto(&rec, sessions[si], 5)
-				if ok != okWant[si] || (ok && !recsEqual(rec, want[si])) {
+				ok, err := e.RecommendInto(context.Background(), &rec, sessions[si], 5)
+				if err != nil || ok != okWant[si] || (ok && !recsEqual(rec, want[si])) {
 					t.Errorf("goroutine %d: answer for session %d drifted", g, si)
 					return
 				}
@@ -168,13 +183,14 @@ func TestRecommendIntoZeroAllocs(t *testing.T) {
 	e := NewEngine(a.Frozen)
 	rng := rand.New(rand.NewSource(29))
 	sessions := randomSessions(a, rng, 8)
+	ctx := context.Background()
 	var rec Recommendation
 	for _, s := range sessions { // warm pooled scratch and Items buffer
-		e.RecommendInto(&rec, s, 10)
+		mustRecommendInto(t, e, &rec, s, 10)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, s := range sessions {
-			e.RecommendInto(&rec, s, 10)
+			_, _ = e.RecommendInto(ctx, &rec, s, 10)
 		}
 	})
 	if allocs != 0 {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,8 +16,9 @@ import (
 // change an answer, only its cost.
 func TestSearchCachedMatchesUncached(t *testing.T) {
 	a := buildArts(t)
+	cache := qcache.New(256)
 	cached := NewEngine(a.Frozen, a.World.Stopwords())
-	cached.UseCache(qcache.New(256), qcache.Stamp{Gen: 1})
+	cached.UseCache(cache, qcache.Stamp{Gen: 1})
 	plain := NewEngine(a.Frozen, a.World.Stopwords())
 
 	rng := rand.New(rand.NewSource(23))
@@ -28,14 +30,14 @@ func TestSearchCachedMatchesUncached(t *testing.T) {
 	for trial := 0; trial < 600; trial++ {
 		q := queries[rng.Intn(len(queries))]
 		maxItems := rng.Intn(4) * 5 // repeats (q, maxItems) pairs often
-		cached.SearchInto(&reused, q, maxItems)
-		fresh := plain.Search(q, maxItems)
+		mustSearchInto(t, cached, &reused, q, maxItems)
+		fresh := mustSearch(t, plain, q, maxItems)
 		if !respEqual(reused, fresh) {
 			t.Fatalf("trial %d: cached answer differs for %q (maxItems=%d):\ncached %+v\nfresh  %+v",
 				trial, q, maxItems, reused, fresh)
 		}
 	}
-	if st := cached.CacheStats(); st.Hits == 0 {
+	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatal("stream produced no cache hits; test is vacuous")
 	}
 }
@@ -47,12 +49,12 @@ func TestSearchCacheStampMiss(t *testing.T) {
 	shared := qcache.New(256)
 	old := NewEngine(a.Frozen, a.World.Stopwords())
 	old.UseCache(shared, qcache.Stamp{Gen: 1})
-	old.Search("outdoor barbecue", 10) // populates gen-1 entry
+	mustSearch(t, old, "outdoor barbecue", 10) // populates gen-1 entry
 
 	next := NewEngine(a.Frozen, a.World.Stopwords())
 	next.UseCache(shared, qcache.Stamp{Gen: 2})
 	before := shared.Stats()
-	resp := next.Search("outdoor barbecue", 10)
+	resp := mustSearch(t, next, "outdoor barbecue", 10)
 	after := shared.Stats()
 	if after.Hits != before.Hits {
 		t.Fatal("gen-2 engine hit a gen-1 entry")
@@ -61,7 +63,7 @@ func TestSearchCacheStampMiss(t *testing.T) {
 		t.Fatal("recomputed answer is wrong")
 	}
 	// And the recomputed entry now serves gen-2 lookups.
-	next.Search("outdoor barbecue", 10)
+	mustSearch(t, next, "outdoor barbecue", 10)
 	if final := shared.Stats(); final.Hits != after.Hits+1 {
 		t.Fatal("gen-2 entry not cached")
 	}
@@ -77,16 +79,17 @@ func TestSearchVotingZeroAllocs(t *testing.T) {
 	}
 	a := buildArts(t)
 	e := NewEngine(a.Frozen, a.World.Stopwords())
-	var resp Response
 	// "barbecue outdoor" is not an e-commerce concept surface, so it takes
 	// the voting path end-to-end (segmentation, primitive votes, card
 	// ranking, plain item hits).
-	e.SearchInto(&resp, "barbecue outdoor", 10) // warm pooled scratch + resp
+	ctx, q := context.Background(), []byte("barbecue outdoor")
+	var resp Response
+	mustSearchInto(t, e, &resp, string(q), 10) // warm pooled scratch + resp
 	if len(resp.Cards) == 0 && len(resp.Items) == 0 {
 		t.Fatal("voting query should produce results")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		e.SearchInto(&resp, "barbecue outdoor", 10)
+		_ = e.SearchInto(ctx, &resp, q, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("voting SearchInto allocates %.1f times per op, want 0", allocs)
@@ -101,18 +104,20 @@ func TestSearchCachedHitZeroAllocs(t *testing.T) {
 		t.Skip("allocation guards are not meaningful under -race (sync.Pool drops items)")
 	}
 	a := buildArts(t)
+	cache := qcache.New(64)
 	e := NewEngine(a.Frozen, a.World.Stopwords())
-	e.UseCache(qcache.New(64), qcache.Stamp{Gen: 1})
+	e.UseCache(cache, qcache.Stamp{Gen: 1})
+	ctx, q := context.Background(), []byte("barbecue outdoor")
 	var resp Response
-	e.SearchInto(&resp, "barbecue outdoor", 10) // miss: computes and stores
-	e.SearchInto(&resp, "barbecue outdoor", 10) // hit: warms the copy path
+	mustSearchInto(t, e, &resp, string(q), 10) // miss: computes and stores
+	mustSearchInto(t, e, &resp, string(q), 10) // hit: warms the copy path
 	allocs := testing.AllocsPerRun(200, func() {
-		e.SearchInto(&resp, "barbecue outdoor", 10)
+		_ = e.SearchInto(ctx, &resp, q, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("cached-hit SearchInto allocates %.1f times per op, want 0", allocs)
 	}
-	if st := e.CacheStats(); st.Hits == 0 {
+	if st := cache.Stats(); st.Hits == 0 {
 		t.Fatal("guard never hit the cache")
 	}
 }

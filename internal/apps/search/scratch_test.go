@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -37,7 +38,7 @@ func respEqual(a, b Response) bool {
 
 // TestSearchIntoReusedMatchesFresh replays a randomized query stream
 // through one reused Response and compares every answer against a fresh
-// Search call — proving buffer recycling never leaks one query's result
+// SearchCtx call — proving buffer recycling never leaks one query's result
 // into the next (the dedicated equivalence leg of the zero-alloc path).
 func TestSearchIntoReusedMatchesFresh(t *testing.T) {
 	a := buildArts(t)
@@ -52,8 +53,8 @@ func TestSearchIntoReusedMatchesFresh(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		q := queries[rng.Intn(len(queries))]
 		maxItems := rng.Intn(12) // includes 0 = unlimited
-		e.SearchInto(&reused, q, maxItems)
-		fresh := e.Search(q, maxItems)
+		mustSearchInto(t, e, &reused, q, maxItems)
+		fresh := mustSearch(t, e, q, maxItems)
 		if !respEqual(reused, fresh) {
 			t.Fatalf("trial %d: reused response differs for %q (maxItems=%d):\nreused %+v\nfresh  %+v",
 				trial, q, maxItems, reused, fresh)
@@ -70,7 +71,7 @@ func TestSearchIntoConcurrent(t *testing.T) {
 	queries := []string{"outdoor barbecue", "barbecue outdoor", "grill", "coat"}
 	want := make([]Response, len(queries))
 	for i, q := range queries {
-		want[i] = e.Search(q, 10)
+		want[i] = mustSearch(t, e, q, 10)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -80,8 +81,8 @@ func TestSearchIntoConcurrent(t *testing.T) {
 			var resp Response
 			for i := 0; i < 200; i++ {
 				qi := (g + i) % len(queries)
-				e.SearchInto(&resp, queries[qi], 10)
-				if !respEqual(resp, want[qi]) {
+				err := e.SearchInto(context.Background(), &resp, []byte(queries[qi]), 10)
+				if err != nil || !respEqual(resp, want[qi]) {
 					t.Errorf("goroutine %d: answer for %q drifted", g, queries[qi])
 					return
 				}
@@ -100,13 +101,14 @@ func TestSearchExactMatchZeroAllocs(t *testing.T) {
 	}
 	a := buildArts(t)
 	e := NewEngine(a.Frozen, a.World.Stopwords())
+	ctx, q := context.Background(), []byte("outdoor barbecue")
 	var resp Response
-	e.SearchInto(&resp, "outdoor barbecue", 10) // warm the pooled scratch
+	mustSearchInto(t, e, &resp, string(q), 10) // warm the pooled scratch
 	if len(resp.Cards) == 0 {
 		t.Fatal("exact query should produce a card")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		e.SearchInto(&resp, "outdoor barbecue", 10)
+		_ = e.SearchInto(ctx, &resp, q, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("exact-match SearchInto allocates %.1f times per op, want 0", allocs)
@@ -121,9 +123,9 @@ func TestSearchVotingPathStillCorrectAfterPooling(t *testing.T) {
 	e := NewEngine(a.Frozen, a.World.Stopwords())
 	var resp Response
 	// Large voting query first to dirty the scratch maps...
-	e.SearchInto(&resp, "barbecue outdoor", 0)
+	mustSearchInto(t, e, &resp, "barbecue outdoor", 0)
 	// ...then a query that matches nothing may not inherit anything.
-	e.SearchInto(&resp, "zzz unknown words", 10)
+	mustSearchInto(t, e, &resp, "zzz unknown words", 10)
 	if len(resp.Cards) != 0 || len(resp.Items) != 0 {
 		t.Fatalf("unknown query inherited pooled state: %+v", resp)
 	}

@@ -38,7 +38,7 @@ type Response struct {
 // O(concepts·log maxVotedCards) with no full sort.
 const maxVotedCards = 3
 
-// scratch is the per-request working memory of one Search call. Engines
+// scratch is the per-request working memory of one query. Engines
 // recycle scratches through a sync.Pool, so steady-state queries reuse the
 // token buffer, the name-join buffer, the vote map, and the top-k heap of
 // an earlier request instead of allocating their own.
@@ -59,7 +59,7 @@ type scratch struct {
 // serve either a live *core.Net or — the production configuration — an
 // immutable *core.FrozenNet snapshot, whose reads are lock-free and
 // allocation-free. All Engine methods are safe for concurrent use when the
-// reader is; concurrent Search calls each draw their own pooled scratch.
+// reader is; concurrent queries each draw their own pooled scratch.
 type Engine struct {
 	net       core.Reader
 	seg       *text.Segmenter
@@ -100,17 +100,6 @@ func NewEngine(net core.Reader, stopwords []string) *Engine {
 	return e
 }
 
-// Search resolves a query to concept cards and items: an exact e-commerce
-// concept match triggers its card (the "baking" flow of Figure 2a);
-// otherwise matched primitives vote for the concepts they interpret. The
-// returned Response owns fresh slices; hot callers should reuse a Response
-// through SearchInto instead.
-func (e *Engine) Search(query string, maxItems int) Response {
-	var resp Response
-	e.SearchInto(&resp, query, maxItems)
-	return resp
-}
-
 // UseCache attaches a shared query-result cache. Every entry is stamped
 // with stamp — the publish generation (and snapshot checksum) of the net
 // this engine serves — so entries written by an engine on an older
@@ -123,80 +112,51 @@ func (e *Engine) UseCache(c *qcache.Cache, stamp qcache.Stamp) {
 	e.stamp = stamp
 }
 
-// CacheStats reports the attached cache's counters (zero when uncached).
-func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
-
-// SearchInto is Search writing into a caller-owned Response, recycling its
-// backing arrays. On the exact-match path — a normalized query naming an
-// e-commerce concept, answered from a frozen snapshot — a reused Response
-// makes the whole call allocation-free: pooled scratch, zero-copy postings,
-// recycled card storage. The pooled-DP segmenter and byte-keyed name
-// lookups extend the same property to the voting (non-exact) path, and a
-// cache hit costs only the deep copy into resp.
-func (e *Engine) SearchInto(resp *Response, query string, maxItems int) {
+// SearchCtx resolves a query to concept cards and items: an exact
+// e-commerce concept match triggers its card (the "baking" flow of Figure
+// 2a); otherwise matched primitives vote for the concepts they interpret.
+// The engine checks ctx at every phase boundary and per matched primitive
+// on the uncached path, so one slow shard (or an expired deadline)
+// abandons the query at the next shard crossing instead of stalling the
+// whole scatter-gather. A cache hit never consults ctx — it is a single
+// in-memory copy. On error the Response must be discarded. The returned
+// Response owns fresh slices; hot callers should reuse one through
+// SearchInto instead.
+func (e *Engine) SearchCtx(ctx context.Context, query string, maxItems int) (Response, error) {
 	sc := e.pool.Get().(*scratch)
 	defer e.pool.Put(sc)
 	sc.raw = append(sc.raw[:0], query...)
-	_ = e.searchInto(context.Background(), sc, resp, sc.raw, maxItems)
-}
-
-// SearchCtx is Search bounded by a context: the engine checks ctx at every
-// phase boundary and per matched primitive on the uncached path, so one
-// slow shard (or an expired deadline) abandons the query at the next shard
-// crossing instead of stalling the whole scatter-gather. A cache hit never
-// consults ctx — it is a single in-memory copy. On error the partially
-// filled Response must be discarded.
-func (e *Engine) SearchCtx(ctx context.Context, query string, maxItems int) (Response, error) {
 	var resp Response
-	err := e.SearchIntoCtx(ctx, &resp, query, maxItems)
+	err := e.searchInto(ctx, sc, &resp, sc.raw, maxItems)
 	return resp, err
 }
 
-// SearchIntoCtx is SearchInto bounded by a context; see SearchCtx.
-func (e *Engine) SearchIntoCtx(ctx context.Context, resp *Response, query string, maxItems int) error {
-	sc := e.pool.Get().(*scratch)
-	defer e.pool.Put(sc)
-	sc.raw = append(sc.raw[:0], query...)
-	return e.searchInto(ctx, sc, resp, sc.raw, maxItems)
-}
-
-// SearchBytesCtx is SearchBytes bounded by a context; see SearchCtx.
+// SearchBytesCtx is SearchCtx for a query held as raw bytes (e.g. decoded
+// straight out of a request body) — no string is ever materialized on the
+// way to the engine. Both forms share one bytes core, so results and cache
+// keys are byte-identical for equal query bytes.
 func (e *Engine) SearchBytesCtx(ctx context.Context, query []byte, maxItems int) (Response, error) {
 	var resp Response
-	err := e.SearchBytesIntoCtx(ctx, &resp, query, maxItems)
+	err := e.SearchInto(ctx, &resp, query, maxItems)
 	return resp, err
 }
 
-// SearchBytesIntoCtx is SearchBytesInto bounded by a context; see
-// SearchCtx.
-func (e *Engine) SearchBytesIntoCtx(ctx context.Context, resp *Response, query []byte, maxItems int) error {
+// SearchInto is SearchBytesCtx writing into a caller-owned Response,
+// recycling its backing arrays. On the exact-match path — a normalized
+// query naming an e-commerce concept, answered from a frozen snapshot — a
+// reused Response makes the whole call allocation-free: pooled scratch,
+// zero-copy postings, recycled card storage. The pooled-DP segmenter and
+// byte-keyed name lookups extend the same property to the voting
+// (non-exact) path, and a cache hit costs only the deep copy into resp.
+func (e *Engine) SearchInto(ctx context.Context, resp *Response, query []byte, maxItems int) error {
 	sc := e.pool.Get().(*scratch)
 	defer e.pool.Put(sc)
 	return e.searchInto(ctx, sc, resp, query, maxItems)
 }
 
-// SearchBytes is Search for a query held as raw bytes (e.g. decoded
-// straight out of a request body) — no string is ever materialized on the
-// way to the engine.
-func (e *Engine) SearchBytes(query []byte, maxItems int) Response {
-	var resp Response
-	e.SearchBytesInto(&resp, query, maxItems)
-	return resp
-}
-
-// SearchBytesInto is SearchInto for a byte-slice query; both entry points
-// share one bytes core, so results and cache keys are byte-identical for
-// equal query bytes.
-func (e *Engine) SearchBytesInto(resp *Response, query []byte, maxItems int) {
-	sc := e.pool.Get().(*scratch)
-	defer e.pool.Put(sc)
-	_ = e.searchInto(context.Background(), sc, resp, query, maxItems)
-}
-
 // searchInto is the shared core behind the string and bytes entry points:
-// cache probe, engine dispatch, cache fill. The unbounded entry points
-// pass context.Background(), whose Err is a constant nil — the checks cost
-// nothing there, keeping the zero-allocation contract intact.
+// cache probe, engine dispatch, cache fill. sc is the caller's pooled
+// scratch.
 func (e *Engine) searchInto(ctx context.Context, sc *scratch, resp *Response, query []byte, maxItems int) error {
 	resp.Cards = resp.Cards[:0]
 	resp.Items = resp.Items[:0]

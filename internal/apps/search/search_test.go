@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,10 +18,28 @@ func buildArts(t *testing.T) *pipeline.Artifacts {
 	return a
 }
 
+// mustSearch runs one query through SearchCtx with no deadline.
+func mustSearch(t testing.TB, e *Engine, query string, maxItems int) Response {
+	t.Helper()
+	resp, err := e.SearchCtx(context.Background(), query, maxItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// mustSearchInto runs one query through SearchInto with no deadline.
+func mustSearchInto(t testing.TB, e *Engine, resp *Response, query string, maxItems int) {
+	t.Helper()
+	if err := e.SearchInto(context.Background(), resp, []byte(query), maxItems); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSearchExactConceptCard(t *testing.T) {
 	a := buildArts(t)
 	e := NewEngine(a.Net, a.World.Stopwords())
-	resp := e.Search("outdoor barbecue", 10)
+	resp := mustSearch(t, e, "outdoor barbecue", 10)
 	if len(resp.Cards) == 0 {
 		t.Fatal("no card for exact concept query")
 	}
@@ -50,7 +69,7 @@ func TestSearchPrimitiveVoting(t *testing.T) {
 	// "barbecue outdoor" is not an exact concept name; primitive voting
 	// should still surface the outdoor barbecue card (the intro's
 	// "barbecue outdoor" example).
-	resp := e.Search("barbecue outdoor", 10)
+	resp := mustSearch(t, e, "barbecue outdoor", 10)
 	found := false
 	for _, c := range resp.Cards {
 		if c.Name == "outdoor barbecue" {
@@ -65,7 +84,7 @@ func TestSearchPrimitiveVoting(t *testing.T) {
 func TestSearchPlainCategory(t *testing.T) {
 	a := buildArts(t)
 	e := NewEngine(a.Net, a.World.Stopwords())
-	resp := e.Search("grill", 5)
+	resp := mustSearch(t, e, "grill", 5)
 	if len(resp.Items) == 0 {
 		t.Fatal("category query should return items")
 	}
@@ -134,14 +153,14 @@ func TestSearchMaxItemsCapAcrossPrimitives(t *testing.T) {
 	e := NewEngine(a.Net, a.World.Stopwords())
 	// "barbecue outdoor" matches two primitives, each with item postings.
 	for _, maxItems := range []int{1, 2, 3, 5} {
-		resp := e.Search("barbecue outdoor", maxItems)
+		resp := mustSearch(t, e, "barbecue outdoor", maxItems)
 		if len(resp.Items) > maxItems {
 			t.Fatalf("maxItems=%d but got %d items", maxItems, len(resp.Items))
 		}
 	}
 	// maxItems <= 0 means unlimited: same hits as a huge cap.
-	unlimited := e.Search("grill", 0)
-	capped := e.Search("grill", 1<<20)
+	unlimited := mustSearch(t, e, "grill", 0)
+	capped := mustSearch(t, e, "grill", 1<<20)
 	if len(unlimited.Items) == 0 || len(unlimited.Items) != len(capped.Items) {
 		t.Fatalf("maxItems=0 should mean unlimited: got %d vs %d", len(unlimited.Items), len(capped.Items))
 	}
@@ -158,8 +177,8 @@ func TestSearchFrozenMatchesLive(t *testing.T) {
 		queries = append(queries, strings.Join(qs.Tokens, " "))
 	}
 	for _, q := range queries {
-		lr := live.Search(q, 10)
-		fr := frozen.Search(q, 10)
+		lr := mustSearch(t, live, q, 10)
+		fr := mustSearch(t, frozen, q, 10)
 		if len(lr.Cards) != len(fr.Cards) {
 			t.Fatalf("query %q: card count differs (live %d, frozen %d)", q, len(lr.Cards), len(fr.Cards))
 		}

@@ -232,6 +232,7 @@ func TestQueryParamFastPath(t *testing.T) {
 		{"q", "q", "", false},
 		{"qq=x", "q", "", false},
 		{"q=%zz", "q", "", false}, // malformed escape: dropped like ParseQuery does
+		{"q=%zz&q=grill", "q", "grill", true},
 	}
 	for _, c := range cases {
 		got, found := queryParam(c.raw, c.key)

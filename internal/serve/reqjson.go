@@ -4,14 +4,16 @@
 // body {"sessions": [[...], ...], "k": n} — so a small hand-rolled scanner
 // over pooled byte buffers replaces the reflection decoder on the hot
 // path. The scanner itself performs no allocations: request bodies land in
-// a pooled buffer, sessions decode into pooled [][]int storage (inner
-// slices revived), and the only per-request allocations left are the query
-// strings a search batch materializes (reflection decoding paid dozens on
-// top). GET parameters are resolved as substrings of the raw query string,
-// unescaping only when an escape is actually present.
+// a pooled buffer, search batch queries decode as byte-slice views into it
+// (or into a pooled arena when they needed unescaping), and sessions
+// decode into pooled [][]int storage (inner slices revived), so a batch
+// body decodes with zero allocations in steady state where reflection
+// decoding paid dozens. GET parameters are resolved as substrings of the
+// raw query string, unescaping only when an escape is actually present.
 package serve
 
 import (
+	"bytes"
 	"io"
 	"net/url"
 	"strconv"
@@ -69,8 +71,8 @@ func appendReadAll(dst []byte, r io.Reader) ([]byte, error) {
 // queryParam returns the first value of key in a raw (still escaped) URL
 // query. The common case — no %-escapes, no '+' — returns a substring of
 // rawQuery without allocating; escaped values are unescaped (allocating,
-// like net/url would). Malformed escapes report not-found, matching
-// url.ParseQuery's behavior of dropping the broken pair.
+// like net/url would). A pair with a malformed escape is skipped and the
+// scan goes on, matching url.ParseQuery, which drops only the broken pair.
 func queryParam(rawQuery, key string) (string, bool) {
 	for len(rawQuery) > 0 {
 		var seg string
@@ -88,7 +90,7 @@ func queryParam(rawQuery, key string) (string, bool) {
 		}
 		u, err := url.QueryUnescape(v)
 		if err != nil {
-			return "", false
+			continue
 		}
 		return u, true
 	}
@@ -170,9 +172,10 @@ func (s *jscan) expect(c byte) error {
 	return nil
 }
 
-// parseStringBytes decodes the next JSON string. Escape-free strings come
-// back as a subslice of the body; escaped ones decode into the scratch
-// buffer. Either way the bytes are valid only until the next call.
+// parseStringBytes decodes the next JSON string. Strings free of escapes
+// and of invalid UTF-8 come back as a subslice of the body; the rest
+// decode into the scratch buffer. Either way the bytes are valid only
+// until the next call.
 func (s *jscan) parseStringBytes() ([]byte, error) {
 	s.slow = false
 	if err := s.expect('"'); err != nil {
@@ -189,15 +192,23 @@ func (s *jscan) parseStringBytes() ([]byte, error) {
 			return s.parseStringSlow(start)
 		case c < 0x20:
 			return nil, errSyntax
-		default:
+		case c < utf8.RuneSelf:
 			s.i++
+		default:
+			r, size := utf8.DecodeRune(s.b[s.i:])
+			if r == utf8.RuneError && size == 1 {
+				return s.parseStringSlow(start)
+			}
+			s.i += size
 		}
 	}
 	return nil, errUnterminated
 }
 
-// parseStringSlow handles strings containing escapes, decoding into the
-// reused scratch buffer. s.i points at the first backslash.
+// parseStringSlow handles strings containing escapes or invalid UTF-8,
+// decoding into the reused scratch buffer; each invalid byte becomes
+// U+FFFD, as encoding/json decodes it. s.i points at the first backslash
+// or invalid byte.
 func (s *jscan) parseStringSlow(start int) ([]byte, error) {
 	buf := append(s.strbuf[:0], s.b[start:s.i]...)
 	for s.i < len(s.b) {
@@ -210,6 +221,10 @@ func (s *jscan) parseStringSlow(start int) ([]byte, error) {
 			return buf, nil
 		case c < 0x20:
 			return nil, errSyntax
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(s.b[s.i:])
+			buf = utf8.AppendRune(buf, r)
+			s.i += size
 		case c != '\\':
 			buf = append(buf, c)
 			s.i++
@@ -295,26 +310,21 @@ func (s *jscan) parseHex4() (uint32, error) {
 	return r, nil
 }
 
-// parseInt reads a JSON number that must be an integer (fractions and
-// exponents are rejected, the way encoding/json rejects them for int
-// fields).
+// parseInt reads a JSON number that must be an integer in the int64 range
+// (fractions, exponents and out-of-range values are rejected, the way
+// encoding/json rejects them for int fields).
 func (s *jscan) parseInt() (int, error) {
 	s.ws()
+	neg := s.i < len(s.b) && s.b[s.i] == '-'
+	if neg {
+		s.i++
+	}
 	start := s.i
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
+	var v uint64 // exact up to 19 digits, enough for every int64 magnitude
+	for ; s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9'; s.i++ {
+		v = v*10 + uint64(s.b[s.i]-'0')
 	}
-	digits := 0
-	var v int64
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		v = v*10 + int64(s.b[s.i]-'0')
-		digits++
-		if digits > 18 {
-			return 0, errNotInt
-		}
-		s.i++
-	}
-	if digits == 0 {
+	if n := s.i - start; n == 0 || n > 19 || v > 1<<63 || (!neg && v == 1<<63) {
 		return 0, errNotInt
 	}
 	if s.i < len(s.b) {
@@ -323,8 +333,8 @@ func (s *jscan) parseInt() (int, error) {
 			return 0, errNotInt
 		}
 	}
-	if s.b[start] == '-' {
-		v = -v
+	if neg {
+		return int(-int64(v)), nil
 	}
 	return int(v), nil
 }
@@ -401,8 +411,14 @@ func (s *jscan) tryNull() bool {
 
 // parseObject walks the top-level object, calling field for each key (the
 // raw key bytes are valid only during the call) and skipping nothing
-// itself — field must consume the value or return an error.
+// itself — field must consume the value or return an error. Callers match
+// keys with bytes.EqualFold, the case folding encoding/json applies to
+// field names. A null body is an empty object, as encoding/json decodes
+// it.
 func (s *jscan) parseObject(field func(key []byte) error) error {
+	if s.tryNull() {
+		return nil
+	}
 	if err := s.expect('{'); err != nil {
 		return errNotObject
 	}
@@ -440,14 +456,16 @@ func (s *jscan) parseObject(field func(key []byte) error) error {
 // valid across growth because the old backing array is only abandoned,
 // never rewritten. Unknown fields are skipped; a null or absent queries
 // array comes back empty (the handler rejects it, as it rejected the nil
-// the reflection decoder produced).
+// the reflection decoder produced). A null in place of a query is an
+// error: encoding/json would leave that slot's previous value, which for
+// a repeated key is a stale element of the earlier array.
 func parseSearchBatchBody(sc *reqScratch) (queries [][]byte, maxItems int, err error) {
 	s := jscan{b: sc.body, strbuf: sc.strbuf[:0]}
 	queries = sc.queries[:0]
 	arena := sc.arena[:0]
 	err = s.parseObject(func(key []byte) error {
-		switch string(key) {
-		case "queries":
+		switch {
+		case bytes.EqualFold(key, []byte("queries")):
 			queries = queries[:0] // duplicate field: last one wins, like encoding/json
 			if s.tryNull() {
 				return nil
@@ -482,7 +500,7 @@ func parseSearchBatchBody(sc *reqScratch) (queries [][]byte, maxItems int, err e
 					return errSyntax
 				}
 			}
-		case "max_items":
+		case bytes.EqualFold(key, []byte("max_items")):
 			if s.tryNull() {
 				return nil
 			}
@@ -504,13 +522,15 @@ func parseSearchBatchBody(sc *reqScratch) (queries [][]byte, maxItems int, err e
 
 // parseRecommendBatchBody decodes {"sessions": [[...], ...], "k": n} into
 // the caller's reused [][]int (outer and inner storage both revived), so
-// a recommend batch decodes with zero allocations in steady state.
+// a recommend batch decodes with zero allocations in steady state. A null
+// session is empty; a null item id is an error, as a null query is in
+// parseSearchBatchBody.
 func parseRecommendBatchBody(sc *reqScratch) (sessions [][]int, k int, err error) {
 	s := jscan{b: sc.body, strbuf: sc.strbuf[:0]}
 	sessions = sc.sessions[:0]
 	err = s.parseObject(func(key []byte) error {
-		switch string(key) {
-		case "sessions":
+		switch {
+		case bytes.EqualFold(key, []byte("sessions")):
 			sessions = sessions[:0] // duplicate field: last one wins, like encoding/json
 			if s.tryNull() {
 				return nil
@@ -565,7 +585,7 @@ func parseRecommendBatchBody(sc *reqScratch) (sessions [][]int, k int, err error
 					return errSyntax
 				}
 			}
-		case "k":
+		case bytes.EqualFold(key, []byte("k")):
 			if s.tryNull() {
 				return nil
 			}

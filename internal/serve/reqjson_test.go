@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -137,15 +138,17 @@ func TestParseRecommendBatchMatchesEncodingJSON(t *testing.T) {
 // decoding garbage.
 func TestScannerRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"", "{", "[]", "null", `"s"`, "42",
-		`{"queries": "grill"}`,      // wrong type
-		`{"queries": [1]}`,          // wrong element type
-		`{"queries": ["a"`,          // unterminated
-		`{"queries": ["a"] "k": 1}`, // missing comma
-		`{"max_items": 1.5}`,        // not an integer
-		`{"max_items": 1e3}`,        // not an integer
-		`{"queries": ["\q"]}`,       // bad escape
-		`{"queries": ["a\u12"]}`,    // short unicode escape
+		"", "{", "[]", `"s"`, "42",
+		`{"queries": "grill"}`,               // wrong type
+		`{"queries": [1]}`,                   // wrong element type
+		`{"queries": ["a"`,                   // unterminated
+		`{"queries": ["a"] "k": 1}`,          // missing comma
+		`{"max_items": 1.5}`,                 // not an integer
+		`{"max_items": 1e3}`,                 // not an integer
+		`{"queries": ["\q"]}`,                // bad escape
+		`{"queries": ["a\u12"]}`,             // short unicode escape
+		`{"queries": [null]}`,                // null query
+		`{"max_items": 9223372036854775808}`, // beyond int64
 	}
 	for _, body := range bad {
 		if _, _, err := scanSearch(body); err == nil {
@@ -158,6 +161,7 @@ func TestScannerRejectsMalformed(t *testing.T) {
 		`{"sessions": [["a"]]}`,    // wrong element type
 		`{"sessions": [[1], [2}]}`, // broken nesting
 		`{"k": true}`,              // wrong type
+		`{"sessions": [[null]]}`,   // null item id
 	}
 	for _, body := range badRec {
 		if _, _, err := scanRecommend(body); err == nil {
@@ -169,7 +173,7 @@ func TestScannerRejectsMalformed(t *testing.T) {
 // TestScannerNullAndEmpty: nulls decode like encoding/json (empty/absent),
 // so the handlers' "missing queries/sessions" validation still fires.
 func TestScannerNullAndEmpty(t *testing.T) {
-	for _, body := range []string{`{}`, `{"queries": null}`, `{"queries": []}`} {
+	for _, body := range []string{`{}`, `{"queries": null}`, `{"queries": []}`, `null`} {
 		q, _, err := scanSearch(body)
 		if err != nil || len(q) != 0 {
 			t.Errorf("%s: got %v, %v", body, q, err)
@@ -221,4 +225,127 @@ func TestAppendItemsParam(t *testing.T) {
 			t.Errorf("%q: expected error", in)
 		}
 	}
+}
+
+// strictQuery and strictID decode like string and int but fail on null,
+// which encoding/json otherwise skips, leaving the slot's previous value
+// (for a repeated key, a stale element of the earlier array). Decoding the
+// fuzzed body into them tells the oracles which bodies put a null where a
+// query or an item id belongs; the scanner must reject exactly those.
+type (
+	strictQuery string
+	strictID    int
+)
+
+var errNullElement = errors.New("null element")
+
+func (q *strictQuery) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return errNullElement
+	}
+	return json.Unmarshal(b, (*string)(q))
+}
+
+func (id *strictID) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return errNullElement
+	}
+	return json.Unmarshal(b, (*int)(id))
+}
+
+// FuzzParseSearchBatchBody checks the search batch scanner against
+// encoding/json: whenever json.Unmarshal into the handler's request shape
+// accepts a body, the scanner accepts it too and decodes the same queries
+// and max_items — unless the body has a null query, which the scanner
+// must reject.
+func FuzzParseSearchBatchBody(f *testing.F) {
+	for _, body := range []string{
+		`{"queries": ["outdoor barbecue", "grill"], "max_items": 5}`,
+		`{"queries": ["café", "tab\tchar", "😀"], "extra": [1, {"a": null}]}`,
+		`{"queries": null, "max_items": null}`,
+		`{"queries": ["a"], "queries": [null]}`,
+		`{}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want struct {
+			Queries  []string `json:"queries"`
+			MaxItems int      `json:"max_items"`
+		}
+		if json.Unmarshal(body, &want) != nil {
+			return
+		}
+		var strict struct {
+			Queries []strictQuery `json:"queries"`
+		}
+		nullQuery := json.Unmarshal(body, &strict) != nil
+		got, maxItems, err := scanSearch(string(body))
+		switch {
+		case nullQuery && err == nil:
+			t.Fatalf("scanner accepted %q, which has a null query", body)
+		case nullQuery:
+			return
+		case err != nil:
+			t.Fatalf("scanner rejected %q, which encoding/json accepts: %v", body, err)
+		}
+		if len(got) != len(want.Queries) || maxItems != want.MaxItems {
+			t.Fatalf("scanner decoded %q as %q %d, encoding/json as %q %d", body, got, maxItems, want.Queries, want.MaxItems)
+		}
+		for i := range got {
+			if got[i] != want.Queries[i] {
+				t.Fatalf("scanner decoded %q as %q, encoding/json as %q", body, got, want.Queries)
+			}
+		}
+	})
+}
+
+// FuzzParseRecommendBatchBody is FuzzParseSearchBatchBody for the
+// recommend batch shape: the same sessions and k whenever encoding/json
+// accepts the body, and a rejection when it has a null item id.
+func FuzzParseRecommendBatchBody(f *testing.F) {
+	for _, body := range []string{
+		`{"sessions": [[1, 2], [3], [], null], "k": 5}`,
+		`{"sessions": [[-7]], "extra": "ignored"}`,
+		`{"sessions": null, "k": null}`,
+		`{"sessions": [[5]], "sessions": [[null, 3]]}`,
+		`{}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want struct {
+			Sessions [][]int `json:"sessions"`
+			K        int     `json:"k"`
+		}
+		if json.Unmarshal(body, &want) != nil {
+			return
+		}
+		var strict struct {
+			Sessions [][]strictID `json:"sessions"`
+		}
+		nullID := json.Unmarshal(body, &strict) != nil
+		got, k, err := scanRecommend(string(body))
+		switch {
+		case nullID && err == nil:
+			t.Fatalf("scanner accepted %q, which has a null item id", body)
+		case nullID:
+			return
+		case err != nil:
+			t.Fatalf("scanner rejected %q, which encoding/json accepts: %v", body, err)
+		}
+		if len(got) != len(want.Sessions) || k != want.K {
+			t.Fatalf("scanner decoded %q as %v %d, encoding/json as %v %d", body, got, k, want.Sessions, want.K)
+		}
+		for i := range got {
+			if len(got[i]) != len(want.Sessions[i]) {
+				t.Fatalf("scanner decoded %q as %v, encoding/json as %v", body, got, want.Sessions)
+			}
+			for j := range got[i] {
+				if got[i][j] != want.Sessions[i][j] {
+					t.Fatalf("scanner decoded %q as %v, encoding/json as %v", body, got, want.Sessions)
+				}
+			}
+		}
+	})
 }

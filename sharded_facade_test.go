@@ -1,7 +1,6 @@
 package alicoco
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -27,8 +26,8 @@ func equivalenceQueries(c *CoCo) []string {
 
 // TestShardedServingEquivalence: a CoCo serving from an N-shard partition
 // must answer every query path byte-identically to the unsharded build —
-// search (string, bytes, batch), recommend (single, batch), concept
-// lookup, hypernyms, and stats.
+// search (single, bytes batch), recommend (single, batch), concept lookup,
+// hypernyms, and stats.
 func TestShardedServingEquivalence(t *testing.T) {
 	base := buildSmall(t)
 	queries := equivalenceQueries(base)
@@ -44,37 +43,26 @@ func TestShardedServingEquivalence(t *testing.T) {
 			if got := sharded.NumShards(); got != n {
 				t.Fatalf("NumShards = %d, want %d", got, n)
 			}
-			for _, q := range queries {
-				a, b := base.Search(q, 8), sharded.Search(q, 8)
+			want := make([]SearchResult, len(queries))
+			for i, q := range queries {
+				a, b := mustSearch(t, base, q, 8), mustSearch(t, sharded, q, 8)
 				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("Search(%q) differs:\nunsharded: %+v\nsharded:   %+v", q, a, b)
+					t.Fatalf("SearchCtx(%q) differs:\nunsharded: %+v\nsharded:   %+v", q, a, b)
 				}
+				want[i] = a
 			}
 			for _, sess := range sessions {
-				ra, oka := base.Recommend(sess, 5)
-				rb, okb := sharded.Recommend(sess, 5)
+				ra, oka := mustRecommend(t, base, sess, 5)
+				rb, okb := mustRecommend(t, sharded, sess, 5)
 				if oka != okb || !reflect.DeepEqual(ra, rb) {
 					t.Fatalf("Recommend(%v) differs: (%v,%v) vs (%v,%v)", sess, ra, oka, rb, okb)
 				}
 			}
-			ba := base.SearchBatch(queries, 8)
-			bb := sharded.SearchBatch(queries, 8)
-			if !reflect.DeepEqual(ba, bb) {
-				t.Fatal("SearchBatch differs between sharded and unsharded")
+			if !reflect.DeepEqual(mustSearchBatch(t, sharded, queries, 8), want) {
+				t.Fatal("sharded SearchBatchBytesCtx differs from unsharded SearchCtx")
 			}
-			qb := make([][]byte, len(queries))
-			for i, q := range queries {
-				qb[i] = []byte(q)
-			}
-			bc, err := sharded.SearchBatchBytesCtx(context.Background(), qb, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ba, bc) {
-				t.Fatal("SearchBatchBytesCtx differs from string SearchBatch")
-			}
-			if !reflect.DeepEqual(base.RecommendBatch(sessions, 5), sharded.RecommendBatch(sessions, 5)) {
-				t.Fatal("RecommendBatch differs between sharded and unsharded")
+			if !reflect.DeepEqual(mustRecommendBatch(t, base, sessions, 5), mustRecommendBatch(t, sharded, sessions, 5)) {
+				t.Fatal("RecommendBatchCtx differs between sharded and unsharded")
 			}
 			for _, name := range []string{"coat", "grill", "outdoor barbecue", "nope"} {
 				if !reflect.DeepEqual(base.Hypernyms(name), sharded.Hypernyms(name)) {
@@ -98,7 +86,7 @@ func TestShardedServingEquivalence(t *testing.T) {
 				t.Fatalf("NumShards after refreeze = %d, want %d", got, n)
 			}
 			for _, q := range queries[:8] {
-				if !reflect.DeepEqual(base.Search(q, 8), sharded.Search(q, 8)) {
+				if !reflect.DeepEqual(mustSearch(t, base, q, 8), mustSearch(t, sharded, q, 8)) {
 					t.Fatalf("Search(%q) differs after refreeze", q)
 				}
 			}
@@ -141,13 +129,13 @@ func TestShardedSnapshotRoundTripFacade(t *testing.T) {
 				}
 			}
 			for _, q := range queries {
-				if !reflect.DeepEqual(c.Search(q, 8), l.Search(q, 8)) {
+				if !reflect.DeepEqual(mustSearch(t, c, q, 8), mustSearch(t, l, q, 8)) {
 					t.Fatalf("Search(%q) differs after round trip", q)
 				}
 			}
 			for _, sess := range sessions {
-				ra, oka := c.Recommend(sess, 5)
-				rb, okb := l.Recommend(sess, 5)
+				ra, oka := mustRecommend(t, c, sess, 5)
+				rb, okb := mustRecommend(t, l, sess, 5)
 				if oka != okb || !reflect.DeepEqual(ra, rb) {
 					t.Fatalf("Recommend(%v) differs after round trip", sess)
 				}
@@ -184,7 +172,7 @@ func TestReloadShardsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := l.Search("outdoor barbecue", 8) // populate the search cache
+	warm := mustSearch(t, l, "outdoor barbecue", 8) // populate the search cache
 	stamp := l.CacheStamp()
 	gen := l.ServingInfo().Generation
 	infos := l.ShardInfos()
@@ -206,7 +194,7 @@ func TestReloadShardsNoop(t *testing.T) {
 		t.Fatal("no-op reload changed shard infos")
 	}
 	before, _ := l.QueryCacheStats()
-	if got := l.Search("outdoor barbecue", 8); !reflect.DeepEqual(got, warm) {
+	if got := mustSearch(t, l, "outdoor barbecue", 8); !reflect.DeepEqual(got, warm) {
 		t.Fatal("answer changed across no-op reload")
 	}
 	after, _ := l.QueryCacheStats()
@@ -276,7 +264,7 @@ func TestReloadShardsDiff(t *testing.T) {
 	}
 	// The reloaded partition answers like the mutated net.
 	for _, q := range equivalenceQueries(c) {
-		if !reflect.DeepEqual(c.Search(q, 8), l.Search(q, 8)) {
+		if !reflect.DeepEqual(mustSearch(t, c, q, 8), mustSearch(t, l, q, 8)) {
 			t.Fatalf("Search(%q) differs after diff reload", q)
 		}
 	}
@@ -371,8 +359,8 @@ func TestReloadShardUnderHammer(t *testing.T) {
 				default:
 				}
 				q := queries[(i+w)%len(queries)]
-				l.Search(q, 8)
-				l.Recommend(sessions[(i+w)%len(sessions)], 5)
+				mustSearch(t, l, q, 8)
+				mustRecommend(t, l, sessions[(i+w)%len(sessions)], 5)
 				l.Hypernyms("coat")
 			}
 		}(w)
@@ -400,13 +388,13 @@ func TestReloadShardUnderHammer(t *testing.T) {
 		t.Fatalf("stamp after roll %+v != fresh-B stamp %+v", l.CacheStamp(), refB.CacheStamp())
 	}
 	for _, q := range queries {
-		if !reflect.DeepEqual(refB.Search(q, 8), l.Search(q, 8)) {
+		if !reflect.DeepEqual(mustSearch(t, refB, q, 8), mustSearch(t, l, q, 8)) {
 			t.Fatalf("Search(%q) differs from fresh-B after roll", q)
 		}
 	}
 	for _, sess := range sessions {
-		ra, oka := refB.Recommend(sess, 5)
-		rb, okb := l.Recommend(sess, 5)
+		ra, oka := mustRecommend(t, refB, sess, 5)
+		rb, okb := mustRecommend(t, l, sess, 5)
 		if oka != okb || !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("Recommend(%v) differs from fresh-B after roll", sess)
 		}

@@ -51,7 +51,7 @@ func TestScrubOnceRepairsCorruption(t *testing.T) {
 	queries := equivalenceQueries(c)
 	want := make([]any, len(queries))
 	for i, q := range queries {
-		want[i] = l.Search(q, 8) // also warms the result cache
+		want[i] = mustSearch(t, l, q, 8) // also warms the result cache
 	}
 	stamp := l.CacheStamp()
 	hitsBefore, _ := l.QueryCacheStats()
@@ -74,7 +74,7 @@ func TestScrubOnceRepairsCorruption(t *testing.T) {
 				default:
 				}
 				q := queries[(i+w)%len(queries)]
-				if got := l.Search(q, 8); !reflect.DeepEqual(got, want[(i+w)%len(queries)]) {
+				if got := mustSearch(t, l, q, 8); !reflect.DeepEqual(got, want[(i+w)%len(queries)]) {
 					t.Errorf("Search(%q) changed during scrub", q)
 					return
 				}
@@ -111,7 +111,7 @@ func TestScrubOnceRepairsCorruption(t *testing.T) {
 	if l.CacheStamp() != stamp {
 		t.Fatal("scrub changed the cache stamp")
 	}
-	if got := l.Search(queries[0], 8); !reflect.DeepEqual(got, want[0]) {
+	if got := mustSearch(t, l, queries[0], 8); !reflect.DeepEqual(got, want[0]) {
 		t.Fatal("answer changed after scrub repair")
 	}
 	hitsAfter, _ := l.QueryCacheStats()
@@ -125,7 +125,7 @@ func TestScrubOnceRepairsCorruption(t *testing.T) {
 		t.Fatalf("reload after repair: %v", err)
 	}
 	for i, q := range queries {
-		if !reflect.DeepEqual(l2.Search(q, 8), want[i]) {
+		if !reflect.DeepEqual(mustSearch(t, l2, q, 8), want[i]) {
 			t.Fatalf("Search(%q) differs on fresh load of the repaired store", q)
 		}
 	}
@@ -236,7 +236,7 @@ func TestRollbackToFacade(t *testing.T) {
 	if g := l.ServingInfo().CatalogGen; g != 2 {
 		t.Fatalf("fresh load serves gen %d, want newest (2)", g)
 	}
-	afterB := l.Search("outdoor barbecue", 8)
+	afterB := mustSearch(t, l, "outdoor barbecue", 8)
 
 	// Default rollback: one generation down.
 	g, err := l.RollbackTo(0)
@@ -255,7 +255,7 @@ func TestRollbackToFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range equivalenceQueries(c) {
-		if !reflect.DeepEqual(refA.Search(q, 8), l.Search(q, 8)) {
+		if !reflect.DeepEqual(mustSearch(t, refA, q, 8), mustSearch(t, l, q, 8)) {
 			t.Fatalf("Search(%q) differs from generation 1 after rollback", q)
 		}
 	}
@@ -272,7 +272,7 @@ func TestRollbackToFacade(t *testing.T) {
 	if g, err := l.RollbackTo(2); err != nil || g.ID != 2 {
 		t.Fatalf("RollbackTo(2): gen %d err=%v", g.ID, err)
 	}
-	if got := l.Search("outdoor barbecue", 8); !reflect.DeepEqual(got, afterB) {
+	if got := mustSearch(t, l, "outdoor barbecue", 8); !reflect.DeepEqual(got, afterB) {
 		t.Fatal("roll-forward did not restore generation 2's answers")
 	}
 
