@@ -86,7 +86,7 @@ type CoCo struct {
 
 	// shardCount is the partition size live refreezes maintain: a CoCo
 	// built with BuildSharded re-partitions into the same number of shards
-	// on every refreeze (inference, Refreeze). 0 or 1 means one shard.
+	// on every refreeze (inference, Refreeze); 1 freezes the whole net.
 	// Written only at construction, before the CoCo escapes.
 	shardCount int
 
@@ -184,26 +184,9 @@ type ServingInfo struct {
 // ServingInfo describes the currently published serving snapshot.
 func (c *CoCo) ServingInfo() ServingInfo { return c.serving.Load().info }
 
-// Build constructs the net end-to-end from a synthetic corpus.
-func Build(opts Options) (*CoCo, error) {
-	popts := pipeline.DefaultOptions()
-	popts.World.Seed = opts.Seed
-	popts.World.ItemsPerLeaf = opts.ItemsPerCategory
-	popts.World.GeneratedFrames = opts.Scenarios
-	popts.Queries = opts.CorpusSentences
-	popts.Reviews = opts.CorpusSentences
-	popts.Guides = opts.CorpusSentences
-	arts, err := pipeline.Build(popts)
-	if err != nil {
-		return nil, err
-	}
-	// Serving always runs on the frozen snapshot: lock-free, zero-alloc
-	// reads, postings pre-sorted at freeze time.
-	arts.Shards = []*core.FrozenNet{arts.Frozen}
-	c := newCoCo()
-	c.arts.Store(arts)
-	return c, c.publishShards(arts, "build", shardLoc{}, nil)
-}
+// Build constructs the net end-to-end from a synthetic corpus and serves
+// it as one whole-net frozen snapshot: BuildSharded with one shard.
+func Build(opts Options) (*CoCo, error) { return BuildSharded(opts, 1) }
 
 // Refreeze republishes the live net's current state to the serving engines,
 // preserving the configured partition (a BuildSharded CoCo re-freezes all
@@ -214,24 +197,32 @@ func (c *CoCo) Refreeze() error {
 	if c.arts.Load().Net == nil {
 		return errors.New("alicoco: refreeze: snapshot-loaded net has no live store")
 	}
-	return c.refreeze()
+	return c.refreeze("refreeze")
 }
 
-// BuildSharded is Build with the frozen store partitioned into shards:
-// point lookups route to the owning shard, traversals and search
-// scatter-gather across the set, and each shard can be re-frozen and
-// reloaded independently. Every subsequent refreeze (inference, Refreeze)
-// maintains the same partition. shards <= 1 behaves exactly like Build.
+// BuildSharded constructs the net like Build and serves it partitioned
+// into shards: point lookups route to the owning shard, traversals and
+// search scatter-gather across the set, and each shard can be re-frozen
+// and reloaded independently. Every subsequent refreeze (inference,
+// Refreeze) maintains the same partition. shards <= 1 serves one
+// whole-net freeze, the unpartitioned fast path. The net is frozen into
+// the requested partition once and published once.
 func BuildSharded(opts Options, shards int) (*CoCo, error) {
-	c, err := Build(opts)
-	if err != nil || shards <= 1 {
-		return c, err
+	popts := pipeline.DefaultOptions()
+	popts.World.Seed = opts.Seed
+	popts.World.ItemsPerLeaf = opts.ItemsPerCategory
+	popts.World.GeneratedFrames = opts.Scenarios
+	popts.Queries = opts.CorpusSentences
+	popts.Reviews = opts.CorpusSentences
+	popts.Guides = opts.CorpusSentences
+	arts, err := pipeline.BuildNet(popts)
+	if err != nil {
+		return nil, err
 	}
-	c.shardCount = shards
-	arts := c.arts.Load()
-	arts.Shards = arts.Net.FreezeShards(shards)
-	arts.Frozen = nil // the partition is now the serving truth; see SaveShards
-	return c, c.publishShards(arts, "build", shardLoc{}, nil)
+	c := newCoCo()
+	c.shardCount = max(shards, 1)
+	c.arts.Store(arts)
+	return c, c.refreeze("build")
 }
 
 // NumShards reports the partition size of the published serving state.
@@ -635,17 +626,15 @@ func (c *CoCo) SetQueryCacheCapacity(n int) {
 	c.recCache.Resize(n)
 }
 
-// refreeze publishes the live net's current state to the serving engines
-// after an offline mutation, re-partitioning into the configured shard
-// count (each shard frozen in parallel). Callers hold c.offline.
-func (c *CoCo) refreeze() error {
+// refreeze publishes the live net's current state to the serving engines,
+// after the build or an offline mutation, partitioned into the configured
+// shard count (each shard frozen in parallel; one shard is a whole-net
+// freeze). source names the cause in ServingInfo. Callers hold c.offline
+// or own a CoCo that has not escaped yet.
+func (c *CoCo) refreeze(source string) error {
 	arts := c.arts.Load()
-	if c.shardCount > 1 {
-		arts.Shards = arts.Net.FreezeShards(c.shardCount)
-	} else {
-		arts.Shards = []*core.FrozenNet{arts.Refreeze()}
-	}
-	return c.publishShards(arts, "refreeze", shardLoc{}, nil)
+	arts.Shards = arts.Net.FreezeShards(c.shardCount)
+	return c.publishShards(arts, source, shardLoc{}, nil)
 }
 
 // Stats summarizes the net (the Table 2 shape).
@@ -1000,7 +989,7 @@ func (c *CoCo) InferImplicitRelations() ([]ImpliedRelation, error) {
 	if _, err := m.Materialize(arts.Net, rels); err != nil {
 		return nil, err
 	}
-	if err := c.refreeze(); err != nil {
+	if err := c.refreeze("refreeze"); err != nil {
 		return nil, err
 	}
 	out := make([]ImpliedRelation, 0, len(rels))

@@ -61,8 +61,8 @@ func (n *Net) ExportDOT(w io.Writer, root NodeID, maxDepth int) error {
 				continue
 			}
 			label := he.Kind.String()
-			if he.Rel != "" {
-				label += ":" + he.Rel
+			if he.Rel != 0 {
+				label += ":" + he.Rel.String()
 			}
 			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", id, he.Peer, label)
 		}

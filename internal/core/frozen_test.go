@@ -86,7 +86,7 @@ func canonicalEdges(hes []HalfEdge) []HalfEdge {
 			return out[i].Kind < out[j].Kind
 		}
 		if out[i].Rel != out[j].Rel {
-			return out[i].Rel < out[j].Rel
+			return out[i].Rel.String() < out[j].Rel.String()
 		}
 		return out[i].Weight < out[j].Weight
 	})

@@ -39,8 +39,10 @@ func (k NodeKind) String() string {
 	}
 }
 
-// EdgeKind identifies the relation type between layers.
-type EdgeKind int
+// EdgeKind identifies the relation type between layers. It is one byte so
+// HalfEdge packs into 16; it is signed so that -1 still means "all kinds"
+// to Out and In.
+type EdgeKind int8
 
 // Relation types of Figure 1.
 const (
@@ -97,12 +99,15 @@ type Node struct {
 	Domain string // taxonomy domain for classes/primitives, family for items
 }
 
-// HalfEdge is an outgoing or incoming adjacency record.
+// HalfEdge is an outgoing or incoming adjacency record. It is 16 bytes
+// and holds no pointers, the same size as the on-disk record in
+// persist_frozen.go, so the live net's, every freeze's and every loaded
+// shard's edge arrays are never scanned by the garbage collector.
 type HalfEdge struct {
-	Peer   NodeID
-	Kind   EdgeKind
-	Rel    string  // named schema relation, "" otherwise
-	Weight float64 // confidence/probability; 1 for manual edges
+	Peer   NodeID   // the node at the other end (a global ID)
+	Kind   EdgeKind // relation type
+	Rel    RelID    // named schema relation; 0 ("") otherwise
+	Weight float64  // confidence/probability; 1 for manual edges
 }
 
 // Net is the concept net store.
@@ -158,19 +163,23 @@ func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64
 	if !allowed {
 		return fmt.Errorf("core: edge %s not allowed from %s to %s", kind, fk, tk)
 	}
+	relID, err := internRel(rel)
+	if err != nil {
+		return fmt.Errorf("core: AddEdge %q: %w", rel, err)
+	}
 	for i, he := range n.outAdj[from] {
-		if he.Peer == to && he.Kind == kind && he.Rel == rel {
+		if he.Peer == to && he.Kind == kind && he.Rel == relID {
 			n.outAdj[from][i].Weight = weight
 			for j, ie := range n.inAdj[to] {
-				if ie.Peer == from && ie.Kind == kind && ie.Rel == rel {
+				if ie.Peer == from && ie.Kind == kind && ie.Rel == relID {
 					n.inAdj[to][j].Weight = weight
 				}
 			}
 			return nil
 		}
 	}
-	n.outAdj[from] = append(n.outAdj[from], HalfEdge{Peer: to, Kind: kind, Rel: rel, Weight: weight})
-	n.inAdj[to] = append(n.inAdj[to], HalfEdge{Peer: from, Kind: kind, Rel: rel, Weight: weight})
+	n.outAdj[from] = append(n.outAdj[from], HalfEdge{Peer: to, Kind: kind, Rel: relID, Weight: weight})
+	n.inAdj[to] = append(n.inAdj[to], HalfEdge{Peer: from, Kind: kind, Rel: relID, Weight: weight})
 	n.edges++
 	return nil
 }

@@ -31,7 +31,7 @@ import (
 //	u32 totalNodes    (whole net's node count; peers are validated against it)
 //	u32 outEdgeCount  (== len(out.edges))
 //	u32 inEdgeCount   (== len(in.edges))
-//	rel table: u32 count, count × str          (interned HalfEdge.Rel values)
+//	rel table: u32 count, count × str          (relation names; count <= 1<<16)
 //	nodes:     nodeCount × (u8 kind, str name, str domain)   (ID = base+index)
 //	byName:    u32 entries, each str name + u32 cnt + cnt × u32 id
 //	byKind:    numKinds × (u32 cnt + cnt × u32 id)
@@ -41,9 +41,10 @@ import (
 //	u32 crc32 of body
 //
 // An edge record is 16 bytes: u32 peer | u32 (kind<<24 | relIndex) |
-// u64 float64 bits of weight. Kind-grouped CSR order and the freeze-time
-// weight-sorted postings are preserved byte-for-byte, so LoadFrozen never
-// sorts.
+// u64 float64 bits of weight — the size of the in-memory HalfEdge, which
+// holds the name's RelID where the file holds its index in the rel table.
+// Kind-grouped CSR order and the freeze-time weight-sorted postings are
+// preserved byte-for-byte, so LoadFrozen never sorts.
 
 const (
 	frozenVersion = 2
@@ -173,29 +174,29 @@ func (fr *fzReader) str() string {
 	return string(buf)
 }
 
-// relTable interns the distinct HalfEdge.Rel strings of a snapshot so each
-// edge record stores a 24-bit index instead of a string.
+// relTable numbers the relations a snapshot's edges carry in order of
+// first appearance (out edges, then in edges), so each edge record stores
+// a 24-bit file index and the file lists the names. The numbering depends
+// only on the snapshot's edges, never on RelID values, which depend on the
+// order a process interned its names: equal nets write equal bytes.
 type relTable struct {
-	rels []string
-	idx  map[string]uint32
+	names []string
+	idx   map[RelID]uint32
 }
 
 func buildRelTable(csrs ...*csr) (*relTable, error) {
-	t := &relTable{idx: make(map[string]uint32)}
+	t := &relTable{idx: make(map[RelID]uint32)}
 	for _, c := range csrs {
 		for i := range c.edges {
 			rel := c.edges[i].Rel
 			if _, ok := t.idx[rel]; !ok {
-				t.idx[rel] = uint32(len(t.rels))
-				t.rels = append(t.rels, rel)
+				t.idx[rel] = uint32(len(t.names))
+				t.names = append(t.names, rel.String())
 			}
 		}
 	}
-	if len(t.rels) > 1<<24 {
-		return nil, fmt.Errorf("core: frozen save: %d distinct rel strings exceed 24-bit index", len(t.rels))
-	}
-	for _, rel := range t.rels {
-		if len(rel) > maxFrozenStr {
+	for _, name := range t.names {
+		if len(name) > maxFrozenStr {
 			return nil, fmt.Errorf("core: frozen save: rel string exceeds %d bytes", maxFrozenStr)
 		}
 	}
@@ -229,9 +230,10 @@ func writeCSR(fw *fzWriter, c *csr, rels *relTable) {
 // readCSR reads one direction back and validates its structure: offsets
 // monotone and consistent with the edge count, peers in range (against the
 // whole net's node count — a shard's peers may live in other shards), each
-// record's kind agreeing with the CSR group it sits in, rel indexes in
-// range.
-func readCSR(fr *fzReader, dir string, nodeCount, edgeCount, totalNodes int, rels []string) csr {
+// record's kind agreeing with the CSR group it sits in, rel indexes below
+// relCount. Each edge's Rel holds its file index until LoadFrozen, once
+// the checksum verifies, maps the index to the name's RelID.
+func readCSR(fr *fzReader, dir string, nodeCount, edgeCount, totalNodes, relCount int) csr {
 	var c csr
 	offLen := fr.count(dir + " offset")
 	wantOff := nodeCount*int(numEdgeKinds) + 1
@@ -295,14 +297,14 @@ func readCSR(fr *fzReader, dir string, nodeCount, edgeCount, totalNodes int, rel
 				fr.err = fmt.Errorf("%s edge %d: peer %d out of range", dir, done+i, peer)
 				return c
 			}
-			if int(relIdx) >= len(rels) {
+			if int(relIdx) >= relCount {
 				fr.err = fmt.Errorf("%s edge %d: rel index %d out of range", dir, done+i, relIdx)
 				return c
 			}
 			c.edges = append(c.edges, HalfEdge{
 				Peer:   NodeID(peer),
 				Kind:   kind,
-				Rel:    rels[relIdx],
+				Rel:    RelID(relIdx), // relCount <= maxRels, so the index fits
 				Weight: math.Float64frombits(uint64(getU32(rec[8:])) | uint64(getU32(rec[12:]))<<32),
 			})
 		}
@@ -369,9 +371,9 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 	fw.u32(uint32(len(f.out.edges)))
 	fw.u32(uint32(len(f.in.edges)))
 
-	fw.u32(uint32(len(rels.rels)))
-	for _, rel := range rels.rels {
-		fw.str(rel)
+	fw.u32(uint32(len(rels.names)))
+	for _, name := range rels.names {
+		fw.str(name)
 	}
 	for i := range f.nodes {
 		nd := &f.nodes[i]
@@ -452,12 +454,17 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		fr.err = fmt.Errorf("shard [%d,%d) exceeds declared total %d", base, base+nodeCount, totalNodes)
 	}
 
+	// A table larger than the RelID space is rejected before any record
+	// is decoded, so no file index is ever truncated into a RelID.
 	relCount := fr.count("rel")
-	var rels []string
+	if fr.err == nil && relCount > maxRels {
+		fr.err = fmt.Errorf("rel table of %d names exceeds the %d-name RelID space", relCount, maxRels)
+	}
+	var relNames []string
 	if fr.err == nil {
-		rels = make([]string, 0, prealloc(relCount))
+		relNames = make([]string, 0, prealloc(relCount))
 		for i := 0; i < relCount && fr.err == nil; i++ {
-			rels = append(rels, fr.str())
+			relNames = append(relNames, fr.str())
 		}
 	}
 
@@ -529,10 +536,10 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 	}
 
 	if fr.err == nil {
-		f.out = readCSR(&fr, "out", nodeCount, outEdgeCount, totalNodes, rels)
+		f.out = readCSR(&fr, "out", nodeCount, outEdgeCount, totalNodes, relCount)
 	}
 	if fr.err == nil {
-		f.in = readCSR(&fr, "in", nodeCount, inEdgeCount, totalNodes, rels)
+		f.in = readCSR(&fr, "in", nodeCount, inEdgeCount, totalNodes, relCount)
 	}
 	if fr.err == nil {
 		// The logical edge counter is not trusted beyond the header/CSR
@@ -549,6 +556,17 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		return nil, fmt.Errorf("core: load frozen: checksum: %w", tail.err)
 	} else if stored != sum {
 		return nil, fmt.Errorf("core: load frozen: checksum mismatch (stored %08x, computed %08x)", stored, sum)
+	}
+	// Only a file that verified names relations: a corrupt one interns
+	// nothing. Each edge's file index then becomes the name's RelID.
+	ids, err := internRels(relNames)
+	if err != nil {
+		return nil, fmt.Errorf("core: load frozen: %w", err)
+	}
+	for _, c := range [2]*csr{&f.out, &f.in} {
+		for i := range c.edges {
+			c.edges[i].Rel = ids[c.edges[i].Rel]
+		}
 	}
 	f.checksum = sum
 	nn := len(f.nodes)

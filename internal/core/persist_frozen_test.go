@@ -344,7 +344,8 @@ func TestLoadRecomputesEdgeCounter(t *testing.T) {
 	}
 }
 
-// FuzzLoadFrozen: LoadFrozen must never panic, and whatever it accepts must
+// FuzzLoadFrozen: LoadFrozen must never panic, what it rejects must add no
+// name to the relation intern table, and whatever it accepts must
 // round-trip — Save of the loaded net loads back with the checksum Save
 // reported, and saving that again reproduces the same bytes.
 func FuzzLoadFrozen(f *testing.F) {
@@ -356,8 +357,12 @@ func FuzzLoadFrozen(f *testing.F) {
 		f.Add(saveFrozen(f, sh))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		held := internedCount()
 		g, err := LoadFrozen(bytes.NewReader(data))
 		if err != nil {
+			if grown := internedCount() - held; grown != 0 {
+				t.Fatalf("rejected input interned %d relation names: %v", grown, err)
+			}
 			return
 		}
 		var buf bytes.Buffer

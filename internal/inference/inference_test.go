@@ -34,7 +34,7 @@ func TestInferImplicitRelations(t *testing.T) {
 		}
 		// Must not duplicate an existing interpretation.
 		for _, he := range a.Net.Out(r.Concept, core.EdgeInterpretedBy) {
-			if he.Peer == r.Primitive && he.Rel == "" {
+			if he.Peer == r.Primitive && he.Rel.String() == "" {
 				t.Fatal("inferred relation duplicates an explicit one")
 			}
 		}
@@ -103,7 +103,7 @@ func TestMaterialize(t *testing.T) {
 	r := rels[0]
 	foundImplied := false
 	for _, he := range a.Net.Out(r.Concept, core.EdgeInterpretedBy) {
-		if he.Peer == r.Primitive && he.Rel == "implied" {
+		if he.Peer == r.Primitive && he.Rel.String() == "implied" {
 			foundImplied = true
 			if he.Weight > 0.99 {
 				t.Fatal("implied weight should be capped below manual edges")

@@ -76,9 +76,10 @@ type Artifacts struct {
 	Net    *core.Net
 
 	// Frozen is the read-optimized immutable snapshot of Net taken when
-	// the build finished — the store serving code should query (the
+	// Build finished — the store serving code should query (the
 	// build-offline / serve-online split). After mutating Net, call
-	// Refreeze to publish a fresh snapshot.
+	// Refreeze to publish a fresh snapshot. BuildNet and LoadShards leave
+	// it nil.
 	Frozen *core.FrozenNet
 
 	// Shards is the partition serving runs on: the shards of a loaded
@@ -99,8 +100,19 @@ type Artifacts struct {
 	Serving *ServingMeta
 }
 
-// Build runs the full construction.
+// Build runs the full construction and freezes the whole net into Frozen.
 func Build(opts Options) (*Artifacts, error) {
+	a, err := BuildNet(opts)
+	if err != nil {
+		return nil, err
+	}
+	a.Refreeze()
+	return a, nil
+}
+
+// BuildNet is Build without the freeze: Frozen stays nil, for callers that
+// freeze the partition they serve themselves (Net.FreezeShards).
+func BuildNet(opts Options) (*Artifacts, error) {
 	a := &Artifacts{
 		Opts:      opts,
 		PrimNode:  make(map[int]core.NodeID),
@@ -126,7 +138,6 @@ func Build(opts Options) (*Artifacts, error) {
 	if err := a.buildItems(); err != nil {
 		return nil, fmt.Errorf("pipeline: items: %w", err)
 	}
-	a.Frozen = a.Net.Freeze()
 	a.Serving = a.buildServingMeta()
 	return a, nil
 }

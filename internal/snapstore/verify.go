@@ -25,7 +25,10 @@ func WriteFileAtomic(dir, name string, emit func(w io.Writer) error) error {
 	tmp := f.Name()
 	defer faultfs.Remove(tmp) // no-op after the rename succeeds
 
-	bw := bufio.NewWriterSize(f, 1<<20)
+	// 64 KiB, the size LoadShard reads with: a default-scale generation's
+	// files are all under 300 KB, and a write larger than the buffer goes
+	// straight to the file.
+	bw := bufio.NewWriterSize(f, 64<<10)
 	if err := emit(bw); err != nil {
 		f.Close()
 		return fmt.Errorf("snapstore: write %s: %w", name, err)

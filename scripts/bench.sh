@@ -16,8 +16,9 @@
 # benchmark with ns/op, B/op, and allocs/op.
 #
 # Before overwriting, the committed BENCH_core.json is kept and a
-# BENCH_delta table (ns/op and allocs/op, old vs new, per benchmark) is
-# printed, so every PR's perf trajectory is visible without manual diffing.
+# BENCH_delta table (ns/op, B/op and allocs/op, old vs new, per benchmark)
+# is printed, so every PR's perf trajectory is visible without manual
+# diffing.
 # The run fails if any required benchmark is missing from the output —
 # renaming or breaking a tracked benchmark cannot slip through silently.
 set -euo pipefail
@@ -92,21 +93,23 @@ function field(s, key,   i, t) {
     gsub(/[\" ]/, "", t)
     return t
 }
+function pair(old, new) { return (old != "" && new != "") ? sprintf("%s -> %s", old, new) : "-" }
 NR == FNR {
     n = field($0, "name")
-    if (n != "") { oldns[n] = field($0, "ns_per_op"); oldal[n] = field($0, "allocs_per_op") }
+    if (n != "") {
+        oldns[n] = field($0, "ns_per_op"); oldby[n] = field($0, "bytes_per_op"); oldal[n] = field($0, "allocs_per_op")
+    }
     next
 }
 {
     n = field($0, "name")
     if (n == "") next
-    ns = field($0, "ns_per_op"); al = field($0, "allocs_per_op")
+    ns = field($0, "ns_per_op"); by = field($0, "bytes_per_op"); al = field($0, "allocs_per_op")
     if (n in oldns) {
         pct = (oldns[n] > 0) ? (ns - oldns[n]) / oldns[n] * 100 : 0
-        dal = (al != "" && oldal[n] != "") ? sprintf("%s -> %s", oldal[n], al) : "-"
-        printf "  %-55s %12s -> %10s ns/op  %+7.1f%%   allocs %s\n", n, oldns[n], ns, pct, dal
+        printf "  %-55s %12s -> %10s ns/op  %+7.1f%%   B/op %s   allocs %s\n", n, oldns[n], ns, pct, pair(oldby[n], by), pair(oldal[n], al)
     } else {
-        printf "  %-55s %12s -> %10s ns/op      (new)   allocs %s\n", n, "-", ns, al
+        printf "  %-55s %12s -> %10s ns/op      (new)   B/op %s   allocs %s\n", n, "-", ns, by, al
     }
 }
 ' "$OLD" "$OUT"

@@ -6,8 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"alicoco/internal/core"
 )
 
 // equivalenceQueries is a deterministic query mix: known concepts, partial
@@ -42,6 +46,9 @@ func TestShardedServingEquivalence(t *testing.T) {
 			}
 			if got := sharded.NumShards(); got != n {
 				t.Fatalf("NumShards = %d, want %d", got, n)
+			}
+			if got := sharded.ServingInfo().Generation; got != 1 {
+				t.Fatalf("BuildSharded published %d serving states, want 1", got)
 			}
 			want := make([]SearchResult, len(queries))
 			for i, q := range queries {
@@ -157,6 +164,57 @@ func TestShardedSnapshotRoundTripFacade(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRelationNamesSurviveShardedRoundTrip: every named relation of the
+// built net — the four schema relations and inference's "implied" — is
+// served under the same name after SaveShards and LoadShardedFrozen,
+// compared edge by edge across all shards. Shard files carry names, not
+// the process-local RelIDs, and each file lists them in its own order.
+func TestRelationNamesSurviveShardedRoundTrip(t *testing.T) {
+	c, err := BuildSharded(Small(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.InferImplicitRelations(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := c.SaveShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err := LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := namedEdges(c.Internal().Net), namedEdges(l.serving.Load().reader)
+	for _, rel := range []string{"has_property", "used_in", "suitable_when", "has_function", "implied"} {
+		if !slices.ContainsFunc(want, func(e string) bool { return strings.HasSuffix(e, " "+rel) }) {
+			t.Errorf("the built net has no %q edge", rel)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("named edges differ after the round trip: %d loaded, %d built", len(got), len(want))
+	}
+}
+
+// namedEdges lists both halves of every edge that carries a relation name,
+// as sorted "from dir peer kind weight name" lines.
+func namedEdges(r core.Reader) []string {
+	var out []string
+	add := func(id core.NodeID, dir string, hes []core.HalfEdge) {
+		for _, he := range hes {
+			if name := he.Rel.String(); name != "" {
+				out = append(out, fmt.Sprintf("%d %s %d %s %g %s", id, dir, he.Peer, he.Kind, he.Weight, name))
+			}
+		}
+	}
+	for id := core.NodeID(0); int(id) < r.NumNodes(); id++ {
+		add(id, "->", r.Out(id, -1))
+		add(id, "<-", r.In(id, -1))
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestReloadShardsNoop: pointing ReloadShards at a directory whose content
