@@ -121,3 +121,30 @@ func TestSearchCachedHitZeroAllocs(t *testing.T) {
 		t.Fatal("guard never hit the cache")
 	}
 }
+
+// TestSearchCacheEntriesHoldNoNames: a cached entry keeps no card name, so
+// it cannot keep the name arena of the snapshot that computed it alive; a
+// hit reads each name from the engine's own net instead.
+func TestSearchCacheEntriesHoldNoNames(t *testing.T) {
+	a := buildArts(t)
+	cache := qcache.New(64)
+	stamp := qcache.Stamp{Gen: 1}
+	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e.UseCache(cache, stamp)
+	miss := mustSearch(t, e, "outdoor barbecue", 10)
+	if len(miss.Cards) == 0 || miss.Cards[0].Name != "outdoor barbecue" {
+		t.Fatalf("exact-match query answered %+v", miss)
+	}
+	v, ok := cache.Get(stamp, appendSearchKey(nil, []byte("outdoor barbecue"), 10))
+	if !ok {
+		t.Fatal("miss did not fill the cache")
+	}
+	for _, card := range v.(*Response).Cards {
+		if card.Name != "" {
+			t.Fatalf("cached card %d keeps its name %q", card.Concept, card.Name)
+		}
+	}
+	if hit := mustSearch(t, e, "outdoor barbecue", 10); !respEqual(hit, miss) {
+		t.Fatalf("hit %+v differs from miss %+v", hit, miss)
+	}
+}

@@ -164,7 +164,7 @@ func (e *Engine) searchInto(ctx context.Context, sc *scratch, resp *Response, qu
 	if e.cache != nil {
 		sc.key = appendSearchKey(sc.key[:0], query, maxItems)
 		if v, ok := e.cache.Get(e.stamp, sc.key); ok {
-			copyResponse(resp, v.(*Response))
+			e.copyResponse(resp, v.(*Response))
 			return nil
 		}
 	}
@@ -298,8 +298,11 @@ func appendSearchKey(dst []byte, query []byte, maxItems int) []byte {
 
 // copyResponse deep-copies a cached canonical Response into a caller-owned
 // one, reviving dst's backing arrays exactly like appendCard does — with a
-// reused dst the copy allocates nothing in steady state.
-func copyResponse(dst *Response, src *Response) {
+// reused dst the copy allocates nothing in steady state. Cached cards carry
+// no name (see cloneResponse); each is read from this engine's own net,
+// which is the net the entry was computed on, since an entry is served only
+// under its own stamp.
+func (e *Engine) copyResponse(dst *Response, src *Response) {
 	for i := range src.Cards {
 		if cap(dst.Cards) > len(dst.Cards) {
 			dst.Cards = dst.Cards[:len(dst.Cards)+1]
@@ -307,15 +310,19 @@ func copyResponse(dst *Response, src *Response) {
 			dst.Cards = append(dst.Cards, ConceptCard{})
 		}
 		card := &dst.Cards[len(dst.Cards)-1]
+		nd, _ := e.net.Node(src.Cards[i].Concept)
 		card.Concept = src.Cards[i].Concept
-		card.Name = src.Cards[i].Name
+		card.Name = nd.Name
 		card.Items = append(card.Items[:0], src.Cards[i].Items...)
 	}
 	dst.Items = append(dst.Items[:0], src.Items...)
 }
 
 // cloneResponse makes the immutable copy the cache retains (the caller's
-// resp is about to be recycled, so the cache cannot alias it).
+// resp is about to be recycled, so the cache cannot alias it). It drops the
+// card names: a frozen net's names are views of its shards' name arenas,
+// and a cached entry can outlive the net that computed it, so keeping a
+// name would keep a superseded shard's arena alive.
 func cloneResponse(resp *Response) *Response {
 	out := &Response{
 		Cards: make([]ConceptCard, len(resp.Cards)),
@@ -324,7 +331,6 @@ func cloneResponse(resp *Response) *Response {
 	for i, c := range resp.Cards {
 		out.Cards[i] = ConceptCard{
 			Concept: c.Concept,
-			Name:    c.Name,
 			Items:   append([]core.NodeID(nil), c.Items...),
 		}
 	}

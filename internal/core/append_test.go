@@ -149,6 +149,7 @@ func TestFrozenReadsZeroAllocs(t *testing.T) {
 		item = ids[0]
 	}
 	name := []byte("concept0")
+	zeroAllocs(t, "FrozenNet.Node", func() { f.Node(item) })
 	zeroAllocs(t, "FrozenNet.Out", func() { f.Out(ec, EdgeInterpretedBy) })
 	zeroAllocs(t, "FrozenNet.In", func() { f.In(ec, EdgeItemEConcept) })
 	zeroAllocs(t, "FrozenNet.ItemsForEConcept", func() { f.ItemsForEConcept(ec, 10) })

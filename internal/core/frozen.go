@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"alicoco/internal/par"
@@ -13,8 +14,11 @@ import (
 // sub-slice lookups; item<->e-commerce-concept postings are pre-sorted by
 // weight at freeze time so concept-card assembly is a slice window instead
 // of a per-query sort; BFS traversals reuse pooled generation-stamped
-// visited arrays instead of allocating a map per query; and a per-layer
-// node index makes NodesOfKind a direct lookup instead of an O(n) scan.
+// visited arrays instead of allocating a map per query; and the nodes sit
+// in a pointer-free node table (nodetable.go) — 12-byte records, one name
+// arena, an open-addressing name index and a per-layer index — so
+// FindByName and NodesOfKind are read-only views and the garbage collector
+// has nothing per node to scan.
 //
 // A FrozenNet never changes after Freeze returns, so every method is safe
 // for unlimited concurrent use. To serve updates, mutate the live Net
@@ -22,25 +26,21 @@ import (
 // serve-online split.
 //
 // A FrozenNet may also be one shard of a larger net (see FreezeShards and
-// ShardSet): it then holds the contiguous global-ID range [base,
-// base+len(nodes)) with shard-local storage indexing, while node IDs —
+// ShardSet): it then holds the contiguous global-ID range [Base(),
+// Base()+NumNodes()) with shard-local storage indexing, while node IDs —
 // including HalfEdge.Peer — stay global. Point lookups (Node, Out, In, the
 // name indexes) answer only for nodes the shard owns; traversals are
 // shard-local (edges leading outside the shard are not followed — the
 // ShardSet runs the cross-shard BFS). A whole-net freeze is simply the
 // base=0 shard that owns everything, so nothing changes for the N=1 path.
 type FrozenNet struct {
-	nodes  []Node
-	byName map[string][]NodeID
-	byKind [numKinds][]NodeID
-	out    csr
-	in     csr
-	edges  int
+	nodes nodeTable
+	out   csr
+	in    csr
+	edges int
 
-	// base is the first global node ID this shard owns; total is the node
-	// count of the whole net the shard belongs to (== len(nodes) for a
-	// whole-net freeze). Storage is indexed by id-base.
-	base  NodeID
+	// total is the node count of the whole net the shard belongs to
+	// (== NumNodes for a whole-net freeze).
 	total int
 
 	// checksum is the CRC-32 recorded while loading a persisted snapshot
@@ -52,7 +52,7 @@ type FrozenNet struct {
 
 // Base returns the first global node ID this shard owns (0 for a whole-net
 // freeze).
-func (f *FrozenNet) Base() NodeID { return f.base }
+func (f *FrozenNet) Base() NodeID { return f.nodes.base }
 
 // TotalNodes returns the node count of the whole net this snapshot belongs
 // to — equal to NumNodes for a whole-net freeze, larger for a shard.
@@ -61,8 +61,8 @@ func (f *FrozenNet) TotalNodes() int { return f.total }
 // local maps a global node ID to this shard's storage index, or -1 when the
 // shard does not own it.
 func (f *FrozenNet) local(id NodeID) int {
-	lid := int(id) - int(f.base)
-	if lid < 0 || lid >= len(f.nodes) {
+	lid := int(id) - int(f.nodes.base)
+	if lid < 0 || lid >= len(f.nodes.recs) {
 		return -1
 	}
 	return lid
@@ -178,25 +178,18 @@ func ShardStride(total, count int) int {
 
 // freezeRangeLocked freezes the node range [base, end) of a net with total
 // nodes. Callers hold n.mu. Node IDs (and edge peers) stay global; storage
-// is indexed by id-base. The per-name and per-kind indexes are rebuilt by
-// an ascending scan, which reproduces the live net's insertion order
-// because node IDs are assigned sequentially.
+// is indexed by id-base. The node table's name and kind indexes list each
+// name's and kind's nodes in ascending ID order, which is the live net's
+// insertion order because node IDs are assigned sequentially.
 func (n *Net) freezeRangeLocked(base, end, total int) *FrozenNet {
 	f := &FrozenNet{
-		nodes:  append([]Node(nil), n.nodes[base:end]...),
-		byName: make(map[string][]NodeID, end-base),
-		out:    buildCSR(n.outAdj[base:end]),
-		in:     buildCSR(n.inAdj[base:end]),
-		base:   NodeID(base),
-		total:  total,
+		nodes: freezeNodes(NodeID(base), n.nodes[base:end]),
+		out:   buildCSR(n.outAdj[base:end]),
+		in:    buildCSR(n.inAdj[base:end]),
+		total: total,
 	}
 	f.edges = len(f.out.edges)
-	for i := range f.nodes {
-		nd := &f.nodes[i]
-		f.byName[nd.Name] = append(f.byName[nd.Name], nd.ID)
-		f.byKind[nd.Kind] = append(f.byKind[nd.Kind], nd.ID)
-	}
-	nn := len(f.nodes)
+	nn := end - base
 	f.out.sortPostings(nn, EdgeItemEConcept)
 	f.in.sortPostings(nn, EdgeItemEConcept)
 	f.visit.New = func() any {
@@ -205,25 +198,50 @@ func (n *Net) freezeRangeLocked(base, end, total int) *FrozenNet {
 	return f
 }
 
+// freezeNodes copies live nodes into a node table, their names into one
+// arena of exactly their size. A shard's names may total at most 4 GiB (the
+// arena's offsets are 32-bit); freezing more panics, so partition such a
+// net into more shards.
+func freezeNodes(base NodeID, nodes []Node) nodeTable {
+	size := 0
+	for i := range nodes {
+		size += len(nodes[i].Name)
+	}
+	if uint64(size) > maxArena {
+		panic(fmt.Sprintf("core: freeze: shard at node %d holds %d name bytes, more than %d", base, size, uint64(maxArena)))
+	}
+	b := tableBuilder{recs: make([]nodeRec, 0, len(nodes)), arena: make([]byte, 0, size)}
+	for i := range nodes {
+		off := len(b.arena)
+		b.arena = append(b.arena, nodes[i].Name...)
+		b.addNode(nodes[i].Kind, off, nodes[i].Domain)
+	}
+	return newNodeTable(base, &b)
+}
+
 // Node returns the node for id; ok is false for invalid ids (including ids
-// owned by a different shard).
+// owned by a different shard). The Name is a view of the shard's name
+// arena, not a copy: a caller that keeps it keeps all of that shard's names
+// alive.
 func (f *FrozenNet) Node(id NodeID) (Node, bool) {
 	lid := f.local(id)
 	if lid < 0 {
 		return Node{}, false
 	}
-	return f.nodes[lid], true
+	return f.nodes.node(lid), true
 }
 
 // NumNodes returns the node count.
-func (f *FrozenNet) NumNodes() int { return len(f.nodes) }
+func (f *FrozenNet) NumNodes() int { return len(f.nodes.recs) }
 
 // NumEdges returns the edge count.
 func (f *FrozenNet) NumEdges() int { return f.edges }
 
-// FindByName returns all nodes with the given surface form. The slice is a
-// read-only view into the snapshot.
-func (f *FrozenNet) FindByName(name string) []NodeID { return f.byName[name] }
+// FindByName returns all nodes with the given surface form, in ascending ID
+// order. The slice is a read-only view into the snapshot.
+func (f *FrozenNet) FindByName(name string) []NodeID {
+	return f.nodes.find(nameHash(name), name)
+}
 
 // FindByNameKind returns nodes with the given name in one layer.
 func (f *FrozenNet) FindByNameKind(name string, kind NodeKind) []NodeID {
@@ -232,56 +250,37 @@ func (f *FrozenNet) FindByNameKind(name string, kind NodeKind) []NodeID {
 
 // AppendFindByNameKind is FindByNameKind into a caller-owned buffer.
 func (f *FrozenNet) AppendFindByNameKind(dst []NodeID, name string, kind NodeKind) []NodeID {
-	for _, id := range f.byName[name] {
-		if f.nodes[id-f.base].Kind == kind {
-			dst = append(dst, id)
-		}
-	}
-	return dst
+	return f.nodes.appendOfKind(dst, nameHash(name), name, kind)
 }
 
 // FirstByNameKind returns the first matching node or InvalidNode.
 func (f *FrozenNet) FirstByNameKind(name string, kind NodeKind) NodeID {
-	for _, id := range f.byName[name] {
-		if f.nodes[id-f.base].Kind == kind {
-			return id
-		}
-	}
-	return InvalidNode
+	return f.nodes.firstOfKind(nameHash(name), name, kind)
 }
 
-// FirstByNameKindBytes is FirstByNameKind keyed by a byte buffer. The
-// map index with an inline string conversion compiles to an allocation-free
-// lookup, so hot callers can assemble the key in a reused buffer.
+// FirstByNameKindBytes is FirstByNameKind keyed by a byte buffer. The name
+// index hashes and compares the buffer in place, so hot callers can
+// assemble the key in a reused buffer and look it up without allocating.
 func (f *FrozenNet) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {
-	for _, id := range f.byName[string(name)] {
-		if f.nodes[id-f.base].Kind == kind {
-			return id
-		}
-	}
-	return InvalidNode
+	key := bytesView(name)
+	return f.nodes.firstOfKind(nameHash(key), key, kind)
 }
 
 // Out returns outgoing half-edges of a kind (all kinds if kind < 0) as a
 // zero-allocation view into the CSR layout. Only the owning shard answers.
 func (f *FrozenNet) Out(id NodeID, kind EdgeKind) []HalfEdge {
-	return f.out.slice(NodeID(f.local(id)), kind, len(f.nodes))
+	return f.out.slice(NodeID(f.local(id)), kind, len(f.nodes.recs))
 }
 
 // In returns incoming half-edges of a kind (all kinds if kind < 0) as a
 // zero-allocation view into the CSR layout. Only the owning shard answers.
 func (f *FrozenNet) In(id NodeID, kind EdgeKind) []HalfEdge {
-	return f.in.slice(NodeID(f.local(id)), kind, len(f.nodes))
+	return f.in.slice(NodeID(f.local(id)), kind, len(f.nodes.recs))
 }
 
 // NodesOfKind returns all node IDs in one layer, precomputed at freeze
 // time. The slice is a read-only view into the snapshot.
-func (f *FrozenNet) NodesOfKind(kind NodeKind) []NodeID {
-	if kind < 0 || kind >= numKinds {
-		return nil
-	}
-	return f.byKind[kind]
-}
+func (f *FrozenNet) NodesOfKind(kind NodeKind) []NodeID { return f.nodes.ofKind(kind) }
 
 // ItemsForEConcept returns items associated with an e-commerce concept,
 // best-weight first, up to limit (limit <= 0 means all). The postings were
@@ -363,14 +362,14 @@ func (f *FrozenNet) traverse(adj *csr, start NodeID, maxDepth int, target NodeID
 	v.next()
 	v.gen[f.local(start)] = v.epoch
 	v.queue = append(v.queue, frontierEntry{start, 0})
-	n := len(f.nodes)
+	n := len(f.nodes.recs)
 	for qi := 0; qi < len(v.queue); qi++ {
 		cur := v.queue[qi]
 		if maxDepth > 0 && int(cur.depth) >= maxDepth {
 			continue
 		}
 		for _, kind := range [2]EdgeKind{EdgeIsA, EdgeInstanceOf} {
-			for _, he := range adj.slice(NodeID(int(cur.id)-int(f.base)), kind, n) {
+			for _, he := range adj.slice(NodeID(int(cur.id)-int(f.nodes.base)), kind, n) {
 				plid := f.local(he.Peer)
 				if plid < 0 {
 					continue // other shard's node: shard-local BFS stops here
@@ -433,26 +432,28 @@ func (f *FrozenNet) IsAncestor(id, anc NodeID) bool {
 
 // ComputeStats summarizes the snapshot the way (*Net).ComputeStats does.
 func (f *FrozenNet) ComputeStats() Stats {
+	nn := len(f.nodes.recs)
 	s := Stats{
-		Nodes:           len(f.nodes),
+		Nodes:           nn,
 		Edges:           f.edges,
 		PerKind:         make(map[string]int),
 		PrimitivesByDom: make(map[string]int),
 		EdgesByKind:     make(map[string]int),
 	}
-	items := len(f.byKind[KindItem])
-	econcepts := len(f.byKind[KindEConcept])
+	items := len(f.nodes.ofKind(KindItem))
+	econcepts := len(f.nodes.ofKind(KindEConcept))
 	var itemPrim, itemEcpt, ecptPrim int
-	for id, nd := range f.nodes {
-		s.PerKind[nd.Kind.String()]++
-		if nd.Kind == KindPrimitive {
-			s.PrimitivesByDom[nd.Domain]++
+	for id, r := range f.nodes.recs {
+		kind := NodeKind(r.kind)
+		s.PerKind[kind.String()]++
+		if kind == KindPrimitive {
+			s.PrimitivesByDom[f.nodes.domains[r.dom]]++
 		}
-		for _, he := range f.out.slice(NodeID(id), -1, len(f.nodes)) {
+		for _, he := range f.out.slice(NodeID(id), -1, nn) {
 			s.EdgesByKind[he.Kind.String()]++
 			switch he.Kind {
 			case EdgeIsA:
-				switch nd.Kind {
+				switch kind {
 				case KindPrimitive:
 					s.IsAPrimitive++
 				case KindEConcept:

@@ -91,7 +91,10 @@ type NodeID int32
 // InvalidNode is returned by lookups that find nothing.
 const InvalidNode NodeID = -1
 
-// Node is one vertex of the net.
+// Node is one vertex of the net. A Node read from a frozen net (FrozenNet
+// or ShardSet) does not own its Name: the string is a view of the shard's
+// name arena, so a caller that keeps it keeps all of that shard's names
+// alive. Copy it (strings.Clone) to keep a name past the snapshot's life.
 type Node struct {
 	ID     NodeID
 	Kind   NodeKind

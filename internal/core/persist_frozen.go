@@ -1,11 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Frozen snapshot persistence: a versioned binary format for FrozenNet
@@ -34,7 +35,9 @@ import (
 //	rel table: u32 count, count × str          (relation names; count <= 1<<16)
 //	nodes:     nodeCount × (u8 kind, str name, str domain)   (ID = base+index)
 //	byName:    u32 entries, each str name + u32 cnt + cnt × u32 id
-//	byKind:    numKinds × (u32 cnt + cnt × u32 id)
+//	           (names strictly ascending; every node once, under its own
+//	           name; ids ascending)
+//	byKind:    numKinds × (u32 cnt + cnt × u32 id)   (ids ascending)
 //	out CSR:   u32 offLen + offLen × u32 (bulk), u32 edgeCount + 16-byte records (bulk)
 //	in  CSR:   same
 //	--- trailer ---
@@ -44,7 +47,10 @@ import (
 // u64 float64 bits of weight — the size of the in-memory HalfEdge, which
 // holds the name's RelID where the file holds its index in the rel table.
 // Kind-grouped CSR order and the freeze-time weight-sorted postings are
-// preserved byte-for-byte, so LoadFrozen never sorts.
+// preserved byte-for-byte, so LoadFrozen never sorts. The two index
+// sections are redundant with the node records: LoadFrozen derives both
+// indexes from the nodes, as Freeze does, and rejects a file whose sections
+// differ from them in any way.
 
 const (
 	frozenVersion = 2
@@ -161,17 +167,25 @@ func (fr *fzReader) count(what string) int {
 	return int(v)
 }
 
-func (fr *fzReader) str() string {
+func (fr *fzReader) str() string { return string(fr.appendStr(nil, maxFrozenStr)) }
+
+// appendStr reads a str and appends its bytes to dst, so many strings can
+// share one buffer. It rejects a string that would grow dst past limit
+// bytes before allocating any room for it.
+func (fr *fzReader) appendStr(dst []byte, limit uint64) []byte {
 	n := fr.u32()
 	if fr.err == nil && n > maxFrozenStr {
 		fr.err = fmt.Errorf("string length %d exceeds limit", n)
 	}
-	if fr.err != nil {
-		return ""
+	if fr.err == nil && uint64(len(dst))+uint64(n) > limit {
+		fr.err = fmt.Errorf("strings exceed %d bytes", limit)
 	}
-	buf := make([]byte, n)
-	fr.read(buf)
-	return string(buf)
+	if fr.err != nil {
+		return dst
+	}
+	dst = slices.Grow(dst, int(n))
+	fr.read(dst[len(dst) : len(dst)+int(n)])
+	return dst[:len(dst)+int(n)]
 }
 
 // relTable numbers the relations a snapshot's edges carry in order of
@@ -323,6 +337,95 @@ func readCSR(fr *fzReader, dir string, nodeCount, edgeCount, totalNodes, relCoun
 	return c
 }
 
+// readNodes reads a shard's node records into a node table: each name
+// straight into the shard's name arena, each domain through the shard's
+// domain table, so the nodes cost a constant number of allocations. A
+// shard whose names would overflow the arena's 32-bit offsets is rejected
+// before room for them is allocated.
+func readNodes(fr *fzReader, base NodeID, nodeCount int) nodeTable {
+	// 16 bytes a name is a first guess at the arena's size; it grows only
+	// with names actually read and is trimmed to size below.
+	b := tableBuilder{
+		recs:  make([]nodeRec, 0, prealloc(nodeCount)),
+		arena: make([]byte, 0, 16*prealloc(nodeCount)),
+	}
+	var dom []byte
+	for i := 0; i < nodeCount && fr.err == nil; i++ {
+		kind := NodeKind(fr.u8())
+		off := len(b.arena)
+		b.arena = fr.appendStr(b.arena, maxArena)
+		dom = fr.appendStr(dom[:0], maxFrozenStr)
+		if fr.err == nil && kind >= numKinds {
+			fr.err = fmt.Errorf("node %d: kind %d out of range", i, kind)
+		}
+		if fr.err == nil {
+			b.addNode(kind, off, bytesView(dom))
+		}
+	}
+	if fr.err != nil {
+		return nodeTable{}
+	}
+	if cap(b.arena) > len(b.arena) {
+		b.arena = append([]byte(nil), b.arena...)
+	}
+	return newNodeTable(base, &b)
+}
+
+// checkNameIndex reads the name-index section and requires it to equal the
+// index t derived from its nodes: the same number of names, in strictly
+// ascending order, each listing exactly its nodes in ascending ID order.
+func checkNameIndex(fr *fzReader, t *nodeTable) {
+	count := fr.count("name index")
+	if fr.err == nil && count != t.numNames() {
+		fr.err = fmt.Errorf("name index lists %d names, the nodes have %d", count, t.numNames())
+	}
+	var name, prev []byte
+	for i := 0; i < count && fr.err == nil; i++ {
+		name = fr.appendStr(name[:0], maxFrozenStr)
+		cnt := fr.count("name entry")
+		if fr.err != nil {
+			return
+		}
+		if i > 0 && bytes.Compare(prev, name) >= 0 {
+			fr.err = fmt.Errorf("name index %q follows %q: names must ascend", name, prev)
+			return
+		}
+		key := bytesView(name)
+		want := t.find(nameHash(key), key)
+		if want == nil {
+			fr.err = fmt.Errorf("name index lists %q, which no node has", name)
+			return
+		}
+		if cnt != len(want) {
+			fr.err = fmt.Errorf("name index %q lists %d nodes, want %d", name, cnt, len(want))
+			return
+		}
+		for j := 0; j < cnt && fr.err == nil; j++ {
+			if id := NodeID(fr.u32()); fr.err == nil && id != want[j] {
+				fr.err = fmt.Errorf("name index %q lists node %d where node %d belongs", name, id, want[j])
+			}
+		}
+		name, prev = prev, name
+	}
+}
+
+// checkKindIndex reads the kind-index section and requires each kind's list
+// to equal the ascending IDs of the nodes of that kind.
+func checkKindIndex(fr *fzReader, t *nodeTable) {
+	for k := NodeKind(0); k < numKinds && fr.err == nil; k++ {
+		cnt := fr.count("kind index")
+		want := t.ofKind(k)
+		if fr.err == nil && cnt != len(want) {
+			fr.err = fmt.Errorf("kind %d index lists %d nodes, want %d", k, cnt, len(want))
+		}
+		for j := 0; j < cnt && fr.err == nil; j++ {
+			if id := NodeID(fr.u32()); fr.err == nil && id != want[j] {
+				fr.err = fmt.Errorf("kind %d index lists node %d where node %d belongs", k, id, want[j])
+			}
+		}
+	}
+}
+
 // Save writes a versioned, checksummed binary snapshot of the frozen net
 // (or one shard of it). The format round-trips through LoadFrozen without
 // any rebuild work. Every limit LoadFrozen enforces is checked here first,
@@ -336,8 +439,9 @@ func (f *FrozenNet) Save(w io.Writer) error {
 // value LoadFrozen records as Checksum() — so multi-shard writers can build
 // a manifest of per-shard checksums without re-reading the files.
 func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
-	if len(f.nodes) > maxFrozenElems {
-		return 0, fmt.Errorf("core: frozen save: %d nodes exceed format limit %d", len(f.nodes), maxFrozenElems)
+	t := &f.nodes
+	if len(t.recs) > maxFrozenElems {
+		return 0, fmt.Errorf("core: frozen save: %d nodes exceed format limit %d", len(t.recs), maxFrozenElems)
 	}
 	if f.total > maxFrozenElems {
 		return 0, fmt.Errorf("core: frozen save: %d total nodes exceed format limit %d", f.total, maxFrozenElems)
@@ -345,8 +449,8 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 	if len(f.out.edges) > maxFrozenElems || len(f.in.edges) > maxFrozenElems {
 		return 0, fmt.Errorf("core: frozen save: edge count exceeds format limit %d", maxFrozenElems)
 	}
-	for i := range f.nodes {
-		if len(f.nodes[i].Name) > maxFrozenStr || len(f.nodes[i].Domain) > maxFrozenStr {
+	for i := range t.recs {
+		if len(t.name(i)) > maxFrozenStr || len(t.domains[t.recs[i].dom]) > maxFrozenStr {
 			return 0, fmt.Errorf("core: frozen save: node %d name/domain exceeds %d bytes", i, maxFrozenStr)
 		}
 	}
@@ -365,8 +469,8 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 	fw := fzWriter{w: io.MultiWriter(w, crc)}
 	fw.u8(uint8(numKinds))
 	fw.u8(uint8(numEdgeKinds))
-	fw.u32(uint32(len(f.nodes)))
-	fw.u32(uint32(f.base))
+	fw.u32(uint32(len(t.recs)))
+	fw.u32(uint32(t.base))
 	fw.u32(uint32(f.total))
 	fw.u32(uint32(len(f.out.edges)))
 	fw.u32(uint32(len(f.in.edges)))
@@ -375,30 +479,24 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 	for _, name := range rels.names {
 		fw.str(name)
 	}
-	for i := range f.nodes {
-		nd := &f.nodes[i]
-		fw.u8(uint8(nd.Kind))
-		fw.str(nd.Name)
-		fw.str(nd.Domain)
+	for i, r := range t.recs {
+		fw.u8(r.kind)
+		fw.str(t.name(i))
+		fw.str(t.domains[r.dom])
 	}
-	// byName entries are sorted so identical nets serialize identically;
-	// each entry's id order (insertion order) is preserved.
-	names := make([]string, 0, len(f.byName))
-	for name := range f.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fw.u32(uint32(len(names)))
-	for _, name := range names {
-		fw.str(name)
-		ids := f.byName[name]
+	// byName entries are sorted so identical nets serialize identically.
+	entries := t.sortedEntries()
+	fw.u32(uint32(len(entries)))
+	for _, e := range entries {
+		fw.str(t.entryName(e))
+		ids := t.post[t.first[e]:t.first[e+1]]
 		fw.u32(uint32(len(ids)))
 		for _, id := range ids {
 			fw.u32(uint32(id))
 		}
 	}
-	for k := 0; k < int(numKinds); k++ {
-		ids := f.byKind[k]
+	for k := NodeKind(0); k < numKinds; k++ {
+		ids := t.ofKind(k)
 		fw.u32(uint32(len(ids)))
 		for _, id := range ids {
 			fw.u32(uint32(id))
@@ -468,71 +566,15 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		}
 	}
 
-	f := &FrozenNet{base: NodeID(base), total: totalNodes}
+	f := &FrozenNet{total: totalNodes}
 	if fr.err == nil {
-		f.nodes = make([]Node, 0, prealloc(nodeCount))
-		for i := 0; i < nodeCount && fr.err == nil; i++ {
-			kind := NodeKind(fr.u8())
-			name := fr.str()
-			domain := fr.str()
-			if fr.err == nil && (kind < 0 || kind >= numKinds) {
-				fr.err = fmt.Errorf("node %d: kind %d out of range", i, kind)
-			}
-			f.nodes = append(f.nodes, Node{ID: NodeID(base + i), Kind: kind, Name: name, Domain: domain})
-		}
+		f.nodes = readNodes(&fr, NodeID(base), nodeCount)
 	}
-
-	nameCount := fr.count("name index")
 	if fr.err == nil {
-		f.byName = make(map[string][]NodeID, prealloc(nameCount))
-		for i := 0; i < nameCount && fr.err == nil; i++ {
-			name := fr.str()
-			cnt := fr.count("name entry")
-			if fr.err != nil {
-				break
-			}
-			ids := make([]NodeID, 0, prealloc(cnt))
-			for j := 0; j < cnt; j++ {
-				id := fr.u32()
-				if fr.err != nil {
-					break
-				}
-				if int(id) < base || int(id) >= base+nodeCount {
-					fr.err = fmt.Errorf("name %q: node id %d outside shard range", name, id)
-					break
-				}
-				if f.nodes[int(id)-base].Name != name {
-					fr.err = fmt.Errorf("name index %q points at node %d named %q", name, id, f.nodes[int(id)-base].Name)
-					break
-				}
-				ids = append(ids, NodeID(id))
-			}
-			f.byName[name] = ids
-		}
+		checkNameIndex(&fr, &f.nodes)
 	}
-
-	for k := 0; k < int(numKinds) && fr.err == nil; k++ {
-		cnt := fr.count("kind index")
-		if fr.err != nil {
-			break
-		}
-		ids := make([]NodeID, 0, prealloc(cnt))
-		for j := 0; j < cnt; j++ {
-			id := fr.u32()
-			if fr.err != nil {
-				break
-			}
-			if int(id) < base || int(id) >= base+nodeCount {
-				fr.err = fmt.Errorf("kind %d index: node id %d outside shard range", k, id)
-				break
-			}
-			if f.nodes[int(id)-base].Kind != NodeKind(k) {
-				fr.err = fmt.Errorf("kind %d index holds node %d of kind %d", k, id, f.nodes[int(id)-base].Kind)
-				break
-			}
-			ids = append(ids, NodeID(id))
-		}
-		f.byKind[k] = ids
+	if fr.err == nil {
+		checkKindIndex(&fr, &f.nodes)
 	}
 
 	if fr.err == nil {
@@ -569,7 +611,7 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		}
 	}
 	f.checksum = sum
-	nn := len(f.nodes)
+	nn := nodeCount
 	f.visit.New = func() any {
 		return &visitState{gen: make([]uint32, nn)}
 	}

@@ -196,50 +196,65 @@ func TestLoadFrozenChecksum(t *testing.T) {
 	}
 }
 
-// corrupt cases built by mutating a freshly frozen net before saving: the
-// file is internally consistent (valid CRC) but structurally wrong, so the
-// structural validation itself must catch it.
+// corrupt cases built by mutating a freshly frozen net before saving, or by
+// rewriting the saved file's index sections: the file is internally
+// consistent (valid CRC) but structurally wrong, so the structural
+// validation itself must catch it.
 func TestLoadFrozenStructuralCorruption(t *testing.T) {
-	freshFrozen := func() *FrozenNet {
-		n, _ := buildToyNet(t)
-		return n.Freeze()
-	}
 	cases := []struct {
 		name    string
-		mutate  func(f *FrozenNet)
+		mutate  func(f *FrozenNet)     // applied before saving
+		edit    func(idx *fileIndexes) // applied to the saved index sections
 		errWant string
 	}{
-		{"edge kind out of range", func(f *FrozenNet) {
+		{name: "edge kind out of range", mutate: func(f *FrozenNet) {
 			f.out.edges[0].Kind = EdgeKind(99)
-		}, "kind"},
-		{"edge kind wrong CSR group", func(f *FrozenNet) {
+		}, errWant: "kind"},
+		{name: "edge kind wrong CSR group", mutate: func(f *FrozenNet) {
 			// Valid enum value, but disagrees with the group the edge sits in.
 			f.out.edges[0].Kind = (f.out.edges[0].Kind + 1) % numEdgeKinds
-		}, "disagrees with CSR group"},
-		{"peer out of range", func(f *FrozenNet) {
+		}, errWant: "disagrees with CSR group"},
+		{name: "peer out of range", mutate: func(f *FrozenNet) {
 			f.out.edges[0].Peer = NodeID(f.NumNodes() + 7)
-		}, "peer"},
-		{"name index id mismatch", func(f *FrozenNet) {
-			for name, ids := range f.byName {
-				other := (int(ids[0]) + 1) % f.NumNodes()
-				if f.nodes[other].Name != name {
-					f.byName[name] = []NodeID{NodeID(other)}
-					return
-				}
-			}
-		}, "name index"},
-		{"kind index id mismatch", func(f *FrozenNet) {
-			f.byKind[KindClass][0] = f.byKind[KindItem][0]
-		}, "kind"},
-		{"shard range exceeds declared total", func(f *FrozenNet) {
+		}, errWant: "peer"},
+		{name: "name index id mismatch", edit: func(idx *fileIndexes) {
+			idx.ids[0] = []uint32{idx.ids[1][0]} // "category" lists "clothing"'s node
+		}, errWant: "name index"},
+		{name: "name index omits an entry", edit: func(idx *fileIndexes) {
+			idx.names, idx.ids = idx.names[1:], idx.ids[1:] // "category" unlisted
+		}, errWant: "name index"},
+		{name: "name index out of order", edit: func(idx *fileIndexes) {
+			idx.names[0], idx.names[1] = idx.names[1], idx.names[0]
+			idx.ids[0], idx.ids[1] = idx.ids[1], idx.ids[0]
+		}, errWant: "ascend"},
+		{name: "name index lists a name no node has", edit: func(idx *fileIndexes) {
+			idx.names[0], idx.ids[0] = "aardvark", nil // and "category" unlisted
+		}, errWant: "no node has"},
+		{name: "name index lists a node twice", edit: func(idx *fileIndexes) {
+			idx.ids[0] = append(idx.ids[0], idx.ids[0][0])
+		}, errWant: "name index"},
+		{name: "kind index id mismatch", edit: func(idx *fileIndexes) {
+			idx.kinds[KindClass][0] = idx.kinds[KindItem][0]
+		}, errWant: "kind"},
+		{name: "kind index lists a node twice", edit: func(idx *fileIndexes) {
+			idx.kinds[KindClass] = append(idx.kinds[KindClass], idx.kinds[KindClass][0])
+		}, errWant: "kind 0 index"},
+		{name: "shard range exceeds declared total", mutate: func(f *FrozenNet) {
 			f.total--
-		}, "declared total"},
+		}, errWant: "declared total"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := freshFrozen()
-			tc.mutate(f)
-			_, err := LoadFrozen(bytes.NewReader(saveFrozen(t, f)))
+			n, _ := buildToyNet(t)
+			f := n.Freeze()
+			if tc.mutate != nil {
+				tc.mutate(f)
+			}
+			data := saveFrozen(t, f)
+			if tc.edit != nil {
+				data = editIndexes(data, tc.edit)
+			}
+			_, err := LoadFrozen(bytes.NewReader(data))
 			if err == nil {
 				t.Fatal("corrupt snapshot loaded successfully")
 			}
@@ -248,6 +263,73 @@ func TestLoadFrozenStructuralCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fileIndexes is the decoded name- and kind-index sections of a saved
+// snapshot.
+type fileIndexes struct {
+	names []string
+	ids   [][]uint32 // ids[i] lists names[i]'s nodes
+	kinds [numKinds][]uint32
+}
+
+// indexSpan returns the byte range of a saved snapshot's two index sections
+// and what they hold.
+func indexSpan(data []byte) (start, end int, idx fileIndexes) {
+	_, at, _ := relTableSpan(data)
+	u32 := func() uint32 {
+		at += 4
+		return getU32(data[at-4:])
+	}
+	str := func() string {
+		n := int(u32())
+		at += n
+		return string(data[at-n : at])
+	}
+	ids := func() []uint32 {
+		out := make([]uint32, u32())
+		for i := range out {
+			out[i] = u32()
+		}
+		return out
+	}
+	for i := getU32(data[8:]); i > 0; i-- { // nodeCount follows the two kind counts
+		at++ // kind
+		str()
+		str()
+	}
+	start = at
+	for i := u32(); i > 0; i-- {
+		idx.names = append(idx.names, str())
+		idx.ids = append(idx.ids, ids())
+	}
+	for k := range idx.kinds {
+		idx.kinds[k] = ids()
+	}
+	return start, at, idx
+}
+
+// editIndexes returns a saved snapshot with its index sections rewritten by
+// edit and its trailing CRC recomputed, so the file verifies.
+func editIndexes(data []byte, edit func(idx *fileIndexes)) []byte {
+	start, end, idx := indexSpan(data)
+	edit(&idx)
+	return spliced(data, start, end, func(fw *fzWriter) {
+		writeIDs := func(ids []uint32) {
+			fw.u32(uint32(len(ids)))
+			for _, id := range ids {
+				fw.u32(id)
+			}
+		}
+		fw.u32(uint32(len(idx.names)))
+		for i, name := range idx.names {
+			fw.str(name)
+			writeIDs(idx.ids[i])
+		}
+		for _, ids := range idx.kinds {
+			writeIDs(ids)
+		}
+	})
 }
 
 // TestLoadFrozenHugeClaimedCounts: a tiny file whose header claims huge
@@ -309,7 +391,7 @@ func TestLoadRejectsCorruptEdgeKind(t *testing.T) {
 }
 
 func TestLoadRejectsNodeKindOutOfRange(t *testing.T) {
-	data := savedWith(t, func(f *FrozenNet) { f.nodes[0].Kind = NodeKind(42) })
+	data := savedWith(t, func(f *FrozenNet) { f.nodes.recs[0].kind = 42 })
 	if _, err := LoadFrozen(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("node kind 42: got %v", err)
 	}

@@ -66,9 +66,10 @@ type Reader interface {
 	AppendFindByNameKind(dst []NodeID, name string, kind NodeKind) []NodeID
 
 	// FirstByNameKindBytes is FirstByNameKind keyed by a caller-owned byte
-	// buffer. Both stores resolve it with a map[string] index lookup the
-	// compiler performs without converting (allocating) the key, so exact
-	// name resolution on the query hot path costs zero allocations.
+	// buffer. Neither store converts (allocates) the key: the live net's
+	// map[string] lookup converts it in place, and a frozen net hashes and
+	// compares the buffer against its name arena, so exact name resolution
+	// on the query hot path costs zero allocations.
 	FirstByNameKindBytes(name []byte, kind NodeKind) NodeID
 }
 

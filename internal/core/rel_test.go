@@ -66,13 +66,21 @@ func relTableSpan(data []byte) (start, end int, names []string) {
 // names and its trailing CRC recomputed, so the file verifies.
 func withRelTable(data []byte, names []string) []byte {
 	start, end, _ := relTableSpan(data)
+	return spliced(data, start, end, func(fw *fzWriter) {
+		fw.u32(uint32(len(names)))
+		for _, name := range names {
+			fw.str(name)
+		}
+	})
+}
+
+// spliced returns a saved snapshot with the bytes in [start, end) replaced
+// by what write emits and the trailing CRC recomputed over the new body.
+func spliced(data []byte, start, end int, write func(fw *fzWriter)) []byte {
 	var b bytes.Buffer
 	fw := fzWriter{w: &b}
 	fw.write(data[:start])
-	fw.u32(uint32(len(names)))
-	for _, name := range names {
-		fw.str(name)
-	}
+	write(&fw)
 	fw.write(data[end : len(data)-4])
 	fw.u32(crc32.ChecksumIEEE(b.Bytes()[6:]))
 	return b.Bytes()

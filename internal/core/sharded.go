@@ -56,9 +56,9 @@ func NewShardSet(shards []*FrozenNet) (*ShardSet, error) {
 		}
 		wantBase := min(i*stride, total)
 		wantLen := min(wantBase+stride, total) - wantBase
-		if int(sh.base) != wantBase || len(sh.nodes) != wantLen {
+		if int(sh.Base()) != wantBase || sh.NumNodes() != wantLen {
 			return nil, fmt.Errorf("shardset: shard %d covers [%d,%d), want [%d,%d)",
-				i, sh.base, int(sh.base)+len(sh.nodes), wantBase, wantBase+wantLen)
+				i, sh.Base(), int(sh.Base())+sh.NumNodes(), wantBase, wantBase+wantLen)
 		}
 	}
 	s := &ShardSet{shards: shards, stride: stride, total: total}
@@ -68,14 +68,14 @@ func NewShardSet(shards []*FrozenNet) (*ShardSet, error) {
 	for k := 0; k < int(numKinds); k++ {
 		n := 0
 		for _, sh := range shards {
-			n += len(sh.byKind[k])
+			n += len(sh.NodesOfKind(NodeKind(k)))
 		}
 		if n == 0 {
 			continue
 		}
 		ids := make([]NodeID, 0, n)
 		for _, sh := range shards {
-			ids = append(ids, sh.byKind[k]...)
+			ids = append(ids, sh.NodesOfKind(NodeKind(k))...)
 		}
 		s.byKind[k] = ids
 	}
@@ -111,13 +111,14 @@ func (s *ShardSet) owner(id NodeID) *FrozenNet {
 	return s.shards[shard]
 }
 
-// Node returns the node for id; ok is false for invalid ids.
+// Node returns the node for id; ok is false for invalid ids. As with
+// FrozenNet.Node, the Name is a view of the owning shard's name arena.
 func (s *ShardSet) Node(id NodeID) (Node, bool) {
 	sh := s.owner(id)
 	if sh == nil {
 		return Node{}, false
 	}
-	return sh.nodes[int(id)-int(sh.base)], true
+	return sh.nodes.node(int(id - sh.nodes.base)), true
 }
 
 // NumNodes returns the node count across all shards.
@@ -127,15 +128,17 @@ func (s *ShardSet) NumNodes() int { return s.total }
 func (s *ShardSet) NumEdges() int { return s.edges }
 
 // FindByName returns all nodes with the given surface form, in whole-net
-// insertion order. When one shard holds every match — the common case — the
+// insertion order. The name is hashed once and every shard's index probed
+// with that hash. When one shard holds every match — the common case — the
 // result is that shard's read-only view and the call allocates nothing;
 // only names straddling a shard boundary pay for a merged copy.
 func (s *ShardSet) FindByName(name string) []NodeID {
+	h := nameHash(name)
 	var single []NodeID
 	n, hits := 0, 0
 	for i, sh := range s.shards {
 		faultfs.QueryProbe(i)
-		if ids := sh.byName[name]; len(ids) > 0 {
+		if ids := sh.nodes.find(h, name); len(ids) > 0 {
 			single = ids
 			n += len(ids)
 			hits++
@@ -146,7 +149,7 @@ func (s *ShardSet) FindByName(name string) []NodeID {
 	}
 	merged := make([]NodeID, 0, n)
 	for _, sh := range s.shards {
-		merged = append(merged, sh.byName[name]...)
+		merged = append(merged, sh.nodes.find(h, name)...)
 	}
 	return merged
 }
@@ -158,9 +161,10 @@ func (s *ShardSet) FindByNameKind(name string, kind NodeKind) []NodeID {
 
 // AppendFindByNameKind is FindByNameKind into a caller-owned buffer.
 func (s *ShardSet) AppendFindByNameKind(dst []NodeID, name string, kind NodeKind) []NodeID {
+	h := nameHash(name)
 	for i, sh := range s.shards {
 		faultfs.QueryProbe(i)
-		dst = sh.AppendFindByNameKind(dst, name, kind)
+		dst = sh.nodes.appendOfKind(dst, h, name, kind)
 	}
 	return dst
 }
@@ -169,9 +173,10 @@ func (s *ShardSet) AppendFindByNameKind(dst []NodeID, name string, kind NodeKind
 // are scanned in ascending order, which reproduces whole-net insertion
 // order because node IDs are assigned sequentially.
 func (s *ShardSet) FirstByNameKind(name string, kind NodeKind) NodeID {
+	h := nameHash(name)
 	for i, sh := range s.shards {
 		faultfs.QueryProbe(i)
-		if id := sh.FirstByNameKind(name, kind); id != InvalidNode {
+		if id := sh.nodes.firstOfKind(h, name, kind); id != InvalidNode {
 			return id
 		}
 	}
@@ -179,16 +184,11 @@ func (s *ShardSet) FirstByNameKind(name string, kind NodeKind) NodeID {
 }
 
 // FirstByNameKindBytes is FirstByNameKind keyed by a caller-owned byte
-// buffer; each per-shard probe is the allocation-free map lookup, so the
-// scatter costs N map probes and zero allocations.
+// buffer: the buffer is hashed once, in place, and each shard's index
+// probed with that hash, so the scatter costs one hash, N probes and zero
+// allocations.
 func (s *ShardSet) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {
-	for i, sh := range s.shards {
-		faultfs.QueryProbe(i)
-		if id := sh.FirstByNameKindBytes(name, kind); id != InvalidNode {
-			return id
-		}
-	}
-	return InvalidNode
+	return s.FirstByNameKind(bytesView(name), kind)
 }
 
 // Out returns outgoing half-edges of a kind (all kinds if kind < 0), served
@@ -198,7 +198,7 @@ func (s *ShardSet) Out(id NodeID, kind EdgeKind) []HalfEdge {
 	if sh == nil {
 		return nil
 	}
-	return sh.out.slice(NodeID(int(id)-int(sh.base)), kind, len(sh.nodes))
+	return sh.out.slice(id-sh.nodes.base, kind, sh.NumNodes())
 }
 
 // In returns incoming half-edges of a kind (all kinds if kind < 0), served
@@ -208,7 +208,7 @@ func (s *ShardSet) In(id NodeID, kind EdgeKind) []HalfEdge {
 	if sh == nil {
 		return nil
 	}
-	return sh.in.slice(NodeID(int(id)-int(sh.base)), kind, len(sh.nodes))
+	return sh.in.slice(id-sh.nodes.base, kind, sh.NumNodes())
 }
 
 // NodesOfKind returns all node IDs in one layer as a read-only view,
@@ -284,9 +284,9 @@ func (s *ShardSet) traverse(dir int, start NodeID, maxDepth int, target NodeID, 
 		if dir != 0 {
 			adj = &sh.in
 		}
-		lid := NodeID(int(cur.id) - int(sh.base))
+		lid := cur.id - sh.nodes.base
 		for _, kind := range [2]EdgeKind{EdgeIsA, EdgeInstanceOf} {
-			for _, he := range adj.slice(lid, kind, len(sh.nodes)) {
+			for _, he := range adj.slice(lid, kind, sh.NumNodes()) {
 				if v.gen[he.Peer] == v.epoch {
 					continue
 				}
