@@ -116,8 +116,8 @@ type servingReader interface {
 	ComputeStats() core.Stats
 }
 
-// servingState bundles a frozen store with the engines and item index
-// built on it, so everything a query touches swaps together atomically. A
+// servingState bundles a frozen store with the engines and item table
+// served with it, so everything a query touches swaps together atomically. A
 // request loads the pointer once and keeps it for its whole lifetime —
 // that per-request pinning is what makes a concurrent reload (of the whole
 // net or of a single shard) invisible mid-request: the old state, with all
@@ -142,13 +142,11 @@ type servingState struct {
 	manifest   *pipeline.ShardManifest
 	shardInfo  []ShardServingInfo
 
-	search     *search.Engine
-	rec        *recommend.Engine
-	items      []Item               // world order, for deterministic listings
-	itemByNode map[core.NodeID]Item // net node -> facade item
-	itemNode   map[int]core.NodeID  // world item ID -> net node
-	stamp      qcache.Stamp         // cache stamp of this snapshot (see stamps below)
-	info       ServingInfo
+	search *search.Engine
+	rec    *recommend.Engine
+	meta   *pipeline.ServingMeta // stopwords and item table, with its node index
+	stamp  qcache.Stamp          // cache stamp of this snapshot (see stamps below)
+	info   ServingInfo
 }
 
 // ShardServingInfo is the per-shard slice of ServingInfo: which file
@@ -351,10 +349,7 @@ func (c *CoCo) ReloadShards(dir string) (int, error) {
 	if changed == 0 && prev.shardDir == loc.dir {
 		return 0, nil
 	}
-	arts := *c.arts.Load()
-	arts.Shards = shards
-	c.arts.Store(&arts)
-	return changed, c.publishShards(&arts, "shards", loc, man)
+	return changed, c.publishReloaded(shards, loc, man)
 }
 
 // ReloadShard force-reloads one shard from the newest generation of the
@@ -400,10 +395,21 @@ func (c *CoCo) ReloadShard(dir string, i int) error {
 	eff.Shards = append([]pipeline.ShardEntry(nil), prev.manifest.Shards...)
 	eff.TotalEdges += man.Shards[i].Edges - eff.Shards[i].Edges
 	eff.Shards[i] = man.Shards[i]
+	return c.publishReloaded(shards, loc, &eff)
+}
+
+// publishReloaded publishes a partition of which some shards were re-read
+// from disk under an unchanged meta checksum: it keeps serving the loaded
+// item table, once the new shards are shown to still hold every item on an
+// item node.
+func (c *CoCo) publishReloaded(shards []*core.FrozenNet, loc shardLoc, man *pipeline.ShardManifest) error {
 	arts := *c.arts.Load()
+	if err := arts.Serving.CheckItemKinds(shards); err != nil {
+		return fmt.Errorf("alicoco: reload: %w", err)
+	}
 	arts.Shards = shards
 	c.arts.Store(&arts)
-	return c.publishShards(&arts, "shards", loc, &eff)
+	return c.publishShards(&arts, "shards", loc, man)
 }
 
 // RollbackTo republishes an earlier committed generation of the snapshot
@@ -455,13 +461,12 @@ func (c *CoCo) RollbackTo(gen uint64) (snapstore.Gen, error) {
 // ScrubOnce runs one integrity pass over the generation directory serving
 // was loaded from: every file is re-hashed against the on-disk manifest
 // (itself verified against the catalog entry), mismatches are quarantined,
-// and each quarantined file
-// is repaired from the newest clean source — another catalog generation
-// with matching content first, the served in-memory shard second. Repair
-// touches only the disk copy; serving reads the in-memory shards
-// throughout, so traffic keeps answering byte-identically and warm cache
-// entries survive. Holding the offline lock serializes the pass with
-// saves and reloads.
+// and each quarantined file is repaired from the newest clean source —
+// another catalog generation with matching content first, the served
+// in-memory shard or item table second. Repair touches only the disk copy;
+// serving reads the in-memory shards throughout, so traffic keeps
+// answering byte-identically and warm cache entries survive. Holding the
+// offline lock serializes the pass with saves and reloads.
 func (c *CoCo) ScrubOnce() (*snapstore.ScrubReport, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
@@ -473,24 +478,11 @@ func (c *CoCo) ScrubOnce() (*snapstore.ScrubReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := pipeline.ScrubOptions{Store: store, InMem: s.shards.Shards(), Gen: s.catalogGen}
+	opts := pipeline.ScrubOptions{Store: store, InMem: s.shards.Shards(), Meta: s.meta, Gen: s.catalogGen}
 	if g, err := store.Find(s.catalogGen); err == nil {
 		opts.ManifestChecksum = g.ManifestChecksum
 	}
 	return pipeline.ScrubShardDir(s.shardDir, opts)
-}
-
-func buildItemIndex(meta *pipeline.ServingMeta) ([]Item, map[core.NodeID]Item, map[int]core.NodeID) {
-	items := make([]Item, 0, len(meta.Items))
-	rev := make(map[core.NodeID]Item, len(meta.Items))
-	fwd := make(map[int]core.NodeID, len(meta.Items))
-	for _, im := range meta.Items {
-		it := Item{ID: im.WorldID, Title: im.Title, Category: im.Category}
-		items = append(items, it)
-		rev[im.Node] = it
-		fwd[im.WorldID] = im.Node
-	}
-	return items, rev, fwd
 }
 
 // shardContentStamp derives the cache stamp of a disk-loaded shard
@@ -543,7 +535,6 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 	if set.NumShards() == 1 {
 		reader = set.Shard(0)
 	}
-	items, rev, fwd := buildItemIndex(arts.Serving)
 	gen := c.generation.Add(1)
 	stamp := qcache.Stamp{Gen: gen}
 	checksum := ""
@@ -588,9 +579,7 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 		shardInfo:  shardInfo,
 		search:     se,
 		rec:        re,
-		items:      items,
-		itemByNode: rev,
-		itemNode:   fwd,
+		meta:       arts.Serving,
 		stamp:      stamp,
 		info: ServingInfo{
 			Source:      source,
@@ -690,9 +679,18 @@ type Item struct {
 	Category string
 }
 
-// Items lists every item.
+// Items lists every item, in world order.
 func (c *CoCo) Items() []Item {
-	return append([]Item(nil), c.serving.Load().items...)
+	items := c.serving.Load().meta.Items
+	out := make([]Item, len(items))
+	for i, im := range items {
+		out[i] = itemOf(im)
+	}
+	return out
+}
+
+func itemOf(im pipeline.ItemMeta) Item {
+	return Item{ID: im.WorldID, Title: im.Title, Category: im.Category}
 }
 
 // ConceptCard is a shopping-scenario card: the concept name and the titles
@@ -768,8 +766,8 @@ func (s *servingState) compose(resp search.Response) SearchResult {
 func (s *servingState) itemsOf(ids []core.NodeID) []Item {
 	var out []Item
 	for _, id := range ids {
-		if it, ok := s.itemByNode[id]; ok {
-			out = append(out, it)
+		if im, ok := s.meta.ItemOfNode(id); ok {
+			out = append(out, itemOf(im))
 		}
 	}
 	return out
@@ -816,10 +814,11 @@ func (c *CoCo) RecommendBatchCtx(ctx context.Context, sessions [][]int, k int) (
 }
 
 func (s *servingState) recommend(ctx context.Context, viewedItemIDs []int, k int) (Recommendation, bool, error) {
+	items := s.meta.Items // item i has world ID i
 	viewed := make([]core.NodeID, 0, len(viewedItemIDs))
 	for _, id := range viewedItemIDs {
-		if node, ok := s.itemNode[id]; ok {
-			viewed = append(viewed, node)
+		if id >= 0 && id < len(items) {
+			viewed = append(viewed, items[id].Node)
 		}
 	}
 	rec, ok, err := s.rec.RecommendCtx(ctx, viewed, k)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,25 @@ func TestFacadeRecommend(t *testing.T) {
 	}
 	if len(rec.Card.Items) == 0 {
 		t.Fatal("recommendation without items")
+	}
+}
+
+// TestRecommendDropsUnknownItemIDs: world IDs outside the item table, -1
+// and len(Items()), are dropped from a session rather than looked up.
+func TestRecommendDropsUnknownItemIDs(t *testing.T) {
+	c := buildSmall(t)
+	sess := c.SampleSessions(1)[0]
+	want, wantOK := mustRecommend(t, c, sess, 5)
+	if !wantOK {
+		t.Fatal("no recommendation for a sampled session")
+	}
+	unknown := []int{-1, len(c.Items())}
+	got, ok := mustRecommend(t, c, append(unknown, sess...), 5)
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("unknown IDs changed the recommendation: %+v, want %+v", got, want)
+	}
+	if rec, ok := mustRecommend(t, c, unknown, 5); ok {
+		t.Fatalf("a session of unknown IDs was recommended %+v", rec)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"alicoco/internal/fzio"
 )
 
 // TestNodeRecordIsTwelvePointerFreeBytes: a frozen node is at most 12 bytes
@@ -233,17 +235,17 @@ func TestLoadFrozenAllocsIndependentOfNodeCount(t *testing.T) {
 // whose names overflow the arena's offsets fails before its bytes are read.
 func TestAppendStrRejectsOverflowBeforeAllocating(t *testing.T) {
 	var in bytes.Buffer
-	fw := fzWriter{w: &in}
-	fw.str("abcd")
-	fw.str("efgh")
-	fr := fzReader{r: &in}
-	buf := fr.appendStr(make([]byte, 0, 4), 6)
-	if fr.err != nil || string(buf) != "abcd" {
-		t.Fatalf("first string: %q, %v", buf, fr.err)
+	fw := fzio.Writer{W: &in}
+	fw.Str("abcd")
+	fw.Str("efgh")
+	fr := fzio.Reader{R: &in}
+	buf := fr.AppendStr(make([]byte, 0, 4), 6)
+	if fr.Err != nil || string(buf) != "abcd" {
+		t.Fatalf("first string: %q, %v", buf, fr.Err)
 	}
-	buf = fr.appendStr(buf, 6)
-	if fr.err == nil || !strings.Contains(fr.err.Error(), "exceed") {
-		t.Fatalf("overflowing string: got %v", fr.err)
+	buf = fr.AppendStr(buf, 6)
+	if fr.Err == nil || !strings.Contains(fr.Err.Error(), "exceed") {
+		t.Fatalf("overflowing string: got %v", fr.Err)
 	}
 	if string(buf) != "abcd" || cap(buf) != 4 {
 		t.Fatalf("rejected string grew the buffer to %q (cap %d)", buf, cap(buf))

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"alicoco/internal/fzio"
 )
 
 // saveFrozen freezes-and-saves a net, failing the test on error.
@@ -279,7 +281,7 @@ func indexSpan(data []byte) (start, end int, idx fileIndexes) {
 	_, at, _ := relTableSpan(data)
 	u32 := func() uint32 {
 		at += 4
-		return getU32(data[at-4:])
+		return fzio.GetU32(data[at-4:])
 	}
 	str := func() string {
 		n := int(u32())
@@ -293,7 +295,7 @@ func indexSpan(data []byte) (start, end int, idx fileIndexes) {
 		}
 		return out
 	}
-	for i := getU32(data[8:]); i > 0; i-- { // nodeCount follows the two kind counts
+	for i := fzio.GetU32(data[8:]); i > 0; i-- { // nodeCount follows the two kind counts
 		at++ // kind
 		str()
 		str()
@@ -314,16 +316,16 @@ func indexSpan(data []byte) (start, end int, idx fileIndexes) {
 func editIndexes(data []byte, edit func(idx *fileIndexes)) []byte {
 	start, end, idx := indexSpan(data)
 	edit(&idx)
-	return spliced(data, start, end, func(fw *fzWriter) {
+	return spliced(data, start, end, func(fw *fzio.Writer) {
 		writeIDs := func(ids []uint32) {
-			fw.u32(uint32(len(ids)))
+			fw.U32(uint32(len(ids)))
 			for _, id := range ids {
-				fw.u32(id)
+				fw.U32(id)
 			}
 		}
-		fw.u32(uint32(len(idx.names)))
+		fw.U32(uint32(len(idx.names)))
 		for i, name := range idx.names {
-			fw.str(name)
+			fw.Str(name)
 			writeIDs(idx.ids[i])
 		}
 		for _, ids := range idx.kinds {
@@ -363,7 +365,7 @@ func TestLoadFrozenHugeClaimedCounts(t *testing.T) {
 // limit up front, so it never emits a snapshot LoadFrozen would reject.
 func TestFrozenSaveRejectsOversizedStrings(t *testing.T) {
 	n := NewNet()
-	n.AddNode(KindPrimitive, strings.Repeat("x", maxFrozenStr+1), "d")
+	n.AddNode(KindPrimitive, strings.Repeat("x", fzio.MaxStr+1), "d")
 	if err := n.Freeze().Save(io.Discard); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized node name: got %v", err)
 	}
@@ -420,7 +422,7 @@ func TestLoadRecomputesEdgeCounter(t *testing.T) {
 	// nodeCount, base and totalNodes.
 	const outEdgeCountAt = 4 + 2 + 1 + 1 + 4 + 4 + 4
 	bad := append([]byte(nil), full...)
-	putU32(bad[outEdgeCountAt:], getU32(bad[outEdgeCountAt:])+7)
+	fzio.PutU32(bad[outEdgeCountAt:], fzio.GetU32(bad[outEdgeCountAt:])+7)
 	if _, err := LoadFrozen(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "disagrees with header") {
 		t.Fatalf("stale header edge count: got %v", err)
 	}

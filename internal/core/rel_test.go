@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"alicoco/internal/fzio"
 )
 
 // TestHalfEdgeIsSixteenPointerFreeBytes: a half-edge in memory is the
@@ -54,8 +56,8 @@ func relTableSpan(data []byte) (start, end int, names []string) {
 	// After magic, version, the two kind counts and five u32 header fields.
 	const at = 4 + 2 + 1 + 1 + 5*4
 	end = at + 4
-	for i := uint32(0); i < getU32(data[at:]); i++ {
-		n := int(getU32(data[end:]))
+	for i := uint32(0); i < fzio.GetU32(data[at:]); i++ {
+		n := int(fzio.GetU32(data[end:]))
 		names = append(names, string(data[end+4:end+4+n]))
 		end += 4 + n
 	}
@@ -66,23 +68,23 @@ func relTableSpan(data []byte) (start, end int, names []string) {
 // names and its trailing CRC recomputed, so the file verifies.
 func withRelTable(data []byte, names []string) []byte {
 	start, end, _ := relTableSpan(data)
-	return spliced(data, start, end, func(fw *fzWriter) {
-		fw.u32(uint32(len(names)))
+	return spliced(data, start, end, func(fw *fzio.Writer) {
+		fw.U32(uint32(len(names)))
 		for _, name := range names {
-			fw.str(name)
+			fw.Str(name)
 		}
 	})
 }
 
 // spliced returns a saved snapshot with the bytes in [start, end) replaced
 // by what write emits and the trailing CRC recomputed over the new body.
-func spliced(data []byte, start, end int, write func(fw *fzWriter)) []byte {
+func spliced(data []byte, start, end int, write func(fw *fzio.Writer)) []byte {
 	var b bytes.Buffer
-	fw := fzWriter{w: &b}
-	fw.write(data[:start])
+	fw := fzio.Writer{W: &b}
+	fw.Bytes(data[:start])
 	write(&fw)
-	fw.write(data[end : len(data)-4])
-	fw.u32(crc32.ChecksumIEEE(b.Bytes()[6:]))
+	fw.Bytes(data[end : len(data)-4])
+	fw.U32(crc32.ChecksumIEEE(b.Bytes()[6:]))
 	return b.Bytes()
 }
 
@@ -91,7 +93,7 @@ func spliced(data []byte, start, end int, write func(fw *fzWriter)) []byte {
 func withLastRelIndex(data []byte, idx uint32) []byte {
 	out := append([]byte(nil), data...)
 	rec := out[len(out)-4-frozenEdgeRecSize:]
-	putU32(rec[4:], getU32(rec[4:])&0xFF000000|idx)
+	fzio.PutU32(rec[4:], fzio.GetU32(rec[4:])&0xFF000000|idx)
 	return out
 }
 

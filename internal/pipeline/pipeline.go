@@ -87,7 +87,10 @@ type Artifacts struct {
 	// serving layer assembles them into a core.ShardSet.
 	Shards []*core.FrozenNet
 
-	// Node maps from world IDs to net node IDs.
+	// Node maps from world IDs to net node IDs, filled while BuildNet
+	// wires the net. Only the build and the experiments read them; a
+	// snapshot does not carry them, so they are nil on loaded artifacts
+	// (the item table in Serving maps items to nodes for serving).
 	PrimNode  map[int]core.NodeID
 	FrameNode map[int]core.NodeID
 	ItemNode  map[int]core.NodeID

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"path/filepath"
@@ -61,6 +62,11 @@ type ScrubOptions struct {
 	// the manifest entry is re-serialized to disk.
 	InMem []*core.FrozenNet
 
+	// Meta, when non-nil, is the metadata being served — the fallback
+	// repair source of the meta file, rewritten from its encoding when
+	// that encoding hashes to the manifest's MetaChecksum.
+	Meta *ServingMeta
+
 	// Gen is the generation being scrubbed; it stamps the report and
 	// seeds quarantine suffixes. Zero when scrubbing without a catalog.
 	Gen uint64
@@ -75,9 +81,9 @@ type ScrubOptions struct {
 // against its manifest, quarantines mismatches (rename aside, never
 // delete — the poisoned bytes are evidence), and repairs each quarantined
 // file from the newest source whose checksum matches: another catalog
-// generation first, then the served in-memory shard. The error return is
-// for scrub-infrastructure failures (unreadable manifest, failed
-// quarantine rename); integrity findings are the report's.
+// generation first, then the served in-memory shard or metadata. The
+// error return is for scrub-infrastructure failures (unreadable manifest,
+// failed quarantine rename); integrity findings are the report's.
 func ScrubShardDir(dir string, opts ScrubOptions) (*snapstore.ScrubReport, error) {
 	report := &snapstore.ScrubReport{Gen: opts.Gen}
 
@@ -116,7 +122,7 @@ func ScrubShardDir(dir string, opts ScrubOptions) (*snapstore.ScrubReport, error
 			}
 			report.Quarantined = append(report.Quarantined, q)
 		}
-		if repairFile(dir, checks[i], opts) {
+		if repairFile(dir, checks[i], rep.Name == man.MetaFile, opts) {
 			report.Repaired = append(report.Repaired, rep.Name)
 		} else {
 			report.Unrepaired = append(report.Unrepaired, rep.Name)
@@ -125,13 +131,23 @@ func ScrubShardDir(dir string, opts ScrubOptions) (*snapstore.ScrubReport, error
 	return report, nil
 }
 
-// repairFile re-materializes one missing/quarantined file and reports
-// success only after the fresh copy re-verifies against its check.
-func repairFile(dir string, check snapstore.FileCheck, opts ScrubOptions) bool {
+// repairFile re-materializes one missing/quarantined file — the meta file
+// when isMeta, else a shard — and reports success only after the fresh
+// copy verifies against its check.
+func repairFile(dir string, check snapstore.FileCheck, isMeta bool, opts ScrubOptions) bool {
 	if opts.Store != nil && repairFromCatalog(dir, check, opts.Store) {
 		return true
 	}
-	return repairFromMemory(dir, check, opts.InMem)
+	if !isMeta {
+		return repairFromMemory(dir, check, opts.InMem)
+	}
+	if opts.Meta == nil {
+		return false
+	}
+	// The meta encoding is canonical: one that hashes to the manifest's
+	// checksum is the body the save wrote.
+	body, err := opts.Meta.encode()
+	return err == nil && crc32.ChecksumIEEE(body) == check.Want && writeMeta(dir, check.Name, body) == nil
 }
 
 // repairFromCatalog copies the file from the newest other committed
@@ -174,7 +190,7 @@ func repairFromCatalog(dir string, check snapstore.FileCheck, store *snapstore.S
 // result; a copy that does not verify (the source was rotten too) is a
 // failure, not a repair.
 func copyVerified(srcDir, srcName, dir string, check snapstore.FileCheck) bool {
-	err := writeFileAtomic(dir, check.Name, func(w io.Writer) error {
+	err := snapstore.WriteFileAtomic(dir, check.Name, func(w io.Writer) error {
 		src, err := faultfs.Open(filepath.Join(srcDir, srcName))
 		if err != nil {
 			return err
@@ -198,7 +214,7 @@ func repairFromMemory(dir string, check snapstore.FileCheck, shards []*core.Froz
 			continue
 		}
 		var sum uint32
-		err := writeFileAtomic(dir, check.Name, func(w io.Writer) error {
+		err := snapstore.WriteFileAtomic(dir, check.Name, func(w io.Writer) error {
 			var err error
 			sum, err = sh.SaveSum(w)
 			return err

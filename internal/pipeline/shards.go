@@ -2,22 +2,17 @@ package pipeline
 
 import (
 	"bufio"
-	"bytes"
-	"cmp"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
-	"slices"
 
 	"alicoco/internal/core"
 	"alicoco/internal/faultfs"
 	"alicoco/internal/par"
 	"alicoco/internal/snapstore"
-	"alicoco/internal/world"
 )
 
 // Snapshot persistence: a snapshot is one generation of a snapstore
@@ -26,7 +21,7 @@ import (
 // tied together by a manifest:
 //
 //	manifest.json   shard count, partition spec, per-file checksums (commit point)
-//	meta.bin        gob snapshotExtras ("ACSM" magic + version + CRC-32 trailer)
+//	meta.bin        stopwords and item table (see snapshot.go)
 //	shard-0000.fz … frozen-format v2 shard files (see core/persist_frozen.go)
 //
 // The files are written into the store's temp generation directory and the
@@ -39,16 +34,12 @@ const (
 	// ShardManifestName is the manifest's file name inside a shard
 	// directory; its rename is the save's commit point.
 	ShardManifestName = "manifest.json"
-	// shardMetaName holds the gob serving metadata shared by all shards.
+	// shardMetaName holds the serving metadata shared by all shards.
 	shardMetaName = "meta.bin"
 
 	shardManifestVersion = 1
 	shardPartitionRange  = "range"
 )
-
-var shardMetaMagic = [4]byte{'A', 'C', 'S', 'M'}
-
-const shardMetaVersion = 1
 
 // ShardEntry describes one shard file in the manifest.
 type ShardEntry struct {
@@ -99,98 +90,6 @@ func (e *ShardLoadError) Unwrap() error { return e.Err }
 // shardFileName is the canonical name of shard i.
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.fz", i) }
 
-// shardMetaWire is the deterministic gob wire form of snapshotExtras used
-// by the meta file. Encoding the extras' maps directly would make gob emit
-// different bytes for identical content (Go map iteration order), and
-// MetaChecksum must be a pure content hash: ReloadShards treats a changed
-// MetaChecksum as a shape change and falls back to a full reload, so a
-// nondeterministic encoding would defeat per-shard diffing on every
-// re-save.
-type shardMetaWire struct {
-	PrimNode  []nodePair
-	FrameNode []nodePair
-	ItemNode  []nodePair
-	DomainCls []domainPair
-	Serving   ServingMeta
-}
-
-// Gob numbers wire types process-wide in the order it first meets them and
-// writes those numbers into the stream, so meta.bin's bytes would depend on
-// what else the process had gob-encoded before.
-// Meeting shardMetaWire first, at init, gives it the same numbers in every
-// process, which keeps MetaChecksum a function of content alone.
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(shardMetaWire{}); err != nil {
-		panic(err)
-	}
-}
-
-type nodePair struct {
-	Key  int
-	Node core.NodeID
-}
-
-type domainPair struct {
-	Domain world.Domain
-	Node   core.NodeID
-}
-
-func sortedPairs(m map[int]core.NodeID) []nodePair {
-	ps := make([]nodePair, 0, len(m))
-	for k, v := range m {
-		ps = append(ps, nodePair{Key: k, Node: v})
-	}
-	slices.SortFunc(ps, func(a, b nodePair) int { return cmp.Compare(a.Key, b.Key) })
-	return ps
-}
-
-func pairsMap(ps []nodePair) map[int]core.NodeID {
-	m := make(map[int]core.NodeID, len(ps))
-	for _, p := range ps {
-		m[p.Key] = p.Node
-	}
-	return m
-}
-
-// wire converts the extras to their canonical (sorted) encodable form.
-func (e *snapshotExtras) wire() shardMetaWire {
-	w := shardMetaWire{
-		PrimNode:  sortedPairs(e.PrimNode),
-		FrameNode: sortedPairs(e.FrameNode),
-		ItemNode:  sortedPairs(e.ItemNode),
-		Serving:   e.Serving,
-	}
-	for d, id := range e.DomainCls {
-		w.DomainCls = append(w.DomainCls, domainPair{Domain: d, Node: id})
-	}
-	slices.SortFunc(w.DomainCls, func(a, b domainPair) int { return cmp.Compare(a.Domain, b.Domain) })
-	return w
-}
-
-// extras converts the wire form back to the map-based in-memory form.
-func (w *shardMetaWire) extras() snapshotExtras {
-	e := snapshotExtras{
-		PrimNode:  pairsMap(w.PrimNode),
-		FrameNode: pairsMap(w.FrameNode),
-		ItemNode:  pairsMap(w.ItemNode),
-		DomainCls: make(map[world.Domain]core.NodeID, len(w.DomainCls)),
-		Serving:   w.Serving,
-	}
-	for _, p := range w.DomainCls {
-		e.DomainCls[p.Domain] = p.Node
-	}
-	return e
-}
-
-// writeFileAtomic writes bytes produced by emit to a temp file in dir and
-// renames it to name, with snapstore's full durability discipline (fsync
-// file, checked close, rename, fsync parent dir) — a crash mid-write never
-// leaves a half-written file under the real name, and a power loss right
-// after the rename cannot lose the contents either.
-func writeFileAtomic(dir, name string, emit func(w io.Writer) error) error {
-	return snapstore.WriteFileAtomic(dir, name, emit)
-}
-
 // SaveShards partitions the live net into count shards and commits them as
 // a new generation in the snapshot store at dir (creating the store, and
 // its catalog, if dir is new). The shard
@@ -227,7 +126,7 @@ func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*ShardManif
 	}
 	defer tx.Abort()
 	shards := a.Net.FreezeShards(count)
-	man, err := writeShardDir(tx.Dir(), shards, a.servingExtras())
+	man, err := writeShardDir(tx.Dir(), shards, a.Serving)
 	if err != nil {
 		return nil, snapstore.Gen{}, err
 	}
@@ -238,9 +137,9 @@ func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*ShardManif
 	return man, gen, nil
 }
 
-// writeShardDir persists already-frozen shards plus the serving extras into
-// one generation directory.
-func writeShardDir(dir string, shards []*core.FrozenNet, extras snapshotExtras) (*ShardManifest, error) {
+// writeShardDir persists already-frozen shards plus the serving metadata
+// into one generation directory.
+func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*ShardManifest, error) {
 	man := &ShardManifest{
 		Version:    shardManifestVersion,
 		Partition:  shardPartitionRange,
@@ -254,7 +153,7 @@ func writeShardDir(dir string, shards []*core.FrozenNet, extras snapshotExtras) 
 		sh := shards[i]
 		name := shardFileName(i)
 		var sum uint32
-		err := writeFileAtomic(dir, name, func(w io.Writer) error {
+		err := snapstore.WriteFileAtomic(dir, name, func(w io.Writer) error {
 			var err error
 			sum, err = sh.SaveSum(w)
 			return err
@@ -280,33 +179,16 @@ func writeShardDir(dir string, shards []*core.FrozenNet, extras snapshotExtras) 
 		man.TotalEdges += man.Shards[i].Edges
 	}
 
-	var metaBody bytes.Buffer
-	metaWire := extras.wire()
-	if err := gob.NewEncoder(&metaBody).Encode(&metaWire); err != nil {
-		return nil, fmt.Errorf("pipeline: save shards: meta: %w", err)
-	}
-	metaSum := crc32.ChecksumIEEE(metaBody.Bytes())
-	man.MetaChecksum = metaSum
-	err := writeFileAtomic(dir, shardMetaName, func(w io.Writer) error {
-		if _, err := w.Write(shardMetaMagic[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{shardMetaVersion}); err != nil {
-			return err
-		}
-		if _, err := w.Write(metaBody.Bytes()); err != nil {
-			return err
-		}
-		var crc [4]byte
-		crc[0], crc[1], crc[2], crc[3] = byte(metaSum), byte(metaSum>>8), byte(metaSum>>16), byte(metaSum>>24)
-		_, err := w.Write(crc[:])
-		return err
-	})
+	body, err := meta.encode()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: save shards: meta: %w", err)
 	}
+	man.MetaChecksum = crc32.ChecksumIEEE(body)
+	if err := writeMeta(dir, shardMetaName, body); err != nil {
+		return nil, fmt.Errorf("pipeline: save shards: meta: %w", err)
+	}
 
-	err = writeFileAtomic(dir, ShardManifestName, func(w io.Writer) error {
+	err = snapstore.WriteFileAtomic(dir, ShardManifestName, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(man)
@@ -401,45 +283,6 @@ func LoadShard(dir string, man *ShardManifest, i int) (*core.FrozenNet, error) {
 	return sh, nil
 }
 
-// loadShardMeta reads and validates the gob serving-metadata file.
-func loadShardMeta(dir string, man *ShardManifest) (*snapshotExtras, error) {
-	f, err := faultfs.Open(filepath.Join(dir, man.MetaFile))
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: load shard meta: %w", err)
-	}
-	defer f.Close()
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: load shard meta: %w", err)
-	}
-	if len(raw) < 9 {
-		return nil, errors.New("pipeline: load shard meta: file too short")
-	}
-	if [4]byte{raw[0], raw[1], raw[2], raw[3]} != shardMetaMagic {
-		return nil, fmt.Errorf("pipeline: load shard meta: bad magic %q", raw[:4])
-	}
-	if raw[4] != shardMetaVersion {
-		return nil, fmt.Errorf("pipeline: load shard meta: unsupported version %d", raw[4])
-	}
-	body, crc := raw[5:len(raw)-4], raw[len(raw)-4:]
-	stored := uint32(crc[0]) | uint32(crc[1])<<8 | uint32(crc[2])<<16 | uint32(crc[3])<<24
-	if sum := crc32.ChecksumIEEE(body); sum != stored {
-		return nil, fmt.Errorf("pipeline: load shard meta: checksum mismatch (stored %08x, computed %08x)", stored, sum)
-	}
-	if stored != man.MetaChecksum {
-		return nil, fmt.Errorf("pipeline: load shard meta: checksum %08x does not match manifest %08x", stored, man.MetaChecksum)
-	}
-	var wire shardMetaWire
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("pipeline: load shard meta: %w", err)
-	}
-	extras := wire.extras()
-	if err := extras.validate(man.TotalNodes); err != nil {
-		return nil, fmt.Errorf("pipeline: load shard meta: %w", err)
-	}
-	return &extras, nil
-}
-
 // LoadShards loads one committed generation: the manifest, the serving
 // metadata, and all shard files (in parallel), verified against the
 // manifest's checksums. dir is the generation's directory; a store root
@@ -452,7 +295,7 @@ func LoadShards(dir string) (*Artifacts, *ShardManifest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	extras, err := loadShardMeta(dir, man)
+	meta, err := loadShardMeta(dir, man)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -468,15 +311,15 @@ func LoadShards(dir string) (*Artifacts, *ShardManifest, error) {
 	}
 	// NewShardSet re-validates geometry; run it here so a bad assembly is
 	// caught at load time, not first request.
-	if _, err := core.NewShardSet(shards); err != nil {
+	set, err := core.NewShardSet(shards)
+	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: load shards: %w", err)
 	}
-	return &Artifacts{
-		Shards:    shards,
-		PrimNode:  extras.PrimNode,
-		FrameNode: extras.FrameNode,
-		ItemNode:  extras.ItemNode,
-		DomainCls: extras.DomainCls,
-		Serving:   &extras.Serving,
-	}, man, nil
+	// Only now is the node total verified: the item kinds are checked, and
+	// the node index sized, against shards that delivered that many nodes.
+	if err := meta.CheckItemKinds(shards); err != nil {
+		return nil, nil, fmt.Errorf("pipeline: load shards: %w", err)
+	}
+	meta.indexNodes(set.NumNodes())
+	return &Artifacts{Shards: shards, Serving: meta}, man, nil
 }

@@ -45,7 +45,7 @@ func TestSaveShardsDeterministic(t *testing.T) {
 
 // TestShardDirRoundTrip: a sharded save loads back into a serving-only
 // Artifacts whose assembled ShardSet answers exactly like the unsharded
-// frozen net, and whose metadata survives the gob round trip.
+// frozen net, and whose serving metadata survives the round trip.
 func TestShardDirRoundTrip(t *testing.T) {
 	a := buildTiny(t)
 	for _, count := range []int{1, 3, 4} {
@@ -66,8 +66,11 @@ func TestShardDirRoundTrip(t *testing.T) {
 		if len(b.Shards) != count {
 			t.Fatalf("loaded %d shards, want %d", len(b.Shards), count)
 		}
-		if !reflect.DeepEqual(a.Serving, b.Serving) || !reflect.DeepEqual(a.ItemNode, b.ItemNode) {
+		if !reflect.DeepEqual(a.Serving, b.Serving) {
 			t.Fatal("serving metadata differs after round trip")
+		}
+		if b.PrimNode != nil || b.FrameNode != nil || b.ItemNode != nil || b.DomainCls != nil {
+			t.Fatal("loaded artifacts carry build-time node maps; a snapshot does not persist them")
 		}
 		s, err := core.NewShardSet(b.Shards)
 		if err != nil {

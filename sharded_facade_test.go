@@ -261,6 +261,77 @@ func TestReloadShardsNoop(t *testing.T) {
 	}
 }
 
+// TestReloadReusesItemTable: a forced single-shard reload, and a reload of
+// a newer generation with the same content, republish the item table that
+// was loaded: its checksum did not change, so it is neither re-read nor
+// re-indexed.
+func TestReloadReusesItemTable(t *testing.T) {
+	c := buildSmall(t)
+	dir := t.TempDir()
+	if _, err := c.SaveShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err := LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := l.serving.Load().meta
+	gen := l.ServingInfo().Generation
+	if err := l.ReloadShard(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if g := l.ServingInfo().Generation; g == gen {
+		t.Fatal("ReloadShard did not republish")
+	}
+	if l.serving.Load().meta != meta {
+		t.Fatal("ReloadShard published a new item table")
+	}
+	if _, err := c.SaveShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	gen = l.ServingInfo().Generation
+	changed, err := l.ReloadShards(dir)
+	if err != nil || changed != 0 {
+		t.Fatalf("reload of an identical generation: %d changed, err %v", changed, err)
+	}
+	if g := l.ServingInfo().Generation; g == gen {
+		t.Fatal("reload of a newer generation did not republish its location")
+	}
+	if l.serving.Load().meta != meta {
+		t.Fatal("no-op ReloadShards published a new item table")
+	}
+}
+
+// TestReloadChecksItemKinds: a reload that keeps the served item table
+// checks it against the shards it is about to publish, as a full load
+// does, and refuses a partition that does not hold every item on an item
+// node.
+func TestReloadChecksItemKinds(t *testing.T) {
+	c := buildSmall(t)
+	dir := t.TempDir()
+	if _, err := c.SaveShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err := LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Put item 0 of the served table on an e-commerce concept.
+	arts := *l.arts.Load()
+	meta := *arts.Serving
+	meta.Items = slices.Clone(meta.Items)
+	meta.Items[0].Node = l.serving.Load().reader.NodesOfKind(core.KindEConcept)[0]
+	arts.Serving = &meta
+	l.arts.Store(&arts)
+	gen := l.ServingInfo().Generation
+	if err := l.ReloadShard(dir, 0); err == nil || !strings.Contains(err.Error(), "not an item node") {
+		t.Fatalf("ReloadShard under a mismatched item table: %v", err)
+	}
+	if g := l.ServingInfo().Generation; g != gen {
+		t.Fatalf("refused reload republished: generation %d -> %d", gen, g)
+	}
+}
+
 // TestReloadShardsDiff: after the net changes and is re-saved, ReloadShards
 // re-reads exactly the shards whose checksums changed, keeps the in-memory
 // form (and publication metadata) of unchanged ones, and serves the new

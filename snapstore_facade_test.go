@@ -169,6 +169,45 @@ func TestScrubRepairFromOlderGeneration(t *testing.T) {
 	}
 }
 
+// TestScrubRepairsMetaFromMemory: a store of one generation holds no other
+// copy of a rotten meta.bin, so the scrub rewrites it from the served item
+// table, whose encoding hashes to the manifest's checksum — and a fresh
+// load of the store then succeeds.
+func TestScrubRepairsMetaFromMemory(t *testing.T) {
+	c := buildSmall(t)
+	root := t.TempDir()
+	if _, err := c.SaveShards(root, 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err := LoadShardedFrozen(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := resolveShardDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, filepath.Join(loc.dir, "meta.bin"), 16)
+	rep, err := l.ScrubOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Mismatches) != 1 || rep.Mismatches[0] != "meta.bin" || len(rep.Quarantined) != 1 ||
+		len(rep.Repaired) != 1 || rep.Repaired[0] != "meta.bin" || len(rep.Unrepaired) != 0 {
+		t.Fatalf("meta.bin not repaired from memory: %+v", rep)
+	}
+	if rep2, err := l.ScrubOnce(); err != nil || !rep2.Clean() {
+		t.Fatalf("post-repair pass not clean: %+v err=%v", rep2, err)
+	}
+	fresh, err := LoadShardedFrozen(root)
+	if err != nil {
+		t.Fatalf("fresh load of the repaired store: %v", err)
+	}
+	if !reflect.DeepEqual(fresh.Items(), l.Items()) {
+		t.Fatal("items differ on a fresh load of the repaired store")
+	}
+}
+
 // TestScrubManifestMismatchUnrepairable: a manifest whose bytes disagree
 // with the catalog entry invalidates the whole chain of trust — the scrub
 // reports it unrepaired (there is no other copy of a generation's
