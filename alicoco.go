@@ -204,7 +204,8 @@ func (c *CoCo) Refreeze() error {
 // and reloaded independently. Every subsequent refreeze (inference,
 // Refreeze) maintains the same partition. shards <= 1 serves one
 // whole-net freeze, the unpartitioned fast path. The net is frozen into
-// the requested partition once and published once.
+// the requested partition once and published once, and the build's corpus
+// is dropped (see Internal).
 func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	popts := pipeline.DefaultOptions()
 	popts.World.Seed = opts.Seed
@@ -217,6 +218,9 @@ func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Serving never reads the corpus once the net is built; only
+	// Artifacts.TrainModels does, and the facade trains no model.
+	arts.Corpus = nil
 	c := newCoCo()
 	c.shardCount = max(shards, 1)
 	c.arts.Store(arts)
@@ -1007,7 +1011,9 @@ func (c *CoCo) InferImplicitRelations() ([]ImpliedRelation, error) {
 
 // Internal exposes the underlying artifacts for the cmd/ and examples/
 // binaries in this module that need lower-level access (experiments,
-// serving). External users should treat CoCo as the API.
+// serving). External users should treat CoCo as the API. A built CoCo's
+// artifacts carry no corpus, so they cannot TrainModels; the experiments
+// build with pipeline.Build.
 func (c *CoCo) Internal() *pipeline.Artifacts { return c.arts.Load() }
 
 // WorldDomains lists the 20 taxonomy domains.

@@ -36,3 +36,33 @@ func TestGoldenNetPin(t *testing.T) {
 		t.Fatalf("served net drifted from testdata/golden_net.txt\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }
+
+// TestServedAdjacencyIndexSize: on the partition the benchmark serves (the
+// laptop-scale net in four shards, saved and loaded back), the index that
+// locates each node's edges costs at most 12 bytes per node and direction,
+// group starts included. A dense offset per (node, edge kind) pair would
+// cost 24.
+func TestServedAdjacencyIndexSize(t *testing.T) {
+	built, err := BuildSharded(Default(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := built.SaveShards(dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, size := 0, 0
+	for _, sh := range c.Internal().Shards {
+		nodes += sh.NumNodes()
+		size += sh.AdjacencyIndexBytes()
+	}
+	perNode := float64(size) / float64(2*nodes)
+	t.Logf("%d nodes: adjacency index %d bytes, %.2f bytes per node and direction", nodes, size, perNode)
+	if perNode > 12 {
+		t.Fatalf("adjacency index takes %.2f bytes per node and direction, want at most 12", perNode)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"context"
 	"encoding/binary"
 	"slices"
-	"strings"
 	"sync"
 
 	"alicoco/internal/core"
@@ -48,6 +47,7 @@ type scratch struct {
 	tokens [][]byte             // token views into low
 	name   []byte               // space-joined tokens, the exact-match key
 	key    []byte               // query-cache key (maxItems + raw query bytes)
+	match  text.MatchScratch    // max-match DP table and phrase-key buffer
 	segs   []text.Segment       // max-match segmentation buffer
 	prims  []core.NodeID        // matched primitive concepts
 	votes  map[core.NodeID]int  // concept -> primitive votes
@@ -61,8 +61,14 @@ type scratch struct {
 // allocation-free. All Engine methods are safe for concurrent use when the
 // reader is; concurrent queries each draw their own pooled scratch.
 type Engine struct {
-	net       core.Reader
-	seg       *text.Segmenter
+	net core.Reader
+	// lexicon holds the concept surfaces queries are segmented against,
+	// each under its own node's name (text.PhraseKey), so on a frozen net
+	// a key is a view of its shard's name arena, not a copy. maxLen is the
+	// longest surface in tokens. The segmenter probes only this set, never
+	// the net's name index, so a probe never crosses shards.
+	lexicon   map[string]struct{}
+	maxLen    int
 	stopwords map[string]bool
 	pool      sync.Pool // *scratch
 	// cache, when attached, memoizes composed query results keyed on the
@@ -72,8 +78,8 @@ type Engine struct {
 	stamp qcache.Stamp
 }
 
-func newEngine(net core.Reader, stopwords []string) *Engine {
-	e := &Engine{net: net, seg: text.NewSegmenter(), stopwords: make(map[string]bool)}
+func newEngine(net core.Reader, stopwords []string, phrases int) *Engine {
+	e := &Engine{net: net, lexicon: make(map[string]struct{}, phrases), stopwords: make(map[string]bool)}
 	for _, w := range stopwords {
 		e.stopwords[w] = true
 	}
@@ -87,17 +93,31 @@ func newEngine(net core.Reader, stopwords []string) *Engine {
 }
 
 // NewEngine indexes the net's primitive and e-commerce concept surfaces.
+// The lexicon is sized once and keyed by the nodes' own names, so building
+// an engine costs no allocation per surface.
 func NewEngine(net core.Reader, stopwords []string) *Engine {
-	e := newEngine(net, stopwords)
-	for _, id := range net.NodesOfKind(core.KindPrimitive) {
-		nd, _ := net.Node(id)
-		e.seg.AddPhrase(strings.Fields(nd.Name), "prim")
-	}
-	for _, id := range net.NodesOfKind(core.KindEConcept) {
-		nd, _ := net.Node(id)
-		e.seg.AddPhrase(strings.Fields(nd.Name), "ecpt")
+	prims, ecpts := net.NodesOfKind(core.KindPrimitive), net.NodesOfKind(core.KindEConcept)
+	e := newEngine(net, stopwords, len(prims)+len(ecpts))
+	for _, ids := range [2][]core.NodeID{prims, ecpts} {
+		for _, id := range ids {
+			nd, _ := net.Node(id)
+			e.addPhrase(nd.Name)
+		}
 	}
 	return e
+}
+
+// addPhrase adds a concept surface to the lexicon.
+func (e *Engine) addPhrase(name string) {
+	key, tokens := text.PhraseKey(name)
+	e.lexicon[key] = struct{}{}
+	e.maxLen = max(e.maxLen, tokens)
+}
+
+// hasPhrase is the segmenter's lexicon probe.
+func (e *Engine) hasPhrase(key []byte) bool {
+	_, ok := e.lexicon[string(key)] // alloc-free map key form
+	return ok
 }
 
 // UseCache attaches a shared query-result cache. Every entry is stamped
@@ -269,15 +289,16 @@ func (e *Engine) appendCard(resp *Response, concept core.NodeID, maxItems int) {
 	}
 }
 
-// appendMatchPrimitives max-matches the query against primitive surfaces.
-// It runs on the scratch's reused segmentation buffer and resolves each
-// matched surface through the byte-keyed exact lookup, so the voting path
-// stays allocation-free (the first reading of a surface is enough for
-// retrieval, which is exactly what FirstByNameKindBytes returns).
+// appendMatchPrimitives max-matches the query against the lexicon. It
+// runs on the scratch's reused DP table and segmentation buffer and
+// resolves each matched surface through the byte-keyed exact lookup, so the
+// voting path stays allocation-free (the first reading of a surface is
+// enough for retrieval, which is exactly what FirstByNameKindBytes
+// returns).
 func (e *Engine) appendMatchPrimitives(sc *scratch, dst []core.NodeID, tokens [][]byte) []core.NodeID {
-	sc.segs = e.seg.SegmentBytesInto(sc.segs[:0], tokens)
+	sc.segs = text.SegmentFunc(&sc.match, sc.segs[:0], tokens, e.maxLen, e.hasPhrase)
 	for _, seg := range sc.segs {
-		if len(seg.Labels) == 0 {
+		if !seg.Match {
 			continue
 		}
 		sc.name = text.AppendJoinBytes(sc.name[:0], tokens[seg.Start:seg.End])
@@ -340,9 +361,11 @@ func cloneResponse(resp *Response) *Response {
 // Covered reports whether every non-stopword token of the query is part of
 // some known concept surface — the Section 7.1 coverage criterion.
 func (e *Engine) Covered(tokens []string) bool {
-	segs := e.seg.MaxMatch(tokens)
-	for _, seg := range segs {
-		if len(seg.Labels) > 0 {
+	sc := e.pool.Get().(*scratch)
+	defer e.pool.Put(sc)
+	sc.segs = text.SegmentFunc(&sc.match, sc.segs[:0], tokens, e.maxLen, e.hasPhrase)
+	for _, seg := range sc.segs {
+		if seg.Match {
 			continue
 		}
 		for i := seg.Start; i < seg.End; i++ {
@@ -363,11 +386,11 @@ func NewCPVEngine(net core.Reader, stopwords []string) *Engine {
 		"Design": true, "Function": true, "Pattern": true, "Shape": true,
 		"Smell": true, "Taste": true, "Style": true, "Quantity": true,
 	}
-	e := newEngine(net, stopwords)
-	for _, id := range net.NodesOfKind(core.KindPrimitive) {
-		nd, _ := net.Node(id)
-		if cpvDomains[nd.Domain] {
-			e.seg.AddPhrase(strings.Fields(nd.Name), "prim")
+	prims := net.NodesOfKind(core.KindPrimitive)
+	e := newEngine(net, stopwords, len(prims))
+	for _, id := range prims {
+		if nd, _ := net.Node(id); cpvDomains[nd.Domain] {
+			e.addPhrase(nd.Name)
 		}
 	}
 	return e

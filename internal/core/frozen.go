@@ -9,16 +9,16 @@ import (
 
 // FrozenNet is an immutable, lock-free snapshot of a Net, laid out for the
 // online serving workloads of Sections 8.1-8.2: adjacency is stored in CSR
-// form — one flat []HalfEdge per direction plus an offset array indexed by
-// (node, edge kind) — so Out and In are zero-allocation, zero-lock
-// sub-slice lookups; item<->e-commerce-concept postings are pre-sorted by
-// weight at freeze time so concept-card assembly is a slice window instead
-// of a per-query sort; BFS traversals reuse pooled generation-stamped
-// visited arrays instead of allocating a map per query; and the nodes sit
-// in a pointer-free node table (nodetable.go) — 12-byte records, one name
-// arena, an open-addressing name index and a per-layer index — so
-// FindByName and NodesOfKind are read-only views and the garbage collector
-// has nothing per node to scan.
+// form — one flat []HalfEdge per direction plus an index of its non-empty
+// (node, edge kind) groups (csr.go) — so Out and In are zero-allocation,
+// zero-lock sub-slice lookups; item<->e-commerce-concept postings are
+// pre-sorted by weight at freeze time so concept-card assembly is a slice
+// window instead of a per-query sort; BFS traversals reuse pooled
+// generation-stamped visited arrays instead of allocating a map per query;
+// and the nodes sit in a pointer-free node table (nodetable.go) — 12-byte
+// records, one name arena, an open-addressing name index and a per-layer
+// index — so FindByName and NodesOfKind are read-only views and the
+// garbage collector has nothing per node to scan.
 //
 // A FrozenNet never changes after Freeze returns, so every method is safe
 // for unlimited concurrent use. To serve updates, mutate the live Net
@@ -47,6 +47,10 @@ type FrozenNet struct {
 	// (see persist_frozen.go); 0 for snapshots frozen from a live net.
 	checksum uint32
 
+	// source is the version of the live net this snapshot was frozen from;
+	// zero for a loaded snapshot.
+	source netVersion
+
 	visit sync.Pool // *visitState, reused across traversals
 }
 
@@ -73,64 +77,6 @@ func (f *FrozenNet) local(id NodeID) int {
 // surfaces expose it so operators can match the running snapshot against
 // the artifact that produced it.
 func (f *FrozenNet) Checksum() uint32 { return f.checksum }
-
-// csr is compressed-sparse-row adjacency grouped by edge kind: the edges of
-// node id with kind k live in edges[off[id*numEdgeKinds+k] :
-// off[id*numEdgeKinds+k+1]], and all kinds of one node are contiguous.
-type csr struct {
-	off   []int32
-	edges []HalfEdge
-}
-
-func (c *csr) slice(id NodeID, kind EdgeKind, n int) []HalfEdge {
-	if id < 0 || int(id) >= n || kind >= numEdgeKinds {
-		return nil
-	}
-	base := int(id) * int(numEdgeKinds)
-	if kind < 0 {
-		return c.edges[c.off[base]:c.off[base+int(numEdgeKinds)]]
-	}
-	return c.edges[c.off[base+int(kind)]:c.off[base+int(kind)+1]]
-}
-
-// buildCSR converts slice-of-slices adjacency into kind-grouped CSR,
-// preserving insertion order within each (node, kind) group.
-func buildCSR(adj [][]HalfEdge) csr {
-	n := len(adj)
-	k := int(numEdgeKinds)
-	off := make([]int32, n*k+1)
-	total := 0
-	for id, hes := range adj {
-		for _, he := range hes {
-			off[id*k+int(he.Kind)+1]++
-			total++
-		}
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	edges := make([]HalfEdge, total)
-	cursor := make([]int32, n*k)
-	for id, hes := range adj {
-		for _, he := range hes {
-			slot := id*k + int(he.Kind)
-			edges[int(off[slot])+int(cursor[slot])] = he
-			cursor[slot]++
-		}
-	}
-	return csr{off: off, edges: edges}
-}
-
-// sortPostings weight-sorts every node's segment of one edge kind, so
-// serving reads them best-first without sorting per query.
-func (c *csr) sortPostings(n int, kind EdgeKind) {
-	for id := 0; id < n; id++ {
-		seg := c.slice(NodeID(id), kind, n)
-		if len(seg) > 1 {
-			sortHalfEdgesByWeight(seg)
-		}
-	}
-}
 
 // Freeze builds a read-optimized immutable snapshot of the net's current
 // state. The snapshot shares nothing mutable with the live net: later
@@ -165,6 +111,29 @@ func (n *Net) FreezeShards(count int) []*FrozenNet {
 	return shards
 }
 
+// IsCurrentPartition reports whether shards hold the net's current state
+// as the len(shards)-way partition FreezeShards makes: every shard was
+// frozen from this net, AddNode and AddEdge have not changed it since, and
+// shard i covers the i-th node range. Such shards can be saved or served in
+// place of a fresh freeze. Loaded shards record no source net, so they
+// never qualify.
+func (n *Net) IsCurrentPartition(shards []*FrozenNet) bool {
+	if len(shards) == 0 {
+		return false
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	total := len(n.nodes)
+	stride := ShardStride(total, len(shards))
+	for i, sh := range shards {
+		base := min(i*stride, total)
+		if sh == nil || sh.source != n.version || int(sh.Base()) != base || sh.NumNodes() != min(base+stride, total)-base {
+			return false
+		}
+	}
+	return true
+}
+
 // ShardStride is the per-shard node count of a count-way range partition
 // over total nodes: ceil(total/count), floored at 1 so id/stride routing
 // stays well-defined on empty nets.
@@ -183,15 +152,16 @@ func ShardStride(total, count int) int {
 // insertion order because node IDs are assigned sequentially.
 func (n *Net) freezeRangeLocked(base, end, total int) *FrozenNet {
 	f := &FrozenNet{
-		nodes: freezeNodes(NodeID(base), n.nodes[base:end]),
-		out:   buildCSR(n.outAdj[base:end]),
-		in:    buildCSR(n.inAdj[base:end]),
-		total: total,
+		nodes:  freezeNodes(NodeID(base), n.nodes[base:end]),
+		out:    buildCSR(n.outAdj[base:end]),
+		in:     buildCSR(n.inAdj[base:end]),
+		total:  total,
+		source: n.version,
 	}
 	f.edges = len(f.out.edges)
 	nn := end - base
-	f.out.sortPostings(nn, EdgeItemEConcept)
-	f.in.sortPostings(nn, EdgeItemEConcept)
+	f.out.sortPostings(EdgeItemEConcept)
+	f.in.sortPostings(EdgeItemEConcept)
 	f.visit.New = func() any {
 		return &visitState{gen: make([]uint32, nn)}
 	}
@@ -234,6 +204,13 @@ func (f *FrozenNet) Node(id NodeID) (Node, bool) {
 // NumNodes returns the node count.
 func (f *FrozenNet) NumNodes() int { return len(f.nodes.recs) }
 
+// AdjacencyIndexBytes returns the bytes of the index that locates each
+// node's edges in both directions (entries and group starts), beyond the
+// edge records themselves.
+func (f *FrozenNet) AdjacencyIndexBytes() int {
+	return 4 * (cap(f.out.groups) + cap(f.out.starts) + cap(f.in.groups) + cap(f.in.starts))
+}
+
 // NumEdges returns the edge count.
 func (f *FrozenNet) NumEdges() int { return f.edges }
 
@@ -269,13 +246,13 @@ func (f *FrozenNet) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {
 // Out returns outgoing half-edges of a kind (all kinds if kind < 0) as a
 // zero-allocation view into the CSR layout. Only the owning shard answers.
 func (f *FrozenNet) Out(id NodeID, kind EdgeKind) []HalfEdge {
-	return f.out.slice(NodeID(f.local(id)), kind, len(f.nodes.recs))
+	return f.out.slice(NodeID(f.local(id)), kind)
 }
 
 // In returns incoming half-edges of a kind (all kinds if kind < 0) as a
 // zero-allocation view into the CSR layout. Only the owning shard answers.
 func (f *FrozenNet) In(id NodeID, kind EdgeKind) []HalfEdge {
-	return f.in.slice(NodeID(f.local(id)), kind, len(f.nodes.recs))
+	return f.in.slice(NodeID(f.local(id)), kind)
 }
 
 // NodesOfKind returns all node IDs in one layer, precomputed at freeze
@@ -362,30 +339,27 @@ func (f *FrozenNet) traverse(adj *csr, start NodeID, maxDepth int, target NodeID
 	v.next()
 	v.gen[f.local(start)] = v.epoch
 	v.queue = append(v.queue, frontierEntry{start, 0})
-	n := len(f.nodes.recs)
 	for qi := 0; qi < len(v.queue); qi++ {
 		cur := v.queue[qi]
 		if maxDepth > 0 && int(cur.depth) >= maxDepth {
 			continue
 		}
-		for _, kind := range [2]EdgeKind{EdgeIsA, EdgeInstanceOf} {
-			for _, he := range adj.slice(NodeID(int(cur.id)-int(f.nodes.base)), kind, n) {
-				plid := f.local(he.Peer)
-				if plid < 0 {
-					continue // other shard's node: shard-local BFS stops here
-				}
-				if v.gen[plid] == v.epoch {
-					continue
-				}
-				v.gen[plid] = v.epoch
-				if he.Peer == target {
-					return dst, true
-				}
-				if collect {
-					dst = append(dst, he.Peer)
-				}
-				v.queue = append(v.queue, frontierEntry{he.Peer, cur.depth + 1})
+		for _, he := range adj.span(cur.id-f.nodes.base, EdgeIsA, EdgeInstanceOf+1) {
+			plid := f.local(he.Peer)
+			if plid < 0 {
+				continue // other shard's node: shard-local BFS stops here
 			}
+			if v.gen[plid] == v.epoch {
+				continue
+			}
+			v.gen[plid] = v.epoch
+			if he.Peer == target {
+				return dst, true
+			}
+			if collect {
+				dst = append(dst, he.Peer)
+			}
+			v.queue = append(v.queue, frontierEntry{he.Peer, cur.depth + 1})
 		}
 	}
 	return dst, false
@@ -449,7 +423,7 @@ func (f *FrozenNet) ComputeStats() Stats {
 		if kind == KindPrimitive {
 			s.PrimitivesByDom[f.nodes.domains[r.dom]]++
 		}
-		for _, he := range f.out.slice(NodeID(id), -1, nn) {
+		for _, he := range f.out.slice(NodeID(id), -1) {
 			s.EdgesByKind[he.Kind.String()]++
 			switch he.Kind {
 			case EdgeIsA:

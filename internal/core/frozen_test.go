@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -315,4 +316,76 @@ func TestFrozenConcurrentReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestIsCurrentPartition: a freeze stays the net's current partition until
+// AddNode or AddEdge changes the net — calls that change nothing keep it —
+// and only for the partition shape it was frozen as. Loaded shards, and
+// shards of another net with the same content, never qualify.
+func TestIsCurrentPartition(t *testing.T) {
+	n, ids := buildToyNet(t)
+	shards := n.FreezeShards(3)
+	if !n.IsCurrentPartition(shards) || !n.IsCurrentPartition([]*FrozenNet{n.Freeze()}) {
+		t.Fatal("a fresh freeze is not the current partition")
+	}
+	for name, bad := range map[string][]*FrozenNet{
+		"no shards":      nil,
+		"two of three":   shards[:2],
+		"out of order":   {shards[1], shards[0], shards[2]},
+		"nil shard":      {shards[0], nil, shards[2]},
+		"a whole freeze": {n.Freeze(), shards[1], shards[2]},
+	} {
+		if n.IsCurrentPartition(bad) {
+			t.Errorf("%s: reported current", name)
+		}
+	}
+	loaded, err := LoadFrozen(bytes.NewReader(saveFrozen(t, shards[1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.IsCurrentPartition([]*FrozenNet{shards[0], loaded, shards[2]}) {
+		t.Error("a partition holding a loaded shard reported current")
+	}
+	twin, _ := buildToyNet(t)
+	if n.IsCurrentPartition(twin.FreezeShards(3)) {
+		t.Error("another net's equal partition reported current")
+	}
+
+	// Calls that change nothing: an existing node, an edge at its weight,
+	// a rejected edge.
+	before := n.version.mutations
+	n.AddNode(KindPrimitive, "silk", "Material")
+	if err := n.AddEdge(ids["pSilkDress"], ids["pDress"], EdgeIsA, "", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddEdge(ids["item1"], ids["clsDress"], EdgeIsA, "", 1); err == nil {
+		t.Fatal("item isA class accepted")
+	}
+	if n.version.mutations != before || !n.IsCurrentPartition(shards) {
+		t.Fatalf("no-op calls moved the mutation count from %d to %d", before, n.version.mutations)
+	}
+
+	for _, change := range []struct {
+		name  string
+		apply func() error
+	}{
+		{"weight change", func() error { return n.AddEdge(ids["pSilkDress"], ids["pDress"], EdgeIsA, "", 0.5) }},
+		{"new edge", func() error { return n.AddEdge(ids["pSilkDress"], ids["pSilk"], EdgeIsA, "", 1) }},
+		{"new node", func() error { n.AddNode(KindPrimitive, "linen", "Material"); return nil }},
+	} {
+		before := n.version.mutations
+		if err := change.apply(); err != nil {
+			t.Fatal(err)
+		}
+		if n.version.mutations != before+1 {
+			t.Fatalf("%s: mutation count %d, want %d", change.name, n.version.mutations, before+1)
+		}
+		if n.IsCurrentPartition(shards) {
+			t.Fatalf("%s: the old partition still reports current", change.name)
+		}
+		shards = n.FreezeShards(3)
+		if !n.IsCurrentPartition(shards) {
+			t.Fatalf("%s: the refrozen partition is not current", change.name)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeKind identifies which of the four layers a node belongs to.
@@ -121,11 +122,27 @@ type Net struct {
 	inAdj  [][]HalfEdge
 	byName map[string][]NodeID
 	edges  int
+
+	// version names the net among the process's nets and counts the
+	// AddNode and AddEdge calls that changed it: those that added a node
+	// or an edge, or changed an edge's weight. Every freeze records it, so
+	// IsCurrentPartition can tell a freeze of this state from anything
+	// else without the snapshot keeping the net alive.
+	version netVersion
 }
+
+// netVersion is a net's identity and mutation count.
+type netVersion struct {
+	net, mutations uint64
+}
+
+// netIDs numbers the nets of a process, starting at 1; a snapshot that was
+// not frozen from a live net records net 0.
+var netIDs atomic.Uint64
 
 // NewNet returns an empty net.
 func NewNet() *Net {
-	return &Net{byName: make(map[string][]NodeID)}
+	return &Net{byName: make(map[string][]NodeID), version: netVersion{net: netIDs.Add(1)}}
 }
 
 // AddNode inserts a node and returns its ID. Duplicate (kind, name, domain)
@@ -140,6 +157,7 @@ func (n *Net) AddNode(kind NodeKind, name, domain string) NodeID {
 		}
 	}
 	id := NodeID(len(n.nodes))
+	n.version.mutations++
 	n.nodes = append(n.nodes, Node{ID: id, Kind: kind, Name: name, Domain: domain})
 	n.outAdj = append(n.outAdj, nil)
 	n.inAdj = append(n.inAdj, nil)
@@ -172,6 +190,9 @@ func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64
 	}
 	for i, he := range n.outAdj[from] {
 		if he.Peer == to && he.Kind == kind && he.Rel == relID {
+			if he.Weight != weight {
+				n.version.mutations++
+			}
 			n.outAdj[from][i].Weight = weight
 			for j, ie := range n.inAdj[to] {
 				if ie.Peer == from && ie.Kind == kind && ie.Rel == relID {
@@ -181,6 +202,7 @@ func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64
 			return nil
 		}
 	}
+	n.version.mutations++
 	n.outAdj[from] = append(n.outAdj[from], HalfEdge{Peer: to, Kind: kind, Rel: relID, Weight: weight})
 	n.inAdj[to] = append(n.inAdj[to], HalfEdge{Peer: from, Kind: kind, Rel: relID, Weight: weight})
 	n.edges++

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 
 	"alicoco/internal/fzio"
 )
@@ -40,6 +41,7 @@ import (
 //	           name; ids ascending)
 //	byKind:    numKinds × (u32 cnt + cnt × u32 id)   (ids ascending)
 //	out CSR:   u32 offLen + offLen × u32 (bulk), u32 edgeCount + 16-byte records (bulk)
+//	           (offLen = nodeCount × numEdgeKinds + 1: the dense offsets)
 //	in  CSR:   same
 //	--- trailer ---
 //	u32 crc32 of body
@@ -48,10 +50,13 @@ import (
 // u64 float64 bits of weight — the size of the in-memory HalfEdge, which
 // holds the name's RelID where the file holds its index in the rel table.
 // Kind-grouped CSR order and the freeze-time weight-sorted postings are
-// preserved byte-for-byte, so LoadFrozen never sorts. The two index
-// sections are redundant with the node records: LoadFrozen derives both
-// indexes from the nodes, as Freeze does, and rejects a file whose sections
-// differ from them in any way.
+// preserved byte-for-byte, so LoadFrozen never sorts. The file keeps one
+// offset per (node, edge kind) pair; in memory a direction keeps only its
+// non-empty groups (csr.go), which LoadFrozen indexes from the offsets and
+// Save expands back into them, so the bytes do not depend on the in-memory
+// layout. The two index sections are redundant with the node records:
+// LoadFrozen derives both indexes from the nodes, as Freeze does, and
+// rejects a file whose sections differ from them in any way.
 
 const (
 	frozenVersion = 2
@@ -91,15 +96,12 @@ func buildRelTable(csrs ...*csr) (*relTable, error) {
 	return t, nil
 }
 
-// writeCSR emits one direction's offset array and edge records as two bulk
-// writes.
+// writeCSR emits one direction as the format's dense offset array, expanded
+// from the group index, and its edge records, as two bulk writes.
 func writeCSR(fw *fzio.Writer, c *csr, rels *relTable) {
-	fw.U32(uint32(len(c.off)))
-	offBuf := make([]byte, 4*len(c.off))
-	for i, v := range c.off {
-		fzio.PutU32(offBuf[4*i:], uint32(v))
-	}
-	fw.Bytes(offBuf)
+	offLen := len(c.groups)*int(numEdgeKinds) + 1
+	fw.U32(uint32(offLen))
+	fw.Bytes(c.appendDense(make([]byte, 0, 4*offLen)))
 
 	fw.U32(uint32(len(c.edges)))
 	recBuf := make([]byte, frozenEdgeRecSize*len(c.edges))
@@ -119,8 +121,10 @@ func writeCSR(fw *fzio.Writer, c *csr, rels *relTable) {
 // monotone and consistent with the edge count, peers in range (against the
 // whole net's node count — a shard's peers may live in other shards), each
 // record's kind agreeing with the CSR group it sits in, rel indexes below
-// relCount. Each edge's Rel holds its file index until LoadFrozen, once
-// the checksum verifies, maps the index to the name's RelID.
+// relCount. The dense offsets are only read: the direction keeps the group
+// index built from them. Each edge's Rel holds its file index until
+// LoadFrozen, once the checksum verifies, maps the index to the name's
+// RelID.
 func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relCount int) csr {
 	var c csr
 	offLen := fr.Count(dir + " offset")
@@ -133,25 +137,14 @@ func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relC
 	}
 	offBuf := make([]byte, 4*offLen)
 	fr.Bytes(offBuf)
-	c.off = make([]int32, offLen)
-	for i := range c.off {
-		c.off[i] = int32(fzio.GetU32(offBuf[4*i:]))
-	}
 	recs := fr.Count(dir + " edge")
 	if fr.Err == nil && recs != edgeCount {
 		fr.Err = fmt.Errorf("%s edge count %d disagrees with header %d", dir, recs, edgeCount)
 	}
 	if fr.Err == nil {
-		if c.off[0] != 0 {
-			fr.Err = fmt.Errorf("%s offsets start at %d, want 0", dir, c.off[0])
-		}
-		for i := 1; i < len(c.off) && fr.Err == nil; i++ {
-			if c.off[i] < c.off[i-1] {
-				fr.Err = fmt.Errorf("%s offsets decrease at %d", dir, i)
-			}
-		}
-		if fr.Err == nil && int(c.off[len(c.off)-1]) != recs {
-			fr.Err = fmt.Errorf("%s offsets end at %d, want %d", dir, c.off[len(c.off)-1], recs)
+		var err error
+		if c.groups, c.starts, err = indexDense(offBuf, recs); err != nil {
+			fr.Err = fmt.Errorf("%s %w", dir, err)
 		}
 	}
 	if fr.Err != nil {
@@ -199,13 +192,17 @@ func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relC
 		done += n
 	}
 	// Each record's kind must match the (node, kind) CSR group holding it.
-	for slot := 0; slot < len(c.off)-1; slot++ {
-		want := EdgeKind(slot % int(numEdgeKinds))
-		for e := c.off[slot]; e < c.off[slot+1]; e++ {
-			if c.edges[e].Kind != want {
-				fr.Err = fmt.Errorf("%s edge %d: kind %d disagrees with CSR group %d", dir, e, c.edges[e].Kind, want)
-				return c
+	for _, g := range c.groups {
+		r := g >> groupKindBits
+		for m := g & groupKindMask; m != 0; m &= m - 1 {
+			want := EdgeKind(bits.TrailingZeros32(m))
+			for e := c.starts[r]; e < c.starts[r+1]; e++ {
+				if c.edges[e].Kind != want {
+					fr.Err = fmt.Errorf("%s edge %d: kind %d disagrees with CSR group %d", dir, e, c.edges[e].Kind, want)
+					return c
+				}
 			}
+			r++
 		}
 	}
 	return c

@@ -400,7 +400,7 @@ func TestLoadRejectsNodeKindOutOfRange(t *testing.T) {
 }
 
 func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
-	data := savedWith(t, func(f *FrozenNet) { f.out.off = f.out.off[:len(f.out.off)-1] })
+	data := savedWith(t, func(f *FrozenNet) { f.out.groups = f.out.groups[:len(f.out.groups)-1] })
 	if _, err := LoadFrozen(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "offset array length") {
 		t.Fatalf("offsets shorter than the node list: got %v", err)
 	}

@@ -198,7 +198,7 @@ func (s *ShardSet) Out(id NodeID, kind EdgeKind) []HalfEdge {
 	if sh == nil {
 		return nil
 	}
-	return sh.out.slice(id-sh.nodes.base, kind, sh.NumNodes())
+	return sh.out.slice(id-sh.nodes.base, kind)
 }
 
 // In returns incoming half-edges of a kind (all kinds if kind < 0), served
@@ -208,7 +208,7 @@ func (s *ShardSet) In(id NodeID, kind EdgeKind) []HalfEdge {
 	if sh == nil {
 		return nil
 	}
-	return sh.in.slice(id-sh.nodes.base, kind, sh.NumNodes())
+	return sh.in.slice(id-sh.nodes.base, kind)
 }
 
 // NodesOfKind returns all node IDs in one layer as a read-only view,
@@ -284,21 +284,18 @@ func (s *ShardSet) traverse(dir int, start NodeID, maxDepth int, target NodeID, 
 		if dir != 0 {
 			adj = &sh.in
 		}
-		lid := cur.id - sh.nodes.base
-		for _, kind := range [2]EdgeKind{EdgeIsA, EdgeInstanceOf} {
-			for _, he := range adj.slice(lid, kind, sh.NumNodes()) {
-				if v.gen[he.Peer] == v.epoch {
-					continue
-				}
-				v.gen[he.Peer] = v.epoch
-				if he.Peer == target {
-					return dst, true
-				}
-				if collect {
-					dst = append(dst, he.Peer)
-				}
-				v.queue = append(v.queue, frontierEntry{he.Peer, cur.depth + 1})
+		for _, he := range adj.span(cur.id-sh.nodes.base, EdgeIsA, EdgeInstanceOf+1) {
+			if v.gen[he.Peer] == v.epoch {
+				continue
 			}
+			v.gen[he.Peer] = v.epoch
+			if he.Peer == target {
+				return dst, true
+			}
+			if collect {
+				dst = append(dst, he.Peer)
+			}
+			v.queue = append(v.queue, frontierEntry{he.Peer, cur.depth + 1})
 		}
 	}
 	return dst, false

@@ -70,8 +70,12 @@ func TinyOptions() Options {
 
 // Artifacts bundles everything the build produces.
 type Artifacts struct {
-	Opts   Options
-	World  *world.World
+	Opts  Options
+	World *world.World
+	// Corpus is the text BuildNet generated: it feeds Hearst-pattern
+	// mining during the build and the models TrainModels fits. Nothing in
+	// serving reads it, so the alicoco facade drops it after the build;
+	// it is nil there and on loaded artifacts.
 	Corpus *world.Corpus
 	Net    *core.Net
 
@@ -84,7 +88,9 @@ type Artifacts struct {
 
 	// Shards is the partition serving runs on: the shards of a loaded
 	// generation (LoadShards), or the facade's in-process freeze. The
-	// serving layer assembles them into a core.ShardSet.
+	// serving layer assembles them into a core.ShardSet, and SaveShards
+	// writes them without refreezing while they still hold the live net's
+	// current state.
 	Shards []*core.FrozenNet
 
 	// Node maps from world IDs to net node IDs, filled while BuildNet
@@ -170,10 +176,11 @@ type Models struct {
 // TrainModels fits the Models from the build's world and corpus under
 // Opts.W2V. Each call trains afresh; with Opts.W2V.Workers <= 1 two calls
 // return bit-identical models. Snapshot-loaded artifacts carry no world or
-// corpus, so TrainModels reports an error for them.
+// corpus, and the alicoco facade drops the corpus after its build, so
+// TrainModels reports an error for both; use Build or BuildNet.
 func (a *Artifacts) TrainModels() (*Models, error) {
 	if a.World == nil || a.Corpus == nil {
-		return nil, errors.New("pipeline: train models: artifacts carry no world or corpus (snapshot-loaded)")
+		return nil, errors.New("pipeline: train models: artifacts carry no world or corpus (snapshot-loaded or built by the alicoco facade; use pipeline.Build)")
 	}
 	m := &Models{}
 	m.W2V = emb.TrainWord2Vec(a.Corpus.All(), a.Opts.W2V)

@@ -92,12 +92,14 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.fz", i) }
 
 // SaveShards partitions the live net into count shards and commits them as
 // a new generation in the snapshot store at dir (creating the store, and
-// its catalog, if dir is new). The shard
-// files are frozen and written in parallel into a temp generation
-// directory; the catalog update is the single commit point, so a crashed
-// save leaves only debris the next open sweeps away. Retention defaults to
-// snapstore.DefaultRetain; use SaveShardsRetain to choose. Requires a live
-// Net — a serving-only Artifacts has nothing to partition.
+// its catalog, if dir is new). The shard files are written in parallel into
+// a temp generation directory; the catalog update is the single commit
+// point, so a crashed save leaves only debris the next open sweeps away.
+// When Shards already holds the live net's current state in count shards
+// (core.Net.IsCurrentPartition), those are written as they are; otherwise
+// the net is frozen afresh. Retention defaults to snapstore.DefaultRetain;
+// use SaveShardsRetain to choose. Requires a live Net — a serving-only
+// Artifacts has nothing to partition.
 func (a *Artifacts) SaveShards(dir string, count int) (*ShardManifest, error) {
 	man, _, err := a.SaveShardsRetain(dir, count, 0)
 	return man, err
@@ -125,7 +127,10 @@ func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*ShardManif
 		return nil, snapstore.Gen{}, fmt.Errorf("pipeline: save shards: %w", err)
 	}
 	defer tx.Abort()
-	shards := a.Net.FreezeShards(count)
+	shards := a.Shards
+	if len(shards) != count || !a.Net.IsCurrentPartition(shards) {
+		shards = a.Net.FreezeShards(count)
+	}
 	man, err := writeShardDir(tx.Dir(), shards, a.Serving)
 	if err != nil {
 		return nil, snapstore.Gen{}, err

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unicode"
 )
 
 // Segmenter performs maximum-matching segmentation of a token stream against
@@ -11,9 +12,10 @@ import (
 // this dynamic program to distantly label training sentences with existing
 // primitive concepts (Section 7.2): segments that match the lexicon receive
 // the concept's domain label, everything else is O, and sentences whose
-// matching is ambiguous are discarded. At serving time the same program
-// backs the search engine's primitive matching, so the DP runs on pooled
-// scratch there (SegmentInto) instead of allocating per query.
+// matching is ambiguous are discarded. The program itself is SegmentFunc,
+// which the search engine also runs over its own lexicon at serving time;
+// a Segmenter adds the labels and runs it on pooled scratch
+// (SegmentInto), so it does not allocate per call either.
 type Segmenter struct {
 	// phrases maps the space-joined phrase to the set of labels it can
 	// carry (a surface form may belong to several domains, which is what
@@ -23,13 +25,14 @@ type Segmenter struct {
 	// in a perfectly matched sentence.
 	stopwords map[string]bool
 	maxLen    int
-	pool      sync.Pool // *segScratch
+	pool      sync.Pool // *MatchScratch
 }
 
-// segScratch is the per-call working memory of one SegmentInto: the DP
-// table and the byte buffer phrase keys are joined into. Recycled through
-// the segmenter's pool so steady-state queries allocate nothing.
-type segScratch struct {
+// MatchScratch is the working memory of one SegmentFunc call: the DP table
+// and the byte buffer phrase keys are joined into. The zero value is ready
+// to use; a caller that reuses one (one per goroutine, or pooled)
+// segments without allocating.
+type MatchScratch struct {
 	dp  []segState
 	key []byte
 }
@@ -45,7 +48,7 @@ type segState struct {
 // NewSegmenter returns an empty segmenter.
 func NewSegmenter() *Segmenter {
 	s := &Segmenter{phrases: make(map[string][]string), stopwords: make(map[string]bool)}
-	s.pool.New = func() any { return &segScratch{} }
+	s.pool.New = func() any { return &MatchScratch{} }
 	return s
 }
 
@@ -75,10 +78,12 @@ func (s *Segmenter) AddPhrase(tokens []string, label string) {
 // Len returns the number of distinct phrases.
 func (s *Segmenter) Len() int { return len(s.phrases) }
 
-// Segment is one unit of a segmentation: a token range plus the candidate
-// labels from the lexicon (empty for out-of-lexicon single tokens).
+// Segment is one unit of a segmentation: a token range, whether it matched
+// the lexicon, and — from a Segmenter — the candidate labels the lexicon
+// holds for it. Unmatched segments are single tokens with no labels.
 type Segment struct {
 	Start, End int
+	Match      bool
 	Labels     []string
 }
 
@@ -102,8 +107,7 @@ func (s *Segmenter) MaxMatch(tokens []string) []Segment {
 // lookups go through the allocation-free map[string(bytes)] form, and the
 // Labels of matched segments are shared read-only views into the lexicon
 // (callers must not modify them — MaxMatch returns copies instead). With a
-// reused dst, steady-state segmentation performs zero allocations, which
-// is what keeps the search engine's voting path allocation-free.
+// reused dst, steady-state segmentation performs zero allocations.
 func (s *Segmenter) SegmentInto(dst []Segment, tokens []string) []Segment {
 	return segmentInto(s, dst, tokens)
 }
@@ -114,28 +118,55 @@ func (s *Segmenter) SegmentBytesInto(dst []Segment, tokens [][]byte) []Segment {
 	return segmentInto(s, dst, tokens)
 }
 
-// segmentInto is the shared DP; methods cannot be generic, so the string
-// and bytes entry points delegate here.
+// has reports whether the lexicon holds the space-joined phrase key.
+func (s *Segmenter) has(key []byte) bool {
+	_, ok := s.phrases[string(key)] // alloc-free map key form
+	return ok
+}
+
+// segmentInto runs SegmentFunc over the segmenter's lexicon on a pooled
+// scratch and attaches each matched segment's labels; methods cannot be
+// generic, so the string and bytes entry points delegate here.
 func segmentInto[T string | []byte](s *Segmenter, dst []Segment, tokens []T) []Segment {
+	sc := s.pool.Get().(*MatchScratch)
+	defer s.pool.Put(sc)
+	base := len(dst)
+	dst = SegmentFunc(sc, dst, tokens, s.maxLen, s.has)
+	for i := base; i < len(dst); i++ {
+		if dst[i].Match {
+			sc.key = appendJoin(sc.key[:0], tokens[dst[i].Start:dst[i].End])
+			dst[i].Labels = s.phrases[string(sc.key)] // shared read-only view
+		}
+	}
+	return dst
+}
+
+// SegmentFunc is the max-match dynamic program every segmentation runs:
+// it appends to dst the segmentation of tokens that matches the most
+// tokens and, among those, has the fewest segments. A window of at most
+// maxLen tokens is a lexicon phrase when has reports its tokens, joined by
+// single spaces, to be one; has must not keep the key, which is a view of
+// sc's buffer. Matched segments have Match set and no Labels; every other
+// token is a segment of its own. sc carries the DP table between calls, so
+// with a reused dst and sc the call allocates nothing.
+func SegmentFunc[T string | []byte](sc *MatchScratch, dst []Segment, tokens []T, maxLen int, has func(phrase []byte) bool) []Segment {
 	n := len(tokens)
 	if n == 0 {
 		return dst
 	}
-	sc := s.pool.Get().(*segScratch)
-	defer s.pool.Put(sc)
 	sc.dp = slices.Grow(sc.dp[:0], n+1)[:n+1]
 	dp := sc.dp
 	dp[0] = segState{}
 	for i := 1; i <= n; i++ {
 		// Default: single unmatched token.
 		best := segState{matched: dp[i-1].matched, segs: dp[i-1].segs + 1, prevLen: 1, isMatch: false}
-		maxL := s.maxLen
+		maxL := maxLen
 		if maxL > i {
 			maxL = i
 		}
 		for l := 1; l <= maxL; l++ {
 			sc.key = appendJoin(sc.key[:0], tokens[i-l:i])
-			if _, ok := s.phrases[string(sc.key)]; !ok { // alloc-free map key form
+			if !has(sc.key) {
 				continue
 			}
 			cand := segState{matched: dp[i-l].matched + l, segs: dp[i-l].segs + 1, prevLen: l, isMatch: true}
@@ -152,15 +183,37 @@ func segmentInto[T string | []byte](s *Segmenter, dst []Segment, tokens []T) []S
 	idx := len(dst) - 1
 	for i := n; i > 0; idx-- {
 		st := dp[i]
-		seg := Segment{Start: i - st.prevLen, End: i}
-		if st.isMatch {
-			sc.key = appendJoin(sc.key[:0], tokens[seg.Start:seg.End])
-			seg.Labels = s.phrases[string(sc.key)] // shared read-only view
-		}
-		dst[idx] = seg
+		dst[idx] = Segment{Start: i - st.prevLen, End: i, Match: st.isMatch}
 		i -= st.prevLen
 	}
 	return dst
+}
+
+// PhraseKey returns the lexicon key of a surface form — its whitespace-
+// separated fields joined by single spaces, strings.Join(strings.Fields(s),
+// " ") — and the number of fields. When s already has that form the key is
+// s itself, not a copy, so a lexicon keyed by names that are views of a
+// larger buffer costs no string per name.
+func PhraseKey(s string) (key string, tokens int) {
+	normal, inField := true, false
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			if r != ' ' || !inField {
+				normal = false // leading, repeated or non-' ' space
+			}
+			inField = false
+		} else if !inField {
+			inField = true
+			tokens++
+		}
+	}
+	if s != "" && !inField {
+		normal = false // trailing space
+	}
+	if normal {
+		return s, tokens
+	}
+	return strings.Join(strings.Fields(s), " "), tokens
 }
 
 // AppendJoin writes tokens space-separated into dst — the allocation-free

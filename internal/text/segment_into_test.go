@@ -3,8 +3,10 @@ package text
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"alicoco/internal/raceflag"
 )
@@ -182,4 +184,32 @@ func BenchmarkSegmentInto(b *testing.B) {
 			s.MaxMatch(tokens)
 		}
 	})
+}
+
+// TestPhraseKey: PhraseKey is strings.Join(strings.Fields(s), " ") with the
+// field count, over strings of spaces (ASCII and Unicode), letters and
+// invalid UTF-8, and it returns s itself, not a copy, when s is already in
+// that form.
+func TestPhraseKey(t *testing.T) {
+	pieces := []string{" ", "  ", "\t", " ", "　", "a", "bc", "é", "\xff"}
+	rng := rand.New(rand.NewSource(3))
+	cases := []string{"", " ", "a", "a b", " a", "a ", "a  b", "a\tb", "a b", "\xff \xff"}
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(7); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		cases = append(cases, b.String())
+	}
+	for _, s := range cases {
+		fields := strings.Fields(s)
+		want := strings.Join(fields, " ")
+		key, tokens := PhraseKey(s)
+		if key != want || tokens != len(fields) {
+			t.Fatalf("PhraseKey(%q) = %q, %d; want %q, %d", s, key, tokens, want, len(fields))
+		}
+		if s == want && s != "" && unsafe.StringData(key) != unsafe.StringData(s) {
+			t.Fatalf("PhraseKey(%q) copied a string already in normal form", s)
+		}
+	}
 }
