@@ -108,14 +108,6 @@ func newCoCo() *CoCo {
 	}
 }
 
-// servingReader is the store surface a serving state queries: the full
-// Reader plus snapshot statistics. Both the single frozen net and the
-// sharded set satisfy it.
-type servingReader interface {
-	core.Reader
-	ComputeStats() core.Stats
-}
-
 // servingState bundles a frozen store with the engines and item table
 // served with it, so everything a query touches swaps together atomically. A
 // request loads the pointer once and keeps it for its whole lifetime —
@@ -124,11 +116,8 @@ type servingReader interface {
 // its shard pointers, stays reachable until the last pinned request
 // finishes.
 type servingState struct {
-	reader servingReader
-
-	// shards is the partition being served. reader is the scatter-gather
-	// set for N>1; for N=1 it is the sole shard, so one shard stays on the
-	// unsharded fast path.
+	// shards is the partition being served, one shard or many: every query
+	// reads it through the one frozen read path, core.ShardSet.
 	shards *core.ShardSet
 
 	// Snapshot bookkeeping: the store root the partition was loaded from,
@@ -183,7 +172,7 @@ type ServingInfo struct {
 func (c *CoCo) ServingInfo() ServingInfo { return c.serving.Load().info }
 
 // Build constructs the net end-to-end from a synthetic corpus and serves
-// it as one whole-net frozen snapshot: BuildSharded with one shard.
+// it as a one-shard frozen snapshot: BuildSharded with one shard.
 func Build(opts Options) (*CoCo, error) { return BuildSharded(opts, 1) }
 
 // Refreeze republishes the live net's current state to the serving engines,
@@ -202,10 +191,10 @@ func (c *CoCo) Refreeze() error {
 // into shards: point lookups route to the owning shard, traversals and
 // search scatter-gather across the set, and each shard can be re-frozen
 // and reloaded independently. Every subsequent refreeze (inference,
-// Refreeze) maintains the same partition. shards <= 1 serves one
-// whole-net freeze, the unpartitioned fast path. The net is frozen into
-// the requested partition once and published once, and the build's corpus
-// is dropped (see Internal).
+// Refreeze) maintains the same partition. shards <= 1 serves one shard,
+// through the same ShardSet read path as many. The net is frozen into the
+// requested partition once and published once, and the build's corpus is
+// dropped (see Internal).
 func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	popts := pipeline.DefaultOptions()
 	popts.World.Seed = opts.Seed
@@ -214,7 +203,7 @@ func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	popts.Queries = opts.CorpusSentences
 	popts.Reviews = opts.CorpusSentences
 	popts.Guides = opts.CorpusSentences
-	arts, err := pipeline.BuildNet(popts)
+	arts, err := pipeline.Build(popts)
 	if err != nil {
 		return nil, err
 	}
@@ -523,21 +512,16 @@ func sameShape(a, b *pipeline.ShardManifest) bool {
 
 // publishShards swaps in a serving state backed by the shard partition
 // arts.Shards — the one publish path for builds, loads, reloads, refreezes
-// and rollbacks. For a single-shard partition the engines run directly on
-// the sole shard — a whole frozen net — so N=1 stays on the unpartitioned
-// fast path; for N>1 they run on the scatter-gather ShardSet. loc and man
-// identify the generation the partition was verified against; both are
-// zero for in-process freezes. The fresh engines carry the new cache
-// stamp, so everything the query caches hold for other content becomes
-// unreachable in the same atomic pointer store that publishes the state.
+// and rollbacks. The engines run on the partition's ShardSet whatever its
+// shard count. loc and man identify the generation the partition was
+// verified against; both are zero for in-process freezes. The fresh
+// engines carry the new cache stamp, so everything the query caches hold
+// for other content becomes unreachable in the same atomic pointer store
+// that publishes the state.
 func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardLoc, man *pipeline.ShardManifest) error {
 	set, err := core.NewShardSet(arts.Shards)
 	if err != nil {
 		return err
-	}
-	var reader servingReader = set
-	if set.NumShards() == 1 {
-		reader = set.Shard(0)
 	}
 	gen := c.generation.Add(1)
 	stamp := qcache.Stamp{Gen: gen}
@@ -569,12 +553,11 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 		}
 		shardInfo[i] = si
 	}
-	se := search.NewEngine(reader, arts.Serving.Stopwords)
+	se := search.NewEngine(set, arts.Serving.Stopwords)
 	se.UseCache(c.searchCache, stamp)
-	re := recommend.NewEngine(reader)
+	re := recommend.NewEngine(set)
 	re.UseCache(c.recCache, stamp)
 	c.serving.Store(&servingState{
-		reader:     reader,
 		shards:     set,
 		shardDir:   loc.dir,
 		shardRoot:  loc.root,
@@ -621,9 +604,9 @@ func (c *CoCo) SetQueryCacheCapacity(n int) {
 
 // refreeze publishes the live net's current state to the serving engines,
 // after the build or an offline mutation, partitioned into the configured
-// shard count (each shard frozen in parallel; one shard is a whole-net
-// freeze). source names the cause in ServingInfo. Callers hold c.offline
-// or own a CoCo that has not escaped yet.
+// shard count (each shard frozen in parallel). source names the cause in
+// ServingInfo. Callers hold c.offline or own a CoCo that has not escaped
+// yet.
 func (c *CoCo) refreeze(source string) error {
 	arts := c.arts.Load()
 	arts.Shards = arts.Net.FreezeShards(c.shardCount)
@@ -645,7 +628,7 @@ type Stats struct {
 // counts always describe a state that queries actually served (never a
 // half-materialized net mid-inference).
 func (c *CoCo) Stats() Stats {
-	s := c.serving.Load().reader.ComputeStats()
+	s := c.serving.Load().shards.ComputeStats()
 	return Stats{
 		Classes:              s.PerKind["class"],
 		Primitives:           s.PerKind["primitive"],
@@ -829,7 +812,7 @@ func (s *servingState) recommend(ctx context.Context, viewedItemIDs []int, k int
 	if err != nil || !ok {
 		return Recommendation{}, false, err
 	}
-	nd, _ := s.reader.Node(rec.Concept)
+	nd, _ := s.shards.Node(rec.Concept)
 	return Recommendation{
 		Reason: rec.Reason,
 		Card:   ConceptCard{Name: nd.Name, Items: s.itemsOf(rec.Items)},
@@ -889,7 +872,7 @@ type Concept struct {
 // Concepts lists every e-commerce concept.
 func (c *CoCo) Concepts() []Concept {
 	var out []Concept
-	net := c.serving.Load().reader
+	net := c.serving.Load().shards
 	for _, id := range net.NodesOfKind(core.KindEConcept) {
 		out = append(out, conceptOf(net, id))
 	}
@@ -898,7 +881,7 @@ func (c *CoCo) Concepts() []Concept {
 
 // LookupConcept returns one concept by name.
 func (c *CoCo) LookupConcept(name string) (Concept, bool) {
-	net := c.serving.Load().reader
+	net := c.serving.Load().shards
 	id := net.FirstByNameKind(strings.ToLower(name), core.KindEConcept)
 	if id == core.InvalidNode {
 		return Concept{}, false
@@ -935,7 +918,7 @@ func (c *CoCo) SampleSessions(n int) [][]int {
 
 // Hypernyms returns the isA ancestors of a primitive concept surface.
 func (c *CoCo) Hypernyms(name string) []string {
-	net := c.serving.Load().reader
+	net := c.serving.Load().shards
 	id := net.FirstByNameKind(strings.ToLower(name), core.KindPrimitive)
 	if id == core.InvalidNode {
 		return nil
@@ -987,7 +970,7 @@ func (c *CoCo) InferImplicitRelations() ([]ImpliedRelation, error) {
 	if arts.Net == nil {
 		return nil, errors.New("alicoco: infer: snapshot-loaded net has no live store to materialize into")
 	}
-	m := inference.NewMiner(c.serving.Load().reader, inference.DefaultConfig())
+	m := inference.NewMiner(c.serving.Load().shards, inference.DefaultConfig())
 	rels := m.InferAll()
 	if _, err := m.Materialize(arts.Net, rels); err != nil {
 		return nil, err

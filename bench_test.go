@@ -28,11 +28,12 @@ import (
 	"alicoco/internal/world"
 )
 
-// benchA and benchM are the shared tiny testbed and its trained models,
-// built once.
+// benchA, benchF and benchM are the shared tiny testbed, its one-shard
+// freeze and its trained models, built once.
 var (
 	benchOnce sync.Once
 	benchA    *pipeline.Artifacts
+	benchF    *core.ShardSet
 	benchM    *pipeline.Models
 )
 
@@ -51,9 +52,15 @@ func benchArtifacts(b *testing.B) *pipeline.Artifacts {
 		if err != nil {
 			panic(err)
 		}
-		benchA, benchM = a, m
+		benchA, benchF, benchM = a, a.Net.Freeze(), m
 	})
 	return benchA
+}
+
+// benchFrozen returns the one-shard freeze of the shared testbed.
+func benchFrozen(b *testing.B) *core.ShardSet {
+	benchArtifacts(b)
+	return benchF
 }
 
 // benchModels returns the models trained on the shared testbed.
@@ -388,8 +395,8 @@ func BenchmarkNetQueries(b *testing.B) {
 // --- frozen-vs-locked serving benchmarks -------------------------------
 //
 // Each BenchmarkFrozenVsLocked* pair runs the identical read workload
-// against the mutex-guarded *core.Net and the immutable *core.FrozenNet
-// snapshot. These are the paper's online serving paths (Section 8), so the
+// against the mutex-guarded *core.Net and its immutable one-shard
+// *core.ShardSet snapshot (Net.Freeze). These are the paper's online serving paths (Section 8), so the
 // frozen side is expected to be several times faster with ~0 allocs/op;
 // scripts/bench.sh records the trajectory in BENCH_core.json.
 
@@ -398,7 +405,7 @@ func BenchmarkNetQueries(b *testing.B) {
 // goroutine.
 func lockedVsFrozen(b *testing.B, a *pipeline.Artifacts, fn func(b *testing.B, net core.Reader)) {
 	b.Helper()
-	frozen := a.Frozen
+	frozen := benchFrozen(b)
 	b.Run("locked", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -460,7 +467,7 @@ func BenchmarkFrozenVsLockedRecommend(b *testing.B) {
 	}
 	engines := map[string]*recommend.Engine{
 		"locked": recommend.NewEngine(a.Net),
-		"frozen": recommend.NewEngine(a.Frozen),
+		"frozen": recommend.NewEngine(benchFrozen(b)),
 	}
 	ctx := context.Background()
 	for _, name := range []string{"locked", "frozen"} {
@@ -503,7 +510,7 @@ func BenchmarkColdStartLive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if a.Frozen.NumNodes() == 0 {
+		if a.Net.Freeze().NumNodes() == 0 {
 			b.Fatal("empty net")
 		}
 	}
@@ -547,7 +554,7 @@ func BenchmarkColdStartFrozen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if arts.Shards[0].NumNodes() != a.Frozen.NumNodes() {
+		if arts.Shards[0].NumNodes() != a.Net.NumNodes() {
 			b.Fatal("loaded net differs")
 		}
 	}
@@ -557,7 +564,7 @@ func BenchmarkColdStartFrozen(b *testing.B) {
 // search engine on each store.
 func BenchmarkFrozenSearchEngine(b *testing.B) {
 	a := benchArtifacts(b)
-	frozen := a.Frozen
+	frozen := benchFrozen(b)
 	for _, tc := range []struct {
 		name string
 		net  core.Reader
@@ -589,7 +596,7 @@ func BenchmarkFrozenSearchEngine(b *testing.B) {
 // cover the cached path).
 func benchCoCo(b *testing.B) *CoCo {
 	arts := *benchArtifacts(b)
-	arts.Shards = []*core.FrozenNet{arts.Frozen}
+	arts.Shards = benchFrozen(b).Shards()
 	c := &CoCo{}
 	c.arts.Store(&arts)
 	if err := c.publishShards(&arts, "build", shardLoc{}, nil); err != nil {
@@ -602,7 +609,7 @@ func benchCoCo(b *testing.B) *CoCo {
 // through SearchInto with per-goroutine reused Responses.
 func BenchmarkParallelFrozenSearch(b *testing.B) {
 	a := benchArtifacts(b)
-	engine := search.NewEngine(a.Frozen, a.World.Stopwords())
+	engine := search.NewEngine(benchFrozen(b), a.World.Stopwords())
 	ctx, q := context.Background(), []byte("outdoor barbecue")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -623,7 +630,7 @@ func BenchmarkParallelFrozenRecommend(b *testing.B) {
 	for _, id := range raw[0].Viewed {
 		viewed = append(viewed, a.ItemNode[id])
 	}
-	engine := recommend.NewEngine(a.Frozen)
+	engine := recommend.NewEngine(benchFrozen(b))
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -635,18 +642,22 @@ func BenchmarkParallelFrozenRecommend(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelFrozenTraversal measures concurrent append-style BFS
-// into per-goroutine reused buffers (the pooled visited arrays are the
-// shared resource under contention).
+// BenchmarkParallelFrozenTraversal measures concurrent BFS: IsAncestor from
+// coat to the taxonomy root walks coat's hypernym chain to its top (the
+// pooled visited arrays are the shared resource under contention).
 func BenchmarkParallelFrozenTraversal(b *testing.B) {
 	a := benchArtifacts(b)
+	frozen := benchFrozen(b)
 	coat := a.Net.FirstByNameKind("coat", core.KindPrimitive)
+	root := a.Net.FirstByNameKind("root", core.KindClass)
+	if !frozen.IsAncestor(coat, root) {
+		b.Fatal("root is not an ancestor of coat")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var dst []core.NodeID
 		for pb.Next() {
-			dst = a.Frozen.AppendAncestors(dst[:0], coat, 0)
+			frozen.IsAncestor(coat, root)
 		}
 	})
 }
@@ -724,24 +735,18 @@ func BenchmarkBatchServeRecommend(b *testing.B) {
 
 // --- sharded serving benchmarks ----------------------------------------
 //
-// The same hot read workloads against an N-shard partition of the store:
-// N=1 serves the sole shard directly (the unsharded fast path, expected
-// within noise of the frozen net), N=4 routes every point lookup to its
-// owner shard and scatter-gathers traversals — the per-query cost of
-// independent reloadability. scripts/bench.sh records both in
-// BENCH_core.json.
+// The same hot read workloads against an N-shard partition of the store,
+// both through the one frozen read path, core.ShardSet: N=1 is what Build
+// and every one-shard catalog serve, N=4 what the bench/ workloads serve —
+// every point lookup routes to its owner shard and traversals and name
+// scans cross shards, the per-query cost of independent reloadability.
+// scripts/bench.sh records both in BENCH_core.json.
 
 // benchShardStore partitions the shared testbed into n shards and returns
-// the store serving reads: the sole shard itself for n=1 (exactly what the
-// facade publishes), the scatter-gather set otherwise.
+// the ShardSet the facade would publish for them.
 func benchShardStore(b *testing.B, n int) core.Reader {
 	b.Helper()
-	a := benchArtifacts(b)
-	shards := a.Net.FreezeShards(n)
-	if n == 1 {
-		return shards[0]
-	}
-	set, err := core.NewShardSet(shards)
+	set, err := core.NewShardSet(benchArtifacts(b).Net.FreezeShards(n))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -792,16 +797,16 @@ func BenchmarkShardedRecommend(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedFreeze contrasts republish latency: one whole-net freeze
-// versus freezing a 4-shard partition (each shard is an independent range,
-// frozen in parallel across internal/par workers — on multi-core hosts the
-// partition refreeze wins wall-clock; on one core it documents the
-// partitioning overhead).
+// BenchmarkShardedFreeze contrasts republish latency: freezing the whole
+// net into one shard versus freezing a 4-shard partition (each shard is an
+// independent range, frozen in parallel across internal/par workers — on
+// multi-core hosts the partition refreeze wins wall-clock; on one core it
+// documents the partitioning overhead).
 func BenchmarkShardedFreeze(b *testing.B) {
 	a := benchArtifacts(b)
 	b.Run("whole", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if a.Net.Freeze().NumNodes() == 0 {
+			if a.Net.FreezeShards(1)[0].NumNodes() == 0 {
 				b.Fatal("empty freeze")
 			}
 		}
@@ -821,7 +826,7 @@ func BenchmarkShardedFreeze(b *testing.B) {
 // allocates a fresh Response per query).
 func BenchmarkSearchIntoReused(b *testing.B) {
 	a := benchArtifacts(b)
-	engine := search.NewEngine(a.Frozen, a.World.Stopwords())
+	engine := search.NewEngine(benchFrozen(b), a.World.Stopwords())
 	ctx, q := context.Background(), []byte("outdoor barbecue")
 	var resp search.Response
 	if err := engine.SearchInto(ctx, &resp, q, 10); err != nil {

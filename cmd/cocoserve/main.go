@@ -37,7 +37,8 @@
 // buffer write. -cache-size sets the per-layer entry budget (0 disables).
 // Request decoding allocates next to nothing: batch bodies parse through
 // a pooled fixed-shape scanner instead of encoding/json, and GET
-// parameters resolve as substrings of the raw query.
+// parameters resolve as substrings of the raw query, with net/url's
+// semantics (see FuzzQueryParam).
 //
 // Usage: cocoserve [-addr :8080] [-scale small|default]
 //
@@ -48,7 +49,10 @@
 //
 // Without -snapshot-dir the server builds the net at startup (-shards N
 // partitions it; refreezes then re-freeze all N shards in parallel) and
-// POST /reload re-freezes the live net.
+// POST /reload re-freezes the live net. Every partition, one shard or
+// many, built or loaded, is queried through the same scatter-gather read
+// path (core.ShardSet): -shards 1 is a one-shard partition, not a
+// separate store.
 //
 // With -snapshot-dir, startup loads the newest committed generation of a
 // snapshot store written by `alicoco snapshot save` or SaveShards — no

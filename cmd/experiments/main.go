@@ -59,6 +59,7 @@ func main() {
 type testbed struct {
 	scale  string
 	arts   *pipeline.Artifacts
+	frozen *core.ShardSet // arts.Net frozen once, the store the engines serve from
 	models *pipeline.Models
 	embed  func(tokens []string) mat.Vec
 	dim    int
@@ -86,7 +87,7 @@ func buildTestbed(scale string) *testbed {
 		fmt.Fprintln(os.Stderr, "train failed:", err)
 		os.Exit(1)
 	}
-	tb := &testbed{scale: scale, arts: arts, models: models, dim: opts.W2V.Dim}
+	tb := &testbed{scale: scale, arts: arts, frozen: arts.Net.Freeze(), models: models, dim: opts.W2V.Dim}
 	tb.embed = func(tokens []string) mat.Vec {
 		vs := models.W2V.EmbedSeq(tokens)
 		out := mat.NewVec(tb.dim)
@@ -410,8 +411,8 @@ func expTable6(tb *testbed) {
 func expCoverage(tb *testbed) {
 	// Engines serve from the frozen snapshot; MeasureCoverage fans each
 	// day's queries out across GOMAXPROCS workers.
-	full := search.NewEngine(tb.arts.Frozen, tb.arts.World.Stopwords())
-	cpv := search.NewCPVEngine(tb.arts.Frozen, tb.arts.World.Stopwords())
+	full := search.NewEngine(tb.frozen, tb.arts.World.Stopwords())
+	cpv := search.NewCPVEngine(tb.frozen, tb.arts.World.Stopwords())
 	days := 30
 	perDay := 2000
 	if tb.scale == "tiny" {
@@ -450,9 +451,9 @@ func expSearch(tb *testbed) {
 		n = 400
 	}
 	// Case scoring fans out across workers against the frozen snapshot.
-	cases := search.BuildRelevanceCases(tb.arts.Frozen, n, 3)
-	plain := search.EvalRelevance(tb.arts.Frozen, cases, false)
-	expanded := search.EvalRelevance(tb.arts.Frozen, cases, true)
+	cases := search.BuildRelevanceCases(tb.frozen, n, 3)
+	plain := search.EvalRelevance(tb.frozen, cases, false)
+	expanded := search.EvalRelevance(tb.frozen, cases, true)
 	fmt.Println("Section 8.1.1 search relevance with isA expansion.")
 	fmt.Println("Paper: +1% AUC offline; -4% relevance bad cases online.")
 	fmt.Println()
@@ -491,7 +492,7 @@ func expRecommend(tb *testbed) {
 			sessions = append(sessions, [2][]core.NodeID{viewed, clicked})
 		}
 	}
-	engine := recommend.NewEngine(tb.arts.Frozen)
+	engine := recommend.NewEngine(tb.frozen)
 	cf := recommend.NewItemCF(history)
 	ranker := recommend.CoViewScore(cf)
 	conceptRec := func(viewed []core.NodeID, k int) []core.NodeID {
@@ -511,9 +512,9 @@ func expRecommend(tb *testbed) {
 	k := 10
 	// Replay fans sessions out across workers; the engines read the frozen
 	// snapshot lock-free.
-	resConcept := recommend.Replay(tb.arts.Frozen, conceptRec, sessions, k)
-	resRanked := recommend.Replay(tb.arts.Frozen, conceptRanked, sessions, k)
-	resCF := recommend.Replay(tb.arts.Frozen, cf.Recommend, sessions, k)
+	resConcept := recommend.Replay(tb.frozen, conceptRec, sessions, k)
+	resRanked := recommend.Replay(tb.frozen, conceptRanked, sessions, k)
+	resCF := recommend.Replay(tb.frozen, cf.Recommend, sessions, k)
 	fmt.Println("Section 8.2.1 cognitive recommendation, offline replay (CTR proxy = hit rate on held-out clicks).")
 	fmt.Println("Paper: concept recall followed by a ranking model, in production >1 year with high CTR.")
 	fmt.Println()

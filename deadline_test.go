@@ -66,6 +66,31 @@ func TestDeadlinePropagatesThroughShardedSearch(t *testing.T) {
 	}
 }
 
+// TestQueryFaultReachesOneShardSearch: a one-shard CoCo (Build) serves
+// through the same ShardSet read path as a partitioned one, so a query
+// fault armed on its only shard reaches the search — the probe fires, and
+// a deadline shorter than one injected delay cancels the query.
+func TestQueryFaultReachesOneShardSearch(t *testing.T) {
+	c, err := Build(Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetQueryCacheCapacity(0)
+	restore := faultfs.InjectQuery(faultfs.QueryFault{Shard: 0, Delay: 15 * time.Millisecond})
+	defer restore()
+
+	before := faultfs.Injected()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, err = c.SearchCtx(ctx, slowQueries[0], 12)
+	if faultfs.Injected() == before {
+		t.Fatal("the search never crossed into the armed shard")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SearchCtx on a slow one-shard net: err = %v, want DeadlineExceeded", err)
+	}
+}
+
 func TestDeadlinePropagatesThroughShardedRecommend(t *testing.T) {
 	c := buildShardedSlow(t)
 	sessions := c.SampleSessions(4)

@@ -17,9 +17,10 @@ import (
 func TestRecommendCachedMatchesUncached(t *testing.T) {
 	a := scratchArts(t)
 	cache := qcache.New(128)
-	cached := NewEngine(a.Frozen)
+	frozen := a.Net.Freeze()
+	cached := NewEngine(frozen)
 	cached.UseCache(cache, qcache.Stamp{Gen: 1})
-	plain := NewEngine(a.Frozen)
+	plain := NewEngine(frozen)
 
 	rng := rand.New(rand.NewSource(31))
 	sessions := randomSessions(a, rng, 40)
@@ -45,7 +46,7 @@ func TestRecommendCachedMatchesUncached(t *testing.T) {
 func TestRecommendScoredPathBypassesCache(t *testing.T) {
 	a := scratchArts(t)
 	cache := qcache.New(128)
-	e := NewEngine(a.Frozen)
+	e := NewEngine(a.Net.Freeze())
 	e.UseCache(cache, qcache.Stamp{Gen: 1})
 	rng := rand.New(rand.NewSource(7))
 	sess := randomSessions(a, rng, 1)[0]
@@ -70,7 +71,7 @@ func TestRecommendCachedHitZeroAllocs(t *testing.T) {
 	}
 	a := scratchArts(t)
 	cache := qcache.New(64)
-	e := NewEngine(a.Frozen)
+	e := NewEngine(a.Net.Freeze())
 	e.UseCache(cache, qcache.Stamp{Gen: 1})
 	rng := rand.New(rand.NewSource(13))
 	sess := randomSessions(a, rng, 1)[0]
@@ -94,7 +95,7 @@ func TestRecommendCachedHitZeroAllocs(t *testing.T) {
 func TestRecommendNegativeOutcomeCached(t *testing.T) {
 	a := scratchArts(t)
 	cache := qcache.New(64)
-	e := NewEngine(a.Frozen)
+	e := NewEngine(a.Net.Freeze())
 	e.UseCache(cache, qcache.Stamp{Gen: 1})
 	var rec Recommendation
 	if mustRecommendInto(t, e, &rec, nil, 5) {

@@ -114,8 +114,9 @@ func TestReplayEmptySessions(t *testing.T) {
 // on the live net and one on its frozen snapshot.
 func TestRecommendFrozenMatchesLive(t *testing.T) {
 	f := buildFixture(t)
+	snap := f.arts.Net.Freeze()
 	live := NewEngine(f.arts.Net)
-	frozen := NewEngine(f.arts.Frozen)
+	frozen := NewEngine(snap)
 	for _, s := range f.sessions {
 		lr, lok := live.RecommendRanked(s[0], 5, nil)
 		fr, fok := frozen.RecommendRanked(s[0], 5, nil)
@@ -139,7 +140,7 @@ func TestRecommendFrozenMatchesLive(t *testing.T) {
 		}
 		return r.Items
 	}, f.sessions, 10)
-	frep := Replay(f.arts.Frozen, func(v []core.NodeID, k int) []core.NodeID {
+	frep := Replay(snap, func(v []core.NodeID, k int) []core.NodeID {
 		r, ok := frozen.RecommendRanked(v, k, nil)
 		if !ok {
 			return nil

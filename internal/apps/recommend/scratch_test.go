@@ -22,7 +22,7 @@ func scratchArts(t *testing.T) *pipeline.Artifacts {
 }
 
 func randomSessions(a *pipeline.Artifacts, rng *rand.Rand, n int) [][]core.NodeID {
-	items := a.Frozen.NodesOfKind(core.KindItem)
+	items := a.Net.NodesOfKind(core.KindItem)
 	out := make([][]core.NodeID, n)
 	for i := range out {
 		sess := make([]core.NodeID, 1+rng.Intn(6))
@@ -95,7 +95,7 @@ func refRankedItems(net core.Reader, best core.NodeID, viewed []core.NodeID, k i
 // RecommendCtx call.
 func TestRecommendIntoReusedMatchesFresh(t *testing.T) {
 	a := scratchArts(t)
-	e := NewEngine(a.Frozen)
+	e := NewEngine(a.Net.Freeze())
 	rng := rand.New(rand.NewSource(11))
 	var reused Recommendation
 	for _, sess := range randomSessions(a, rng, 300) {
@@ -118,7 +118,8 @@ func TestRecommendIntoReusedMatchesFresh(t *testing.T) {
 // scoring path selects exactly what the full sort used to.
 func TestRecommendRankedHeapMatchesSort(t *testing.T) {
 	a := scratchArts(t)
-	e := NewEngine(a.Frozen)
+	frozen := a.Net.Freeze()
+	e := NewEngine(frozen)
 	rng := rand.New(rand.NewSource(13))
 	// A deliberately collision-heavy score so ID tie-breaks are exercised.
 	score := func(viewed []core.NodeID, item core.NodeID) float64 {
@@ -130,7 +131,7 @@ func TestRecommendRankedHeapMatchesSort(t *testing.T) {
 		if !ok {
 			continue
 		}
-		want := refRankedItems(a.Frozen, rec.Concept, sess, k, score)
+		want := refRankedItems(frozen, rec.Concept, sess, k, score)
 		if len(rec.Items) != len(want) {
 			t.Fatalf("session %v k=%d: %d items, want %d", sess, k, len(rec.Items), len(want))
 		}
@@ -145,7 +146,7 @@ func TestRecommendRankedHeapMatchesSort(t *testing.T) {
 // TestRecommendConcurrent hammers the pooled scratch path under -race.
 func TestRecommendConcurrent(t *testing.T) {
 	a := scratchArts(t)
-	e := NewEngine(a.Frozen)
+	e := NewEngine(a.Net.Freeze())
 	rng := rand.New(rand.NewSource(17))
 	sessions := randomSessions(a, rng, 16)
 	want := make([]Recommendation, len(sessions))
@@ -180,7 +181,7 @@ func TestRecommendIntoZeroAllocs(t *testing.T) {
 		t.Skip("allocation guards are not meaningful under -race (sync.Pool drops items)")
 	}
 	a := scratchArts(t)
-	e := NewEngine(a.Frozen)
+	e := NewEngine(a.Net.Freeze())
 	rng := rand.New(rand.NewSource(29))
 	sessions := randomSessions(a, rng, 8)
 	ctx := context.Background()

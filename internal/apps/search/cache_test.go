@@ -17,9 +17,10 @@ import (
 func TestSearchCachedMatchesUncached(t *testing.T) {
 	a := buildArts(t)
 	cache := qcache.New(256)
-	cached := NewEngine(a.Frozen, a.World.Stopwords())
+	frozen := a.Net.Freeze()
+	cached := NewEngine(frozen, a.World.Stopwords())
 	cached.UseCache(cache, qcache.Stamp{Gen: 1})
-	plain := NewEngine(a.Frozen, a.World.Stopwords())
+	plain := NewEngine(frozen, a.World.Stopwords())
 
 	rng := rand.New(rand.NewSource(23))
 	queries := []string{"outdoor barbecue", "barbecue outdoor", "grill", "", "UNKNOWN words"}
@@ -47,11 +48,11 @@ func TestSearchCachedMatchesUncached(t *testing.T) {
 func TestSearchCacheStampMiss(t *testing.T) {
 	a := buildArts(t)
 	shared := qcache.New(256)
-	old := NewEngine(a.Frozen, a.World.Stopwords())
+	old := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	old.UseCache(shared, qcache.Stamp{Gen: 1})
 	mustSearch(t, old, "outdoor barbecue", 10) // populates gen-1 entry
 
-	next := NewEngine(a.Frozen, a.World.Stopwords())
+	next := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	next.UseCache(shared, qcache.Stamp{Gen: 2})
 	before := shared.Stats()
 	resp := mustSearch(t, next, "outdoor barbecue", 10)
@@ -78,7 +79,7 @@ func TestSearchVotingZeroAllocs(t *testing.T) {
 		t.Skip("allocation guards are not meaningful under -race (sync.Pool drops items)")
 	}
 	a := buildArts(t)
-	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	// "barbecue outdoor" is not an e-commerce concept surface, so it takes
 	// the voting path end-to-end (segmentation, primitive votes, card
 	// ranking, plain item hits).
@@ -105,7 +106,7 @@ func TestSearchCachedHitZeroAllocs(t *testing.T) {
 	}
 	a := buildArts(t)
 	cache := qcache.New(64)
-	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	e.UseCache(cache, qcache.Stamp{Gen: 1})
 	ctx, q := context.Background(), []byte("barbecue outdoor")
 	var resp Response
@@ -129,7 +130,7 @@ func TestSearchCacheEntriesHoldNoNames(t *testing.T) {
 	a := buildArts(t)
 	cache := qcache.New(64)
 	stamp := qcache.Stamp{Gen: 1}
-	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	e.UseCache(cache, stamp)
 	miss := mustSearch(t, e, "outdoor barbecue", 10)
 	if len(miss.Cards) == 0 || miss.Cards[0].Name != "outdoor barbecue" {

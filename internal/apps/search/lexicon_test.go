@@ -88,7 +88,7 @@ func TestEngineSegmentsLikeSegmenter(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	for name, net := range map[string]core.Reader{"live": a.Net, "frozen": a.Frozen, "3 shards": set} {
+	for name, net := range map[string]core.Reader{"live": a.Net, "frozen": a.Net.Freeze(), "3 shards": set} {
 		checkSegmentsLikeSegmenter(t, name, NewEngine(net, nil), referenceSegmenter(net, false), rng)
 		checkSegmentsLikeSegmenter(t, name+" cpv", NewCPVEngine(net, nil), referenceSegmenter(net, true), rng)
 	}

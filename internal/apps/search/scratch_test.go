@@ -42,7 +42,7 @@ func respEqual(a, b Response) bool {
 // into the next (the dedicated equivalence leg of the zero-alloc path).
 func TestSearchIntoReusedMatchesFresh(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	rng := rand.New(rand.NewSource(3))
 	var queries []string
 	queries = append(queries, "outdoor barbecue", "barbecue outdoor", "grill", "", "  ", "UNKNOWN tokens here")
@@ -67,7 +67,7 @@ func TestSearchIntoReusedMatchesFresh(t *testing.T) {
 // state between in-flight queries.
 func TestSearchIntoConcurrent(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	queries := []string{"outdoor barbecue", "barbecue outdoor", "grill", "coat"}
 	want := make([]Response, len(queries))
 	for i, q := range queries {
@@ -100,7 +100,7 @@ func TestSearchExactMatchZeroAllocs(t *testing.T) {
 		t.Skip("allocation guards are not meaningful under -race (sync.Pool drops items)")
 	}
 	a := buildArts(t)
-	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	ctx, q := context.Background(), []byte("outdoor barbecue")
 	var resp Response
 	mustSearchInto(t, e, &resp, string(q), 10) // warm the pooled scratch
@@ -120,7 +120,7 @@ func TestSearchExactMatchZeroAllocs(t *testing.T) {
 // larger previous query must not see stale votes or seen-items.
 func TestSearchVotingPathStillCorrectAfterPooling(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Frozen, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	var resp Response
 	// Large voting query first to dirty the scratch maps...
 	mustSearchInto(t, e, &resp, "barbecue outdoor", 0)

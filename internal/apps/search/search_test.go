@@ -171,7 +171,7 @@ func TestSearchMaxItemsCapAcrossPrimitives(t *testing.T) {
 func TestSearchFrozenMatchesLive(t *testing.T) {
 	a := buildArts(t)
 	live := NewEngine(a.Net, a.World.Stopwords())
-	frozen := NewEngine(a.Frozen, a.World.Stopwords())
+	frozen := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	queries := []string{"outdoor barbecue", "barbecue outdoor", "grill", "coat"}
 	for _, qs := range a.World.QuerySet(50) {
 		queries = append(queries, strings.Join(qs.Tokens, " "))

@@ -214,14 +214,7 @@ func TestStats(t *testing.T) {
 // incoming and name indexes intact.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	n, ids := buildToyNet(t)
-	var buf bytes.Buffer
-	if err := n.Freeze().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadFrozen(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadFrozenSet(t, saveFrozen(t, n.Freeze().Shard(0)))
 	if m.NumNodes() != n.NumNodes() || m.NumEdges() != n.NumEdges() {
 		t.Fatal("counts differ after round trip")
 	}
@@ -295,14 +288,15 @@ func TestPropertySaveLoadRandomNets(t *testing.T) {
 			_ = n.AddEdge(a, b, EdgeIsA, "", rng.Float64())
 		}
 		var buf bytes.Buffer
-		if err := n.Freeze().Save(&buf); err != nil {
+		if err := n.Freeze().Shard(0).Save(&buf); err != nil {
 			return false
 		}
-		m, err := LoadFrozen(&buf)
+		g, err := LoadFrozen(&buf)
 		if err != nil {
 			return false
 		}
-		if m.NumNodes() != n.NumNodes() || m.NumEdges() != n.NumEdges() {
+		m, err := NewShardSet([]*FrozenNet{g})
+		if err != nil || m.NumNodes() != n.NumNodes() || m.NumEdges() != n.NumEdges() {
 			return false
 		}
 		for _, p := range prims {

@@ -210,6 +210,12 @@ func TestFrozenEquivalenceRandomized(t *testing.T) {
 			if n.FirstByNameKind(nd.Name, nd.Kind) != f.FirstByNameKind(nd.Name, nd.Kind) {
 				t.Fatalf("seed %d: FirstByNameKind(%q) differs", seed, nd.Name)
 			}
+			if n.FirstByNameKindBytes([]byte(nd.Name), nd.Kind) != f.FirstByNameKindBytes([]byte(nd.Name), nd.Kind) {
+				t.Fatalf("seed %d: FirstByNameKindBytes(%q) differs", seed, nd.Name)
+			}
+		}
+		if n.FirstByNameKindBytes([]byte("no such node"), KindItem) != InvalidNode || f.FirstByNameKindBytes([]byte("no such node"), KindItem) != InvalidNode {
+			t.Fatalf("seed %d: FirstByNameKindBytes resolved an unknown name", seed)
 		}
 	}
 }
@@ -325,7 +331,7 @@ func TestFrozenConcurrentReads(t *testing.T) {
 func TestIsCurrentPartition(t *testing.T) {
 	n, ids := buildToyNet(t)
 	shards := n.FreezeShards(3)
-	if !n.IsCurrentPartition(shards) || !n.IsCurrentPartition([]*FrozenNet{n.Freeze()}) {
+	if !n.IsCurrentPartition(shards) || !n.IsCurrentPartition(n.Freeze().Shards()) {
 		t.Fatal("a fresh freeze is not the current partition")
 	}
 	for name, bad := range map[string][]*FrozenNet{
@@ -333,7 +339,7 @@ func TestIsCurrentPartition(t *testing.T) {
 		"two of three":   shards[:2],
 		"out of order":   {shards[1], shards[0], shards[2]},
 		"nil shard":      {shards[0], nil, shards[2]},
-		"a whole freeze": {n.Freeze(), shards[1], shards[2]},
+		"a whole freeze": {n.Freeze().Shard(0), shards[1], shards[2]},
 	} {
 		if n.IsCurrentPartition(bad) {
 			t.Errorf("%s: reported current", name)

@@ -92,10 +92,11 @@ type NodeID int32
 // InvalidNode is returned by lookups that find nothing.
 const InvalidNode NodeID = -1
 
-// Node is one vertex of the net. A Node read from a frozen net (FrozenNet
-// or ShardSet) does not own its Name: the string is a view of the shard's
-// name arena, so a caller that keeps it keeps all of that shard's names
-// alive. Copy it (strings.Clone) to keep a name past the snapshot's life.
+// Node is one vertex of the net. A Node read from a frozen net (a ShardSet
+// or one of its shards) does not own its Name: the string is a view of the
+// shard's name arena, so a caller that keeps it keeps all of that shard's
+// names alive. Copy it (strings.Clone) to keep a name past the snapshot's
+// life.
 type Node struct {
 	ID     NodeID
 	Kind   NodeKind
@@ -250,19 +251,15 @@ func (n *Net) FindByName(name string) []NodeID {
 
 // FindByNameKind returns nodes with the given name in one layer.
 func (n *Net) FindByNameKind(name string, kind NodeKind) []NodeID {
-	return n.AppendFindByNameKind(nil, name, kind)
-}
-
-// AppendFindByNameKind is FindByNameKind into a caller-owned buffer.
-func (n *Net) AppendFindByNameKind(dst []NodeID, name string, kind NodeKind) []NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
+	var ids []NodeID
 	for _, id := range n.byName[name] {
 		if n.nodes[id].Kind == kind {
-			dst = append(dst, id)
+			ids = append(ids, id)
 		}
 	}
-	return dst
+	return ids
 }
 
 // FirstByNameKind returns the first matching node or InvalidNode.
@@ -294,26 +291,27 @@ func (n *Net) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {
 func (n *Net) Out(id NodeID, kind EdgeKind) []HalfEdge {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return filterAdj(nil, n.outAdj, id, kind, len(n.nodes))
+	return filterAdj(n.outAdj, id, kind, len(n.nodes))
 }
 
 // In returns incoming half-edges of a kind (all kinds if kind < 0).
 func (n *Net) In(id NodeID, kind EdgeKind) []HalfEdge {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return filterAdj(nil, n.inAdj, id, kind, len(n.nodes))
+	return filterAdj(n.inAdj, id, kind, len(n.nodes))
 }
 
-func filterAdj(dst []HalfEdge, adj [][]HalfEdge, id NodeID, kind EdgeKind, n int) []HalfEdge {
+func filterAdj(adj [][]HalfEdge, id NodeID, kind EdgeKind, n int) []HalfEdge {
 	if id < 0 || int(id) >= n {
-		return dst
+		return nil
 	}
+	var out []HalfEdge
 	for _, he := range adj[id] {
 		if kind < 0 || he.Kind == kind {
-			dst = append(dst, he)
+			out = append(out, he)
 		}
 	}
-	return dst
+	return out
 }
 
 // Ancestors walks EdgeIsA/EdgeInstanceOf upward from id (BFS) up to
@@ -323,31 +321,21 @@ func filterAdj(dst []HalfEdge, adj [][]HalfEdge, id NodeID, kind EdgeKind, n int
 // order the frozen snapshot's kind-grouped CSR yields — so live and frozen
 // traversals return identical sequences.
 func (n *Net) Ancestors(id NodeID, maxDepth int) []NodeID {
-	return n.AppendAncestors(nil, id, maxDepth)
-}
-
-// AppendAncestors is Ancestors into a caller-owned buffer.
-func (n *Net) AppendAncestors(dst []NodeID, id NodeID, maxDepth int) []NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return bfsHierarchy(dst, n.outAdj, id, maxDepth, len(n.nodes))
+	return bfsHierarchy(n.outAdj, id, maxDepth, len(n.nodes))
 }
 
 // Descendants walks EdgeIsA/EdgeInstanceOf downward (incoming edges).
 func (n *Net) Descendants(id NodeID, maxDepth int) []NodeID {
-	return n.AppendDescendants(nil, id, maxDepth)
-}
-
-// AppendDescendants is Descendants into a caller-owned buffer.
-func (n *Net) AppendDescendants(dst []NodeID, id NodeID, maxDepth int) []NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return bfsHierarchy(dst, n.inAdj, id, maxDepth, len(n.nodes))
+	return bfsHierarchy(n.inAdj, id, maxDepth, len(n.nodes))
 }
 
-func bfsHierarchy(dst []NodeID, adj [][]HalfEdge, id NodeID, maxDepth, n int) []NodeID {
+func bfsHierarchy(adj [][]HalfEdge, id NodeID, maxDepth, n int) []NodeID {
 	if id < 0 || int(id) >= n {
-		return dst
+		return nil
 	}
 	type qe struct {
 		id    NodeID
@@ -355,7 +343,7 @@ func bfsHierarchy(dst []NodeID, adj [][]HalfEdge, id NodeID, maxDepth, n int) []
 	}
 	seen := map[NodeID]bool{id: true}
 	queue := []qe{{id, 0}}
-	out := dst
+	var out []NodeID
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -402,40 +390,22 @@ func (n *Net) NodesOfKind(kind NodeKind) []NodeID {
 // ItemsForEConcept returns items associated with an e-commerce concept,
 // best-weight first, up to limit (limit <= 0 means all).
 func (n *Net) ItemsForEConcept(id NodeID, limit int) []HalfEdge {
-	return n.AppendItemsForEConcept(nil, id, limit)
-}
-
-// AppendItemsForEConcept is ItemsForEConcept into a caller-owned buffer.
-func (n *Net) AppendItemsForEConcept(dst []HalfEdge, id NodeID, limit int) []HalfEdge {
-	n.mu.RLock()
-	mark := len(dst)
-	dst = filterAdj(dst, n.inAdj, id, EdgeItemEConcept, len(n.nodes))
-	n.mu.RUnlock()
-	return sortTrimPostings(dst, mark, limit)
+	return sortTrimPostings(n.In(id, EdgeItemEConcept), limit)
 }
 
 // EConceptsForItem returns the e-commerce concepts an item serves.
 func (n *Net) EConceptsForItem(id NodeID, limit int) []HalfEdge {
-	return n.AppendEConceptsForItem(nil, id, limit)
+	return sortTrimPostings(n.Out(id, EdgeItemEConcept), limit)
 }
 
-// AppendEConceptsForItem is EConceptsForItem into a caller-owned buffer.
-func (n *Net) AppendEConceptsForItem(dst []HalfEdge, id NodeID, limit int) []HalfEdge {
-	n.mu.RLock()
-	mark := len(dst)
-	dst = filterAdj(dst, n.outAdj, id, EdgeItemEConcept, len(n.nodes))
-	n.mu.RUnlock()
-	return sortTrimPostings(dst, mark, limit)
-}
-
-// sortTrimPostings weight-sorts the tail of dst appended after mark and
-// trims it to limit entries (limit <= 0 means all).
-func sortTrimPostings(dst []HalfEdge, mark, limit int) []HalfEdge {
-	sortHalfEdgesByWeight(dst[mark:])
-	if limit > 0 && len(dst)-mark > limit {
-		dst = dst[:mark+limit]
+// sortTrimPostings weight-sorts postings and trims them to limit entries
+// (limit <= 0 means all).
+func sortTrimPostings(postings []HalfEdge, limit int) []HalfEdge {
+	sortHalfEdgesByWeight(postings)
+	if limit > 0 && len(postings) > limit {
+		postings = postings[:limit]
 	}
-	return dst
+	return postings
 }
 
 // PrimitivesForEConcept returns the primitive concepts interpreting an

@@ -45,36 +45,6 @@ func TestNodeRecordIsTwelvePointerFreeBytes(t *testing.T) {
 	}
 }
 
-// nameViews returns every frozen form of n: frozen whole, partitioned into
-// 2–5 shards, and each of those saved and loaded back.
-func nameViews(t *testing.T, n *Net) map[string]Reader {
-	t.Helper()
-	reload := func(f *FrozenNet) *FrozenNet {
-		g, err := LoadFrozen(bytes.NewReader(saveFrozen(t, f)))
-		if err != nil {
-			t.Fatalf("load frozen: %v", err)
-		}
-		return g
-	}
-	f := n.Freeze()
-	views := map[string]Reader{"frozen": f, "loaded": reload(f)}
-	for count := 2; count <= 5; count++ {
-		shards := n.FreezeShards(count)
-		loaded := make([]*FrozenNet, count)
-		for i, sh := range shards {
-			loaded[i] = reload(sh)
-		}
-		for name, set := range map[string][]*FrozenNet{"shards": shards, "loaded shards": loaded} {
-			s, err := NewShardSet(set)
-			if err != nil {
-				t.Fatalf("NewShardSet(%d): %v", count, err)
-			}
-			views[fmt.Sprintf("%s %d", name, count)] = s
-		}
-	}
-	return views
-}
-
 // checkNameReads compares every view's node and name reads with the live
 // net's, node by node: same Node, and the same IDs in the same order from
 // every name lookup.
@@ -113,13 +83,13 @@ func checkNameReads(t *testing.T, ctx string, n *Net, views map[string]Reader) {
 	}
 }
 
-// TestNodeTableMatchesLiveNet: on randomized nets, frozen whole, in 2–5
-// shards and through Save→Load, every node and name read answers exactly
-// like the live net.
+// TestNodeTableMatchesLiveNet: on randomized nets, in every frozen form
+// (frozenViews), every node and name read answers exactly like the live
+// net.
 func TestNodeTableMatchesLiveNet(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		n := buildRandomNet(t, seed)
-		checkNameReads(t, fmt.Sprintf("seed %d", seed), n, nameViews(t, n))
+		checkNameReads(t, fmt.Sprintf("seed %d", seed), n, frozenViews(t, n))
 	}
 }
 
@@ -142,7 +112,7 @@ func TestNodeTableSharedAndStraddlingNames(t *testing.T) {
 	if got := n.FindByName("shared"); !idsEqual(got, shared) {
 		t.Fatalf("live FindByName = %v, want %v", got, shared)
 	}
-	views := nameViews(t, n)
+	views := frozenViews(t, n)
 	checkNameReads(t, "shared", n, views)
 	for view, r := range views {
 		if got := r.FindByNameKind("shared", KindPrimitive); !idsEqual(got, []NodeID{shared[1], shared[2], shared[5]}) {
@@ -152,7 +122,7 @@ func TestNodeTableSharedAndStraddlingNames(t *testing.T) {
 			t.Fatalf("%s: Node(%d).Domain = %q", view, shared[2], nd.Domain)
 		}
 	}
-	// Each shard answers for its own nodes of the name only.
+	// Each shard's name index holds its own nodes of the name only.
 	for _, sh := range n.FreezeShards(3) {
 		var own []NodeID
 		for _, id := range shared {
@@ -163,8 +133,8 @@ func TestNodeTableSharedAndStraddlingNames(t *testing.T) {
 		if len(own) == 0 || len(own) == len(shared) {
 			t.Fatalf("shard at %d holds %d of %d shared nodes; the name must straddle shards", sh.Base(), len(own), len(shared))
 		}
-		if got := sh.FindByName("shared"); !idsEqual(got, own) {
-			t.Fatalf("shard at %d: FindByName(shared) = %v, want %v", sh.Base(), got, own)
+		if got := sh.nodes.find(nameHash("shared"), "shared"); !idsEqual(got, own) {
+			t.Fatalf("shard at %d: name index lists %v for shared, want %v", sh.Base(), got, own)
 		}
 	}
 }
@@ -177,7 +147,7 @@ func TestNodeTableEmptyNames(t *testing.T) {
 	first := n.AddNode(KindClass, "", "Category")
 	n.AddNode(KindPrimitive, "x", "")
 	last := n.AddNode(KindItem, "", "")
-	views := nameViews(t, n)
+	views := frozenViews(t, n)
 	checkNameReads(t, "empty names", n, views)
 	for view, r := range views {
 		if got := r.FindByName(""); !idsEqual(got, []NodeID{first, last}) {
@@ -195,7 +165,7 @@ func TestNodeTableEmptyNames(t *testing.T) {
 	n = NewNet()
 	n.AddNode(KindClass, "", "")
 	n.AddNode(KindItem, "", "")
-	checkNameReads(t, "only empty names", n, nameViews(t, n))
+	checkNameReads(t, "only empty names", n, frozenViews(t, n))
 }
 
 // TestLoadFrozenAllocsIndependentOfNodeCount: loading a shard costs a fixed
@@ -217,7 +187,7 @@ func TestLoadFrozenAllocsIndependentOfNodeCount(t *testing.T) {
 				}
 			}
 		}
-		data := saveFrozen(t, n.Freeze())
+		data := saveFrozen(t, n.Freeze().Shard(0))
 		return testing.AllocsPerRun(5, func() {
 			if _, err := LoadFrozen(bytes.NewReader(data)); err != nil {
 				t.Fatal(err)

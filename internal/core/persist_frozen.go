@@ -297,8 +297,8 @@ func checkKindIndex(fr *fzio.Reader, t *nodeTable) {
 	}
 }
 
-// Save writes a versioned, checksummed binary snapshot of the frozen net
-// (or one shard of it). The format round-trips through LoadFrozen without
+// Save writes a versioned, checksummed binary snapshot of the shard (of a
+// whole one-shard net, or of one shard of a partition). The format round-trips through LoadFrozen without
 // any rebuild work. Every limit LoadFrozen enforces is checked here first,
 // so Save never produces a file its own loader would reject.
 func (f *FrozenNet) Save(w io.Writer) error {
@@ -387,8 +387,9 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 	return sum, nil
 }
 
-// LoadFrozen reads a snapshot written by (*FrozenNet).Save and returns a
-// ready-to-serve FrozenNet. Every structural invariant is validated —
+// LoadFrozen reads a snapshot written by (*FrozenNet).Save and returns the
+// shard, ready to assemble into a ShardSet (NewShardSet) and serve. Every
+// structural invariant is validated —
 // offsets, kinds, node ids, rel indexes, the edge counter, the checksum —
 // so corrupt or truncated input yields an error, never a panic later.
 func LoadFrozen(r io.Reader) (*FrozenNet, error) {
@@ -482,9 +483,5 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		}
 	}
 	f.checksum = sum
-	nn := nodeCount
-	f.visit.New = func() any {
-		return &visitState{gen: make([]uint32, nn)}
-	}
 	return f, nil
 }

@@ -10,7 +10,7 @@ import (
 	"alicoco/internal/fzio"
 )
 
-// saveFrozen freezes-and-saves a net, failing the test on error.
+// saveFrozen saves a shard, failing the test on error.
 func saveFrozen(t testing.TB, f *FrozenNet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -18,6 +18,21 @@ func saveFrozen(t testing.TB, f *FrozenNet) []byte {
 		t.Fatalf("frozen save: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// loadFrozenSet loads the saved shard of a one-shard partition and serves
+// it as a ShardSet, failing the test on error.
+func loadFrozenSet(t testing.TB, data []byte) *ShardSet {
+	t.Helper()
+	g, err := LoadFrozen(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("load frozen: %v", err)
+	}
+	s, err := NewShardSet([]*FrozenNet{g})
+	if err != nil {
+		t.Fatalf("NewShardSet: %v", err)
+	}
+	return s
 }
 
 // TestFrozenSaveLoadRoundTripRandomized proves save -> load is the identity
@@ -28,10 +43,7 @@ func TestFrozenSaveLoadRoundTripRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		n := buildRandomNet(t, seed)
 		f := n.Freeze()
-		g, err := LoadFrozen(bytes.NewReader(saveFrozen(t, f)))
-		if err != nil {
-			t.Fatalf("seed %d: load frozen: %v", seed, err)
-		}
+		g := loadFrozenSet(t, saveFrozen(t, f.Shard(0)))
 		if g.NumNodes() != f.NumNodes() || g.NumEdges() != f.NumEdges() {
 			t.Fatalf("seed %d: counts differ: %d/%d nodes, %d/%d edges",
 				seed, g.NumNodes(), f.NumNodes(), g.NumEdges(), f.NumEdges())
@@ -106,7 +118,7 @@ func TestFrozenSaveLoadRoundTripRandomized(t *testing.T) {
 // cleanly and checksums are reproducible.
 func TestFrozenSaveDeterministic(t *testing.T) {
 	n := buildRandomNet(t, 3)
-	f := n.Freeze()
+	f := n.Freeze().Shard(0)
 	a, b := saveFrozen(t, f), saveFrozen(t, f)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two saves of the same frozen net differ")
@@ -117,10 +129,7 @@ func TestFrozenSaveDeterministic(t *testing.T) {
 // the round trip without LoadFrozen re-sorting anything.
 func TestLoadFrozenPostingsStillSorted(t *testing.T) {
 	n := buildRandomNet(t, 42)
-	g, err := LoadFrozen(bytes.NewReader(saveFrozen(t, n.Freeze())))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := loadFrozenSet(t, saveFrozen(t, n.Freeze().Shard(0)))
 	for _, ec := range g.NodesOfKind(KindEConcept) {
 		items := g.ItemsForEConcept(ec, 0)
 		for i := 1; i < len(items); i++ {
@@ -135,7 +144,7 @@ func TestLoadFrozenPostingsStillSorted(t *testing.T) {
 // error — never panic, never return a net.
 func TestLoadFrozenTruncated(t *testing.T) {
 	n, _ := buildToyNet(t)
-	full := saveFrozen(t, n.Freeze())
+	full := saveFrozen(t, n.Freeze().Shard(0))
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := LoadFrozen(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes loaded successfully", cut, len(full))
@@ -168,7 +177,7 @@ func TestLoadTruncatedGob(t *testing.T) {
 
 func TestLoadFrozenBadMagicAndVersion(t *testing.T) {
 	n, _ := buildToyNet(t)
-	full := saveFrozen(t, n.Freeze())
+	full := saveFrozen(t, n.Freeze().Shard(0))
 
 	bad := append([]byte(nil), full...)
 	copy(bad, "NOPE")
@@ -187,7 +196,7 @@ func TestLoadFrozenBadMagicAndVersion(t *testing.T) {
 // valid (a weight byte) is caught by the trailing CRC.
 func TestLoadFrozenChecksum(t *testing.T) {
 	n, _ := buildToyNet(t)
-	full := saveFrozen(t, n.Freeze())
+	full := saveFrozen(t, n.Freeze().Shard(0))
 	bad := append([]byte(nil), full...)
 	// The last 4 bytes are the CRC; the byte just before them is the high
 	// byte of the final in-CSR edge record's weight.
@@ -248,7 +257,7 @@ func TestLoadFrozenStructuralCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _ := buildToyNet(t)
-			f := n.Freeze()
+			f := n.Freeze().Shard(0)
 			if tc.mutate != nil {
 				tc.mutate(f)
 			}
@@ -366,7 +375,7 @@ func TestLoadFrozenHugeClaimedCounts(t *testing.T) {
 func TestFrozenSaveRejectsOversizedStrings(t *testing.T) {
 	n := NewNet()
 	n.AddNode(KindPrimitive, strings.Repeat("x", fzio.MaxStr+1), "d")
-	if err := n.Freeze().Save(io.Discard); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if err := n.Freeze().Shard(0).Save(io.Discard); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized node name: got %v", err)
 	}
 }
@@ -378,7 +387,7 @@ func TestFrozenSaveRejectsOversizedStrings(t *testing.T) {
 func savedWith(t *testing.T, mutate func(f *FrozenNet)) []byte {
 	t.Helper()
 	n, _ := buildToyNet(t)
-	f := n.Freeze()
+	f := n.Freeze().Shard(0)
 	mutate(f)
 	return saveFrozen(t, f)
 }
@@ -410,7 +419,7 @@ func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
 // itself, and a header count that disagrees with it is rejected.
 func TestLoadRecomputesEdgeCounter(t *testing.T) {
 	n, _ := buildToyNet(t)
-	full := saveFrozen(t, n.Freeze())
+	full := saveFrozen(t, n.Freeze().Shard(0))
 	g, err := LoadFrozen(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +443,7 @@ func TestLoadRecomputesEdgeCounter(t *testing.T) {
 // reported, and saving that again reproduces the same bytes.
 func FuzzLoadFrozen(f *testing.F) {
 	n, _ := buildToyNet(f)
-	full := saveFrozen(f, n.Freeze())
+	full := saveFrozen(f, n.Freeze().Shard(0))
 	f.Add(full)
 	f.Add(full[:len(full)/2])
 	for _, sh := range buildRandomNet(f, 5).FreezeShards(3) {

@@ -1,16 +1,17 @@
 package core
 
-// Reader is the read-only query surface of the concept net, satisfied by
-// both the mutable *Net (lock-guarded reads) and the immutable *FrozenNet
-// (lock-free CSR snapshot). Serving code — the search and recommendation
-// engines, the inference miner, the HTTP server — should depend on Reader
-// so it can run against either store; production traffic goes to a frozen
-// snapshot built once per net version (the paper's build-offline /
-// serve-online split).
+// Reader is the read-only query surface of the concept net. It has two
+// implementations: the mutable *Net (lock-guarded reads) and the immutable
+// *ShardSet (lock-free CSR shards, one or many — Net.Freeze makes a
+// one-shard set, FreezeShards and the snapshot loader make the rest).
+// Serving code — the search and recommendation engines, the inference
+// miner, the HTTP server — should depend on Reader so it can run against
+// either store; production traffic goes to a ShardSet built once per net
+// version (the paper's build-offline / serve-online split).
 //
 // Slices returned by a Reader are read-only views: callers must not modify
 // them. *Net returns fresh copies, which trivially satisfies that;
-// *FrozenNet returns sub-slices of its internal layout for zero-allocation
+// *ShardSet returns sub-slices of its shards' layout for zero-allocation
 // reads.
 type Reader interface {
 	// Node returns the node for id; ok is false for invalid ids.
@@ -46,35 +47,15 @@ type Reader interface {
 	// PrimitivesForEConcept returns the primitives interpreting an
 	// e-commerce concept.
 	PrimitivesForEConcept(id NodeID) []HalfEdge
-
-	// The Append variants below produce the same answers as their
-	// allocate-and-return counterparts but write into a caller-owned dst
-	// slice (appending after any existing elements, like the append
-	// builtin), so hot serving loops can reuse one buffer across requests
-	// instead of allocating per call. The appended elements are owned by
-	// the caller and stay valid after later net mutations.
-
-	// AppendAncestors is Ancestors into a caller-owned buffer.
-	AppendAncestors(dst []NodeID, id NodeID, maxDepth int) []NodeID
-	// AppendDescendants is Descendants into a caller-owned buffer.
-	AppendDescendants(dst []NodeID, id NodeID, maxDepth int) []NodeID
-	// AppendItemsForEConcept is ItemsForEConcept into a caller-owned buffer.
-	AppendItemsForEConcept(dst []HalfEdge, id NodeID, limit int) []HalfEdge
-	// AppendEConceptsForItem is EConceptsForItem into a caller-owned buffer.
-	AppendEConceptsForItem(dst []HalfEdge, id NodeID, limit int) []HalfEdge
-	// AppendFindByNameKind is FindByNameKind into a caller-owned buffer.
-	AppendFindByNameKind(dst []NodeID, name string, kind NodeKind) []NodeID
-
 	// FirstByNameKindBytes is FirstByNameKind keyed by a caller-owned byte
 	// buffer. Neither store converts (allocates) the key: the live net's
-	// map[string] lookup converts it in place, and a frozen net hashes and
-	// compares the buffer against its name arena, so exact name resolution
-	// on the query hot path costs zero allocations.
+	// map[string] lookup converts it in place, and a ShardSet hashes the
+	// buffer once and compares it against each shard's name arena, so exact
+	// name resolution on the query hot path costs zero allocations.
 	FirstByNameKindBytes(name []byte, kind NodeKind) NodeID
 }
 
 var (
 	_ Reader = (*Net)(nil)
-	_ Reader = (*FrozenNet)(nil)
 	_ Reader = (*ShardSet)(nil)
 )

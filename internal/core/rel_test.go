@@ -116,7 +116,7 @@ func internedCount() int {
 // into RelID 0.
 func TestLoadFrozenRejectsRelTableBeyondRelIDSpace(t *testing.T) {
 	n, _ := buildToyNet(t)
-	full := saveFrozen(t, n.Freeze())
+	full := saveFrozen(t, n.Freeze().Shard(0))
 
 	fits := withRelTable(withLastRelIndex(full, maxRels-1), make([]string, maxRels))
 	g, err := LoadFrozen(bytes.NewReader(fits))
@@ -142,7 +142,7 @@ func TestLoadFrozenInternsOnlyVerifiedNames(t *testing.T) {
 		fresh = fmt.Sprintf("rel_named_only_in_this_file_%d", i)
 	}
 	n, _ := buildToyNet(t)
-	good := withRelTable(saveFrozen(t, n.Freeze()), []string{"", fresh})
+	good := withRelTable(saveFrozen(t, n.Freeze().Shard(0)), []string{"", fresh})
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-1] ^= 0xFF
 
@@ -175,14 +175,11 @@ func TestLoadFrozenMapsFileOrderToRelIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := n.Freeze()
-	data := saveFrozen(t, f)
+	data := saveFrozen(t, f.Shard(0))
 	if _, _, names := relTableSpan(data); !reflect.DeepEqual(names, []string{"rel_interned_second", "rel_interned_first"}) {
 		t.Fatalf("rel table %q is not in order of first appearance", names)
 	}
-	g, err := LoadFrozen(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := loadFrozenSet(t, data)
 	for _, id := range []NodeID{a, b} {
 		if !edgesEqual(f.Out(id, -1), g.Out(id, -1)) || !edgesEqual(f.In(id, -1), g.In(id, -1)) {
 			t.Fatalf("node %d: loaded edges differ", id)

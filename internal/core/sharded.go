@@ -8,14 +8,17 @@ import (
 	"alicoco/internal/par"
 )
 
-// ShardSet serves a net partitioned into N independently frozen shards (see
-// FreezeShards) as one Reader. The partition is a contiguous node-ID range
-// split with a fixed stride, so every point lookup — Node, Out, In, the
-// concept-card postings — routes to its owning shard with one division and
-// stays a zero-allocation CSR slice; only name resolution (scanned across
-// shards in ascending order, which reproduces whole-net insertion order)
-// and the isA/instanceOf traversals (run at the set level so they can cross
-// shard boundaries) touch more than one shard.
+// ShardSet is the frozen Reader: a net partitioned into N >= 1
+// independently frozen shards (see Freeze and FreezeShards) served as one
+// store, with one read path whatever N is. The partition is a contiguous
+// node-ID range split with a fixed stride, so every point lookup — Node,
+// Out, In, the concept-card postings — routes to its owning shard with one
+// division and stays a zero-allocation CSR slice; only name resolution
+// (scanned across shards in ascending order, which reproduces whole-net
+// insertion order) and the isA/instanceOf traversals (run at the set level
+// so they cross shard boundaries) touch more than one shard. Every step
+// into a shard's storage is a faultfs.QueryProbe, so a query fault armed on
+// one shard reaches every query that reads it.
 //
 // A ShardSet is immutable after NewShardSet and safe for unlimited
 // concurrent use, like the FrozenNets it wraps. Reloading one shard means
@@ -28,7 +31,7 @@ type ShardSet struct {
 	edges  int
 
 	// byKind concatenates the shards' per-layer indexes in shard order at
-	// construction, so NodesOfKind stays a read-only view like FrozenNet's.
+	// construction, so NodesOfKind is a read-only view.
 	byKind [numKinds][]NodeID
 
 	visit sync.Pool // *visitState with gen sized to total, for cross-shard BFS
@@ -61,28 +64,35 @@ func NewShardSet(shards []*FrozenNet) (*ShardSet, error) {
 				i, sh.Base(), int(sh.Base())+sh.NumNodes(), wantBase, wantBase+wantLen)
 		}
 	}
-	s := &ShardSet{shards: shards, stride: stride, total: total}
+	return assembleShardSet(shards), nil
+}
+
+// assembleShardSet assembles shards already known to be one complete
+// partition.
+func assembleShardSet(shards []*FrozenNet) *ShardSet {
+	total := shards[0].total
+	s := &ShardSet{shards: shards, stride: ShardStride(total, len(shards)), total: total}
 	for _, sh := range shards {
 		s.edges += sh.edges
 	}
-	for k := 0; k < int(numKinds); k++ {
+	for k := NodeKind(0); k < numKinds; k++ {
 		n := 0
 		for _, sh := range shards {
-			n += len(sh.NodesOfKind(NodeKind(k)))
+			n += len(sh.nodes.ofKind(k))
 		}
 		if n == 0 {
 			continue
 		}
 		ids := make([]NodeID, 0, n)
 		for _, sh := range shards {
-			ids = append(ids, sh.NodesOfKind(NodeKind(k))...)
+			ids = append(ids, sh.nodes.ofKind(k)...)
 		}
 		s.byKind[k] = ids
 	}
 	s.visit.New = func() any {
 		return &visitState{gen: make([]uint32, total)}
 	}
-	return s, nil
+	return s
 }
 
 // NumShards returns the shard count of the partition.
@@ -103,7 +113,7 @@ func (s *ShardSet) Stride() int { return s.stride }
 // it is where chaos drills make one shard slow, and where a deadline-bound
 // caller's next ctx check abandons admitted-but-doomed work.
 func (s *ShardSet) owner(id NodeID) *FrozenNet {
-	if id < 0 || int(id) >= s.total {
+	if !s.valid(id) {
 		return nil
 	}
 	shard := int(id) / s.stride
@@ -111,8 +121,9 @@ func (s *ShardSet) owner(id NodeID) *FrozenNet {
 	return s.shards[shard]
 }
 
-// Node returns the node for id; ok is false for invalid ids. As with
-// FrozenNet.Node, the Name is a view of the owning shard's name arena.
+// Node returns the node for id; ok is false for invalid ids. The Name is a
+// view of the owning shard's name arena, not a copy: a caller that keeps it
+// keeps all of that shard's names alive.
 func (s *ShardSet) Node(id NodeID) (Node, bool) {
 	sh := s.owner(id)
 	if sh == nil {
@@ -156,17 +167,13 @@ func (s *ShardSet) FindByName(name string) []NodeID {
 
 // FindByNameKind returns nodes with the given name in one layer.
 func (s *ShardSet) FindByNameKind(name string, kind NodeKind) []NodeID {
-	return s.AppendFindByNameKind(nil, name, kind)
-}
-
-// AppendFindByNameKind is FindByNameKind into a caller-owned buffer.
-func (s *ShardSet) AppendFindByNameKind(dst []NodeID, name string, kind NodeKind) []NodeID {
 	h := nameHash(name)
+	var ids []NodeID
 	for i, sh := range s.shards {
 		faultfs.QueryProbe(i)
-		dst = sh.nodes.appendOfKind(dst, h, name, kind)
+		ids = sh.nodes.appendOfKind(ids, h, name, kind)
 	}
-	return dst
+	return ids
 }
 
 // FirstByNameKind returns the first matching node or InvalidNode. Shards
@@ -232,11 +239,6 @@ func (s *ShardSet) ItemsForEConcept(id NodeID, limit int) []HalfEdge {
 	return items
 }
 
-// AppendItemsForEConcept is ItemsForEConcept into a caller-owned buffer.
-func (s *ShardSet) AppendItemsForEConcept(dst []HalfEdge, id NodeID, limit int) []HalfEdge {
-	return append(dst, s.ItemsForEConcept(id, limit)...)
-}
-
 // EConceptsForItem returns the e-commerce concepts an item serves,
 // best-weight first, up to limit (limit <= 0 means all).
 func (s *ShardSet) EConceptsForItem(id NodeID, limit int) []HalfEdge {
@@ -247,24 +249,53 @@ func (s *ShardSet) EConceptsForItem(id NodeID, limit int) []HalfEdge {
 	return out
 }
 
-// AppendEConceptsForItem is EConceptsForItem into a caller-owned buffer.
-func (s *ShardSet) AppendEConceptsForItem(dst []HalfEdge, id NodeID, limit int) []HalfEdge {
-	return append(dst, s.EConceptsForItem(id, limit)...)
-}
-
 // PrimitivesForEConcept returns the primitive concepts interpreting an
 // e-commerce concept.
 func (s *ShardSet) PrimitivesForEConcept(id NodeID) []HalfEdge {
 	return s.Out(id, EdgeInterpretedBy)
 }
 
-// traverse is the cross-shard isA/instanceOf BFS: same visit order as
-// (*FrozenNet).traverse on the unsharded net — the frontier carries global
-// IDs and each expansion reads the owning shard's CSR — but the visited set
-// spans the whole ID space, so walks cross shard boundaries freely. dir
-// selects the out (ancestors) or in (descendants) adjacency.
+// visitState is a reusable BFS scratchpad: gen[v] == epoch marks v visited
+// in the current traversal, so clearing between traversals is a single
+// epoch increment instead of a map allocation or an O(n) wipe.
+type visitState struct {
+	gen   []uint32
+	epoch uint32
+	queue []frontierEntry
+}
+
+type frontierEntry struct {
+	id    NodeID
+	depth int32
+}
+
+// next advances the epoch, wiping the visited set in O(1); on the (rare)
+// uint32 wraparound it clears the array to stay sound.
+func (v *visitState) next() {
+	v.epoch++
+	if v.epoch == 0 {
+		for i := range v.gen {
+			v.gen[i] = 0
+		}
+		v.epoch = 1
+	}
+	v.queue = v.queue[:0]
+}
+
+// valid reports whether id names a node of the set. It is a range check,
+// not a shard crossing: it reads no shard and probes none.
+func (s *ShardSet) valid(id NodeID) bool { return id >= 0 && int(id) < s.total }
+
+// traverse is the isA/instanceOf BFS: the frontier carries global IDs, each
+// expansion reads the owning shard's CSR (isA before instanceOf, like the
+// live net), and the visited set spans the whole ID space, so walks cross
+// shard boundaries freely. Each expansion is the one probe of the shard it
+// reads. When target is a valid node it stops early and reports
+// reachability; otherwise it appends visited ids (excluding start, BFS
+// order) to dst. dir selects the out (ancestors) or in (descendants)
+// adjacency.
 func (s *ShardSet) traverse(dir int, start NodeID, maxDepth int, target NodeID, dst []NodeID, collect bool) ([]NodeID, bool) {
-	if s.owner(start) == nil {
+	if !s.valid(start) {
 		return dst, false
 	}
 	v := s.visit.Get().(*visitState)
@@ -308,27 +339,17 @@ func (s *ShardSet) Ancestors(id NodeID, maxDepth int) []NodeID {
 	return out
 }
 
-// AppendAncestors is Ancestors into a caller-owned buffer.
-func (s *ShardSet) AppendAncestors(dst []NodeID, id NodeID, maxDepth int) []NodeID {
-	dst, _ = s.traverse(0, id, maxDepth, InvalidNode, dst, true)
-	return dst
-}
-
 // Descendants walks EdgeIsA/EdgeInstanceOf downward (incoming edges).
 func (s *ShardSet) Descendants(id NodeID, maxDepth int) []NodeID {
 	out, _ := s.traverse(1, id, maxDepth, InvalidNode, nil, true)
 	return out
 }
 
-// AppendDescendants is Descendants into a caller-owned buffer.
-func (s *ShardSet) AppendDescendants(dst []NodeID, id NodeID, maxDepth int) []NodeID {
-	dst, _ = s.traverse(1, id, maxDepth, InvalidNode, dst, true)
-	return dst
-}
-
-// IsAncestor reports whether anc is reachable upward from id.
+// IsAncestor reports whether anc is reachable upward from id. It allocates
+// nothing in steady state: the BFS runs on a pooled visited array and stops
+// as soon as anc is found.
 func (s *ShardSet) IsAncestor(id, anc NodeID) bool {
-	if s.owner(anc) == nil || id == anc {
+	if !s.valid(anc) || id == anc {
 		return false
 	}
 	_, found := s.traverse(0, id, 0, anc, nil, false)

@@ -177,7 +177,7 @@ func TestInferAllParallelDeterministic(t *testing.T) {
 	a := buildNet(t)
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
-	m := NewMiner(a.Frozen, DefaultConfig())
+	m := NewMiner(a.Net.Freeze(), DefaultConfig())
 	want := m.InferAll()
 	if len(want) == 0 {
 		t.Fatal("no relations to compare")

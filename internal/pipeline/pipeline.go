@@ -2,9 +2,10 @@
 // of the concept net (Sections 3-6): generate/ingest corpora, build the
 // taxonomy layer, import and mine primitive concepts, generate and link
 // e-commerce concepts, and associate items — producing a complete core.Net
-// and its frozen serving snapshot. The served net reads no trained model,
-// so Build trains none; callers that run the paper's models (the
-// experiments) train the embedding substrate with Artifacts.TrainModels.
+// that callers freeze for serving (Net.Freeze, Net.FreezeShards). The
+// served net reads no trained model, so Build trains none; callers that run
+// the paper's models (the experiments) train the embedding substrate with
+// Artifacts.TrainModels.
 package pipeline
 
 import (
@@ -72,28 +73,21 @@ func TinyOptions() Options {
 type Artifacts struct {
 	Opts  Options
 	World *world.World
-	// Corpus is the text BuildNet generated: it feeds Hearst-pattern
+	// Corpus is the text Build generated: it feeds Hearst-pattern
 	// mining during the build and the models TrainModels fits. Nothing in
 	// serving reads it, so the alicoco facade drops it after the build;
 	// it is nil there and on loaded artifacts.
 	Corpus *world.Corpus
 	Net    *core.Net
 
-	// Frozen is the read-optimized immutable snapshot of Net taken when
-	// Build finished — the store serving code should query (the
-	// build-offline / serve-online split). After mutating Net, call
-	// Refreeze to publish a fresh snapshot. BuildNet and LoadShards leave
-	// it nil.
-	Frozen *core.FrozenNet
-
-	// Shards is the partition serving runs on: the shards of a loaded
-	// generation (LoadShards), or the facade's in-process freeze. The
-	// serving layer assembles them into a core.ShardSet, and SaveShards
-	// writes them without refreezing while they still hold the live net's
-	// current state.
+	// Shards is the frozen partition serving runs on: the shards of a
+	// loaded generation (LoadShards), or the facade's in-process freeze.
+	// Build leaves it nil. The serving layer assembles them into a
+	// core.ShardSet, and SaveShards writes them without refreezing while
+	// they still hold the live net's current state.
 	Shards []*core.FrozenNet
 
-	// Node maps from world IDs to net node IDs, filled while BuildNet
+	// Node maps from world IDs to net node IDs, filled while Build
 	// wires the net. Only the build and the experiments read them; a
 	// snapshot does not carry them, so they are nil on loaded artifacts
 	// (the item table in Serving maps items to nodes for serving).
@@ -109,19 +103,10 @@ type Artifacts struct {
 	Serving *ServingMeta
 }
 
-// Build runs the full construction and freezes the whole net into Frozen.
+// Build runs the full construction of the live net. It freezes nothing:
+// callers freeze the partition they serve themselves (Net.Freeze for one
+// shard, Net.FreezeShards for several).
 func Build(opts Options) (*Artifacts, error) {
-	a, err := BuildNet(opts)
-	if err != nil {
-		return nil, err
-	}
-	a.Refreeze()
-	return a, nil
-}
-
-// BuildNet is Build without the freeze: Frozen stays nil, for callers that
-// freeze the partition they serve themselves (Net.FreezeShards).
-func BuildNet(opts Options) (*Artifacts, error) {
 	a := &Artifacts{
 		Opts:      opts,
 		PrimNode:  make(map[int]core.NodeID),
@@ -151,17 +136,6 @@ func BuildNet(opts Options) (*Artifacts, error) {
 	return a, nil
 }
 
-// Refreeze rebuilds the frozen snapshot from the live net's current state
-// and returns it. Call it after offline mutations (e.g. materializing
-// inferred relations) to publish them to serving code. The Frozen field
-// write is not synchronized — serving layers that swap snapshots under
-// traffic should hold the returned pointer in their own atomic (as the
-// alicoco facade does) rather than re-reading Frozen concurrently.
-func (a *Artifacts) Refreeze() *core.FrozenNet {
-	a.Frozen = a.Net.Freeze()
-	return a.Frozen
-}
-
 // Models is the embedding and language substrate the paper's Sections 4-6
 // models consume: word vectors, the document encoder and gloss knowledge
 // base built on them, the n-gram LM, and the POS tagger.
@@ -177,7 +151,7 @@ type Models struct {
 // Opts.W2V. Each call trains afresh; with Opts.W2V.Workers <= 1 two calls
 // return bit-identical models. Snapshot-loaded artifacts carry no world or
 // corpus, and the alicoco facade drops the corpus after its build, so
-// TrainModels reports an error for both; use Build or BuildNet.
+// TrainModels reports an error for both; use Build.
 func (a *Artifacts) TrainModels() (*Models, error) {
 	if a.World == nil || a.Corpus == nil {
 		return nil, errors.New("pipeline: train models: artifacts carry no world or corpus (snapshot-loaded or built by the alicoco facade; use pipeline.Build)")

@@ -292,9 +292,9 @@ func LoadShard(dir string, man *ShardManifest, i int) (*core.FrozenNet, error) {
 // metadata, and all shard files (in parallel), verified against the
 // manifest's checksums. dir is the generation's directory; a store root
 // resolves to its newest one through snapstore.ResolveDir. It returns a
-// serving-only Artifacts — Shards holds the loaded partition and Net,
-// World and Frozen are nil. Per-file failures come back as
-// *ShardLoadError (the first failing shard).
+// serving-only Artifacts — Shards holds the loaded partition and Net and
+// World are nil. Per-file failures come back as *ShardLoadError (the first
+// failing shard).
 func LoadShards(dir string) (*Artifacts, *ShardManifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {

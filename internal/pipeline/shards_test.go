@@ -44,13 +44,14 @@ func TestSaveShardsDeterministic(t *testing.T) {
 }
 
 // TestShardDirRoundTrip: a sharded save loads back into a serving-only
-// Artifacts whose assembled ShardSet answers exactly like the unsharded
-// frozen net, and whose serving metadata survives the round trip.
+// Artifacts whose assembled ShardSet answers exactly like the one-shard
+// freeze of the net, and whose serving metadata survives the round trip.
 func TestShardDirRoundTrip(t *testing.T) {
 	a := buildTiny(t)
+	frozen := a.Net.Freeze()
 	for _, count := range []int{1, 3, 4} {
 		dir, man := saveShardDir(t, a, count)
-		if man.NumShards() != count || man.TotalNodes != a.Frozen.NumNodes() || man.TotalEdges != a.Frozen.NumEdges() {
+		if man.NumShards() != count || man.TotalNodes != frozen.NumNodes() || man.TotalEdges != frozen.NumEdges() {
 			t.Fatalf("count %d: manifest geometry %+v does not match net", count, man)
 		}
 		b, man2, err := LoadShards(dir)
@@ -60,7 +61,7 @@ func TestShardDirRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(man, man2) {
 			t.Fatal("manifest changed across round trip")
 		}
-		if b.Net != nil || b.World != nil || b.Frozen != nil {
+		if b.Net != nil || b.World != nil {
 			t.Fatal("loaded artifacts should be serving-only with Shards set")
 		}
 		if len(b.Shards) != count {
@@ -76,16 +77,16 @@ func TestShardDirRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewShardSet: %v", err)
 		}
-		if s.NumNodes() != a.Frozen.NumNodes() || s.NumEdges() != a.Frozen.NumEdges() {
-			t.Fatal("shard set counts differ from unsharded net")
+		if s.NumNodes() != frozen.NumNodes() || s.NumEdges() != frozen.NumEdges() {
+			t.Fatal("shard set counts differ from the one-shard freeze")
 		}
-		for _, ec := range a.Frozen.NodesOfKind(core.KindEConcept)[:5] {
-			if !reflect.DeepEqual(a.Frozen.ItemsForEConcept(ec, 10), s.ItemsForEConcept(ec, 10)) {
+		for _, ec := range frozen.NodesOfKind(core.KindEConcept)[:5] {
+			if !reflect.DeepEqual(frozen.ItemsForEConcept(ec, 10), s.ItemsForEConcept(ec, 10)) {
 				t.Fatalf("ItemsForEConcept(%d) differs after round trip", ec)
 			}
 		}
-		for _, p := range a.Frozen.NodesOfKind(core.KindPrimitive)[:5] {
-			if !reflect.DeepEqual(a.Frozen.Ancestors(p, 0), s.Ancestors(p, 0)) {
+		for _, p := range frozen.NodesOfKind(core.KindPrimitive)[:5] {
+			if !reflect.DeepEqual(frozen.Ancestors(p, 0), s.Ancestors(p, 0)) {
 				t.Fatalf("Ancestors(%d) differs after round trip", p)
 			}
 		}

@@ -26,16 +26,20 @@ func TestArtifactsSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Net != nil || b.World != nil || b.Corpus != nil || b.Frozen != nil {
+	if b.Net != nil || b.World != nil || b.Corpus != nil {
 		t.Fatal("loaded artifacts should be serving-only")
 	}
 	if len(b.Shards) != 1 {
 		t.Fatalf("%d shards loaded, want 1", len(b.Shards))
 	}
-	f := b.Shards[0]
-	if f.NumNodes() != a.Frozen.NumNodes() || f.NumEdges() != a.Frozen.NumEdges() {
+	f, err := core.NewShardSet(b.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := a.Net.Freeze()
+	if f.NumNodes() != frozen.NumNodes() || f.NumEdges() != frozen.NumEdges() {
 		t.Fatalf("frozen counts differ: %d/%d nodes, %d/%d edges",
-			f.NumNodes(), a.Frozen.NumNodes(), f.NumEdges(), a.Frozen.NumEdges())
+			f.NumNodes(), frozen.NumNodes(), f.NumEdges(), frozen.NumEdges())
 	}
 	if b.PrimNode != nil || b.FrameNode != nil || b.ItemNode != nil || b.DomainCls != nil {
 		t.Fatal("loaded artifacts carry build-time node maps; a snapshot does not persist them")
@@ -44,14 +48,14 @@ func TestArtifactsSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("serving metadata differs after round trip")
 	}
 	// Spot-check real queries answer identically on the loaded net.
-	for _, ec := range a.Frozen.NodesOfKind(core.KindEConcept)[:5] {
-		la, lb := a.Frozen.ItemsForEConcept(ec, 10), f.ItemsForEConcept(ec, 10)
+	for _, ec := range frozen.NodesOfKind(core.KindEConcept)[:5] {
+		la, lb := frozen.ItemsForEConcept(ec, 10), f.ItemsForEConcept(ec, 10)
 		if !reflect.DeepEqual(la, lb) {
 			t.Fatalf("ItemsForEConcept(%d) differs after round trip", ec)
 		}
 	}
-	for _, p := range a.Frozen.NodesOfKind(core.KindPrimitive)[:5] {
-		if !reflect.DeepEqual(a.Frozen.Ancestors(p, 0), f.Ancestors(p, 0)) {
+	for _, p := range frozen.NodesOfKind(core.KindPrimitive)[:5] {
+		if !reflect.DeepEqual(frozen.Ancestors(p, 0), f.Ancestors(p, 0)) {
 			t.Fatalf("Ancestors(%d) differs after round trip", p)
 		}
 	}
@@ -179,8 +183,8 @@ var metaCorruptions = []struct {
 // that node to the recommend engine as a viewed item.
 func TestLoadShardMetaStructuralCorruption(t *testing.T) {
 	a := buildTiny(t)
-	nonItem := uint32(a.Frozen.NodesOfKind(core.KindEConcept)[0])
-	total := uint32(a.Frozen.NumNodes())
+	nonItem := uint32(a.Net.NodesOfKind(core.KindEConcept)[0])
+	total := uint32(a.Net.NumNodes())
 	for _, row := range metaCorruptions {
 		t.Run(row.name, func(t *testing.T) {
 			dir, _ := saveShardDir(t, a, 2)

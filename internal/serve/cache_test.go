@@ -219,26 +219,40 @@ func TestServeNoStaleAcrossReload(t *testing.T) {
 func TestQueryParamFastPath(t *testing.T) {
 	cases := []struct {
 		raw, key, want string
-		found          bool
 	}{
-		{"q=grill", "q", "grill", true},
-		{"q=outdoor+barbecue", "q", "outdoor barbecue", true},
-		{"q=outdoor%20barbecue", "q", "outdoor barbecue", true},
-		{"a=1&q=x&b=2", "q", "x", true},
-		{"q=first&q=second", "q", "first", true},
-		{"items=1,2,3&k=5", "k", "5", true},
-		{"items=1,2,3&k=5", "items", "1,2,3", true},
-		{"", "q", "", false},
-		{"q", "q", "", false},
-		{"qq=x", "q", "", false},
-		{"q=%zz", "q", "", false}, // malformed escape: dropped like ParseQuery does
-		{"q=%zz&q=grill", "q", "grill", true},
+		{"q=grill", "q", "grill"},
+		{"q=outdoor+barbecue", "q", "outdoor barbecue"},
+		{"q=outdoor%20barbecue", "q", "outdoor barbecue"},
+		{"a=1&q=x&b=2", "q", "x"},
+		{"q=first&q=second", "q", "first"},
+		{"items=1,2,3&k=5", "k", "5"},
+		{"items=1,2,3&k=5", "items", "1,2,3"},
+		{"", "q", ""},
+		{"q", "q", ""},
+		{"qq=x", "q", ""},
+		{"q=%zz", "q", ""}, // malformed escape: dropped like ParseQuery does
+		{"q=%zz&q=grill", "q", "grill"},
+		{"%71=barbecue", "q", "barbecue"}, // escaped key
+		{"q=a;b", "q", ""},                // a pair holding ';' is dropped
+		{"q&q=x", "q", ""},                // a bare key's value is ""
 	}
 	for _, c := range cases {
-		got, found := queryParam(c.raw, c.key)
-		if got != c.want || found != c.found {
-			t.Errorf("queryParam(%q, %q) = (%q, %v), want (%q, %v)", c.raw, c.key, got, found, c.want, c.found)
+		if got := queryParam(c.raw, c.key); got != c.want {
+			t.Errorf("queryParam(%q, %q) = %q, want %q", c.raw, c.key, got, c.want)
 		}
+	}
+}
+
+// TestQueryParamZeroAllocs: a query whose keys and values need no
+// unescaping is scanned without allocating.
+func TestQueryParamZeroAllocs(t *testing.T) {
+	raw := "items=1,2,3&gen=7&k=5&q=outdoor"
+	if allocs := testing.AllocsPerRun(200, func() {
+		for _, key := range []string{"q", "items", "k", "gen", "shard"} {
+			queryParam(raw, key)
+		}
+	}); allocs != 0 {
+		t.Fatalf("queryParam allocates %.1f times per op, want 0", allocs)
 	}
 }
 

@@ -68,33 +68,36 @@ func appendReadAll(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// queryParam returns the first value of key in a raw (still escaped) URL
-// query. The common case — no %-escapes, no '+' — returns a substring of
-// rawQuery without allocating; escaped values are unescaped (allocating,
-// like net/url would). A pair with a malformed escape is skipped and the
-// scan goes on, matching url.ParseQuery, which drops only the broken pair.
-func queryParam(rawQuery, key string) (string, bool) {
-	for len(rawQuery) > 0 {
-		var seg string
-		if i := strings.IndexByte(rawQuery, '&'); i >= 0 {
-			seg, rawQuery = rawQuery[:i], rawQuery[i+1:]
-		} else {
-			seg, rawQuery = rawQuery, ""
-		}
-		if len(seg) <= len(key) || seg[len(key)] != '=' || seg[:len(key)] != key {
+// queryParam returns url.ParseQuery(rawQuery).Get(key) for a non-empty
+// key: the first value of key in a raw (still escaped) URL query, or "" —
+// callers treat an absent value and an empty one alike. Like ParseQuery it
+// unescapes keys as well as values, drops a pair holding a ';' or a
+// malformed escape and goes on scanning, and gives a bare key the value
+// "". A pair whose key and value hold no '%' or '+' — the common case —
+// is compared and returned as a substring of rawQuery without allocating.
+func queryParam(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if strings.IndexByte(pair, ';') >= 0 {
 			continue
 		}
-		v := seg[len(key)+1:]
-		if strings.IndexByte(v, '%') < 0 && strings.IndexByte(v, '+') < 0 {
-			return v, true
-		}
-		u, err := url.QueryUnescape(v)
-		if err != nil {
+		k, v, _ := strings.Cut(pair, "=")
+		if strings.ContainsAny(k, "%+") {
+			if u, err := url.QueryUnescape(k); err != nil || u != key {
+				continue
+			}
+		} else if k != key {
 			continue
 		}
-		return u, true
+		if !strings.ContainsAny(v, "%+") {
+			return v
+		}
+		if u, err := url.QueryUnescape(v); err == nil {
+			return u
+		}
 	}
-	return "", false
+	return ""
 }
 
 // appendItemsParam parses a comma-separated id list ("1,22,3", with blanks

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -345,6 +346,28 @@ func FuzzParseRecommendBatchBody(f *testing.F) {
 				if got[i][j] != want.Sessions[i][j] {
 					t.Fatalf("scanner decoded %q as %v, encoding/json as %v", body, got, want.Sessions)
 				}
+			}
+		}
+	})
+}
+
+// FuzzQueryParam checks the RawQuery scanner against net/url: for every
+// key the handlers read, queryParam returns what url.ParseQuery(raw).Get
+// returns — also when ParseQuery reports an error, whose partial result
+// still holds every pair it could parse.
+func FuzzQueryParam(f *testing.F) {
+	for _, raw := range []string{
+		"q=outdoor+barbecue&items=1,2,3&k=5",
+		"gen=7&shard=%32",
+		"q=%zz&q=grill",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		vals, _ := url.ParseQuery(raw)
+		for _, key := range []string{"q", "items", "k", "gen", "shard"} {
+			if got, want := queryParam(raw, key), vals.Get(key); got != want {
+				t.Fatalf("queryParam(%q, %q) = %q, url.ParseQuery gives %q", raw, key, got, want)
 			}
 		}
 	})

@@ -471,7 +471,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeCached(w, v)
 		return
 	}
-	q, _ := queryParam(raw, "q")
+	q := queryParam(raw, "q")
 	if q == "" {
 		s.errorCaching(w, "missing q parameter", http.StatusBadRequest, s.searchBytes, stamp, raw)
 		return
@@ -573,15 +573,14 @@ func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	itemsVal, _ := queryParam(raw, "items")
-	ids, err := appendItemsParam(sc.ids[:0], itemsVal)
+	ids, err := appendItemsParam(sc.ids[:0], queryParam(raw, "items"))
 	sc.ids = ids
 	if err != nil {
 		s.errorCaching(w, "bad items parameter", http.StatusBadRequest, s.recBytes, stamp, raw)
 		return
 	}
 	k := 10
-	if ks, ok := queryParam(raw, "k"); ok && ks != "" {
+	if ks := queryParam(raw, "k"); ks != "" {
 		v, err := strconv.Atoi(ks)
 		if err != nil || v <= 0 {
 			s.errorCaching(w, "bad k parameter", http.StatusBadRequest, s.recBytes, stamp, raw)
@@ -691,7 +690,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// breaker — a good publish re-closes it for the -refresh loop.
 	var source string
 	var err error
-	if shardStr, ok := queryParam(r.URL.RawQuery, "shard"); ok && shardStr != "" {
+	if shardStr := queryParam(r.URL.RawQuery, "shard"); shardStr != "" {
 		if s.store == nil {
 			http.Error(w, "shard reload requires -snapshot-dir", http.StatusBadRequest)
 			return

@@ -215,7 +215,7 @@ func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var gen uint64
-	if genStr, ok := queryParam(r.URL.RawQuery, "gen"); ok && genStr != "" {
+	if genStr := queryParam(r.URL.RawQuery, "gen"); genStr != "" {
 		v, err := strconv.ParseUint(genStr, 10, 64)
 		if err != nil || v == 0 {
 			http.Error(w, "bad gen parameter", http.StatusBadRequest)

@@ -109,25 +109,6 @@ func (s *Segmenter) MaxMatch(tokens []string) []Segment {
 // (callers must not modify them — MaxMatch returns copies instead). With a
 // reused dst, steady-state segmentation performs zero allocations.
 func (s *Segmenter) SegmentInto(dst []Segment, tokens []string) []Segment {
-	return segmentInto(s, dst, tokens)
-}
-
-// SegmentBytesInto is SegmentInto for byte-slice tokens (the bytes query
-// pipeline); same contract, same DP, same shared-Labels caveat.
-func (s *Segmenter) SegmentBytesInto(dst []Segment, tokens [][]byte) []Segment {
-	return segmentInto(s, dst, tokens)
-}
-
-// has reports whether the lexicon holds the space-joined phrase key.
-func (s *Segmenter) has(key []byte) bool {
-	_, ok := s.phrases[string(key)] // alloc-free map key form
-	return ok
-}
-
-// segmentInto runs SegmentFunc over the segmenter's lexicon on a pooled
-// scratch and attaches each matched segment's labels; methods cannot be
-// generic, so the string and bytes entry points delegate here.
-func segmentInto[T string | []byte](s *Segmenter, dst []Segment, tokens []T) []Segment {
 	sc := s.pool.Get().(*MatchScratch)
 	defer s.pool.Put(sc)
 	base := len(dst)
@@ -139,6 +120,12 @@ func segmentInto[T string | []byte](s *Segmenter, dst []Segment, tokens []T) []S
 		}
 	}
 	return dst
+}
+
+// has reports whether the lexicon holds the space-joined phrase key.
+func (s *Segmenter) has(key []byte) bool {
+	_, ok := s.phrases[string(key)] // alloc-free map key form
+	return ok
 }
 
 // SegmentFunc is the max-match dynamic program every segmentation runs:

@@ -63,9 +63,8 @@ func bruteForceOptimum(tokens []string, has func(string) bool) (matched, segs in
 	return matched, segs
 }
 
-// FuzzSegment: over a random lexicon and query, MaxMatch, SegmentInto,
-// SegmentBytesInto and SegmentFunc over the same lexicon return the same
-// segments; the segments tile the query, unmatched ones are single tokens,
+// FuzzSegment: over a random lexicon and query, MaxMatch, SegmentInto and
+// SegmentFunc over the same lexicon return the same segments; the segments tile the query, unmatched ones are single tokens,
 // matched ones are phrases carrying exactly their labels; and on queries of
 // at most 8 tokens the segmentation is the brute-force optimum. The seeds
 // are in testdata/fuzz/FuzzSegment.
@@ -89,10 +88,8 @@ func FuzzSegment(f *testing.F) {
 			query = query[:64]
 		}
 		tokens := make([]string, len(query))
-		bytesTokens := make([][]byte, len(query))
 		for i, b := range query {
 			tokens[i] = fuzzAlphabet[b%4]
-			bytesTokens[i] = []byte(tokens[i])
 		}
 
 		ref := s.MaxMatch(tokens)
@@ -102,15 +99,10 @@ func FuzzSegment(f *testing.F) {
 		if funcSegs[0].Start != -1 {
 			t.Fatal("SegmentFunc overwrote dst's existing elements")
 		}
-		for name, segs := range map[string][]Segment{
-			"SegmentInto":      s.SegmentInto(nil, tokens),
-			"SegmentBytesInto": s.SegmentBytesInto(nil, bytesTokens),
-		} {
-			if !slices.EqualFunc(segs, ref, func(a, b Segment) bool {
-				return a.Start == b.Start && a.End == b.End && a.Match == b.Match && slices.Equal(a.Labels, b.Labels)
-			}) {
-				t.Fatalf("%s %+v, MaxMatch %+v", name, segs, ref)
-			}
+		if segs := s.SegmentInto(nil, tokens); !slices.EqualFunc(segs, ref, func(a, b Segment) bool {
+			return a.Start == b.Start && a.End == b.End && a.Match == b.Match && slices.Equal(a.Labels, b.Labels)
+		}) {
+			t.Fatalf("SegmentInto %+v, MaxMatch %+v", segs, ref)
 		}
 		if !slices.EqualFunc(funcSegs[1:], ref, func(a, b Segment) bool {
 			return a.Start == b.Start && a.End == b.End && a.Match == b.Match && a.Labels == nil

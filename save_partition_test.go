@@ -68,7 +68,7 @@ func TestSaveShardsSeesLiveEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasEdge(l.serving.Load().reader, item, prim) {
+	if !hasEdge(l.serving.Load().shards, item, prim) {
 		t.Fatalf("the saved generation lacks the live edge %d -> %d", item, prim)
 	}
 }
@@ -120,7 +120,7 @@ func TestSaveShardsRefreezesSwappedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasEdge(l.serving.Load().reader, item, prim) {
+	if !hasEdge(l.serving.Load().shards, item, prim) {
 		t.Fatalf("the save wrote the swapped-in shard %d, which lacks the edge %d -> %d", k, item, prim)
 	}
 }

@@ -11,9 +11,11 @@
 # BenchmarkSegmentInto (pooled DP scratch vs allocating MaxMatch), the
 # BenchmarkServeCacheHit/Miss end-to-end query-cache pair,
 # BenchmarkBatchDecode (fixed-shape scanner vs encoding/json), and the
-# BenchmarkSharded* set (N=1 vs N=4 partition reads, whole-net vs sharded
-# freeze) — and writes BENCH_core.json at the repo root: one record per
-# benchmark with ns/op, B/op, and allocs/op.
+# BenchmarkSharded* set (reads through a 1-shard vs a 4-shard ShardSet,
+# the one frozen read path, and a whole-net vs a 4-shard freeze) — and
+# writes BENCH_core.json at the repo root: one record per benchmark with
+# ns/op, B/op, and allocs/op. The FrozenVsLocked*/frozen rows read the
+# one-shard ShardSet that Net.Freeze returns.
 #
 # Before overwriting, the committed BENCH_core.json is kept and a
 # BENCH_delta table (ns/op, B/op and allocs/op, old vs new, per benchmark)

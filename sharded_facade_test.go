@@ -187,7 +187,7 @@ func TestRelationNamesSurviveShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := namedEdges(c.Internal().Net), namedEdges(l.serving.Load().reader)
+	want, got := namedEdges(c.Internal().Net), namedEdges(l.serving.Load().shards)
 	for _, rel := range []string{"has_property", "used_in", "suitable_when", "has_function", "implied"} {
 		if !slices.ContainsFunc(want, func(e string) bool { return strings.HasSuffix(e, " "+rel) }) {
 			t.Errorf("the built net has no %q edge", rel)
@@ -320,7 +320,7 @@ func TestReloadChecksItemKinds(t *testing.T) {
 	arts := *l.arts.Load()
 	meta := *arts.Serving
 	meta.Items = slices.Clone(meta.Items)
-	meta.Items[0].Node = l.serving.Load().reader.NodesOfKind(core.KindEConcept)[0]
+	meta.Items[0].Node = l.serving.Load().shards.NodesOfKind(core.KindEConcept)[0]
 	arts.Serving = &meta
 	l.arts.Store(&arts)
 	gen := l.ServingInfo().Generation
