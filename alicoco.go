@@ -94,8 +94,8 @@ type CoCo struct {
 	// is stamped with the generation (and checksum) of the snapshot it was
 	// computed from, so publishing a new snapshot — reload, refreeze,
 	// inference — invalidates the whole cache for free (stale generations
-	// simply stop matching). One cache per engine keeps the /stats
-	// counters attributable.
+	// simply stop matching). One cache per engine keeps the per-layer
+	// cache counters attributable.
 	searchCache *qcache.Cache
 	recCache    *qcache.Cache
 }

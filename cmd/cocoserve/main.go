@@ -5,6 +5,7 @@
 // Endpoints:
 //
 //	GET  /stats
+//	GET  /metrics   (Prometheus text exposition)
 //	GET  /search?q=outdoor+barbecue
 //	POST /search/batch      {"queries": ["outdoor barbecue", ...], "max_items": 12}
 //	GET  /concept?name=outdoor+barbecue
@@ -23,10 +24,11 @@
 // {"results": [{"Found": bool, "Reason": ..., "Card": ...}, ...]}, both in
 // request order.
 //
-// /stats reports the net shape plus a "snapshot" section (source, serving
-// generation, the content checksum and store root when loaded from disk,
-// publish time, age, serving node/edge counts, per-shard state) and a
-// "cache" section with hit/miss/eviction counters per cache layer.
+// /metrics renders the server's one metric registry as Prometheus text,
+// and /stats carries the same series as JSON under "metrics" (a histogram
+// as its count, sum, p50 and p99 in seconds) beside what no series can
+// carry: the net shape, "build", and the serving "snapshot" identity
+// (source, checksum and store root, publish times, per-shard checksums).
 //
 // Serving is cached at two layers, both stamped with the serving
 // generation so POST /reload (or a refreeze) invalidates everything at
@@ -67,9 +69,8 @@
 // truncated generation leaves the current serving state untouched. The
 // swap itself is one atomic pointer store — in-flight and concurrent
 // queries keep answering without downtime; -refresh does the same on a
-// timer. POST /reload?shard=i force-reloads one shard. /stats lists
-// per-shard generation, checksum, publish age, and consecutive-failure
-// counts.
+// timer. POST /reload?shard=i force-reloads one shard. The
+// cocoserve_shard_* series follow the served partition as it grows.
 //
 // Operational behavior (see PERF.md "Operational behavior" for budgets):
 // handler panics become 500s behind recovery middleware; cache-missing
@@ -81,8 +82,8 @@
 // SIGTERM/SIGINT drains in-flight requests within -drain-timeout before
 // exiting; the -refresh loop retries failed reloads with jittered
 // exponential backoff behind a circuit breaker, keeping the last good
-// generation serving throughout. /stats carries a "resilience" section
-// with all of those counters.
+// generation serving throughout. The cocoserve_gate_* and
+// cocoserve_reload_* series count all of it.
 //
 // With -snapshot-dir the crash-safe snapshot lifecycle runs on top of all
 // of the above: startup sweeps any torn/uncommitted save the publisher
@@ -99,8 +100,8 @@
 // generation's files against its manifest — anchored by the catalog
 // entry's manifest checksum — quarantining mismatches and repairing them
 // from the newest clean source (another committed generation, else the
-// in-memory shard). /stats gains a "snapstore" section reporting the
-// catalog, rollback history, and scrub counters.
+// in-memory shard). /stats gains a "snapstore" section listing the
+// catalog with its skiplist, the last rollback and the last scrub report.
 package main
 
 import "alicoco/internal/serve"

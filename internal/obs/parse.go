@@ -14,6 +14,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParsedSample is one exposition line: full sample name (including
@@ -178,7 +179,7 @@ func (p *Parsed) HistogramSnapshot(name string, pairs ...string) (HistSnapshot, 
 // ParseText parses and validates one exposition payload. Violations of
 // the format — or of the invariants the renderer promises (HELP and TYPE
 // before samples, no family interleaving, monotone cumulative buckets,
-// +Inf == _count) — are errors.
+// +Inf == _count, label values in valid UTF-8) — are errors.
 func ParseText(b []byte) (*Parsed, error) {
 	p := &Parsed{byName: make(map[string]*ParsedFamily)}
 	var cur *ParsedFamily
@@ -528,6 +529,9 @@ func parseLabels(s string) (int, [][2]string, error) {
 			}
 			val.WriteByte(c)
 			i++
+		}
+		if !utf8.ValidString(val.String()) {
+			return 0, nil, fmt.Errorf("label %s value is not valid UTF-8", key)
 		}
 		labels = append(labels, [2]string{key, val.String()})
 		if i < len(s) && s[i] == ',' {

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
+	"unicode/utf8"
 )
 
 func mustParse(t *testing.T, s string) *Parsed {
@@ -30,6 +34,7 @@ func TestParseRejects(t *testing.T) {
 		{"bad value", "# HELP x h\n# TYPE x counter\nx one\n", "bad value"},
 		{"unterminated labels", "# HELP x h\n# TYPE x counter\nx{k=\"v\" 1\n", "unterminated"},
 		{"bad escape", "# HELP x h\n# TYPE x counter\nx{k=\"a\\t\"} 1\n", "bad escape"},
+		{"invalid UTF-8 label", "# HELP x h\n# TYPE x counter\nx{k=\"\xff\"} 1\n", "not valid UTF-8"},
 		{"bucket without le", "# HELP x h\n# TYPE x histogram\nx_bucket 1\nx_bucket{le=\"+Inf\"} 1\nx_sum 1\nx_count 1\n", "without le"},
 		{"le not increasing", "# HELP x h\n# TYPE x histogram\nx_bucket{le=\"0.2\"} 1\nx_bucket{le=\"0.1\"} 2\nx_bucket{le=\"+Inf\"} 2\nx_sum 1\nx_count 2\n", "not strictly increasing"},
 		{"cumulative regression", "# HELP x h\n# TYPE x histogram\nx_bucket{le=\"0.1\"} 5\nx_bucket{le=\"0.2\"} 3\nx_bucket{le=\"+Inf\"} 5\nx_sum 1\nx_count 5\n", "regressed"},
@@ -107,4 +112,55 @@ func TestHistogramSnapshotMissingFamily(t *testing.T) {
 	if _, err := p.HistogramSnapshot("x"); err == nil || !strings.Contains(err.Error(), "want histogram") {
 		t.Errorf("counter-as-histogram accepted: %v", err)
 	}
+}
+
+// FuzzParseText checks the exposition boundary three ways: ParseText
+// never panics on raw bytes; a registry whose counter, gauge and histogram
+// carry a fuzzed label value and gauge reading renders text that parses
+// back to the same labels and values (invalid UTF-8 in the label reads
+// back as U+FFFD, and NaN stays NaN); and its JSON view is valid JSON
+// holding the same three series.
+func FuzzParseText(f *testing.F) {
+	f.Add([]byte("# HELP x h\n# TYPE x counter\nx{k=\"v\"} 1\n"), "search", 1.5)
+	f.Fuzz(func(t *testing.T, raw []byte, label string, reading float64) {
+		_, _ = ParseText(raw)
+
+		r := NewRegistry()
+		r.NewCounter("fz_total", "Counter.", "v", label).Add(7)
+		r.NewGaugeFunc("fz_gauge", "Gauge.", func() float64 { return reading }, "v", label)
+		r.NewHistogram("fz_seconds", "Histogram.", "v", label).Record(1500 * time.Microsecond)
+		want := strings.ToValidUTF8(label, "\uFFFD")
+
+		text := r.AppendText(nil)
+		p, err := ParseText(text)
+		if err != nil {
+			t.Fatalf("render does not parse: %v\n%s", err, text)
+		}
+		if v, ok := p.Value("fz_total", "v", want); !ok || v != 7 {
+			t.Fatalf("counter = %v (found %v), want 7\n%s", v, ok, text)
+		}
+		if v, ok := p.Value("fz_gauge", "v", want); !ok || (v != reading && !(math.IsNaN(v) && math.IsNaN(reading))) {
+			t.Fatalf("gauge = %v (found %v), want %v\n%s", v, ok, reading, text)
+		}
+		if snap, err := p.HistogramSnapshot("fz_seconds", "v", want); err != nil || snap.Total != 1 || snap.SumUS != 1500 {
+			t.Fatalf("histogram = %+v, %v\n%s", snap, err, text)
+		}
+
+		js := r.AppendJSON(nil)
+		var m map[string]any
+		if !utf8.Valid(js) || json.Unmarshal(js, &m) != nil {
+			t.Fatalf("JSON view is not valid JSON: %q", js)
+		}
+		labels := `{v="` + escapeLabelValue(want) + `"}`
+		if len(m) != 3 || m["fz_total"+labels] != 7.0 {
+			t.Fatalf("JSON view %v lacks fz_total%s = 7", m, labels)
+		}
+		g, ok := m["fz_gauge"+labels]
+		if finite := !math.IsNaN(reading) && !math.IsInf(reading, 0); !ok || (finite && g != reading) || (!finite && g != nil) {
+			t.Fatalf("JSON gauge = %v (found %v), want %v", g, ok, reading)
+		}
+		if h, _ := m["fz_seconds"+labels].(map[string]any); h["count"] != 1.0 || h["sum"] != 0.0015 {
+			t.Fatalf("JSON histogram = %v", h)
+		}
+	})
 }

@@ -20,7 +20,10 @@ type procReader struct {
 	mu      sync.Mutex
 	samples []metrics.Sample
 	stamp   time.Time
+	v       procValues
+}
 
+type procValues struct {
 	goroutines float64
 	heapBytes  float64
 	gcCycles   uint64
@@ -28,13 +31,15 @@ type procReader struct {
 }
 
 // read refreshes the cached values at most once per 100ms, so a scrape
-// that evaluates four collector closures costs one metrics.Read.
-func (p *procReader) read() {
+// that evaluates four collector closures costs one metrics.Read. It
+// returns a copy taken under the lock, so concurrent renders never read
+// the cache while another refreshes it.
+func (p *procReader) read() procValues {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := time.Now()
 	if !p.stamp.IsZero() && now.Sub(p.stamp) < 100*time.Millisecond {
-		return
+		return p.v
 	}
 	p.stamp = now
 	metrics.Read(p.samples)
@@ -42,15 +47,16 @@ func (p *procReader) read() {
 		s := &p.samples[i]
 		switch s.Name {
 		case "/sched/goroutines:goroutines":
-			p.goroutines = float64(s.Value.Uint64())
+			p.v.goroutines = float64(s.Value.Uint64())
 		case "/memory/classes/heap/objects:bytes":
-			p.heapBytes = float64(s.Value.Uint64())
+			p.v.heapBytes = float64(s.Value.Uint64())
 		case "/gc/cycles/total:gc-cycles":
-			p.gcCycles = s.Value.Uint64()
+			p.v.gcCycles = s.Value.Uint64()
 		case "/gc/pauses:seconds":
-			p.gcPauseP99 = histP99(s.Value.Float64Histogram())
+			p.v.gcPauseP99 = histP99(s.Value.Float64Histogram())
 		}
 	}
+	return p.v
 }
 
 // histP99 pulls the conservative p99 (bucket upper bound) out of a
@@ -97,16 +103,16 @@ func RegisterProcess(r *Registry, prefix string) {
 	p := &procReader{samples: append([]metrics.Sample(nil), procSamples...)}
 	r.NewGaugeFunc(prefix+"goroutines",
 		"Current number of live goroutines.",
-		func() float64 { p.read(); return p.goroutines })
+		func() float64 { return p.read().goroutines })
 	r.NewGaugeFunc(prefix+"heap_bytes",
 		"Bytes of live heap objects.",
-		func() float64 { p.read(); return p.heapBytes })
+		func() float64 { return p.read().heapBytes })
 	r.NewCounterFunc(prefix+"gc_cycles_total",
 		"Completed GC cycles since process start.",
-		func() uint64 { p.read(); return p.gcCycles })
+		func() uint64 { return p.read().gcCycles })
 	r.NewGaugeFunc(prefix+"gc_pause_p99_seconds",
 		"p99 GC stop-the-world pause since process start (bucket upper bound).",
-		func() float64 { p.read(); return p.gcPauseP99 })
+		func() float64 { return p.read().gcPauseP99 })
 	r.NewGaugeFunc(prefix+"process_start_time_seconds",
 		"Unix time the process started.",
 		func() float64 { return float64(StartTime.UnixNano()) / 1e9 })

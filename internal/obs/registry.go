@@ -182,8 +182,11 @@ func validLabelName(s string) bool {
 	return true
 }
 
-// escapeLabelValue applies the exposition format's label escapes.
+// escapeLabelValue applies the exposition format's label escapes. Each
+// run of invalid UTF-8 becomes U+FFFD first, so the text view, ParseText
+// and the JSON view all carry the same valid UTF-8 value.
 func escapeLabelValue(v string) string {
+	v = strings.ToValidUTF8(v, "\uFFFD")
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
@@ -231,14 +234,8 @@ func (r *Registry) AppendText(buf []byte) []byte {
 		for _, s := range f.series {
 			switch f.kind {
 			case kindCounter:
-				v := uint64(0)
-				if s.counter != nil {
-					v = s.counter.Value()
-				} else {
-					v = s.counterFn()
-				}
 				buf = appendSample(buf, f.name, s.labels, "")
-				buf = strconv.AppendUint(buf, v, 10)
+				buf = strconv.AppendUint(buf, s.count(), 10)
 				buf = append(buf, '\n')
 			case kindGauge:
 				buf = appendSample(buf, f.name, s.labels, "")
@@ -250,6 +247,86 @@ func (r *Registry) AppendText(buf []byte) []byte {
 		}
 	}
 	return buf
+}
+
+// count reads a counter series.
+func (s *series) count() uint64 {
+	if s.counter != nil {
+		return s.counter.Value()
+	}
+	return s.counterFn()
+}
+
+// AppendJSON renders the registry as one JSON object, appending to buf.
+// Every series is a member named by its exposition name, `family{labels}`:
+// a counter or gauge is its value (a NaN or ±Inf gauge is null), and a
+// histogram is {"count", "sum", "p50", "p99"}, all in seconds. Members
+// come in AppendText's order, and a value reads exactly as it does there.
+func (r *Registry) AppendJSON(buf []byte) []byte {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	buf = append(buf, '{')
+	start := len(buf)
+	for _, f := range r.fams {
+		for _, s := range f.series {
+			if len(buf) > start {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, '"')
+			buf = append(buf, f.name...)
+			if s.labels != "" {
+				buf = append(buf, '{')
+				buf = appendJSONEscaped(buf, s.labels)
+				buf = append(buf, '}')
+			}
+			buf = append(buf, '"', ':')
+			switch f.kind {
+			case kindCounter:
+				buf = strconv.AppendUint(buf, s.count(), 10)
+			case kindGauge:
+				buf = appendJSONFloat(buf, s.gaugeFn())
+			case kindHistogram:
+				snap := s.hist.Snapshot()
+				buf = append(buf, `{"count":`...)
+				buf = strconv.AppendUint(buf, snap.Total, 10)
+				buf = append(buf, `,"sum":`...)
+				buf = appendJSONFloat(buf, float64(snap.SumUS)/1e6)
+				buf = append(buf, `,"p50":`...)
+				buf = appendJSONFloat(buf, snap.Quantile(0.5).Seconds())
+				buf = append(buf, `,"p99":`...)
+				buf = appendJSONFloat(buf, snap.Quantile(0.99).Seconds())
+				buf = append(buf, '}')
+			}
+		}
+	}
+	return append(buf, '}')
+}
+
+// appendJSONEscaped appends s with JSON's string escapes: a quote or a
+// backslash takes a backslash, and a control byte becomes \u00XX. s is
+// valid UTF-8 (label values are made so at registration).
+func appendJSONEscaped(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			buf = append(buf, '\\', c)
+		case c < 0x20:
+			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			buf = append(buf, c)
+		}
+	}
+	return buf
+}
+
+// appendJSONFloat writes v as AppendText does, or null where JSON has no
+// number for it (NaN, ±Inf).
+func appendJSONFloat(buf []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(buf, "null"...)
+	}
+	return appendFloat(buf, v)
 }
 
 // appendSample writes `name{labels}` + a space (no value); le, when

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -76,24 +77,91 @@ func TestRegistryHelpTypeAndOrdering(t *testing.T) {
 }
 
 func TestRegistryLabelEscaping(t *testing.T) {
+	for _, c := range []struct{ name, value, want string }{
+		{"quote backslash newline", `a"b\c` + "\nd", `a"b\c` + "\nd"},
+		{"control byte", "a\x01b", "a\x01b"},
+		// Invalid UTF-8 renders as U+FFFD, whether or not anything beside
+		// it needs escaping.
+		{"invalid UTF-8", "\xff", "\uFFFD"},
+		{"invalid UTF-8 and a quote", "\xff\"", "\uFFFD\""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRegistry()
+			r.NewGaugeFunc("esc_gauge", `Help with \ backslash`+"\nand newline",
+				func() float64 { return 1 },
+				"path", c.value)
+			out := r.AppendText(nil)
+			p, err := ParseText(out)
+			if err != nil {
+				t.Fatalf("escaped render did not parse: %v\n%s", err, out)
+			}
+			f := p.Family("esc_gauge")
+			if f == nil || len(f.Samples) != 1 {
+				t.Fatalf("family missing: %v", f)
+			}
+			if got := f.Samples[0].Label("path"); got != c.want {
+				t.Errorf("label round-trip = %q, want %q", got, c.want)
+			}
+			if f.Help != `Help with \ backslash`+"\nand newline" {
+				t.Errorf("help round-trip = %q", f.Help)
+			}
+			// The JSON view names the series by the same label value.
+			var m map[string]float64
+			if err := json.Unmarshal(r.AppendJSON(nil), &m); err != nil {
+				t.Fatalf("JSON view: %v", err)
+			}
+			if key := `esc_gauge{path="` + escapeLabelValue(c.want) + `"}`; len(m) != 1 || m[key] != 1 {
+				t.Errorf("JSON view = %v, want only %q", m, key)
+			}
+		})
+	}
+}
+
+// TestRegistryJSONView pins the JSON renderer: valid JSON while gauges
+// read NaN or ±Inf (rendered as null), counters and finite gauges as
+// numbers, and a histogram as its count, sum, p50 and p99 in seconds.
+func TestRegistryJSONView(t *testing.T) {
 	r := NewRegistry()
-	r.NewGaugeFunc("esc_gauge", `Help with \ backslash`+"\nand newline",
-		func() float64 { return 1 },
-		"path", `a"b\c`+"\nd")
-	out := r.AppendText(nil)
-	p, err := ParseText(out)
-	if err != nil {
-		t.Fatalf("escaped render did not parse: %v\n%s", err, out)
+	for _, g := range []struct {
+		label string
+		v     float64
+	}{{"nan", math.NaN()}, {"pinf", inf}, {"ninf", math.Inf(-1)}, {"finite", 2.5}} {
+		v := g.v
+		r.NewGaugeFunc("j_gauge", "Gauge.", func() float64 { return v }, "v", g.label)
 	}
-	f := p.Family("esc_gauge")
-	if f == nil || len(f.Samples) != 1 {
-		t.Fatalf("family missing: %v", f)
+	r.NewCounter("j_total", "Counter.").Add(3)
+	r.NewHistogram("j_seconds", "Latency.").Record(3 * time.Millisecond)
+	out := r.AppendJSON(nil)
+	if !json.Valid(out) {
+		t.Fatalf("invalid JSON: %s", out)
 	}
-	if got := f.Samples[0].Label("path"); got != `a"b\c`+"\nd" {
-		t.Errorf("label round-trip = %q", got)
+	var m map[string]any
+	if err := json.Unmarshal(out, &m); err != nil {
+		t.Fatal(err)
 	}
-	if f.Help != `Help with \ backslash`+"\nand newline" {
-		t.Errorf("help round-trip = %q", f.Help)
+	for _, l := range []string{"nan", "pinf", "ninf"} {
+		if v, ok := m[`j_gauge{v="`+l+`"}`]; !ok || v != nil {
+			t.Errorf("gauge %s = %v (present %v), want null", l, v, ok)
+		}
+	}
+	if v := m[`j_gauge{v="finite"}`]; v != 2.5 {
+		t.Errorf("finite gauge = %v, want 2.5", v)
+	}
+	if v := m["j_total"]; v != 3.0 {
+		t.Errorf("counter = %v, want 3", v)
+	}
+	h, _ := m["j_seconds"].(map[string]any)
+	want := map[string]any{"count": 1.0, "sum": 0.003, "p50": 0.003, "p99": 0.003}
+	if len(h) != len(want) {
+		t.Fatalf("histogram = %v, want %v", h, want)
+	}
+	for k, v := range want {
+		if h[k] != v {
+			t.Errorf("histogram %s = %v, want %v", k, h[k], v)
+		}
+	}
+	if len(m) != 6 {
+		t.Errorf("%d members, want 6: %s", len(m), out)
 	}
 }
 
@@ -207,6 +275,30 @@ func TestScrapeMonotonicityUnderHammer(t *testing.T) {
 		lastCount, lastBuckets = snap.Count(), snap
 	}
 	close(stop)
+	wg.Wait()
+}
+
+// TestProcessCollectorsConcurrentRenders renders a registry holding the
+// process collectors from several goroutines for longer than their
+// 100ms refresh period. Under -race it pins that a render reads the
+// collectors' shared cache under its lock, never while another refreshes.
+func TestProcessCollectorsConcurrentRenders(t *testing.T) {
+	r := NewRegistry()
+	RegisterProcess(r, "t_")
+	deadline := time.Now().Add(250 * time.Millisecond)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				if !json.Valid(r.AppendJSON(nil)) {
+					t.Error("process collectors render invalid JSON")
+					return
+				}
+			}
+		}()
+	}
 	wg.Wait()
 }
 

@@ -429,26 +429,27 @@ func (g *Gate) RetryAfterSeconds() int {
 	return secs
 }
 
-// GateStats is a point-in-time snapshot of the gate for /stats scraping.
+// GateStats is a point-in-time snapshot of the gate, which the server
+// exports as cocoserve_gate_* series (Shed sums shed_total's priorities).
 type GateStats struct {
-	Capacity   int    `json:"capacity"`
-	QueueDepth int    `json:"queue_depth"`
-	InFlight   int64  `json:"in_flight"`
-	Waiting    int64  `json:"waiting"`
-	Admitted   uint64 `json:"admitted"`
-	Shed       uint64 `json:"shed"`
+	Capacity   int
+	QueueDepth int
+	InFlight   int64
+	Waiting    int64
+	Admitted   uint64
+	Shed       uint64
 
 	// Adaptive-controller state.
-	TargetMicros   int64   `json:"target_us"`        // CoDel target sojourn
-	IntervalMicros int64   `json:"interval_us"`      // CoDel interval
-	Dropping       bool    `json:"dropping"`         // controller in dropping mode
-	LastSojournUS  int64   `json:"last_sojourn_us"`  // most recent queued-acquire sojourn
-	ShedOverDelay  uint64  `json:"shed_over_delay"`  // sheds decided by the controller
-	ShedHigh       uint64  `json:"shed_high"`        // hard-limit sheds of PriorityHigh
-	ShedNormal     uint64  `json:"shed_normal"`      // sheds of PriorityNormal
-	ShedLow        uint64  `json:"shed_low"`         // sheds of PriorityLow
-	DrainPerSec    float64 `json:"drain_per_sec"`    // observed release rate
-	RetryAfterSecs int     `json:"retry_after_secs"` // the hint a shed would carry now
+	TargetMicros   int64   // CoDel target sojourn
+	IntervalMicros int64   // CoDel interval
+	Dropping       bool    // controller in dropping mode
+	LastSojournUS  int64   // most recent queued-acquire sojourn
+	ShedOverDelay  uint64  // sheds decided by the controller
+	ShedHigh       uint64  // hard-limit sheds of PriorityHigh
+	ShedNormal     uint64  // sheds of PriorityNormal
+	ShedLow        uint64  // sheds of PriorityLow
+	DrainPerSec    float64 // observed release rate
+	RetryAfterSecs int     // the hint a shed would carry now
 }
 
 // Stats snapshots the gate's counters; a nil gate reports zeros.

@@ -56,8 +56,8 @@ func (b *Backoff) Reset() {
 }
 
 // Attempt reports how many delays have been handed out since the last
-// Reset — the "where in the backoff schedule are we" signal /stats
-// exposes.
+// Reset — where in the backoff schedule the retrier is, which the server
+// exports as cocoserve_reload_backoff_attempt.
 func (b *Backoff) Attempt() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

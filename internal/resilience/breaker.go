@@ -78,12 +78,13 @@ func (b *Breaker) Failure() {
 	}
 }
 
-// BreakerStats is a point-in-time snapshot for /stats scraping.
+// BreakerStats is a point-in-time snapshot of the breaker. The server
+// exports it as the cocoserve_reload_breaker_* series.
 type BreakerStats struct {
-	State               string `json:"state"` // closed | open | half-open
-	ConsecutiveFailures int    `json:"consecutive_failures"`
-	Opens               uint64 `json:"opens"`  // times the breaker tripped
-	Denied              uint64 `json:"denied"` // attempts refused while open
+	State               string // closed | open | half-open
+	ConsecutiveFailures int
+	Opens               uint64 // times the breaker tripped
+	Denied              uint64 // attempts refused while open
 }
 
 // Stats snapshots the breaker; a nil breaker reports closed.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -60,34 +59,36 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 		}
 	}
 	// The loop above must actually have exercised the byte caches.
-	ci := s.cacheInfo()
-	if ci.SearchBytes.Hits == 0 || ci.RecommendBytes.Hits == 0 {
-		t.Fatalf("byte caches never hit: %+v", ci)
+	p := scrape(t, s.mux())
+	sHits, _ := p.Value("cocoserve_cache_hits_total", "layer", "search_bytes")
+	rHits, _ := p.Value("cocoserve_cache_hits_total", "layer", "recommend_bytes")
+	if sHits == 0 || rHits == 0 {
+		t.Fatalf("byte caches never hit: search_bytes %v, recommend_bytes %v", sHits, rHits)
 	}
-	if un := uncached.cacheInfo(); un.SearchBytes.Hits+un.SearchBytes.Misses != 0 {
-		t.Fatalf("disabled cache recorded traffic: %+v", un)
+	un := scrape(t, uncached.mux())
+	unHits, _ := un.Value("cocoserve_cache_hits_total", "layer", "search_bytes")
+	unMisses, _ := un.Value("cocoserve_cache_misses_total", "layer", "search_bytes")
+	if unHits+unMisses != 0 {
+		t.Fatalf("disabled cache recorded traffic: %v hits, %v misses", unHits, unMisses)
 	}
 }
 
-// TestStatsCacheSection: /stats exposes per-layer hit/miss counters that
-// move with traffic.
+// TestStatsCacheSection: the per-layer cache series (which /stats renders
+// under "metrics") carry hit/miss counters that move with traffic.
 func TestStatsCacheSection(t *testing.T) {
 	s := cachedFixture(t)
 	get(s, "/search?q=grill")
 	get(s, "/search?q=grill")
-	var resp struct {
-		Cache cacheInfo `json:"cache"`
+	p := scrape(t, s.mux())
+	hits, _ := p.Value("cocoserve_cache_hits_total", "layer", "search_bytes")
+	misses, _ := p.Value("cocoserve_cache_misses_total", "layer", "search_bytes")
+	if hits == 0 || misses == 0 {
+		t.Fatalf("search_bytes counters did not move: %v hits, %v misses", hits, misses)
 	}
-	_, body := get(s, "/stats")
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	ci := resp.Cache
-	if ci.SearchBytes.Hits == 0 || ci.SearchBytes.Misses == 0 {
-		t.Fatalf("search_bytes counters did not move: %+v", ci)
-	}
-	if ci.Search.Capacity == 0 || ci.SearchBytes.Capacity == 0 {
-		t.Fatalf("cache capacities missing from stats: %+v", ci)
+	searchCap, _ := p.Value("cocoserve_cache_capacity", "layer", "search")
+	bytesCap, _ := p.Value("cocoserve_cache_capacity", "layer", "search_bytes")
+	if searchCap == 0 || bytesCap == 0 {
+		t.Fatalf("cache capacities missing: search %v, search_bytes %v", searchCap, bytesCap)
 	}
 }
 
@@ -96,14 +97,21 @@ func TestStatsCacheSection(t *testing.T) {
 func TestCacheHitSkipsRecomputation(t *testing.T) {
 	s := cachedFixture(t)
 	get(s, "/search?q=winter+coat")
-	before := s.cacheInfo()
-	get(s, "/search?q=winter+coat")
-	after := s.cacheInfo()
-	if after.SearchBytes.Hits != before.SearchBytes.Hits+1 {
-		t.Fatalf("expected one byte-cache hit: %+v -> %+v", before, after)
+	layers := func() [3]float64 {
+		p := scrape(t, s.mux())
+		bytesHits, _ := p.Value("cocoserve_cache_hits_total", "layer", "search_bytes")
+		hits, _ := p.Value("cocoserve_cache_hits_total", "layer", "search")
+		misses, _ := p.Value("cocoserve_cache_misses_total", "layer", "search")
+		return [3]float64{bytesHits, hits, misses}
 	}
-	if after.Search.Hits != before.Search.Hits || after.Search.Misses != before.Search.Misses {
-		t.Fatalf("byte-cache hit still consulted the result cache: %+v -> %+v", before, after)
+	before := layers()
+	get(s, "/search?q=winter+coat")
+	after := layers()
+	if after[0] != before[0]+1 {
+		t.Fatalf("expected one byte-cache hit: search_bytes hits %v -> %v", before[0], after[0])
+	}
+	if after[1] != before[1] || after[2] != before[2] {
+		t.Fatalf("byte-cache hit still consulted the result cache: search hits/misses %v -> %v", before[1:], after[1:])
 	}
 }
 

@@ -132,7 +132,7 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 	// Let the refresh loop chew on the corrupt generation until the
 	// breaker opens and it stops attempting.
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && s.resilienceInfo().Reload.Breaker.State != "open" {
+	for time.Now().Before(deadline) && breakerState(t, s) != "open" {
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(stop)
@@ -143,16 +143,16 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	ri := s.resilienceInfo()
-	if ri.Reload.Failures == 0 || ri.Reload.Breaker.State != "open" {
-		t.Fatalf("breaker never opened under corrupt reloads: %+v", ri.Reload)
+	failures := metricValue(t, s, "cocoserve_reload_failures_total")
+	if state := breakerState(t, s); failures == 0 || state != "open" {
+		t.Fatalf("breaker never opened under corrupt reloads: %v failures, breaker %s", failures, state)
 	}
 	// The breaker trip rolled serving back to the last clean generation
 	// and skiplisted the corrupt one.
 	sn := s.snapstoreInfo()
-	if sn.ServingGen != 1 || sn.Rollbacks != 1 || sn.LastRollback == nil ||
-		!strings.Contains(sn.LastRollback.Reason, "breaker") {
-		t.Fatalf("no breaker rollback to gen 1: %+v", sn)
+	if rollbacks := metricValue(t, s, "cocoserve_rollbacks_total"); servingGen(sn) != 1 || rollbacks != 1 ||
+		sn.LastRollback == nil || !strings.Contains(sn.LastRollback.Reason, "breaker") {
+		t.Fatalf("no breaker rollback to gen 1: %v rollbacks, %+v", rollbacks, sn)
 	}
 	for _, g := range sn.Generations {
 		if g.ID == bad && !g.Bad {
@@ -179,8 +179,8 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 	if g := s.coco.ServingInfo().CatalogGen; g != next {
 		t.Fatalf("serving gen %d after newer commit, want %d", g, next)
 	}
-	if st := s.resilienceInfo().Reload.Breaker; st.State != "closed" || st.ConsecutiveFailures != 0 {
-		t.Fatalf("breaker did not close after good publish: %+v", st)
+	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_breaker_consecutive_failures"); state != "closed" || consec != 0 {
+		t.Fatalf("breaker did not close after good publish: %s, %v consecutive failures", state, consec)
 	}
 	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
 		t.Fatalf("search after recovery: status %d body %q", code, body)
@@ -250,9 +250,8 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	}
 	// The second consecutive failure tripped the breaker: serving skipped
 	// the corrupt generation and rolled back to the newest clean one.
-	ri := s.resilienceInfo()
-	if ri.Reload.Breaker.State != "open" || ri.Reload.Failures != 2 {
-		t.Fatalf("after corrupt reloads: %+v", ri.Reload)
+	if state, failures := breakerState(t, s), metricValue(t, s, "cocoserve_reload_failures_total"); state != "open" || failures != 2 {
+		t.Fatalf("after corrupt reloads: breaker %s, %v failures", state, failures)
 	}
 	if g := s.coco.ServingInfo().CatalogGen; g != clean {
 		t.Fatalf("serving gen %d after breaker rollback, want %d", g, clean)
@@ -271,9 +270,12 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	corruptFile(t, victim)
 	genBefore := s.coco.ServingInfo().Generation
 	s.scrubTick()
-	sn := s.snapstoreInfo()
-	if sn.Scrub.Quarantines != 1 || sn.Scrub.Repairs != 1 || sn.Scrub.Unrepaired != 0 {
-		t.Fatalf("scrub after corruption: %+v", sn.Scrub)
+	p := scrape(t, s.mux())
+	quarantines, _ := p.Value("cocoserve_scrub_quarantines_total")
+	repairs, _ := p.Value("cocoserve_scrub_repairs_total")
+	unrepaired, _ := p.Value("cocoserve_scrub_unrepaired_total")
+	if quarantines != 1 || repairs != 1 || unrepaired != 0 {
+		t.Fatalf("scrub after corruption: %v quarantines, %v repairs, %v unrepaired", quarantines, repairs, unrepaired)
 	}
 	if _, err := os.Stat(victim + ".quarantined"); err != nil {
 		t.Fatalf("rotten file not quarantined: %v", err)
@@ -287,9 +289,8 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	if _, err := s.tryReload(); err != nil {
 		t.Fatalf("reload of newer commit: %v", err)
 	}
-	ri = s.resilienceInfo()
-	if ri.Reload.Breaker.State != "closed" || ri.Reload.ConsecutiveFailures != 0 {
-		t.Fatalf("breaker did not recover: %+v", ri.Reload)
+	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_consecutive_failures"); state != "closed" || consec != 0 {
+		t.Fatalf("breaker did not recover: %s, %v consecutive reload failures", state, consec)
 	}
 	if g := s.coco.ServingInfo().CatalogGen; g != next {
 		t.Fatalf("serving gen %d after newer commit, want %d", g, next)
@@ -341,8 +342,8 @@ func TestChaosPanicRecovery(t *testing.T) {
 	if got500 == 0 || got200 == 0 {
 		t.Fatalf("panic injection did not exercise both paths: %d ok, %d panicked", got200, got500)
 	}
-	if int(s.panics.Load()) != got500 {
-		t.Fatalf("panics recovered %d, 500s served %d", s.panics.Load(), got500)
+	if int(s.panics.Value()) != got500 {
+		t.Fatalf("panics recovered %d, 500s served %d", s.panics.Value(), got500)
 	}
 }
 
@@ -622,25 +623,20 @@ func TestReadyzDrainingFlag(t *testing.T) {
 	}
 }
 
-// TestStatsResilienceSection: the /stats payload exposes the resilience
-// counters with sane shapes.
+// TestStatsResilienceSection: the resilience series (which /stats renders
+// under "metrics") have sane shapes, and a failed reload moves them.
 func TestStatsResilienceSection(t *testing.T) {
 	s := chaosServer(t, nil)
-	var resp struct {
-		Resilience resilienceInfo `json:"resilience"`
+	p := scrape(t, s.mux())
+	capacity, _ := p.Value("cocoserve_gate_capacity")
+	queue, _ := p.Value("cocoserve_gate_queue_depth")
+	if capacity == 0 || queue == 0 {
+		t.Fatalf("admission series empty: capacity %v, queue depth %v", capacity, queue)
 	}
-	_, body := get(s, "/stats")
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
+	if state := breakerState(t, s); state != "closed" {
+		t.Fatalf("fresh breaker state %q", state)
 	}
-	ri := resp.Resilience
-	if ri.Admission.Capacity == 0 || ri.Admission.QueueDepth == 0 {
-		t.Fatalf("admission stats empty: %+v", ri.Admission)
-	}
-	if ri.Reload.Breaker.State != "closed" {
-		t.Fatalf("fresh breaker state %q", ri.Reload.Breaker.State)
-	}
-	if ri.Draining {
+	if draining, _ := p.Value("cocoserve_draining"); draining != 0 {
 		t.Fatal("fresh server reports draining")
 	}
 	// A corrupt reload moves the failure counter through the HTTP surface.
@@ -651,12 +647,11 @@ func TestStatsResilienceSection(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("corrupt reload status %d", rec.Code)
 	}
-	_, body = get(s, "/stats")
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Resilience.Reload.Failures == 0 || resp.Resilience.Reload.ConsecutiveFailures == 0 {
-		t.Fatalf("reload failure not counted: %+v", resp.Resilience.Reload)
+	p = scrape(t, s.mux())
+	failures, _ := p.Value("cocoserve_reload_failures_total")
+	consec, _ := p.Value("cocoserve_reload_consecutive_failures")
+	if failures == 0 || consec == 0 {
+		t.Fatalf("reload failure not counted: %v failures, %v consecutive", failures, consec)
 	}
 }
 

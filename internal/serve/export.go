@@ -16,11 +16,10 @@ import (
 
 // Config is the embedding-facing serving policy. The zero value means
 // "production defaults" for every field; Disabled (-1) turns a knob off
-// where 0 could not (cache, gate, deadlines).
+// where 0 could not (gate, deadlines). Everything Config does not name —
+// the cache budget, the gate's adaptive controller, the slow-query log —
+// runs at the cocoserve defaults.
 type Config struct {
-	// CacheSize is the per-layer query cache entry budget; 0 means
-	// alicoco.DefaultQueryCacheCapacity, Disabled turns caching off.
-	CacheSize int
 	// Deadline / BatchDeadline bound a cache-missing request's lifetime,
 	// queue wait included; 0 means the defaults (2s / 15s), Disabled
 	// unbounded.
@@ -30,16 +29,9 @@ type Config struct {
 	// means the defaults (4x / 16x GOMAXPROCS), Disabled no gate.
 	MaxInflight int
 	QueueDepth  int
-	// TargetDelay / ShedInterval tune the gate's adaptive controller; 0
-	// means the resilience defaults (5ms / 100ms).
-	TargetDelay  time.Duration
-	ShedInterval time.Duration
 	// SnapshotDir, when non-empty, is the snapshot store the facade was
 	// loaded from: reload, rollback and scrub run against its catalog.
 	SnapshotDir string
-	// SlowQuery, when > 0, logs responses slower than the threshold and
-	// counts them in cocoserve_slow_queries_total; 0 disables.
-	SlowQuery time.Duration
 }
 
 // Disabled turns off a Config knob whose zero value means "default".
@@ -62,16 +54,10 @@ func (c Config) toServeConfig() serveConfig {
 			*dst = v
 		}
 	}
-	apply(&cfg.cacheSize, c.CacheSize)
 	apply(&cfg.maxInflight, c.MaxInflight)
 	apply(&cfg.queueDepth, c.QueueDepth)
 	applyDur(&cfg.deadline, c.Deadline)
 	applyDur(&cfg.batchDeadline, c.BatchDeadline)
-	applyDur(&cfg.targetDelay, c.TargetDelay)
-	applyDur(&cfg.shedInterval, c.ShedInterval)
-	if c.SlowQuery > 0 {
-		cfg.slowQuery = c.SlowQuery
-	}
 	return cfg
 }
 

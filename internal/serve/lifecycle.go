@@ -28,8 +28,7 @@ import (
 )
 
 // serveConfig is the resilience policy knobs; the zero value disables
-// everything (no deadlines, no gate, no breaker), which is what direct
-// &server{} literals in tests get.
+// everything (no deadlines, no gate, no breaker).
 type serveConfig struct {
 	cacheSize int
 
@@ -119,7 +118,7 @@ func defaultServeConfig() serveConfig {
 // allocations, keeping the cache-hit path's zero-alloc property.
 func (s *server) handler() http.Handler {
 	return resilience.Recover(s.mux(), func(v any) {
-		s.panics.Add(1)
+		s.panics.Inc()
 		log.Printf("panic in handler (recovered): %v\n%s", v, debug.Stack())
 	})
 }
@@ -163,7 +162,7 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, deadline time.Dur
 		cancel()
 	}
 	if !resilience.Budget(ctx, s.cfg.minBudget) {
-		s.degraded.Add(1)
+		s.degraded.Inc()
 		release()
 		s.shed(w, shedDegraded)
 		return nil, nil, false
@@ -330,9 +329,7 @@ func (s *server) tryReloadShard(i int) (source string, err error) {
 // consecutive-failure count after a good publish. Callers hold reloadMu.
 func (s *server) reloadSucceededLocked() {
 	s.breaker.Success()
-	if s.backoff != nil {
-		s.backoff.Reset()
-	}
+	s.backoff.Reset()
 	s.consecReloads = 0
 }
 
@@ -340,7 +337,7 @@ func (s *server) reloadSucceededLocked() {
 // counter, and charges it to the shard whose file failed when the loader
 // could attribute it. Callers hold reloadMu.
 func (s *server) reloadFailedLocked(err error) {
-	s.reloadFailures.Add(1)
+	s.reloadFailures.Inc()
 	s.breaker.Failure()
 	var sle *pipeline.ShardLoadError
 	if errors.As(err, &sle) {
@@ -377,11 +374,7 @@ func (s *server) refreshLoop(interval time.Duration, done <-chan struct{}) {
 		}
 		log.Printf("periodic reload: %v", err)
 		for attempt := 0; attempt < s.cfg.retries; attempt++ {
-			delay := time.Duration(0)
-			if s.backoff != nil {
-				delay = s.backoff.Next()
-			}
-			timer := time.NewTimer(delay)
+			timer := time.NewTimer(s.backoff.Next())
 			select {
 			case <-done:
 				timer.Stop()
@@ -391,7 +384,7 @@ func (s *server) refreshLoop(interval time.Duration, done <-chan struct{}) {
 			if !s.breaker.Allow() {
 				break
 			}
-			s.reloadRetries.Add(1)
+			s.reloadRetries.Inc()
 			if _, err = s.tryReload(); err == nil {
 				info := s.coco.ServingInfo()
 				log.Printf("reload retry %d succeeded: %d nodes, %d edges", attempt+1, info.Nodes, info.Edges)

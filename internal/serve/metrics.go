@@ -1,11 +1,11 @@
-// Production telemetry for the serving tier: a /metrics endpoint in
-// Prometheus text format, per-request instrumentation (latency
-// histograms, status-class counters, X-Request-Id correlation, the
-// -slow-query threshold log), and scrape-time collectors over every
-// counter the server already keeps (caches, admission gate, snapshot
-// lifecycle, snapstore, runtime). The request-path cost is strictly
-// atomic ops plus one pooled wrapper — the cache-hit path keeps its
-// 1-alloc/op budget, enforced by the alloc guards in chaos_test.go.
+// Production telemetry for the serving tier: the one registry behind
+// /metrics (Prometheus text) and /stats "metrics" (JSON). It holds the
+// per-request instruments (latency histograms, status-class counters,
+// X-Request-Id correlation, the -slow-query log), the lifecycle counters,
+// and scrape-time collectors over caches, gate, reload breaker, snapshot,
+// shards and runtime. The request-path cost is strictly atomic ops plus
+// one pooled wrapper — the cache-hit path keeps its 1-alloc/op budget,
+// enforced by the alloc guards in chaos_test.go.
 package serve
 
 import (
@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"alicoco"
 	"alicoco/internal/obs"
 	"alicoco/internal/qcache"
 	"alicoco/internal/resilience"
@@ -86,6 +87,9 @@ type serveMetrics struct {
 	lat    [numEndpoints]*obs.Hist
 	status [numEndpoints][numClasses]*obs.Counter
 	slow   [numEndpoints]*obs.Counter
+
+	shardMu sync.Mutex // serializes growShardSeries
+	shards  int        // shard indexes with registered series
 }
 
 // MetricsHistogramName is the per-endpoint latency family cocoload's
@@ -170,6 +174,15 @@ func (m *serveMetrics) registerGateCollectors(s *server) {
 	m.reg.NewGaugeFunc("cocoserve_gate_capacity",
 		"Configured engine slots (-max-inflight).",
 		func() float64 { return float64(gs().Capacity) })
+	m.reg.NewGaugeFunc("cocoserve_gate_queue_depth",
+		"Configured queue positions (-queue-depth).",
+		func() float64 { return float64(gs().QueueDepth) })
+	m.reg.NewGaugeFunc("cocoserve_gate_target_seconds",
+		"Queue delay the adaptive controller aims to stay under (-target-delay).",
+		func() float64 { return float64(gs().TargetMicros) / 1e6 })
+	m.reg.NewGaugeFunc("cocoserve_gate_interval_seconds",
+		"How long queue delay must stay over target before the controller sheds (-shed-interval).",
+		func() float64 { return float64(gs().IntervalMicros) / 1e6 })
 	m.reg.NewCounterFunc("cocoserve_gate_admitted_total",
 		"Requests admitted through the gate.",
 		func() uint64 { return gs().Admitted })
@@ -187,12 +200,7 @@ func (m *serveMetrics) registerGateCollectors(s *server) {
 		func() uint64 { return gs().ShedOverDelay })
 	m.reg.NewGaugeFunc("cocoserve_gate_dropping",
 		"1 while the adaptive controller is in dropping mode.",
-		func() float64 {
-			if gs().Dropping {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return oneIf(gs().Dropping) })
 	m.reg.NewGaugeFunc("cocoserve_gate_last_sojourn_seconds",
 		"Most recent queued-acquire sojourn.",
 		func() float64 { return float64(gs().LastSojournUS) / 1e6 })
@@ -205,10 +213,7 @@ func (m *serveMetrics) registerGateCollectors(s *server) {
 }
 
 // registerSnapshotCollectors exposes the serving snapshot's identity and
-// freshness, plus the per-shard slice of a partitioned store. Shard
-// series are registered for the partition size at startup; a partition
-// cannot grow while serving, and an index past the current partition
-// reports zeros.
+// freshness, plus the per-shard slice of the served partition.
 func (m *serveMetrics) registerSnapshotCollectors(s *server) {
 	m.reg.NewGaugeFunc("cocoserve_snapshot_generation",
 		"Serving publish generation (increments with every swap).",
@@ -222,26 +227,35 @@ func (m *serveMetrics) registerSnapshotCollectors(s *server) {
 	m.reg.NewGaugeFunc("cocoserve_snapshot_edges",
 		"Edges in the serving snapshot.",
 		func() float64 { return float64(s.coco.ServingInfo().Edges) })
-	for i := 0; i < s.coco.NumShards(); i++ {
-		idx := i
-		label := strconv.Itoa(i)
+	m.growShardSeries(s)
+}
+
+// growShardSeries registers the per-shard series of every index of the
+// served partition that has none yet. It runs at startup and before each
+// render of /metrics or /stats, so after a reload grows the partition (3
+// to 4 shards, say) both views carry the new index; an index past a
+// shrunk partition keeps its series and reports zeros.
+func (m *serveMetrics) growShardSeries(s *server) {
+	n := s.coco.NumShards()
+	m.shardMu.Lock()
+	defer m.shardMu.Unlock()
+	for ; m.shards < n; m.shards++ {
+		idx := m.shards
+		label := strconv.Itoa(idx)
+		info := func() (si alicoco.ShardServingInfo) {
+			if all := s.coco.ShardInfos(); idx < len(all) {
+				si = all[idx]
+			}
+			return si
+		}
 		m.reg.NewGaugeFunc("cocoserve_shard_generation",
 			"Publish generation of one shard's content (reloads that skip it leave it alone).",
-			func() float64 {
-				if si := s.coco.ShardInfos(); idx < len(si) {
-					return float64(si[idx].Generation)
-				}
-				return 0
-			}, "shard", label)
+			func() float64 { return float64(info().Generation) }, "shard", label)
 		m.reg.NewGaugeFunc("cocoserve_shard_checksum",
 			"CRC-32 of one shard's loaded content, as a number so a change is visible as a step.",
 			func() float64 {
-				if si := s.coco.ShardInfos(); idx < len(si) {
-					if v, err := strconv.ParseUint(si[idx].Checksum, 16, 64); err == nil {
-						return float64(v)
-					}
-				}
-				return 0
+				v, _ := strconv.ParseUint(info().Checksum, 16, 64) // 0 for an unstored shard
+				return float64(v)
 			}, "shard", label)
 		m.reg.NewGaugeFunc("cocoserve_shard_load_failures",
 			"Consecutive reload failures attributed to one shard.",
@@ -250,53 +264,84 @@ func (m *serveMetrics) registerSnapshotCollectors(s *server) {
 				defer s.reloadMu.Unlock()
 				return float64(s.shardFails[idx])
 			}, "shard", label)
+		m.reg.NewGaugeFunc("cocoserve_shard_nodes",
+			"Nodes in one shard of the serving partition.",
+			func() float64 { return float64(info().Nodes) }, "shard", label)
+		m.reg.NewGaugeFunc("cocoserve_shard_edges",
+			"Edges in one shard of the serving partition.",
+			func() float64 { return float64(info().Edges) }, "shard", label)
 	}
 }
 
-// registerLifecycleCollectors exposes the reload/rollback/scrub pipeline
-// and the resilience counters /stats already carries.
+// registerLifecycleCollectors creates the lifecycle counters the server
+// increments and exposes the reload pipeline's backoff and breaker state.
 func (m *serveMetrics) registerLifecycleCollectors(s *server) {
-	m.reg.NewCounterFunc("cocoserve_reload_failures_total",
-		"Reload attempts that returned an error.",
-		func() uint64 { return s.reloadFailures.Load() })
-	m.reg.NewCounterFunc("cocoserve_reload_retries_total",
-		"Backoff retries after a failed reload.",
-		func() uint64 { return s.reloadRetries.Load() })
-	m.reg.NewCounterFunc("cocoserve_rollbacks_total",
-		"Completed rollbacks (automatic and operator).",
-		func() uint64 { return s.rollbacks.Load() })
-	m.reg.NewCounterFunc("cocoserve_validation_failures_total",
-		"Post-swap validation rejections.",
-		func() uint64 { return s.validationFailures.Load() })
-	m.reg.NewCounterFunc("cocoserve_scrub_passes_total",
-		"Completed scrub passes.",
-		func() uint64 { return s.scrubPasses.Load() })
-	m.reg.NewCounterFunc("cocoserve_scrub_repairs_total",
-		"Files re-materialized by the scrubber.",
-		func() uint64 { return s.scrubRepairs.Load() })
-	m.reg.NewCounterFunc("cocoserve_scrub_quarantines_total",
-		"Files quarantined by the scrubber.",
-		func() uint64 { return s.scrubQuarantines.Load() })
-	m.reg.NewCounterFunc("cocoserve_scrub_unrepaired_total",
-		"Scrub mismatches no repair source covered.",
-		func() uint64 { return s.scrubUnrepaired.Load() })
-	m.reg.NewCounterFunc("cocoserve_scrub_errors_total",
-		"Scrub passes that failed outright.",
-		func() uint64 { return s.scrubErrors.Load() })
-	m.reg.NewCounterFunc("cocoserve_panics_recovered_total",
-		"Handler panics converted to 500s.",
-		func() uint64 { return s.panics.Load() })
-	m.reg.NewCounterFunc("cocoserve_degraded_refusals_total",
-		"Misses refused for lack of deadline budget (cache-hits-only mode).",
-		func() uint64 { return s.degraded.Load() })
+	s.reloadFailures = m.reg.NewCounter("cocoserve_reload_failures_total",
+		"Reload attempts that returned an error.")
+	s.reloadRetries = m.reg.NewCounter("cocoserve_reload_retries_total",
+		"Backoff retries after a failed reload.")
+	m.reg.NewGaugeFunc("cocoserve_reload_consecutive_failures",
+		"Reload failures since the last good publish; reaching the breaker threshold rolls serving back.",
+		func() float64 {
+			s.reloadMu.Lock()
+			defer s.reloadMu.Unlock()
+			return float64(s.consecReloads)
+		})
+	m.reg.NewGaugeFunc("cocoserve_reload_backoff_attempt",
+		"Retry delays handed out since the last good reload: the position in the backoff schedule.",
+		func() float64 { return float64(s.backoff.Attempt()) })
+	for _, state := range []string{"closed", "open", "half-open"} {
+		state := state
+		m.reg.NewGaugeFunc("cocoserve_reload_breaker_state",
+			"1 for the reload breaker's current state, 0 for the others.",
+			func() float64 { return oneIf(s.breaker.Stats().State == state) }, "state", state)
+	}
+	m.reg.NewGaugeFunc("cocoserve_reload_breaker_consecutive_failures",
+		"Consecutive failures the reload breaker has counted; it opens at its threshold.",
+		func() float64 { return float64(s.breaker.Stats().ConsecutiveFailures) })
+	m.reg.NewCounterFunc("cocoserve_reload_breaker_opens_total",
+		"Times the reload breaker tripped open.",
+		func() uint64 { return s.breaker.Stats().Opens })
+	m.reg.NewCounterFunc("cocoserve_reload_breaker_denied_total",
+		"Reload attempts the open breaker refused.",
+		func() uint64 { return s.breaker.Stats().Denied })
+	s.rollbacks = m.reg.NewCounter("cocoserve_rollbacks_total",
+		"Completed rollbacks (automatic and operator).")
+	s.validationFailures = m.reg.NewCounter("cocoserve_validation_failures_total",
+		"Post-swap validation rejections.")
+	s.scrubPasses = m.reg.NewCounter("cocoserve_scrub_passes_total",
+		"Completed scrub passes.")
+	s.scrubRepairs = m.reg.NewCounter("cocoserve_scrub_repairs_total",
+		"Files re-materialized by the scrubber.")
+	s.scrubQuarantines = m.reg.NewCounter("cocoserve_scrub_quarantines_total",
+		"Files quarantined by the scrubber.")
+	s.scrubUnrepaired = m.reg.NewCounter("cocoserve_scrub_unrepaired_total",
+		"Scrub mismatches no repair source covered.")
+	s.scrubErrors = m.reg.NewCounter("cocoserve_scrub_errors_total",
+		"Scrub passes that failed outright.")
+	m.reg.NewGaugeFunc("cocoserve_snapstore_retain",
+		"Committed generations the snapshot catalog keeps (-retain); 0 without -snapshot-dir.",
+		func() float64 {
+			if s.store == nil {
+				return 0
+			}
+			return float64(s.store.Retain())
+		})
+	s.panics = m.reg.NewCounter("cocoserve_panics_recovered_total",
+		"Handler panics converted to 500s.")
+	s.degraded = m.reg.NewCounter("cocoserve_degraded_refusals_total",
+		"Misses refused for lack of deadline budget (cache-hits-only mode).")
 	m.reg.NewGaugeFunc("cocoserve_draining",
 		"1 once shutdown has begun and readiness is failing.",
-		func() float64 {
-			if s.draining.Load() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return oneIf(s.draining.Load()) })
+}
+
+// oneIf is a boolean as a gauge reading.
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // statusWriter captures the response status so the instrument wrapper
@@ -410,5 +455,6 @@ func (s *server) instrument(ep endpoint, h http.HandlerFunc) http.HandlerFunc {
 // scrapes would otherwise dominate the low-traffic endpoint counters —
 // and never gated: observability must keep answering through overload.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.metrics.growShardSeries(s)
 	s.metrics.reg.Handler().ServeHTTP(w, r)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -32,6 +33,37 @@ func scrape(t *testing.T, h http.Handler) *obs.Parsed {
 		t.Fatalf("/metrics does not parse strictly: %v", err)
 	}
 	return p
+}
+
+// metricValue reads one counter or gauge series from a strict scrape of
+// s's /metrics, failing the test when the series is absent.
+func metricValue(t *testing.T, s *server, name string, labels ...string) float64 {
+	t.Helper()
+	v, ok := scrape(t, s.mux()).Value(name, labels...)
+	if !ok {
+		t.Fatalf("series %s%q missing from /metrics", name, labels)
+	}
+	return v
+}
+
+// breakerState is the reload breaker state the
+// cocoserve_reload_breaker_state series mark with 1.
+func breakerState(t *testing.T, s *server) string {
+	t.Helper()
+	f := scrape(t, s.mux()).Family("cocoserve_reload_breaker_state")
+	if f == nil {
+		t.Fatal("cocoserve_reload_breaker_state missing from /metrics")
+	}
+	state := ""
+	for _, sm := range f.Samples {
+		if sm.Value == 1 {
+			if state != "" {
+				t.Fatalf("breaker in two states: %+v", f.Samples)
+			}
+			state = sm.Label("state")
+		}
+	}
+	return state
 }
 
 func TestMetricsEndpointCoversCatalog(t *testing.T) {
@@ -66,13 +98,20 @@ func TestMetricsEndpointCoversCatalog(t *testing.T) {
 		"cocoserve_cache_evictions_total", "cocoserve_cache_entries",
 		"cocoserve_cache_capacity",
 		"cocoserve_gate_inflight", "cocoserve_gate_waiting",
+		"cocoserve_gate_queue_depth", "cocoserve_gate_target_seconds",
+		"cocoserve_gate_interval_seconds",
 		"cocoserve_gate_admitted_total", "cocoserve_gate_shed_total",
 		"cocoserve_gate_shed_over_delay_total", "cocoserve_gate_dropping",
 		"cocoserve_gate_last_sojourn_seconds", "cocoserve_gate_drain_per_sec",
 		"cocoserve_gate_retry_after_seconds",
 		"cocoserve_snapshot_generation", "cocoserve_snapshot_age_seconds",
 		"cocoserve_snapshot_nodes", "cocoserve_snapshot_edges",
+		"cocoserve_shard_nodes", "cocoserve_shard_edges",
 		"cocoserve_reload_failures_total", "cocoserve_rollbacks_total",
+		"cocoserve_reload_consecutive_failures", "cocoserve_reload_backoff_attempt",
+		"cocoserve_reload_breaker_state", "cocoserve_reload_breaker_consecutive_failures",
+		"cocoserve_reload_breaker_opens_total", "cocoserve_reload_breaker_denied_total",
+		"cocoserve_snapstore_retain",
 		"cocoserve_validation_failures_total", "cocoserve_scrub_passes_total",
 		"cocoserve_panics_recovered_total", "cocoserve_degraded_refusals_total",
 		"cocoserve_draining",
@@ -296,4 +335,91 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 		last = total
 	}
 	close(done)
+}
+
+// TestStatsIsRegistryView pins /stats "metrics" as a view of the /metrics
+// registry. After mixed traffic, a reload that grows the partition and a
+// scrub pass, the quiescent server's two views hold the same series, and
+// every counter and every histogram count and sum reads the same in both.
+func TestStatsIsRegistryView(t *testing.T) {
+	s := chaosServer(t, nil)
+	sessions := testServer(t).coco.SampleSessions(1)
+	if len(sessions) == 0 || len(sessions[0]) == 0 {
+		t.Fatal("no sessions")
+	}
+	sess := sessions[0]
+	for _, url := range []string{
+		"/search?q=outdoor+barbecue", "/search?q=outdoor+barbecue", "/search",
+		"/concept?name=outdoor+barbecue", "/concept?name=nope", "/hypernyms?name=coat",
+		fmt.Sprintf("/recommend?items=%d&k=5", sess[0]), "/recommend?items=abc",
+	} {
+		get(s, url)
+	}
+	post(s, "/search/batch", `{"queries": ["grill", "winter coat"]}`)
+	post(s, "/recommend/batch", fmt.Sprintf(`{"sessions": [[%d]], "k": 3}`, sess[0]))
+	commitShards(t, s, 4)
+	if code, body := post(s, "/reload", ""); code != http.StatusOK {
+		t.Fatalf("reload: %d %s", code, body)
+	}
+	s.scrubTick()
+
+	// /stats renders before its own request is counted, so a scrape taken
+	// just before it must match it exactly. The runtime's GC counter can
+	// step between the two; a few attempts ride that out.
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		p := scrape(t, s.mux())
+		_, body := get(s, "/stats")
+		var stats struct {
+			Metrics map[string]any `json:"metrics"`
+		}
+		if jerr := json.Unmarshal([]byte(body), &stats); jerr != nil {
+			t.Fatalf("/stats: %v", jerr)
+		}
+		if err = sameRegistry(p, stats.Metrics); err == nil {
+			return
+		}
+	}
+	t.Fatal(err)
+}
+
+// sameRegistry compares a strict scrape of /metrics with the /stats
+// "metrics" object: the same series keys (`family{labels}`), and the same
+// value for every counter and for every histogram's count and sum.
+func sameRegistry(p *obs.Parsed, view map[string]any) error {
+	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	keys := make(map[string]bool)
+	for _, f := range p.Families {
+		for _, sm := range f.Samples {
+			if sm.Name == f.Name+"_bucket" {
+				continue
+			}
+			var labels []string
+			for _, kv := range sm.Labels {
+				labels = append(labels, kv[0]+`="`+esc.Replace(kv[1])+`"`)
+			}
+			key := f.Name
+			if len(labels) > 0 {
+				key += "{" + strings.Join(labels, ",") + "}"
+			}
+			keys[key] = true
+			got, ok := view[key]
+			if !ok {
+				return fmt.Errorf("%s is in /metrics, not in /stats", key)
+			}
+			switch {
+			case f.Type == "histogram":
+				field := strings.TrimPrefix(sm.Name, f.Name+"_")
+				if h, _ := got.(map[string]any); h[field] != sm.Value {
+					return fmt.Errorf("%s %s: /stats %v, /metrics %v", key, field, h[field], sm.Value)
+				}
+			case f.Type == "counter" && got != sm.Value:
+				return fmt.Errorf("%s: /stats %v, /metrics %v", key, got, sm.Value)
+			}
+		}
+	}
+	if len(keys) != len(view) {
+		return fmt.Errorf("/stats has %d series, /metrics %d", len(view), len(keys))
+	}
+	return nil
 }

@@ -365,7 +365,7 @@ func FuzzQueryParam(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		vals, _ := url.ParseQuery(raw)
-		for _, key := range []string{"q", "items", "k", "gen", "shard"} {
+		for _, key := range []string{"q", "items", "k", "gen", "shard", "name"} {
 			if got, want := queryParam(raw, key), vals.Get(key); got != want {
 				t.Fatalf("queryParam(%q, %q) = %q, url.ParseQuery gives %q", raw, key, got, want)
 			}

@@ -1,7 +1,7 @@
 // Package serve implements the cocoserve HTTP server: the production
 // serving tier of the concept net (semantic search with concept cards,
 // concept lookup, cognitive recommendation, batch variants, snapshot
-// lifecycle endpoints, health/readiness, and /stats). The cocoserve
+// lifecycle endpoints, health/readiness, /stats and /metrics). The cocoserve
 // command is a thin wrapper around Main; cmd/cocoload embeds the same
 // server in-process so load and chaos drills exercise the real thing.
 //
@@ -63,9 +63,9 @@ type server struct {
 	searchBytes *qcache.Cache
 	recBytes    *qcache.Cache
 
-	// cfg holds the resilience policy; the zero value (direct &server{}
-	// literals in tests) means no deadlines, no gating, no reload
-	// hardening — every resilience type below tolerates staying nil.
+	// cfg holds the resilience policy; the zero value means no deadlines,
+	// no gating and no reload breaker — the gate and the breaker tolerate
+	// staying nil.
 	cfg serveConfig
 
 	// gate admits cache-missing engine dispatches: a bounded number run,
@@ -84,11 +84,19 @@ type server struct {
 	// balancers stop routing here while in-flight requests finish.
 	draining atomic.Bool
 
-	// Resilience counters surfaced by /stats.
-	panics         atomic.Uint64 // handler panics converted to 500s
-	degraded       atomic.Uint64 // misses refused for lack of deadline budget
-	reloadFailures atomic.Uint64 // reload attempts that returned an error
-	reloadRetries  atomic.Uint64 // backoff retries after a failed reload
+	// Lifecycle counters, created in the metrics registry by
+	// newServeMetrics (metrics.go).
+	panics             *obs.Counter // handler panics converted to 500s
+	degraded           *obs.Counter // misses refused for lack of deadline budget
+	reloadFailures     *obs.Counter // reload attempts that returned an error
+	reloadRetries      *obs.Counter // backoff retries after a failed reload
+	rollbacks          *obs.Counter // completed rollbacks (automatic + operator)
+	validationFailures *obs.Counter // post-swap validation rejections
+	scrubPasses        *obs.Counter // completed scrub passes
+	scrubRepairs       *obs.Counter // files re-materialized by the scrubber
+	scrubQuarantines   *obs.Counter // files quarantined by the scrubber
+	scrubUnrepaired    *obs.Counter // mismatches no repair source covered
+	scrubErrors        *obs.Counter // scrub passes that failed outright
 
 	// store is the generation catalog behind -snapshot-dir; nil means the
 	// net was built live, and /reload re-freezes it instead. With a store,
@@ -98,15 +106,6 @@ type server struct {
 	// it. Reloads serialize on the facade's own offline lock; queries are
 	// never blocked. See snapstore.go in this package.
 	store *snapstore.Store
-
-	// Snapstore lifecycle counters surfaced by /stats.
-	rollbacks          atomic.Uint64 // completed rollbacks (automatic + operator)
-	validationFailures atomic.Uint64 // post-swap validation rejections
-	scrubPasses        atomic.Uint64 // completed scrub passes
-	scrubRepairs       atomic.Uint64 // files re-materialized by the scrubber
-	scrubQuarantines   atomic.Uint64 // files quarantined by the scrubber
-	scrubUnrepaired    atomic.Uint64 // mismatches no repair source covered
-	scrubErrors        atomic.Uint64 // scrub passes that failed outright
 
 	// scrubMu guards the most recent scrub report for /stats.
 	scrubMu   sync.Mutex
@@ -135,9 +134,9 @@ type server struct {
 	// tests use to panic or stall inside a request.
 	hook func(op string)
 
-	// metrics is the /metrics registry plus the request-path instruments;
-	// built by newServerCfg (or lazily by mux for bare test literals).
-	// See metrics.go in this package.
+	// metrics is the registry behind /metrics and /stats plus the
+	// request-path instruments; built by newServerCfg, which every server
+	// comes from. See metrics.go in this package.
 	metrics *serveMetrics
 }
 
@@ -314,148 +313,61 @@ func (s *server) errorCaching(w http.ResponseWriter, msg string, status int, cac
 	http.Error(w, msg, status)
 }
 
-// statsResponse is the /stats payload: the Table-2 net shape plus the
-// serving snapshot's operational metadata, the query-cache counters, and
-// the resilience counters.
+// statsResponse is the /stats payload: what no series can carry (the
+// Table-2 net shape, build, the serving snapshot's identity, the catalog)
+// and every runtime number as the registry's JSON view under "metrics".
 type statsResponse struct {
 	alicoco.Stats
-	Build      obs.BuildInfo  `json:"build"`
-	Snapshot   snapshotInfo   `json:"snapshot"`
-	Snapstore  snapstoreInfo  `json:"snapstore"`
-	Cache      cacheInfo      `json:"cache"`
-	Resilience resilienceInfo `json:"resilience"`
+	Build     obs.BuildInfo   `json:"build"`
+	Snapshot  snapshotInfo    `json:"snapshot"`
+	Snapstore snapstoreInfo   `json:"snapstore"`
+	Metrics   json.RawMessage `json:"metrics"`
 }
 
-// resilienceInfo is the /stats "resilience" section: everything a load
-// harness or an operator needs to see the server's protective machinery
-// working — admission gate state, shed and panic counters, and the reload
-// pipeline's failure/retry/breaker state.
-type resilienceInfo struct {
-	Admission        resilience.GateStats `json:"admission"`
-	PanicsRecovered  uint64               `json:"panics_recovered"`
-	DegradedRefusals uint64               `json:"degraded_refusals"`
-	Draining         bool                 `json:"draining"`
-	Reload           reloadInfo           `json:"reload"`
-}
-
-type reloadInfo struct {
-	Failures            uint64                  `json:"failures"`
-	ConsecutiveFailures int                     `json:"consecutive_failures"`
-	Retries             uint64                  `json:"retries"`
-	BackoffAttempt      int                     `json:"backoff_attempt"`
-	Breaker             resilience.BreakerStats `json:"breaker"`
-}
-
-func (s *server) resilienceInfo() resilienceInfo {
-	s.reloadMu.Lock()
-	consec := s.consecReloads
-	s.reloadMu.Unlock()
-	backoffAttempt := 0
-	if s.backoff != nil {
-		backoffAttempt = s.backoff.Attempt()
-	}
-	return resilienceInfo{
-		Admission:        s.gate.Stats(),
-		PanicsRecovered:  s.panics.Load(),
-		DegradedRefusals: s.degraded.Load(),
-		Draining:         s.draining.Load(),
-		Reload: reloadInfo{
-			Failures:            s.reloadFailures.Load(),
-			ConsecutiveFailures: consec,
-			Retries:             s.reloadRetries.Load(),
-			BackoffAttempt:      backoffAttempt,
-			Breaker:             s.breaker.Stats(),
-		},
-	}
-}
-
-// cacheInfo breaks the hit/miss/eviction counters down by cache layer:
-// the two facade-level result caches (shared by the single and batch
-// endpoints) and the two encoded-bytes caches of the single-query GETs.
-type cacheInfo struct {
-	Search         qcache.Stats `json:"search"`
-	Recommend      qcache.Stats `json:"recommend"`
-	SearchBytes    qcache.Stats `json:"search_bytes"`
-	RecommendBytes qcache.Stats `json:"recommend_bytes"`
-}
-
-func (s *server) cacheInfo() cacheInfo {
-	ci := cacheInfo{
-		SearchBytes:    s.searchBytes.Stats(),
-		RecommendBytes: s.recBytes.Stats(),
-	}
-	ci.Search, ci.Recommend = s.coco.QueryCacheStats()
-	return ci
-}
-
+// snapshotInfo is the serving snapshot's identity. Its generation, age and
+// counts are the cocoserve_snapshot_* and cocoserve_shard_* series.
 type snapshotInfo struct {
 	Source      string      `json:"source"`             // build | shards | refreeze | rollback
-	Generation  uint64      `json:"generation"`         // serving publishes since startup
 	Checksum    string      `json:"checksum,omitempty"` // CRC-32 of the loaded snapshot content
 	Dir         string      `json:"dir,omitempty"`      // -snapshot-dir store root, when serving from one
 	PublishedAt string      `json:"published_at"`       // RFC 3339
-	AgeSeconds  float64     `json:"age_seconds"`        // time since publish
-	Nodes       int         `json:"nodes"`
-	Edges       int         `json:"edges"`
-	Shards      []shardStat `json:"shards,omitempty"` // per-shard state of the served partition
+	Shards      []shardStat `json:"shards,omitempty"`   // the served partition, in shard order
 }
 
-// shardStat is one shard's slice of the /stats snapshot section:
-// generation and publish time reflect when *this shard's content* last
-// changed (a reload that skipped it leaves them alone), and failures
-// counts its consecutive reload failures.
+// shardStat is one shard's identity: its content checksum and when that
+// content was last published (a reload that skipped the shard leaves it).
 type shardStat struct {
-	Index       int     `json:"index"`
-	Checksum    string  `json:"checksum,omitempty"`
-	Generation  uint64  `json:"generation"`
-	PublishedAt string  `json:"published_at"`
-	AgeSeconds  float64 `json:"age_seconds"`
-	Nodes       int     `json:"nodes"`
-	Edges       int     `json:"edges"`
-	Failures    int     `json:"failures,omitempty"`
+	Checksum    string `json:"checksum,omitempty"`
+	PublishedAt string `json:"published_at"`
 }
 
 func (s *server) snapshotInfo() snapshotInfo {
 	info := s.coco.ServingInfo()
 	out := snapshotInfo{
 		Source:      info.Source,
-		Generation:  info.Generation,
 		Checksum:    info.Checksum,
 		PublishedAt: info.PublishedAt.UTC().Format(time.RFC3339),
-		AgeSeconds:  time.Since(info.PublishedAt).Seconds(),
-		Nodes:       info.Nodes,
-		Edges:       info.Edges,
 	}
 	if s.store != nil {
 		out.Dir = s.store.Root()
 	}
-	if shards := s.coco.ShardInfos(); len(shards) > 0 {
-		s.reloadMu.Lock()
-		for _, si := range shards {
-			out.Shards = append(out.Shards, shardStat{
-				Index:       si.Index,
-				Checksum:    si.Checksum,
-				Generation:  si.Generation,
-				PublishedAt: si.PublishedAt.UTC().Format(time.RFC3339),
-				AgeSeconds:  time.Since(si.PublishedAt).Seconds(),
-				Nodes:       si.Nodes,
-				Edges:       si.Edges,
-				Failures:    s.shardFails[si.Index],
-			})
-		}
-		s.reloadMu.Unlock()
+	for _, si := range s.coco.ShardInfos() {
+		out.Shards = append(out.Shards, shardStat{
+			Checksum:    si.Checksum,
+			PublishedAt: si.PublishedAt.UTC().Format(time.RFC3339),
+		})
 	}
 	return out
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	s.metrics.growShardSeries(s)
 	s.writeJSON(w, statsResponse{
-		Stats:      s.coco.Stats(),
-		Build:      obs.CurrentBuildInfo(),
-		Snapshot:   s.snapshotInfo(),
-		Snapstore:  s.snapstoreInfo(),
-		Cache:      s.cacheInfo(),
-		Resilience: s.resilienceInfo(),
+		Stats:     s.coco.Stats(),
+		Build:     obs.CurrentBuildInfo(),
+		Snapshot:  s.snapshotInfo(),
+		Snapstore: s.snapstoreInfo(),
+		Metrics:   s.metrics.reg.AppendJSON(nil),
 	})
 }
 
@@ -548,7 +460,7 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleConcept(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	name := queryParam(r.URL.RawQuery, "name")
 	if name == "" {
 		http.Error(w, "missing name parameter", http.StatusBadRequest)
 		return
@@ -670,7 +582,7 @@ func (s *server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleHypernyms(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	name := queryParam(r.URL.RawQuery, "name")
 	s.writeJSON(w, map[string]any{"name": name, "hypernyms": s.coco.Hypernyms(name)})
 }
 
@@ -728,9 +640,6 @@ func (s *server) reload() (source string, err error) {
 // health probes stay outside it — probes and scrapes must not skew the
 // traffic counters, and must keep answering no matter what.
 func (s *server) mux() *http.ServeMux {
-	if s.metrics == nil {
-		s.metrics = newServeMetrics(s) // bare &server{} literals in tests
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", s.instrument(epStats, s.handleStats))
 	mux.HandleFunc("/search", s.instrument(epSearch, s.handleSearch))

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"alicoco"
 )
@@ -65,7 +66,8 @@ func TestShardedServesIdenticalAnswers(t *testing.T) {
 }
 
 // TestStatsShardedSection: a sharded server's /stats names the store it
-// serves from and lists per-shard checksum, generation, and age.
+// serves from and lists each shard's checksum and publish time, and the
+// per-shard series carry its generation, node count and failures.
 func TestStatsShardedSection(t *testing.T) {
 	built := testServer(t)
 	sharded, dir := newShardedServer(t, built, 4)
@@ -83,12 +85,18 @@ func TestStatsShardedSection(t *testing.T) {
 	if len(sn.Shards) != 4 {
 		t.Fatalf("%d shard stats, want 4", len(sn.Shards))
 	}
+	p := scrape(t, sharded.mux())
 	for i, sh := range sn.Shards {
-		if sh.Index != i || sh.Checksum == "" || sh.Generation == 0 || sh.Nodes == 0 {
-			t.Fatalf("shard stat %d malformed: %+v", i, sh)
+		shard := strconv.Itoa(i)
+		gen, okGen := p.Value("cocoserve_shard_generation", "shard", shard)
+		nodes, okNodes := p.Value("cocoserve_shard_nodes", "shard", shard)
+		if !okGen || !okNodes || sh.Checksum == "" || gen == 0 || nodes == 0 {
+			t.Fatalf("shard %d malformed: %+v, generation %v, nodes %v", i, sh, gen, nodes)
 		}
-		if sh.AgeSeconds < 0 || sh.PublishedAt == "" || sh.Failures != 0 {
-			t.Fatalf("shard stat %d malformed: %+v", i, sh)
+		published, err := time.Parse(time.RFC3339, sh.PublishedAt)
+		failures, okFail := p.Value("cocoserve_shard_load_failures", "shard", shard)
+		if err != nil || time.Since(published) < 0 || !okFail || failures != 0 {
+			t.Fatalf("shard %d malformed: %+v (%v), failures %v", i, sh, err, failures)
 		}
 	}
 	// The unsharded built server serves one in-process shard from no store.
@@ -128,5 +136,54 @@ func TestReloadShardEndpoint(t *testing.T) {
 	code, body = post(sharded, "/reload", "")
 	if code != http.StatusOK || !strings.Contains(body, "(0 reloaded)") {
 		t.Fatalf("no-op dir reload: %d %s", code, body)
+	}
+}
+
+// TestShardSeriesFollowPartition: after a reload grows the served
+// partition from 3 to 4 shards, both views carry shard 3's series,
+// whichever of them renders first.
+func TestShardSeriesFollowPartition(t *testing.T) {
+	families := []string{
+		"cocoserve_shard_generation", "cocoserve_shard_checksum",
+		"cocoserve_shard_load_failures", "cocoserve_shard_nodes", "cocoserve_shard_edges",
+	}
+	for _, first := range []string{"/metrics", "/stats"} {
+		s := chaosServer(t, nil)
+		get(s, first) // renders the 3-shard partition
+		commitShards(t, s, 4)
+		if code, body := post(s, "/reload", ""); code != http.StatusOK {
+			t.Fatalf("reload: %d %s", code, body)
+		}
+		inMetrics := func() {
+			p := scrape(t, s.mux())
+			for _, fam := range families {
+				if _, ok := p.Value(fam, "shard", "3"); !ok {
+					t.Errorf("%s first: /metrics lacks %s{shard=\"3\"}", first, fam)
+				}
+			}
+			if nodes, _ := p.Value("cocoserve_shard_nodes", "shard", "3"); nodes == 0 {
+				t.Errorf("%s first: shard 3 has no nodes in /metrics", first)
+			}
+		}
+		inStats := func() {
+			var stats struct {
+				Metrics map[string]any `json:"metrics"`
+			}
+			if _, body := get(s, "/stats"); json.Unmarshal([]byte(body), &stats) != nil {
+				t.Fatalf("bad stats: %s", body)
+			}
+			for _, fam := range families {
+				if _, ok := stats.Metrics[fam+`{shard="3"}`]; !ok {
+					t.Errorf("%s first: /stats lacks %s{shard=\"3\"}", first, fam)
+				}
+			}
+		}
+		if first == "/metrics" {
+			inMetrics()
+			inStats()
+		} else {
+			inStats()
+			inMetrics()
+		}
 	}
 }

@@ -75,7 +75,7 @@ func snapshotFixture(t *testing.T) (built *server, loaded *server, dir string) {
 			snapErr = err
 			return
 		}
-		snapLoaded = &server{coco: coco}
+		snapLoaded = newServerCfg(coco, serveConfig{})
 		snapErr = snapLoaded.initStore(snapDir)
 	})
 	if snapErr != nil {
@@ -139,8 +139,8 @@ func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 // TestStatsSnapshotSection checks the operational metadata /stats
 // exposes: a built server reports source "build" with no checksum and no
 // store, a store-loaded one reports source "shards" with the content
-// checksum and the store root, and both report serving counts and a sane
-// age.
+// checksum and the store root, and both serve counts and a sane age
+// through the cocoserve_snapshot_* series.
 func TestStatsSnapshotSection(t *testing.T) {
 	built, loaded, dir := snapshotFixture(t)
 	type statsResp struct {
@@ -159,15 +159,21 @@ func TestStatsSnapshotSection(t *testing.T) {
 	if l.Snapshot.Source != "shards" || l.Snapshot.Checksum == "" || l.Snapshot.Dir != dir {
 		t.Fatalf("loaded snapshot section: %+v", l.Snapshot)
 	}
-	for _, sn := range []snapshotInfo{b.Snapshot, l.Snapshot} {
-		if sn.Nodes == 0 || sn.Edges == 0 || sn.Generation == 0 {
-			t.Fatalf("empty serving counts: %+v", sn)
+	var shape [2][2]float64 // nodes and edges, built then loaded
+	for i, sn := range []snapshotInfo{b.Snapshot, l.Snapshot} {
+		p := scrape(t, []*server{built, loaded}[i].mux())
+		nodes, _ := p.Value("cocoserve_snapshot_nodes")
+		edges, _ := p.Value("cocoserve_snapshot_edges")
+		gen, _ := p.Value("cocoserve_snapshot_generation")
+		if nodes == 0 || edges == 0 || gen == 0 {
+			t.Fatalf("empty serving counts: %v nodes, %v edges, generation %v", nodes, edges, gen)
 		}
-		if sn.AgeSeconds < 0 || sn.PublishedAt == "" {
-			t.Fatalf("bad publish age: %+v", sn)
+		if age, _ := p.Value("cocoserve_snapshot_age_seconds"); age < 0 || sn.PublishedAt == "" {
+			t.Fatalf("bad publish age: %v, %+v", age, sn)
 		}
+		shape[i] = [2]float64{nodes, edges}
 	}
-	if b.Snapshot.Nodes != l.Snapshot.Nodes || b.Snapshot.Edges != l.Snapshot.Edges {
+	if shape[0] != shape[1] {
 		t.Fatal("built and loaded servers should serve the same net shape")
 	}
 }
@@ -265,9 +271,12 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 			t.Errorf("reload %d: bad response: %v", i, err)
 			break
 		}
-		if resp.Status != "reloaded" || resp.Snapshot.Nodes == 0 || resp.Snapshot.Edges == 0 ||
+		p := scrape(t, loaded.mux())
+		nodes, _ := p.Value("cocoserve_snapshot_nodes")
+		edges, _ := p.Value("cocoserve_snapshot_edges")
+		if resp.Status != "reloaded" || nodes == 0 || edges == 0 ||
 			resp.Snapshot.Checksum == "" || len(resp.Snapshot.Shards) != shards {
-			t.Errorf("reload %d: unexpected response %+v", i, resp)
+			t.Errorf("reload %d: unexpected response %+v (%v nodes, %v edges)", i, resp, nodes, edges)
 			break
 		}
 	}

@@ -3,9 +3,9 @@
 // SaveShards), and the server runs the crash-safe lifecycle on it —
 // automatic rollback down the catalog when a new generation fails
 // post-swap validation or trips the reload breaker, a POST /rollback
-// operator endpoint, retention pruning (-retain), a background integrity
-// scrubber (-scrub-interval), and a /stats "snapstore" section reporting
-// all of it. A server built live has no store and none of this.
+// operator endpoint, retention pruning (-retain), and a background
+// integrity scrubber (-scrub-interval), each counted in metrics.go's
+// registry. A server built live has no store and none of this.
 package serve
 
 import (
@@ -110,7 +110,7 @@ func (s *server) validateSwapLocked(beforeGen uint64) error {
 	if verr == nil {
 		return nil
 	}
-	s.validationFailures.Add(1)
+	s.validationFailures.Inc()
 	if s.store == nil || info.CatalogGen == 0 {
 		return fmt.Errorf("post-swap validation failed (no catalog to roll back in): %w", verr)
 	}
@@ -171,7 +171,7 @@ func (s *server) autoRollbackLocked(badGen uint64, reason string) error {
 // hold reloadMu.
 func (s *server) noteRollbackLocked(from, to uint64, reason string) {
 	delete(s.badGens, to) // the generation serving now is vouched for
-	s.rollbacks.Add(1)
+	s.rollbacks.Inc()
 	s.lastRollback = &rollbackStat{
 		From:   from,
 		To:     to,
@@ -272,11 +272,11 @@ func (s *server) scrubLoop(interval time.Duration, done <-chan struct{}) {
 func (s *server) scrubTick() {
 	rep, err := s.coco.ScrubOnce()
 	if err != nil {
-		s.scrubErrors.Add(1)
+		s.scrubErrors.Inc()
 		log.Printf("scrub: %v", err)
 		return
 	}
-	s.scrubPasses.Add(1)
+	s.scrubPasses.Inc()
 	s.scrubRepairs.Add(uint64(len(rep.Repaired)))
 	s.scrubQuarantines.Add(uint64(len(rep.Quarantined)))
 	s.scrubUnrepaired.Add(uint64(len(rep.Unrepaired)))
@@ -289,19 +289,15 @@ func (s *server) scrubTick() {
 	}
 }
 
-// snapstoreInfo is the /stats "snapstore" section: catalog state, rollback
-// history, and scrubber counters. Enabled is false (and everything else
-// zero) when the net was built live.
+// snapstoreInfo is the /stats "snapstore" section: the catalog listing
+// with its skiplist, the last rollback and the last scrub report. Enabled
+// is false (and the rest empty) when the net was built live.
 type snapstoreInfo struct {
-	Enabled            bool          `json:"enabled"`
-	Root               string        `json:"root,omitempty"`
-	ServingGen         uint64        `json:"serving_gen,omitempty"`
-	Retain             int           `json:"retain,omitempty"`
-	Generations        []genStat     `json:"generations,omitempty"`
-	Rollbacks          uint64        `json:"rollbacks"`
-	LastRollback       *rollbackStat `json:"last_rollback,omitempty"`
-	ValidationFailures uint64        `json:"validation_failures"`
-	Scrub              scrubStat     `json:"scrub"`
+	Enabled      bool                   `json:"enabled"`
+	Root         string                 `json:"root,omitempty"`
+	Generations  []genStat              `json:"generations,omitempty"`
+	LastRollback *rollbackStat          `json:"last_rollback,omitempty"`
+	LastScrub    *snapstore.ScrubReport `json:"last_scrub,omitempty"`
 }
 
 // genStat is one catalog generation in /stats.
@@ -321,44 +317,21 @@ type rollbackStat struct {
 	Reason string `json:"reason"`
 }
 
-// scrubStat aggregates the integrity scrubber's lifetime counters plus the
-// most recent pass.
-type scrubStat struct {
-	Passes      uint64                 `json:"passes"`
-	Repairs     uint64                 `json:"repairs"`
-	Quarantines uint64                 `json:"quarantines"`
-	Unrepaired  uint64                 `json:"unrepaired"`
-	Errors      uint64                 `json:"errors"`
-	Last        *snapstore.ScrubReport `json:"last,omitempty"`
-}
-
 func (s *server) snapstoreInfo() snapstoreInfo {
-	out := snapstoreInfo{
-		Rollbacks:          s.rollbacks.Load(),
-		ValidationFailures: s.validationFailures.Load(),
-		Scrub: scrubStat{
-			Passes:      s.scrubPasses.Load(),
-			Repairs:     s.scrubRepairs.Load(),
-			Quarantines: s.scrubQuarantines.Load(),
-			Unrepaired:  s.scrubUnrepaired.Load(),
-			Errors:      s.scrubErrors.Load(),
-		},
-	}
+	var out snapstoreInfo
 	s.scrubMu.Lock()
-	out.Scrub.Last = s.lastScrub
+	out.LastScrub = s.lastScrub
 	s.scrubMu.Unlock()
 	if s.store == nil {
 		return out
 	}
 	out.Enabled = true
 	out.Root = s.store.Root()
-	out.Retain = s.store.Retain()
-	serving := s.coco.ServingInfo().CatalogGen
-	out.ServingGen = serving
 	gens, err := s.store.Generations()
 	if err != nil {
 		return out
 	}
+	serving := s.coco.ServingInfo().CatalogGen
 	s.reloadMu.Lock()
 	out.LastRollback = s.lastRollback
 	for _, g := range gens {

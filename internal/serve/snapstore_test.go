@@ -50,6 +50,17 @@ func statsSnapstore(t *testing.T, s *server) snapstoreInfo {
 	return resp.Snapstore
 }
 
+// servingGen is the catalog generation the /stats listing marks serving,
+// 0 when none is.
+func servingGen(sn snapstoreInfo) uint64 {
+	for _, g := range sn.Generations {
+		if g.Serving {
+			return g.ID
+		}
+	}
+	return 0
+}
+
 // TestRollbackEndpoint: POST /rollback republishes the previous committed
 // generation, /stats reports it, the refresh loop holds on the skiplisted
 // newer generation, and a brand-new commit clears the hold.
@@ -67,8 +78,8 @@ func TestRollbackEndpoint(t *testing.T) {
 		t.Fatalf("serving gen %d after rollback, want 1", g)
 	}
 	sn := statsSnapstore(t, s)
-	if !sn.Enabled || sn.ServingGen != 1 || sn.Rollbacks != 1 || sn.LastRollback == nil {
-		t.Fatalf("snapstore stats after rollback: %+v", sn)
+	if rollbacks := metricValue(t, s, "cocoserve_rollbacks_total"); !sn.Enabled || servingGen(sn) != 1 || rollbacks != 1 || sn.LastRollback == nil {
+		t.Fatalf("snapstore stats after rollback: %v rollbacks, %+v", rollbacks, sn)
 	}
 	if sn.LastRollback.From != 2 || sn.LastRollback.To != 1 {
 		t.Fatalf("last_rollback: %+v", sn.LastRollback)
@@ -157,8 +168,12 @@ func TestAutoRollbackOnValidationFailure(t *testing.T) {
 		t.Fatalf("serving gen %d after auto-rollback, want 1", g)
 	}
 	sn := statsSnapstore(t, s)
-	if sn.ValidationFailures != 1 || sn.Rollbacks != 1 || sn.ServingGen != 1 {
-		t.Fatalf("snapstore stats after auto-rollback: %+v", sn)
+	p := scrape(t, s.mux())
+	validationFailures, _ := p.Value("cocoserve_validation_failures_total")
+	rollbacks, _ := p.Value("cocoserve_rollbacks_total")
+	if validationFailures != 1 || rollbacks != 1 || servingGen(sn) != 1 {
+		t.Fatalf("snapstore stats after auto-rollback: %v validation failures, %v rollbacks, %+v",
+			validationFailures, rollbacks, sn)
 	}
 	if sn.LastRollback == nil || !strings.Contains(sn.LastRollback.Reason, "validation") {
 		t.Fatalf("last_rollback: %+v", sn.LastRollback)
@@ -216,8 +231,8 @@ func TestReloadShardHeldAfterRollback(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "held: ") {
 		t.Fatalf("shard reload onto the skiplisted gen: %d %s", code, body)
 	}
-	if sn := statsSnapstore(t, s); sn.ServingGen != 1 {
-		t.Fatalf("/stats reports gen %d serving after a held shard reload, want 1", sn.ServingGen)
+	if g := servingGen(statsSnapstore(t, s)); g != 1 {
+		t.Fatalf("/stats reports gen %d serving after a held shard reload, want 1", g)
 	}
 	if got := s.coco.ServingInfo().Generation; got != before {
 		t.Fatalf("held shard reload republished: generation %d -> %d", before, got)
@@ -232,8 +247,8 @@ func TestReloadShardHeldAfterRollback(t *testing.T) {
 		t.Fatalf("shard reload of an invalid generation: %d %s", code, body)
 	}
 	sn := statsSnapstore(t, s)
-	if sn.ServingGen != 1 || sn.ValidationFailures < 2 {
-		t.Fatalf("snapstore stats after invalid shard reload: %+v", sn)
+	if vf := metricValue(t, s, "cocoserve_validation_failures_total"); servingGen(sn) != 1 || vf < 2 {
+		t.Fatalf("snapstore stats after invalid shard reload: %v validation failures, %+v", vf, sn)
 	}
 }
 
@@ -256,20 +271,29 @@ func TestScrubTickRepairsAndReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// scrubCounts reads passes, quarantines, repairs and unrepaired.
+	scrubCounts := func() [4]float64 {
+		p := scrape(t, s.mux())
+		var c [4]float64
+		for i, fam := range []string{"passes", "quarantines", "repairs", "unrepaired"} {
+			c[i], _ = p.Value("cocoserve_scrub_" + fam + "_total")
+		}
+		return c
+	}
 	s.scrubTick()
 	sn := statsSnapstore(t, s)
-	if sn.Scrub.Passes != 1 || sn.Scrub.Quarantines != 1 || sn.Scrub.Repairs != 1 || sn.Scrub.Unrepaired != 0 {
-		t.Fatalf("scrub stats after corrupt tick: %+v", sn.Scrub)
+	if c := scrubCounts(); c != [4]float64{1, 1, 1, 0} {
+		t.Fatalf("scrub counts (passes, quarantines, repairs, unrepaired) after corrupt tick: %v", c)
 	}
-	if sn.Scrub.Last == nil || len(sn.Scrub.Last.Mismatches) != 1 {
-		t.Fatalf("last scrub report: %+v", sn.Scrub.Last)
+	if sn.LastScrub == nil || len(sn.LastScrub.Mismatches) != 1 {
+		t.Fatalf("last scrub report: %+v", sn.LastScrub)
 	}
 
 	// A second tick over the repaired store is clean.
 	s.scrubTick()
 	sn = statsSnapstore(t, s)
-	if sn.Scrub.Passes != 2 || sn.Scrub.Quarantines != 1 || sn.Scrub.Last == nil || !sn.Scrub.Last.Clean() {
-		t.Fatalf("scrub stats after clean tick: %+v", sn.Scrub)
+	if c := scrubCounts(); c[0] != 2 || c[1] != 1 || sn.LastScrub == nil || !sn.LastScrub.Clean() {
+		t.Fatalf("scrub after clean tick: counts %v, last %+v", c, sn.LastScrub)
 	}
 }
 
