@@ -31,6 +31,7 @@ type scratch struct {
 	votes map[core.NodeID]float64 // concept -> accumulated edge weight
 	seen  map[core.NodeID]bool    // viewed items, excluded from results
 	key   []byte                  // session-cache key (k + viewed node ids)
+	val   []byte                  // packed outcome handed to the session cache
 	heap  topk.Heap
 }
 
@@ -52,13 +53,6 @@ type Engine struct {
 	// and stamped with the serving snapshot's generation; see UseCache.
 	cache *qcache.Cache
 	stamp qcache.Stamp
-}
-
-// cachedRec is the immutable value the session cache retains: the outcome
-// flag plus a private copy of the recommendation.
-type cachedRec struct {
-	ok  bool
-	rec Recommendation
 }
 
 // NewEngine wraps a net (live or frozen).
@@ -83,8 +77,9 @@ func NewEngine(net core.Reader) *Engine {
 // against older snapshots without any scan. Only the unscored path
 // (score == nil, the serving configuration) is memoized: a caller-supplied
 // ranking closure could change between calls, so scored sessions always
-// compute. Hits deep-copy into the caller's reused Recommendation, keeping
-// RecommendInto allocation-free.
+// compute. An entry holds the outcome packed as node IDs (see
+// appendOutcome); a hit decodes it into the caller's reused
+// Recommendation, keeping RecommendInto allocation-free.
 func (e *Engine) UseCache(c *qcache.Cache, stamp qcache.Stamp) {
 	e.cache = c
 	e.stamp = stamp
@@ -145,11 +140,7 @@ func (e *Engine) recommendRanked(ctx context.Context, rec *Recommendation, viewe
 	if cached {
 		sc.key = appendSessionKey(sc.key[:0], viewed, k)
 		if v, ok := e.cache.Get(e.stamp, sc.key); ok {
-			cr := v.(*cachedRec)
-			rec.Concept = cr.rec.Concept
-			rec.Reason = cr.rec.Reason
-			rec.Items = append(rec.Items[:0], cr.rec.Items...)
-			return cr.ok, nil
+			return e.decodeOutcome(rec, v), nil
 		}
 	}
 	ok, err := e.recommendUncached(ctx, sc, rec, viewed, k, score)
@@ -158,13 +149,37 @@ func (e *Engine) recommendRanked(ctx context.Context, rec *Recommendation, viewe
 		return false, err
 	}
 	if cached {
-		e.cache.Put(e.stamp, sc.key, &cachedRec{ok: ok, rec: Recommendation{
-			Concept: rec.Concept,
-			Reason:  rec.Reason,
-			Items:   append([]core.NodeID(nil), rec.Items...),
-		}})
+		sc.val = appendOutcome(sc.val[:0], ok, rec)
+		e.cache.Put(e.stamp, sc.key, sc.val)
 	}
 	return ok, nil
+}
+
+// appendOutcome packs a session's outcome as a cache value: the found
+// flag, the concept and the items as uint32 node IDs. The reason is left
+// out; a hit derives it from the concept.
+func appendOutcome(dst []byte, ok bool, rec *Recommendation) []byte {
+	var found byte
+	if ok {
+		found = 1
+	}
+	dst = append(dst, found)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Concept))
+	return core.AppendIDList(dst, rec.Items)
+}
+
+// decodeOutcome unpacks an appendOutcome value into a caller-owned
+// Recommendation, reviving its Items backing array, and returns the found
+// flag. The reason comes from reasonFor, as on the uncached path; a
+// session no concept matched keeps the empty reason.
+func (e *Engine) decodeOutcome(rec *Recommendation, v []byte) bool {
+	rec.Concept = core.NodeID(binary.LittleEndian.Uint32(v[1:]))
+	rec.Reason = ""
+	if rec.Concept != core.InvalidNode {
+		rec.Reason = e.reasonFor(rec.Concept)
+	}
+	rec.Items, _ = core.ReadIDList(rec.Items, v[5:])
+	return v[0] == 1
 }
 
 // appendSessionKey builds the cache key: k (part of the answer shape,

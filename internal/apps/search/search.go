@@ -47,6 +47,7 @@ type scratch struct {
 	tokens [][]byte             // token views into low
 	name   []byte               // space-joined tokens, the exact-match key
 	key    []byte               // query-cache key (maxItems + raw query bytes)
+	val    []byte               // packed answer handed to the query cache
 	match  text.MatchScratch    // max-match DP table and phrase-key buffer
 	segs   []text.Segment       // max-match segmentation buffer
 	prims  []core.NodeID        // matched primitive concepts
@@ -124,9 +125,10 @@ func (e *Engine) hasPhrase(key []byte) bool {
 // with stamp — the publish generation (and snapshot checksum) of the net
 // this engine serves — so entries written by an engine on an older
 // snapshot can never satisfy this engine's lookups: a reload or refreeze
-// invalidates the whole cache for free. Cache hits deep-copy the memoized
-// Response into the caller's reused one, so the zero-allocation SearchInto
-// contract survives caching.
+// invalidates the whole cache for free. An entry holds the answer packed
+// as node IDs (see appendResponse); a hit decodes it into the caller's
+// reused Response, so the zero-allocation SearchInto contract survives
+// caching.
 func (e *Engine) UseCache(c *qcache.Cache, stamp qcache.Stamp) {
 	e.cache = c
 	e.stamp = stamp
@@ -167,7 +169,7 @@ func (e *Engine) SearchBytesCtx(ctx context.Context, query []byte, maxItems int)
 // reused Response makes the whole call allocation-free: pooled scratch,
 // zero-copy postings, recycled card storage. The pooled-DP segmenter and
 // byte-keyed name lookups extend the same property to the voting
-// (non-exact) path, and a cache hit costs only the deep copy into resp.
+// (non-exact) path, and a cache hit costs only the decode into resp.
 func (e *Engine) SearchInto(ctx context.Context, resp *Response, query []byte, maxItems int) error {
 	sc := e.pool.Get().(*scratch)
 	defer e.pool.Put(sc)
@@ -184,7 +186,7 @@ func (e *Engine) searchInto(ctx context.Context, sc *scratch, resp *Response, qu
 	if e.cache != nil {
 		sc.key = appendSearchKey(sc.key[:0], query, maxItems)
 		if v, ok := e.cache.Get(e.stamp, sc.key); ok {
-			e.copyResponse(resp, v.(*Response))
+			e.decodeResponse(resp, v)
 			return nil
 		}
 	}
@@ -193,7 +195,8 @@ func (e *Engine) searchInto(ctx context.Context, sc *scratch, resp *Response, qu
 		return err
 	}
 	if e.cache != nil {
-		e.cache.Put(e.stamp, sc.key, cloneResponse(resp))
+		sc.val = appendResponse(sc.val[:0], resp)
+		e.cache.Put(e.stamp, sc.key, sc.val)
 	}
 	return nil
 }
@@ -317,45 +320,37 @@ func appendSearchKey(dst []byte, query []byte, maxItems int) []byte {
 	return append(dst, query...)
 }
 
-// copyResponse deep-copies a cached canonical Response into a caller-owned
-// one, reviving dst's backing arrays exactly like appendCard does — with a
-// reused dst the copy allocates nothing in steady state. Cached cards carry
-// no name (see cloneResponse); each is read from this engine's own net,
-// which is the net the entry was computed on, since an entry is served only
-// under its own stamp.
-func (e *Engine) copyResponse(dst *Response, src *Response) {
-	for i := range src.Cards {
-		if cap(dst.Cards) > len(dst.Cards) {
-			dst.Cards = dst.Cards[:len(dst.Cards)+1]
-		} else {
-			dst.Cards = append(dst.Cards, ConceptCard{})
-		}
-		card := &dst.Cards[len(dst.Cards)-1]
-		nd, _ := e.net.Node(src.Cards[i].Concept)
-		card.Concept = src.Cards[i].Concept
-		card.Name = nd.Name
-		card.Items = append(card.Items[:0], src.Cards[i].Items...)
+// appendResponse packs resp as a cache value: the card count, each card's
+// concept and its items, then the plain items, all as uint32 node IDs. It
+// leaves out the card names: a frozen net's names are views of its
+// shards' name arenas, and an entry holds no pointer into any net.
+func appendResponse(dst []byte, resp *Response) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Cards)))
+	for i := range resp.Cards {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(resp.Cards[i].Concept))
+		dst = core.AppendIDList(dst, resp.Cards[i].Items)
 	}
-	dst.Items = append(dst.Items[:0], src.Items...)
+	return core.AppendIDList(dst, resp.Items)
 }
 
-// cloneResponse makes the immutable copy the cache retains (the caller's
-// resp is about to be recycled, so the cache cannot alias it). It drops the
-// card names: a frozen net's names are views of its shards' name arenas,
-// and a cached entry can outlive the net that computed it, so keeping a
-// name would keep a superseded shard's arena alive.
-func cloneResponse(resp *Response) *Response {
-	out := &Response{
-		Cards: make([]ConceptCard, len(resp.Cards)),
-		Items: append([]core.NodeID(nil), resp.Items...),
+// decodeResponse unpacks an appendResponse value into a caller-owned
+// Response, sizing each slice once and reviving dst's backing arrays like
+// appendCard does — with a reused dst the decode allocates nothing in
+// steady state. Each card's name is read from this engine's own net,
+// which is the net the entry was computed on, since an entry is served
+// only under its own stamp.
+func (e *Engine) decodeResponse(dst *Response, v []byte) {
+	n := int(binary.LittleEndian.Uint32(v))
+	v = v[4:]
+	dst.Cards = slices.Grow(dst.Cards[:0], n)[:n]
+	for i := range dst.Cards {
+		card := &dst.Cards[i]
+		card.Concept = core.NodeID(binary.LittleEndian.Uint32(v))
+		nd, _ := e.net.Node(card.Concept)
+		card.Name = nd.Name
+		card.Items, v = core.ReadIDList(card.Items, v[4:])
 	}
-	for i, c := range resp.Cards {
-		out.Cards[i] = ConceptCard{
-			Concept: c.Concept,
-			Items:   append([]core.NodeID(nil), c.Items...),
-		}
-	}
-	return out
+	dst.Items, _ = core.ReadIDList(dst.Items, v)
 }
 
 // Covered reports whether every non-stopword token of the query is part of

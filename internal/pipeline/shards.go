@@ -212,8 +212,17 @@ func ReadManifest(dir string) (*ShardManifest, error) {
 		return nil, fmt.Errorf("pipeline: read manifest: %w", err)
 	}
 	defer f.Close()
+	return decodeManifest(f)
+}
+
+// decodeManifest decodes a manifest and validates its structure: the
+// partition geometry, the edge totals, and the file names. Every file it
+// names is a distinct bare name inside the generation directory other
+// than the manifest itself, so nothing that reads, verifies, quarantines
+// or repairs a manifest's files can reach outside its generation.
+func decodeManifest(r io.Reader) (*ShardManifest, error) {
 	var man ShardManifest
-	if err := json.NewDecoder(f).Decode(&man); err != nil {
+	if err := json.NewDecoder(r).Decode(&man); err != nil {
 		return nil, fmt.Errorf("pipeline: read manifest: %w", err)
 	}
 	if man.Version != shardManifestVersion {
@@ -238,9 +247,6 @@ func ReadManifest(dir string) (*ShardManifest, error) {
 			return nil, fmt.Errorf("pipeline: read manifest: shard %d covers [%d,%d), want [%d,%d)",
 				i, e.Base, e.Base+e.Nodes, wantBase, wantBase+wantNodes)
 		}
-		if e.File == "" || e.File != filepath.Base(e.File) {
-			return nil, fmt.Errorf("pipeline: read manifest: shard %d has invalid file name %q", i, e.File)
-		}
 		if e.Edges < 0 {
 			return nil, fmt.Errorf("pipeline: read manifest: shard %d has negative edge count", i)
 		}
@@ -250,7 +256,24 @@ func ReadManifest(dir string) (*ShardManifest, error) {
 		return nil, fmt.Errorf("pipeline: read manifest: shard edges sum to %d, manifest claims %d",
 			edges, man.TotalEdges)
 	}
+	names := make(map[string]bool, len(man.Shards)+1)
+	for _, c := range man.FileChecks() {
+		if !isGenFileName(c.Name) {
+			return nil, fmt.Errorf("pipeline: read manifest: invalid file name %q", c.Name)
+		}
+		if names[c.Name] {
+			return nil, fmt.Errorf("pipeline: read manifest: file %q is named twice", c.Name)
+		}
+		names[c.Name] = true
+	}
 	return &man, nil
+}
+
+// isGenFileName reports whether name may be one of a manifest's files: a
+// bare name of a file inside the generation directory, other than the
+// manifest.
+func isGenFileName(name string) bool {
+	return name != "" && name != "." && name != ".." && name == filepath.Base(name) && name != ShardManifestName
 }
 
 // LoadShard loads shard i of a manifest from dir and verifies it is exactly

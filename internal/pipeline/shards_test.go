@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -172,18 +173,109 @@ func TestLoadShardsRejectsCorruption(t *testing.T) {
 			t.Fatal("garbage manifest accepted")
 		}
 	})
-	t.Run("manifest stride lie", func(t *testing.T) {
-		dir, man := saveShardDir(t, a, 3)
-		man.Stride++
-		raw, err := json.Marshal(man)
+	for _, c := range []struct {
+		name string
+		lie  func(man *ShardManifest)
+	}{
+		{"manifest stride lie", func(man *ShardManifest) { man.Stride++ }},
+		{"manifest meta file escapes", func(man *ShardManifest) { man.MetaFile = "../../victim.txt" }},
+		{"manifest meta file is the parent", func(man *ShardManifest) { man.MetaFile = ".." }},
+		{"manifest shard file escapes", func(man *ShardManifest) { man.Shards[1].File = "../gen-000009/shard-0001.fz" }},
+		{"manifest names a file twice", func(man *ShardManifest) { man.Shards[2].File = man.Shards[0].File }},
+		{"manifest meta file is a shard", func(man *ShardManifest) { man.MetaFile = man.Shards[1].File }},
+		{"manifest names itself", func(man *ShardManifest) { man.MetaFile = ShardManifestName }},
+		{"manifest shard names the manifest", func(man *ShardManifest) { man.Shards[0].File = ShardManifestName }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, man := saveShardDir(t, a, 3)
+			c.lie(man)
+			writeManifest(t, dir, man)
+			if _, err := ReadManifest(dir); err == nil {
+				t.Fatalf("manifest accepted: %+v", man)
+			}
+		})
+	}
+}
+
+// writeManifest overwrites dir's manifest with man.
+func writeManifest(t *testing.T, dir string, man *ShardManifest) {
+	t.Helper()
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ShardManifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScrubStaysInsideGeneration: a manifest naming a file outside its
+// generation fails to read, so the scrubber neither hashes nor
+// quarantines that file. The catalog's manifest checksum is no guard when
+// the scrub runs without one.
+func TestScrubStaysInsideGeneration(t *testing.T) {
+	a := buildTiny(t)
+	tmp := t.TempDir()
+	if _, err := a.SaveShards(filepath.Join(tmp, "store"), 2); err != nil {
+		t.Fatal(err)
+	}
+	dir, _, err := snapstore.ResolveDir(filepath.Join(tmp, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(tmp, "victim.txt")
+	if err := os.WriteFile(victim, []byte("not part of any generation\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.MetaFile = "../../victim.txt"
+	writeManifest(t, dir, man)
+
+	if _, err := ScrubShardDir(dir, ScrubOptions{Meta: a.Serving}); err == nil {
+		t.Fatal("scrub accepted a manifest naming a file outside its generation")
+	}
+	got, err := os.ReadFile(victim)
+	if err != nil || string(got) != "not part of any generation\n" {
+		t.Fatalf("file outside the generation was touched: %q, %v", got, err)
+	}
+	if _, err := os.Stat(victim + ".quarantined"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("file outside the generation was quarantined: %v", err)
+	}
+}
+
+// FuzzReadManifest: the manifest decoder must never panic, and every
+// manifest it accepts names distinct bare files inside its generation
+// (none of them the manifest) and re-encodes to JSON that decodes to an
+// equal manifest. The committed seeds (testdata/fuzz/FuzzReadManifest)
+// are a SaveShards manifest, its meta file escaping the generation, a
+// file named twice, and truncated JSON.
+func FuzzReadManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		man, err := decodeManifest(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if err := os.WriteFile(filepath.Join(dir, ShardManifestName), raw, 0o644); err != nil {
-			t.Fatal(err)
+		seen := make(map[string]bool)
+		for _, c := range man.FileChecks() {
+			if c.Name != filepath.Base(c.Name) || c.Name == "." || c.Name == ".." ||
+				c.Name == ShardManifestName || seen[c.Name] {
+				t.Fatalf("accepted manifest names %q: %+v", c.Name, man)
+			}
+			seen[c.Name] = true
 		}
-		if _, err := ReadManifest(dir); err == nil {
-			t.Fatal("manifest with wrong stride accepted")
+		again, err := json.Marshal(man)
+		if err != nil {
+			t.Fatalf("accepted manifest does not encode: %v", err)
+		}
+		back, err := decodeManifest(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded manifest is rejected: %v\n%s", err, again)
+		}
+		if !reflect.DeepEqual(back, man) {
+			t.Fatalf("re-encoded manifest decodes differently:\n%+v\n%+v", man, back)
 		}
 	})
 }

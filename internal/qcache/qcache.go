@@ -11,11 +11,26 @@
 // entries are dropped lazily when a lookup lands on them, or pushed out by
 // normal LRU pressure.
 //
+// Values are bytes, and an entry is one heap object: a fixed-size slot in
+// its shard's slab (hash, stamp, key length and int32 LRU links) plus one
+// blob holding the value and then the key. The value comes first so it
+// starts where the allocation does, aligned: copying out a value of more
+// than 2 KB from an address that is not 8-byte aligned takes the runtime's
+// byte-at-a-time path, several times slower. Lookups go through an
+// open-addressing int32 index. The slab and the index grow by doubling as
+// entries arrive, up to the shard's capacity.
+//
+// Blobs are written once: Put copies the key and the value into a fresh
+// blob, and an overwrite or an eviction installs or drops a whole blob,
+// never writes into one. So the value Get returns stays valid and
+// unchanged after the shard lock is released, even while other goroutines
+// overwrite or evict its key; callers must not modify it.
+//
 // Concurrency: keys are hashed with xxhash64 and distributed across
-// power-of-two shards; each shard is an independent mutex + intrusive LRU
-// list, so concurrent requests contend only when they hash to the same
-// shard. Get and GetString are allocation-free (stored values are returned
-// as-is); Put copies the key and should be handed an immutable value.
+// power-of-two shards; each shard is an independent mutex + slab, so
+// concurrent requests contend only when they hash to the same shard. Get
+// and GetString are allocation-free; Put and PutString allocate the one
+// blob, and nothing at all when the cache has no capacity.
 package qcache
 
 import (
@@ -42,25 +57,39 @@ type Stats struct {
 	Capacity  int    `json:"capacity"`
 }
 
-// entry is one cached result, linked into its shard's LRU list.
-type entry struct {
-	hash       uint64 // full key hash, kept for map deletion on eviction
-	key        []byte // full key bytes, compared on every hit (collision guard)
-	stamp      Stamp
-	val        any
-	prev, next *entry // LRU list, head = most recently used
+// slot is one cached entry in its shard's slab. The stamp is stored as
+// two fields (a Stamp's trailing padding would cost 8 bytes), and blob —
+// the value followed by the key — is the slot's only pointer.
+type slot struct {
+	hash       uint64
+	gen        uint64
+	sum        uint32
+	keyLen     uint32
+	prev, next int32 // LRU links (slab indexes, nilSlot at the ends); next also chains the free list
+	blob       []byte
 }
 
-// shard is an independent slice of the cache: its own lock, hash map, and
-// LRU list. One map slot per hash; a colliding Put replaces the resident.
+// nilSlot ends an LRU list or the free list.
+const nilSlot = -1
+
+// minSlab is the slab size a shard starts at on its first Put.
+const minSlab = 8
+
+// shard is an independent slice of the cache: its own lock, slab, index
+// and LRU list. One entry per hash; a colliding Put replaces the resident.
 type shard struct {
-	mu         sync.Mutex
-	m          map[uint64]*entry
-	head, tail *entry
-	cap        int
-	hits       uint64
-	misses     uint64
-	evictions  uint64
+	mu    sync.Mutex
+	slab  []slot  // len is the high-water mark; freed slots chain through free
+	index []int32 // open addressing, linear probing: slab index + 1, 0 = empty
+	free  int32
+	head  int32 // most recently used
+	tail  int32
+	n     int // live entries
+	cap   int
+
+	hits      uint64
+	misses    uint64
+	evictions uint64
 }
 
 // Cache is a sharded, bounded, generation-stamped result cache. The zero
@@ -106,13 +135,15 @@ func newWithShards(capacity, shards int) *Cache {
 	shards = ceilPow2(shards)
 	c := &Cache{shards: make([]shard, shards), mask: uint64(shards - 1)}
 	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*entry)
+		s := &c.shards[i]
+		s.free, s.head, s.tail = nilSlot, nilSlot, nilSlot
 	}
 	c.setCapacity(capacity)
 	return c
 }
 
-// setCapacity distributes capacity across shards and evicts overflow.
+// setCapacity distributes capacity across shards and evicts overflow. A
+// shard whose slab outgrew the new capacity is compacted to its survivors.
 func (c *Cache) setCapacity(capacity int) {
 	per := 0
 	if capacity > 0 {
@@ -125,8 +156,11 @@ func (c *Cache) setCapacity(capacity int) {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.cap = per
-		for len(s.m) > s.cap {
+		for s.n > s.cap {
 			s.evictTail()
+		}
+		if len(s.slab) > s.cap {
+			s.relayout(s.n)
 		}
 		s.mu.Unlock()
 	}
@@ -142,35 +176,33 @@ func (c *Cache) Resize(n int) {
 }
 
 // Get returns the value cached for key under stamp. An entry stamped by a
-// different snapshot generation is a miss and is dropped on the spot.
-func (c *Cache) Get(stamp Stamp, key []byte) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	h := Hash(key)
-	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.m[h]
-	if e == nil || !bytesEqualKey(e.key, key) {
-		s.misses++
-		return nil, false
-	}
-	if e.stamp != stamp {
-		// Lazy invalidation: the serving snapshot moved on, so the slot is
-		// dead weight — free it rather than waiting for LRU pressure.
-		s.remove(e)
-		s.misses++
-		return nil, false
-	}
-	s.moveToFront(e)
-	s.hits++
-	return e.val, true
+// different snapshot generation is a miss and is dropped on the spot. The
+// value is a view of the entry's blob: it never changes, and the caller
+// must not modify it.
+func (c *Cache) Get(stamp Stamp, key []byte) ([]byte, bool) {
+	return get(c, stamp, key)
 }
 
 // GetString is Get keyed by a string, hashing and comparing without
 // converting (or allocating) the key.
-func (c *Cache) GetString(stamp Stamp, key string) (any, bool) {
+func (c *Cache) GetString(stamp Stamp, key string) ([]byte, bool) {
+	return get(c, stamp, key)
+}
+
+// Put stores val for key under stamp, copying both into one fresh blob,
+// so the caller may reuse its buffers at once. A hash-colliding resident
+// entry is replaced, keeping one entry per hash. A cache without capacity
+// returns before allocating anything.
+func (c *Cache) Put(stamp Stamp, key []byte, val []byte) {
+	put(c, stamp, key, val)
+}
+
+// PutString is Put keyed by a string.
+func (c *Cache) PutString(stamp Stamp, key string, val []byte) {
+	put(c, stamp, key, val)
+}
+
+func get[K ~string | ~[]byte](c *Cache, stamp Stamp, key K) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -178,26 +210,31 @@ func (c *Cache) GetString(stamp Stamp, key string) (any, bool) {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.m[h]
-	if e == nil || string(e.key) != key { // string(b) == s compiles without allocating
+	pos := s.find(h)
+	if pos < 0 {
 		s.misses++
 		return nil, false
 	}
-	if e.stamp != stamp {
-		s.remove(e)
+	i := s.index[pos] - 1
+	e := &s.slab[i]
+	val, stored := e.split()
+	if string(stored) != string(key) { // compared in place, never converted
 		s.misses++
 		return nil, false
 	}
-	s.moveToFront(e)
+	if e.gen != stamp.Gen || e.sum != stamp.Sum {
+		// Lazy invalidation: the serving snapshot moved on, so the slot is
+		// dead weight — free it rather than waiting for LRU pressure.
+		s.remove(pos)
+		s.misses++
+		return nil, false
+	}
+	s.moveToFront(i)
 	s.hits++
-	return e.val, true
+	return val, true
 }
 
-// Put stores val for key under stamp. The key bytes are copied; val is
-// retained as-is and must never be mutated afterwards (cache a private
-// deep copy of anything the caller will reuse). A hash-colliding resident
-// entry is replaced, keeping the map at one entry per hash.
-func (c *Cache) Put(stamp Stamp, key []byte, val any) {
+func put[K ~string | ~[]byte](c *Cache, stamp Stamp, key K, val []byte) {
 	if c == nil {
 		return
 	}
@@ -208,32 +245,25 @@ func (c *Cache) Put(stamp Stamp, key []byte, val any) {
 	if s.cap <= 0 {
 		return
 	}
-	if e := s.m[h]; e != nil {
-		// Same hash: refresh in place (same key) or replace the colliding
-		// resident — either way the newest result wins the slot.
-		e.key = append(e.key[:0], key...)
-		e.stamp = stamp
-		e.val = val
-		s.moveToFront(e)
+	blob := make([]byte, len(val)+len(key))
+	copy(blob, val)
+	copy(blob[len(val):], key)
+	if pos := s.find(h); pos >= 0 {
+		// Same hash: the same key or a colliding one — either way the
+		// newest result wins the slot, with a blob of its own.
+		i := s.index[pos] - 1
+		s.slab[i].set(h, stamp, len(key), blob)
+		s.moveToFront(i)
 		return
 	}
-	e := &entry{hash: h, key: append([]byte(nil), key...), stamp: stamp, val: val}
-	s.m[h] = e
-	s.pushFront(e)
-	if len(s.m) > s.cap {
+	if s.n >= s.cap {
 		s.evictTail()
 	}
-}
-
-// PutString is Put keyed by a string.
-func (c *Cache) PutString(stamp Stamp, key string, val any) {
-	if c == nil {
-		return
-	}
-	// The key is copied into the entry either way, so the []byte path is
-	// reused with a throwaway conversion only on this (already-allocating)
-	// store path.
-	c.Put(stamp, []byte(key), val)
+	i := s.alloc()
+	s.slab[i].set(h, stamp, len(key), blob)
+	s.pushFront(i)
+	s.insert(h, i)
+	s.n++
 }
 
 // Stats sums the per-shard counters.
@@ -248,7 +278,7 @@ func (c *Cache) Stats() Stats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evictions
-		st.Entries += len(s.m)
+		st.Entries += s.n
 		st.Capacity += s.cap
 		s.mu.Unlock()
 	}
@@ -264,74 +294,166 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.m)
+		n += s.n
 		s.mu.Unlock()
 	}
 	return n
 }
 
-// bytesEqualKey compares two keys without importing bytes (keeps the hot
-// path free of interface conversions the compiler cannot see through).
-func bytesEqualKey(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
+// split returns the entry's value, capped so an append cannot reach the
+// key, and its key.
+func (e *slot) split() (val, key []byte) {
+	n := len(e.blob) - int(e.keyLen)
+	return e.blob[:n:n], e.blob[n:]
+}
+
+func (e *slot) set(h uint64, stamp Stamp, keyLen int, blob []byte) {
+	e.hash = h
+	e.gen, e.sum = stamp.Gen, stamp.Sum
+	e.keyLen = uint32(keyLen)
+	e.blob = blob
+}
+
+// --- slab, index and LRU list (callers hold the shard lock) ------------
+
+// alloc hands out a free slot, growing the slab by doubling (up to the
+// shard's capacity) when none is left.
+func (s *shard) alloc() int32 {
+	if i := s.free; i != nilSlot {
+		s.free = s.slab[i].next
+		return i
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	if len(s.slab) == cap(s.slab) {
+		s.relayout(min(max(2*cap(s.slab), minSlab), s.cap))
+	}
+	s.slab = s.slab[:len(s.slab)+1]
+	return int32(len(s.slab) - 1)
+}
+
+// relayout moves the live entries, most recently used first, into a fresh
+// slab with room for size entries, and rebuilds the index to match.
+func (s *shard) relayout(size int) {
+	var slab []slot
+	if size > 0 {
+		slab = make([]slot, s.n, size)
+	}
+	j := int32(0)
+	for i := s.head; i != nilSlot; i = s.slab[i].next {
+		slab[j] = s.slab[i]
+		slab[j].prev, slab[j].next = j-1, j+1
+		j++
+	}
+	s.slab, s.free = slab, nilSlot
+	s.head, s.tail = nilSlot, nilSlot
+	if s.n > 0 {
+		s.head, s.tail = 0, int32(s.n-1)
+		s.slab[s.tail].next = nilSlot
+	}
+	s.index = nil
+	if size > 0 {
+		// At most half full, so probe runs stay short.
+		s.index = make([]int32, 2*ceilPow2(size))
+	}
+	for i := range s.slab {
+		s.insert(s.slab[i].hash, int32(i))
+	}
+}
+
+// home is hash h's first probe position in an index of mask+1 entries. It
+// takes the high half of the hash: the low bits picked the shard, so they
+// are the same for every hash a shard holds.
+func home(h uint64, mask int) int { return int(h>>32) & mask }
+
+// find returns the index position holding hash h, or -1.
+func (s *shard) find(h uint64) int {
+	if len(s.index) == 0 {
+		return -1
+	}
+	mask := len(s.index) - 1
+	for pos := home(h, mask); ; pos = (pos + 1) & mask {
+		v := s.index[pos]
+		if v == 0 {
+			return -1
+		}
+		if s.slab[v-1].hash == h {
+			return pos
 		}
 	}
-	return true
 }
 
-// --- intrusive LRU list (callers hold the shard lock) -------------------
+// insert records slot i under hash h, which the index does not hold yet.
+func (s *shard) insert(h uint64, i int32) {
+	mask := len(s.index) - 1
+	pos := home(h, mask)
+	for s.index[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	s.index[pos] = i + 1
+}
 
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
+// remove deletes the entry at index position pos: it leaves the LRU list,
+// its slot (and blob) is freed, and the probe run behind it shifts back so
+// no tombstone is left.
+func (s *shard) remove(pos int) {
+	i := s.index[pos] - 1
+	s.unlink(i)
+	s.slab[i] = slot{next: s.free}
+	s.free = i
+	s.n--
+	mask := len(s.index) - 1
+	for next := (pos + 1) & mask; s.index[next] != 0; next = (next + 1) & mask {
+		// The entry at next may fill the hole at pos only if its home is
+		// not cyclically inside (pos, next].
+		if (next-home(s.slab[s.index[next]-1].hash, mask))&mask >= (next-pos)&mask {
+			s.index[pos] = s.index[next]
+			pos = next
+		}
+	}
+	s.index[pos] = 0
+}
+
+func (s *shard) pushFront(i int32) {
+	e := &s.slab[i]
+	e.prev = nilSlot
 	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+	if s.head != nilSlot {
+		s.slab[s.head].prev = i
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	s.head = i
+	if s.tail == nilSlot {
+		s.tail = i
 	}
 }
 
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (s *shard) unlink(i int32) {
+	e := &s.slab[i]
+	if e.prev != nilSlot {
+		s.slab[e.prev].next = e.next
 	} else {
 		s.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != nilSlot {
+		s.slab[e.next].prev = e.prev
 	} else {
 		s.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = nilSlot, nilSlot
 }
 
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
+func (s *shard) moveToFront(i int32) {
+	if s.head == i {
 		return
 	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-// remove deletes e from the shard entirely.
-func (s *shard) remove(e *entry) {
-	s.unlink(e)
-	delete(s.m, e.hash)
+	s.unlink(i)
+	s.pushFront(i)
 }
 
 // evictTail drops the least recently used entry (counted as an eviction,
 // including capacity-shrink evictions from Resize).
 func (s *shard) evictTail() {
-	if s.tail == nil {
+	if s.tail == nilSlot {
 		return
 	}
-	s.remove(s.tail)
+	s.remove(s.find(s.slab[s.tail].hash))
 	s.evictions++
 }

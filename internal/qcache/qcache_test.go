@@ -3,8 +3,11 @@ package qcache
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"alicoco/internal/raceflag"
 )
@@ -40,20 +43,20 @@ func TestXXH64Vectors(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	c := newWithShards(64, 4)
 	s1 := Stamp{Gen: 1, Sum: 0xabcd}
-	c.Put(s1, []byte("outdoor barbecue"), "v1")
-	if v, ok := c.Get(s1, []byte("outdoor barbecue")); !ok || v.(string) != "v1" {
-		t.Fatalf("Get = %v, %v", v, ok)
+	c.Put(s1, []byte("outdoor barbecue"), []byte("v1"))
+	if v, ok := c.Get(s1, []byte("outdoor barbecue")); !ok || string(v) != "v1" {
+		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if v, ok := c.GetString(s1, "outdoor barbecue"); !ok || v.(string) != "v1" {
-		t.Fatalf("GetString = %v, %v", v, ok)
+	if v, ok := c.GetString(s1, "outdoor barbecue"); !ok || string(v) != "v1" {
+		t.Fatalf("GetString = %q, %v", v, ok)
 	}
 	if _, ok := c.Get(s1, []byte("winter coat")); ok {
 		t.Fatal("unexpected hit for absent key")
 	}
 	// Overwrite: same key, newest value wins.
-	c.Put(s1, []byte("outdoor barbecue"), "v2")
-	if v, _ := c.Get(s1, []byte("outdoor barbecue")); v.(string) != "v2" {
-		t.Fatalf("overwrite lost: %v", v)
+	c.Put(s1, []byte("outdoor barbecue"), []byte("v2"))
+	if v, _ := c.Get(s1, []byte("outdoor barbecue")); string(v) != "v2" {
+		t.Fatalf("overwrite lost: %q", v)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
@@ -65,9 +68,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestStampMismatchMissesAndDrops(t *testing.T) {
 	c := newWithShards(64, 1)
 	old := Stamp{Gen: 1, Sum: 7}
-	c.Put(old, []byte("q"), "stale")
+	c.Put(old, []byte("q"), []byte("stale"))
 	for _, stamp := range []Stamp{{Gen: 2, Sum: 7}, {Gen: 1, Sum: 8}} {
-		c.Put(old, []byte("q"), "stale")
+		c.Put(old, []byte("q"), []byte("stale"))
 		if _, ok := c.Get(stamp, []byte("q")); ok {
 			t.Fatalf("stale hit under stamp %+v", stamp)
 		}
@@ -76,7 +79,7 @@ func TestStampMismatchMissesAndDrops(t *testing.T) {
 		}
 	}
 	// Same for the string path.
-	c.Put(old, []byte("q"), "stale")
+	c.Put(old, []byte("q"), []byte("stale"))
 	if _, ok := c.GetString(Stamp{Gen: 9}, "q"); ok {
 		t.Fatal("stale GetString hit")
 	}
@@ -91,13 +94,13 @@ func TestLRUEviction(t *testing.T) {
 	c := newWithShards(4, 1) // capacity 4, one shard: deterministic order
 	s := Stamp{Gen: 1}
 	for i := 0; i < 4; i++ {
-		c.Put(s, []byte{byte(i)}, i)
+		c.Put(s, []byte{byte(i)}, []byte{byte(i)})
 	}
 	// Touch 0 so 1 becomes the LRU.
 	if _, ok := c.Get(s, []byte{0}); !ok {
 		t.Fatal("warm entry missing")
 	}
-	c.Put(s, []byte{9}, 9) // evicts 1
+	c.Put(s, []byte{9}, []byte{9}) // evicts 1
 	if _, ok := c.Get(s, []byte{1}); ok {
 		t.Fatal("LRU entry 1 should have been evicted")
 	}
@@ -116,7 +119,7 @@ func TestResize(t *testing.T) {
 	c := newWithShards(16, 1)
 	s := Stamp{Gen: 1}
 	for i := 0; i < 16; i++ {
-		c.Put(s, []byte{byte(i)}, i)
+		c.Put(s, []byte{byte(i)}, []byte{byte(i)})
 	}
 	c.Resize(4)
 	if got := c.Len(); got != 4 {
@@ -132,7 +135,7 @@ func TestResize(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("Resize(0) should empty the cache")
 	}
-	c.Put(s, []byte("x"), 1)
+	c.Put(s, []byte("x"), []byte{1})
 	if c.Len() != 0 {
 		t.Fatal("Put on a zero-capacity cache stored an entry")
 	}
@@ -143,7 +146,7 @@ func TestResize(t *testing.T) {
 
 func TestZeroCapacityNew(t *testing.T) {
 	c := New(0)
-	c.Put(Stamp{Gen: 1}, []byte("k"), "v")
+	c.Put(Stamp{Gen: 1}, []byte("k"), []byte("v"))
 	if _, ok := c.Get(Stamp{Gen: 1}, []byte("k")); ok {
 		t.Fatal("New(0) cache must always miss")
 	}
@@ -151,8 +154,8 @@ func TestZeroCapacityNew(t *testing.T) {
 
 func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	var c *Cache
-	c.Put(Stamp{Gen: 1}, []byte("k"), "v")
-	c.PutString(Stamp{Gen: 1}, "k", "v")
+	c.Put(Stamp{Gen: 1}, []byte("k"), []byte("v"))
+	c.PutString(Stamp{Gen: 1}, "k", []byte("v"))
 	if _, ok := c.Get(Stamp{Gen: 1}, []byte("k")); ok {
 		t.Fatal("nil cache hit")
 	}
@@ -174,7 +177,7 @@ func TestPutCopiesKey(t *testing.T) {
 	c := newWithShards(8, 1)
 	s := Stamp{Gen: 1}
 	key := []byte("abc")
-	c.Put(s, key, "v")
+	c.Put(s, key, []byte("v"))
 	key[0] = 'z'
 	if _, ok := c.Get(s, []byte("abc")); !ok {
 		t.Fatal("entry lost after caller mutated the key buffer")
@@ -195,13 +198,13 @@ func TestGetStringMatchesGet(t *testing.T) {
 		b := make([]byte, rng.Intn(40))
 		rng.Read(b)
 		keys[i] = string(b)
-		c.PutString(s, keys[i], i)
+		c.PutString(s, keys[i], []byte(fmt.Sprint(i)))
 	}
 	for i, k := range keys {
 		v1, ok1 := c.Get(s, []byte(k))
 		v2, ok2 := c.GetString(s, k)
-		if !ok1 || !ok2 || v1 != v2 {
-			t.Fatalf("key %d: Get=(%v,%v) GetString=(%v,%v)", i, v1, ok1, v2, ok2)
+		if !ok1 || !ok2 || string(v1) != string(v2) {
+			t.Fatalf("key %d: Get=(%q,%v) GetString=(%q,%v)", i, v1, ok1, v2, ok2)
 		}
 	}
 	if got := Hash("hello"); got != Hash([]byte("hello")) {
@@ -227,12 +230,12 @@ func TestConcurrentHammer(t *testing.T) {
 				if v, ok := c.Get(stamp, key); ok {
 					// A hit must carry the value stored under this stamp.
 					want := fmt.Sprintf("%s@%d", key, stamp.Gen)
-					if v.(string) != want {
+					if string(v) != want {
 						t.Errorf("hit %q under %+v returned %q", key, stamp, v)
 						return
 					}
 				} else {
-					c.Put(stamp, key, fmt.Sprintf("%s@%d", key, stamp.Gen))
+					c.Put(stamp, key, []byte(fmt.Sprintf("%s@%d", key, stamp.Gen)))
 				}
 				if i%500 == 0 {
 					c.Stats()
@@ -252,24 +255,23 @@ func TestConcurrentHammer(t *testing.T) {
 }
 
 // TestGetZeroAllocs is the CI guard for the hit path: a cache hit performs
-// zero allocations (the stored value is returned as-is, keys are hashed
-// and compared in place).
+// zero allocations (the value is a view of the entry's blob, keys are
+// hashed and compared in place).
 func TestGetZeroAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation guards are not meaningful under -race")
 	}
 	c := New(64)
 	stamp := Stamp{Gen: 1, Sum: 2}
-	val := &Stats{Hits: 42} // any pre-boxed pointer value
-	c.Put(stamp, []byte("outdoor barbecue"), val)
+	c.Put(stamp, []byte("outdoor barbecue"), []byte{42})
 	key := []byte("outdoor barbecue")
 	allocs := testing.AllocsPerRun(200, func() {
 		v, ok := c.Get(stamp, key)
-		if !ok || v.(*Stats).Hits != 42 {
+		if !ok || len(v) != 1 || v[0] != 42 {
 			t.Fatal("hit failed")
 		}
 		v, ok = c.GetString(stamp, "outdoor barbecue")
-		if !ok || v.(*Stats).Hits != 42 {
+		if !ok || len(v) != 1 || v[0] != 42 {
 			t.Fatal("string hit failed")
 		}
 	})
@@ -282,12 +284,257 @@ func BenchmarkCacheGetHit(b *testing.B) {
 	c := New(4096)
 	stamp := Stamp{Gen: 1}
 	key := []byte("outdoor barbecue and some longer key material")
-	c.Put(stamp, key, "value")
+	c.Put(stamp, key, []byte("value"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := c.Get(stamp, key); !ok {
 			b.Fatal("miss")
+		}
+	}
+}
+
+// TestPutAllocsOneBlob: once a shard's slab and index have grown to its
+// capacity, a Put that evicts allocates exactly one object (the entry's
+// blob), and a Put into a cache without capacity allocates nothing.
+func TestPutAllocsOneBlob(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation guards are not meaningful under -race")
+	}
+	c := newWithShards(64, 2)
+	stamp := Stamp{Gen: 1}
+	key := make([]byte, 0, 16)
+	val := []byte("encoded answer bytes")
+	i := 0
+	putNext := func() {
+		key = append(key[:0], fmt.Sprintf("q-%d", i)...)
+		i++
+		c.Put(stamp, key, val)
+	}
+	for c.Len() < 64 {
+		putNext()
+	}
+	key = append(key[:0], "fresh query"...)
+	if allocs := testing.AllocsPerRun(200, func() {
+		i++
+		key[len(key)-1] = byte(i)
+		key[0] = byte(i >> 8)
+		c.Put(stamp, key, val)
+	}); allocs != 1 {
+		t.Fatalf("Put into a full cache allocates %.1f objects, want 1", allocs)
+	}
+	if c.Len() != 64 || c.Stats().Evictions == 0 {
+		t.Fatalf("full cache did not evict: %+v", c.Stats())
+	}
+	off := New(0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		off.Put(stamp, key, val)
+		off.PutString(stamp, "fresh query", val)
+	}); allocs != 0 {
+		t.Fatalf("Put into a capacity-0 cache allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestSlotLayout: a slot is at most 56 bytes, and its blob is its only
+// pointer, so a slab is one object the collector scans for blobs alone.
+func TestSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size > 56 {
+		t.Fatalf("slot is %d bytes, want at most 56", size)
+	}
+	typ := reflect.TypeOf(slot{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int32, reflect.Uint32, reflect.Uint64:
+		case reflect.Slice:
+			if f.Name != "blob" || f.Type.Elem().Kind() != reflect.Uint8 {
+				t.Fatalf("slot field %s is a %s", f.Name, f.Type)
+			}
+		default:
+			t.Fatalf("slot field %s is a %s, which may hold a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestReturnedValuesNeverChange: a value Get returned stays exactly as it
+// was while other goroutines overwrite, evict and re-put its key — the
+// handlers write it to the socket after the shard lock is released.
+func TestReturnedValuesNeverChange(t *testing.T) {
+	c := newWithShards(16, 2)
+	stamps := []Stamp{{Gen: 1}, {Gen: 2}}
+	value := func(key string, stamp Stamp, round int) []byte {
+		return []byte(fmt.Sprintf("%s@%d#%d", key, stamp.Gen, round))
+	}
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for round := 0; ; round++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprintf("q-%d", rng.Intn(40)) // 40 keys over 16 slots: constant eviction
+				c.PutString(stamps[rng.Intn(len(stamps))], key, value(key, stamps[0], round))
+			}
+		}(g)
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			var held [][]byte
+			var copies []string
+			for i := 0; i < 3000; i++ {
+				key := fmt.Sprintf("q-%d", rng.Intn(40))
+				v, ok := c.GetString(stamps[rng.Intn(len(stamps))], key)
+				if !ok {
+					continue
+				}
+				if !strings.HasPrefix(string(v), key+"@") {
+					t.Errorf("key %q returned %q", key, v)
+					return
+				}
+				held = append(held, v)
+				copies = append(copies, string(v))
+				if len(held) == 64 {
+					for j := range held {
+						if string(held[j]) != copies[j] {
+							t.Errorf("returned value changed from %q to %q", copies[j], held[j])
+							return
+						}
+					}
+					held, copies = held[:0], copies[:0]
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+}
+
+// TestMatchesReferenceModel drives one small shard through random puts,
+// lookups, stamp moves and resizes, and checks every answer and the LRU
+// order against a plain list model — the index's backward-shift deletion
+// and the slab's relayout must never lose, resurrect or reorder an entry.
+func TestMatchesReferenceModel(t *testing.T) {
+	type ent struct {
+		key, val string
+		stamp    Stamp
+	}
+	rng := rand.New(rand.NewSource(5))
+	c := newWithShards(32, 1)
+	capacity := 32
+	var model []ent // most recently used first
+	find := func(key string) int {
+		for i := range model {
+			if model[i].key == key {
+				return i
+			}
+		}
+		return -1
+	}
+	stamps := []Stamp{{Gen: 1}, {Gen: 1, Sum: 9}, {Gen: 2}}
+	for step := 0; step < 20000; step++ {
+		key := fmt.Sprintf("k%d", rng.Intn(80))
+		stamp := stamps[rng.Intn(len(stamps))]
+		switch op := rng.Intn(10); {
+		case op < 5:
+			val := fmt.Sprintf("%s/%d", key, step)
+			c.PutString(stamp, key, []byte(val))
+			if capacity == 0 {
+				break
+			}
+			if i := find(key); i >= 0 {
+				model = append(model[:i], model[i+1:]...)
+			} else if len(model) >= capacity {
+				model = model[:len(model)-1]
+			}
+			model = append([]ent{{key, val, stamp}}, model...)
+		case op < 9:
+			v, ok := c.Get(stamp, []byte(key))
+			i := find(key)
+			want := i >= 0 && model[i].stamp == stamp
+			if ok != want || (ok && string(v) != model[i].val) {
+				t.Fatalf("step %d: Get(%q) = %q, %v; model has %+v", step, key, v, ok, model)
+			}
+			if i >= 0 {
+				e := model[i]
+				model = append(model[:i], model[i+1:]...)
+				if want {
+					model = append([]ent{e}, model...)
+				}
+			}
+		default:
+			capacity = []int{0, 1, 4, 16, 32, 64}[rng.Intn(6)]
+			c.Resize(capacity)
+			if len(model) > capacity {
+				model = model[:capacity]
+			}
+		}
+		s := &c.shards[0]
+		if s.n != len(model) {
+			t.Fatalf("step %d: %d entries, model has %d", step, s.n, len(model))
+		}
+		j := 0
+		for i := s.head; i != nilSlot; i = s.slab[i].next {
+			e := &s.slab[i]
+			if _, key := e.split(); string(key) != model[j].key {
+				t.Fatalf("step %d: LRU position %d holds %q, model %q", step, j, key, model[j].key)
+			}
+			if s.find(e.hash) < 0 {
+				t.Fatalf("step %d: %q is not reachable through the index", step, model[j].key)
+			}
+			j++
+		}
+	}
+}
+
+// TestIndexProbesStayShort: each shard's index probes from hash bits the
+// shard choice did not use, so a full many-shard cache still finds an
+// entry within a probe or two of its home position.
+func TestIndexProbesStayShort(t *testing.T) {
+	c := newWithShards(4096, 64)
+	for i := 0; c.Len() < 4096; i++ {
+		c.PutString(Stamp{Gen: 1}, fmt.Sprintf("query %d", i), nil)
+	}
+	displaced, entries := 0, 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		mask := len(s.index) - 1
+		for pos, v := range s.index {
+			if v != 0 {
+				displaced += (pos - home(s.slab[v-1].hash, mask)) & mask
+				entries++
+			}
+		}
+	}
+	if mean := float64(displaced) / float64(entries); mean > 2 {
+		t.Fatalf("entries sit %.1f positions past their home on average, want at most 2", mean)
+	}
+}
+
+// TestValueStartsAligned: a value starts its blob, so however long the key
+// is, a large value is copied out from an 8-byte-aligned address (the
+// runtime copies a misaligned source of more than 2 KB byte by byte).
+func TestValueStartsAligned(t *testing.T) {
+	c := newWithShards(8, 1)
+	val := make([]byte, 3000)
+	for _, key := range []string{"q", "q=barbecue+outdoor", "items=1,2,3&k=5"} {
+		c.PutString(Stamp{Gen: 1}, key, val)
+		v, ok := c.GetString(Stamp{Gen: 1}, key)
+		if !ok || len(v) != len(val) {
+			t.Fatalf("%q: got %d bytes, %v", key, len(v), ok)
+		}
+		if addr := uintptr(unsafe.Pointer(&v[0])); addr%8 != 0 {
+			t.Fatalf("%q: value starts at %#x, not 8-byte aligned", key, addr)
 		}
 	}
 }

@@ -23,7 +23,9 @@ func cachedFixture(t *testing.T) *server {
 // TestCachedResponsesByteIdentical is the regression guard for the
 // encoded-bytes cache: the first (miss) response, every subsequent (hit)
 // response, and a cache-disabled server's response must be byte-identical
-// — caching may change cost, never content.
+// — caching may change cost, never content. That holds for the cached
+// error replies too: their status, the Content-Type and
+// X-Content-Type-Options headers http.Error sets, and their body.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	s := cachedFixture(t)
 	uncached := serveStore(t, s.store.Root(), cacheCfg(0))
@@ -36,26 +38,39 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	for i, id := range sessions[0] {
 		parts[i] = fmt.Sprint(id)
 	}
-	urls := []string{
-		"/search?q=outdoor+barbecue",
-		"/search?q=barbecue+outdoor", // voting path
-		"/search?q=grill",
-		"/recommend?items=" + strings.Join(parts, ",") + "&k=5",
+	cases := []struct {
+		url    string
+		status int
+	}{
+		{"/search?q=outdoor+barbecue", http.StatusOK},
+		{"/search?q=barbecue+outdoor", http.StatusOK}, // voting path
+		{"/search?q=grill", http.StatusOK},
+		{"/recommend?items=" + strings.Join(parts, ",") + "&k=5", http.StatusOK},
+		{"/search", http.StatusBadRequest}, // no q
+		{"/recommend?items=abc", http.StatusBadRequest},
+		{"/recommend?items=1&k=0", http.StatusBadRequest},
+		{"/recommend?items=999999&k=5", http.StatusNotFound},
 	}
-	for _, url := range urls {
-		missCode, missBody := get(s, url)
-		if missCode != http.StatusOK {
-			t.Fatalf("%s: miss status %d", url, missCode)
+	// reply is what a client sees: status, the two headers http.Error
+	// sets, and the body.
+	reply := func(s *server, url string) string {
+		rec := httptest.NewRecorder()
+		s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		return fmt.Sprintf("%d %q %q %q", rec.Code, rec.Header().Get("Content-Type"),
+			rec.Header().Get("X-Content-Type-Options"), rec.Body.String())
+	}
+	for _, c := range cases {
+		miss := reply(s, c.url)
+		if want := fmt.Sprint(c.status) + " "; !strings.HasPrefix(miss, want) {
+			t.Fatalf("%s: miss answered %s, want status %d", c.url, miss, c.status)
 		}
 		for i := 0; i < 3; i++ {
-			hitCode, hitBody := get(s, url)
-			if hitCode != missCode || hitBody != missBody {
-				t.Fatalf("%s: hit %d differs from miss:\nmiss %q\nhit  %q", url, i, missBody, hitBody)
+			if hit := reply(s, c.url); hit != miss {
+				t.Fatalf("%s: hit %d differs from miss:\nmiss %s\nhit  %s", c.url, i, miss, hit)
 			}
 		}
-		unCode, unBody := get(uncached, url)
-		if unCode != missCode || unBody != missBody {
-			t.Fatalf("%s: uncached server differs:\ncached   %q\nuncached %q", url, missBody, unBody)
+		if un := reply(uncached, c.url); un != miss {
+			t.Fatalf("%s: uncached server differs:\ncached   %s\nuncached %s", c.url, miss, un)
 		}
 	}
 	// The loop above must actually have exercised the byte caches.

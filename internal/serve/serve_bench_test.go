@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"alicoco"
+	"alicoco/internal/qcache"
 )
 
 // The ServeCacheHit/ServeCacheMiss pair measures the end-to-end handler
@@ -26,7 +28,9 @@ var (
 	serveBenchErr  error
 	serveHit       *server // all cache layers on
 	serveMiss      *server // all cache layers off
+	serveFill      *server // all cache layers on, kept apart from serveHit's warm keys
 	serveSession   string  // items= value for /recommend
+	serveItems     []int   // item IDs that occur in sampled sessions
 )
 
 func benchServers(b *testing.B) (hit, miss *server) {
@@ -52,8 +56,14 @@ func benchServers(b *testing.B) (hit, miss *server) {
 			serveBenchErr = err
 			return
 		}
+		cocoFill, err := alicoco.LoadShardedFrozen(dir)
+		if err != nil {
+			serveBenchErr = err
+			return
+		}
 		serveHit = newServer(cocoHit, 4096)
 		serveMiss = newServer(cocoMiss, 0)
+		serveFill = newServer(cocoFill, 4096)
 		sessions := base.coco.SampleSessions(1)
 		if len(sessions) == 0 {
 			serveBenchErr = fmt.Errorf("no sessions")
@@ -64,6 +74,15 @@ func benchServers(b *testing.B) (hit, miss *server) {
 			parts[i] = fmt.Sprint(id)
 		}
 		serveSession = strings.Join(parts, ",")
+		seen := make(map[int]bool)
+		for _, sess := range base.coco.SampleSessions(64) {
+			for _, id := range sess {
+				if !seen[id] {
+					seen[id] = true
+					serveItems = append(serveItems, id)
+				}
+			}
+		}
 	})
 	if serveBenchErr != nil {
 		b.Fatal(serveBenchErr)
@@ -126,6 +145,77 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 	b.Run("recommend", func(b *testing.B) {
 		benchEndpoint(b, miss, "/recommend?items="+serveSession+"&k=10")
 	})
+}
+
+// BenchmarkServeCacheFill is the per-layer twin of the cold workload's
+// fill path, on a server with caching on. Both cache layers of the
+// endpoint — encoded bytes and engine — are filled to capacity before the
+// timer starts; after that every request is a query or session not seen
+// before, so each one misses both layers, fills both and evicts from both.
+func BenchmarkServeCacheFill(b *testing.B) {
+	benchServers(b)
+	b.Run("search", func(b *testing.B) {
+		full := func() bool {
+			st, _ := serveFill.coco.QueryCacheStats()
+			return cacheFull(serveFill.searchBytes.Stats()) && cacheFull(st)
+		}
+		benchFill(b, "/search", full, func(dst []byte, i int) []byte {
+			// The unique token keeps the query on the voting path.
+			dst = append(dst, "q=outdoor+barbecue+zq"...)
+			return strconv.AppendInt(dst, int64(i), 36)
+		})
+	})
+	b.Run("recommend", func(b *testing.B) {
+		full := func() bool {
+			_, st := serveFill.coco.QueryCacheStats()
+			return cacheFull(serveFill.recBytes.Stats()) && cacheFull(st)
+		}
+		benchFill(b, "/recommend", full, func(dst []byte, i int) []byte {
+			// The session's known items, then i's digits in base
+			// len(serveItems) as more known items: a distinct session per i.
+			dst = append(dst, "items="...)
+			dst = append(dst, serveSession...)
+			for first := true; first || i > 0; first = false {
+				dst = append(dst, ',')
+				dst = strconv.AppendInt(dst, int64(serveItems[i%len(serveItems)]), 10)
+				i /= len(serveItems)
+			}
+			return append(dst, "&k=10"...)
+		})
+	})
+}
+
+func cacheFull(st qcache.Stats) bool { return st.Capacity > 0 && st.Entries == st.Capacity }
+
+// benchFill sends request i with the raw query query(i) to path through
+// serveFill's full handler, first until full reports both layers full and
+// then b.N times with the timer running. The request and the recorder are
+// reused; the handlers read only the raw query from the URL.
+func benchFill(b *testing.B, path string, full func() bool, query func(dst []byte, i int) []byte) {
+	b.Helper()
+	mux := serveFill.handler()
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	rec := httptest.NewRecorder()
+	var buf []byte
+	i := 0
+	send := func() {
+		buf = query(buf[:0], i)
+		i++
+		req.URL.RawQuery = string(buf)
+		rec.Body.Reset()
+		mux.ServeHTTP(rec, req)
+	}
+	for n := 0; !full(); n++ {
+		if n == 1<<20 {
+			b.Fatal("cache layers never filled")
+		}
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		send()
+	}
 }
 
 // BenchmarkBatchDecode isolates the request-decoding change: the pooled

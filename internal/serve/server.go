@@ -12,6 +12,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"log"
@@ -187,25 +188,50 @@ var codecs = sync.Pool{New: func() any {
 	return c
 }}
 
+// statusLen is the size of the big-endian HTTP status an encoded-bytes
+// cache value carries behind the response body. Behind, not in front: the
+// body then starts the value, which the cache keeps aligned, so a large
+// hit is copied to the socket at full speed.
+const statusLen = 2
+
+// getCodec returns a pooled codec with an empty buffer.
+func getCodec() *jsonCodec {
+	c := codecs.Get().(*jsonCodec)
+	c.buf.Reset()
+	return c
+}
+
+func putCodec(c *jsonCodec) {
+	if c.buf.Cap() <= maxPooledEncodeBuf {
+		codecs.Put(c)
+	}
+}
+
+// cacheValue appends status to the body in c's buffer and returns the
+// buffer as it stands, the encoded-bytes cache value: the body, then the
+// status.
+func (c *jsonCodec) cacheValue(status int) []byte {
+	c.buf.Write(binary.BigEndian.AppendUint16(c.buf.AvailableBuffer(), uint16(status)))
+	return c.buf.Bytes()
+}
+
 func (s *server) writeJSON(w http.ResponseWriter, v any) {
 	s.writeJSONCaching(w, v, nil, qcache.Stamp{}, "")
 }
 
 // writeJSONCaching encodes v through a pooled codec, writes it, and — when
-// cache is non-nil — stores a private copy of the encoded bytes under
-// (stamp, key), so the next identical request is a single buffer write.
+// cache is non-nil — stores the encoded bytes, followed by the status,
+// under (stamp, key), so the next identical request is a single buffer
+// write.
+// The body is encoded once, with the status appended behind it, and
+// Put's copy into the entry's blob is the only other copy made of it.
 // The stamp was read by the caller *before* computing v, which is what
 // makes a cached entry never older than the generation it is keyed under
 // (a concurrent reload can only make v newer than the stamp, and the new
 // generation stops matching the old entries entirely).
 func (s *server) writeJSONCaching(w http.ResponseWriter, v any, cache *qcache.Cache, stamp qcache.Stamp, key string) {
-	c := codecs.Get().(*jsonCodec)
-	defer func() {
-		if c.buf.Cap() <= maxPooledEncodeBuf {
-			codecs.Put(c)
-		}
-	}()
-	c.buf.Reset()
+	c := getCodec()
+	defer putCodec(c)
 	if err := c.enc.Encode(v); err != nil {
 		// Nothing has been written yet, so the client gets a clean 500
 		// instead of a truncated body.
@@ -214,7 +240,8 @@ func (s *server) writeJSONCaching(w http.ResponseWriter, v any, cache *qcache.Ca
 		return
 	}
 	if cache != nil && s.coco.CacheStamp() == stamp {
-		cache.PutString(stamp, key, append([]byte(nil), c.buf.Bytes()...))
+		cache.PutString(stamp, key, c.cacheValue(http.StatusOK))
+		c.buf.Truncate(c.buf.Len() - statusLen)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(c.buf.Bytes()); err != nil {
@@ -227,13 +254,8 @@ func (s *server) writeJSONCaching(w http.ResponseWriter, v any, cache *qcache.Ca
 // encoding a map[string]any{"results": v} but without allocating the
 // one-entry map and reflecting over it per batch response.
 func (s *server) writeResults(w http.ResponseWriter, results any) {
-	c := codecs.Get().(*jsonCodec)
-	defer func() {
-		if c.buf.Cap() <= maxPooledEncodeBuf {
-			codecs.Put(c)
-		}
-	}()
-	c.buf.Reset()
+	c := getCodec()
+	defer putCodec(c)
 	c.buf.WriteString(`{"results":`)
 	if err := c.enc.Encode(results); err != nil {
 		log.Printf("encode: %v", err)
@@ -261,54 +283,42 @@ var (
 	hdrNosniff = []string{"nosniff"}
 )
 
-// writeJSONBytes serves an already-encoded cached response.
-func writeJSONBytes(w http.ResponseWriter, b []byte) {
-	w.Header()["Content-Type"] = hdrJSON
-	if _, err := w.Write(b); err != nil {
-		log.Printf("write: %v", err)
-	}
-}
-
-// cachedResp is a non-200 response held in the encoded-bytes caches:
-// requests that deterministically fail for this snapshot (unknown items,
-// malformed parameters) repeat just like good ones, and replaying the
-// tiny error is even cheaper than re-parsing and re-failing.
-type cachedResp struct {
-	status int
-	body   []byte
-}
-
-// writeCached replays a hit from an encoded-bytes cache: either raw JSON
-// 200 bytes or a cached error response.
-func writeCached(w http.ResponseWriter, v any) {
-	if cr, ok := v.(*cachedResp); ok {
-		writeErrorBytes(w, cr)
-		return
-	}
-	writeJSONBytes(w, v.([]byte))
-}
-
-// writeErrorBytes answers with exactly the headers and body http.Error
-// would have produced for the same message and status.
-func writeErrorBytes(w http.ResponseWriter, cr *cachedResp) {
+// writeCached replays a hit from an encoded-bytes cache: the value is the
+// body — JSON for a 200, else the text http.Error wrote — then the status.
+// The value is a view of the entry's blob, which is never written again,
+// so it is safe to write out after the cache's lock is released.
+func writeCached(w http.ResponseWriter, v []byte) {
+	n := len(v) - statusLen
+	status, body := int(binary.BigEndian.Uint16(v[n:])), v[:n]
 	h := w.Header()
-	h["Content-Type"] = hdrText
-	h["X-Content-Type-Options"] = hdrNosniff
-	w.WriteHeader(cr.status)
-	if _, err := w.Write(cr.body); err != nil {
+	if status == http.StatusOK {
+		h["Content-Type"] = hdrJSON
+	} else {
+		// Exactly the headers http.Error sets for the same message.
+		h["Content-Type"] = hdrText
+		h["X-Content-Type-Options"] = hdrNosniff
+		w.WriteHeader(status)
+	}
+	if _, err := w.Write(body); err != nil {
 		log.Printf("write: %v", err)
 	}
 }
 
 // errorCaching answers msg/status via http.Error and — when the outcome
-// is deterministic for this snapshot generation — caches the encoded
-// error under (stamp, key) so the next identical request replays it
-// without parsing anything. The same stamp discipline as
+// is deterministic for this snapshot generation — caches the error body
+// http.Error writes (msg and a newline) and the status under (stamp, key),
+// so the next identical request replays it without parsing anything.
+// Requests that fail for this snapshot (unknown items, malformed
+// parameters) repeat just like good ones. The same stamp discipline as
 // writeJSONCaching applies: stamp was read before the request was
 // evaluated, and a reload stops matching it.
 func (s *server) errorCaching(w http.ResponseWriter, msg string, status int, cache *qcache.Cache, stamp qcache.Stamp, key string) {
 	if cache != nil && s.coco.CacheStamp() == stamp {
-		cache.PutString(stamp, key, &cachedResp{status: status, body: []byte(msg + "\n")})
+		c := getCodec()
+		c.buf.WriteString(msg)
+		c.buf.WriteByte('\n')
+		cache.PutString(stamp, key, c.cacheValue(status))
+		putCodec(c)
 	}
 	http.Error(w, msg, status)
 }

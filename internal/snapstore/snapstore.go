@@ -142,8 +142,16 @@ func readCatalog(root string) (*catalogFile, error) {
 		return nil, fmt.Errorf("snapstore: read catalog: %w", err)
 	}
 	defer f.Close()
+	return decodeCatalog(f)
+}
+
+// decodeCatalog decodes and validates a catalog: IDs ascend, and each
+// generation's dir is the name Commit gives it, genDirName(id) — so no two
+// entries share a directory, and pruning one entry can never delete a
+// directory another entry still names.
+func decodeCatalog(r io.Reader) (*catalogFile, error) {
 	var cat catalogFile
-	if err := json.NewDecoder(f).Decode(&cat); err != nil {
+	if err := json.NewDecoder(r).Decode(&cat); err != nil {
 		return nil, fmt.Errorf("snapstore: read catalog: %w", err)
 	}
 	if cat.Version != catalogVersion {
@@ -156,8 +164,8 @@ func readCatalog(root string) (*catalogFile, error) {
 			return nil, fmt.Errorf("snapstore: read catalog: generation ids not ascending at entry %d", i)
 		}
 		lastID = g.ID
-		if g.Dir == "" || g.Dir != filepath.Base(g.Dir) || !strings.HasPrefix(g.Dir, genDirPrefix) {
-			return nil, fmt.Errorf("snapstore: read catalog: generation %d has invalid dir %q", g.ID, g.Dir)
+		if g.Dir != genDirName(g.ID) {
+			return nil, fmt.Errorf("snapstore: read catalog: generation %d has dir %q, want %q", g.ID, g.Dir, genDirName(g.ID))
 		}
 	}
 	return &cat, nil
@@ -166,10 +174,15 @@ func readCatalog(root string) (*catalogFile, error) {
 // writeCatalog commits a catalog atomically and durably.
 func writeCatalog(root string, cat *catalogFile) error {
 	return WriteFileAtomic(root, CatalogName, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(cat)
+		return encodeCatalog(w, cat)
 	})
+}
+
+// encodeCatalog is the catalog's on-disk encoding.
+func encodeCatalog(w io.Writer, cat *catalogFile) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(cat)
 }
 
 // Generations lists the committed generations, ascending by ID. The slice

@@ -9,7 +9,8 @@
 # concurrent-serving benchmarks, the BenchmarkBatchServe* batch-vs-
 # sequential pairs, the BenchmarkSearchIntoReused zero-allocation headline,
 # BenchmarkSegmentInto (pooled DP scratch vs allocating MaxMatch), the
-# BenchmarkServeCacheHit/Miss end-to-end query-cache pair,
+# BenchmarkServeCacheHit/Miss end-to-end query-cache pair, the
+# BenchmarkServeCacheFill miss-fill-and-evict path of full caches,
 # BenchmarkBatchDecode (fixed-shape scanner vs encoding/json), and the
 # BenchmarkSharded* set (reads through a 1-shard vs a 4-shard ShardSet,
 # the one frozen read path, and a whole-net vs a 4-shard freeze) — and
@@ -75,6 +76,7 @@ for required in \
     BenchmarkColdStartFrozen BenchmarkParallelFrozenSearch \
     BenchmarkBatchServeSearch BenchmarkSearchIntoReused \
     BenchmarkSegmentInto BenchmarkServeCacheHit BenchmarkServeCacheMiss \
+    BenchmarkServeCacheFill/search BenchmarkServeCacheFill/recommend \
     BenchmarkBatchDecode BenchmarkShardedSearch/N=1 BenchmarkShardedSearch/N=4 \
     BenchmarkShardedRecommend/N=4 BenchmarkShardedFreeze; do
     if ! grep -q "\"name\": \"$required" "$OUT"; then
