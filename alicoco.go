@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -121,15 +122,14 @@ type servingState struct {
 	shards *core.ShardSet
 
 	// Snapshot bookkeeping: the store root the partition was loaded from,
-	// the generation directory under it, the committed generation served
-	// (what RollbackTo and the scrubber anchor on) and the manifest the
-	// shards were verified against — all zero for in-process freezes —
-	// plus per-shard serving metadata.
-	shardDir   string
-	shardRoot  string
-	catalogGen uint64
-	manifest   *pipeline.ShardManifest
-	shardInfo  []ShardServingInfo
+	// the catalog entry of the generation served (what RollbackTo and the
+	// scrubber anchor on) and the manifest the shards were verified
+	// against — all zero for in-process freezes — plus per-shard serving
+	// metadata.
+	root      string
+	gen       snapstore.Gen
+	manifest  *pipeline.ShardManifest
+	shardInfo []ShardServingInfo
 
 	search *search.Engine
 	rec    *recommend.Engine
@@ -256,93 +256,81 @@ func (c *CoCo) SaveShardsRetain(dir string, count, retain int) (*pipeline.ShardM
 // or the world (InferImplicitRelations, SampleSessions, Glosses) report
 // that they are unavailable.
 func LoadShardedFrozen(dir string) (*CoCo, error) {
-	loc, err := resolveShardDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	arts, man, err := pipeline.LoadShards(loc.dir)
+	g, man, err := lookup(dir, nil)
 	if err != nil {
 		return nil, err
 	}
 	c := newCoCo()
-	c.arts.Store(arts)
-	if err := c.publishShards(arts, "shards", loc, man); err != nil {
+	if _, err := c.load(dir, g, man, "shards", false, -1); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// shardLoc names where a snapshot lives: the generation directory holding
-// its files, the store root, and the committed generation ID.
-type shardLoc struct {
-	dir  string
-	root string
-	gen  uint64
+// lookup finds the newest committed generation of the store at root that
+// accept takes (nil takes the newest) and reads its manifest. It never
+// opens the store, whose sweep would delete a publisher's save in flight.
+func lookup(root string, accept func(snapstore.Gen) bool) (snapstore.Gen, *pipeline.ShardManifest, error) {
+	g, err := snapstore.Lookup(root, accept)
+	if err != nil {
+		return snapstore.Gen{}, nil, err
+	}
+	man, err := pipeline.ReadManifest(filepath.Join(root, g.Dir))
+	if err != nil {
+		return snapstore.Gen{}, nil, err
+	}
+	return g, man, nil
 }
 
-// resolveShardDir maps a store root to its newest committed generation.
-func resolveShardDir(dir string) (shardLoc, error) {
-	resolved, gen, err := snapstore.ResolveDir(dir)
-	if err != nil {
-		return shardLoc{}, err
+// load reads generation g of the store at root, whose manifest is man,
+// through pipeline.LoadGen and publishes it: the one path by which a
+// generation reaches serving. With reuse the loader keeps what serving
+// holds (see LoadGen); without, it reads and verifies every file. A reload
+// that reads no shard from the generation already served publishes
+// nothing. It returns how many shards were read. Callers hold c.offline
+// or own a CoCo that has not escaped yet.
+func (c *CoCo) load(root string, g snapstore.Gen, man *pipeline.ShardManifest, source string, reuse bool, force int) (int, error) {
+	prev := c.serving.Load()
+	var served *pipeline.Artifacts
+	var servedMan *pipeline.ShardManifest
+	if reuse {
+		served, servedMan = c.arts.Load(), prev.manifest
 	}
-	return shardLoc{dir: resolved, root: dir, gen: gen}, nil
+	arts, read, err := pipeline.LoadGen(filepath.Join(root, g.Dir), man, served, servedMan, force)
+	if err != nil {
+		return 0, err
+	}
+	if reuse && read == 0 && prev.root == root && prev.gen.ID == g.ID {
+		return 0, nil
+	}
+	c.arts.Store(arts)
+	return read, c.publishShards(arts, source, root, g, man)
 }
 
 // ReloadShards re-reads the newest generation of the snapshot store at dir
-// and hot-swaps the changed parts into serving. It diffs that generation's
-// manifest against the partition currently served: shards whose checksums
-// match keep their in-memory form (and, via the content stamp, their cache
-// entries); only changed shards are read from disk — so a new catalog
-// generation that touched one shard reloads
-// one shard, even though it lives in a fresh gen-%06d directory. It
-// returns how many shards were (re)loaded — 0 means the snapshot holds
-// exactly what is already being served; when it is also the same directory
+// and hot-swaps the changed parts into serving. Shards whose checksums
+// match the partition served keep their in-memory form (and, via the
+// content stamp, their cache entries), and so does the item table while
+// its checksum and node total hold; only changed shards are read from
+// disk — so a new catalog generation that touched one shard reloads one
+// shard, even though it lives in a fresh gen-%06d directory. It returns
+// how many shards were (re)loaded — 0 means the snapshot holds exactly
+// what is already being served; when it is also the same generation
 // nothing is republished at all, and when it is a newer generation with
 // identical content only the location bookkeeping is republished (the
 // content stamp, and with it every warm cache entry, carries over). A
 // partition-shape change (shard count, stride, node total, or serving
-// metadata) falls back to a full load. Queries running concurrently keep
+// metadata) reads every shard. Queries running concurrently keep
 // answering from the old partition until the single atomic swap, so no
 // request ever sees a mix of generations.
 func (c *CoCo) ReloadShards(dir string) (int, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
-	loc, err := resolveShardDir(dir)
+	g, man, err := lookup(dir, nil)
 	if err != nil {
 		return 0, err
 	}
-	man, err := pipeline.ReadManifest(loc.dir)
-	if err != nil {
-		return 0, err
-	}
-	prev := c.serving.Load()
-	if prev.manifest == nil || !sameShape(prev.manifest, man) {
-		arts, man, err := pipeline.LoadShards(loc.dir)
-		if err != nil {
-			return 0, err
-		}
-		c.arts.Store(arts)
-		return man.NumShards(), c.publishShards(arts, "shards", loc, man)
-	}
-	shards := make([]*core.FrozenNet, man.NumShards())
-	changed := 0
-	for i := range shards {
-		if man.Shards[i].Checksum == prev.manifest.Shards[i].Checksum {
-			shards[i] = prev.shards.Shard(i)
-			continue
-		}
-		sh, err := pipeline.LoadShard(loc.dir, man, i)
-		if err != nil {
-			return 0, err
-		}
-		shards[i] = sh
-		changed++
-	}
-	if changed == 0 && prev.shardDir == loc.dir {
-		return 0, nil
-	}
-	return changed, c.publishReloaded(shards, loc, man)
+	return c.load(dir, g, man, "shards", true, -1)
 }
 
 // ReloadShard force-reloads one shard from the newest generation of the
@@ -358,26 +346,16 @@ func (c *CoCo) ReloadShard(dir string, i int) error {
 	if prev.manifest == nil {
 		return errors.New("alicoco: reload shard: serving is not backed by a snapshot store")
 	}
-	loc, err := resolveShardDir(dir)
-	if err != nil {
-		return err
-	}
-	man, err := pipeline.ReadManifest(loc.dir)
+	g, man, err := lookup(dir, nil)
 	if err != nil {
 		return err
 	}
 	if i < 0 || i >= man.NumShards() {
 		return fmt.Errorf("alicoco: reload shard: index %d out of range [0,%d)", i, man.NumShards())
 	}
-	if !sameShape(prev.manifest, man) {
+	if !prev.manifest.SameShape(man) {
 		return errors.New("alicoco: reload shard: partition shape on disk changed; use ReloadShards")
 	}
-	sh, err := pipeline.LoadShard(loc.dir, man, i)
-	if err != nil {
-		return err
-	}
-	shards := append([]*core.FrozenNet(nil), prev.shards.Shards()...)
-	shards[i] = sh
 	// Publish under an *effective* manifest: the served manifest with only
 	// entry i replaced. The directory's manifest may already describe newer
 	// content for shards this reload did not touch (an operator rolling the
@@ -388,21 +366,8 @@ func (c *CoCo) ReloadShard(dir string, i int) error {
 	eff.Shards = append([]pipeline.ShardEntry(nil), prev.manifest.Shards...)
 	eff.TotalEdges += man.Shards[i].Edges - eff.Shards[i].Edges
 	eff.Shards[i] = man.Shards[i]
-	return c.publishReloaded(shards, loc, &eff)
-}
-
-// publishReloaded publishes a partition of which some shards were re-read
-// from disk under an unchanged meta checksum: it keeps serving the loaded
-// item table, once the new shards are shown to still hold every item on an
-// item node.
-func (c *CoCo) publishReloaded(shards []*core.FrozenNet, loc shardLoc, man *pipeline.ShardManifest) error {
-	arts := *c.arts.Load()
-	if err := arts.Serving.CheckItemKinds(shards); err != nil {
-		return fmt.Errorf("alicoco: reload: %w", err)
-	}
-	arts.Shards = shards
-	c.arts.Store(&arts)
-	return c.publishShards(&arts, "shards", loc, man)
+	_, err = c.load(dir, g, &eff, "shards", true, i)
+	return err
 }
 
 // RollbackTo republishes an earlier committed generation of the snapshot
@@ -415,67 +380,46 @@ func (c *CoCo) RollbackTo(gen uint64) (snapstore.Gen, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	prev := c.serving.Load()
-	if prev.shardRoot == "" {
+	if prev.root == "" {
 		return snapstore.Gen{}, errors.New("alicoco: rollback: serving is not backed by a snapshot store")
 	}
-	store, err := snapstore.Open(prev.shardRoot, snapstore.Options{})
+	accept := func(g snapstore.Gen) bool { return g.ID == gen }
+	if gen == 0 {
+		accept = func(g snapstore.Gen) bool { return g.ID < prev.gen.ID }
+	}
+	g, man, err := lookup(prev.root, accept)
 	if err != nil {
+		return snapstore.Gen{}, fmt.Errorf("alicoco: rollback (requested gen %d, serving gen %d): %w", gen, prev.gen.ID, err)
+	}
+	if _, err := c.load(prev.root, g, man, "rollback", false, -1); err != nil {
 		return snapstore.Gen{}, err
 	}
-	var g snapstore.Gen
-	if gen != 0 {
-		if g, err = store.Find(gen); err != nil {
-			return snapstore.Gen{}, err
-		}
-	} else {
-		gens, err := store.Generations()
-		if err != nil {
-			return snapstore.Gen{}, err
-		}
-		for i := len(gens) - 1; i >= 0; i-- {
-			if gens[i].ID < prev.catalogGen {
-				g = gens[i]
-				break
-			}
-		}
-		if g.ID == 0 {
-			return snapstore.Gen{}, fmt.Errorf("alicoco: rollback: no committed generation older than %d", prev.catalogGen)
-		}
-	}
-	loc := shardLoc{dir: store.GenDir(g), root: prev.shardRoot, gen: g.ID}
-	arts, man, err := pipeline.LoadShards(loc.dir)
-	if err != nil {
-		return snapstore.Gen{}, err
-	}
-	c.arts.Store(arts)
-	return g, c.publishShards(arts, "rollback", loc, man)
+	return g, nil
 }
 
 // ScrubOnce runs one integrity pass over the generation directory serving
 // was loaded from: every file is re-hashed against the on-disk manifest
-// (itself verified against the catalog entry), mismatches are quarantined,
-// and each quarantined file is repaired from the newest clean source —
-// another catalog generation with matching content first, the served
-// in-memory shard or item table second. Repair touches only the disk copy;
-// serving reads the in-memory shards throughout, so traffic keeps
-// answering byte-identically and warm cache entries survive. Holding the
-// offline lock serializes the pass with saves and reloads.
+// (itself verified against the served catalog entry), mismatches are
+// quarantined, and each quarantined file is repaired from the newest clean
+// source — another catalog generation with matching content first, the
+// served in-memory shard or item table second. Repair touches only the
+// disk copy; serving reads the in-memory shards throughout, so traffic
+// keeps answering byte-identically and warm cache entries survive. Holding
+// the offline lock serializes the pass with saves and reloads.
 func (c *CoCo) ScrubOnce() (*snapstore.ScrubReport, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
 	s := c.serving.Load()
-	if s.shardRoot == "" {
+	if s.root == "" {
 		return nil, errors.New("alicoco: scrub: serving is not backed by a snapshot store")
 	}
-	store, err := snapstore.Open(s.shardRoot, snapstore.Options{})
-	if err != nil {
-		return nil, err
-	}
-	opts := pipeline.ScrubOptions{Store: store, InMem: s.shards.Shards(), Meta: s.meta, Gen: s.catalogGen}
-	if g, err := store.Find(s.catalogGen); err == nil {
-		opts.ManifestChecksum = g.ManifestChecksum
-	}
-	return pipeline.ScrubShardDir(s.shardDir, opts)
+	return pipeline.ScrubShardDir(filepath.Join(s.root, s.gen.Dir), pipeline.ScrubOptions{
+		Store:            s.root,
+		InMem:            s.shards.Shards(),
+		Meta:             s.meta,
+		Gen:              s.gen.ID,
+		ManifestChecksum: s.gen.ManifestChecksum,
+	})
 }
 
 // shardContentStamp derives the cache stamp of a disk-loaded shard
@@ -502,23 +446,15 @@ func shardContentStamp(man *pipeline.ShardManifest) qcache.Stamp {
 	return qcache.Stamp{Gen: h | 1<<63, Sum: crc32.ChecksumIEEE(buf)}
 }
 
-// sameShape reports whether two manifests describe the same partition
-// (count, stride, node total) of the same serving metadata — the
-// precondition for reusing in-memory shards across a reload.
-func sameShape(a, b *pipeline.ShardManifest) bool {
-	return a.NumShards() == b.NumShards() && a.Stride == b.Stride &&
-		a.TotalNodes == b.TotalNodes && a.MetaChecksum == b.MetaChecksum
-}
-
 // publishShards swaps in a serving state backed by the shard partition
 // arts.Shards — the one publish path for builds, loads, reloads, refreezes
 // and rollbacks. The engines run on the partition's ShardSet whatever its
-// shard count. loc and man identify the generation the partition was
-// verified against; both are zero for in-process freezes. The fresh
-// engines carry the new cache stamp, so everything the query caches hold
-// for other content becomes unreachable in the same atomic pointer store
-// that publishes the state.
-func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardLoc, man *pipeline.ShardManifest) error {
+// shard count. root, g and man identify the store, the catalog entry and
+// the manifest the partition was verified against; all are zero for
+// in-process freezes. The fresh engines carry the new cache stamp, so
+// everything the query caches hold for other content becomes unreachable
+// in the same atomic pointer store that publishes the state.
+func (c *CoCo) publishShards(arts *pipeline.Artifacts, source, root string, g snapstore.Gen, man *pipeline.ShardManifest) error {
 	set, err := core.NewShardSet(arts.Shards)
 	if err != nil {
 		return err
@@ -558,16 +494,15 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 	re := recommend.NewEngine(set)
 	re.UseCache(c.recCache, stamp)
 	c.serving.Store(&servingState{
-		shards:     set,
-		shardDir:   loc.dir,
-		shardRoot:  loc.root,
-		catalogGen: loc.gen,
-		manifest:   man,
-		shardInfo:  shardInfo,
-		search:     se,
-		rec:        re,
-		meta:       arts.Serving,
-		stamp:      stamp,
+		shards:    set,
+		root:      root,
+		gen:       g,
+		manifest:  man,
+		shardInfo: shardInfo,
+		search:    se,
+		rec:       re,
+		meta:      arts.Serving,
+		stamp:     stamp,
 		info: ServingInfo{
 			Source:      source,
 			Generation:  gen,
@@ -576,7 +511,7 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source string, loc shardL
 			Nodes:       set.NumNodes(),
 			Edges:       set.NumEdges(),
 			Shards:      set.NumShards(),
-			CatalogGen:  loc.gen,
+			CatalogGen:  g.ID,
 		},
 	})
 	return nil
@@ -610,7 +545,7 @@ func (c *CoCo) SetQueryCacheCapacity(n int) {
 func (c *CoCo) refreeze(source string) error {
 	arts := c.arts.Load()
 	arts.Shards = arts.Net.FreezeShards(c.shardCount)
-	return c.publishShards(arts, source, shardLoc{}, nil)
+	return c.publishShards(arts, source, "", snapstore.Gen{}, nil)
 }
 
 // Stats summarizes the net (the Table 2 shape).

@@ -530,10 +530,7 @@ func BenchmarkColdStartFrozen(b *testing.B) {
 	if _, err := a.SaveShards(root, 1); err != nil {
 		b.Fatal(err)
 	}
-	dir, _, err := snapstore.ResolveDir(root)
-	if err != nil {
-		b.Fatal(err)
-	}
+	dir := newestGenDir(b, root)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		b.Fatal(err)
@@ -599,7 +596,7 @@ func benchCoCo(b *testing.B) *CoCo {
 	arts.Shards = benchFrozen(b).Shards()
 	c := &CoCo{}
 	c.arts.Store(&arts)
-	if err := c.publishShards(&arts, "build", shardLoc{}, nil); err != nil {
+	if err := c.publishShards(&arts, "build", "", snapstore.Gen{}, nil); err != nil {
 		b.Fatal(err)
 	}
 	return c
@@ -837,4 +834,54 @@ func BenchmarkSearchIntoReused(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = engine.SearchInto(ctx, &resp, q, 10)
 	}
+}
+
+// BenchmarkReload measures the facade's publish of a committed generation,
+// the per-layer twin of the bench harness's churn publish, over Default()
+// committed to one 3-shard and one 4-shard store. It uses only the public
+// API:
+//   - noop: ReloadShards of the store being served, which reads no shard
+//     and publishes nothing;
+//   - shard: ReloadShard round-robin over the served shards, which reads
+//     one shard and keeps the rest and the item table;
+//   - reshard: ReloadShards alternately of the 4-shard and the 3-shard
+//     store, which reads every shard — the path every churn publish takes.
+func BenchmarkReload(b *testing.B) {
+	c, err := BuildSharded(Default(), 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stores := [2]string{b.TempDir(), b.TempDir()}
+	for i, n := range []int{3, 4} {
+		if _, err := c.SaveShards(stores[i], n); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run := func(name string, reload func(l *CoCo, i int) error) {
+		b.Run(name, func(b *testing.B) {
+			l, err := LoadShardedFrozen(stores[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := reload(l, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("noop", func(l *CoCo, _ int) error {
+		n, err := l.ReloadShards(stores[0])
+		if err == nil && n != 0 {
+			err = fmt.Errorf("no-op reload read %d shards", n)
+		}
+		return err
+	})
+	run("shard", func(l *CoCo, i int) error { return l.ReloadShard(stores[0], i%3) })
+	run("reshard", func(l *CoCo, i int) error {
+		_, err := l.ReloadShards(stores[(i+1)%2])
+		return err
+	})
 }

@@ -69,7 +69,8 @@
 // truncated generation leaves the current serving state untouched. The
 // swap itself is one atomic pointer store — in-flight and concurrent
 // queries keep answering without downtime; -refresh does the same on a
-// timer. POST /reload?shard=i force-reloads one shard. The
+// timer. POST /reload?shard=i force-reloads one shard; an index the served
+// partition does not have answers 400 and counts no reload failure. The
 // cocoserve_shard_* series follow the served partition as it grows.
 //
 // Operational behavior (see PERF.md "Operational behavior" for budgets):

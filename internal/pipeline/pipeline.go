@@ -81,7 +81,7 @@ type Artifacts struct {
 	Net    *core.Net
 
 	// Shards is the frozen partition serving runs on: the shards of a
-	// loaded generation (LoadShards), or the facade's in-process freeze.
+	// loaded generation (LoadGen), or the facade's in-process freeze.
 	// Build leaves it nil. The serving layer assembles them into a
 	// core.ShardSet, and SaveShards writes them without refreezing while
 	// they still hold the live net's current state.
@@ -97,7 +97,7 @@ type Artifacts struct {
 	DomainCls map[world.Domain]core.NodeID
 
 	// Serving is the world-derived metadata the serving layer needs
-	// (stopwords, item table). Build derives it from World; LoadShards
+	// (stopwords, item table). Build derives it from World; LoadGen
 	// restores it, which is what lets a snapshot-loaded Artifacts serve
 	// with World == nil.
 	Serving *ServingMeta

@@ -52,10 +52,11 @@ func (m *ShardManifest) FileChecks() []snapstore.FileCheck {
 
 // ScrubOptions configures one scrub pass.
 type ScrubOptions struct {
-	// Store, when non-nil, is the generation catalog repair draws on:
-	// other committed generations holding a file with the matching
-	// checksum are the first repair source.
-	Store *snapstore.Store
+	// Store, when non-empty, is the root of the snapshot store whose
+	// catalog repair draws on: other committed generations holding a file
+	// with the matching checksum are the first repair source. The catalog
+	// is only listed, never swept.
+	Store string
 
 	// InMem, when non-nil, are the currently served frozen shards —
 	// the fallback repair source: a shard whose in-memory checksum matches
@@ -135,7 +136,7 @@ func ScrubShardDir(dir string, opts ScrubOptions) (*snapstore.ScrubReport, error
 // when isMeta, else a shard — and reports success only after the fresh
 // copy verifies against its check.
 func repairFile(dir string, check snapstore.FileCheck, isMeta bool, opts ScrubOptions) bool {
-	if opts.Store != nil && repairFromCatalog(dir, check, opts.Store) {
+	if opts.Store != "" && repairFromCatalog(dir, check, opts.Store) {
 		return true
 	}
 	if !isMeta {
@@ -151,14 +152,15 @@ func repairFile(dir string, check snapstore.FileCheck, isMeta bool, opts ScrubOp
 }
 
 // repairFromCatalog copies the file from the newest other committed
-// generation holding content with the matching checksum.
-func repairFromCatalog(dir string, check snapstore.FileCheck, store *snapstore.Store) bool {
-	gens, err := store.Generations()
+// generation of the store at root holding content with the matching
+// checksum.
+func repairFromCatalog(dir string, check snapstore.FileCheck, root string) bool {
+	gens, err := snapstore.ListGenerations(root)
 	if err != nil {
 		return false
 	}
 	for i := len(gens) - 1; i >= 0; i-- {
-		srcDir := store.GenDir(gens[i])
+		srcDir := filepath.Join(root, gens[i].Dir)
 		if srcDir == dir {
 			continue
 		}

@@ -26,9 +26,11 @@ import (
 //
 // The files are written into the store's temp generation directory and the
 // catalog update commits it — a crashed save never leaves a generation that
-// parses as complete. Reloading one shard means re-reading the manifest,
-// loading only the files whose checksums changed, and reassembling the
-// ShardSet around the untouched in-memory shards.
+// parses as complete. LoadGen is the one way a generation's shards reach
+// serving, for a first load as for a reload: it keeps what the served
+// artifacts already hold — the item table when the meta checksum and node
+// total match, and, in a partition of the same shape, every shard whose
+// checksum matches — and reads and verifies only the rest.
 
 const (
 	// ShardManifestName is the manifest's file name inside a shard
@@ -71,6 +73,14 @@ type ShardManifest struct {
 
 // NumShards returns the partition's shard count.
 func (m *ShardManifest) NumShards() int { return len(m.Shards) }
+
+// SameShape reports whether two manifests describe the same partition
+// (count, stride, node total) of the same serving metadata — the
+// precondition for keeping served shards across a reload.
+func (m *ShardManifest) SameShape(o *ShardManifest) bool {
+	return m.NumShards() == o.NumShards() && m.Stride == o.Stride &&
+		m.TotalNodes == o.TotalNodes && m.MetaChecksum == o.MetaChecksum
+}
 
 // ShardLoadError attributes a sharded-load failure to one file, so callers
 // (the serving layer's per-shard failure counts) can act on the shard
@@ -311,43 +321,73 @@ func LoadShard(dir string, man *ShardManifest, i int) (*core.FrozenNet, error) {
 	return sh, nil
 }
 
-// LoadShards loads one committed generation: the manifest, the serving
-// metadata, and all shard files (in parallel), verified against the
-// manifest's checksums. dir is the generation's directory; a store root
-// resolves to its newest one through snapstore.ResolveDir. It returns a
-// serving-only Artifacts — Shards holds the loaded partition and Net and
-// World are nil. Per-file failures come back as *ShardLoadError (the first
-// failing shard).
+// LoadShards loads one committed generation in full: the manifest, the
+// serving metadata, and all shard files, each read and verified. dir is
+// the generation's directory (snapstore.Lookup finds it under a store
+// root). It is LoadGen with nothing served.
 func LoadShards(dir string) (*Artifacts, *ShardManifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	meta, err := loadShardMeta(dir, man)
+	arts, _, err := LoadGen(dir, man, nil, nil, -1)
 	if err != nil {
 		return nil, nil, err
 	}
-	shards := make([]*core.FrozenNet, len(man.Shards))
-	errs := make([]error, len(man.Shards))
-	par.For(0, len(man.Shards), func(i int) {
-		shards[i], errs[i] = LoadShard(dir, man, i)
+	return arts, man, nil
+}
+
+// LoadGen loads the generation in dir, whose manifest is man, as a
+// serving-only Artifacts (Net and World nil). served, loaded under
+// servedMan (both nil for none), is what serving holds; LoadGen keeps of
+// it the item table when the meta checksum and node total match (across a
+// shard-count change too) and, in a partition of the same shape, every
+// shard whose checksum matches except shard force (-1 forces none). It
+// reads and verifies the rest in parallel, each against its manifest
+// entry, and checks once that the partition holds every item on an item
+// node. read counts the shard files read; at 0 the result is served's own
+// partition and table, checked when they were loaded. A per-file failure
+// is a *ShardLoadError (the first failing shard).
+func LoadGen(dir string, man *ShardManifest, served *Artifacts, servedMan *ShardManifest, force int) (arts *Artifacts, read int, err error) {
+	keepMeta := servedMan != nil && servedMan.MetaChecksum == man.MetaChecksum && servedMan.TotalNodes == man.TotalNodes
+	var meta *ServingMeta
+	if keepMeta {
+		meta = served.Serving
+	} else if meta, err = loadShardMeta(dir, man); err != nil {
+		return nil, 0, err
+	}
+	keepShards := servedMan != nil && servedMan.SameShape(man)
+	shards := make([]*core.FrozenNet, man.NumShards())
+	var todo []int
+	for i := range shards {
+		if keepShards && i != force && man.Shards[i].Checksum == servedMan.Shards[i].Checksum {
+			shards[i] = served.Shards[i]
+		} else {
+			todo = append(todo, i)
+		}
+	}
+	arts = &Artifacts{Shards: shards, Serving: meta}
+	if len(todo) == 0 {
+		return arts, 0, nil
+	}
+	errs := make([]error, len(todo))
+	par.For(0, len(todo), func(j int) {
+		shards[todo[j]], errs[j] = LoadShard(dir, man, todo[j])
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("pipeline: load shards: %w", err)
+			return nil, 0, fmt.Errorf("pipeline: load shards: %w", err)
 		}
 	}
-	// NewShardSet re-validates geometry; run it here so a bad assembly is
-	// caught at load time, not first request.
-	set, err := core.NewShardSet(shards)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: load shards: %w", err)
-	}
-	// Only now is the node total verified: the item kinds are checked, and
-	// the node index sized, against shards that delivered that many nodes.
+	// Every shard now matches its manifest entry, whose layout the manifest
+	// decoder checked, so the partition assembles; only now is the node
+	// total verified: the item kinds are checked, and a fresh table's node
+	// index sized, against shards that delivered that many nodes.
 	if err := meta.CheckItemKinds(shards); err != nil {
-		return nil, nil, fmt.Errorf("pipeline: load shards: %w", err)
+		return nil, 0, fmt.Errorf("pipeline: load shards: %w", err)
 	}
-	meta.indexNodes(set.NumNodes())
-	return &Artifacts{Shards: shards, Serving: meta}, man, nil
+	if !keepMeta {
+		meta.indexNodes(man.TotalNodes)
+	}
+	return arts, len(todo), nil
 }

@@ -23,11 +23,11 @@ func saveShardDir(t *testing.T, a *Artifacts, count int) (string, *ShardManifest
 	if err != nil {
 		t.Fatalf("SaveShards(%d): %v", count, err)
 	}
-	dir, _, err := snapstore.ResolveDir(root)
+	g, err := snapstore.Lookup(root, nil)
 	if err != nil {
-		t.Fatalf("ResolveDir: %v", err)
+		t.Fatalf("Lookup: %v", err)
 	}
-	return dir, man
+	return filepath.Join(root, g.Dir), man
 }
 
 // TestSaveShardsDeterministic: saving the same net twice must produce
@@ -219,10 +219,11 @@ func TestScrubStaysInsideGeneration(t *testing.T) {
 	if _, err := a.SaveShards(filepath.Join(tmp, "store"), 2); err != nil {
 		t.Fatal(err)
 	}
-	dir, _, err := snapstore.ResolveDir(filepath.Join(tmp, "store"))
+	g, err := snapstore.Lookup(filepath.Join(tmp, "store"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := filepath.Join(tmp, "store", g.Dir)
 	victim := filepath.Join(tmp, "victim.txt")
 	if err := os.WriteFile(victim, []byte("not part of any generation\n"), 0o644); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ const shardMetaVersion = 2
 // ServingMeta is the world-derived data the serving layer needs beyond the
 // net itself: the stopwords the search engine tokenizes with, and the item
 // table mapping world item IDs to net nodes, titles and categories, with
-// its node index. Build derives it; LoadShards reads it from meta.bin.
+// its node index. Build derives it; LoadGen reads it from meta.bin.
 type ServingMeta struct {
 	Stopwords []string
 	Items     []ItemMeta // in world order: Items[i] has world ID i

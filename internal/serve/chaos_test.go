@@ -244,7 +244,7 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	corruptFile(t, filepath.Join(s.store.Root(), fmt.Sprintf("gen-%06d", bad), "shard-0002.fz"))
 
 	for i := 0; i < 2; i++ {
-		if _, err := s.tryReload(); err == nil {
+		if _, err := s.tryReload(-1); err == nil {
 			t.Fatalf("reload %d of corrupt generation succeeded", i)
 		}
 	}
@@ -257,7 +257,7 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 		t.Fatalf("serving gen %d after breaker rollback, want %d", g, clean)
 	}
 	// Further reloads hold instead of retrying the skiplisted generation.
-	if src, err := s.tryReload(); err != nil || !strings.HasPrefix(src, "held:") {
+	if src, err := s.tryReload(-1); err != nil || !strings.HasPrefix(src, "held:") {
 		t.Fatalf("reload after rollback: %q err=%v, want a hold", src, err)
 	}
 	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
@@ -286,7 +286,7 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 
 	// A newer commit: the next reload publishes it and closes the breaker.
 	next := commitShards(t, s, 3)
-	if _, err := s.tryReload(); err != nil {
+	if _, err := s.tryReload(-1); err != nil {
 		t.Fatalf("reload of newer commit: %v", err)
 	}
 	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_consecutive_failures"); state != "closed" || consec != 0 {

@@ -14,19 +14,18 @@ import (
 	"alicoco/internal/resilience"
 )
 
-// Config is the embedding-facing serving policy. The zero value means
-// "production defaults" for every field; Disabled (-1) turns a knob off
-// where 0 could not (gate, deadlines). Everything Config does not name —
-// the cache budget, the gate's adaptive controller, the slow-query log —
-// runs at the cocoserve defaults.
+// Config is the embedding-facing serving policy. A zero field means the
+// cocoserve default, and a negative one turns the field off: no gate, or
+// no deadline. Everything Config does not name — the cache budget, the
+// gate's adaptive controller, the slow-query log — runs at the cocoserve
+// defaults.
 type Config struct {
 	// Deadline / BatchDeadline bound a cache-missing request's lifetime,
-	// queue wait included; 0 means the defaults (2s / 15s), Disabled
-	// unbounded.
+	// queue wait included; 0 means the defaults (2s / 15s).
 	Deadline      time.Duration
 	BatchDeadline time.Duration
 	// MaxInflight engine dispatches run at once, QueueDepth more wait; 0
-	// means the defaults (4x / 16x GOMAXPROCS), Disabled no gate.
+	// means the defaults (4x / 16x GOMAXPROCS).
 	MaxInflight int
 	QueueDepth  int
 	// SnapshotDir, when non-empty, is the snapshot store the facade was
@@ -34,30 +33,21 @@ type Config struct {
 	SnapshotDir string
 }
 
-// Disabled turns off a Config knob whose zero value means "default".
-const Disabled = -1
-
 func (c Config) toServeConfig() serveConfig {
 	cfg := defaultServeConfig()
 	cfg.cacheSize = alicoco.DefaultQueryCacheCapacity
-	apply := func(dst *int, v int) {
-		if v == Disabled {
-			*dst = 0
-		} else if v != 0 {
-			*dst = v
-		}
+	if c.Deadline != 0 {
+		cfg.deadline = c.Deadline
 	}
-	applyDur := func(dst *time.Duration, v time.Duration) {
-		if v == Disabled {
-			*dst = 0
-		} else if v != 0 {
-			*dst = v
-		}
+	if c.BatchDeadline != 0 {
+		cfg.batchDeadline = c.BatchDeadline
 	}
-	apply(&cfg.maxInflight, c.MaxInflight)
-	apply(&cfg.queueDepth, c.QueueDepth)
-	applyDur(&cfg.deadline, c.Deadline)
-	applyDur(&cfg.batchDeadline, c.BatchDeadline)
+	if c.MaxInflight != 0 {
+		cfg.maxInflight = c.MaxInflight
+	}
+	if c.QueueDepth != 0 {
+		cfg.queueDepth = c.QueueDepth
+	}
 	return cfg
 }
 

@@ -261,12 +261,16 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte("ready\n"))
 }
 
-// tryReload performs one reload attempt with the resilience bookkeeping:
-// the skiplist hold, post-swap validation, the outcome fed to the breaker,
-// failure counters, and backoff reset on success. Serving keeps the last
-// good snapshot through any number of failures — a reload only ever
-// publishes after full verification.
-func (s *server) tryReload() (source string, err error) {
+// tryReload performs one reload attempt — of the whole net, or of one
+// shard of the store's newest generation when shard >= 0 — with the
+// resilience bookkeeping: the skiplist hold (a shard of a rolled-back
+// generation is held like the whole of it), post-swap validation, the
+// breaker, failure counters and backoff. A whole-net failure counts toward
+// the breaker-trip auto-rollback and a whole-net success prunes; a shard's
+// failure counts against that shard alone. Serving keeps the last good
+// snapshot through any number of failures — a reload only ever publishes
+// after full verification.
+func (s *server) tryReload(shard int) (source string, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	// While the newest catalog generation is skiplisted (it failed
@@ -276,17 +280,26 @@ func (s *server) tryReload() (source string, err error) {
 		return "held: " + hold, nil
 	}
 	before := s.coco.ServingInfo().Generation
-	source, err = s.reload()
+	source, err = s.reload(shard)
 	if err == nil {
 		err = s.validateSwapLocked(before)
 	}
 	if err == nil {
-		s.reloadSucceededLocked()
-		clear(s.shardFails)
-		s.pruneLocked()
+		s.breaker.Success()
+		s.backoff.Reset()
+		s.consecReloads = 0
+		if shard >= 0 {
+			delete(s.shardFails, shard)
+		} else {
+			clear(s.shardFails)
+			s.pruneLocked()
+		}
 		return source, nil
 	}
 	s.reloadFailedLocked(err)
+	if shard >= 0 {
+		return source, err
+	}
 	s.consecReloads++
 	// Catalog-backed serving does not freeze on "last good in memory":
 	// when reloads keep failing past the breaker threshold, re-anchor on
@@ -297,40 +310,6 @@ func (s *server) tryReload() (source string, err error) {
 		}
 	}
 	return source, err
-}
-
-// tryReloadShard force-reloads one shard of the store's newest generation
-// under the same skiplist hold and post-swap validation as tryReload, so a
-// shard of a generation that was rolled back is never published. The
-// outcome feeds the breaker; a failure attributed to the shard counts
-// against it alone, and the rest of the partition keeps serving.
-func (s *server) tryReloadShard(i int) (source string, err error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if hold := s.reloadGateLocked(); hold != "" {
-		return "held: " + hold, nil
-	}
-	source = "shard:" + strconv.Itoa(i)
-	before := s.coco.ServingInfo().Generation
-	err = s.coco.ReloadShard(s.store.Root(), i)
-	if err == nil {
-		err = s.validateSwapLocked(before)
-	}
-	if err == nil {
-		s.reloadSucceededLocked()
-		delete(s.shardFails, i)
-		return source, nil
-	}
-	s.reloadFailedLocked(err)
-	return source, err
-}
-
-// reloadSucceededLocked closes the breaker and resets the backoff and the
-// consecutive-failure count after a good publish. Callers hold reloadMu.
-func (s *server) reloadSucceededLocked() {
-	s.breaker.Success()
-	s.backoff.Reset()
-	s.consecReloads = 0
 }
 
 // reloadFailedLocked feeds a failed reload to the breaker and the failure
@@ -366,7 +345,7 @@ func (s *server) refreshLoop(interval time.Duration, done <-chan struct{}) {
 		if !s.breaker.Allow() {
 			continue
 		}
-		src, err := s.tryReload()
+		src, err := s.tryReload(-1)
 		if err == nil {
 			info := s.coco.ServingInfo()
 			log.Printf("periodic reload from %s: %d nodes, %d edges", src, info.Nodes, info.Edges)
@@ -385,7 +364,7 @@ func (s *server) refreshLoop(interval time.Duration, done <-chan struct{}) {
 				break
 			}
 			s.reloadRetries.Inc()
-			if _, err = s.tryReload(); err == nil {
+			if _, err = s.tryReload(-1); err == nil {
 				info := s.coco.ServingInfo()
 				log.Printf("reload retry %d succeeded: %d nodes, %d edges", attempt+1, info.Nodes, info.Edges)
 				break

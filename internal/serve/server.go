@@ -104,8 +104,10 @@ type server struct {
 	// /reload diffs its newest generation against serving (only shards
 	// whose checksums changed are re-read), /reload?shard=i force-reloads
 	// one shard, and rollback, retention pruning and scrub repair work on
-	// it. Reloads serialize on the facade's own offline lock; queries are
-	// never blocked. See snapstore.go in this package.
+	// it. The server lists and prunes the catalog through this handle;
+	// the facade's reloads, rollbacks and scrubs only read it. Reloads
+	// serialize on the facade's own offline lock; queries are never
+	// blocked. See snapstore.go in this package.
 	store *snapstore.Store
 
 	// scrubMu guards the most recent scrub report for /stats.
@@ -610,22 +612,27 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// A manual reload bypasses the breaker's Allow (an operator poking the
 	// endpoint is the half-open probe), but its outcome still feeds the
 	// breaker — a good publish re-closes it for the -refresh loop.
-	var source string
-	var err error
+	shard := -1
 	if shardStr := queryParam(r.URL.RawQuery, "shard"); shardStr != "" {
 		if s.store == nil {
 			http.Error(w, "shard reload requires -snapshot-dir", http.StatusBadRequest)
 			return
 		}
-		i, aerr := strconv.Atoi(shardStr)
-		if aerr != nil || i < 0 {
+		i, err := strconv.Atoi(shardStr)
+		if err != nil || i < 0 {
 			http.Error(w, "bad shard parameter", http.StatusBadRequest)
 			return
 		}
-		source, err = s.tryReloadShard(i)
-	} else {
-		source, err = s.tryReload()
+		// The index is client input: one the served partition does not
+		// have is refused before any attempt, so it feeds no failure
+		// counter and cannot trip the breaker.
+		if n := s.coco.NumShards(); i >= n {
+			http.Error(w, "shard parameter out of range [0,"+strconv.Itoa(n)+")", http.StatusBadRequest)
+			return
+		}
+		shard = i
 	}
+	source, err := s.tryReload(shard)
 	if err != nil {
 		http.Error(w, "reload failed: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -637,7 +644,13 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) reload() (source string, err error) {
+// reload publishes a fresh serving snapshot: shard >= 0 force-reloads that
+// shard of the store's newest generation; otherwise the whole net is
+// reloaded from the store, or re-frozen when serving has none.
+func (s *server) reload(shard int) (source string, err error) {
+	if shard >= 0 {
+		return "shard:" + strconv.Itoa(shard), s.coco.ReloadShard(s.store.Root(), shard)
+	}
 	if s.store == nil {
 		return "refreeze", s.coco.Refreeze()
 	}

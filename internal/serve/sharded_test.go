@@ -110,8 +110,9 @@ func TestStatsShardedSection(t *testing.T) {
 }
 
 // TestReloadShardEndpoint exercises POST /reload?shard=i: a valid index
-// reloads one shard, malformed and out-of-range indices are rejected, and
-// servers without -snapshot-dir refuse shard reloads outright.
+// reloads one shard, malformed and out-of-range indices are rejected with
+// 400 and no failure counted, and servers without -snapshot-dir refuse
+// shard reloads outright.
 func TestReloadShardEndpoint(t *testing.T) {
 	built := testServer(t)
 	sharded, _ := newShardedServer(t, built, 3)
@@ -126,8 +127,17 @@ func TestReloadShardEndpoint(t *testing.T) {
 	if code, _ := post(sharded, "/reload?shard=-2", ""); code != http.StatusBadRequest {
 		t.Fatalf("negative shard: %d, want 400", code)
 	}
-	if code, _ := post(sharded, "/reload?shard=99", ""); code != http.StatusInternalServerError {
-		t.Fatalf("out-of-range shard: %d, want 500", code)
+	// An index past the served partition is client input, refused before
+	// any attempt: it counts no reload failure and cannot trip the breaker.
+	for i := 0; i < 5; i++ {
+		for _, shard := range []string{"3", "99"} {
+			if code, _ := post(sharded, "/reload?shard="+shard, ""); code != http.StatusBadRequest {
+				t.Fatalf("out-of-range shard %s: %d, want 400", shard, code)
+			}
+		}
+	}
+	if failures, state := metricValue(t, sharded, "cocoserve_reload_failures_total"), breakerState(t, sharded); failures != 0 || state != "closed" {
+		t.Fatalf("out-of-range shard reloads: %v reload failures, breaker %s; want 0, closed", failures, state)
 	}
 	if code, _ := post(built, "/reload?shard=0", ""); code != http.StatusBadRequest {
 		t.Fatalf("shard reload without -snapshot-dir: %d, want 400", code)

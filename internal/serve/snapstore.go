@@ -23,7 +23,9 @@ import (
 // initStore opens the generation catalog at dir, the -snapshot-dir the
 // facade was loaded from. Open runs the torn-write recovery sweep, so by
 // the time the server accepts traffic every uncommitted temp directory
-// from a crashed save is gone.
+// from a crashed save is gone. It is the server's only open of the store:
+// a sweep also deletes a publisher's save in flight, so nothing after
+// startup sweeps — reloads, rollbacks and scrubs only read the catalog.
 func (s *server) initStore(dir string) error {
 	if !snapstore.IsStore(dir) {
 		return fmt.Errorf("%s is not a snapshot store (no %s)", dir, snapstore.CatalogName)

@@ -98,7 +98,7 @@ func TestRollbackEndpoint(t *testing.T) {
 	}
 
 	// A reload holds instead of rolling forward onto the skiplisted gen.
-	src, err := s.tryReload()
+	src, err := s.tryReload(-1)
 	if err != nil || !strings.HasPrefix(src, "held:") {
 		t.Fatalf("reload after rollback: %q err=%v, want a hold", src, err)
 	}
@@ -110,7 +110,7 @@ func TestRollbackEndpoint(t *testing.T) {
 	if _, err := coco.SaveShards(dir, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.tryReload(); err != nil {
+	if _, err := s.tryReload(-1); err != nil {
 		t.Fatalf("reload of superseding generation: %v", err)
 	}
 	if g := s.coco.ServingInfo().CatalogGen; g != 3 {
@@ -160,7 +160,7 @@ func TestAutoRollbackOnValidationFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err := s.tryReload()
+	_, err := s.tryReload(-1)
 	if err == nil || !strings.Contains(err.Error(), "validation") {
 		t.Fatalf("reload of invalid generation: %v, want validation failure", err)
 	}
@@ -180,7 +180,7 @@ func TestAutoRollbackOnValidationFailure(t *testing.T) {
 	}
 
 	// The refresh loop no longer fights the bad generation.
-	src, err := s.tryReload()
+	src, err := s.tryReload(-1)
 	if err != nil || !strings.HasPrefix(src, "held:") {
 		t.Fatalf("post-rollback reload: %q err=%v, want a hold", src, err)
 	}
@@ -189,7 +189,7 @@ func TestAutoRollbackOnValidationFailure(t *testing.T) {
 	if _, err := coco.SaveShards(dir, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.tryReload(); err != nil {
+	if _, err := s.tryReload(-1); err != nil {
 		t.Fatalf("reload of fixed generation: %v", err)
 	}
 	if g := s.coco.ServingInfo().CatalogGen; g != 3 {
@@ -219,7 +219,7 @@ func TestReloadShardHeldAfterRollback(t *testing.T) {
 	if _, err := coco.SaveShards(dir, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.tryReload(); err == nil {
+	if _, err := s.tryReload(-1); err == nil {
 		t.Fatal("reload of invalid generation succeeded")
 	}
 	if g := s.coco.ServingInfo().CatalogGen; g != 1 {

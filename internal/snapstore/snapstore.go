@@ -15,14 +15,21 @@
 // anywhere in that sequence leaves either the old catalog (the new
 // generation's files are garbage a recovery sweep deletes) or the new one
 // (the generation is complete and durable); there is no in-between state a
-// loader can observe. Open performs the recovery sweep: every .gen-tmp-*
-// and every gen-* directory the catalog does not name is deleted.
+// loader can observe.
+//
+// Only writers open a store. Open performs the recovery sweep: every
+// .gen-tmp-* and every gen-* directory the catalog does not name is
+// deleted — which includes a save another process has in flight. So a
+// process that only reads a store (loads, reloads, rollbacks, scrubs)
+// never opens it: Lookup and ListGenerations read the catalog and nothing
+// else.
 //
 // Retention turns the store into a rollback window: commits prune to the
-// newest Retain generations (protected generations — e.g. the one a server
-// is serving — are never pruned), so a generation that loads clean but
+// newest Retain generations, so a generation that loads clean but
 // misbehaves can be rolled back to the newest earlier generation that
-// still verifies.
+// still verifies. Prune keeps the generations a caller protects (a server
+// protects the one it serves), but a commit prunes by its own window and
+// does not know what any reader serves.
 //
 // The package is deliberately manifest-agnostic: it journals directories
 // and verifies (file, checksum) pairs, while the snapshot format itself —
@@ -90,10 +97,11 @@ type Options struct {
 	Retain int
 }
 
-// Store is a handle on one snapshot store root. The catalog is re-read
-// from disk on every listing, so a handle observes commits made by other
-// handles (or other processes) without refresh calls; the mutex only
-// serializes this handle's own writes.
+// Store is a writer's handle on one snapshot store root: it commits,
+// prunes and sweeps. The catalog is re-read from disk on every listing, so
+// a handle observes commits made by other handles (or other processes)
+// without refresh calls; the mutex only serializes this handle's own
+// writes. Readers need no handle: see Lookup.
 type Store struct {
 	root   string
 	retain int
@@ -106,11 +114,14 @@ func IsStore(root string) bool {
 	return err == nil
 }
 
-// Open opens (creating if needed) the store at root and runs the recovery
-// sweep: uncommitted temp directories and generation directories the
-// catalog does not name are deleted, and catalog entries whose directories
-// are gone are dropped. After Open returns, every directory the catalog
-// names exists and every gen-*/.gen-tmp-* directory on disk is committed.
+// Open opens (creating if needed) the store at root for writing and runs
+// the recovery sweep: uncommitted temp directories and generation
+// directories the catalog does not name are deleted, and catalog entries
+// whose directories are gone are dropped. After Open returns, every
+// directory the catalog names exists and every gen-*/.gen-tmp-* directory
+// on disk is committed. The sweep deletes any save in flight, so only
+// writers open a store: a publisher before each save, a server once at
+// startup.
 func Open(root string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("snapstore: open: %w", err)
@@ -212,42 +223,34 @@ func (s *Store) Latest() (Gen, bool, error) {
 	return gens[len(gens)-1], true, nil
 }
 
-// Find returns the committed generation with the given ID.
-func (s *Store) Find(id uint64) (Gen, error) {
-	gens, err := s.Generations()
-	if err != nil {
-		return Gen{}, err
-	}
-	for _, g := range gens {
-		if g.ID == id {
-			return g, nil
-		}
-	}
-	return Gen{}, fmt.Errorf("snapstore: generation %d is not in the catalog", id)
-}
-
 // GenDir returns the absolute directory of a generation.
 func (s *Store) GenDir(g Gen) string { return filepath.Join(s.root, g.Dir) }
 
 func genDirName(id uint64) string { return fmt.Sprintf("%s%06d", genDirPrefix, id) }
 
-// ResolveDir maps a store root to its newest committed generation's
-// directory. Anything that is not a store root — a generation directory, a
-// plain directory — is an error, as is a store with no committed
-// generations: the caller pointed at nothing to serve.
-func ResolveDir(dir string) (resolved string, gen uint64, err error) {
-	if !IsStore(dir) {
-		return "", 0, fmt.Errorf("snapstore: %s is not a snapshot store (no %s)", dir, CatalogName)
+// Lookup returns the newest committed generation of the store at root
+// that accept takes; a nil accept takes the newest. It only reads the
+// catalog and never sweeps, so a reader cannot delete a save in flight.
+// Anything that is not a store root — a generation directory, a plain
+// directory — is an error, as is a catalog with no generation accept
+// takes.
+func Lookup(root string, accept func(Gen) bool) (Gen, error) {
+	if !IsStore(root) {
+		return Gen{}, fmt.Errorf("snapstore: %s is not a snapshot store (no %s)", root, CatalogName)
 	}
-	cat, err := readCatalog(dir)
+	gens, err := ListGenerations(root)
 	if err != nil {
-		return "", 0, err
+		return Gen{}, err
 	}
-	if len(cat.Generations) == 0 {
-		return "", 0, fmt.Errorf("snapstore: %s: catalog has no committed generations", dir)
+	if len(gens) == 0 {
+		return Gen{}, fmt.Errorf("snapstore: %s: catalog has no committed generations", root)
 	}
-	g := cat.Generations[len(cat.Generations)-1]
-	return filepath.Join(dir, g.Dir), g.ID, nil
+	for i := len(gens) - 1; i >= 0; i-- {
+		if accept == nil || accept(gens[i]) {
+			return gens[i], nil
+		}
+	}
+	return Gen{}, fmt.Errorf("snapstore: %s: no committed generation matches", root)
 }
 
 // Sweep is the recovery pass: it deletes every uncommitted temp directory

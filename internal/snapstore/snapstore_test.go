@@ -30,7 +30,7 @@ func commitGen(t *testing.T, s *Store, content string) Gen {
 }
 
 // TestCatalogRoundTrip: commits append ascending generations named
-// gen-%06d, and Latest/Find/Generations agree on them across reopens.
+// gen-%06d, and Latest/Lookup/Generations agree on them across reopens.
 func TestCatalogRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Options{})
@@ -67,11 +67,12 @@ func TestCatalogRoundTrip(t *testing.T) {
 	if err != nil || !ok || latest.ID != 3 {
 		t.Fatalf("Latest: %+v ok=%v err=%v", latest, ok, err)
 	}
-	if g, err := s2.Find(2); err != nil || g.ID != 2 {
-		t.Fatalf("Find(2): %+v err=%v", g, err)
+	byID := func(id uint64) func(Gen) bool { return func(g Gen) bool { return g.ID == id } }
+	if g, err := Lookup(root, byID(2)); err != nil || g.ID != 2 {
+		t.Fatalf("Lookup(2): %+v err=%v", g, err)
 	}
-	if _, err := s2.Find(99); err == nil {
-		t.Fatal("Find(99) on a 3-generation store succeeded")
+	if _, err := Lookup(root, byID(99)); err == nil {
+		t.Fatal("Lookup(99) on a 3-generation store succeeded")
 	}
 }
 
@@ -197,28 +198,45 @@ func TestAbortLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestResolveDir: a store root resolves to its newest generation; an empty
-// catalog, a generation directory and a plain directory are all errors.
-func TestResolveDir(t *testing.T) {
+// TestLookup: a store root resolves to its newest generation, or to the
+// newest one the predicate takes; an empty catalog, a predicate taking
+// nothing, a generation directory and a plain directory are all errors.
+// Lookup only reads: a save in flight survives it.
+func TestLookup(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ResolveDir(root); err == nil {
+	if _, err := Lookup(root, nil); err == nil {
 		t.Fatal("store with no committed generation resolved")
 	}
 
-	commitGen(t, s, "one")
+	g1 := commitGen(t, s, "one")
 	g2 := commitGen(t, s, "two")
-	resolved, gen, err := ResolveDir(root)
-	if err != nil || gen != g2.ID || resolved != s.GenDir(g2) {
-		t.Fatalf("ResolveDir(store): %q gen=%d err=%v", resolved, gen, err)
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, dir := range []string{resolved, t.TempDir()} {
-		if got, _, err := ResolveDir(dir); err == nil {
-			t.Fatalf("ResolveDir(%s) resolved a non-store directory to %q", dir, got)
+	defer tx.Abort()
+	got, err := Lookup(root, nil)
+	if err != nil || got.ID != g2.ID || got.ManifestChecksum != g2.ManifestChecksum {
+		t.Fatalf("Lookup(store): %+v err=%v, want %+v", got, err, g2)
+	}
+	older := func(g Gen) bool { return g.ID < g2.ID }
+	if got, err := Lookup(root, older); err != nil || got.ID != g1.ID {
+		t.Fatalf("Lookup(older than %d): %+v err=%v, want %+v", g2.ID, got, err, g1)
+	}
+	if got, err := Lookup(root, func(Gen) bool { return false }); err == nil {
+		t.Fatalf("Lookup with a predicate taking nothing resolved %+v", got)
+	}
+	for _, dir := range []string{s.GenDir(g2), t.TempDir()} {
+		if got, err := Lookup(dir, nil); err == nil {
+			t.Fatalf("Lookup(%s) resolved a non-store directory to %+v", dir, got)
 		}
+	}
+	if _, err := os.Stat(tx.Dir()); err != nil {
+		t.Fatalf("Lookup touched the save in flight: %v", err)
 	}
 }
 

@@ -1,11 +1,13 @@
 package alicoco
 
 import (
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"alicoco/internal/core"
 	"alicoco/internal/pipeline"
+	"alicoco/internal/snapstore"
 )
 
 // unlinkedItemPrimitive returns an item and a primitive of the live net that
@@ -96,18 +98,22 @@ func TestSaveShardsRefreezesSwappedShard(t *testing.T) {
 	if err := c.Refreeze(); err != nil {
 		t.Fatal(err)
 	}
-	loc, err := resolveShardDir(dir)
+	g, err := snapstore.Lookup(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := int(item) / man.Stride // the shard holding the edit's out half
-	stale, err := pipeline.LoadShard(loc.dir, man, k)
+	stale, err := pipeline.LoadShard(filepath.Join(dir, g.Dir), man, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := slices.Clone(c.serving.Load().shards.Shards())
-	shards[k] = stale
-	if err := c.publishReloaded(shards, loc, man); err != nil {
+	// Swap the loaded shard in beside the live net, as a reload of that
+	// shard would.
+	arts := *c.arts.Load()
+	arts.Shards = slices.Clone(c.serving.Load().shards.Shards())
+	arts.Shards[k] = stale
+	c.arts.Store(&arts)
+	if err := c.publishShards(&arts, "shards", dir, g, man); err != nil {
 		t.Fatal(err)
 	}
 	if c.Internal().Net != net || c.Internal().Shards[k] != stale {

@@ -13,7 +13,9 @@
 # BenchmarkServeCacheFill miss-fill-and-evict path of full caches,
 # BenchmarkBatchDecode (fixed-shape scanner vs encoding/json), and the
 # BenchmarkSharded* set (reads through a 1-shard vs a 4-shard ShardSet,
-# the one frozen read path, and a whole-net vs a 4-shard freeze) — and
+# the one frozen read path, and a whole-net vs a 4-shard freeze), and
+# BenchmarkReload (a no-op, a single-shard and a reshard reload of a
+# committed generation, the per-layer twin of the churn publish) — and
 # writes BENCH_core.json at the repo root: one record per benchmark with
 # ns/op, B/op, and allocs/op. The FrozenVsLocked*/frozen rows read the
 # one-shard ShardSet that Net.Freeze returns.
@@ -41,7 +43,7 @@ else
 fi
 
 go test -run '^$' \
-    -bench 'FrozenVsLocked|FrozenSearchEngine|NetQueries|ColdStart|ParallelFrozen|BatchServe|SearchIntoReused|SegmentInto|ServeCache|BatchDecode|Sharded' \
+    -bench 'FrozenVsLocked|FrozenSearchEngine|NetQueries|ColdStart|ParallelFrozen|BatchServe|SearchIntoReused|SegmentInto|ServeCache|BatchDecode|Sharded|Reload' \
     -benchmem -benchtime="$BENCHTIME" \
     . ./internal/text ./internal/serve | tee "$RAW"
 
@@ -78,7 +80,8 @@ for required in \
     BenchmarkSegmentInto BenchmarkServeCacheHit BenchmarkServeCacheMiss \
     BenchmarkServeCacheFill/search BenchmarkServeCacheFill/recommend \
     BenchmarkBatchDecode BenchmarkShardedSearch/N=1 BenchmarkShardedSearch/N=4 \
-    BenchmarkShardedRecommend/N=4 BenchmarkShardedFreeze; do
+    BenchmarkShardedRecommend/N=4 BenchmarkShardedFreeze \
+    BenchmarkReload/noop BenchmarkReload/shard BenchmarkReload/reshard; do
     if ! grep -q "\"name\": \"$required" "$OUT"; then
         echo "bench.sh: required benchmark $required missing from $OUT" >&2
         exit 1

@@ -400,19 +400,16 @@ func TestReloadShardsDiff(t *testing.T) {
 }
 
 // copyShardDir copies every file of a sharded snapshot between the two
-// snapshots' resolved generation directories, manifest last (mirroring the
-// writer's commit ordering).
+// stores' newest generation directories (see copyGenFiles).
 func copyShardDir(t *testing.T, src, dst string) {
 	t.Helper()
-	srcLoc, err := resolveShardDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstLoc, err := resolveShardDir(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst = srcLoc.dir, dstLoc.dir
+	copyGenFiles(t, newestGenDir(t, src), newestGenDir(t, dst))
+}
+
+// copyGenFiles copies every file of the generation directory src into the
+// directory dst, manifest last (mirroring the writer's commit ordering).
+func copyGenFiles(t testing.TB, src, dst string) {
+	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,17 @@ func flipByte(t *testing.T, path string, off int) {
 	}
 }
 
+// newestGenDir returns the directory of the newest committed generation
+// of the store at root.
+func newestGenDir(t testing.TB, root string) string {
+	t.Helper()
+	g, err := snapstore.Lookup(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(root, g.Dir)
+}
+
 // TestScrubOnceRepairsCorruption: flip a byte in a served shard file, run
 // one scrub pass under concurrent query traffic, and the poisoned file is
 // quarantined and re-materialized byte-verified — while every concurrent
@@ -43,10 +54,7 @@ func TestScrubOnceRepairsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := resolveShardDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	genDir := newestGenDir(t, root)
 
 	queries := equivalenceQueries(c)
 	want := make([]any, len(queries))
@@ -58,7 +66,7 @@ func TestScrubOnceRepairsCorruption(t *testing.T) {
 
 	// Rot shard 1 on disk. Serving answers from memory, so nothing notices
 	// until the scrubber re-hashes the files.
-	victim := filepath.Join(loc.dir, "shard-0001.fz")
+	victim := filepath.Join(genDir, "shard-0001.fz")
 	flipByte(t, victim, -10)
 
 	stop := make(chan struct{})
@@ -152,11 +160,8 @@ func TestScrubRepairFromOlderGeneration(t *testing.T) {
 	if g := l.ServingInfo().CatalogGen; g != 2 {
 		t.Fatalf("serving gen %d, want 2", g)
 	}
-	loc, err := resolveShardDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, filepath.Join(loc.dir, "shard-0002.fz"), -10)
+	genDir := newestGenDir(t, root)
+	flipByte(t, filepath.Join(genDir, "shard-0002.fz"), -10)
 	rep, err := l.ScrubOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -183,11 +188,8 @@ func TestScrubRepairsMetaFromMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := resolveShardDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, filepath.Join(loc.dir, "meta.bin"), 16)
+	genDir := newestGenDir(t, root)
+	flipByte(t, filepath.Join(genDir, "meta.bin"), 16)
 	rep, err := l.ScrubOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +224,9 @@ func TestScrubManifestMismatchUnrepairable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := resolveShardDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	genDir := newestGenDir(t, root)
 	// Whitespace keeps the manifest parseable but changes its bytes.
-	man := filepath.Join(loc.dir, "manifest.json")
+	man := filepath.Join(genDir, "manifest.json")
 	raw, err := os.ReadFile(man)
 	if err != nil {
 		t.Fatal(err)
