@@ -45,7 +45,9 @@ import (
 
 // DefaultQueryCacheCapacity is the per-cache entry budget (one cache for
 // search, one for recommendation) a Build- or LoadShardedFrozen-constructed CoCo
-// starts with; SetQueryCacheCapacity adjusts it at runtime.
+// starts with; SetQueryCacheCapacity adjusts it at runtime. Once a cache
+// shard is an eighth full, a query is cached from its second miss, so
+// queries that never repeat fill at most that eighth.
 const DefaultQueryCacheCapacity = 4096
 
 // Options sizes the net construction. Use Small or Default and tweak.

@@ -36,7 +36,9 @@
 // results (shared by the single and batch endpoints), and the hot
 // single-query GETs additionally cache their encoded JSON bytes keyed on
 // the raw query string — a repeat request is one cache lookup and one
-// buffer write. -cache-size sets the per-layer entry budget (0 disables).
+// buffer write. -cache-size sets the per-layer entry budget (0 disables);
+// once a layer's shard is an eighth full, a key is cached from its second
+// miss, so one-off queries do not fill it.
 // Request decoding allocates next to nothing: batch bodies parse through
 // a pooled fixed-shape scanner instead of encoding/json, and GET
 // parameters resolve as substrings of the raw query, with net/url's

@@ -20,9 +20,25 @@
 // open-addressing int32 index. The slab and the index grow by doubling as
 // entries arrive, up to the shard's capacity.
 //
-// Blobs are written once: Put copies the key and the value into a fresh
-// blob, and an overwrite or an eviction installs or drops a whole blob,
-// never writes into one. So the value Get returns stays valid and
+// Once a shard is an eighth full, a key is cached on its second sighting.
+// Much of the traffic a serving cache sees never repeats, and storing
+// such a one-off answer costs a blob and, in a full cache, evicts an entry
+// that might have hit. So each shard keeps a doorkeeper (the admission
+// filter of TinyLFU; "cache on second hit" in CDNs): a direct-mapped
+// []uint16 of 16-bit key fingerprints, one slot per two entries of the
+// shard's capacity, so 1 byte per entry. A Put whose fingerprint is not in
+// its slot writes it there and stores nothing; a later Put that finds it
+// is stored. An overwrite of a resident key, and the Put after a Get
+// dropped the key's stale-stamped entry, are admitted at once. Direct
+// mapping ages fingerprints out by overwriting them, so the table needs no
+// reset. Below an eighth of its capacity a shard stores every Put: there a
+// one-off evicts nothing and one-offs can hold at most that eighth, while
+// a key requested twice still hits on its second request, which is most of
+// what the cache earns when keys repeat only about twice.
+//
+// Blobs are written once: a stored Put copies the key and the value into
+// a fresh blob, and an overwrite or an eviction installs or drops a whole
+// blob, never writes into one. So the value Get returns stays valid and
 // unchanged after the shard lock is released, even while other goroutines
 // overwrite or evict its key; callers must not modify it.
 //
@@ -30,7 +46,8 @@
 // power-of-two shards; each shard is an independent mutex + slab, so
 // concurrent requests contend only when they hash to the same shard. Get
 // and GetString are allocation-free; Put and PutString allocate the one
-// blob, and nothing at all when the cache has no capacity.
+// blob when they store, and nothing when they decline the key or the
+// cache has no capacity.
 package qcache
 
 import (
@@ -53,6 +70,7 @@ type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
+	Declined  uint64 `json:"declined"` // first offers the doorkeeper kept out
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`
 }
@@ -69,18 +87,24 @@ type slot struct {
 	blob       []byte
 }
 
+// openShare sets the doorkeeper's threshold: a shard holding fewer than
+// cap/openShare entries stores every Put without asking it.
+const openShare = 8
+
 // nilSlot ends an LRU list or the free list.
 const nilSlot = -1
 
 // minSlab is the slab size a shard starts at on its first Put.
 const minSlab = 8
 
-// shard is an independent slice of the cache: its own lock, slab, index
-// and LRU list. One entry per hash; a colliding Put replaces the resident.
+// shard is an independent slice of the cache: its own lock, slab, index,
+// LRU list and doorkeeper. One entry per hash; a colliding Put replaces the
+// resident.
 type shard struct {
 	mu    sync.Mutex
 	slab  []slot  // len is the high-water mark; freed slots chain through free
 	index []int32 // open addressing, linear probing: slab index + 1, 0 = empty
+	door  []uint16
 	free  int32
 	head  int32 // most recently used
 	tail  int32
@@ -90,6 +114,7 @@ type shard struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
+	declined  uint64
 }
 
 // Cache is a sharded, bounded, generation-stamped result cache. The zero
@@ -155,6 +180,9 @@ func (c *Cache) setCapacity(capacity int) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		if s.cap != per {
+			s.door = nil // the next sighting makes it at the new size
+		}
 		s.cap = per
 		for s.n > s.cap {
 			s.evictTail()
@@ -189,10 +217,13 @@ func (c *Cache) GetString(stamp Stamp, key string) ([]byte, bool) {
 	return get(c, stamp, key)
 }
 
-// Put stores val for key under stamp, copying both into one fresh blob,
-// so the caller may reuse its buffers at once. A hash-colliding resident
-// entry is replaced, keeping one entry per hash. A cache without capacity
-// returns before allocating anything.
+// Put offers val for key under stamp. Once the key's shard is an eighth
+// full, it stores the key only from its second offer on (see the package
+// doc); the first offer records the key's fingerprint and allocates
+// nothing once the shard's doorkeeper exists. A stored Put copies key and
+// value into one fresh blob, so the caller may reuse its buffers at once,
+// and replaces a hash-colliding resident entry, keeping one entry per
+// hash. A cache without capacity returns before allocating anything.
 func (c *Cache) Put(stamp Stamp, key []byte, val []byte) {
 	put(c, stamp, key, val)
 }
@@ -224,8 +255,14 @@ func get[K ~string | ~[]byte](c *Cache, stamp Stamp, key K) ([]byte, bool) {
 	}
 	if e.gen != stamp.Gen || e.sum != stamp.Sum {
 		// Lazy invalidation: the serving snapshot moved on, so the slot is
-		// dead weight — free it rather than waiting for LRU pressure.
+		// dead weight — free it rather than waiting for LRU pressure. The
+		// key was cached before, so its next Put is admitted at once: past
+		// the open eighth, through its fingerprint.
 		s.remove(pos)
+		if s.n >= s.cap/openShare {
+			seen, fp := s.sighting(h)
+			*seen = fp
+		}
 		s.misses++
 		return nil, false
 	}
@@ -245,6 +282,17 @@ func put[K ~string | ~[]byte](c *Cache, stamp Stamp, key K, val []byte) {
 	if s.cap <= 0 {
 		return
 	}
+	if s.find(h) < 0 && s.n >= s.cap/openShare && !s.admit(h) {
+		return // a first sighting: only its fingerprint is kept
+	}
+	store(s, h, stamp, key, val)
+}
+
+// store copies val and key into one fresh blob and makes it hash h's
+// entry: the same hash's resident entry is replaced, and otherwise the
+// least recently used entry makes room when the shard is full. The caller
+// holds s's lock and the shard has capacity; the doorkeeper is not asked.
+func store[K ~string | ~[]byte](s *shard, h uint64, stamp Stamp, key K, val []byte) {
 	blob := make([]byte, len(val)+len(key))
 	copy(blob, val)
 	copy(blob[len(val):], key)
@@ -278,6 +326,7 @@ func (c *Cache) Stats() Stats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evictions
+		st.Declined += s.declined
 		st.Entries += s.n
 		st.Capacity += s.cap
 		s.mu.Unlock()
@@ -314,7 +363,7 @@ func (e *slot) set(h uint64, stamp Stamp, keyLen int, blob []byte) {
 	e.blob = blob
 }
 
-// --- slab, index and LRU list (callers hold the shard lock) ------------
+// --- slab, index, LRU list and doorkeeper (callers hold the shard lock) --
 
 // alloc hands out a free slot, growing the slab by doubling (up to the
 // shard's capacity) when none is left.
@@ -456,4 +505,29 @@ func (s *shard) evictTail() {
 	}
 	s.remove(s.find(s.slab[s.tail].hash))
 	s.evictions++
+}
+
+// admit is the doorkeeper's decision on an offer of hash h, which the
+// shard does not hold: true if h's fingerprint is already in its slot,
+// else the fingerprint is written there and the offer is declined.
+func (s *shard) admit(h uint64) bool {
+	seen, fp := s.sighting(h)
+	if *seen == fp {
+		return true
+	}
+	*seen = fp
+	s.declined++
+	return false
+}
+
+// sighting returns hash h's doorkeeper slot and fingerprint, making the
+// table on the shard's first need: one uint16 per two entries of
+// capacity. The slot comes from the hash's high half, like home, and the
+// fingerprint from bits 16–31, forced non-zero so an empty slot matches
+// nothing; the low bits picked the shard, so neither uses them.
+func (s *shard) sighting(h uint64) (*uint16, uint16) {
+	if s.door == nil {
+		s.door = make([]uint16, max(s.cap/2, 1))
+	}
+	return &s.door[home(h, len(s.door)-1)], max(uint16(h>>16), 1)
 }

@@ -40,6 +40,19 @@ func TestXXH64Vectors(t *testing.T) {
 	}
 }
 
+// storeKey stores val for key as an admitted offer is stored, without
+// asking the doorkeeper: the slab, index and LRU tests fill caches
+// through it.
+func storeKey[K ~string | ~[]byte](c *Cache, stamp Stamp, key K, val []byte) {
+	h := Hash(key)
+	s := &c.shards[h&c.mask]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cap > 0 {
+		store(s, h, stamp, key, val)
+	}
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	c := newWithShards(64, 4)
 	s1 := Stamp{Gen: 1, Sum: 0xabcd}
@@ -94,13 +107,13 @@ func TestLRUEviction(t *testing.T) {
 	c := newWithShards(4, 1) // capacity 4, one shard: deterministic order
 	s := Stamp{Gen: 1}
 	for i := 0; i < 4; i++ {
-		c.Put(s, []byte{byte(i)}, []byte{byte(i)})
+		storeKey(c, s, []byte{byte(i)}, []byte{byte(i)})
 	}
 	// Touch 0 so 1 becomes the LRU.
 	if _, ok := c.Get(s, []byte{0}); !ok {
 		t.Fatal("warm entry missing")
 	}
-	c.Put(s, []byte{9}, []byte{9}) // evicts 1
+	storeKey(c, s, []byte{9}, []byte{9}) // evicts 1
 	if _, ok := c.Get(s, []byte{1}); ok {
 		t.Fatal("LRU entry 1 should have been evicted")
 	}
@@ -119,7 +132,7 @@ func TestResize(t *testing.T) {
 	c := newWithShards(16, 1)
 	s := Stamp{Gen: 1}
 	for i := 0; i < 16; i++ {
-		c.Put(s, []byte{byte(i)}, []byte{byte(i)})
+		storeKey(c, s, []byte{byte(i)}, []byte{byte(i)})
 	}
 	c.Resize(4)
 	if got := c.Len(); got != 4 {
@@ -198,6 +211,7 @@ func TestGetStringMatchesGet(t *testing.T) {
 		b := make([]byte, rng.Intn(40))
 		rng.Read(b)
 		keys[i] = string(b)
+		c.PutString(s, keys[i], []byte(fmt.Sprint(i))) // a first sighting may be declined
 		c.PutString(s, keys[i], []byte(fmt.Sprint(i)))
 	}
 	for i, k := range keys {
@@ -295,8 +309,9 @@ func BenchmarkCacheGetHit(b *testing.B) {
 }
 
 // TestPutAllocsOneBlob: once a shard's slab and index have grown to its
-// capacity, a Put that evicts allocates exactly one object (the entry's
-// blob), and a Put into a cache without capacity allocates nothing.
+// capacity, a stored Put that evicts allocates exactly one object (the
+// entry's blob), and a Put into a cache without capacity allocates
+// nothing.
 func TestPutAllocsOneBlob(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation guards are not meaningful under -race")
@@ -309,7 +324,7 @@ func TestPutAllocsOneBlob(t *testing.T) {
 	putNext := func() {
 		key = append(key[:0], fmt.Sprintf("q-%d", i)...)
 		i++
-		c.Put(stamp, key, val)
+		storeKey(c, stamp, key, val)
 	}
 	for c.Len() < 64 {
 		putNext()
@@ -319,7 +334,7 @@ func TestPutAllocsOneBlob(t *testing.T) {
 		i++
 		key[len(key)-1] = byte(i)
 		key[0] = byte(i >> 8)
-		c.Put(stamp, key, val)
+		storeKey(c, stamp, key, val)
 	}); allocs != 1 {
 		t.Fatalf("Put into a full cache allocates %.1f objects, want 1", allocs)
 	}
@@ -421,9 +436,15 @@ func TestReturnedValuesNeverChange(t *testing.T) {
 }
 
 // TestMatchesReferenceModel drives one small shard through random puts,
-// lookups, stamp moves and resizes, and checks every answer and the LRU
-// order against a plain list model — the index's backward-shift deletion
-// and the slab's relayout must never lose, resurrect or reorder an entry.
+// lookups, stamp moves and resizes, and checks every answer, the LRU order
+// and the declined count against a plain list model — the index's
+// backward-shift deletion and the slab's relayout must never lose,
+// resurrect or reorder an entry, and the doorkeeper must admit exactly the
+// second sightings. The model's doorkeeper is a map from slot to
+// fingerprint: once the model holds capacity/8 entries, a Put of a key
+// that is not resident is stored only if its slot holds its fingerprint,
+// and otherwise writes it there; a stale drop that leaves that many writes
+// it too, and a Resize to a new capacity empties the map.
 func TestMatchesReferenceModel(t *testing.T) {
 	type ent struct {
 		key, val string
@@ -441,6 +462,12 @@ func TestMatchesReferenceModel(t *testing.T) {
 		}
 		return -1
 	}
+	door := map[uint64]uint16{}
+	var declined uint64
+	sighting := func(key string) (uint64, uint16) {
+		h := Hash(key)
+		return h >> 32 & uint64(max(capacity/2, 1)-1), max(uint16(h>>16), 1)
+	}
 	stamps := []Stamp{{Gen: 1}, {Gen: 1, Sum: 9}, {Gen: 2}}
 	for step := 0; step < 20000; step++ {
 		key := fmt.Sprintf("k%d", rng.Intn(80))
@@ -452,7 +479,13 @@ func TestMatchesReferenceModel(t *testing.T) {
 			if capacity == 0 {
 				break
 			}
-			if i := find(key); i >= 0 {
+			i := find(key)
+			if slot, fp := sighting(key); i < 0 && len(model) >= capacity/openShare && door[slot] != fp {
+				door[slot] = fp
+				declined++
+				break
+			}
+			if i >= 0 {
 				model = append(model[:i], model[i+1:]...)
 			} else if len(model) >= capacity {
 				model = model[:len(model)-1]
@@ -470,10 +503,17 @@ func TestMatchesReferenceModel(t *testing.T) {
 				model = append(model[:i], model[i+1:]...)
 				if want {
 					model = append([]ent{e}, model...)
+				} else if len(model) >= capacity/openShare {
+					slot, fp := sighting(key)
+					door[slot] = fp
 				}
 			}
 		default:
-			capacity = []int{0, 1, 4, 16, 32, 64}[rng.Intn(6)]
+			next := []int{0, 1, 4, 16, 32, 64}[rng.Intn(6)]
+			if next != capacity {
+				door = map[uint64]uint16{}
+			}
+			capacity = next
 			c.Resize(capacity)
 			if len(model) > capacity {
 				model = model[:capacity]
@@ -482,6 +522,9 @@ func TestMatchesReferenceModel(t *testing.T) {
 		s := &c.shards[0]
 		if s.n != len(model) {
 			t.Fatalf("step %d: %d entries, model has %d", step, s.n, len(model))
+		}
+		if s.declined != declined {
+			t.Fatalf("step %d: %d offers declined, model declined %d", step, s.declined, declined)
 		}
 		j := 0
 		for i := s.head; i != nilSlot; i = s.slab[i].next {
@@ -503,7 +546,7 @@ func TestMatchesReferenceModel(t *testing.T) {
 func TestIndexProbesStayShort(t *testing.T) {
 	c := newWithShards(4096, 64)
 	for i := 0; c.Len() < 4096; i++ {
-		c.PutString(Stamp{Gen: 1}, fmt.Sprintf("query %d", i), nil)
+		storeKey(c, Stamp{Gen: 1}, fmt.Sprintf("query %d", i), nil)
 	}
 	displaced, entries := 0, 0
 	for i := range c.shards {
@@ -528,6 +571,7 @@ func TestValueStartsAligned(t *testing.T) {
 	c := newWithShards(8, 1)
 	val := make([]byte, 3000)
 	for _, key := range []string{"q", "q=barbecue+outdoor", "items=1,2,3&k=5"} {
+		c.PutString(Stamp{Gen: 1}, key, val) // a first sighting may be declined
 		c.PutString(Stamp{Gen: 1}, key, val)
 		v, ok := c.GetString(Stamp{Gen: 1}, key)
 		if !ok || len(v) != len(val) {
@@ -535,6 +579,154 @@ func TestValueStartsAligned(t *testing.T) {
 		}
 		if addr := uintptr(unsafe.Pointer(&v[0])); addr%8 != 0 {
 			t.Fatalf("%q: value starts at %#x, not 8-byte aligned", key, addr)
+		}
+	}
+}
+
+// TestFirstOfferDeclined: once a shard is an eighth full, a key's first
+// Put stores nothing and only records its fingerprint, and its second Put
+// stores it. Once the shard's doorkeeper exists, a declined offer
+// allocates nothing.
+func TestFirstOfferDeclined(t *testing.T) {
+	c := newWithShards(64, 1)
+	stamp := Stamp{Gen: 1}
+	val := []byte("encoded answer bytes")
+	for i := 0; i < 64/openShare; i++ {
+		c.PutString(stamp, fmt.Sprintf("early %d", i), val)
+	}
+	if st := c.Stats(); st.Entries != 64/openShare || st.Declined != 0 {
+		t.Fatalf("the shard's first eighth did not store every offer: %+v", st)
+	}
+	c.PutString(stamp, "outdoor barbecue", val)
+	if _, ok := c.GetString(stamp, "outdoor barbecue"); ok || c.Len() != 64/openShare {
+		t.Fatalf("first offer was stored: %+v", c.Stats())
+	}
+	if st := c.Stats(); st.Declined != 1 {
+		t.Fatalf("declined = %d, want 1", st.Declined)
+	}
+	c.PutString(stamp, "outdoor barbecue", val)
+	if v, ok := c.GetString(stamp, "outdoor barbecue"); !ok || string(v) != string(val) {
+		t.Fatalf("second offer not stored: %q, %v", v, ok)
+	}
+	if st := c.Stats(); st.Declined != 1 {
+		t.Fatalf("the stored offer counted as declined: %+v", st)
+	}
+	if raceflag.Enabled {
+		t.Skip("allocation guards are not meaningful under -race")
+	}
+	key := []byte("fresh query")
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		i++
+		key[len(key)-1], key[0] = byte(i), byte(i>>8)
+		c.Put(stamp, key, val)
+	}); allocs != 0 {
+		t.Fatalf("a declined offer allocates %.1f objects, want 0", allocs)
+	}
+	if c.Len() > 64/openShare+2 { // a fingerprint match is a 1-in-65,536 chance per offer
+		t.Fatalf("distinct first offers left %d entries", c.Len())
+	}
+}
+
+// TestOverwriteAdmitted: a Put of a key that is already cached is stored at
+// once, replacing the value.
+func TestOverwriteAdmitted(t *testing.T) {
+	c := newWithShards(64, 1)
+	stamp := Stamp{Gen: 1}
+	storeKey(c, stamp, "grill", []byte("v1"))
+	c.PutString(stamp, "grill", []byte("v2"))
+	if v, ok := c.GetString(stamp, "grill"); !ok || string(v) != "v2" {
+		t.Fatalf("overwrite not stored: %q, %v", v, ok)
+	}
+	if st := c.Stats(); st.Declined != 0 || st.Entries != 1 {
+		t.Fatalf("overwrite went through the doorkeeper: %+v", st)
+	}
+}
+
+// TestStaleDropAdmitsNextPut: once a Get drops a key's entry because the
+// serving snapshot moved on, the key's next Put is stored at once, so a
+// publish does not delay the refill by a request.
+func TestStaleDropAdmitsNextPut(t *testing.T) {
+	c := newWithShards(64, 1)
+	old, cur := Stamp{Gen: 1}, Stamp{Gen: 2}
+	for i := 0; i < 64/openShare; i++ { // past the eighth that stores every offer
+		storeKey(c, cur, fmt.Sprintf("filler %d", i), nil)
+	}
+	storeKey(c, old, "grill", []byte("old"))
+	if _, ok := c.GetString(cur, "grill"); ok || c.Len() != 64/openShare {
+		t.Fatal("stale entry served or kept")
+	}
+	c.PutString(cur, "grill", []byte("new"))
+	if v, ok := c.GetString(cur, "grill"); !ok || string(v) != "new" {
+		t.Fatalf("Put after a stale drop not stored: %q, %v", v, ok)
+	}
+	if st := c.Stats(); st.Declined != 0 {
+		t.Fatalf("Put after a stale drop was declined: %+v", st)
+	}
+}
+
+// TestOneOffStreamStaysSmall: a stream of keys that never repeat fills
+// only the eighth of a full-size cache that stores every offer; past it
+// only fingerprint collisions, about 1 in 65,536 offers, get in.
+func TestOneOffStreamStaysSmall(t *testing.T) {
+	c := New(4096)
+	const offers = 100000
+	val := []byte("one-off answer")
+	for i := 0; i < offers; i++ {
+		c.PutString(Stamp{Gen: 1}, fmt.Sprintf("query %d", i), val)
+	}
+	st := c.Stats()
+	if st.Entries > 4096/openShare+8 {
+		t.Fatalf("%d one-off keys left %d entries, want at most %d", offers, st.Entries, 4096/openShare+8)
+	}
+	if st.Declined+uint64(st.Entries) != offers || st.Evictions != 0 {
+		t.Fatalf("offers unaccounted for: %+v", st)
+	}
+}
+
+// TestDoorkeeperBytes: the doorkeeper holds 1 byte per entry of capacity,
+// whatever the shard count; Resize remakes it at the new capacity, and a
+// cache without capacity has none.
+func TestDoorkeeperBytes(t *testing.T) {
+	doorBytes := func(c *Cache) int {
+		n := 0
+		for i := range c.shards {
+			n += len(c.shards[i].door) * int(unsafe.Sizeof(uint16(0)))
+		}
+		return n
+	}
+	// offerAll offers distinct keys until every shard, past its open
+	// eighth, has declined one, so every doorkeeper exists.
+	offerAll := func(c *Cache) {
+		for i := 0; ; i++ {
+			missing := false
+			for j := range c.shards {
+				missing = missing || c.shards[j].door == nil
+			}
+			if !missing {
+				return
+			}
+			c.PutString(Stamp{Gen: 1}, fmt.Sprintf("key %d", i), nil)
+		}
+	}
+	for _, shards := range []int{1, 4, 64} {
+		c := newWithShards(4096, shards)
+		if n := doorBytes(c); n != 0 {
+			t.Fatalf("%d shards: %d doorkeeper bytes before any offer", shards, n)
+		}
+		offerAll(c)
+		if n := doorBytes(c); n != 4096 {
+			t.Fatalf("%d shards: doorkeepers hold %d bytes for 4096 entries, want 4096", shards, n)
+		}
+		c.Resize(1024)
+		offerAll(c)
+		if n := doorBytes(c); n != 1024 {
+			t.Fatalf("%d shards: after Resize(1024) doorkeepers hold %d bytes, want 1024", shards, n)
+		}
+		c.Resize(0)
+		c.PutString(Stamp{Gen: 1}, "key", nil)
+		if n := doorBytes(c); n != 0 {
+			t.Fatalf("%d shards: a capacity-0 cache holds %d doorkeeper bytes", shards, n)
 		}
 	}
 }

@@ -130,6 +130,55 @@ func TestCacheHitSkipsRecomputation(t *testing.T) {
 	}
 }
 
+// TestOneOffQueriesFillOnlyOpenEighth: searches and sessions that never
+// repeat fill only the eighth of each cache layer that stores every offer
+// — past it each is declined as a first sighting — while a repeated key is
+// then a hit on its third request.
+func TestOneOffQueriesFillOnlyOpenEighth(t *testing.T) {
+	s := cachedFixture(t)
+	var items []string
+	seen := map[int]bool{}
+	for _, sess := range testServer(t).coco.SampleSessions(64) { // the net cachedFixture saved
+		for _, id := range sess {
+			if !seen[id] {
+				seen[id] = true
+				items = append(items, fmt.Sprint(id))
+			}
+		}
+	}
+	if len(items) < 64 {
+		t.Fatalf("only %d distinct session items", len(items))
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		// The unique token keeps the query on the voting path, and each
+		// session is a distinct pair of known items.
+		get(s, fmt.Sprintf("/search?q=outdoor+barbecue+zq%d", i))
+		get(s, fmt.Sprintf("/recommend?items=%s,%s&k=5", items[i%len(items)], items[i/len(items)]))
+	}
+	p := scrape(t, s.mux())
+	const room = 1024 / 8 // cachedFixture's capacity, an eighth of it stores every offer
+	for _, layer := range []string{"search_bytes", "recommend_bytes", "search", "recommend"} {
+		entries, _ := p.Value("cocoserve_cache_entries", "layer", layer)
+		declined, _ := p.Value("cocoserve_cache_declined_total", "layer", layer)
+		if entries > room+2 || declined < n-room-2 {
+			t.Errorf("%s: %v entries and %v declined offers after %d one-off keys, want at most %d and at least %d",
+				layer, entries, declined, n, room+2, n-room-2)
+		}
+	}
+	hits := func() float64 {
+		v, _ := scrape(t, s.mux()).Value("cocoserve_cache_hits_total", "layer", "search_bytes")
+		return v
+	}
+	for i, want := range []float64{0, 0, 1} {
+		before := hits()
+		get(s, "/search?q=grill+apron")
+		if got := hits() - before; got != want {
+			t.Fatalf("request %d of a repeated key: %v search_bytes hits, want %v", i+1, got, want)
+		}
+	}
+}
+
 // TestServeNoStaleAcrossReload hammers /search and /recommend while
 // generations of two different nets are committed in turn and POST /reload
 // republishes. Every concurrent response must match one of the two nets

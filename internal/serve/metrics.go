@@ -150,6 +150,9 @@ func (m *serveMetrics) registerCacheCollectors(s *server) {
 		m.reg.NewCounterFunc("cocoserve_cache_evictions_total",
 			"Query cache LRU evictions by layer.",
 			func() uint64 { return stats().Evictions }, "layer", l.name)
+		m.reg.NewCounterFunc("cocoserve_cache_declined_total",
+			"Query cache offers declined by layer: first sightings of a key, which are not stored.",
+			func() uint64 { return stats().Declined }, "layer", l.name)
 		m.reg.NewGaugeFunc("cocoserve_cache_entries",
 			"Entries currently held by layer.",
 			func() float64 { return float64(stats().Entries) }, "layer", l.name)

@@ -95,7 +95,8 @@ func TestMetricsEndpointCoversCatalog(t *testing.T) {
 	// values are runtime-dependent.
 	for _, fam := range []string{
 		"cocoserve_cache_hits_total", "cocoserve_cache_misses_total",
-		"cocoserve_cache_evictions_total", "cocoserve_cache_entries",
+		"cocoserve_cache_evictions_total", "cocoserve_cache_declined_total",
+		"cocoserve_cache_entries",
 		"cocoserve_cache_capacity",
 		"cocoserve_gate_inflight", "cocoserve_gate_waiting",
 		"cocoserve_gate_queue_depth", "cocoserve_gate_target_seconds",

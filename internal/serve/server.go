@@ -690,7 +690,7 @@ func Main() {
 		"partition a built net into N independently reloadable shards (ignored with -snapshot-dir)")
 	refresh := flag.Duration("refresh", 0, "if > 0, reload the snapshot (or refreeze) on this interval")
 	cacheSize := flag.Int("cache-size", alicoco.DefaultQueryCacheCapacity,
-		"query cache capacity in entries per cache layer (0 disables caching)")
+		"query cache capacity in entries per cache layer (0 disables caching); past an eighth of it, a key is cached from its second miss")
 	cfg := defaultServeConfig()
 	deadline := flag.Duration("deadline", cfg.deadline,
 		"deadline for a single cache-missing query (0 disables)")

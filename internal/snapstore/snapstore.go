@@ -19,10 +19,14 @@
 //
 // Only writers open a store. Open performs the recovery sweep: every
 // .gen-tmp-* and every gen-* directory the catalog does not name is
-// deleted — which includes a save another process has in flight. So a
-// process that only reads a store (loads, reloads, rollbacks, scrubs)
-// never opens it: Lookup and ListGenerations read the catalog and nothing
-// else.
+// deleted, unless a live writer holds it. A transaction holds an exclusive
+// flock on its directory from Begin until Commit or Abort returns (the
+// lock follows the directory through Commit's rename, and a writer that
+// dies drops it), and the sweep skips every directory it cannot lock; on
+// platforms without flock it cannot tell, and deletes a save another
+// process has in flight. A process that only reads a store (loads,
+// reloads, rollbacks, scrubs) never opens it: Lookup and ListGenerations
+// read the catalog and nothing else.
 //
 // Retention turns the store into a rollback window: commits prune to the
 // newest Retain generations, so a generation that loads clean but
@@ -119,9 +123,8 @@ func IsStore(root string) bool {
 // directories the catalog does not name are deleted, and catalog entries
 // whose directories are gone are dropped. After Open returns, every
 // directory the catalog names exists and every gen-*/.gen-tmp-* directory
-// on disk is committed. The sweep deletes any save in flight, so only
-// writers open a store: a publisher before each save, a server once at
-// startup.
+// on disk is committed or held by a live writer. Only writers open a
+// store: a publisher before each save, a server once at startup.
 func Open(root string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("snapstore: open: %w", err)
@@ -259,7 +262,10 @@ func Lookup(root string, accept func(Gen) bool) (Gen, error) {
 // catalog entries whose directories are missing (a prune that crashed
 // between the catalog write and the directory removal leaves the opposite
 // orphan — an entry-less directory — which the first rule already covers).
-// It returns the names it removed.
+// A directory whose lock another transaction holds is a save in flight and
+// is skipped; a gen-* directory is deleted only if the catalog, re-read
+// under its lock, still does not name it, since its writer may have
+// committed since the first read. It returns the names it removed.
 func (s *Store) Sweep() (removed []string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -277,15 +283,17 @@ func (s *Store) Sweep() (removed []string, err error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		stray := strings.HasPrefix(name, tmpGenPrefix) ||
-			(e.IsDir() && strings.HasPrefix(name, genDirPrefix) && !committed[name])
-		if !stray {
+		tmp := strings.HasPrefix(name, tmpGenPrefix)
+		if !tmp && (!e.IsDir() || !strings.HasPrefix(name, genDirPrefix) || committed[name]) {
 			continue
 		}
-		if err := faultfs.RemoveAll(filepath.Join(s.root, name)); err != nil {
+		gone, err := s.sweepStray(name, tmp)
+		if err != nil {
 			return removed, fmt.Errorf("snapstore: sweep %s: %w", name, err)
 		}
-		removed = append(removed, name)
+		if gone {
+			removed = append(removed, name)
+		}
 	}
 	// Entries whose directories are gone cannot be loaded or rolled back
 	// to; dropping them keeps every catalog entry serviceable.
@@ -304,39 +312,81 @@ func (s *Store) Sweep() (removed []string, err error) {
 	return removed, nil
 }
 
+// sweepStray deletes the stray directory name unless a live writer holds
+// its lock or, for a gen-* directory, the catalog names it by now. It
+// reports whether it deleted it.
+func (s *Store) sweepStray(name string, tmp bool) (bool, error) {
+	path := filepath.Join(s.root, name)
+	lock, ok, err := tryLockDir(path)
+	if err != nil || !ok {
+		return false, err
+	}
+	if lock != nil {
+		defer lock.Close()
+	}
+	if !tmp {
+		cat, err := readCatalog(s.root)
+		if err != nil {
+			return false, err
+		}
+		for _, g := range cat.Generations {
+			if g.Dir == name {
+				return false, nil
+			}
+		}
+	}
+	return true, faultfs.RemoveAll(path)
+}
+
 // Tx is one in-flight generation: a temp directory the caller fills with
 // the generation's files, then commits (rename + catalog update) or
-// aborts (delete).
+// aborts (delete). It holds its directory's lock until then, so no
+// other writer's sweep deletes it.
 type Tx struct {
 	store *Store
 	dir   string
+	lock  *os.File
 	done  bool
 }
 
-// Begin starts a new generation: a .gen-tmp-* directory under the root
-// that Commit will rename into place. Fill it via Dir, then Commit or
+// Begin starts a new generation: a locked .gen-tmp-* directory under the
+// root that Commit will rename into place. Fill it via Dir, then Commit or
 // Abort; a crash in between leaves only a temp directory the next Open
-// sweeps away.
+// sweeps away. (A sweep that takes the new directory's lock first deletes
+// it, and the caller's first write into it fails.)
 func (s *Store) Begin() (*Tx, error) {
 	dir, err := os.MkdirTemp(s.root, tmpGenPrefix)
 	if err != nil {
 		return nil, fmt.Errorf("snapstore: begin: %w", err)
 	}
-	return &Tx{store: s, dir: dir}, nil
+	lock, err := lockDir(dir)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, fmt.Errorf("snapstore: begin: %w", err)
+	}
+	return &Tx{store: s, dir: dir, lock: lock}, nil
 }
 
 // Dir is the transaction's directory; the caller writes the generation's
 // files (manifest included) into it before Commit.
 func (t *Tx) Dir() string { return t.dir }
 
-// Abort deletes an uncommitted transaction's directory. Safe to defer:
-// after Commit it does nothing.
+// Abort deletes an uncommitted transaction's directory and releases its
+// lock. Safe to defer: after Commit it does nothing.
 func (t *Tx) Abort() {
+	defer t.unlock()
 	if t.done {
 		return
 	}
 	t.done = true
 	os.RemoveAll(t.dir)
+}
+
+func (t *Tx) unlock() {
+	if t.lock != nil {
+		t.lock.Close()
+		t.lock = nil
+	}
 }
 
 // Commit makes the transaction's directory the newest committed
@@ -347,11 +397,13 @@ func (t *Tx) Abort() {
 // orphans the next sweep removes). manifestName is the generation's
 // manifest file, whose committed bytes are checksummed into the catalog
 // entry. protect lists generation IDs retention must keep regardless of
-// age (nil is fine).
+// age (nil is fine). The transaction's lock is released when Commit
+// returns, whatever the outcome.
 func (t *Tx) Commit(manifestName string, protect map[uint64]bool) (Gen, error) {
 	if t.done {
 		return Gen{}, errors.New("snapstore: commit: transaction already finished")
 	}
+	defer t.unlock()
 	s := t.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
