@@ -125,12 +125,14 @@ type servingState struct {
 
 	// Snapshot bookkeeping: the store root the partition was loaded from,
 	// the catalog entry of the generation served (what RollbackTo and the
-	// scrubber anchor on) and the manifest the shards were verified
-	// against — all zero for in-process freezes — plus per-shard serving
-	// metadata.
+	// scrubber anchor on), the manifest the shards were verified against
+	// and the hold that keeps the generation's directory from retention
+	// until the next publish — all zero for in-process freezes — plus
+	// per-shard serving metadata.
 	root      string
 	gen       snapstore.Gen
 	manifest  *pipeline.ShardManifest
+	hold      *snapstore.Hold
 	shardInfo []ShardServingInfo
 
 	search *search.Engine
@@ -242,8 +244,10 @@ func (c *CoCo) SaveShards(dir string, count int) (*pipeline.ShardManifest, error
 
 // SaveShardsRetain is SaveShards with an explicit retention count — how
 // many committed generations the store keeps as the rollback window
-// (<= 0 means snapstore.DefaultRetain). It also returns the committed
-// generation.
+// (<= 0 means snapstore.DefaultRetain). A generation a live facade serves
+// is kept past the window: every facade loaded from a store holds the
+// generation it serves until it publishes another. It also returns the
+// committed generation.
 func (c *CoCo) SaveShardsRetain(dir string, count, retain int) (*pipeline.ShardManifest, snapstore.Gen, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
@@ -286,12 +290,18 @@ func lookup(root string, accept func(snapstore.Gen) bool) (snapstore.Gen, *pipel
 
 // load reads generation g of the store at root, whose manifest is man,
 // through pipeline.LoadGen and publishes it: the one path by which a
-// generation reaches serving. With reuse the loader keeps what serving
-// holds (see LoadGen); without, it reads and verifies every file. A reload
-// that reads no shard from the generation already served publishes
-// nothing. It returns how many shards were read. Callers hold c.offline
-// or own a CoCo that has not escaped yet.
+// generation reaches serving. It holds g (snapstore.HoldGen) before it
+// reads g's files, so no commit drops the generation while it is loaded or
+// served. With reuse the loader keeps what serving holds (see LoadGen);
+// without, it reads and verifies every file. A reload that reads no shard
+// from the generation already served publishes nothing. It returns how
+// many shards were read. Callers hold c.offline or own a CoCo that has not
+// escaped yet.
 func (c *CoCo) load(root string, g snapstore.Gen, man *pipeline.ShardManifest, source string, reuse bool, force int) (int, error) {
+	hold, err := snapstore.HoldGen(root, g)
+	if err != nil {
+		return 0, err
+	}
 	prev := c.serving.Load()
 	var served *pipeline.Artifacts
 	var servedMan *pipeline.ShardManifest
@@ -300,13 +310,15 @@ func (c *CoCo) load(root string, g snapstore.Gen, man *pipeline.ShardManifest, s
 	}
 	arts, read, err := pipeline.LoadGen(filepath.Join(root, g.Dir), man, served, servedMan, force)
 	if err != nil {
+		hold.Release()
 		return 0, err
 	}
 	if reuse && read == 0 && prev.root == root && prev.gen.ID == g.ID {
+		hold.Release() // serving holds g already
 		return 0, nil
 	}
 	c.arts.Store(arts)
-	return read, c.publishShards(arts, source, root, g, man)
+	return read, c.publishShards(arts, source, root, g, man, hold)
 }
 
 // ReloadShards re-reads the newest generation of the snapshot store at dir
@@ -451,14 +463,17 @@ func shardContentStamp(man *pipeline.ShardManifest) qcache.Stamp {
 // publishShards swaps in a serving state backed by the shard partition
 // arts.Shards — the one publish path for builds, loads, reloads, refreezes
 // and rollbacks. The engines run on the partition's ShardSet whatever its
-// shard count. root, g and man identify the store, the catalog entry and
-// the manifest the partition was verified against; all are zero for
-// in-process freezes. The fresh engines carry the new cache stamp, so
-// everything the query caches hold for other content becomes unreachable
-// in the same atomic pointer store that publishes the state.
-func (c *CoCo) publishShards(arts *pipeline.Artifacts, source, root string, g snapstore.Gen, man *pipeline.ShardManifest) error {
+// shard count. root, g, man and hold identify the store, the catalog
+// entry, the manifest the partition was verified against and the hold on
+// g, which publishShards takes over; all are zero for in-process freezes.
+// Once the state is published, the previous state's hold is released. The
+// fresh engines carry the new cache stamp, so everything the query caches
+// hold for other content becomes unreachable in the same atomic pointer
+// store that publishes the state.
+func (c *CoCo) publishShards(arts *pipeline.Artifacts, source, root string, g snapstore.Gen, man *pipeline.ShardManifest, hold *snapstore.Hold) error {
 	set, err := core.NewShardSet(arts.Shards)
 	if err != nil {
+		hold.Release()
 		return err
 	}
 	gen := c.generation.Add(1)
@@ -500,6 +515,7 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source, root string, g sn
 		root:      root,
 		gen:       g,
 		manifest:  man,
+		hold:      hold,
 		shardInfo: shardInfo,
 		search:    se,
 		rec:       re,
@@ -516,6 +532,9 @@ func (c *CoCo) publishShards(arts *pipeline.Artifacts, source, root string, g sn
 			CatalogGen:  g.ID,
 		},
 	})
+	if prev != nil {
+		prev.hold.Release()
+	}
 	return nil
 }
 
@@ -547,7 +566,7 @@ func (c *CoCo) SetQueryCacheCapacity(n int) {
 func (c *CoCo) refreeze(source string) error {
 	arts := c.arts.Load()
 	arts.Shards = arts.Net.FreezeShards(c.shardCount)
-	return c.publishShards(arts, source, "", snapstore.Gen{}, nil)
+	return c.publishShards(arts, source, "", snapstore.Gen{}, nil, nil)
 }
 
 // Stats summarizes the net (the Table 2 shape).

@@ -596,7 +596,7 @@ func benchCoCo(b *testing.B) *CoCo {
 	arts.Shards = benchFrozen(b).Shards()
 	c := &CoCo{}
 	c.arts.Store(&arts)
-	if err := c.publishShards(&arts, "build", "", snapstore.Gen{}, nil); err != nil {
+	if err := c.publishShards(&arts, "build", "", snapstore.Gen{}, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	return c

@@ -16,11 +16,13 @@
 // checksummed manifest in a gen-NNNNNN directory, named by the store's
 // CATALOG (serve it with `cocoserve -snapshot-dir`). Repeated saves into
 // the same store append generations; -retain bounds how many the catalog
-// keeps. `snapshot load` restores the store's newest generation without
-// rebuilding (cold start proportional to disk bandwidth) and can answer
-// queries against it. `snapshot verify` re-hashes every file of every
-// generation against its manifest and catalog entry, reporting per file
-// and exiting non-zero on any mismatch, without modifying the store.
+// keeps, and a save drops the older ones no live process serves (a server
+// keeps the generation it serves on disk). `snapshot load` restores the
+// store's newest generation without rebuilding (cold start proportional
+// to disk bandwidth) and can answer queries against it. `snapshot verify`
+// re-hashes every file of every generation against its manifest and
+// catalog entry, reporting per file and exiting non-zero on any mismatch,
+// without modifying the store.
 //
 // `metrics lint` strict-parses a Prometheus text exposition (a /metrics
 // capture, or stdin with `-`) with the same validator the load driver's
@@ -106,7 +108,7 @@ func snapshotSave(args []string) {
 	scale := fs.String("scale", "default", "build scale: small or default")
 	out := fs.String("out", "netstore", "snapshot store to commit the generation into (created if missing)")
 	shards := fs.Int("shards", 1, "shard files the generation is partitioned into")
-	retain := fs.Int("retain", 0, "committed generations the snapshot store keeps (0 means the default window)")
+	retain := fs.Int("retain", 0, "committed generations the snapshot store keeps (0 means the default window); an older generation a live process serves is kept too")
 	fs.Parse(args)
 	rejectExtraArgs(fs)
 

@@ -49,7 +49,7 @@
 //	[-snapshot-dir store] [-shards N]
 //	[-refresh 5m] [-cache-size 4096]
 //	[-deadline 2s] [-batch-deadline 15s] [-max-inflight N] [-queue-depth N]
-//	[-drain-timeout 15s] [-retain 4] [-scrub-interval 10m]
+//	[-drain-timeout 15s] [-scrub-interval 10m]
 //
 // Without -snapshot-dir the server builds the net at startup (-shards N
 // partitions it; refreezes then re-freeze all N shards in parallel) and
@@ -89,22 +89,27 @@
 // cocoserve_reload_* series count all of it.
 //
 // With -snapshot-dir the crash-safe snapshot lifecycle runs on top of all
-// of the above: startup sweeps any torn/uncommitted save the publisher
-// left behind; every newly published generation — by a full or a
-// single-shard reload — must pass post-swap validation or the server
-// automatically rolls back down the catalog to the newest generation that
-// loads and validates clean (the bad generation is skiplisted, and reloads
-// hold, until a newer one lands); a reload breaker trip likewise
-// re-anchors serving on the newest clean generation instead of freezing
-// on "last good in memory"; POST /rollback?gen=N republishes an earlier
-// generation on demand; -retain N prunes the catalog after successful
-// reloads (the serving generation is never dropped); and -scrub-interval
-// runs a background integrity scrubber that re-hashes the served
-// generation's files against its manifest — anchored by the catalog
-// entry's manifest checksum — quarantining mismatches and repairing them
-// from the newest clean source (another committed generation, else the
-// in-memory shard). /stats gains a "snapstore" section listing the
-// catalog with its skiplist, the last rollback and the last scrub report.
+// of the above. The server only reads the store: it never sweeps a torn or
+// uncommitted save (the publisher's next save does, and loads never look
+// at uncommitted directories) and never drops a generation (the
+// publisher's commits do, by their own -retain window, but keep the
+// generation this server serves: it holds that generation's directory
+// until it publishes another). Every newly published generation — by a
+// full or a single-shard reload — must pass post-swap validation or the
+// server automatically rolls back down the catalog to the newest
+// generation that loads and validates clean (the bad generation is
+// skiplisted, and reloads hold, until a newer one lands); a reload breaker
+// trip likewise re-anchors serving on the newest clean generation instead
+// of freezing on "last good in memory"; POST /rollback?gen=N republishes
+// an earlier generation on demand (404 when the catalog lists no such
+// generation, or, without gen, none older than the one serving); and
+// -scrub-interval runs a background integrity scrubber that re-hashes the
+// served generation's files against its manifest — anchored by the
+// catalog entry's manifest checksum — quarantining mismatches and
+// repairing them from the newest clean source (another committed
+// generation, else the in-memory shard). /stats gains a "snapstore"
+// section listing the catalog with its skiplist, the last rollback and
+// the last scrub report.
 package main
 
 import "alicoco/internal/serve"

@@ -66,24 +66,22 @@ func listTempDirs(t *testing.T, root string) []string {
 	return tmps
 }
 
-// recoverAndLoad is what a process restart does after a crashed save:
-// open the store (running the torn-write sweep) and load the newest
-// committed generation. It returns the loaded manifest and the newest
-// generation ID.
+// recoverAndLoad is what the next save does after a crashed one: open
+// the store (running the torn-write sweep) and load the newest committed
+// generation. It returns the loaded manifest and the newest generation ID.
 func recoverAndLoad(t *testing.T, root string) (*ShardManifest, uint64) {
 	t.Helper()
-	st, err := snapstore.Open(root, snapstore.Options{})
-	if err != nil {
+	if _, err := snapstore.Open(root, snapstore.Options{}); err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
 	if tmps := listTempDirs(t, root); len(tmps) != 0 {
 		t.Fatalf("recovery left temp dirs behind: %v", tmps)
 	}
-	g, ok, err := st.Latest()
-	if err != nil || !ok {
-		t.Fatalf("recovery lost every committed generation: ok=%v err=%v", ok, err)
+	g, err := snapstore.Lookup(root, nil)
+	if err != nil {
+		t.Fatalf("recovery lost every committed generation: %v", err)
 	}
-	_, man, err := LoadShards(st.GenDir(g))
+	_, man, err := LoadShards(filepath.Join(root, g.Dir))
 	if err != nil {
 		t.Fatalf("recovery load: %v", err)
 	}

@@ -116,8 +116,9 @@ func (a *Artifacts) SaveShards(dir string, count int) (*ShardManifest, error) {
 }
 
 // SaveShardsRetain is SaveShards with an explicit retention count
-// (<= 0 means snapstore.DefaultRetain); it also returns the committed
-// generation.
+// (<= 0 means snapstore.DefaultRetain); the commit drops the generations
+// past that window that no live process holds, so a generation a reader
+// serves stays. It also returns the committed generation.
 func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*ShardManifest, snapstore.Gen, error) {
 	if a.Net == nil {
 		return nil, snapstore.Gen{}, errors.New("pipeline: save shards: no live net (serving-only artifacts)")
@@ -145,7 +146,7 @@ func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*ShardManif
 	if err != nil {
 		return nil, snapstore.Gen{}, err
 	}
-	gen, err := tx.Commit(ShardManifestName, nil)
+	gen, err := tx.Commit(ShardManifestName)
 	if err != nil {
 		return nil, snapstore.Gen{}, fmt.Errorf("pipeline: save shards: %w", err)
 	}

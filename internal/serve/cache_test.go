@@ -28,7 +28,7 @@ func cachedFixture(t *testing.T) *server {
 // X-Content-Type-Options headers http.Error sets, and their body.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	s := cachedFixture(t)
-	uncached := serveStore(t, s.store.Root(), cacheCfg(0))
+	uncached := serveStore(t, s.store, cacheCfg(0))
 
 	sessions := testServer(t).coco.SampleSessions(2)
 	if len(sessions) == 0 {

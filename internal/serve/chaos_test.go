@@ -49,7 +49,7 @@ func chaosServer(t *testing.T, mutate func(*serveConfig)) *server {
 // different shard count, so reloading it reads every shard file.
 func commitShards(t *testing.T, s *server, n int) uint64 {
 	t.Helper()
-	_, g, err := testServer(t).coco.SaveShardsRetain(s.store.Root(), n, 0)
+	_, g, err := testServer(t).coco.SaveShardsRetain(s.store, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
 	clean := commitShards(t, s, 4)
 	bad := commitShards(t, s, 4)
-	corruptFile(t, filepath.Join(s.store.Root(), fmt.Sprintf("gen-%06d", bad), "shard-0002.fz"))
+	corruptFile(t, filepath.Join(s.store, fmt.Sprintf("gen-%06d", bad), "shard-0002.fz"))
 
 	for i := 0; i < 2; i++ {
 		if _, err := s.tryReload(-1); err == nil {
@@ -266,7 +266,7 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 
 	// A served file rots on disk: the scrubber quarantines it and repairs
 	// it, and serving never notices.
-	victim := filepath.Join(s.store.Root(), fmt.Sprintf("gen-%06d", clean), "shard-0001.fz")
+	victim := filepath.Join(s.store, fmt.Sprintf("gen-%06d", clean), "shard-0001.fz")
 	corruptFile(t, victim)
 	genBefore := s.coco.ServingInfo().Generation
 	s.scrubTick()
@@ -507,7 +507,7 @@ func TestChaosOverloadNeverServesStale(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := cocos[1-i%2].SaveShards(s.store.Root(), 1); err != nil {
+		if _, err := cocos[1-i%2].SaveShards(s.store, 1); err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
@@ -641,7 +641,7 @@ func TestStatsResilienceSection(t *testing.T) {
 	}
 	// A corrupt reload moves the failure counter through the HTTP surface.
 	gen := commitShards(t, s, 4)
-	corruptFile(t, filepath.Join(s.store.Root(), fmt.Sprintf("gen-%06d", gen), "shard-0000.fz"))
+	corruptFile(t, filepath.Join(s.store, fmt.Sprintf("gen-%06d", gen), "shard-0000.fz"))
 	rec := httptest.NewRecorder()
 	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 	if rec.Code != http.StatusInternalServerError {

@@ -6,7 +6,6 @@
 package serve
 
 import (
-	"log"
 	"net/http"
 	"time"
 
@@ -56,15 +55,10 @@ type Server struct{ s *server }
 
 // New wires a server around a built or loaded facade. With cfg.SnapshotDir
 // the snapshot lifecycle (reload diffing, rollback, scrubbing) engages
-// exactly as under the cocoserve command; if the store cannot be opened the
-// server logs why and serves without it.
+// exactly as under the cocoserve command.
 func New(coco *alicoco.CoCo, cfg Config) *Server {
 	s := newServerCfg(coco, cfg.toServeConfig())
-	if cfg.SnapshotDir != "" {
-		if err := s.initStore(cfg.SnapshotDir); err != nil {
-			log.Printf("snapstore: %v (reload, rollback and scrub disabled)", err)
-		}
-	}
+	s.store = cfg.SnapshotDir
 	return &Server{s: s}
 }
 

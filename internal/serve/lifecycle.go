@@ -24,7 +24,6 @@ import (
 	"alicoco"
 	"alicoco/internal/pipeline"
 	"alicoco/internal/resilience"
-	"alicoco/internal/snapstore"
 )
 
 // serveConfig is the resilience policy knobs; the zero value disables
@@ -66,12 +65,10 @@ type serveConfig struct {
 	breakerThreshold int
 	breakerCooldown  time.Duration
 
-	// Snapstore lifecycle (-snapshot-dir only): retain
-	// bounds how many committed generations pruning keeps on disk;
-	// scrubInterval > 0 runs the background integrity scrubber on that
-	// period; validate is the post-swap check every newly published
-	// generation must pass or be rolled back (nil skips validation).
-	retain        int
+	// Snapstore lifecycle (-snapshot-dir only): scrubInterval > 0 runs
+	// the background integrity scrubber on that period; validate is the
+	// post-swap check every newly published generation must pass or be
+	// rolled back (nil skips validation).
 	scrubInterval time.Duration
 	validate      func(*alicoco.CoCo) error
 
@@ -107,7 +104,6 @@ func defaultServeConfig() serveConfig {
 		backoffMax:       5 * time.Second,
 		breakerThreshold: 5,
 		breakerCooldown:  30 * time.Second,
-		retain:           snapstore.DefaultRetain,
 		validate:         defaultValidate,
 	}
 }
@@ -266,10 +262,9 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // resilience bookkeeping: the skiplist hold (a shard of a rolled-back
 // generation is held like the whole of it), post-swap validation, the
 // breaker, failure counters and backoff. A whole-net failure counts toward
-// the breaker-trip auto-rollback and a whole-net success prunes; a shard's
-// failure counts against that shard alone. Serving keeps the last good
-// snapshot through any number of failures — a reload only ever publishes
-// after full verification.
+// the breaker-trip auto-rollback; a shard's failure counts against that
+// shard alone. Serving keeps the last good snapshot through any number of
+// failures — a reload only ever publishes after full verification.
 func (s *server) tryReload(shard int) (source string, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -292,7 +287,6 @@ func (s *server) tryReload(shard int) (source string, err error) {
 			delete(s.shardFails, shard)
 		} else {
 			clear(s.shardFails)
-			s.pruneLocked()
 		}
 		return source, nil
 	}
@@ -304,7 +298,7 @@ func (s *server) tryReload(shard int) (source string, err error) {
 	// Catalog-backed serving does not freeze on "last good in memory":
 	// when reloads keep failing past the breaker threshold, re-anchor on
 	// the newest older generation that still loads and validates clean.
-	if s.store != nil && s.cfg.breakerThreshold > 0 && s.consecReloads == s.cfg.breakerThreshold {
+	if s.store != "" && s.cfg.breakerThreshold > 0 && s.consecReloads == s.cfg.breakerThreshold {
 		if rerr := s.autoRollbackLocked(0, fmt.Sprintf("reload breaker tripped: %v", err)); rerr != nil {
 			log.Printf("auto-rollback: %v", rerr)
 		}
@@ -415,7 +409,9 @@ func serveListener(s *server, ln net.Listener, refresh, drainTimeout time.Durati
 			s.refreshLoop(refresh, done)
 		}()
 	}
-	if s.cfg.scrubInterval > 0 {
+	// Scrubbing checks the served generation's files; a server built live
+	// has none.
+	if s.cfg.scrubInterval > 0 && s.store != "" {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

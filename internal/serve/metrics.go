@@ -322,14 +322,6 @@ func (m *serveMetrics) registerLifecycleCollectors(s *server) {
 		"Scrub mismatches no repair source covered.")
 	s.scrubErrors = m.reg.NewCounter("cocoserve_scrub_errors_total",
 		"Scrub passes that failed outright.")
-	m.reg.NewGaugeFunc("cocoserve_snapstore_retain",
-		"Committed generations the snapshot catalog keeps (-retain); 0 without -snapshot-dir.",
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Retain())
-		})
 	s.panics = m.reg.NewCounter("cocoserve_panics_recovered_total",
 		"Handler panics converted to 500s.")
 	s.degraded = m.reg.NewCounter("cocoserve_degraded_refusals_total",

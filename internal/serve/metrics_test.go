@@ -112,7 +112,6 @@ func TestMetricsEndpointCoversCatalog(t *testing.T) {
 		"cocoserve_reload_consecutive_failures", "cocoserve_reload_backoff_attempt",
 		"cocoserve_reload_breaker_state", "cocoserve_reload_breaker_consecutive_failures",
 		"cocoserve_reload_breaker_opens_total", "cocoserve_reload_breaker_denied_total",
-		"cocoserve_snapstore_retain",
 		"cocoserve_validation_failures_total", "cocoserve_scrub_passes_total",
 		"cocoserve_panics_recovered_total", "cocoserve_degraded_refusals_total",
 		"cocoserve_draining",

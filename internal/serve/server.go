@@ -99,16 +99,16 @@ type server struct {
 	scrubUnrepaired    *obs.Counter // mismatches no repair source covered
 	scrubErrors        *obs.Counter // scrub passes that failed outright
 
-	// store is the generation catalog behind -snapshot-dir; nil means the
-	// net was built live, and /reload re-freezes it instead. With a store,
-	// /reload diffs its newest generation against serving (only shards
-	// whose checksums changed are re-read), /reload?shard=i force-reloads
-	// one shard, and rollback, retention pruning and scrub repair work on
-	// it. The server lists and prunes the catalog through this handle;
-	// the facade's reloads, rollbacks and scrubs only read it. Reloads
-	// serialize on the facade's own offline lock; queries are never
-	// blocked. See snapstore.go in this package.
-	store *snapstore.Store
+	// store is the root of the generation catalog behind -snapshot-dir;
+	// "" means the net was built live, and /reload re-freezes it instead.
+	// With a store, /reload diffs its newest generation against serving
+	// (only shards whose checksums changed are re-read), /reload?shard=i
+	// force-reloads one shard, and rollback and scrub repair work on it.
+	// The server only lists the catalog, and the facade's reloads,
+	// rollbacks and scrubs only read it. Reloads serialize on the facade's
+	// own offline lock; queries are never blocked. See snapstore.go in
+	// this package.
+	store string
 
 	// scrubMu guards the most recent scrub report for /stats.
 	scrubMu   sync.Mutex
@@ -358,10 +358,8 @@ func (s *server) snapshotInfo() snapshotInfo {
 	out := snapshotInfo{
 		Source:      info.Source,
 		Checksum:    info.Checksum,
+		Dir:         s.store,
 		PublishedAt: info.PublishedAt.UTC().Format(time.RFC3339),
-	}
-	if s.store != nil {
-		out.Dir = s.store.Root()
 	}
 	for _, si := range s.coco.ShardInfos() {
 		out.Shards = append(out.Shards, shardStat{
@@ -614,7 +612,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// breaker — a good publish re-closes it for the -refresh loop.
 	shard := -1
 	if shardStr := queryParam(r.URL.RawQuery, "shard"); shardStr != "" {
-		if s.store == nil {
+		if s.store == "" {
 			http.Error(w, "shard reload requires -snapshot-dir", http.StatusBadRequest)
 			return
 		}
@@ -649,13 +647,13 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 // reloaded from the store, or re-frozen when serving has none.
 func (s *server) reload(shard int) (source string, err error) {
 	if shard >= 0 {
-		return "shard:" + strconv.Itoa(shard), s.coco.ReloadShard(s.store.Root(), shard)
+		return "shard:" + strconv.Itoa(shard), s.coco.ReloadShard(s.store, shard)
 	}
-	if s.store == nil {
+	if s.store == "" {
 		return "refreeze", s.coco.Refreeze()
 	}
-	changed, err := s.coco.ReloadShards(s.store.Root())
-	return "shards:" + s.store.Root() + " (" + strconv.Itoa(changed) + " reloaded)", err
+	changed, err := s.coco.ReloadShards(s.store)
+	return "shards:" + s.store + " (" + strconv.Itoa(changed) + " reloaded)", err
 }
 
 // mux builds the route table. Query, lifecycle, and stats routes run
@@ -706,10 +704,8 @@ func Main() {
 		"how long queue delay must stay above -target-delay before adaptive shedding engages")
 	drainTimeout := flag.Duration("drain-timeout", defaultDrainTimeout,
 		"how long shutdown waits for in-flight requests before giving up")
-	retain := flag.Int("retain", cfg.retain,
-		"committed snapshot generations to keep on disk under -snapshot-dir")
 	scrubInterval := flag.Duration("scrub-interval", 0,
-		"if > 0, re-hash the served snapshot files against their manifest on this interval, quarantining and repairing corruption")
+		"if > 0, re-hash the served snapshot files against their manifest on this interval, quarantining and repairing corruption (ignored without -snapshot-dir)")
 	slowQuery := flag.Duration("slow-query", 0,
 		"if > 0, log responses slower than this (endpoint, latency, generation, request ID) and count them in cocoserve_slow_queries_total")
 	pprofAddr := flag.String("pprof-addr", "",
@@ -747,17 +743,14 @@ func Main() {
 	cfg.queueDepth = *queueDepth
 	cfg.targetDelay = *targetDelay
 	cfg.shedInterval = *shedInterval
-	cfg.retain = *retain
 	cfg.scrubInterval = *scrubInterval
 	cfg.slowQuery = *slowQuery
 	cfg.pprofAddr = *pprofAddr
 	s := newServerCfg(coco, cfg)
 	if *snapshotDir != "" {
-		if err := s.initStore(*snapshotDir); err != nil {
-			log.Fatalf("snapstore: %v", err)
-		}
-		log.Printf("snapstore catalog at %s: serving gen %d, retain %d, scrub interval %v",
-			s.store.Root(), coco.ServingInfo().CatalogGen, s.store.Retain(), *scrubInterval)
+		s.store = *snapshotDir
+		log.Printf("snapstore catalog at %s: serving gen %d, scrub interval %v",
+			s.store, coco.ServingInfo().CatalogGen, *scrubInterval)
 	}
 	if *cacheSize > 0 {
 		log.Printf("query caches enabled: %d entries per layer (result + encoded-bytes)", *cacheSize)

@@ -49,9 +49,7 @@ func serveStore(t testing.TB, dir string, cfg serveConfig) *server {
 		t.Fatal(err)
 	}
 	s := newServerCfg(coco, cfg)
-	if err := s.initStore(dir); err != nil {
-		t.Fatal(err)
-	}
+	s.store = dir
 	return s
 }
 
@@ -76,7 +74,7 @@ func snapshotFixture(t *testing.T) (built *server, loaded *server, dir string) {
 			return
 		}
 		snapLoaded = newServerCfg(coco, serveConfig{})
-		snapErr = snapLoaded.initStore(snapDir)
+		snapLoaded.store = snapDir
 	})
 	if snapErr != nil {
 		t.Fatal(snapErr)

@@ -3,9 +3,12 @@
 // SaveShards), and the server runs the crash-safe lifecycle on it —
 // automatic rollback down the catalog when a new generation fails
 // post-swap validation or trips the reload breaker, a POST /rollback
-// operator endpoint, retention pruning (-retain), and a background
-// integrity scrubber (-scrub-interval), each counted in metrics.go's
-// registry. A server built live has no store and none of this.
+// operator endpoint, and a background integrity scrubber
+// (-scrub-interval), each counted in metrics.go's registry. The server
+// only reads the store: it lists the catalog (snapstore.ListGenerations,
+// snapstore.Lookup) and never opens, sweeps or prunes it; the facade holds
+// the generation it serves, so a publisher's commit keeps it. A server
+// built live has no store and none of this.
 package serve
 
 import (
@@ -19,24 +22,6 @@ import (
 	"alicoco"
 	"alicoco/internal/snapstore"
 )
-
-// initStore opens the generation catalog at dir, the -snapshot-dir the
-// facade was loaded from. Open runs the torn-write recovery sweep, so by
-// the time the server accepts traffic every uncommitted temp directory
-// from a crashed save is gone. It is the server's only open of the store:
-// a sweep also deletes a publisher's save in flight, so nothing after
-// startup sweeps — reloads, rollbacks and scrubs only read the catalog.
-func (s *server) initStore(dir string) error {
-	if !snapstore.IsStore(dir) {
-		return fmt.Errorf("%s is not a snapshot store (no %s)", dir, snapstore.CatalogName)
-	}
-	st, err := snapstore.Open(dir, snapstore.Options{Retain: s.cfg.retain})
-	if err != nil {
-		return err
-	}
-	s.store = st
-	return nil
-}
 
 // defaultValidate is the post-swap validation every newly published
 // generation must pass before the server trusts it: the serving state must
@@ -71,11 +56,11 @@ func (s *server) markBadLocked(gen uint64) {
 // reloadMu. The returned hold reason is non-empty when the reload should
 // be skipped.
 func (s *server) reloadGateLocked() (hold string) {
-	if s.store == nil {
+	if s.store == "" {
 		return ""
 	}
-	g, ok, err := s.store.Latest()
-	if err != nil || !ok {
+	g, err := snapstore.Lookup(s.store, nil)
+	if err != nil {
 		return ""
 	}
 	maxBad := uint64(0)
@@ -113,7 +98,7 @@ func (s *server) validateSwapLocked(beforeGen uint64) error {
 		return nil
 	}
 	s.validationFailures.Inc()
-	if s.store == nil || info.CatalogGen == 0 {
+	if s.store == "" || info.CatalogGen == 0 {
 		return fmt.Errorf("post-swap validation failed (no catalog to roll back in): %w", verr)
 	}
 	s.markBadLocked(info.CatalogGen)
@@ -128,20 +113,19 @@ func (s *server) validateSwapLocked(beforeGen uint64) error {
 // than badGen down, skipping known-bad generations, and publishes the
 // first one that loads and verifies clean. Callers hold reloadMu.
 func (s *server) autoRollbackLocked(badGen uint64, reason string) error {
-	if s.store == nil {
+	if s.store == "" {
 		return errors.New("no generation catalog to roll back in")
 	}
-	if badGen == 0 {
-		g, ok, err := s.store.Latest()
-		if err != nil || !ok {
-			return errors.New("no committed generations to roll back in")
-		}
-		badGen = g.ID
-		s.markBadLocked(g.ID)
-	}
-	gens, err := s.store.Generations()
+	gens, err := snapstore.ListGenerations(s.store)
 	if err != nil {
 		return err
+	}
+	if badGen == 0 {
+		if len(gens) == 0 {
+			return errors.New("no committed generations to roll back in")
+		}
+		badGen = gens[len(gens)-1].ID
+		s.markBadLocked(badGen)
 	}
 	from := s.coco.ServingInfo().CatalogGen
 	for i := len(gens) - 1; i >= 0; i-- {
@@ -183,36 +167,20 @@ func (s *server) noteRollbackLocked(from, to uint64, reason string) {
 	log.Printf("rolled back serving: gen %d -> gen %d (%s)", from, to, reason)
 }
 
-// pruneLocked enforces -retain against the catalog after a successful
-// reload, never dropping the generation being served. Callers hold
-// reloadMu.
-func (s *server) pruneLocked() {
-	if s.store == nil {
-		return
-	}
-	protect := map[uint64]bool{s.coco.ServingInfo().CatalogGen: true}
-	dropped, err := s.store.Prune(protect)
-	if err != nil {
-		log.Printf("snapstore prune: %v", err)
-		return
-	}
-	if len(dropped) > 0 {
-		log.Printf("snapstore pruned %d generations (retain %d)", len(dropped), s.store.Retain())
-	}
-}
-
 // handleRollback is POST /rollback: republish an earlier committed
 // generation. An optional gen parameter names it; by default the newest
-// generation older than the one serving is used. Every generation newer
-// than the rollback target is marked bad, so the refresh loop holds there
-// instead of immediately rolling forward again; publishing a brand-new
-// generation clears the hold.
+// generation older than the one serving is used. A target the catalog does
+// not list answers 404 before anything is loaded; one that is listed but
+// fails to load answers 500. Every generation newer than the rollback
+// target is marked bad, so the refresh loop holds there instead of
+// immediately rolling forward again; publishing a brand-new generation
+// clears the hold.
 func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.store == nil {
+	if s.store == "" {
 		http.Error(w, "rollback requires -snapshot-dir", http.StatusBadRequest)
 		return
 	}
@@ -227,29 +195,41 @@ func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reloadMu.Lock()
 	from := s.coco.ServingInfo().CatalogGen
-	g, err := s.coco.RollbackTo(gen)
-	if err == nil {
-		// Skiplist everything newer than the target so the refresh loop
-		// holds at the operator's choice.
-		if gens, gerr := s.store.Generations(); gerr == nil {
+	gens, err := snapstore.ListGenerations(s.store)
+	var target uint64 // the generation gen names, or the newest older than from
+	for _, g := range gens {
+		if g.ID == gen || (gen == 0 && g.ID < from) {
+			target = g.ID
+		}
+	}
+	var g snapstore.Gen
+	if err == nil && target != 0 {
+		if g, err = s.coco.RollbackTo(target); err == nil {
+			// Skiplist everything newer than the target so the refresh
+			// loop holds at the operator's choice.
 			for _, cand := range gens {
 				if cand.ID > g.ID {
 					s.markBadLocked(cand.ID)
 				}
 			}
+			s.noteRollbackLocked(from, g.ID, "operator rollback")
 		}
-		s.noteRollbackLocked(from, g.ID, "operator rollback")
 	}
 	s.reloadMu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		http.Error(w, "rollback failed: "+err.Error(), http.StatusInternalServerError)
-		return
+	case target == 0 && gen != 0:
+		http.Error(w, "rollback: generation "+strconv.FormatUint(gen, 10)+" is not committed", http.StatusNotFound)
+	case target == 0:
+		http.Error(w, "rollback: no committed generation older than "+strconv.FormatUint(from, 10), http.StatusNotFound)
+	default:
+		s.writeJSON(w, map[string]any{
+			"status":   "rolled_back",
+			"gen":      g.ID,
+			"snapshot": s.snapshotInfo(),
+		})
 	}
-	s.writeJSON(w, map[string]any{
-		"status":   "rolled_back",
-		"gen":      g.ID,
-		"snapshot": s.snapshotInfo(),
-	})
 }
 
 // scrubLoop runs the background integrity scrubber: every interval, one
@@ -324,12 +304,12 @@ func (s *server) snapstoreInfo() snapstoreInfo {
 	s.scrubMu.Lock()
 	out.LastScrub = s.lastScrub
 	s.scrubMu.Unlock()
-	if s.store == nil {
+	if s.store == "" {
 		return out
 	}
 	out.Enabled = true
-	out.Root = s.store.Root()
-	gens, err := s.store.Generations()
+	out.Root = s.store
+	gens, err := snapstore.ListGenerations(s.store)
 	if err != nil {
 		return out
 	}

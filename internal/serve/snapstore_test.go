@@ -3,11 +3,15 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"alicoco"
 	"alicoco/internal/snapstore"
@@ -63,7 +67,9 @@ func servingGen(sn snapstoreInfo) uint64 {
 
 // TestRollbackEndpoint: POST /rollback republishes the previous committed
 // generation, /stats reports it, the refresh loop holds on the skiplisted
-// newer generation, and a brand-new commit clears the hold.
+// newer generation, and a brand-new commit clears the hold. A rollback to
+// a generation the catalog does not list, or with nothing older than the
+// one serving, answers 404 and counts no 5xx.
 func TestRollbackEndpoint(t *testing.T) {
 	s, coco, dir := newCatalogServer(t, 2)
 	if g := s.coco.ServingInfo().CatalogGen; g != 2 {
@@ -118,14 +124,31 @@ func TestRollbackEndpoint(t *testing.T) {
 	}
 
 	// Operators can also roll forward by explicit ID.
-	if code, body := post(s, "/rollback?gen=2", ""); code != http.StatusOK || !strings.Contains(body, `"gen":2`) {
-		t.Fatalf("explicit rollback: %d %s", code, body)
+	for _, tc := range []struct {
+		method, url string
+		code        int
+		serving     uint64 // the generation serving afterwards
+	}{
+		{http.MethodPost, "/rollback?gen=2", http.StatusOK, 2},
+		{http.MethodPost, "/rollback?gen=abc", http.StatusBadRequest, 2},
+		{http.MethodPost, "/rollback?gen=99", http.StatusNotFound, 2},
+		{http.MethodPost, "/rollback?gen=1", http.StatusOK, 1},
+		{http.MethodPost, "/rollback", http.StatusNotFound, 1}, // nothing older than gen 1
+		{http.MethodGet, "/rollback", http.StatusMethodNotAllowed, 1},
+	} {
+		code, body := get(s, tc.url)
+		if tc.method == http.MethodPost {
+			code, body = post(s, tc.url, "")
+		}
+		if code != tc.code || (code == http.StatusOK && !strings.Contains(body, fmt.Sprintf(`"gen":%d`, tc.serving))) {
+			t.Fatalf("%s %s: %d %s, want %d", tc.method, tc.url, code, body, tc.code)
+		}
+		if g := s.coco.ServingInfo().CatalogGen; g != tc.serving {
+			t.Fatalf("%s %s: serving gen %d, want %d", tc.method, tc.url, g, tc.serving)
+		}
 	}
-	if code, _ := post(s, "/rollback?gen=abc", ""); code != http.StatusBadRequest {
-		t.Fatalf("bad gen parameter: %d, want 400", code)
-	}
-	if code, _ := get(s, "/rollback"); code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /rollback: %d, want 405", code)
+	if v := metricValue(t, s, "cocoserve_requests_total", "endpoint", "rollback", "class", "5xx"); v != 0 {
+		t.Fatalf("rollback 5xx responses: %v, want 0", v)
 	}
 }
 
@@ -294,6 +317,37 @@ func TestScrubTickRepairsAndReports(t *testing.T) {
 	sn = statsSnapstore(t, s)
 	if c := scrubCounts(); c[0] != 2 || c[1] != 1 || sn.LastScrub == nil || !sn.LastScrub.Clean() {
 		t.Fatalf("scrub after clean tick: counts %v, last %+v", c, sn.LastScrub)
+	}
+}
+
+// TestScrubLoopNeedsStore: a server built live has no generation files to
+// scrub, so -scrub-interval starts no scrubber there: under serveListener
+// a 1 ms interval counts no scrub pass and no scrub error.
+func TestScrubLoopNeedsStore(t *testing.T) {
+	cfg := cacheCfg(alicoco.DefaultQueryCacheCapacity)
+	cfg.scrubInterval = time.Millisecond
+	s := newServerCfg(testServer(t).coco, cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigc := make(chan os.Signal, 1)
+	served := make(chan error, 1)
+	go func() { served <- serveListener(s, ln, 0, 10*time.Second, sigc) }()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	time.Sleep(30 * time.Millisecond) // 30 scrub intervals
+	sigc <- syscall.SIGTERM
+	if err := <-served; err != nil {
+		t.Fatalf("serveListener: %v", err)
+	}
+	for _, fam := range []string{"cocoserve_scrub_errors_total", "cocoserve_scrub_passes_total"} {
+		if v := metricValue(t, s, fam); v != 0 {
+			t.Fatalf("%s on a server built live: %v, want 0", fam, v)
+		}
 	}
 }
 

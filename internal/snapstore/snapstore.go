@@ -26,14 +26,19 @@
 // platforms without flock it cannot tell, and deletes a save another
 // process has in flight. A process that only reads a store (loads,
 // reloads, rollbacks, scrubs) never opens it: Lookup and ListGenerations
-// read the catalog and nothing else.
+// read the catalog and nothing else, and HoldGen takes a shared flock on
+// the generation it loads.
 //
-// Retention turns the store into a rollback window: commits prune to the
+// Retention turns the store into a rollback window: a commit keeps the
 // newest Retain generations, so a generation that loads clean but
 // misbehaves can be rolled back to the newest earlier generation that
-// still verifies. Prune keeps the generations a caller protects (a server
-// protects the one it serves), but a commit prunes by its own window and
-// does not know what any reader serves.
+// still verifies. A commit is the only code that drops generations, and
+// it keeps every older one a live process holds: it try-locks each
+// generation past the window and keeps any it cannot lock, so a server
+// rolled back past a publisher's window keeps serving a generation that
+// is still on disk, and the first commit after the server moves off it
+// drops it. Without flock a commit cannot tell, and drops by the window
+// alone.
 //
 // The package is deliberately manifest-agnostic: it journals directories
 // and verifies (file, checksum) pairs, while the snapshot format itself —
@@ -97,15 +102,16 @@ type catalogFile struct {
 // Options configures a store.
 type Options struct {
 	// Retain is how many committed generations commits keep; <= 0 means
-	// DefaultRetain. Retention never drops protected generations.
+	// DefaultRetain. A commit also keeps every older generation a live
+	// process holds (see HoldGen).
 	Retain int
 }
 
-// Store is a writer's handle on one snapshot store root: it commits,
-// prunes and sweeps. The catalog is re-read from disk on every listing, so
-// a handle observes commits made by other handles (or other processes)
-// without refresh calls; the mutex only serializes this handle's own
-// writes. Readers need no handle: see Lookup.
+// Store is a writer's handle on one snapshot store root: it begins and
+// commits generations, and Open sweeps with it. The catalog is re-read
+// from disk on every commit, so a handle observes commits made by other
+// handles (or other processes); the mutex only serializes this handle's
+// own writes. Readers need no handle: see Lookup and HoldGen.
 type Store struct {
 	root   string
 	retain int
@@ -124,7 +130,7 @@ func IsStore(root string) bool {
 // whose directories are gone are dropped. After Open returns, every
 // directory the catalog names exists and every gen-*/.gen-tmp-* directory
 // on disk is committed or held by a live writer. Only writers open a
-// store: a publisher before each save, a server once at startup.
+// store: a publisher before each save.
 func Open(root string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("snapstore: open: %w", err)
@@ -133,17 +139,11 @@ func Open(root string, opts Options) (*Store, error) {
 	if s.retain <= 0 {
 		s.retain = DefaultRetain
 	}
-	if _, err := s.Sweep(); err != nil {
+	if err := s.sweep(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
-// Retain returns the store's retention count.
-func (s *Store) Retain() int { return s.retain }
 
 // readCatalog loads and validates the catalog at root; a missing catalog
 // is an empty store, not an error.
@@ -161,7 +161,7 @@ func readCatalog(root string) (*catalogFile, error) {
 
 // decodeCatalog decodes and validates a catalog: IDs ascend, and each
 // generation's dir is the name Commit gives it, genDirName(id) — so no two
-// entries share a directory, and pruning one entry can never delete a
+// entries share a directory, and dropping one entry can never delete a
 // directory another entry still names.
 func decodeCatalog(r io.Reader) (*catalogFile, error) {
 	var cat catalogFile
@@ -199,15 +199,9 @@ func encodeCatalog(w io.Writer, cat *catalogFile) error {
 	return enc.Encode(cat)
 }
 
-// Generations lists the committed generations, ascending by ID. The slice
-// is the caller's.
-func (s *Store) Generations() ([]Gen, error) {
-	return ListGenerations(s.root)
-}
-
 // ListGenerations lists a store's committed generations, ascending by ID,
 // without opening the store — a strictly read-only catalog read that never
-// sweeps, for inspection tools that must not mutate the store they audit.
+// sweeps, for readers (servers, inspection tools) that must not mutate it.
 func ListGenerations(root string) ([]Gen, error) {
 	cat, err := readCatalog(root)
 	if err != nil {
@@ -215,19 +209,6 @@ func ListGenerations(root string) ([]Gen, error) {
 	}
 	return cat.Generations, nil
 }
-
-// Latest returns the newest committed generation; ok is false for an
-// empty store.
-func (s *Store) Latest() (Gen, bool, error) {
-	gens, err := s.Generations()
-	if err != nil || len(gens) == 0 {
-		return Gen{}, false, err
-	}
-	return gens[len(gens)-1], true, nil
-}
-
-// GenDir returns the absolute directory of a generation.
-func (s *Store) GenDir(g Gen) string { return filepath.Join(s.root, g.Dir) }
 
 func genDirName(id uint64) string { return fmt.Sprintf("%s%06d", genDirPrefix, id) }
 
@@ -256,22 +237,52 @@ func Lookup(root string, accept func(Gen) bool) (Gen, error) {
 	return Gen{}, fmt.Errorf("snapstore: %s: no committed generation matches", root)
 }
 
-// Sweep is the recovery pass: it deletes every uncommitted temp directory
+// Hold is a reader's shared lock on one committed generation's directory:
+// while a live process holds it, no commit drops the generation.
+type Hold struct{ lock *os.File }
+
+// HoldGen takes a shared hold on generation g of the store at root, for a
+// reader to take before it reads g's files and to keep while it serves
+// them. It waits out a commit that is dropping g, and then fails: the
+// generation must still be committed once the hold is taken. Holds are
+// shared, so any number of readers hold one generation at once.
+func HoldGen(root string, g Gen) (*Hold, error) {
+	lock, err := lockDir(filepath.Join(root, g.Dir), true)
+	h := &Hold{lock}
+	if err == nil {
+		_, err = Lookup(root, func(c Gen) bool { return c.ID == g.ID })
+	}
+	if err != nil {
+		h.Release()
+		return nil, fmt.Errorf("snapstore: hold generation %d: %w", g.ID, err)
+	}
+	return h, nil
+}
+
+// Release drops the hold; the next commit may drop its generation.
+// Releasing a nil or released Hold does nothing.
+func (h *Hold) Release() {
+	if h != nil {
+		h.lock.Close() // on a nil or closed *os.File, Close only returns an error
+	}
+}
+
+// sweep is the recovery pass: it deletes every uncommitted temp directory
 // and every gen-* directory the catalog does not name (a save that crashed
 // after renaming its directory but before the catalog commit), and drops
-// catalog entries whose directories are missing (a prune that crashed
-// between the catalog write and the directory removal leaves the opposite
-// orphan — an entry-less directory — which the first rule already covers).
-// A directory whose lock another transaction holds is a save in flight and
-// is skipped; a gen-* directory is deleted only if the catalog, re-read
-// under its lock, still does not name it, since its writer may have
-// committed since the first read. It returns the names it removed.
-func (s *Store) Sweep() (removed []string, err error) {
+// catalog entries whose directories are missing (a commit that crashed
+// between the catalog write and a dropped directory's removal leaves the
+// opposite orphan — an entry-less directory — which the first rule already
+// covers). A directory whose lock another transaction holds is a save in
+// flight and is skipped; a gen-* directory is deleted only if the catalog,
+// re-read under its lock, still does not name it, since its writer may
+// have committed since the first read.
+func (s *Store) sweep() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cat, err := readCatalog(s.root)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	committed := make(map[string]bool, len(cat.Generations))
 	for _, g := range cat.Generations {
@@ -279,7 +290,7 @@ func (s *Store) Sweep() (removed []string, err error) {
 	}
 	entries, err := os.ReadDir(s.root)
 	if err != nil {
-		return nil, fmt.Errorf("snapstore: sweep: %w", err)
+		return fmt.Errorf("snapstore: sweep: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -287,12 +298,8 @@ func (s *Store) Sweep() (removed []string, err error) {
 		if !tmp && (!e.IsDir() || !strings.HasPrefix(name, genDirPrefix) || committed[name]) {
 			continue
 		}
-		gone, err := s.sweepStray(name, tmp)
-		if err != nil {
-			return removed, fmt.Errorf("snapstore: sweep %s: %w", name, err)
-		}
-		if gone {
-			removed = append(removed, name)
+		if err := s.sweepStray(name, tmp); err != nil {
+			return fmt.Errorf("snapstore: sweep %s: %w", name, err)
 		}
 	}
 	// Entries whose directories are gone cannot be loaded or rolled back
@@ -305,21 +312,18 @@ func (s *Store) Sweep() (removed []string, err error) {
 	}
 	if len(live) != len(cat.Generations) {
 		cat.Generations = live
-		if err := writeCatalog(s.root, cat); err != nil {
-			return removed, err
-		}
+		return writeCatalog(s.root, cat)
 	}
-	return removed, nil
+	return nil
 }
 
 // sweepStray deletes the stray directory name unless a live writer holds
-// its lock or, for a gen-* directory, the catalog names it by now. It
-// reports whether it deleted it.
-func (s *Store) sweepStray(name string, tmp bool) (bool, error) {
+// its lock or, for a gen-* directory, the catalog names it by now.
+func (s *Store) sweepStray(name string, tmp bool) error {
 	path := filepath.Join(s.root, name)
 	lock, ok, err := tryLockDir(path)
 	if err != nil || !ok {
-		return false, err
+		return err
 	}
 	if lock != nil {
 		defer lock.Close()
@@ -327,15 +331,15 @@ func (s *Store) sweepStray(name string, tmp bool) (bool, error) {
 	if !tmp {
 		cat, err := readCatalog(s.root)
 		if err != nil {
-			return false, err
+			return err
 		}
 		for _, g := range cat.Generations {
 			if g.Dir == name {
-				return false, nil
+				return nil
 			}
 		}
 	}
-	return true, faultfs.RemoveAll(path)
+	return faultfs.RemoveAll(path)
 }
 
 // Tx is one in-flight generation: a temp directory the caller fills with
@@ -359,7 +363,7 @@ func (s *Store) Begin() (*Tx, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapstore: begin: %w", err)
 	}
-	lock, err := lockDir(dir)
+	lock, err := lockDir(dir, false)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, fmt.Errorf("snapstore: begin: %w", err)
@@ -392,14 +396,13 @@ func (t *Tx) unlock() {
 // Commit makes the transaction's directory the newest committed
 // generation: fsync the directory, rename it to its gen-%06d name, fsync
 // the root, then rewrite the catalog — the single commit point — naming it
-// (and dropping generations beyond the retention window; their directories
-// are deleted after the catalog lands, so a crash mid-prune only leaves
-// orphans the next sweep removes). manifestName is the generation's
-// manifest file, whose committed bytes are checksummed into the catalog
-// entry. protect lists generation IDs retention must keep regardless of
-// age (nil is fine). The transaction's lock is released when Commit
+// and dropping the generations retention drops (see retainSplit); their
+// directories are deleted after the catalog lands, so a crash mid-drop
+// only leaves orphans the next sweep removes. manifestName is the
+// generation's manifest file, whose committed bytes are checksummed into
+// the catalog entry. The transaction's lock is released when Commit
 // returns, whatever the outcome.
-func (t *Tx) Commit(manifestName string, protect map[uint64]bool) (Gen, error) {
+func (t *Tx) Commit(manifestName string) (Gen, error) {
 	if t.done {
 		return Gen{}, errors.New("snapstore: commit: transaction already finished")
 	}
@@ -431,7 +434,12 @@ func (t *Tx) Commit(manifestName string, protect map[uint64]bool) (Gen, error) {
 		return Gen{}, fmt.Errorf("snapstore: commit: %w", err)
 	}
 	t.done = true // the directory is renamed away; Abort must not touch it
-	keep, drop := retainSplit(append(cat.Generations, g), s.retain, protect)
+	keep, drop, locks := retainSplit(s.root, append(cat.Generations, g), s.retain)
+	defer func() {
+		for _, l := range locks {
+			l.Close()
+		}
+	}()
 	cat.Generations = keep
 	if err := writeCatalog(s.root, cat); err != nil {
 		return Gen{}, err
@@ -444,42 +452,26 @@ func (t *Tx) Commit(manifestName string, protect map[uint64]bool) (Gen, error) {
 	return g, nil
 }
 
-// Prune enforces the retention window outside a commit (a serving process
-// bounding a store it does not write), keeping the newest retain
-// generations plus every protected ID.
-func (s *Store) Prune(protect map[uint64]bool) (dropped []Gen, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cat, err := readCatalog(s.root)
-	if err != nil {
-		return nil, err
-	}
-	keep, drop := retainSplit(cat.Generations, s.retain, protect)
-	if len(drop) == 0 {
-		return nil, nil
-	}
-	cat.Generations = keep
-	if err := writeCatalog(s.root, cat); err != nil {
-		return nil, err
-	}
-	for _, d := range drop {
-		_ = faultfs.RemoveAll(filepath.Join(s.root, d.Dir))
-	}
-	return drop, nil
-}
-
-// retainSplit splits an ascending generation list into the entries to keep
-// — the newest retain ones plus every protected ID — and the rest.
-func retainSplit(gens []Gen, retain int, protect map[uint64]bool) (keep, drop []Gen) {
+// retainSplit splits an ascending generation list into the entries a
+// commit keeps — the newest retain ones, and every older one whose
+// directory a live process holds — and the ones it drops. It try-locks
+// each generation past the window, keeps any it cannot lock, and returns
+// the locks it took: the commit holds them until the dropped directories
+// are gone, so a reader waiting to hold one finds it no longer committed.
+func retainSplit(root string, gens []Gen, retain int) (keep, drop []Gen, locks []*os.File) {
 	cut := len(gens) - retain
 	for i, g := range gens {
-		if i < cut && !protect[g.ID] {
-			drop = append(drop, g)
-		} else {
-			keep = append(keep, g)
+		if i < cut {
+			lock, ok, err := tryLockDir(filepath.Join(root, g.Dir))
+			if err == nil && ok {
+				drop = append(drop, g)
+				locks = append(locks, lock) // nil where there is no flock
+				continue
+			}
 		}
+		keep = append(keep, g)
 	}
-	return keep, drop
+	return keep, drop, locks
 }
 
 // QuarantinePath picks the name a poisoned file is renamed aside to:

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,7 @@ func commitGen(t *testing.T, s *Store, content string) Gen {
 	if err := os.WriteFile(filepath.Join(tx.Dir(), "manifest.json"), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := tx.Commit("manifest.json", nil)
+	g, err := tx.Commit("manifest.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,15 +31,15 @@ func commitGen(t *testing.T, s *Store, content string) Gen {
 }
 
 // TestCatalogRoundTrip: commits append ascending generations named
-// gen-%06d, and Latest/Lookup/Generations agree on them across reopens.
+// gen-%06d, and Lookup and ListGenerations agree on them across reopens.
 func TestCatalogRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Latest(); ok {
-		t.Fatal("empty store reported a latest generation")
+	if g, err := Lookup(root, nil); err == nil {
+		t.Fatalf("empty store reported a latest generation %+v", g)
 	}
 	for i := 1; i <= 3; i++ {
 		g := commitGen(t, s, strings.Repeat("x", i))
@@ -50,11 +51,10 @@ func TestCatalogRoundTrip(t *testing.T) {
 		t.Fatal("committed store not recognized as a store")
 	}
 	// A second handle (a different process) sees the same catalog.
-	s2, err := Open(root, Options{})
-	if err != nil {
+	if _, err := Open(root, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	gens, err := s2.Generations()
+	gens, err := ListGenerations(root)
 	if err != nil || len(gens) != 3 {
 		t.Fatalf("reopened store: %d generations (%v), want 3", len(gens), err)
 	}
@@ -63,9 +63,9 @@ func TestCatalogRoundTrip(t *testing.T) {
 			t.Fatalf("generation %d has ID %d; catalog must stay ascending", i, g.ID)
 		}
 	}
-	latest, ok, err := s2.Latest()
-	if err != nil || !ok || latest.ID != 3 {
-		t.Fatalf("Latest: %+v ok=%v err=%v", latest, ok, err)
+	latest, err := Lookup(root, nil)
+	if err != nil || latest.ID != 3 {
+		t.Fatalf("Lookup: %+v err=%v", latest, err)
 	}
 	byID := func(id uint64) func(Gen) bool { return func(g Gen) bool { return g.ID == id } }
 	if g, err := Lookup(root, byID(2)); err != nil || g.ID != 2 {
@@ -77,7 +77,8 @@ func TestCatalogRoundTrip(t *testing.T) {
 }
 
 // TestRetainPrune: commits beyond the retention window drop the oldest
-// generations — entry and directory both — unless protected.
+// generations — entry and directory both — unless a reader holds them; the
+// first commit after the hold is released drops a held one.
 func TestRetainPrune(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Options{Retain: 2})
@@ -87,41 +88,49 @@ func TestRetainPrune(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		commitGen(t, s, strings.Repeat("y", i))
 	}
-	gens, err := s.Generations()
-	if err != nil || len(gens) != 2 || gens[0].ID != 3 || gens[1].ID != 4 {
-		t.Fatalf("after 4 commits with retain 2: %+v err=%v", gens, err)
+	// ids lists the catalog, and checks that exactly its generations have
+	// directories.
+	ids := func() []uint64 {
+		t.Helper()
+		gens, err := ListGenerations(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for _, g := range gens {
+			out = append(out, g.ID)
+		}
+		for id := uint64(1); id <= gens[len(gens)-1].ID; id++ {
+			_, err := os.Stat(filepath.Join(root, genDirName(id)))
+			if listed := slices.Contains(out, id); listed != (err == nil) {
+				t.Fatalf("generation %d: listed %v in %v, directory: %v", id, listed, out, err)
+			}
+		}
+		return out
 	}
-	if _, err := os.Stat(filepath.Join(root, genDirName(1))); !os.IsNotExist(err) {
-		t.Fatal("pruned generation 1's directory survived")
-	}
-	if _, err := os.Stat(filepath.Join(root, genDirName(4))); err != nil {
-		t.Fatal("retained generation 4's directory is missing")
+	if got := ids(); !slices.Equal(got, []uint64{3, 4}) {
+		t.Fatalf("after 4 commits with retain 2: %v", got)
 	}
 
-	// A protected generation survives retention on the next commit.
-	tx, err := s.Begin()
+	// A held generation survives retention on every commit.
+	h, err := HoldGen(root, Gen{ID: 3, Dir: genDirName(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(tx.Dir(), "manifest.json"), []byte("w"), 0o644); err != nil {
-		t.Fatal(err)
+	defer h.Release()
+	commitGen(t, s, "w")
+	commitGen(t, s, "x")
+	if got := ids(); !slices.Equal(got, []uint64{3, 5, 6}) {
+		t.Fatalf("two commits past held generation 3: %v, want [3 5 6]", got)
 	}
-	if _, err := tx.Commit("manifest.json", map[uint64]bool{3: true}); err != nil {
-		t.Fatal(err)
+	h.Release()
+	commitGen(t, s, "z")
+	if got := ids(); !slices.Equal(got, []uint64{6, 7}) {
+		t.Fatalf("commit after the hold is released: %v, want [6 7]", got)
 	}
-	gens, _ = s.Generations()
-	ids := make([]uint64, len(gens))
-	for i, g := range gens {
-		ids[i] = g.ID
-	}
-	found := false
-	for _, id := range ids {
-		if id == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("protected generation 3 was pruned: %v", ids)
+	// A generation retention dropped can no longer be held.
+	if _, err := HoldGen(root, Gen{ID: 3, Dir: genDirName(3)}); err == nil {
+		t.Fatal("held a dropped generation")
 	}
 }
 
@@ -153,8 +162,7 @@ func TestSweepRemovesDebris(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(root, Options{})
-	if err != nil {
+	if _, err := Open(root, Options{}); err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
 	entries, err := os.ReadDir(root)
@@ -166,7 +174,7 @@ func TestSweepRemovesDebris(t *testing.T) {
 			t.Fatalf("sweep left %s behind", e.Name())
 		}
 	}
-	gens, err := s2.Generations()
+	gens, err := ListGenerations(root)
 	if err != nil || len(gens) != 1 || gens[0].ID != 2 {
 		t.Fatalf("after sweep: %+v err=%v, want only generation 2", gens, err)
 	}
@@ -189,11 +197,11 @@ func TestAbortLeavesNoTrace(t *testing.T) {
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatal("aborted transaction's directory survived")
 	}
-	if gens, _ := s.Generations(); len(gens) != 0 {
+	if gens, _ := ListGenerations(root); len(gens) != 0 {
 		t.Fatal("abort committed something")
 	}
 	g := commitGen(t, s, "kept")
-	if _, err := os.Stat(s.GenDir(g)); err != nil {
+	if _, err := os.Stat(filepath.Join(root, g.Dir)); err != nil {
 		t.Fatal("deferred Abort after Commit deleted the committed generation")
 	}
 }
@@ -230,7 +238,7 @@ func TestLookup(t *testing.T) {
 	if got, err := Lookup(root, func(Gen) bool { return false }); err == nil {
 		t.Fatalf("Lookup with a predicate taking nothing resolved %+v", got)
 	}
-	for _, dir := range []string{s.GenDir(g2), t.TempDir()} {
+	for _, dir := range []string{filepath.Join(root, g2.Dir), t.TempDir()} {
 		if got, err := Lookup(dir, nil); err == nil {
 			t.Fatalf("Lookup(%s) resolved a non-store directory to %+v", dir, got)
 		}
@@ -347,21 +355,21 @@ func TestCatalogRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, CatalogName), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Generations(); err == nil {
+	if _, err := ListGenerations(root); err == nil {
 		t.Fatal("garbage catalog accepted")
 	}
 	if err := os.WriteFile(filepath.Join(root, CatalogName),
 		[]byte(`{"version":1,"generations":[{"id":2,"dir":"gen-000002"},{"id":1,"dir":"gen-000001"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Generations(); err == nil {
+	if _, err := ListGenerations(root); err == nil {
 		t.Fatal("descending catalog accepted")
 	}
 }
 
 // TestCatalogRejectsSharedDir: a catalog whose entries name one directory
-// twice is refused, so pruning the older entry cannot delete the files of
-// the newer generation the catalog still lists.
+// twice is refused, so a commit's retention cannot drop the older entry
+// and delete the files of the newer generation the catalog still lists.
 func TestCatalogRejectsSharedDir(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, Options{})
@@ -374,12 +382,20 @@ func TestCatalogRejectsSharedDir(t *testing.T) {
 		[]byte(`{"version":1,"generations":[{"id":1,"dir":"gen-000002"},{"id":2,"dir":"gen-000002"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Generations(); err == nil {
+	if _, err := ListGenerations(root); err == nil {
 		t.Fatal("catalog naming one directory twice accepted")
 	}
 	s.retain = 1
-	if dropped, err := s.Prune(nil); err == nil {
-		t.Fatalf("prune ran on a catalog naming one directory twice, dropping %+v", dropped)
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	if err := os.WriteFile(filepath.Join(tx.Dir(), "manifest.json"), []byte("three"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := tx.Commit("manifest.json"); err == nil {
+		t.Fatalf("commit ran on a catalog naming one directory twice, committing %+v", g)
 	}
 	if _, err := os.Stat(filepath.Join(root, "gen-000002", "manifest.json")); err != nil {
 		t.Fatalf("the newest generation's files are gone: %v", err)

@@ -29,8 +29,8 @@ func holdSave(t *testing.T, st *snapstore.Store, src string) *snapstore.Tx {
 
 // TestReadersLeaveSaveInFlight: a publisher's save in flight survives
 // every reader of its store — a load, a reload, a shard reload, a rollback
-// and a scrub — and every other writer — another publisher's save and a
-// server opening the store — and commits afterwards. Readers only read the
+// and a scrub — and every other writer — another publisher's save and its
+// opening of the store — and commits afterwards. Readers only read the
 // catalog; a writer's recovery sweep skips a directory whose lock a live
 // transaction holds.
 func TestReadersLeaveSaveInFlight(t *testing.T) {
@@ -69,7 +69,7 @@ func TestReadersLeaveSaveInFlight(t *testing.T) {
 			t.Fatalf("%s deleted the save in flight: %v", step.name, err)
 		}
 	}
-	g, err := tx.Commit(pipeline.ShardManifestName, nil)
+	g, err := tx.Commit(pipeline.ShardManifestName)
 	if err != nil {
 		t.Fatalf("held save does not commit: %v", err)
 	}
@@ -326,7 +326,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 		}
 		check(fmt.Sprintf("step %d, %s", n, step))
 	}
-	if _, err := tx.Commit(pipeline.ShardManifestName, nil); err != nil {
+	if _, err := tx.Commit(pipeline.ShardManifestName); err != nil {
 		t.Fatalf("held save does not commit: %v", err)
 	}
 }

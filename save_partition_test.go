@@ -113,7 +113,7 @@ func TestSaveShardsRefreezesSwappedShard(t *testing.T) {
 	arts.Shards = slices.Clone(c.serving.Load().shards.Shards())
 	arts.Shards[k] = stale
 	c.arts.Store(&arts)
-	if err := c.publishShards(&arts, "shards", dir, g, man); err != nil {
+	if err := c.publishShards(&arts, "shards", dir, g, man, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Internal().Net != net || c.Internal().Shards[k] != stale {

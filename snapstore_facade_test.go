@@ -353,3 +353,51 @@ func TestSaveShardsRetainWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitKeepsServedGeneration: a facade rolled back past a
+// publisher's retention window keeps its generation through the
+// publisher's next commit — the scrubber still finds its files, and a
+// rollback can return to it — and once a reload moves serving off it,
+// the next commit drops it.
+func TestCommitKeepsServedGeneration(t *testing.T) {
+	c := buildSmall(t)
+	root := t.TempDir()
+	save := func(retain int) {
+		t.Helper()
+		if _, _, err := c.SaveShardsRetain(root, 3, retain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		save(4)
+	}
+	l, err := LoadShardedFrozen(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err := l.RollbackTo(1); err != nil || g.ID != 1 {
+		t.Fatalf("RollbackTo(1): gen %d, %v", g.ID, err)
+	}
+	save(2) // gen 4: gens 1 and 2 are past the window, and gen 1 is served
+	if rep, err := l.ScrubOnce(); err != nil || !rep.Clean() {
+		t.Fatalf("scrub of the served generation after a commit: %+v, %v", rep, err)
+	}
+	if g, err := l.RollbackTo(1); err != nil || g.ID != 1 {
+		t.Fatalf("RollbackTo(1) after a commit: gen %d, %v", g.ID, err)
+	}
+
+	if _, err := l.ReloadShards(root); err != nil {
+		t.Fatal(err)
+	}
+	if g := l.ServingInfo().CatalogGen; g != 4 {
+		t.Fatalf("serving gen %d after the reload, want 4", g)
+	}
+	save(2) // gen 5
+	gens, err := snapstore.ListGenerations(root)
+	if err != nil || len(gens) != 2 || gens[0].ID != 4 || gens[1].ID != 5 {
+		t.Fatalf("catalog after serving moved off gen 1: %+v, %v; want gens 4 and 5", gens, err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "gen-000001")); !os.IsNotExist(err) {
+		t.Fatalf("gen 1's directory survived the commit after serving moved off it: %v", err)
+	}
+}
