@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-
-	"alicoco/internal/fzio"
 )
 
 // csr is compressed-sparse-row adjacency grouped by edge kind: the edges of
@@ -22,9 +20,9 @@ import (
 // The edges of node id with kinds in [lo, hi) are then edges[starts[a] :
 // starts[b]] with a = rank + popcount(mask below lo) and b = rank +
 // popcount(mask below hi): one load more than a dense offset array, a
-// popcount, and no loop over kinds or edges. On disk a direction is still
-// the dense nodes × kinds + 1 offset array (persist_frozen.go): readCSR
-// builds this index from it and writeCSR expands it back.
+// popcount, and no loop over kinds or edges. On disk a direction is each
+// node's degree and then its kind-grouped edges (persist_frozen.go), and
+// newCSR builds this index from them, for Freeze as for LoadFrozen.
 type csr struct {
 	groups []uint32
 	starts []int32
@@ -81,107 +79,77 @@ func (c *csr) slice(id NodeID, kind EdgeKind) []HalfEdge {
 // may hold at most maxGroups non-empty groups; building more panics, so
 // partition such a net into more shards.
 func buildCSR(adj [][]HalfEdge) csr {
-	c := csr{groups: make([]uint32, len(adj))}
-	groups, total := 0, 0
-	for id, hes := range adj {
-		var mask uint32
-		for _, he := range hes {
-			mask |= 1 << uint(he.Kind)
-		}
-		c.groups[id] = uint32(groups)<<groupKindBits | mask
-		groups += bits.OnesCount32(mask)
+	total := 0
+	for _, hes := range adj {
 		total += len(hes)
 	}
-	if groups > maxGroups {
-		panic(fmt.Sprintf("core: freeze: %d non-empty (node, edge kind) groups in one direction, more than %d", groups, maxGroups))
-	}
-	c.starts = make([]int32, 0, groups+1)
-	c.edges = make([]HalfEdge, total)
-	pos := int32(0)
-	for _, hes := range adj {
-		var at [numEdgeKinds]int32 // each kind's next slot
+	degrees := make([]uint32, len(adj))
+	edges := make([]HalfEdge, total)
+	pos := 0
+	for id, hes := range adj {
+		degrees[id] = uint32(len(hes))
+		var at [numEdgeKinds]int // each kind's next slot
 		for _, he := range hes {
 			at[he.Kind]++
 		}
 		for k, n := range at {
-			if n > 0 {
-				c.starts = append(c.starts, pos)
-				at[k], pos = pos, pos+n
-			}
+			at[k], pos = pos, pos+n
 		}
 		for _, he := range hes {
-			c.edges[at[he.Kind]] = he
+			edges[at[he.Kind]] = he
 			at[he.Kind]++
 		}
 	}
-	c.starts = append(c.starts, pos)
+	c, err := newCSR(degrees, edges)
+	if err != nil {
+		panic("core: freeze: " + err.Error())
+	}
 	return c
 }
 
-// indexDense builds the group index from a direction's dense offsets as
-// the file holds them — nodes × numEdgeKinds + 1 little-endian u32s, where
-// node id's kind-k edges are edges[off[id*numEdgeKinds+k] :
-// off[id*numEdgeKinds+k+1]] — and validates them on the way: they must
-// start at 0, never decrease, end at the direction's edge count, and mark
-// at most maxGroups non-empty groups. One pass reads every offset; the
-// second reads only the starts of non-empty groups.
-func indexDense(off []byte, edges int) (groups []uint32, starts []int32, err error) {
-	slots := len(off)/4 - 1
-	groups = make([]uint32, slots/int(numEdgeKinds))
-	prev := int32(fzio.GetU32(off))
-	if prev != 0 {
-		return nil, nil, fmt.Errorf("offsets start at %d, want 0", prev)
-	}
-	count := 0
-	for id := range groups {
-		var mask uint32
-		for k := 0; k < int(numEdgeKinds); k++ {
-			slot := id*int(numEdgeKinds) + k + 1
-			cur := int32(fzio.GetU32(off[4*slot:]))
-			if cur < prev {
-				return nil, nil, fmt.Errorf("offsets decrease at %d", slot)
-			}
-			if cur != prev {
-				mask |= 1 << k
-			}
-			prev = cur
+// newCSR indexes a direction whose edges hold each node's run in turn:
+// degrees[id] edges of node id, in ascending kind order. It is the only
+// constructor of a csr: Freeze and LoadFrozen both call it. It rejects a
+// run whose kinds descend, runs that do not cover edges exactly, and more
+// than maxGroups non-empty groups. The first pass validates and counts the
+// groups, so starts is allocated to size; the second turns degrees into the
+// groups array in place, reading each entry before overwriting it.
+func newCSR(degrees []uint32, edges []HalfEdge) (csr, error) {
+	count, pos := 0, 0
+	for id, d := range degrees {
+		if uint64(d) > uint64(len(edges)-pos) {
+			return csr{}, fmt.Errorf("node %d: %d edges overrun the %d left", id, d, len(edges)-pos)
 		}
-		groups[id] = mask
-		count += bits.OnesCount32(mask)
+		for e := pos; e < pos+int(d); e++ {
+			if e == pos || edges[e].Kind > edges[e-1].Kind {
+				count++
+			} else if edges[e].Kind < edges[e-1].Kind {
+				return csr{}, fmt.Errorf("node %d: edge %d of kind %d breaks kind order after kind %d", id, e, edges[e].Kind, edges[e-1].Kind)
+			}
+		}
+		pos += int(d)
 	}
-	if int(prev) != edges {
-		return nil, nil, fmt.Errorf("offsets end at %d, want %d", prev, edges)
+	if pos != len(edges) {
+		return csr{}, fmt.Errorf("node runs cover %d of %d edges", pos, len(edges))
 	}
 	if count > maxGroups {
-		return nil, nil, fmt.Errorf("offsets mark %d non-empty (node, edge kind) groups, more than %d", count, maxGroups)
+		return csr{}, fmt.Errorf("%d non-empty (node, edge kind) groups in one direction, more than %d", count, maxGroups)
 	}
-	starts = make([]int32, 0, count+1)
-	for id, mask := range groups {
-		groups[id] = uint32(len(starts))<<groupKindBits | mask
-		for m := mask; m != 0; m &= m - 1 {
-			slot := id*int(numEdgeKinds) + bits.TrailingZeros32(m)
-			starts = append(starts, int32(fzio.GetU32(off[4*slot:])))
+	c := csr{groups: degrees, starts: make([]int32, 0, count+1), edges: edges}
+	pos = 0
+	for id, d := range degrees {
+		rank, mask := uint32(len(c.starts)), uint32(0)
+		for e := pos; e < pos+int(d); e++ {
+			if e == pos || edges[e].Kind != edges[e-1].Kind {
+				mask |= 1 << uint(edges[e].Kind)
+				c.starts = append(c.starts, int32(e))
+			}
 		}
+		c.groups[id] = rank<<groupKindBits | mask
+		pos += int(d)
 	}
-	return groups, append(starts, prev), nil
-}
-
-// appendDense appends the direction's dense offsets, in the form
-// indexDense reads, to dst.
-func (c *csr) appendDense(dst []byte) []byte {
-	var buf [4]byte
-	put := func(v int32) {
-		fzio.PutU32(buf[:], uint32(v))
-		dst = append(dst, buf[:]...)
-	}
-	for _, g := range c.groups {
-		rank, mask := g>>groupKindBits, g&groupKindMask
-		for k := 0; k < int(numEdgeKinds); k++ {
-			put(c.starts[rank+uint32(bits.OnesCount32(mask&(1<<k-1)))])
-		}
-	}
-	put(int32(len(c.edges)))
-	return dst
+	c.starts = append(c.starts, int32(pos))
+	return c, nil
 }
 
 // sortPostings weight-sorts every node's group of one edge kind, so serving

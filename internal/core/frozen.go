@@ -77,7 +77,7 @@ func (n *Net) Freeze() *ShardSet { return assembleShardSet(n.FreezeShards(1)) }
 // total)) with stride = ceil(total/count); trailing shards may be empty
 // when count exceeds the node count. The shards assemble into a ShardSet
 // for serving, and each persists/reloads on its own (see persist_frozen.go
-// version 2 and pipeline.SaveShards).
+// and pipeline.SaveShards).
 func (n *Net) FreezeShards(count int) []*FrozenNet {
 	if count < 1 {
 		count = 1

@@ -3,7 +3,6 @@ package core
 import (
 	"hash/maphash"
 	"math"
-	"slices"
 	"strings"
 	"unsafe"
 )
@@ -89,7 +88,7 @@ func (b *tableBuilder) addNode(kind NodeKind, off int, domain string) {
 // newNodeTable indexes the nodes a builder collected for the shard whose
 // first global ID is base. It is the only constructor of a node table:
 // Freeze and LoadFrozen both call it, so a loaded shard's name and kind
-// indexes are derived from its nodes, never taken from the file.
+// indexes are derived from its nodes, as a frozen shard's are.
 func newNodeTable(base NodeID, b *tableBuilder) nodeTable {
 	t := nodeTable{base: base, recs: b.recs, arena: b.arena, domains: b.domains}
 	n := len(t.recs)
@@ -208,9 +207,6 @@ func (t *nodeTable) entryName(e uint32) string {
 	return t.name(int(t.post[t.first[e]] - t.base))
 }
 
-// numNames returns the number of distinct names.
-func (t *nodeTable) numNames() int { return len(t.first) - 1 }
-
 // find returns the nodes named name, in ascending ID order, as a read-only
 // view of the postings; nil when no node has the name. h is nameHash(name).
 func (t *nodeTable) find(h uint64, name string) []NodeID {
@@ -256,15 +252,4 @@ func (t *nodeTable) ofKind(kind NodeKind) []NodeID {
 	}
 	a, b := t.kindOff[kind], t.kindOff[kind+1]
 	return t.kinds[a:b:b]
-}
-
-// sortedEntries returns the name-index entries ordered by name, the order
-// a snapshot file lists them in.
-func (t *nodeTable) sortedEntries() []uint32 {
-	order := make([]uint32, t.numNames())
-	for e := range order {
-		order[e] = uint32(e)
-	}
-	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(t.entryName(a), t.entryName(b)) })
-	return order
 }

@@ -1,28 +1,26 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 
 	"alicoco/internal/fzio"
 )
 
 // Frozen snapshot persistence: a versioned binary format for FrozenNet
 // itself, so cold start is a handful of bulk reads proportional to disk
-// bandwidth — no re-indexing, no re-sorting, no Freeze() pass.
+// bandwidth — no re-sorting and no Freeze() pass.
+//
+// A file is one shard of a partitioned net (see FreezeShards/ShardSet): it
+// records the shard's base ID and the whole net's node count, and — because
+// a shard's two adjacency directions hold different half-edge counts (a
+// cross-shard edge's halves live in different files) — the out and in edge
+// counts separately. A whole-net snapshot is the base=0, total=nodeCount
+// case of the same layout.
 //
 // Layout (all integers little-endian, str = u32 length + raw bytes):
-//
-// Version 2 makes a file self-describing as one shard of a partitioned net
-// (see FreezeShards/ShardSet): it records the shard's base ID and the whole
-// net's node count, and — because a shard's two adjacency directions hold
-// different half-edge counts (a cross-shard edge's halves live in different
-// files) — the out and in edge counts separately. A whole-net snapshot is
-// the base=0, total=nodeCount case of the same layout.
 //
 //	magic   "ACFZ"
 //	version u16
@@ -32,34 +30,35 @@ import (
 //	u32 nodeCount     (nodes this file holds)
 //	u32 base          (first global node ID; IDs are base..base+nodeCount-1)
 //	u32 totalNodes    (whole net's node count; peers are validated against it)
-//	u32 outEdgeCount  (== len(out.edges))
-//	u32 inEdgeCount   (== len(in.edges))
+//	u32 outEdgeCount  (out half-edges this file holds)
+//	u32 inEdgeCount   (in half-edges this file holds)
 //	rel table: u32 count, count × str          (relation names; count <= 1<<16)
 //	nodes:     nodeCount × (u8 kind, str name, str domain)   (ID = base+index)
-//	byName:    u32 entries, each str name + u32 cnt + cnt × u32 id
-//	           (names strictly ascending; every node once, under its own
-//	           name; ids ascending)
-//	byKind:    numKinds × (u32 cnt + cnt × u32 id)   (ids ascending)
-//	out CSR:   u32 offLen + offLen × u32 (bulk), u32 edgeCount + 16-byte records (bulk)
-//	           (offLen = nodeCount × numEdgeKinds + 1: the dense offsets)
-//	in  CSR:   same
+//	out edges: nodeCount × u32 degree (bulk), then outEdgeCount 16-byte
+//	           records (bulk): node by node, each node's in ascending kind
+//	           order; the degrees sum to outEdgeCount
+//	in  edges: the same, summing to inEdgeCount
 //	--- trailer ---
 //	u32 crc32 of body
 //
 // An edge record is 16 bytes: u32 peer | u32 (kind<<24 | relIndex) |
 // u64 float64 bits of weight — the size of the in-memory HalfEdge, which
 // holds the name's RelID where the file holds its index in the rel table.
-// Kind-grouped CSR order and the freeze-time weight-sorted postings are
-// preserved byte-for-byte, so LoadFrozen never sorts. The file keeps one
-// offset per (node, edge kind) pair; in memory a direction keeps only its
-// non-empty groups (csr.go), which LoadFrozen indexes from the offsets and
-// Save expands back into them, so the bytes do not depend on the in-memory
-// layout. The two index sections are redundant with the node records:
-// LoadFrozen derives both indexes from the nodes, as Freeze does, and
-// rejects a file whose sections differ from them in any way.
+// Kind-grouped edge order and the freeze-time weight-sorted postings are
+// preserved byte-for-byte, so LoadFrozen never sorts. The file holds
+// nothing the loader can derive: LoadFrozen builds the name and kind
+// indexes from the node records and each direction's group index from its
+// degrees and edge kinds, with the constructors Freeze uses (newNodeTable,
+// newCSR), so the bytes do not depend on the in-memory layout. Only this
+// version loads: a store saved in an older one must be saved again.
 
 const (
-	frozenVersion = 2
+	frozenVersion = 3
+
+	// FrozenHeaderLen and FrozenTrailerLen frame a shard file's
+	// checksummed body: the magic and version before it, its CRC-32 after.
+	FrozenHeaderLen  = 6
+	FrozenTrailerLen = 4
 
 	// frozenEdgeRecSize is the fixed on-disk size of one half-edge.
 	frozenEdgeRecSize = 16
@@ -96,14 +95,15 @@ func buildRelTable(csrs ...*csr) (*relTable, error) {
 	return t, nil
 }
 
-// writeCSR emits one direction as the format's dense offset array, expanded
-// from the group index, and its edge records, as two bulk writes.
+// writeCSR emits one direction: each node's degree, then the edge
+// records, as two bulk writes.
 func writeCSR(fw *fzio.Writer, c *csr, rels *relTable) {
-	offLen := len(c.groups)*int(numEdgeKinds) + 1
-	fw.U32(uint32(offLen))
-	fw.Bytes(c.appendDense(make([]byte, 0, 4*offLen)))
+	degBuf := make([]byte, 4*len(c.groups))
+	for id := range c.groups {
+		fzio.PutU32(degBuf[4*id:], uint32(len(c.slice(NodeID(id), -1))))
+	}
+	fw.Bytes(degBuf)
 
-	fw.U32(uint32(len(c.edges)))
 	recBuf := make([]byte, frozenEdgeRecSize*len(c.edges))
 	for i := range c.edges {
 		he := &c.edges[i]
@@ -117,56 +117,41 @@ func writeCSR(fw *fzio.Writer, c *csr, rels *relTable) {
 	fw.Bytes(recBuf)
 }
 
-// readCSR reads one direction back and validates its structure: offsets
-// monotone and consistent with the edge count, peers in range (against the
-// whole net's node count — a shard's peers may live in other shards), each
-// record's kind agreeing with the CSR group it sits in, rel indexes below
-// relCount. The dense offsets are only read: the direction keeps the group
-// index built from them. Each edge's Rel holds its file index until
-// LoadFrozen, once the checksum verifies, maps the index to the name's
-// RelID.
+// readCSR reads one direction back and validates it: the degrees must sum
+// to the header's edge count before any record is read; each record's peer
+// must be in range (against the whole net's node count — a shard's peers
+// may live in other shards), its kind a valid kind and its rel index below
+// relCount; and newCSR checks that every node's run ascends by kind. Each
+// edge's Rel holds its file index until LoadFrozen, once the checksum
+// verifies, maps the index to the name's RelID.
 func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relCount int) csr {
-	var c csr
-	offLen := fr.Count(dir + " offset")
-	wantOff := nodeCount*int(numEdgeKinds) + 1
-	if fr.Err == nil && offLen != wantOff {
-		fr.Err = fmt.Errorf("%s offset array length %d, want %d", dir, offLen, wantOff)
-	}
+	// The node records already read vouch for nodeCount, so the degrees
+	// are read in one piece.
+	degBuf := make([]byte, 4*nodeCount)
+	fr.Bytes(degBuf)
 	if fr.Err != nil {
-		return c
+		return csr{}
 	}
-	offBuf := make([]byte, 4*offLen)
-	fr.Bytes(offBuf)
-	recs := fr.Count(dir + " edge")
-	if fr.Err == nil && recs != edgeCount {
-		fr.Err = fmt.Errorf("%s edge count %d disagrees with header %d", dir, recs, edgeCount)
+	degrees := make([]uint32, nodeCount)
+	var sum uint64
+	for id := range degrees {
+		degrees[id] = fzio.GetU32(degBuf[4*id:])
+		sum += uint64(degrees[id])
 	}
-	if fr.Err == nil {
-		var err error
-		if c.groups, c.starts, err = indexDense(offBuf, recs); err != nil {
-			fr.Err = fmt.Errorf("%s %w", dir, err)
-		}
-	}
-	if fr.Err != nil {
-		return c
+	if sum != uint64(edgeCount) {
+		fr.Err = fmt.Errorf("%s degrees sum to %d, which disagrees with header edge count %d", dir, sum, edgeCount)
+		return csr{}
 	}
 	// Records are read in bounded chunks and appended, so the slice only
 	// grows as fast as the stream actually delivers data.
 	const chunkRecs = 1 << 15 // 512 KiB per read
-	c.edges = make([]HalfEdge, 0, fzio.Prealloc(recs))
-	chunk := recs
-	if chunk > chunkRecs {
-		chunk = chunkRecs
-	}
-	recBuf := make([]byte, frozenEdgeRecSize*chunk)
-	for done := 0; done < recs; {
-		n := recs - done
-		if n > chunkRecs {
-			n = chunkRecs
-		}
+	edges := make([]HalfEdge, 0, fzio.Prealloc(edgeCount))
+	recBuf := make([]byte, frozenEdgeRecSize*min(edgeCount, chunkRecs))
+	for done := 0; done < edgeCount; {
+		n := min(edgeCount-done, chunkRecs)
 		fr.Bytes(recBuf[:frozenEdgeRecSize*n])
 		if fr.Err != nil {
-			return c
+			return csr{}
 		}
 		for i := 0; i < n; i++ {
 			rec := recBuf[frozenEdgeRecSize*i:]
@@ -176,13 +161,17 @@ func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relC
 			relIdx := kindRel & 0xFFFFFF
 			if int(peer) >= totalNodes {
 				fr.Err = fmt.Errorf("%s edge %d: peer %d out of range", dir, done+i, peer)
-				return c
+				return csr{}
+			}
+			if kind < 0 || kind >= numEdgeKinds {
+				fr.Err = fmt.Errorf("%s edge %d: kind %d out of range", dir, done+i, kind)
+				return csr{}
 			}
 			if int(relIdx) >= relCount {
 				fr.Err = fmt.Errorf("%s edge %d: rel index %d out of range", dir, done+i, relIdx)
-				return c
+				return csr{}
 			}
-			c.edges = append(c.edges, HalfEdge{
+			edges = append(edges, HalfEdge{
 				Peer:   NodeID(peer),
 				Kind:   kind,
 				Rel:    RelID(relIdx), // relCount <= maxRels, so the index fits
@@ -191,19 +180,9 @@ func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relC
 		}
 		done += n
 	}
-	// Each record's kind must match the (node, kind) CSR group holding it.
-	for _, g := range c.groups {
-		r := g >> groupKindBits
-		for m := g & groupKindMask; m != 0; m &= m - 1 {
-			want := EdgeKind(bits.TrailingZeros32(m))
-			for e := c.starts[r]; e < c.starts[r+1]; e++ {
-				if c.edges[e].Kind != want {
-					fr.Err = fmt.Errorf("%s edge %d: kind %d disagrees with CSR group %d", dir, e, c.edges[e].Kind, want)
-					return c
-				}
-			}
-			r++
-		}
+	c, err := newCSR(degrees, edges)
+	if err != nil {
+		fr.Err = fmt.Errorf("%s %w", dir, err)
 	}
 	return c
 }
@@ -242,65 +221,11 @@ func readNodes(fr *fzio.Reader, base NodeID, nodeCount int) nodeTable {
 	return newNodeTable(base, &b)
 }
 
-// checkNameIndex reads the name-index section and requires it to equal the
-// index t derived from its nodes: the same number of names, in strictly
-// ascending order, each listing exactly its nodes in ascending ID order.
-func checkNameIndex(fr *fzio.Reader, t *nodeTable) {
-	count := fr.Count("name index")
-	if fr.Err == nil && count != t.numNames() {
-		fr.Err = fmt.Errorf("name index lists %d names, the nodes have %d", count, t.numNames())
-	}
-	var name, prev []byte
-	for i := 0; i < count && fr.Err == nil; i++ {
-		name = fr.AppendStr(name[:0], fzio.MaxStr)
-		cnt := fr.Count("name entry")
-		if fr.Err != nil {
-			return
-		}
-		if i > 0 && bytes.Compare(prev, name) >= 0 {
-			fr.Err = fmt.Errorf("name index %q follows %q: names must ascend", name, prev)
-			return
-		}
-		key := bytesView(name)
-		want := t.find(nameHash(key), key)
-		if want == nil {
-			fr.Err = fmt.Errorf("name index lists %q, which no node has", name)
-			return
-		}
-		if cnt != len(want) {
-			fr.Err = fmt.Errorf("name index %q lists %d nodes, want %d", name, cnt, len(want))
-			return
-		}
-		for j := 0; j < cnt && fr.Err == nil; j++ {
-			if id := NodeID(fr.U32()); fr.Err == nil && id != want[j] {
-				fr.Err = fmt.Errorf("name index %q lists node %d where node %d belongs", name, id, want[j])
-			}
-		}
-		name, prev = prev, name
-	}
-}
-
-// checkKindIndex reads the kind-index section and requires each kind's list
-// to equal the ascending IDs of the nodes of that kind.
-func checkKindIndex(fr *fzio.Reader, t *nodeTable) {
-	for k := NodeKind(0); k < numKinds && fr.Err == nil; k++ {
-		cnt := fr.Count("kind index")
-		want := t.ofKind(k)
-		if fr.Err == nil && cnt != len(want) {
-			fr.Err = fmt.Errorf("kind %d index lists %d nodes, want %d", k, cnt, len(want))
-		}
-		for j := 0; j < cnt && fr.Err == nil; j++ {
-			if id := NodeID(fr.U32()); fr.Err == nil && id != want[j] {
-				fr.Err = fmt.Errorf("kind %d index lists node %d where node %d belongs", k, id, want[j])
-			}
-		}
-	}
-}
-
 // Save writes a versioned, checksummed binary snapshot of the shard (of a
-// whole one-shard net, or of one shard of a partition). The format round-trips through LoadFrozen without
-// any rebuild work. Every limit LoadFrozen enforces is checked here first,
-// so Save never produces a file its own loader would reject.
+// whole one-shard net, or of one shard of a partition). The format
+// round-trips through LoadFrozen without any sorting. Every limit
+// LoadFrozen enforces is checked here first, so Save never produces a file
+// its own loader would reject.
 func (f *FrozenNet) Save(w io.Writer) error {
 	_, err := f.SaveSum(w)
 	return err
@@ -355,24 +280,6 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 		fw.Str(t.name(i))
 		fw.Str(t.domains[r.dom])
 	}
-	// byName entries are sorted so identical nets serialize identically.
-	entries := t.sortedEntries()
-	fw.U32(uint32(len(entries)))
-	for _, e := range entries {
-		fw.Str(t.entryName(e))
-		ids := t.post[t.first[e]:t.first[e+1]]
-		fw.U32(uint32(len(ids)))
-		for _, id := range ids {
-			fw.U32(uint32(id))
-		}
-	}
-	for k := NodeKind(0); k < numKinds; k++ {
-		ids := t.ofKind(k)
-		fw.U32(uint32(len(ids)))
-		for _, id := range ids {
-			fw.U32(uint32(id))
-		}
-	}
 	writeCSR(&fw, &f.out, rels)
 	writeCSR(&fw, &f.in, rels)
 	if fw.Err != nil {
@@ -389,9 +296,9 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 
 // LoadFrozen reads a snapshot written by (*FrozenNet).Save and returns the
 // shard, ready to assemble into a ShardSet (NewShardSet) and serve. Every
-// structural invariant is validated —
-// offsets, kinds, node ids, rel indexes, the edge counter, the checksum —
-// so corrupt or truncated input yields an error, never a panic later.
+// structural invariant is validated — node and edge kinds, degrees, kind
+// order, peers, rel indexes, the edge counts, the checksum — so corrupt or
+// truncated input yields an error, never a panic later.
 func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 	head := fzio.Reader{R: r}
 	var magic [4]byte
@@ -443,20 +350,13 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		f.nodes = readNodes(&fr, NodeID(base), nodeCount)
 	}
 	if fr.Err == nil {
-		checkNameIndex(&fr, &f.nodes)
-	}
-	if fr.Err == nil {
-		checkKindIndex(&fr, &f.nodes)
-	}
-
-	if fr.Err == nil {
 		f.out = readCSR(&fr, "out", nodeCount, outEdgeCount, totalNodes, relCount)
 	}
 	if fr.Err == nil {
 		f.in = readCSR(&fr, "in", nodeCount, inEdgeCount, totalNodes, relCount)
 	}
 	if fr.Err == nil {
-		// The logical edge counter is not trusted beyond the header/CSR
+		// The logical edge counter is not trusted beyond the header/degree
 		// agreement already enforced by readCSR; the shard's logical count
 		// is its out-half-edge count, so shard counts sum to the net's.
 		f.edges = len(f.out.edges)

@@ -113,9 +113,8 @@ func TestFrozenSaveLoadRoundTripRandomized(t *testing.T) {
 	}
 }
 
-// TestFrozenSaveDeterministic: identical nets serialize to identical bytes
-// (the name index is emitted in sorted order), so snapshot files diff
-// cleanly and checksums are reproducible.
+// TestFrozenSaveDeterministic: identical nets serialize to identical bytes,
+// so snapshot files diff cleanly and checksums are reproducible.
 func TestFrozenSaveDeterministic(t *testing.T) {
 	n := buildRandomNet(t, 3)
 	f := n.Freeze().Shard(0)
@@ -208,51 +207,38 @@ func TestLoadFrozenChecksum(t *testing.T) {
 }
 
 // corrupt cases built by mutating a freshly frozen net before saving, or by
-// rewriting the saved file's index sections: the file is internally
-// consistent (valid CRC) but structurally wrong, so the structural
-// validation itself must catch it.
+// editing the saved bytes: the file is internally consistent (valid CRC)
+// but wrong, so the validation itself must catch it.
 func TestLoadFrozenStructuralCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(f *FrozenNet)     // applied before saving
-		edit    func(idx *fileIndexes) // applied to the saved index sections
+		mutate  func(f *FrozenNet) // applied before saving
+		edit    func(data []byte)  // applied to the saved bytes
 		errWant string
 	}{
 		{name: "edge kind out of range", mutate: func(f *FrozenNet) {
 			f.out.edges[0].Kind = EdgeKind(99)
 		}, errWant: "kind"},
 		{name: "edge kind wrong CSR group", mutate: func(f *FrozenNet) {
-			// Valid enum value, but disagrees with the group the edge sits in.
-			f.out.edges[0].Kind = (f.out.edges[0].Kind + 1) % numEdgeKinds
-		}, errWant: "disagrees with CSR group"},
+			// Valid kinds, but a node's run must ascend by kind: swap the
+			// ends of the first run that holds two kinds.
+			for id := range f.out.groups {
+				if run := f.out.slice(NodeID(id), -1); len(run) > 1 && run[0].Kind != run[len(run)-1].Kind {
+					run[0], run[len(run)-1] = run[len(run)-1], run[0]
+					return
+				}
+			}
+			panic("no node has out edges of two kinds")
+		}, errWant: "kind order"},
 		{name: "peer out of range", mutate: func(f *FrozenNet) {
 			f.out.edges[0].Peer = NodeID(f.NumNodes() + 7)
 		}, errWant: "peer"},
-		{name: "name index id mismatch", edit: func(idx *fileIndexes) {
-			idx.ids[0] = []uint32{idx.ids[1][0]} // "category" lists "clothing"'s node
-		}, errWant: "name index"},
-		{name: "name index omits an entry", edit: func(idx *fileIndexes) {
-			idx.names, idx.ids = idx.names[1:], idx.ids[1:] // "category" unlisted
-		}, errWant: "name index"},
-		{name: "name index out of order", edit: func(idx *fileIndexes) {
-			idx.names[0], idx.names[1] = idx.names[1], idx.names[0]
-			idx.ids[0], idx.ids[1] = idx.ids[1], idx.ids[0]
-		}, errWant: "ascend"},
-		{name: "name index lists a name no node has", edit: func(idx *fileIndexes) {
-			idx.names[0], idx.ids[0] = "aardvark", nil // and "category" unlisted
-		}, errWant: "no node has"},
-		{name: "name index lists a node twice", edit: func(idx *fileIndexes) {
-			idx.ids[0] = append(idx.ids[0], idx.ids[0][0])
-		}, errWant: "name index"},
-		{name: "kind index id mismatch", edit: func(idx *fileIndexes) {
-			idx.kinds[KindClass][0] = idx.kinds[KindItem][0]
-		}, errWant: "kind"},
-		{name: "kind index lists a node twice", edit: func(idx *fileIndexes) {
-			idx.kinds[KindClass] = append(idx.kinds[KindClass], idx.kinds[KindClass][0])
-		}, errWant: "kind 0 index"},
 		{name: "shard range exceeds declared total", mutate: func(f *FrozenNet) {
 			f.total--
 		}, errWant: "declared total"},
+		{name: "version 2 file", edit: func(data []byte) {
+			data[4], data[5] = 2, 0
+		}, errWant: "unsupported snapshot version 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,7 +249,7 @@ func TestLoadFrozenStructuralCorruption(t *testing.T) {
 			}
 			data := saveFrozen(t, f)
 			if tc.edit != nil {
-				data = editIndexes(data, tc.edit)
+				tc.edit(data)
 			}
 			_, err := LoadFrozen(bytes.NewReader(data))
 			if err == nil {
@@ -276,80 +262,13 @@ func TestLoadFrozenStructuralCorruption(t *testing.T) {
 	}
 }
 
-// fileIndexes is the decoded name- and kind-index sections of a saved
-// snapshot.
-type fileIndexes struct {
-	names []string
-	ids   [][]uint32 // ids[i] lists names[i]'s nodes
-	kinds [numKinds][]uint32
-}
-
-// indexSpan returns the byte range of a saved snapshot's two index sections
-// and what they hold.
-func indexSpan(data []byte) (start, end int, idx fileIndexes) {
-	_, at, _ := relTableSpan(data)
-	u32 := func() uint32 {
-		at += 4
-		return fzio.GetU32(data[at-4:])
-	}
-	str := func() string {
-		n := int(u32())
-		at += n
-		return string(data[at-n : at])
-	}
-	ids := func() []uint32 {
-		out := make([]uint32, u32())
-		for i := range out {
-			out[i] = u32()
-		}
-		return out
-	}
-	for i := fzio.GetU32(data[8:]); i > 0; i-- { // nodeCount follows the two kind counts
-		at++ // kind
-		str()
-		str()
-	}
-	start = at
-	for i := u32(); i > 0; i-- {
-		idx.names = append(idx.names, str())
-		idx.ids = append(idx.ids, ids())
-	}
-	for k := range idx.kinds {
-		idx.kinds[k] = ids()
-	}
-	return start, at, idx
-}
-
-// editIndexes returns a saved snapshot with its index sections rewritten by
-// edit and its trailing CRC recomputed, so the file verifies.
-func editIndexes(data []byte, edit func(idx *fileIndexes)) []byte {
-	start, end, idx := indexSpan(data)
-	edit(&idx)
-	return spliced(data, start, end, func(fw *fzio.Writer) {
-		writeIDs := func(ids []uint32) {
-			fw.U32(uint32(len(ids)))
-			for _, id := range ids {
-				fw.U32(id)
-			}
-		}
-		fw.U32(uint32(len(idx.names)))
-		for i, name := range idx.names {
-			fw.Str(name)
-			writeIDs(idx.ids[i])
-		}
-		for _, ids := range idx.kinds {
-			writeIDs(ids)
-		}
-	})
-}
-
 // TestLoadFrozenHugeClaimedCounts: a tiny file whose header claims huge
 // element counts must fail on the missing data without the claimed counts
 // driving allocation (slices only grow as genuine bytes arrive).
 func TestLoadFrozenHugeClaimedCounts(t *testing.T) {
 	huge := []byte{0, 0, 0, 8} // 1<<27, exactly at the cap
 	zero := []byte{0, 0, 0, 0}
-	buf := append([]byte("ACFZ"), 2, 0) // magic + version
+	buf := append([]byte("ACFZ"), 3, 0) // magic + version
 	buf = append(buf, 4, 6)             // numKinds, numEdgeKinds
 	buf = append(buf, huge...)          // nodeCount
 	buf = append(buf, zero...)          // base
@@ -362,7 +281,7 @@ func TestLoadFrozenHugeClaimedCounts(t *testing.T) {
 	}
 	// Above the cap the count itself is rejected.
 	over := []byte{1, 0, 0, 8} // 1<<27 + 1
-	buf = append([]byte("ACFZ"), 2, 0)
+	buf = append([]byte("ACFZ"), 3, 0)
 	buf = append(buf, 4, 6)
 	buf = append(buf, over...)
 	if _, err := LoadFrozen(bytes.NewReader(buf)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
@@ -408,11 +327,39 @@ func TestLoadRejectsNodeKindOutOfRange(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsAdjacencyShapeMismatch: out degrees that do not add up to
+// the header's out-edge count are rejected before any edge record is read,
+// whether one degree runs past the edges or the degrees leave edges over.
 func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
-	data := savedWith(t, func(f *FrozenNet) { f.out.groups = f.out.groups[:len(f.out.groups)-1] })
-	if _, err := LoadFrozen(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "offset array length") {
-		t.Fatalf("offsets shorter than the node list: got %v", err)
+	n, ids := buildToyNet(t)
+	full := saveFrozen(t, n.Freeze().Shard(0))
+	edges := uint32(n.NumEdges())
+	for _, tc := range []struct {
+		name   string
+		node   NodeID
+		degree uint32
+	}{
+		{"a degree overruns the edges", ids["clsCategory"], edges + 1},
+		{"degrees leave edges over", ids["clsClothing"], 0}, // its one isA edge
+	} {
+		at := outDegreesAt(full) + 4*int(tc.node)
+		bad := spliced(full, at, at+4, func(fw *fzio.Writer) { fw.U32(tc.degree) })
+		if _, err := LoadFrozen(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "out degrees sum to") {
+			t.Fatalf("%s: got %v", tc.name, err)
+		}
 	}
+}
+
+// outDegreesAt returns the offset of a saved snapshot's out degrees, which
+// follow the rel table and the node records.
+func outDegreesAt(data []byte) int {
+	_, at, _ := relTableSpan(data)
+	for i := fzio.GetU32(data[8:]); i > 0; i-- { // nodeCount follows the two kind counts
+		at++                                  // kind
+		at += 4 + int(fzio.GetU32(data[at:])) // name
+		at += 4 + int(fzio.GetU32(data[at:])) // domain
+	}
+	return at
 }
 
 // TestLoadRecomputesEdgeCounter: the loaded edge count comes from the CSR

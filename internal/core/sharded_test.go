@@ -223,8 +223,8 @@ func TestNewShardSetValidation(t *testing.T) {
 }
 
 // TestShardSaveLoadRoundTrip: each shard persists and reloads on its own
-// (format v2 carries base/total), and the reloaded set still matches the
-// unsharded net.
+// (the shard format carries base/total), and the reloaded set still
+// matches the unsharded net.
 func TestShardSaveLoadRoundTrip(t *testing.T) {
 	n := buildRandomNet(t, 21)
 	f := n.Freeze()

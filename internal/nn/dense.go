@@ -86,12 +86,6 @@ func (d *Dense) Forward(x mat.Vec) (mat.Vec, *DenseCache) {
 	return y, &DenseCache{x: x, y: y}
 }
 
-// Apply runs the layer without recording a cache (inference only).
-func (d *Dense) Apply(x mat.Vec) mat.Vec {
-	y, _ := d.Forward(x)
-	return y
-}
-
 // Backward accumulates gradients for dy at the cached input and returns dx.
 func (d *Dense) Backward(dy mat.Vec, c *DenseCache) mat.Vec {
 	dz := make(mat.Vec, d.Out)

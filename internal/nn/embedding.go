@@ -21,14 +21,6 @@ func NewEmbedding(name string, vocab, dim int, rng *rand.Rand) *Embedding {
 	return e
 }
 
-// NewEmbeddingFrom wraps pre-trained vectors (rows of m) as an embedding
-// layer. The table is copied.
-func NewEmbeddingFrom(name string, m *mat.Mat, frozen bool) *Embedding {
-	e := &Embedding{Vocab: m.Rows, Dim: m.Cols, Table: NewParam(name, m.Rows, m.Cols), Frozen: frozen}
-	copy(e.Table.W.Data, m.Data)
-	return e
-}
-
 // Params implements Layer. A frozen embedding exposes no trainable params.
 func (e *Embedding) Params() []*Param {
 	if e.Frozen {

@@ -23,14 +23,12 @@ import (
 // shards and is not interrupted.
 
 // File framing the scrubber must skip when re-hashing bodies: the frozen
-// shard format (core/persist_frozen.go) and the sharded meta file both
-// carry magic+version headers and a CRC-32 trailer that are not part of
-// the checksummed body.
+// shard format (core.FrozenHeaderLen, core.FrozenTrailerLen) and the
+// sharded meta file both carry magic+version headers and a CRC-32 trailer
+// that are not part of the checksummed body.
 const (
-	frozenHeaderLen  = 6 // "ACFZ" magic + uint16 version
-	frozenTrailerLen = 4 // body CRC-32
-	metaHeaderLen    = 5 // "ACSM" magic + version byte
-	metaTrailerLen   = 4 // body CRC-32
+	metaHeaderLen  = 5 // "ACSM" magic + version byte
+	metaTrailerLen = 4 // body CRC-32
 )
 
 // FileChecks returns the verification checks covering every file the
@@ -41,7 +39,7 @@ func (m *ShardManifest) FileChecks() []snapstore.FileCheck {
 	for i := range m.Shards {
 		e := &m.Shards[i]
 		checks = append(checks, snapstore.FileCheck{
-			Name: e.File, HeaderLen: frozenHeaderLen, TrailerLen: frozenTrailerLen, Want: e.Checksum,
+			Name: e.File, HeaderLen: core.FrozenHeaderLen, TrailerLen: core.FrozenTrailerLen, Want: e.Checksum,
 		})
 	}
 	checks = append(checks, snapstore.FileCheck{

@@ -22,7 +22,7 @@ import (
 //
 //	manifest.json   shard count, partition spec, per-file checksums (commit point)
 //	meta.bin        stopwords and item table (see snapshot.go)
-//	shard-0000.fz … frozen-format v2 shard files (see core/persist_frozen.go)
+//	shard-0000.fz … frozen-format shard files (see core/persist_frozen.go)
 //
 // The files are written into the store's temp generation directory and the
 // catalog update commits it — a crashed save never leaves a generation that

@@ -61,21 +61,24 @@ func (b *Breaker) Success() {
 	b.mu.Unlock()
 }
 
-// Failure records a failed attempt; crossing the threshold opens the
-// breaker, and any failure past it restarts the cooldown window.
-func (b *Breaker) Failure() {
+// Failure records a failed attempt and reports whether it opened the
+// breaker: crossing the threshold opens it, and any failure past it
+// restarts the cooldown window. A nil breaker never opens.
+func (b *Breaker) Failure() (opened bool) {
 	if b == nil {
-		return
+		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecutive++
 	if b.consecutive == b.threshold {
 		b.opens++
+		opened = true
 	}
 	if b.consecutive >= b.threshold {
 		b.openSince = b.now()
 	}
+	return opened
 }
 
 // BreakerStats is a point-in-time snapshot of the breaker. The server

@@ -161,7 +161,9 @@ func TestBreakerOpensAfterThresholdAndCoolsDown(t *testing.T) {
 		if !b.Allow() {
 			t.Fatalf("closed breaker denied attempt %d", i)
 		}
-		b.Failure()
+		if opened := b.Failure(); opened != (i == 2) {
+			t.Fatalf("failure %d reported opened=%v", i, opened)
+		}
 	}
 	if b.Allow() {
 		t.Fatal("breaker still allowing after threshold failures")
@@ -177,8 +179,11 @@ func TestBreakerOpensAfterThresholdAndCoolsDown(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("half-open breaker denied the probe")
 	}
-	// Probe fails: the cooldown window restarts.
-	b.Failure()
+	// Probe fails: the cooldown window restarts, and the breaker, already
+	// open, does not report opening again.
+	if b.Failure() {
+		t.Fatal("failed probe reported opening the breaker")
+	}
 	if b.Allow() {
 		t.Fatal("breaker allowed immediately after failed probe")
 	}
@@ -212,7 +217,9 @@ func TestNilBreakerAlwaysAllows(t *testing.T) {
 		t.Fatal("nil breaker denied")
 	}
 	b.Success()
-	b.Failure()
+	if b.Failure() {
+		t.Fatal("nil breaker opened")
+	}
 	if st := b.Stats(); st.State != "closed" {
 		t.Fatalf("nil breaker stats %+v", st)
 	}

@@ -289,7 +289,7 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	if _, err := s.tryReload(-1); err != nil {
 		t.Fatalf("reload of newer commit: %v", err)
 	}
-	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_consecutive_failures"); state != "closed" || consec != 0 {
+	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_breaker_consecutive_failures"); state != "closed" || consec != 0 {
 		t.Fatalf("breaker did not recover: %s, %v consecutive reload failures", state, consec)
 	}
 	if g := s.coco.ServingInfo().CatalogGen; g != next {
@@ -297,6 +297,41 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	}
 	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
 		t.Fatalf("search after recovery: status %d", code)
+	}
+}
+
+// TestShardReloadFailureSparesBreaker: a failed single-shard reload counts
+// against its shard alone. Only whole-net failures feed the breaker, and
+// the one that opens it rolls serving back.
+func TestShardReloadFailureSparesBreaker(t *testing.T) {
+	s := chaosServer(t, func(cfg *serveConfig) {
+		cfg.breakerThreshold = 2
+		cfg.breakerCooldown = time.Hour
+	})
+	bad := commitShards(t, s, 4) // over the 3-shard partition serving
+	corruptFile(t, filepath.Join(s.store, fmt.Sprintf("gen-%06d", bad), "shard-0002.fz"))
+
+	if _, err := s.tryReload(0); err == nil {
+		t.Fatal("shard reload across a shard-count change succeeded")
+	}
+	if _, err := s.tryReload(-1); err == nil {
+		t.Fatal("reload of the corrupt generation succeeded")
+	}
+	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_breaker_consecutive_failures"); state != "closed" || consec != 1 {
+		t.Fatalf("after a shard and a whole-net failure: breaker %s with %v failures, want closed with 1", state, consec)
+	}
+	if rollbacks := metricValue(t, s, "cocoserve_rollbacks_total"); rollbacks != 0 {
+		t.Fatalf("%v rollbacks before the breaker opened", rollbacks)
+	}
+
+	if _, err := s.tryReload(-1); err == nil {
+		t.Fatal("second reload of the corrupt generation succeeded")
+	}
+	if state, rollbacks := breakerState(t, s), metricValue(t, s, "cocoserve_rollbacks_total"); state != "open" || rollbacks != 1 {
+		t.Fatalf("after a second whole-net failure: breaker %s, %v rollbacks; want open and 1", state, rollbacks)
+	}
+	if g := s.coco.ServingInfo().CatalogGen; g == bad {
+		t.Fatalf("serving the corrupt generation %d", g)
 	}
 }
 
@@ -649,7 +684,7 @@ func TestStatsResilienceSection(t *testing.T) {
 	}
 	p = scrape(t, s.mux())
 	failures, _ := p.Value("cocoserve_reload_failures_total")
-	consec, _ := p.Value("cocoserve_reload_consecutive_failures")
+	consec, _ := p.Value("cocoserve_reload_breaker_consecutive_failures")
 	if failures == 0 || consec == 0 {
 		t.Fatalf("reload failure not counted: %v failures, %v consecutive", failures, consec)
 	}

@@ -261,10 +261,11 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // shard of the store's newest generation when shard >= 0 — with the
 // resilience bookkeeping: the skiplist hold (a shard of a rolled-back
 // generation is held like the whole of it), post-swap validation, the
-// breaker, failure counters and backoff. A whole-net failure counts toward
-// the breaker-trip auto-rollback; a shard's failure counts against that
-// shard alone. Serving keeps the last good snapshot through any number of
-// failures — a reload only ever publishes after full verification.
+// breaker, failure counters and backoff. A whole-net failure feeds the
+// breaker, and the failure that trips it rolls serving back; a shard's
+// failure counts against that shard alone. Serving keeps the last good
+// snapshot through any number of failures — a reload only ever publishes
+// after full verification.
 func (s *server) tryReload(shard int) (source string, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -282,7 +283,6 @@ func (s *server) tryReload(shard int) (source string, err error) {
 	if err == nil {
 		s.breaker.Success()
 		s.backoff.Reset()
-		s.consecReloads = 0
 		if shard >= 0 {
 			delete(s.shardFails, shard)
 		} else {
@@ -294,11 +294,11 @@ func (s *server) tryReload(shard int) (source string, err error) {
 	if shard >= 0 {
 		return source, err
 	}
-	s.consecReloads++
 	// Catalog-backed serving does not freeze on "last good in memory":
-	// when reloads keep failing past the breaker threshold, re-anchor on
-	// the newest older generation that still loads and validates clean.
-	if s.store != "" && s.cfg.breakerThreshold > 0 && s.consecReloads == s.cfg.breakerThreshold {
+	// when whole-net reloads keep failing until the breaker trips,
+	// re-anchor on the newest older generation that still loads and
+	// validates clean.
+	if s.breaker.Failure() && s.store != "" {
 		if rerr := s.autoRollbackLocked(0, fmt.Sprintf("reload breaker tripped: %v", err)); rerr != nil {
 			log.Printf("auto-rollback: %v", rerr)
 		}
@@ -306,12 +306,11 @@ func (s *server) tryReload(shard int) (source string, err error) {
 	return source, err
 }
 
-// reloadFailedLocked feeds a failed reload to the breaker and the failure
-// counter, and charges it to the shard whose file failed when the loader
-// could attribute it. Callers hold reloadMu.
+// reloadFailedLocked counts a failed reload and charges it to the shard
+// whose file failed when the loader could attribute it. Callers hold
+// reloadMu.
 func (s *server) reloadFailedLocked(err error) {
 	s.reloadFailures.Inc()
-	s.breaker.Failure()
 	var sle *pipeline.ShardLoadError
 	if errors.As(err, &sle) {
 		if s.shardFails == nil {

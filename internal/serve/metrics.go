@@ -283,13 +283,6 @@ func (m *serveMetrics) registerLifecycleCollectors(s *server) {
 		"Reload attempts that returned an error.")
 	s.reloadRetries = m.reg.NewCounter("cocoserve_reload_retries_total",
 		"Backoff retries after a failed reload.")
-	m.reg.NewGaugeFunc("cocoserve_reload_consecutive_failures",
-		"Reload failures since the last good publish; reaching the breaker threshold rolls serving back.",
-		func() float64 {
-			s.reloadMu.Lock()
-			defer s.reloadMu.Unlock()
-			return float64(s.consecReloads)
-		})
 	m.reg.NewGaugeFunc("cocoserve_reload_backoff_attempt",
 		"Retry delays handed out since the last good reload: the position in the backoff schedule.",
 		func() float64 { return float64(s.backoff.Attempt()) })
@@ -300,7 +293,7 @@ func (m *serveMetrics) registerLifecycleCollectors(s *server) {
 			func() float64 { return oneIf(s.breaker.Stats().State == state) }, "state", state)
 	}
 	m.reg.NewGaugeFunc("cocoserve_reload_breaker_consecutive_failures",
-		"Consecutive failures the reload breaker has counted; it opens at its threshold.",
+		"Whole-net reload failures since the last good reload; at the threshold the breaker opens and serving rolls back.",
 		func() float64 { return float64(s.breaker.Stats().ConsecutiveFailures) })
 	m.reg.NewCounterFunc("cocoserve_reload_breaker_opens_total",
 		"Times the reload breaker tripped open.",

@@ -109,7 +109,7 @@ func TestMetricsEndpointCoversCatalog(t *testing.T) {
 		"cocoserve_snapshot_nodes", "cocoserve_snapshot_edges",
 		"cocoserve_shard_nodes", "cocoserve_shard_edges",
 		"cocoserve_reload_failures_total", "cocoserve_rollbacks_total",
-		"cocoserve_reload_consecutive_failures", "cocoserve_reload_backoff_attempt",
+		"cocoserve_reload_backoff_attempt",
 		"cocoserve_reload_breaker_state", "cocoserve_reload_breaker_consecutive_failures",
 		"cocoserve_reload_breaker_opens_total", "cocoserve_reload_breaker_denied_total",
 		"cocoserve_validation_failures_total", "cocoserve_scrub_passes_total",

@@ -115,11 +115,10 @@ type server struct {
 	lastScrub *snapstore.ScrubReport
 
 	// reloadMu serializes reload attempts with their failure bookkeeping
-	// (consecReloads drives the breaker's auto-rollback); the facade's
-	// offline lock only serializes the swap itself.
-	reloadMu      sync.Mutex
-	consecReloads int         // consecutive reload failures, guarded by reloadMu
-	shardFails    map[int]int // consecutive failures per shard, guarded by reloadMu
+	// (the breaker's trip drives the auto-rollback); the facade's offline
+	// lock only serializes the swap itself.
+	reloadMu   sync.Mutex
+	shardFails map[int]int // consecutive failures per shard, guarded by reloadMu
 
 	// badGens skiplists catalog generations that loaded but failed
 	// post-swap validation (or failed to load during a rollback walk):
@@ -608,8 +607,8 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A manual reload bypasses the breaker's Allow (an operator poking the
-	// endpoint is the half-open probe), but its outcome still feeds the
-	// breaker — a good publish re-closes it for the -refresh loop.
+	// endpoint is the half-open probe), but a whole-net failure still feeds
+	// the breaker, and a good publish re-closes it for the -refresh loop.
 	shard := -1
 	if shardStr := queryParam(r.URL.RawQuery, "shard"); shardStr != "" {
 		if s.store == "" {

@@ -203,14 +203,9 @@ func PhraseKey(s string) (key string, tokens int) {
 	return strings.Join(strings.Fields(s), " "), tokens
 }
 
-// AppendJoin writes tokens space-separated into dst — the allocation-free
-// form of strings.Join(tokens, " ") the serving paths key lexicon and
-// name-index lookups with.
-func AppendJoin(dst []byte, tokens []string) []byte {
-	return appendJoin(dst, tokens)
-}
-
-// AppendJoinBytes is AppendJoin for byte-slice tokens.
+// AppendJoinBytes writes byte-slice tokens space-separated into dst — the
+// allocation-free form of strings.Join(tokens, " ") the serving paths key
+// lexicon and name-index lookups with.
 func AppendJoinBytes(dst []byte, tokens [][]byte) []byte {
 	return appendJoin(dst, tokens)
 }

@@ -193,13 +193,6 @@ func (v *Vocab) EncodeFixed(tokens []string) []int {
 	return ids
 }
 
-// Words returns a copy of all vocabulary words in id order.
-func (v *Vocab) Words() []string {
-	out := make([]string, len(v.words))
-	copy(out, v.words)
-	return out
-}
-
 // Span is a labeled token range [Start, End) within a sentence.
 type Span struct {
 	Start, End int

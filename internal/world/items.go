@@ -58,20 +58,6 @@ func (w *World) composeTitle(item *Item) []string {
 	return title
 }
 
-// ItemHasAttr reports whether the item carries the given primitive as an
-// attribute (or leaf or brand).
-func (w *World) ItemHasAttr(item *Item, primID int) bool {
-	if item.Leaf == primID || item.Brand == primID {
-		return true
-	}
-	for _, a := range item.Attrs {
-		if a == primID {
-			return true
-		}
-	}
-	return false
-}
-
 // itemAudience returns the item's audience attribute primitive, or -1.
 func (w *World) itemAudience(item *Item) int {
 	for _, a := range item.Attrs {

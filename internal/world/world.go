@@ -273,20 +273,3 @@ func pickDistinct(rng *rand.Rand, n, k int) []int {
 	perm := rng.Perm(n)
 	return perm[:k]
 }
-
-// LeafName returns the surface of a base category primitive.
-func (w *World) LeafName(leafID int) string { return w.Primitives[leafID].Name() }
-
-// IsLeaf reports whether id is a base category.
-func (w *World) IsLeaf(id int) bool {
-	_, ok := w.FamilyOfLeaf[id]
-	if !ok {
-		return false
-	}
-	for _, l := range w.Leaves {
-		if l == id {
-			return true
-		}
-	}
-	return false
-}
