@@ -292,17 +292,23 @@ func lookup(root string, accept func(snapstore.Gen) bool) (snapstore.Gen, *pipel
 // through pipeline.LoadGen and publishes it: the one path by which a
 // generation reaches serving. It holds g (snapstore.HoldGen) before it
 // reads g's files, so no commit drops the generation while it is loaded or
-// served. With reuse the loader keeps what serving holds (see LoadGen);
-// without, it reads and verifies every file. A reload that reads no shard
-// from the generation already served publishes nothing. It returns how
-// many shards were read. Callers hold c.offline or own a CoCo that has not
-// escaped yet.
+// served; when serving holds g already, that hold covers the read, and
+// load takes its own only once it knows it publishes. With reuse the
+// loader keeps what serving holds (see LoadGen); without, it reads and
+// verifies every file. A reload that reads no shard from the generation
+// already served publishes nothing. It returns how many shards were read.
+// Callers hold c.offline or own a CoCo that has not escaped yet, so the
+// served state and its hold stay in place until load returns.
 func (c *CoCo) load(root string, g snapstore.Gen, man *pipeline.ShardManifest, source string, reuse bool, force int) (int, error) {
-	hold, err := snapstore.HoldGen(root, g)
-	if err != nil {
-		return 0, err
-	}
 	prev := c.serving.Load()
+	held := prev != nil && prev.root == root && prev.gen.ID == g.ID
+	var hold *snapstore.Hold
+	if !held {
+		var err error
+		if hold, err = snapstore.HoldGen(root, g); err != nil {
+			return 0, err
+		}
+	}
 	var served *pipeline.Artifacts
 	var servedMan *pipeline.ShardManifest
 	if reuse {
@@ -313,9 +319,13 @@ func (c *CoCo) load(root string, g snapstore.Gen, man *pipeline.ShardManifest, s
 		hold.Release()
 		return 0, err
 	}
-	if reuse && read == 0 && prev.root == root && prev.gen.ID == g.ID {
-		hold.Release() // serving holds g already
-		return 0, nil
+	if held {
+		if reuse && read == 0 {
+			return 0, nil
+		}
+		if hold, err = snapstore.HoldGen(root, g); err != nil {
+			return 0, err
+		}
 	}
 	c.arts.Store(arts)
 	return read, c.publishShards(arts, source, root, g, man, hold)
@@ -846,7 +856,7 @@ func (c *CoCo) LookupConcept(name string) (Concept, bool) {
 }
 
 // conceptOf assembles the Concept of an e-commerce concept node.
-func conceptOf(net core.Reader, id core.NodeID) Concept {
+func conceptOf(net *core.ShardSet, id core.NodeID) Concept {
 	nd, _ := net.Node(id)
 	cpt := Concept{Name: nd.Name}
 	for _, he := range net.PrimitivesForEConcept(id) {

@@ -83,7 +83,9 @@ func benchEmbed(m *pipeline.Models) func([]string) mat.Vec {
 	}
 }
 
-// BenchmarkTable2BuildNet measures the full four-layer construction (E1).
+// BenchmarkTable2BuildNet measures the full four-layer construction (E1)
+// and Table 2's statistics, read from a freeze of the net as
+// cmd/experiments reads them.
 func BenchmarkTable2BuildNet(b *testing.B) {
 	opts := pipeline.TinyOptions()
 	for i := 0; i < b.N; i++ {
@@ -91,7 +93,7 @@ func BenchmarkTable2BuildNet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := a.Net.ComputeStats()
+		s := a.Net.Freeze().ComputeStats()
 		if s.PerKind["econcept"] == 0 {
 			b.Fatal("empty net")
 		}
@@ -267,8 +269,8 @@ func BenchmarkTable6Matching(b *testing.B) {
 // BenchmarkCoverage measures one day's coverage sample, both engines (E8).
 func BenchmarkCoverage(b *testing.B) {
 	a := benchArtifacts(b)
-	full := search.NewEngine(a.Net, a.World.Stopwords())
-	cpv := search.NewCPVEngine(a.Net, a.World.Stopwords())
+	full := search.NewEngine(benchFrozen(b), a.World.Stopwords())
+	cpv := search.NewCPVEngine(benchFrozen(b), a.World.Stopwords())
 	qs := a.World.QuerySet(500)
 	queries := make([][]string, len(qs))
 	for i, q := range qs {
@@ -286,12 +288,12 @@ func BenchmarkCoverage(b *testing.B) {
 
 // BenchmarkSearchRelevance measures the isA-expansion relevance experiment (E9).
 func BenchmarkSearchRelevance(b *testing.B) {
-	a := benchArtifacts(b)
-	cases := search.BuildRelevanceCases(a.Net, 300, 3)
+	net := benchFrozen(b)
+	cases := search.BuildRelevanceCases(net, 300, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plain := search.EvalRelevance(a.Net, cases, false)
-		expanded := search.EvalRelevance(a.Net, cases, true)
+		plain := search.EvalRelevance(net, cases, false)
+		expanded := search.EvalRelevance(net, cases, true)
 		if expanded.AUC < plain.AUC {
 			b.Fatal("expansion should not hurt")
 		}
@@ -318,7 +320,8 @@ func BenchmarkRecommend(b *testing.B) {
 			sessions = append(sessions, [2][]core.NodeID{viewed, clicked})
 		}
 	}
-	engine := recommend.NewEngine(a.Net)
+	net := benchFrozen(b)
+	engine := recommend.NewEngine(net)
 	conceptRec := func(viewed []core.NodeID, k int) []core.NodeID {
 		rec, ok := engine.RecommendRanked(viewed, k, nil)
 		if !ok {
@@ -329,8 +332,8 @@ func BenchmarkRecommend(b *testing.B) {
 	cf := recommend.NewItemCF(history)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r1 := recommend.Replay(a.Net, conceptRec, sessions, 10)
-		r2 := recommend.Replay(a.Net, cf.Recommend, sessions, 10)
+		r1 := recommend.Replay(net, conceptRec, sessions, 10)
+		r2 := recommend.Replay(net, cf.Recommend, sessions, 10)
 		if r1.HitRate < 0 || r2.HitRate < 0 {
 			b.Fatal("bad replay")
 		}
@@ -378,44 +381,23 @@ func BenchmarkAblationKnowledgeInMatching(b *testing.B) {
 	}
 }
 
-// BenchmarkNetQueries measures raw store throughput: name lookup, concept
-// card assembly, ancestor traversal.
-func BenchmarkNetQueries(b *testing.B) {
-	a := benchArtifacts(b)
-	concept := a.Net.FirstByNameKind("outdoor barbecue", core.KindEConcept)
-	coat := a.Net.FirstByNameKind("coat", core.KindPrimitive)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Net.FindByName("grill")
-		a.Net.ItemsForEConcept(concept, 10)
-		a.Net.Ancestors(coat, 0)
-	}
-}
-
-// --- frozen-vs-locked serving benchmarks -------------------------------
+// --- frozen serving benchmarks -----------------------------------------
 //
-// Each BenchmarkFrozenVsLocked* pair runs the identical read workload
-// against the mutex-guarded *core.Net and its immutable one-shard
-// *core.ShardSet snapshot (Net.Freeze). These are the paper's online serving paths (Section 8), so the
-// frozen side is expected to be several times faster with ~0 allocs/op;
-// scripts/bench.sh records the trajectory in BENCH_core.json.
+// Each BenchmarkFrozenVsLocked* benchmark runs one read workload against
+// the one-shard *core.ShardSet of the shared testbed (Net.Freeze): the
+// paper's online serving paths (Section 8), expected at ~0 allocs/op.
+// Their rows keep the "/frozen" names scripts/bench.sh records in
+// BENCH_core.json, so the trajectory stays comparable.
 
-// lockedVsFrozen runs fn once per iteration against each store. fn gets
-// the sub-benchmark's own *testing.B so failures land on the right
-// goroutine.
-func lockedVsFrozen(b *testing.B, a *pipeline.Artifacts, fn func(b *testing.B, net core.Reader)) {
+// frozenRow runs fn once per iteration against the one-shard freeze, as
+// the "frozen" sub-benchmark.
+func frozenRow(b *testing.B, fn func(net *core.ShardSet)) {
 	b.Helper()
 	frozen := benchFrozen(b)
-	b.Run("locked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fn(b, a.Net)
-		}
-	})
 	b.Run("frozen", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fn(b, frozen)
+			fn(frozen)
 		}
 	})
 }
@@ -425,7 +407,7 @@ func lockedVsFrozen(b *testing.B, a *pipeline.Artifacts, fn func(b *testing.B, n
 func BenchmarkFrozenVsLockedOut(b *testing.B) {
 	a := benchArtifacts(b)
 	concept := a.Net.FirstByNameKind("outdoor barbecue", core.KindEConcept)
-	lockedVsFrozen(b, a, func(_ *testing.B, net core.Reader) {
+	frozenRow(b, func(net *core.ShardSet) {
 		net.Out(concept, core.EdgeInterpretedBy)
 		net.In(concept, core.EdgeItemEConcept)
 	})
@@ -436,9 +418,9 @@ func BenchmarkFrozenVsLockedOut(b *testing.B) {
 func BenchmarkFrozenVsLockedTraversal(b *testing.B) {
 	a := benchArtifacts(b)
 	coat := a.Net.FirstByNameKind("coat", core.KindPrimitive)
-	item := a.Net.NodesOfKind(core.KindItem)[0]
+	item := benchFrozen(b).NodesOfKind(core.KindItem)[0]
 	cat := a.Net.FirstByNameKind("category", core.KindClass)
-	lockedVsFrozen(b, a, func(_ *testing.B, net core.Reader) {
+	frozenRow(b, func(net *core.ShardSet) {
 		net.Ancestors(coat, 0)
 		net.IsAncestor(item, cat)
 	})
@@ -449,14 +431,14 @@ func BenchmarkFrozenVsLockedTraversal(b *testing.B) {
 func BenchmarkFrozenVsLockedConceptCard(b *testing.B) {
 	a := benchArtifacts(b)
 	concept := a.Net.FirstByNameKind("outdoor barbecue", core.KindEConcept)
-	lockedVsFrozen(b, a, func(_ *testing.B, net core.Reader) {
+	frozenRow(b, func(net *core.ShardSet) {
 		net.ItemsForEConcept(concept, 10)
 	})
 }
 
 // BenchmarkFrozenVsLockedRecommend measures one cognitive recommendation
 // (Section 8.2): concept voting over a session plus unseen-item selection.
-// Engines are built once per store, the way serving builds one engine per
+// The engine is built once, the way serving builds one engine per
 // published snapshot.
 func BenchmarkFrozenVsLockedRecommend(b *testing.B) {
 	a := benchArtifacts(b)
@@ -465,29 +447,22 @@ func BenchmarkFrozenVsLockedRecommend(b *testing.B) {
 	for _, id := range raw[0].Viewed {
 		viewed = append(viewed, a.ItemNode[id])
 	}
-	engines := map[string]*recommend.Engine{
-		"locked": recommend.NewEngine(a.Net),
-		"frozen": recommend.NewEngine(benchFrozen(b)),
-	}
+	engine := recommend.NewEngine(benchFrozen(b))
 	ctx := context.Background()
-	for _, name := range []string{"locked", "frozen"} {
-		engine := engines[name]
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok, err := engine.RecommendCtx(ctx, viewed, 10); err != nil || !ok {
-					b.Fatal("no recommendation", err)
-				}
+	b.Run("frozen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := engine.RecommendCtx(ctx, viewed, 10); err != nil || !ok {
+				b.Fatal("no recommendation", err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkFrozenVsLockedNodesOfKind measures the per-layer index: the
-// locked net scans all nodes, the snapshot returns a precomputed slice.
+// snapshot returns a precomputed slice.
 func BenchmarkFrozenVsLockedNodesOfKind(b *testing.B) {
-	a := benchArtifacts(b)
-	lockedVsFrozen(b, a, func(_ *testing.B, net core.Reader) {
+	frozenRow(b, func(net *core.ShardSet) {
 		net.NodesOfKind(core.KindEConcept)
 	})
 }
@@ -558,24 +533,18 @@ func BenchmarkColdStartFrozen(b *testing.B) {
 }
 
 // BenchmarkFrozenSearchEngine measures an end-to-end query through the
-// search engine on each store.
+// search engine on the one-shard freeze.
 func BenchmarkFrozenSearchEngine(b *testing.B) {
 	a := benchArtifacts(b)
-	frozen := benchFrozen(b)
-	for _, tc := range []struct {
-		name string
-		net  core.Reader
-	}{{"locked", a.Net}, {"frozen", frozen}} {
-		engine := search.NewEngine(tc.net, a.World.Stopwords())
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.SearchCtx(context.Background(), "outdoor barbecue", 10); err != nil {
-					b.Fatal(err)
-				}
+	engine := search.NewEngine(benchFrozen(b), a.World.Stopwords())
+	b.Run("frozen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.SearchCtx(context.Background(), "outdoor barbecue", 10); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // --- parallel serving benchmarks ---------------------------------------
@@ -741,7 +710,7 @@ func BenchmarkBatchServeRecommend(b *testing.B) {
 
 // benchShardStore partitions the shared testbed into n shards and returns
 // the ShardSet the facade would publish for them.
-func benchShardStore(b *testing.B, n int) core.Reader {
+func benchShardStore(b *testing.B, n int) *core.ShardSet {
 	b.Helper()
 	set, err := core.NewShardSet(benchArtifacts(b).Net.FreezeShards(n))
 	if err != nil {

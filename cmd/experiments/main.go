@@ -59,7 +59,7 @@ func main() {
 type testbed struct {
 	scale  string
 	arts   *pipeline.Artifacts
-	frozen *core.ShardSet // arts.Net frozen once, the store the engines serve from
+	frozen *core.ShardSet // arts.Net frozen once: Table 2 and every engine read it
 	models *pipeline.Models
 	embed  func(tokens []string) mat.Vec
 	dim    int
@@ -107,7 +107,7 @@ func buildTestbed(scale string) *testbed {
 // ------------------------------------------------------------- Table 2 ----
 
 func expTable2(tb *testbed) {
-	s := tb.arts.Net.ComputeStats()
+	s := tb.frozen.ComputeStats()
 	fmt.Println("Paper (Table 2, production scale) vs this testbed (synthetic scale).")
 	fmt.Println()
 	fmt.Println("| Quantity | Paper | Measured |")

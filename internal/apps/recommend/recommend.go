@@ -35,18 +35,16 @@ type scratch struct {
 	heap  topk.Heap
 }
 
-// Engine recommends via the concept net. It reads through core.Reader, so
-// production serving runs on a frozen snapshot with lock-free lookups and
-// pre-sorted item postings; Engine methods are safe for concurrent use when
-// the reader is — concurrent calls each draw their own pooled scratch.
+// Engine recommends via the concept net. It reads a frozen *core.ShardSet,
+// with lock-free lookups and pre-sorted item postings; Engine methods are
+// safe for concurrent use — concurrent calls each draw their own pooled
+// scratch.
 type Engine struct {
-	net core.Reader
+	net *core.ShardSet
 	// reasons precomputes the "for <concept>" reason string of every
-	// e-commerce concept known at construction, so serving a session
-	// builds no strings. Concepts added to a live net afterwards fall
-	// back to concatenating (the serving configuration rebuilds the
-	// engine on every published snapshot, so the map is always complete
-	// there).
+	// e-commerce concept of the set, so serving a session builds no
+	// strings. The set never changes, so every concept a session can
+	// vote for has one.
 	reasons map[core.NodeID]string
 	pool    sync.Pool // *scratch
 	// cache, when attached, memoizes sessions keyed on (k, viewed ids)
@@ -55,8 +53,8 @@ type Engine struct {
 	stamp qcache.Stamp
 }
 
-// NewEngine wraps a net (live or frozen).
-func NewEngine(net core.Reader) *Engine {
+// NewEngine wraps a frozen net.
+func NewEngine(net *core.ShardSet) *Engine {
 	e := &Engine{net: net, reasons: make(map[core.NodeID]string)}
 	for _, id := range net.NodesOfKind(core.KindEConcept) {
 		nd, _ := net.Node(id)
@@ -83,15 +81,6 @@ func NewEngine(net core.Reader) *Engine {
 func (e *Engine) UseCache(c *qcache.Cache, stamp qcache.Stamp) {
 	e.cache = c
 	e.stamp = stamp
-}
-
-// reasonFor returns the recommendation reason for a concept.
-func (e *Engine) reasonFor(concept core.NodeID) string {
-	if r, ok := e.reasons[concept]; ok {
-		return r
-	}
-	nd, _ := e.net.Node(concept)
-	return "for " + nd.Name
 }
 
 // RecommendCtx infers the user's latent shopping scenario from viewed
@@ -170,14 +159,11 @@ func appendOutcome(dst []byte, ok bool, rec *Recommendation) []byte {
 
 // decodeOutcome unpacks an appendOutcome value into a caller-owned
 // Recommendation, reviving its Items backing array, and returns the found
-// flag. The reason comes from reasonFor, as on the uncached path; a
-// session no concept matched keeps the empty reason.
+// flag. The reason comes from reasons, as on the uncached path; a session
+// no concept matched keeps the empty reason.
 func (e *Engine) decodeOutcome(rec *Recommendation, v []byte) bool {
 	rec.Concept = core.NodeID(binary.LittleEndian.Uint32(v[1:]))
-	rec.Reason = ""
-	if rec.Concept != core.InvalidNode {
-		rec.Reason = e.reasonFor(rec.Concept)
-	}
+	rec.Reason = e.reasons[rec.Concept]
 	rec.Items, _ = core.ReadIDList(rec.Items, v[5:])
 	return v[0] == 1
 }
@@ -219,7 +205,7 @@ func (e *Engine) recommendUncached(ctx context.Context, sc *scratch, rec *Recomm
 	}
 	best := sc.heap.Descending()[0].ID
 	rec.Concept = best
-	rec.Reason = e.reasonFor(best)
+	rec.Reason = e.reasons[best]
 	clear(sc.seen)
 	for _, v := range viewed {
 		sc.seen[v] = true
@@ -356,7 +342,7 @@ type Recommender func(viewed []core.NodeID, k int) []core.NodeID
 // Engine and ItemCF recommenders are). Per-session outcomes land in
 // index-addressed slots and are reduced in session order, so the result is
 // deterministic regardless of scheduling.
-func Replay(net core.Reader, rec Recommender, sessions [][2][]core.NodeID, k int) EvalResult {
+func Replay(net *core.ShardSet, rec Recommender, sessions [][2][]core.NodeID, k int) EvalResult {
 	type outcome struct {
 		counted, covered bool
 		hit, novelty     float64
@@ -416,7 +402,7 @@ func Replay(net core.Reader, rec Recommender, sessions [][2][]core.NodeID, k int
 
 // noveltyOf returns the fraction of recommended items whose category
 // primitive differs from every viewed item's category.
-func noveltyOf(net core.Reader, viewed, recommended []core.NodeID) float64 {
+func noveltyOf(net *core.ShardSet, viewed, recommended []core.NodeID) float64 {
 	viewedCats := make(map[core.NodeID]bool)
 	for _, v := range viewed {
 		for _, he := range net.Out(v, core.EdgeItemPrimitive) {

@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"bytes"
 	"testing"
 
 	"alicoco/internal/core"
@@ -11,6 +12,29 @@ type fixture struct {
 	arts     *pipeline.Artifacts
 	sessions [][2][]core.NodeID // (viewed, clicked) in node ids
 	history  [][]core.NodeID    // co-view training sessions
+}
+
+// loadedShards freezes n into count shards, saves each and loads it back,
+// and assembles the loaded shards into a set.
+func loadedShards(t *testing.T, n *core.Net, count int) *core.ShardSet {
+	t.Helper()
+	shards := n.FreezeShards(count)
+	for i, sh := range shards {
+		var buf bytes.Buffer
+		if err := sh.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := core.LoadFrozen(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = loaded
+	}
+	set, err := core.NewShardSet(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 func buildFixture(t *testing.T) *fixture {
@@ -40,7 +64,7 @@ func buildFixture(t *testing.T) *fixture {
 
 func TestRecommendInfersScenario(t *testing.T) {
 	f := buildFixture(t)
-	e := NewEngine(f.arts.Net)
+	e := NewEngine(f.arts.Net.Freeze())
 	viewed, _ := f.sessions[0][0], f.sessions[0][1]
 	rec, ok := e.RecommendRanked(viewed, 5, nil)
 	if !ok {
@@ -60,7 +84,8 @@ func TestRecommendInfersScenario(t *testing.T) {
 
 func TestConceptRecommenderBeatsItemCFOnHitRate(t *testing.T) {
 	f := buildFixture(t)
-	e := NewEngine(f.arts.Net)
+	net := f.arts.Net.Freeze()
+	e := NewEngine(net)
 	conceptRec := func(viewed []core.NodeID, k int) []core.NodeID {
 		rec, ok := e.RecommendRanked(viewed, k, nil)
 		if !ok {
@@ -70,8 +95,8 @@ func TestConceptRecommenderBeatsItemCFOnHitRate(t *testing.T) {
 	}
 	cf := NewItemCF(f.history)
 	k := 10
-	resConcept := Replay(f.arts.Net, conceptRec, f.sessions, k)
-	resCF := Replay(f.arts.Net, cf.Recommend, f.sessions, k)
+	resConcept := Replay(net, conceptRec, f.sessions, k)
+	resCF := Replay(net, cf.Recommend, f.sessions, k)
 	t.Logf("concept: %+v, itemCF: %+v", resConcept, resCF)
 	if resConcept.HitRate <= resCF.HitRate {
 		t.Fatalf("concept recommender (%.3f) should beat item-CF (%.3f) on scenario sessions", resConcept.HitRate, resCF.HitRate)
@@ -96,7 +121,7 @@ func TestItemCFRecommendsCoViewed(t *testing.T) {
 
 func TestRecommendEmptyViewed(t *testing.T) {
 	f := buildFixture(t)
-	e := NewEngine(f.arts.Net)
+	e := NewEngine(f.arts.Net.Freeze())
 	if _, ok := e.RecommendRanked(nil, 5, nil); ok {
 		t.Fatal("empty view history should not recommend")
 	}
@@ -104,18 +129,20 @@ func TestRecommendEmptyViewed(t *testing.T) {
 
 func TestReplayEmptySessions(t *testing.T) {
 	f := buildFixture(t)
-	res := Replay(f.arts.Net, func([]core.NodeID, int) []core.NodeID { return nil }, nil, 5)
+	res := Replay(f.arts.Net.Freeze(), func([]core.NodeID, int) []core.NodeID { return nil }, nil, 5)
 	if res.HitRate != 0 || res.Covered != 0 {
 		t.Fatalf("empty replay should be zero: %+v", res)
 	}
 }
 
 // TestRecommendFrozenMatchesLive runs the same sessions through an engine
-// on the live net and one on its frozen snapshot.
+// on the net's one-shard freeze ("live") and one on a 3-shard partition
+// saved and loaded back ("frozen"), the form a served catalog takes.
 func TestRecommendFrozenMatchesLive(t *testing.T) {
 	f := buildFixture(t)
-	snap := f.arts.Net.Freeze()
-	live := NewEngine(f.arts.Net)
+	one := f.arts.Net.Freeze()
+	snap := loadedShards(t, f.arts.Net, 3)
+	live := NewEngine(one)
 	frozen := NewEngine(snap)
 	for _, s := range f.sessions {
 		lr, lok := live.RecommendRanked(s[0], 5, nil)
@@ -133,7 +160,7 @@ func TestRecommendFrozenMatchesLive(t *testing.T) {
 			t.Fatalf("item count differs: live %v vs frozen %v", lr.Items, fr.Items)
 		}
 	}
-	lrep := Replay(f.arts.Net, func(v []core.NodeID, k int) []core.NodeID {
+	lrep := Replay(one, func(v []core.NodeID, k int) []core.NodeID {
 		r, ok := live.RecommendRanked(v, k, nil)
 		if !ok {
 			return nil

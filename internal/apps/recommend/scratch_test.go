@@ -22,7 +22,7 @@ func scratchArts(t *testing.T) *pipeline.Artifacts {
 }
 
 func randomSessions(a *pipeline.Artifacts, rng *rand.Rand, n int) [][]core.NodeID {
-	items := a.Net.NodesOfKind(core.KindItem)
+	items := a.Net.Freeze().NodesOfKind(core.KindItem)
 	out := make([][]core.NodeID, n)
 	for i := range out {
 		sess := make([]core.NodeID, 1+rng.Intn(6))
@@ -59,7 +59,7 @@ func recsEqual(a, b Recommendation) bool {
 
 // refRankedItems is the pre-heap specification of the score path: sort all
 // unseen candidates by (score desc, id asc), take k.
-func refRankedItems(net core.Reader, best core.NodeID, viewed []core.NodeID, k int, score func([]core.NodeID, core.NodeID) float64) []core.NodeID {
+func refRankedItems(net *core.ShardSet, best core.NodeID, viewed []core.NodeID, k int, score func([]core.NodeID, core.NodeID) float64) []core.NodeID {
 	seen := make(map[core.NodeID]bool)
 	for _, v := range viewed {
 		seen[v] = true

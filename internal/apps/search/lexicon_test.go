@@ -15,7 +15,7 @@ import (
 // referenceSegmenter is the lexicon an engine held before it kept its own:
 // a text.Segmenter over the whitespace fields of every surface the engine
 // indexes. cpv restricts it to the CPV engine's primitives.
-func referenceSegmenter(net core.Reader, cpv bool) *text.Segmenter {
+func referenceSegmenter(net *core.ShardSet, cpv bool) *text.Segmenter {
 	s := text.NewSegmenter()
 	for _, kind := range []core.NodeKind{core.KindPrimitive, core.KindEConcept} {
 		if cpv && kind == core.KindEConcept {
@@ -80,7 +80,7 @@ func checkSegmentsLikeSegmenter(t *testing.T, ctx string, e *Engine, ref *text.S
 
 // TestEngineSegmentsLikeSegmenter: the engine's own lexicon segments every
 // query exactly as the text.Segmenter it replaced — for the full and the
-// CPV engine, over a live net, a frozen one and a 3-shard set.
+// CPV engine, over a frozen net and a 3-shard set.
 func TestEngineSegmentsLikeSegmenter(t *testing.T) {
 	a := buildArts(t)
 	set, err := core.NewShardSet(a.Net.FreezeShards(3))
@@ -88,7 +88,7 @@ func TestEngineSegmentsLikeSegmenter(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	for name, net := range map[string]core.Reader{"live": a.Net, "frozen": a.Net.Freeze(), "3 shards": set} {
+	for name, net := range map[string]*core.ShardSet{"frozen": a.Net.Freeze(), "3 shards": set} {
 		checkSegmentsLikeSegmenter(t, name, NewEngine(net, nil), referenceSegmenter(net, false), rng)
 		checkSegmentsLikeSegmenter(t, name+" cpv", NewCPVEngine(net, nil), referenceSegmenter(net, true), rng)
 	}
@@ -107,7 +107,7 @@ func TestEngineLexiconKeysAreNodeNames(t *testing.T) {
 		}
 		n.AddNode(kind, name, "Category")
 	}
-	for form, net := range map[string]core.Reader{"live": n, "frozen": n.Freeze()} {
+	for form, net := range map[string]*core.ShardSet{"frozen": n.Freeze()} {
 		e := NewEngine(net, nil)
 		names := map[string]*byte{} // each node's name and its bytes
 		for _, kind := range []core.NodeKind{core.KindPrimitive, core.KindEConcept} {

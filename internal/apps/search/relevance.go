@@ -32,7 +32,7 @@ type RelevanceResult struct {
 // queries are leaf-level (the item title contains the word, so lexical
 // matching works); half are hypernym-level ("top"-style queries where only
 // isA expansion can find the relevant items).
-func BuildRelevanceCases(net core.Reader, n int, seed int64) []RelevanceCase {
+func BuildRelevanceCases(net *core.ShardSet, n int, seed int64) []RelevanceCase {
 	rng := rand.New(rand.NewSource(seed))
 	// Query pool: primitives that have isA descendants (hypernyms).
 	var queries []core.NodeID
@@ -96,7 +96,7 @@ func BuildRelevanceCases(net core.Reader, n int, seed int64) []RelevanceCase {
 // has the query as an isA ancestor) — the "jacket is a kind of top" fix.
 // Cases are independent, so scoring fans out across GOMAXPROCS workers;
 // results land in index-addressed slots, keeping the outcome deterministic.
-func EvalRelevance(net core.Reader, cases []RelevanceCase, expandIsA bool) RelevanceResult {
+func EvalRelevance(net *core.ShardSet, cases []RelevanceCase, expandIsA bool) RelevanceResult {
 	scores := make([]float64, len(cases))
 	labels := make([]bool, len(cases))
 	par.For(0, len(cases), func(i int) {

@@ -56,13 +56,11 @@ type scratch struct {
 	heap   topk.Heap
 }
 
-// Engine answers queries against a net. It holds a core.Reader, so it can
-// serve either a live *core.Net or — the production configuration — an
-// immutable *core.FrozenNet snapshot, whose reads are lock-free and
-// allocation-free. All Engine methods are safe for concurrent use when the
-// reader is; concurrent queries each draw their own pooled scratch.
+// Engine answers queries against a frozen net, a *core.ShardSet, whose
+// reads are lock-free and allocation-free. All Engine methods are safe for
+// concurrent use; concurrent queries each draw their own pooled scratch.
 type Engine struct {
-	net core.Reader
+	net *core.ShardSet
 	// lexicon holds the concept surfaces queries are segmented against,
 	// each under its own node's name (text.PhraseKey), so on a frozen net
 	// a key is a view of its shard's name arena, not a copy. maxLen is the
@@ -79,7 +77,7 @@ type Engine struct {
 	stamp qcache.Stamp
 }
 
-func newEngine(net core.Reader, stopwords []string, phrases int) *Engine {
+func newEngine(net *core.ShardSet, stopwords []string, phrases int) *Engine {
 	e := &Engine{net: net, lexicon: make(map[string]struct{}, phrases), stopwords: make(map[string]bool)}
 	for _, w := range stopwords {
 		e.stopwords[w] = true
@@ -96,7 +94,7 @@ func newEngine(net core.Reader, stopwords []string, phrases int) *Engine {
 // NewEngine indexes the net's primitive and e-commerce concept surfaces.
 // The lexicon is sized once and keyed by the nodes' own names, so building
 // an engine costs no allocation per surface.
-func NewEngine(net core.Reader, stopwords []string) *Engine {
+func NewEngine(net *core.ShardSet, stopwords []string) *Engine {
 	prims, ecpts := net.NodesOfKind(core.KindPrimitive), net.NodesOfKind(core.KindEConcept)
 	e := newEngine(net, stopwords, len(prims)+len(ecpts))
 	for _, ids := range [2][]core.NodeID{prims, ecpts} {
@@ -375,7 +373,7 @@ func (e *Engine) Covered(tokens []string) bool {
 // NewCPVEngine builds the Section 7.1 baseline: an engine that only knows
 // CPV vocabulary (categories, brands and property values) — no e-commerce
 // concepts, no general-purpose domains.
-func NewCPVEngine(net core.Reader, stopwords []string) *Engine {
+func NewCPVEngine(net *core.ShardSet, stopwords []string) *Engine {
 	cpvDomains := map[string]bool{
 		"Category": true, "Brand": true, "Color": true, "Material": true,
 		"Design": true, "Function": true, "Pattern": true, "Shape": true,

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -16,6 +17,29 @@ func buildArts(t *testing.T) *pipeline.Artifacts {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// loadedShards freezes n into count shards, saves each and loads it back,
+// and assembles the loaded shards into a set.
+func loadedShards(t *testing.T, n *core.Net, count int) *core.ShardSet {
+	t.Helper()
+	shards := n.FreezeShards(count)
+	for i, sh := range shards {
+		var buf bytes.Buffer
+		if err := sh.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := core.LoadFrozen(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = loaded
+	}
+	set, err := core.NewShardSet(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 // mustSearch runs one query through SearchCtx with no deadline.
@@ -38,7 +62,7 @@ func mustSearchInto(t testing.TB, e *Engine, resp *Response, query string, maxIt
 
 func TestSearchExactConceptCard(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Net, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	resp := mustSearch(t, e, "outdoor barbecue", 10)
 	if len(resp.Cards) == 0 {
 		t.Fatal("no card for exact concept query")
@@ -65,7 +89,7 @@ func TestSearchExactConceptCard(t *testing.T) {
 
 func TestSearchPrimitiveVoting(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Net, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	// "barbecue outdoor" is not an exact concept name; primitive voting
 	// should still surface the outdoor barbecue card (the intro's
 	// "barbecue outdoor" example).
@@ -83,7 +107,7 @@ func TestSearchPrimitiveVoting(t *testing.T) {
 
 func TestSearchPlainCategory(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Net, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	resp := mustSearch(t, e, "grill", 5)
 	if len(resp.Items) == 0 {
 		t.Fatal("category query should return items")
@@ -98,8 +122,9 @@ func TestSearchPlainCategory(t *testing.T) {
 
 func TestCoverageConceptNetBeatsCPV(t *testing.T) {
 	a := buildArts(t)
-	full := NewEngine(a.Net, a.World.Stopwords())
-	cpv := NewCPVEngine(a.Net, a.World.Stopwords())
+	net := a.Net.Freeze()
+	full := NewEngine(net, a.World.Stopwords())
+	cpv := NewCPVEngine(net, a.World.Stopwords())
 	qs := a.World.QuerySet(400)
 	queries := make([][]string, len(qs))
 	for i, q := range qs {
@@ -120,12 +145,13 @@ func TestCoverageConceptNetBeatsCPV(t *testing.T) {
 
 func TestRelevanceIsAExpansion(t *testing.T) {
 	a := buildArts(t)
-	cases := BuildRelevanceCases(a.Net, 200, 3)
+	net := a.Net.Freeze()
+	cases := BuildRelevanceCases(net, 200, 3)
 	if len(cases) < 50 {
 		t.Fatalf("too few relevance cases: %d", len(cases))
 	}
-	plain := EvalRelevance(a.Net, cases, false)
-	expanded := EvalRelevance(a.Net, cases, true)
+	plain := EvalRelevance(net, cases, false)
+	expanded := EvalRelevance(net, cases, true)
 	if expanded.AUC <= plain.AUC {
 		t.Fatalf("isA expansion should raise AUC: %.3f vs %.3f", expanded.AUC, plain.AUC)
 	}
@@ -136,7 +162,7 @@ func TestRelevanceIsAExpansion(t *testing.T) {
 
 func TestCoveredRespectsStopwords(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Net, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	if !e.Covered([]string{"outdoor", "barbecue"}) {
 		t.Fatal("known phrase should be covered")
 	}
@@ -150,7 +176,7 @@ func TestCoveredRespectsStopwords(t *testing.T) {
 // once several primitives matched.
 func TestSearchMaxItemsCapAcrossPrimitives(t *testing.T) {
 	a := buildArts(t)
-	e := NewEngine(a.Net, a.World.Stopwords())
+	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())
 	// "barbecue outdoor" matches two primitives, each with item postings.
 	for _, maxItems := range []int{1, 2, 3, 5} {
 		resp := mustSearch(t, e, "barbecue outdoor", maxItems)
@@ -167,11 +193,12 @@ func TestSearchMaxItemsCapAcrossPrimitives(t *testing.T) {
 }
 
 // TestSearchFrozenMatchesLive runs the same queries against an engine on
-// the live net and one on its frozen snapshot.
+// the net's one-shard freeze ("live") and one on a 3-shard partition saved
+// and loaded back ("frozen"), the form a served catalog takes.
 func TestSearchFrozenMatchesLive(t *testing.T) {
 	a := buildArts(t)
-	live := NewEngine(a.Net, a.World.Stopwords())
-	frozen := NewEngine(a.Net.Freeze(), a.World.Stopwords())
+	live := NewEngine(a.Net.Freeze(), a.World.Stopwords())
+	frozen := NewEngine(loadedShards(t, a.Net, 3), a.World.Stopwords())
 	queries := []string{"outdoor barbecue", "barbecue outdoor", "grill", "coat"}
 	for _, qs := range a.World.QuerySet(50) {
 		queries = append(queries, strings.Join(qs.Tokens, " "))

@@ -194,7 +194,7 @@ func (f *FrozenNet) AdjacencyIndexBytes() int {
 // NumEdges returns the edge count.
 func (f *FrozenNet) NumEdges() int { return f.edges }
 
-// ComputeStats summarizes the shard the way (*Net).ComputeStats does;
+// ComputeStats summarizes the shard's nodes and out-edges;
 // ShardSet.ComputeStats merges the shards' summaries.
 func (f *FrozenNet) ComputeStats() Stats {
 	nn := len(f.nodes.recs)

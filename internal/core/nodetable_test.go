@@ -48,7 +48,7 @@ func TestNodeRecordIsTwelvePointerFreeBytes(t *testing.T) {
 // checkNameReads compares every view's node and name reads with the live
 // net's, node by node: same Node, and the same IDs in the same order from
 // every name lookup.
-func checkNameReads(t *testing.T, ctx string, n *Net, views map[string]Reader) {
+func checkNameReads(t *testing.T, ctx string, n *Net, views map[string]*ShardSet) {
 	t.Helper()
 	for view, r := range views {
 		for id := NodeID(0); int(id) < n.NumNodes(); id++ {

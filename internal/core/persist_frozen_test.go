@@ -36,7 +36,7 @@ func loadFrozenSet(t testing.TB, data []byte) *ShardSet {
 }
 
 // TestFrozenSaveLoadRoundTripRandomized proves save -> load is the identity
-// on the full Reader surface: every method of the loaded snapshot answers
+// on the full query surface: every method of the loaded snapshot answers
 // exactly like the original frozen net, across randomized nets that
 // exercise all edge kinds and shared surface forms.
 func TestFrozenSaveLoadRoundTripRandomized(t *testing.T) {

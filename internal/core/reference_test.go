@@ -1,0 +1,227 @@
+package core
+
+// The live net's read half. Serving reads only a frozen ShardSet, so these
+// lock-guarded scans of the mutable adjacency lists live here, as the
+// reference the frozen store is checked against: the equivalence, stats
+// and fuzz tests compare every ShardSet query with the method of the same
+// name on the Net it was frozen from.
+
+// FindByName returns all nodes with the given surface form — several when
+// the form is ambiguous (same name, different domains or layers), which is
+// how the net disambiguates raw text (Section 4.1). Like the frozen store,
+// it returns a shared read-only view rather than a copy: the ids recorded
+// for a name are append-only (AddNode never reorders or rewrites them), so
+// elements visible through the returned header never change even if a
+// concurrent AddNode grows the index.
+func (n *Net) FindByName(name string) []NodeID {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.byName[name]
+}
+
+// FindByNameKind returns nodes with the given name in one layer.
+func (n *Net) FindByNameKind(name string, kind NodeKind) []NodeID {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	var ids []NodeID
+	for _, id := range n.byName[name] {
+		if n.nodes[id].Kind == kind {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// FirstByNameKindBytes is FirstByNameKind keyed by a byte buffer; the map
+// lookup converts the key without allocating.
+func (n *Net) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, id := range n.byName[string(name)] {
+		if n.nodes[id].Kind == kind {
+			return id
+		}
+	}
+	return InvalidNode
+}
+
+// Out returns outgoing half-edges of a kind (all kinds if kind < 0).
+func (n *Net) Out(id NodeID, kind EdgeKind) []HalfEdge {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return filterAdj(n.outAdj, id, kind, len(n.nodes))
+}
+
+// In returns incoming half-edges of a kind (all kinds if kind < 0).
+func (n *Net) In(id NodeID, kind EdgeKind) []HalfEdge {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return filterAdj(n.inAdj, id, kind, len(n.nodes))
+}
+
+func filterAdj(adj [][]HalfEdge, id NodeID, kind EdgeKind, n int) []HalfEdge {
+	if id < 0 || int(id) >= n {
+		return nil
+	}
+	var out []HalfEdge
+	for _, he := range adj[id] {
+		if kind < 0 || he.Kind == kind {
+			out = append(out, he)
+		}
+	}
+	return out
+}
+
+// Ancestors walks EdgeIsA/EdgeInstanceOf upward from id (BFS) up to
+// maxDepth levels (maxDepth <= 0 means unlimited) and returns the visited
+// ancestor IDs in BFS order, excluding id itself. Within one node's
+// frontier, isA edges are expanded before instanceOf edges — the same
+// order the frozen snapshot's kind-grouped CSR yields — so live and frozen
+// traversals return identical sequences.
+func (n *Net) Ancestors(id NodeID, maxDepth int) []NodeID {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return bfsHierarchy(n.outAdj, id, maxDepth, len(n.nodes))
+}
+
+// Descendants walks EdgeIsA/EdgeInstanceOf downward (incoming edges).
+func (n *Net) Descendants(id NodeID, maxDepth int) []NodeID {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return bfsHierarchy(n.inAdj, id, maxDepth, len(n.nodes))
+}
+
+func bfsHierarchy(adj [][]HalfEdge, id NodeID, maxDepth, n int) []NodeID {
+	if id < 0 || int(id) >= n {
+		return nil
+	}
+	type qe struct {
+		id    NodeID
+		depth int
+	}
+	seen := map[NodeID]bool{id: true}
+	queue := []qe{{id, 0}}
+	var out []NodeID
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if maxDepth > 0 && cur.depth >= maxDepth {
+			continue
+		}
+		for _, kind := range [2]EdgeKind{EdgeIsA, EdgeInstanceOf} {
+			for _, he := range adj[cur.id] {
+				if he.Kind != kind || seen[he.Peer] {
+					continue
+				}
+				seen[he.Peer] = true
+				out = append(out, he.Peer)
+				queue = append(queue, qe{he.Peer, cur.depth + 1})
+			}
+		}
+	}
+	return out
+}
+
+// IsAncestor reports whether anc is reachable upward from id.
+func (n *Net) IsAncestor(id, anc NodeID) bool {
+	for _, a := range n.Ancestors(id, 0) {
+		if a == anc {
+			return true
+		}
+	}
+	return false
+}
+
+// NodesOfKind returns all node IDs in one layer.
+func (n *Net) NodesOfKind(kind NodeKind) []NodeID {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	var out []NodeID
+	for _, nd := range n.nodes {
+		if nd.Kind == kind {
+			out = append(out, nd.ID)
+		}
+	}
+	return out
+}
+
+// ItemsForEConcept returns items associated with an e-commerce concept,
+// best-weight first, up to limit (limit <= 0 means all).
+func (n *Net) ItemsForEConcept(id NodeID, limit int) []HalfEdge {
+	return sortTrimPostings(n.In(id, EdgeItemEConcept), limit)
+}
+
+// EConceptsForItem returns the e-commerce concepts an item serves.
+func (n *Net) EConceptsForItem(id NodeID, limit int) []HalfEdge {
+	return sortTrimPostings(n.Out(id, EdgeItemEConcept), limit)
+}
+
+// sortTrimPostings weight-sorts postings and trims them to limit entries
+// (limit <= 0 means all).
+func sortTrimPostings(postings []HalfEdge, limit int) []HalfEdge {
+	sortHalfEdgesByWeight(postings)
+	if limit > 0 && len(postings) > limit {
+		postings = postings[:limit]
+	}
+	return postings
+}
+
+// PrimitivesForEConcept returns the primitive concepts interpreting an
+// e-commerce concept (the "understanding" links of Section 5.3).
+func (n *Net) PrimitivesForEConcept(id NodeID) []HalfEdge {
+	return n.Out(id, EdgeInterpretedBy)
+}
+
+// ComputeStats scans the net once and fills a Stats.
+func (n *Net) ComputeStats() Stats {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	s := Stats{
+		Nodes:           len(n.nodes),
+		Edges:           n.edges,
+		PerKind:         make(map[string]int),
+		PrimitivesByDom: make(map[string]int),
+		EdgesByKind:     make(map[string]int),
+	}
+	items, econcepts := 0, 0
+	var itemPrim, itemEcpt, ecptPrim int
+	for id, nd := range n.nodes {
+		s.PerKind[nd.Kind.String()]++
+		if nd.Kind == KindPrimitive {
+			s.PrimitivesByDom[nd.Domain]++
+		}
+		if nd.Kind == KindItem {
+			items++
+		}
+		if nd.Kind == KindEConcept {
+			econcepts++
+		}
+		for _, he := range n.outAdj[id] {
+			s.EdgesByKind[he.Kind.String()]++
+			switch he.Kind {
+			case EdgeIsA:
+				switch nd.Kind {
+				case KindPrimitive:
+					s.IsAPrimitive++
+				case KindEConcept:
+					s.IsAEConcept++
+				}
+			case EdgeItemPrimitive:
+				itemPrim++
+			case EdgeItemEConcept:
+				itemEcpt++
+			case EdgeInterpretedBy:
+				ecptPrim++
+			}
+		}
+	}
+	if items > 0 {
+		s.AvgPrimitivesPerItem = float64(itemPrim) / float64(items)
+		s.AvgEConceptsPerItem = float64(itemEcpt) / float64(items)
+	}
+	if econcepts > 0 {
+		s.AvgItemsPerEConcept = float64(itemEcpt) / float64(econcepts)
+		s.AvgPrimsPerEConcept = float64(ecptPrim) / float64(econcepts)
+	}
+	return s
+}

@@ -8,9 +8,12 @@ import (
 	"alicoco/internal/par"
 )
 
-// ShardSet is the frozen Reader: a net partitioned into N >= 1
-// independently frozen shards (see Freeze and FreezeShards) served as one
-// store, with one read path whatever N is. The partition is a contiguous
+// ShardSet is the read-only query surface of the concept net: a net
+// partitioned into N >= 1 independently frozen shards (see Freeze and
+// FreezeShards) served as one store, with one read path whatever N is.
+// The search and recommendation engines, the inference miner and the
+// facade all read one, built once per net version (the paper's
+// build-offline / serve-online split). The partition is a contiguous
 // node-ID range split with a fixed stride, so every point lookup — Node,
 // Out, In, the concept-card postings — routes to its owning shard with one
 // division and stays a zero-allocation CSR slice; only name resolution
@@ -20,10 +23,13 @@ import (
 // into a shard's storage is a faultfs.QueryProbe, so a query fault armed on
 // one shard reaches every query that reads it.
 //
-// A ShardSet is immutable after NewShardSet and safe for unlimited
-// concurrent use, like the FrozenNets it wraps. Reloading one shard means
-// building a new ShardSet sharing the unchanged shard pointers and swapping
-// it in atomically — readers pinned to the old set keep a consistent view.
+// Slices a ShardSet returns are read-only views: callers must not modify
+// them. Most are sub-slices of its shards' layout, which is what keeps
+// point reads allocation-free. A ShardSet is immutable after NewShardSet
+// and safe for unlimited concurrent use, like the FrozenNets it wraps.
+// Reloading one shard means building a new ShardSet sharing the unchanged
+// shard pointers and swapping it in atomically — readers pinned to the old
+// set keep a consistent view.
 type ShardSet struct {
 	shards []*FrozenNet
 	stride int
@@ -287,13 +293,12 @@ func (v *visitState) next() {
 func (s *ShardSet) valid(id NodeID) bool { return id >= 0 && int(id) < s.total }
 
 // traverse is the isA/instanceOf BFS: the frontier carries global IDs, each
-// expansion reads the owning shard's CSR (isA before instanceOf, like the
-// live net), and the visited set spans the whole ID space, so walks cross
-// shard boundaries freely. Each expansion is the one probe of the shard it
-// reads. When target is a valid node it stops early and reports
-// reachability; otherwise it appends visited ids (excluding start, BFS
-// order) to dst. dir selects the out (ancestors) or in (descendants)
-// adjacency.
+// expansion reads the owning shard's CSR (isA before instanceOf), and the
+// visited set spans the whole ID space, so walks cross shard boundaries
+// freely. Each expansion is the one probe of the shard it reads. When
+// target is a valid node it stops early and reports reachability;
+// otherwise it appends visited ids (excluding start, BFS order) to dst.
+// dir selects the out (ancestors) or in (descendants) adjacency.
 func (s *ShardSet) traverse(dir int, start NodeID, maxDepth int, target NodeID, dst []NodeID, collect bool) ([]NodeID, bool) {
 	if !s.valid(start) {
 		return dst, false

@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,9 +30,9 @@ func newShardSet(t testing.TB, n *Net, count int) *ShardSet {
 
 // frozenViews returns every frozen form of n: a ShardSet over each of
 // shardCounts' partitions, and over the same shards saved and loaded back.
-func frozenViews(t testing.TB, n *Net) map[string]Reader {
+func frozenViews(t testing.TB, n *Net) map[string]*ShardSet {
 	t.Helper()
-	views := map[string]Reader{}
+	views := map[string]*ShardSet{}
 	for _, count := range shardCounts {
 		shards := n.FreezeShards(count)
 		loaded := make([]*FrozenNet, count)
@@ -51,7 +55,7 @@ func frozenViews(t testing.TB, n *Net) map[string]Reader {
 }
 
 // TestShardSetEquivalenceRandomized proves a ShardSet's answers do not
-// depend on its shard count or on a Save→Load round trip: every Reader
+// depend on its shard count or on a Save→Load round trip: every query
 // method, on randomized nets partitioned N ways (frozenViews), must return
 // exactly what the one-shard set of Net.Freeze returns — same elements,
 // same order — because every shard sorts its postings at freeze time from
@@ -398,4 +402,203 @@ func TestTraversalProbesEachAdjacencyReadOnce(t *testing.T) {
 		}
 		restore()
 	}
+}
+
+// The values a FuzzShardSetMatchesReference input picks from: few enough
+// that names repeat across kinds and domains and that weights tie, so
+// postings order by Peer, with empty and non-ASCII strings among them. The
+// relation names are a fixed set, so no input grows the process-wide
+// intern table past them.
+var (
+	fuzzNames   = []string{"", "coat", "outdoor barbecue", "连衣裙", "café", "coat ", "a\x00b"}
+	fuzzDomains = []string{"", "Category", "Color", "节日"}
+	fuzzRels    = []string{"", "suitable_when", "has_property", "适用于"}
+	fuzzWeights = []float64{0, 0.25, 0.5, 1, -1}
+)
+
+// fuzzNet decodes fuzz input into a net and a shard count. The first byte
+// picks the count (1 to 8, so it may exceed the node count) and the second
+// how many AddNode calls follow (up to 39), each reading a kind, a name and
+// a domain. Every following group of six bytes, up to 192 of them, is one
+// AddEdge call: an edge kind, a layer pair that kind allows, one end in
+// each of those layers, a relation and a weight. A repeated node is the one
+// AddNode returned before, and a repeated edge updates its weight. The
+// bounds keep the check of one input to about a millisecond.
+func fuzzNet(t *testing.T, data []byte) (*Net, int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	count := 1 + next()%8
+	n := NewNet()
+	for i := next() % 40; i > 0; i-- {
+		kind := NodeKind(next() % int(numKinds))
+		n.AddNode(kind, fuzzNames[next()%len(fuzzNames)], fuzzDomains[next()%len(fuzzDomains)])
+	}
+	var byKind [numKinds][]NodeID
+	for id := NodeID(0); int(id) < n.NumNodes(); id++ {
+		nd, _ := n.Node(id)
+		byKind[nd.Kind] = append(byKind[nd.Kind], id)
+	}
+	for edges := 0; len(data) > 0 && edges < 192; edges++ {
+		kind := EdgeKind(next() % int(numEdgeKinds))
+		rule := edgeRules[kind][next()%len(edgeRules[kind])]
+		from, to := byKind[rule[0]], byKind[rule[1]]
+		a, b := next(), next()
+		rel, w := fuzzRels[next()%len(fuzzRels)], fuzzWeights[next()%len(fuzzWeights)]
+		if len(from) == 0 || len(to) == 0 {
+			continue
+		}
+		if err := n.AddEdge(from[a%len(from)], to[b%len(to)], kind, rel, w); err != nil {
+			t.Fatalf("AddEdge: %v", err)
+		}
+	}
+	return n, count
+}
+
+// checkMatchesReference compares every ShardSet query with the reference
+// method of the same name on n, the net s was frozen from: on every node,
+// on IDs, kinds, depths and limits out of range, and on names the net does
+// not hold. Where the frozen store fixes an order the reference does not
+// keep — edges grouped by kind, item<->e-commerce-concept postings sorted
+// by weight — the expected slice is built in that order from the
+// reference's own answers.
+func checkMatchesReference(t *testing.T, view string, n *Net, s *ShardSet) {
+	t.Helper()
+	total := n.NumNodes()
+	if s.NumNodes() != total || s.NumEdges() != n.NumEdges() {
+		t.Fatalf("%s: %d nodes, %d edges; reference %d, %d", view, s.NumNodes(), s.NumEdges(), total, n.NumEdges())
+	}
+	ids := []NodeID{math.MinInt32, -2, InvalidNode}
+	for id := NodeID(0); int(id) <= total+1; id++ {
+		ids = append(ids, id)
+	}
+	ids = append(ids, math.MaxInt32)
+	for _, id := range ids {
+		want, wok := n.Node(id)
+		if got, ok := s.Node(id); ok != wok || got != want {
+			t.Fatalf("%s: Node(%d) = %+v, %v; reference %+v, %v", view, id, got, ok, want, wok)
+		}
+		for _, dir := range []struct {
+			name     string
+			ref, got func(NodeID, EdgeKind) []HalfEdge
+			postings func(NodeID, int) []HalfEdge
+		}{
+			{"Out", n.Out, s.Out, n.EConceptsForItem},
+			{"In", n.In, s.In, n.ItemsForEConcept},
+		} {
+			var grouped []HalfEdge
+			for kind := EdgeKind(0); kind < numEdgeKinds; kind++ {
+				want := dir.ref(id, kind)
+				if kind == EdgeItemEConcept {
+					want = dir.postings(id, 0)
+				}
+				if got := dir.got(id, kind); !edgesEqual(got, want) {
+					t.Fatalf("%s: %s(%d, %v) = %v; reference %v", view, dir.name, id, kind, got, want)
+				}
+				grouped = append(grouped, want...)
+			}
+			for _, kind := range []EdgeKind{-2, -1} {
+				if got := dir.got(id, kind); !edgesEqual(got, grouped) {
+					t.Fatalf("%s: %s(%d, %d) = %v; reference, kind-grouped, %v", view, dir.name, id, kind, got, grouped)
+				}
+			}
+			if got := dir.got(id, numEdgeKinds); len(got) != 0 {
+				t.Fatalf("%s: %s(%d) of an invalid kind = %v", view, dir.name, id, got)
+			}
+		}
+		for _, limit := range []int{-1, 0, 1, 2, 5} {
+			if got, want := s.ItemsForEConcept(id, limit), n.ItemsForEConcept(id, limit); !edgesEqual(got, want) {
+				t.Fatalf("%s: ItemsForEConcept(%d, %d) = %v; reference %v", view, id, limit, got, want)
+			}
+			if got, want := s.EConceptsForItem(id, limit), n.EConceptsForItem(id, limit); !edgesEqual(got, want) {
+				t.Fatalf("%s: EConceptsForItem(%d, %d) = %v; reference %v", view, id, limit, got, want)
+			}
+		}
+		if got, want := s.PrimitivesForEConcept(id), n.PrimitivesForEConcept(id); !edgesEqual(got, want) {
+			t.Fatalf("%s: PrimitivesForEConcept(%d) = %v; reference %v", view, id, got, want)
+		}
+		for _, depth := range []int{-1, 0, 1, 2} {
+			if got, want := s.Ancestors(id, depth), n.Ancestors(id, depth); !idsEqual(got, want) {
+				t.Fatalf("%s: Ancestors(%d, %d) = %v; reference %v", view, id, depth, got, want)
+			}
+			if got, want := s.Descendants(id, depth), n.Descendants(id, depth); !idsEqual(got, want) {
+				t.Fatalf("%s: Descendants(%d, %d) = %v; reference %v", view, id, depth, got, want)
+			}
+		}
+		// The reference IsAncestor is membership in Ancestors(id, 0): one
+		// walk per node serves every candidate ancestor.
+		up := n.Ancestors(id, 0)
+		for _, anc := range ids {
+			if got, want := s.IsAncestor(id, anc), slices.Contains(up, anc); got != want {
+				t.Fatalf("%s: IsAncestor(%d, %d) = %v; reference %v", view, id, anc, got, want)
+			}
+		}
+	}
+	for kind := NodeKind(-1); kind <= numKinds; kind++ {
+		if got, want := s.NodesOfKind(kind), n.NodesOfKind(kind); !idsEqual(got, want) {
+			t.Fatalf("%s: NodesOfKind(%v) = %v; reference %v", view, kind, got, want)
+		}
+	}
+	for _, name := range append(fuzzNames, "no such name", "coa") {
+		if got, want := s.FindByName(name), n.FindByName(name); !idsEqual(got, want) {
+			t.Fatalf("%s: FindByName(%q) = %v; reference %v", view, name, got, want)
+		}
+		for kind := NodeKind(-1); kind <= numKinds; kind++ {
+			if got, want := s.FindByNameKind(name, kind), n.FindByNameKind(name, kind); !idsEqual(got, want) {
+				t.Fatalf("%s: FindByNameKind(%q, %v) = %v; reference %v", view, name, kind, got, want)
+			}
+			want := n.FirstByNameKind(name, kind)
+			if got := s.FirstByNameKind(name, kind); got != want {
+				t.Fatalf("%s: FirstByNameKind(%q, %v) = %d; reference %d", view, name, kind, got, want)
+			}
+			if got := s.FirstByNameKindBytes([]byte(name), kind); got != want {
+				t.Fatalf("%s: FirstByNameKindBytes(%q, %v) = %d; reference %d", view, name, kind, got, want)
+			}
+		}
+	}
+	if got, want := s.ComputeStats(), n.ComputeStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: ComputeStats = %+v; reference %+v", view, got, want)
+	}
+}
+
+// FuzzShardSetMatchesReference: freezing, partitioning and the shard codec
+// together answer what the net holds. Each input is decoded into a net
+// (fuzzNet) that the k-way partition freezes; the frozen shards, and the
+// same shards saved and loaded back, each assemble into a ShardSet whose
+// every query must match the reference (checkMatchesReference).
+func FuzzShardSetMatchesReference(f *testing.F) {
+	f.Add([]byte{})                                // an empty net
+	f.Add([]byte{7, 3, 0, 1, 1, 1, 1, 1, 2, 2, 2}) // 8 shards over 3 nodes
+	for seed := 1; seed <= 3; seed++ {
+		// 12, 24 and 36 AddNode calls, then the rest of 384 bytes of
+		// AddEdge calls: the fewer the nodes, the more edges repeat.
+		data := make([]byte, 384)
+		rand.New(rand.NewSource(int64(seed))).Read(data)
+		data[1] = byte(12 * seed)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, count := fuzzNet(t, data)
+		shards := n.FreezeShards(count)
+		loaded := make([]*FrozenNet, count)
+		for i, sh := range shards {
+			g, err := LoadFrozen(bytes.NewReader(saveFrozen(t, sh)))
+			if err != nil {
+				t.Fatalf("shard %d of %d does not load back: %v", i, count, err)
+			}
+			loaded[i] = g
+		}
+		for view, set := range map[string][]*FrozenNet{"frozen": shards, "loaded": loaded} {
+			s, err := NewShardSet(set)
+			if err != nil {
+				t.Fatalf("%s %d shards: %v", view, count, err)
+			}
+			checkMatchesReference(t, fmt.Sprintf("%s %d shards", view, count), n, s)
+		}
+	})
 }

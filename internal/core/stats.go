@@ -25,60 +25,6 @@ type Stats struct {
 	AvgPrimsPerEConcept  float64
 }
 
-// ComputeStats scans the net once and fills a Stats.
-func (n *Net) ComputeStats() Stats {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	s := Stats{
-		Nodes:           len(n.nodes),
-		Edges:           n.edges,
-		PerKind:         make(map[string]int),
-		PrimitivesByDom: make(map[string]int),
-		EdgesByKind:     make(map[string]int),
-	}
-	items, econcepts := 0, 0
-	var itemPrim, itemEcpt, ecptPrim int
-	for id, nd := range n.nodes {
-		s.PerKind[nd.Kind.String()]++
-		if nd.Kind == KindPrimitive {
-			s.PrimitivesByDom[nd.Domain]++
-		}
-		if nd.Kind == KindItem {
-			items++
-		}
-		if nd.Kind == KindEConcept {
-			econcepts++
-		}
-		for _, he := range n.outAdj[id] {
-			s.EdgesByKind[he.Kind.String()]++
-			switch he.Kind {
-			case EdgeIsA:
-				switch nd.Kind {
-				case KindPrimitive:
-					s.IsAPrimitive++
-				case KindEConcept:
-					s.IsAEConcept++
-				}
-			case EdgeItemPrimitive:
-				itemPrim++
-			case EdgeItemEConcept:
-				itemEcpt++
-			case EdgeInterpretedBy:
-				ecptPrim++
-			}
-		}
-	}
-	if items > 0 {
-		s.AvgPrimitivesPerItem = float64(itemPrim) / float64(items)
-		s.AvgEConceptsPerItem = float64(itemEcpt) / float64(items)
-	}
-	if econcepts > 0 {
-		s.AvgItemsPerEConcept = float64(itemEcpt) / float64(econcepts)
-		s.AvgPrimsPerEConcept = float64(ecptPrim) / float64(econcepts)
-	}
-	return s
-}
-
 // Render formats the stats as a Table-2-style text block.
 func (s Stats) Render() string {
 	var b strings.Builder

@@ -43,10 +43,10 @@ func DefaultConfig() Config {
 }
 
 // Miner precomputes base rates over the net's item layer. Mining is pure
-// reading, so a Miner runs against a frozen snapshot as well as a live net;
-// only Materialize needs a writable net.
+// reading, so a Miner runs against a frozen snapshot; only Materialize needs
+// the live net.
 type Miner struct {
-	net      core.Reader
+	net      *core.ShardSet
 	cfg      Config
 	baseRate map[core.NodeID]float64 // primitive -> share of all items carrying it
 	items    int
@@ -54,7 +54,7 @@ type Miner struct {
 }
 
 // NewMiner scans the item layer once.
-func NewMiner(net core.Reader, cfg Config) *Miner {
+func NewMiner(net *core.ShardSet, cfg Config) *Miner {
 	m := &Miner{net: net, cfg: cfg, baseRate: make(map[core.NodeID]float64)}
 	if len(cfg.Domains) > 0 {
 		m.domains = make(map[string]bool, len(cfg.Domains))

@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -17,9 +18,33 @@ func buildNet(t *testing.T) *pipeline.Artifacts {
 	return a
 }
 
+// loadedShards freezes n into count shards, saves each and loads it back,
+// and assembles the loaded shards into a set.
+func loadedShards(t *testing.T, n *core.Net, count int) *core.ShardSet {
+	t.Helper()
+	shards := n.FreezeShards(count)
+	for i, sh := range shards {
+		var buf bytes.Buffer
+		if err := sh.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := core.LoadFrozen(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = loaded
+	}
+	set, err := core.NewShardSet(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 func TestInferImplicitRelations(t *testing.T) {
 	a := buildNet(t)
-	m := NewMiner(a.Net, DefaultConfig())
+	net := a.Net.Freeze()
+	m := NewMiner(net, DefaultConfig())
 	rels := m.InferAll()
 	if len(rels) == 0 {
 		t.Fatal("no implicit relations inferred")
@@ -33,7 +58,7 @@ func TestInferImplicitRelations(t *testing.T) {
 			t.Fatalf("inadmissible domain %s inferred", nd.Domain)
 		}
 		// Must not duplicate an existing interpretation.
-		for _, he := range a.Net.Out(r.Concept, core.EdgeInterpretedBy) {
+		for _, he := range net.Out(r.Concept, core.EdgeInterpretedBy) {
 			if he.Peer == r.Primitive && he.Rel.String() == "" {
 				t.Fatal("inferred relation duplicates an explicit one")
 			}
@@ -46,9 +71,10 @@ func TestInferImplicitRelations(t *testing.T) {
 // or Material concentration should surface for some concept.
 func TestInferenceFindsMeaningfulConcentrations(t *testing.T) {
 	a := buildNet(t)
-	m := NewMiner(a.Net, Config{MinLift: 1.5, MinCoverage: 0.25, MinItems: 4})
+	net := a.Net.Freeze()
+	m := NewMiner(net, Config{MinLift: 1.5, MinCoverage: 0.25, MinItems: 4})
 	found := false
-	for _, c := range a.Net.NodesOfKind(core.KindEConcept) {
+	for _, c := range net.NodesOfKind(core.KindEConcept) {
 		rels := m.InferConcept(c)
 		if len(rels) > 0 {
 			found = true
@@ -64,7 +90,7 @@ func TestInferConceptSkipsSmallConcepts(t *testing.T) {
 	a := buildNet(t)
 	cfg := DefaultConfig()
 	cfg.MinItems = 1 << 30
-	m := NewMiner(a.Net, cfg)
+	m := NewMiner(a.Net.Freeze(), cfg)
 	if rels := m.InferAll(); len(rels) != 0 {
 		t.Fatalf("MinItems not respected: %d relations", len(rels))
 	}
@@ -73,7 +99,7 @@ func TestInferConceptSkipsSmallConcepts(t *testing.T) {
 func TestDomainRestriction(t *testing.T) {
 	a := buildNet(t)
 	cfg := Config{MinLift: 1.2, MinCoverage: 0.2, MinItems: 4, Domains: []string{"Function"}}
-	m := NewMiner(a.Net, cfg)
+	m := NewMiner(a.Net.Freeze(), cfg)
 	for _, r := range m.InferAll() {
 		if r.Domain != "Function" {
 			t.Fatalf("domain restriction violated: %+v", r)
@@ -83,7 +109,7 @@ func TestDomainRestriction(t *testing.T) {
 
 func TestMaterialize(t *testing.T) {
 	a := buildNet(t)
-	m := NewMiner(a.Net, DefaultConfig())
+	m := NewMiner(a.Net.Freeze(), DefaultConfig())
 	rels := m.InferAll()
 	if len(rels) == 0 {
 		t.Skip("nothing to materialize in tiny world")
@@ -102,7 +128,7 @@ func TestMaterialize(t *testing.T) {
 	// Materialized edges are queryable and tagged "implied".
 	r := rels[0]
 	foundImplied := false
-	for _, he := range a.Net.Out(r.Concept, core.EdgeInterpretedBy) {
+	for _, he := range a.Net.Freeze().Out(r.Concept, core.EdgeInterpretedBy) {
 		if he.Peer == r.Primitive && he.Rel.String() == "implied" {
 			foundImplied = true
 			if he.Weight > 0.99 {
@@ -123,12 +149,14 @@ func TestMaterialize(t *testing.T) {
 	}
 }
 
-// TestMinerOnFrozenSnapshot is the serving configuration: mine from an
-// immutable snapshot, materialize into the live net, and re-freeze.
+// TestMinerOnFrozenSnapshot is the serving configuration: mine from a
+// 3-shard partition saved and loaded back, as a served catalog holds it,
+// check it against mining the net's one-shard freeze ("live"), materialize
+// into the live net, and re-freeze.
 func TestMinerOnFrozenSnapshot(t *testing.T) {
 	a := buildNet(t)
-	frozen := a.Net.Freeze()
-	live := NewMiner(a.Net, DefaultConfig()).InferAll()
+	frozen := loadedShards(t, a.Net, 3)
+	live := NewMiner(a.Net.Freeze(), DefaultConfig()).InferAll()
 	snap := NewMiner(frozen, DefaultConfig())
 	fromSnap := snap.InferAll()
 	if len(fromSnap) != len(live) {
@@ -158,8 +186,9 @@ func TestMinerOnFrozenSnapshot(t *testing.T) {
 
 func TestRelationsSortedByLift(t *testing.T) {
 	a := buildNet(t)
-	m := NewMiner(a.Net, Config{MinLift: 1.2, MinCoverage: 0.2, MinItems: 4})
-	for _, c := range a.Net.NodesOfKind(core.KindEConcept) {
+	net := a.Net.Freeze()
+	m := NewMiner(net, Config{MinLift: 1.2, MinCoverage: 0.2, MinItems: 4})
+	for _, c := range net.NodesOfKind(core.KindEConcept) {
 		rels := m.InferConcept(c)
 		for i := 1; i < len(rels); i++ {
 			if rels[i].Lift > rels[i-1].Lift {

@@ -21,7 +21,7 @@ func buildTiny(t *testing.T) *Artifacts {
 
 func TestBuildProducesFourLayers(t *testing.T) {
 	a := buildTiny(t)
-	s := a.Net.ComputeStats()
+	s := a.Net.Freeze().ComputeStats()
 	if s.PerKind["class"] == 0 || s.PerKind["primitive"] == 0 || s.PerKind["econcept"] == 0 || s.PerKind["item"] == 0 {
 		t.Fatalf("missing layer: %+v", s.PerKind)
 	}
@@ -44,7 +44,7 @@ func TestAllTwentyDomainClasses(t *testing.T) {
 		}
 	}
 	root := a.Net.FirstByNameKind("root", core.KindClass)
-	kids := a.Net.In(root, core.EdgeIsA)
+	kids := a.Net.Freeze().In(root, core.EdgeIsA)
 	if len(kids) != 20 {
 		t.Fatalf("root should have 20 domain children, got %d", len(kids))
 	}
@@ -59,7 +59,7 @@ func TestCategoryPathInNet(t *testing.T) {
 		t.Fatal("coat primitive missing")
 	}
 	catCls := a.DomainCls[world.Category]
-	if !a.Net.IsAncestor(coatPrim, catCls) {
+	if !a.Net.Freeze().IsAncestor(coatPrim, catCls) {
 		t.Fatal("coat should reach the Category domain class via isA/instanceOf")
 	}
 }
@@ -70,7 +70,7 @@ func TestEConceptInterpretation(t *testing.T) {
 	if ob == core.InvalidNode {
 		t.Fatal("outdoor barbecue concept missing")
 	}
-	prims := a.Net.PrimitivesForEConcept(ob)
+	prims := a.Net.Freeze().PrimitivesForEConcept(ob)
 	names := map[string]bool{}
 	for _, he := range prims {
 		nd, _ := a.Net.Node(he.Peer)
@@ -84,7 +84,7 @@ func TestEConceptInterpretation(t *testing.T) {
 func TestItemsAssociatedWithConcepts(t *testing.T) {
 	a := buildTiny(t)
 	ob := a.Net.FirstByNameKind("outdoor barbecue", core.KindEConcept)
-	items := a.Net.ItemsForEConcept(ob, 0)
+	items := a.Net.Freeze().ItemsForEConcept(ob, 0)
 	if len(items) == 0 {
 		t.Fatal("no items for outdoor barbecue")
 	}
@@ -105,7 +105,7 @@ func TestItemsAssociatedWithConcepts(t *testing.T) {
 
 func TestEConceptIsAHierarchy(t *testing.T) {
 	a := buildTiny(t)
-	s := a.Net.ComputeStats()
+	s := a.Net.Freeze().ComputeStats()
 	if s.IsAEConcept == 0 {
 		t.Fatal("no isA edges in the e-commerce concept layer")
 	}
@@ -113,14 +113,14 @@ func TestEConceptIsAHierarchy(t *testing.T) {
 
 func TestSchemaEdgesPresent(t *testing.T) {
 	a := buildTiny(t)
-	s := a.Net.ComputeStats()
+	s := a.Net.Freeze().ComputeStats()
 	if s.EdgesByKind["schema"] == 0 {
 		t.Fatal("no schema edges")
 	}
 	// suitable_when must connect a category class to the Time domain.
 	mooncake := a.Net.FirstByNameKind("mooncake", core.KindClass)
 	found := false
-	for _, he := range a.Net.Out(mooncake, core.EdgeSchema) {
+	for _, he := range a.Net.Freeze().Out(mooncake, core.EdgeSchema) {
 		if he.Rel.String() == "suitable_when" && he.Peer == a.DomainCls[world.Time] {
 			found = true
 		}

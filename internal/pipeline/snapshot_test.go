@@ -183,7 +183,7 @@ var metaCorruptions = []struct {
 // that node to the recommend engine as a viewed item.
 func TestLoadShardMetaStructuralCorruption(t *testing.T) {
 	a := buildTiny(t)
-	nonItem := uint32(a.Net.NodesOfKind(core.KindEConcept)[0])
+	nonItem := uint32(a.Net.Freeze().NodesOfKind(core.KindEConcept)[0])
 	total := uint32(a.Net.NumNodes())
 	for _, row := range metaCorruptions {
 		t.Run(row.name, func(t *testing.T) {

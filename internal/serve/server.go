@@ -244,7 +244,7 @@ func (s *server) writeJSONCaching(w http.ResponseWriter, v any, cache *qcache.Ca
 		cache.PutString(stamp, key, c.cacheValue(http.StatusOK))
 		c.buf.Truncate(c.buf.Len() - statusLen)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = hdrJSON
 	if _, err := w.Write(c.buf.Bytes()); err != nil {
 		log.Printf("write: %v", err)
 	}
@@ -266,7 +266,7 @@ func (s *server) writeResults(w http.ResponseWriter, results any) {
 	b := c.buf.Bytes()
 	b[len(b)-1] = '}' // Encode's trailing newline becomes the closing brace
 	c.buf.WriteByte('\n')
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = hdrJSON
 	if _, err := w.Write(c.buf.Bytes()); err != nil {
 		log.Printf("write: %v", err)
 	}
@@ -277,7 +277,8 @@ func (s *server) writeResults(w http.ResponseWriter, results any) {
 // Header().Set pays per call. net/http only reads header values, so one
 // shared slice serving every response is safe — and it is what keeps the
 // cache-hit path's single remaining allocation free for the request-ID
-// echo instead of the Content-Type header.
+// echo instead of the Content-Type header; the miss path's JSON writers
+// save the same allocation.
 var (
 	hdrJSON    = []string{"application/json"}
 	hdrText    = []string{"text/plain; charset=utf-8"}

@@ -12,8 +12,9 @@ import (
 
 // unlinkedItemPrimitive returns an item and a primitive of the live net that
 // no edge joins yet.
-func unlinkedItemPrimitive(t *testing.T, n *core.Net) (item, prim core.NodeID) {
+func unlinkedItemPrimitive(t *testing.T, live *core.Net) (item, prim core.NodeID) {
 	t.Helper()
+	n := live.Freeze()
 	prims := n.NodesOfKind(core.KindPrimitive)
 	for _, item := range n.NodesOfKind(core.KindItem) {
 		for _, prim := range prims {
@@ -28,7 +29,7 @@ func unlinkedItemPrimitive(t *testing.T, n *core.Net) (item, prim core.NodeID) {
 }
 
 // hasEdge reports whether r holds both halves of the item→primitive edge.
-func hasEdge(r core.Reader, item, prim core.NodeID) bool {
+func hasEdge(r *core.ShardSet, item, prim core.NodeID) bool {
 	out := slices.ContainsFunc(r.Out(item, core.EdgeItemPrimitive), func(he core.HalfEdge) bool { return he.Peer == prim })
 	in := slices.ContainsFunc(r.In(prim, core.EdgeItemPrimitive), func(he core.HalfEdge) bool { return he.Peer == item })
 	return out && in

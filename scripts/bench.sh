@@ -4,7 +4,8 @@
 # Usage: scripts/bench.sh [benchtime]
 #
 # Runs the serving benchmark set across the packages that carry it — the
-# BenchmarkFrozenVsLocked* pairs (plus the raw store benchmark), the
+# BenchmarkFrozenVsLocked* and BenchmarkFrozenSearchEngine reads of the
+# one-shard ShardSet (each a "/frozen" row), the
 # BenchmarkColdStart{Live,Frozen} pair, the BenchmarkParallelFrozen*
 # concurrent-serving benchmarks, the BenchmarkBatchServe* batch-vs-
 # sequential pairs, the BenchmarkSearchIntoReused zero-allocation headline,
@@ -17,8 +18,9 @@
 # BenchmarkReload (a no-op, a single-shard and a reshard reload of a
 # committed generation, the per-layer twin of the churn publish) — and
 # writes BENCH_core.json at the repo root: one record per benchmark with
-# ns/op, B/op, and allocs/op. The FrozenVsLocked*/frozen rows read the
-# one-shard ShardSet that Net.Freeze returns.
+# ns/op, B/op, and allocs/op. The FrozenVsLocked* rows keep the names
+# they had when each was paired with a "/locked" read of the live net,
+# whose read half is now only a test reference.
 #
 # Before overwriting, the committed BENCH_core.json is kept and a
 # BENCH_delta table (ns/op, B/op and allocs/op, old vs new, per benchmark)
@@ -43,7 +45,7 @@ else
 fi
 
 go test -run '^$' \
-    -bench 'FrozenVsLocked|FrozenSearchEngine|NetQueries|ColdStart|ParallelFrozen|BatchServe|SearchIntoReused|SegmentInto|ServeCache|BatchDecode|Sharded|Reload' \
+    -bench 'FrozenVsLocked|FrozenSearchEngine|ColdStart|ParallelFrozen|BatchServe|SearchIntoReused|SegmentInto|ServeCache|BatchDecode|Sharded|Reload' \
     -benchmem -benchtime="$BENCHTIME" \
     . ./internal/text ./internal/serve | tee "$RAW"
 

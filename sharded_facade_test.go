@@ -187,7 +187,7 @@ func TestRelationNamesSurviveShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := namedEdges(c.Internal().Net), namedEdges(l.serving.Load().shards)
+	want, got := namedEdges(c.Internal().Net.Freeze()), namedEdges(l.serving.Load().shards)
 	for _, rel := range []string{"has_property", "used_in", "suitable_when", "has_function", "implied"} {
 		if !slices.ContainsFunc(want, func(e string) bool { return strings.HasSuffix(e, " "+rel) }) {
 			t.Errorf("the built net has no %q edge", rel)
@@ -200,7 +200,7 @@ func TestRelationNamesSurviveShardedRoundTrip(t *testing.T) {
 
 // namedEdges lists both halves of every edge that carries a relation name,
 // as sorted "from dir peer kind weight name" lines.
-func namedEdges(r core.Reader) []string {
+func namedEdges(r *core.ShardSet) []string {
 	var out []string
 	add := func(id core.NodeID, dir string, hes []core.HalfEdge) {
 		for _, he := range hes {

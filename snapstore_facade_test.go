@@ -1,13 +1,16 @@
 package alicoco
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"alicoco/internal/faultfs"
 	"alicoco/internal/snapstore"
 )
 
@@ -399,5 +402,62 @@ func TestCommitKeepsServedGeneration(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(root, "gen-000001")); !os.IsNotExist(err) {
 		t.Fatalf("gen 1's directory survived the commit after serving moved off it: %v", err)
+	}
+}
+
+// TestNoopReloadTakesNoHold: a reload of the generation already served
+// reads the catalog no more often than one lookup of the store. Serving's
+// hold keeps the generation's files while they are read, so the reload
+// neither locks the generation again nor re-reads the catalog to check
+// that it is still committed. A forced shard reload of that generation
+// publishes, so it holds the generation again: a commit at retain 1 keeps
+// it, and the served generation scrubs clean.
+func TestNoopReloadTakesNoHold(t *testing.T) {
+	c := buildSmall(t)
+	root := t.TempDir()
+	if _, err := c.SaveShards(root, 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err := LoadShardedFrozen(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := faultfs.Inject(faultfs.Fault{PathContains: snapstore.CatalogName, Delay: time.Nanosecond})
+	defer restore()
+	catalogReads := func(op func() error) uint64 {
+		t.Helper()
+		before := faultfs.Injected()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return faultfs.Injected() - before
+	}
+	lookup := catalogReads(func() error {
+		_, err := snapstore.Lookup(root, nil)
+		return err
+	})
+	reload := catalogReads(func() error {
+		n, err := l.ReloadShards(root)
+		if err == nil && n != 0 {
+			err = fmt.Errorf("no-op reload read %d shards", n)
+		}
+		return err
+	})
+	if lookup == 0 {
+		t.Fatal("the fault counted no catalog read")
+	}
+	if reload > lookup {
+		t.Fatalf("a no-op reload made %d catalog reads, one lookup %d", reload, lookup)
+	}
+	restore()
+
+	if err := l.ReloadShard(root, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.SaveShardsRetain(root, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := l.ScrubOnce(); err != nil || !rep.Clean() {
+		t.Fatalf("scrub of the served generation after a commit at retain 1: %+v, %v", rep, err)
 	}
 }
