@@ -78,8 +78,8 @@ func Default() Options {
 // engines.
 //
 // All query methods read one servingState loaded atomically, so they are
-// safe to call concurrently with InferImplicitRelations, Refreeze, and
-// ReloadShards (each publishes a fresh snapshot by swapping the pointer,
+// safe to call concurrently with InferImplicitRelations, ReloadShards and
+// RollbackTo (each publishes a fresh snapshot by swapping the pointer,
 // never by mutating one in place).
 type CoCo struct {
 	arts       atomic.Pointer[pipeline.Artifacts]
@@ -89,7 +89,7 @@ type CoCo struct {
 
 	// shardCount is the partition size live refreezes maintain: a CoCo
 	// built with BuildSharded re-partitions into the same number of shards
-	// on every refreeze (inference, Refreeze); 1 freezes the whole net.
+	// on every refreeze (InferImplicitRelations); 1 freezes the whole net.
 	// Written only at construction, before the CoCo escapes.
 	shardCount int
 
@@ -179,23 +179,11 @@ func (c *CoCo) ServingInfo() ServingInfo { return c.serving.Load().info }
 // it as a one-shard frozen snapshot: BuildSharded with one shard.
 func Build(opts Options) (*CoCo, error) { return BuildSharded(opts, 1) }
 
-// Refreeze republishes the live net's current state to the serving engines,
-// preserving the configured partition (a BuildSharded CoCo re-freezes all
-// shards). It errors on a snapshot-loaded CoCo, which has no live net.
-func (c *CoCo) Refreeze() error {
-	c.offline.Lock()
-	defer c.offline.Unlock()
-	if c.arts.Load().Net == nil {
-		return errors.New("alicoco: refreeze: snapshot-loaded net has no live store")
-	}
-	return c.refreeze("refreeze")
-}
-
 // BuildSharded constructs the net like Build and serves it partitioned
 // into shards: point lookups route to the owning shard, traversals and
 // search scatter-gather across the set, and each shard can be re-frozen
-// and reloaded independently. Every subsequent refreeze (inference,
-// Refreeze) maintains the same partition. shards <= 1 serves one shard,
+// and reloaded independently. Every subsequent refreeze
+// (InferImplicitRelations) maintains the same partition. shards <= 1 serves one shard,
 // through the same ShardSet read path as many. The net is frozen into the
 // requested partition once and published once, and the build's corpus is
 // dropped (see Internal).
@@ -219,9 +207,6 @@ func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	c.arts.Store(arts)
 	return c, c.refreeze("build")
 }
-
-// NumShards reports the partition size of the published serving state.
-func (c *CoCo) NumShards() int { return c.serving.Load().info.Shards }
 
 // ShardInfos describes each shard of the published serving partition. The
 // slice is a copy.
@@ -958,11 +943,11 @@ func (c *CoCo) InferImplicitRelations() ([]ImpliedRelation, error) {
 	return out, nil
 }
 
-// Internal exposes the underlying artifacts for the cmd/ and examples/
-// binaries in this module that need lower-level access (experiments,
-// serving). External users should treat CoCo as the API. A built CoCo's
-// artifacts carry no corpus, so they cannot TrainModels; the experiments
-// build with pipeline.Build.
+// Internal exposes the underlying artifacts to this module's tests and to
+// bench/, which read the live net and the served shards directly.
+// External users should treat CoCo as the API. A built CoCo's artifacts
+// carry no corpus, so they cannot TrainModels; the experiments build with
+// pipeline.Build.
 func (c *CoCo) Internal() *pipeline.Artifacts { return c.arts.Load() }
 
 // WorldDomains lists the 20 taxonomy domains.

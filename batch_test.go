@@ -67,8 +67,8 @@ func TestRecommendBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchPinnedDuringRefreeze hammers SearchBatchBytesCtx while Refreeze
-// republishes: every batch must come back complete and internally
+// TestBatchPinnedDuringRefreeze hammers SearchBatchBytesCtx while a
+// refreeze republishes: every batch must come back complete and internally
 // consistent (all slots answered, no mixed-version partial results),
 // proving the batch reads one pinned snapshot.
 func TestBatchPinnedDuringRefreeze(t *testing.T) {
@@ -85,7 +85,7 @@ func TestBatchPinnedDuringRefreeze(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if err := c.Refreeze(); err != nil {
+				if err := refreezeLive(c); err != nil {
 					t.Errorf("refreeze: %v", err)
 					return
 				}
@@ -114,7 +114,7 @@ func TestServingInfoLifecycle(t *testing.T) {
 	if info.Nodes == 0 || info.Edges == 0 || info.PublishedAt.IsZero() {
 		t.Fatalf("empty serving counts: %+v", info)
 	}
-	if err := c.Refreeze(); err != nil {
+	if err := refreezeLive(c); err != nil {
 		t.Fatal(err)
 	}
 	info = c.ServingInfo()

@@ -5,7 +5,8 @@
 // runs on immutable frozen snapshots, which makes invalidation trivial:
 // every entry is stamped with the snapshot's publish generation (plus its
 // checksum), and lookups carry the stamp of the snapshot they are about to
-// read. A /reload or Refreeze bumps the generation, so every entry cached
+// read. Publishing a new snapshot (a reload that swaps content, or an
+// inference refreeze) bumps the generation, so every entry cached
 // against the old snapshot simply stops matching — the whole cache is
 // invalidated for free, with no epoch scans and no flush pause. Stale
 // entries are dropped lazily when a lookup lands on them, or pushed out by

@@ -58,7 +58,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 // against per-session calls, including a session with no recommendation.
 func TestRecommendBatchMatchesSequential(t *testing.T) {
 	s := testServer(t)
-	sessions := s.coco.SampleSessions(4)
+	sessions := builtNet(t).SampleSessions(4)
 	if len(sessions) < 2 {
 		t.Fatal("not enough sessions")
 	}

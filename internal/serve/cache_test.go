@@ -12,12 +12,11 @@ import (
 	"alicoco/internal/qcache"
 )
 
-// cachedFixture is a store-loaded server with every cache layer on,
-// built from the shared test net.
+// cachedFixture is a server with every cache layer on over the shared
+// test store.
 func cachedFixture(t *testing.T) *server {
 	t.Helper()
-	_, _, dir := snapshotFixture(t)
-	return serveStore(t, dir, cacheCfg(1024))
+	return serveStore(t, testServer(t).store, cacheCfg(1024))
 }
 
 // TestCachedResponsesByteIdentical is the regression guard for the
@@ -30,7 +29,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	s := cachedFixture(t)
 	uncached := serveStore(t, s.store, cacheCfg(0))
 
-	sessions := testServer(t).coco.SampleSessions(2)
+	sessions := builtNet(t).SampleSessions(2)
 	if len(sessions) == 0 {
 		t.Fatal("no sessions")
 	}
@@ -130,6 +129,42 @@ func TestCacheHitSkipsRecomputation(t *testing.T) {
 	}
 }
 
+// TestNoopReloadKeepsBytesCachesWarm: a POST /reload that finds the
+// store's newest generation already serving publishes nothing, so a
+// repeated /search and a repeated /recommend still hit the encoded-bytes
+// caches after it.
+func TestNoopReloadKeepsBytesCachesWarm(t *testing.T) {
+	s := testServer(t)
+	sessions := builtNet(t).SampleSessions(1)
+	if len(sessions) == 0 || len(sessions[0]) == 0 {
+		t.Fatal("no sessions")
+	}
+	parts := make([]string, len(sessions[0]))
+	for i, id := range sessions[0] {
+		parts[i] = fmt.Sprint(id)
+	}
+	urls := map[string]string{
+		"search_bytes":    "/search?q=outdoor+barbecue",
+		"recommend_bytes": "/recommend?items=" + strings.Join(parts, ",") + "&k=5",
+	}
+	for _, u := range urls {
+		get(s, u) // a first sighting may be declined; the second is stored
+		get(s, u)
+	}
+	if code, body := post(s, "/reload", ""); code != http.StatusOK {
+		t.Fatalf("reload: %d %s", code, body)
+	}
+	for layer, u := range urls {
+		before := metricValue(t, s, "cocoserve_cache_hits_total", "layer", layer)
+		if code, body := get(s, u); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", u, code, body)
+		}
+		if got := metricValue(t, s, "cocoserve_cache_hits_total", "layer", layer) - before; got != 1 {
+			t.Errorf("%s after a no-op reload: %v %s hits, want 1", u, got, layer)
+		}
+	}
+}
+
 // TestOneOffQueriesFillOnlyOpenEighth: searches and sessions that never
 // repeat fill only the eighth of each cache layer that stores every offer
 // — past it each is declined as a first sighting — while a repeated key is
@@ -138,7 +173,7 @@ func TestOneOffQueriesFillOnlyOpenEighth(t *testing.T) {
 	s := cachedFixture(t)
 	var items []string
 	seen := map[int]bool{}
-	for _, sess := range testServer(t).coco.SampleSessions(64) { // the net cachedFixture saved
+	for _, sess := range builtNet(t).SampleSessions(64) { // the net cachedFixture serves
 		for _, id := range sess {
 			if !seen[id] {
 				seen[id] = true

@@ -41,7 +41,7 @@ func chaosServer(t *testing.T, mutate func(*serveConfig)) *server {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return serveStore(t, saveStore(t, testServer(t).coco, 3), cfg)
+	return serveStore(t, saveStore(t, builtNet(t), 3), cfg)
 }
 
 // commitShards commits the shared test net into s's store as a new
@@ -49,7 +49,7 @@ func chaosServer(t *testing.T, mutate func(*serveConfig)) *server {
 // different shard count, so reloading it reads every shard file.
 func commitShards(t *testing.T, s *server, n int) uint64 {
 	t.Helper()
-	_, g, err := testServer(t).coco.SaveShardsRetain(s.store, n, 0)
+	_, g, err := builtNet(t).SaveShardsRetain(s.store, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ type Config struct {
 	// means the defaults (4x / 16x GOMAXPROCS).
 	MaxInflight int
 	QueueDepth  int
-	// SnapshotDir, when non-empty, is the snapshot store the facade was
-	// loaded from: reload, rollback and scrub run against its catalog.
+	// SnapshotDir is the snapshot store the facade was loaded from, and is
+	// required: reload, rollback and scrub run against its catalog.
 	SnapshotDir string
 }
 
@@ -53,13 +53,12 @@ func (c Config) toServeConfig() serveConfig {
 // Server is an embedded cocoserve instance.
 type Server struct{ s *server }
 
-// New wires a server around a built or loaded facade. With cfg.SnapshotDir
-// the snapshot lifecycle (reload diffing, rollback, scrubbing) engages
-// exactly as under the cocoserve command.
+// New wires a server around a facade loaded from the snapshot store
+// cfg.SnapshotDir, which is required: the snapshot lifecycle (reload
+// diffing, rollback, scrubbing) runs on it exactly as under the cocoserve
+// command.
 func New(coco *alicoco.CoCo, cfg Config) *Server {
-	s := newServerCfg(coco, cfg.toServeConfig())
-	s.store = cfg.SnapshotDir
-	return &Server{s: s}
+	return &Server{s: newServerCfg(coco, cfg.SnapshotDir, cfg.toServeConfig())}
 }
 
 // Handler is the production handler stack: the full route mux wrapped in

@@ -14,8 +14,8 @@ import (
 // carries no deadline on either endpoint class — while zero fields keep
 // the cocoserve defaults.
 func TestNewNegativeConfigTurnsOff(t *testing.T) {
-	coco := testServer(t).coco
-	off := New(coco, Config{MaxInflight: -1, Deadline: -1, BatchDeadline: -1}).s
+	s := testServer(t)
+	off := New(s.coco, Config{MaxInflight: -1, Deadline: -1, BatchDeadline: -1, SnapshotDir: s.store}).s
 	if off.gate != nil {
 		t.Fatalf("MaxInflight -1 built a gate: %+v", off.gate.Stats())
 	}
@@ -31,7 +31,7 @@ func TestNewNegativeConfigTurnsOff(t *testing.T) {
 			t.Fatalf("deadline %v attached a deadline to the request", d)
 		}
 	}
-	def := New(coco, Config{}).s
+	def := New(s.coco, Config{SnapshotDir: s.store}).s
 	if want := defaultServeConfig(); def.gate == nil || def.cfg.deadline != want.deadline || def.cfg.batchDeadline != want.batchDeadline {
 		t.Fatalf("zero Config lost the defaults: gate %v, deadlines %v / %v", def.gate != nil, def.cfg.deadline, def.cfg.batchDeadline)
 	}

@@ -65,10 +65,10 @@ type serveConfig struct {
 	breakerThreshold int
 	breakerCooldown  time.Duration
 
-	// Snapstore lifecycle (-snapshot-dir only): scrubInterval > 0 runs
-	// the background integrity scrubber on that period; validate is the
-	// post-swap check every newly published generation must pass or be
-	// rolled back (nil skips validation).
+	// Snapstore lifecycle: scrubInterval > 0 runs the background integrity
+	// scrubber on that period; validate is the post-swap check every newly
+	// published generation must pass or be rolled back (nil skips
+	// validation).
 	scrubInterval time.Duration
 	validate      func(*alicoco.CoCo) error
 
@@ -298,7 +298,7 @@ func (s *server) tryReload(shard int) (source string, err error) {
 	// when whole-net reloads keep failing until the breaker trips,
 	// re-anchor on the newest older generation that still loads and
 	// validates clean.
-	if s.breaker.Failure() && s.store != "" {
+	if s.breaker.Failure() {
 		if rerr := s.autoRollbackLocked(0, fmt.Sprintf("reload breaker tripped: %v", err)); rerr != nil {
 			log.Printf("auto-rollback: %v", rerr)
 		}
@@ -408,9 +408,7 @@ func serveListener(s *server, ln net.Listener, refresh, drainTimeout time.Durati
 			s.refreshLoop(refresh, done)
 		}()
 	}
-	// Scrubbing checks the served generation's files; a server built live
-	// has none.
-	if s.cfg.scrubInterval > 0 && s.store != "" {
+	if s.cfg.scrubInterval > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,29 +13,69 @@ import (
 	"alicoco"
 )
 
+// The shared fixtures, made once per test binary (benchmarks reuse them
+// too, so the accessors take a testing.TB): the small net built, its
+// committed one-shard generation, and a server over that generation.
 var (
-	srvOnce sync.Once
-	srv     *server
+	fixtureOnce sync.Once
+	fixtureErr  error
+	fixtureNet  *alicoco.CoCo
+	fixtureSrv  *server
 )
 
-var srvErr error
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if fixtureSrv != nil {
+		os.RemoveAll(fixtureSrv.store)
+	}
+	os.Exit(code)
+}
 
-// testServer builds the shared test net once (benchmarks reuse it too, so
-// it takes a testing.TB).
-func testServer(t testing.TB) *server {
+func fixtures(t testing.TB) {
 	t.Helper()
-	srvOnce.Do(func() {
-		coco, err := alicoco.Build(alicoco.Small())
-		if err != nil {
-			srvErr = err
+	fixtureOnce.Do(func() {
+		if fixtureNet, fixtureErr = alicoco.Build(alicoco.Small()); fixtureErr != nil {
 			return
 		}
-		srv = newServer(coco, alicoco.DefaultQueryCacheCapacity)
+		// The store outlives the first test that asks for it, so it cannot
+		// live in that test's TempDir; TestMain removes it.
+		dir, err := os.MkdirTemp("", "cocoserve-test-")
+		if err != nil {
+			fixtureErr = err
+			return
+		}
+		if _, fixtureErr = fixtureNet.SaveShards(dir, 1); fixtureErr != nil {
+			os.RemoveAll(dir)
+			return
+		}
+		coco, err := alicoco.LoadShardedFrozen(dir)
+		if err != nil {
+			fixtureErr = err
+			os.RemoveAll(dir)
+			return
+		}
+		fixtureSrv = newServerCfg(coco, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 	})
-	if srvErr != nil {
-		t.Fatal(srvErr)
+	if fixtureErr != nil {
+		t.Fatal(fixtureErr)
 	}
-	return srv
+}
+
+// builtNet is the shared built facade, the build side: tests save
+// generations from it and sample sessions from its click log, which a
+// loaded facade does not carry.
+func builtNet(t testing.TB) *alicoco.CoCo {
+	t.Helper()
+	fixtures(t)
+	return fixtureNet
+}
+
+// testServer serves the committed one-shard generation of builtNet, as
+// `cocoserve -snapshot-dir` does.
+func testServer(t testing.TB) *server {
+	t.Helper()
+	fixtures(t)
+	return fixtureSrv
 }
 
 func TestHandleStats(t *testing.T) {
@@ -94,7 +135,7 @@ func TestHandleConcept(t *testing.T) {
 
 func TestHandleRecommend(t *testing.T) {
 	s := testServer(t)
-	sessions := s.coco.SampleSessions(1)
+	sessions := builtNet(t).SampleSessions(1)
 	if len(sessions) == 0 || len(sessions[0]) == 0 {
 		t.Fatal("no sessions")
 	}

@@ -239,7 +239,7 @@ func (m *serveMetrics) registerSnapshotCollectors(s *server) {
 // to 4 shards, say) both views carry the new index; an index past a
 // shrunk partition keeps its series and reports zeros.
 func (m *serveMetrics) growShardSeries(s *server) {
-	n := s.coco.NumShards()
+	n := s.coco.ServingInfo().Shards
 	m.shardMu.Lock()
 	defer m.shardMu.Unlock()
 	for ; m.shards < n; m.shards++ {

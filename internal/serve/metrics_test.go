@@ -189,14 +189,9 @@ func TestValidRequestID(t *testing.T) {
 }
 
 func TestSlowQueryLog(t *testing.T) {
-	coco, err := alicoco.Build(alicoco.Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultServeConfig()
-	cfg.cacheSize = alicoco.DefaultQueryCacheCapacity
+	cfg := cacheCfg(alicoco.DefaultQueryCacheCapacity)
 	cfg.slowQuery = time.Nanosecond // everything is slow
-	s := newServerCfg(coco, cfg)
+	s := serveStore(t, testServer(t).store, cfg)
 	h := s.handler()
 
 	var buf bytes.Buffer
@@ -343,7 +338,7 @@ func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 // every counter and every histogram count and sum reads the same in both.
 func TestStatsIsRegistryView(t *testing.T) {
 	s := chaosServer(t, nil)
-	sessions := testServer(t).coco.SampleSessions(1)
+	sessions := builtNet(t).SampleSessions(1)
 	if len(sessions) == 0 || len(sessions[0]) == 0 {
 		t.Fatal("no sessions")
 	}

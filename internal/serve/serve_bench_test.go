@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,16 +35,7 @@ var (
 func benchServers(b *testing.B) (hit, miss *server) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
-		base := testServer(b)
-		dir, err := os.MkdirTemp("", "cocoserve-bench-")
-		if err != nil {
-			serveBenchErr = err
-			return
-		}
-		if _, err := base.coco.SaveShards(dir, 1); err != nil {
-			serveBenchErr = err
-			return
-		}
+		dir := testServer(b).store
 		cocoHit, err := alicoco.LoadShardedFrozen(dir)
 		if err != nil {
 			serveBenchErr = err
@@ -61,10 +51,10 @@ func benchServers(b *testing.B) (hit, miss *server) {
 			serveBenchErr = err
 			return
 		}
-		serveHit = newServer(cocoHit, 4096)
-		serveMiss = newServer(cocoMiss, 0)
-		serveFill = newServer(cocoFill, 4096)
-		sessions := base.coco.SampleSessions(1)
+		serveHit = newServerCfg(cocoHit, dir, cacheCfg(4096))
+		serveMiss = newServerCfg(cocoMiss, dir, cacheCfg(0))
+		serveFill = newServerCfg(cocoFill, dir, cacheCfg(4096))
+		sessions := builtNet(b).SampleSessions(1)
 		if len(sessions) == 0 {
 			serveBenchErr = fmt.Errorf("no sessions")
 			return
@@ -75,7 +65,7 @@ func benchServers(b *testing.B) (hit, miss *server) {
 		}
 		serveSession = strings.Join(parts, ",")
 		seen := make(map[int]bool)
-		for _, sess := range base.coco.SampleSessions(64) {
+		for _, sess := range builtNet(b).SampleSessions(64) {
 			for _, id := range sess {
 				if !seen[id] {
 					seen[id] = true

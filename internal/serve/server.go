@@ -99,15 +99,14 @@ type server struct {
 	scrubUnrepaired    *obs.Counter // mismatches no repair source covered
 	scrubErrors        *obs.Counter // scrub passes that failed outright
 
-	// store is the root of the generation catalog behind -snapshot-dir;
-	// "" means the net was built live, and /reload re-freezes it instead.
-	// With a store, /reload diffs its newest generation against serving
-	// (only shards whose checksums changed are re-read), /reload?shard=i
-	// force-reloads one shard, and rollback and scrub repair work on it.
-	// The server only lists the catalog, and the facade's reloads,
-	// rollbacks and scrubs only read it. Reloads serialize on the facade's
-	// own offline lock; queries are never blocked. See snapstore.go in
-	// this package.
+	// store is the root of the generation catalog behind -snapshot-dir,
+	// fixed at construction: /reload diffs its newest generation against
+	// serving (only shards whose checksums changed are re-read),
+	// /reload?shard=i force-reloads one shard, and rollback and scrub
+	// repair work on it. The server only lists the catalog, and the
+	// facade's reloads, rollbacks and scrubs only read it. Reloads
+	// serialize on the facade's own offline lock; queries are never
+	// blocked. See snapstore.go in this package.
 	store string
 
 	// scrubMu guards the most recent scrub report for /stats.
@@ -142,19 +141,12 @@ type server struct {
 	metrics *serveMetrics
 }
 
-// newServer wires a server around a facade with the given per-cache entry
-// budget (the facade's engine-level caches are resized to match) and the
-// default resilience policy.
-func newServer(coco *alicoco.CoCo, cacheSize int) *server {
-	cfg := defaultServeConfig()
-	cfg.cacheSize = cacheSize
-	return newServerCfg(coco, cfg)
-}
-
-// newServerCfg is newServer with an explicit resilience policy.
-func newServerCfg(coco *alicoco.CoCo, cfg serveConfig) *server {
+// newServerCfg wires a server around a facade loaded from the snapshot
+// store at store, with the given policy; the facade's engine-level caches
+// are resized to cfg.cacheSize entries, like the server's own.
+func newServerCfg(coco *alicoco.CoCo, store string, cfg serveConfig) *server {
 	coco.SetQueryCacheCapacity(cfg.cacheSize)
-	s := &server{coco: coco, cfg: cfg}
+	s := &server{coco: coco, store: store, cfg: cfg}
 	if cfg.cacheSize > 0 {
 		s.searchBytes = qcache.New(cfg.cacheSize)
 		s.recBytes = qcache.New(cfg.cacheSize)
@@ -339,9 +331,9 @@ type statsResponse struct {
 // snapshotInfo is the serving snapshot's identity. Its generation, age and
 // counts are the cocoserve_snapshot_* and cocoserve_shard_* series.
 type snapshotInfo struct {
-	Source      string      `json:"source"`             // build | shards | refreeze | rollback
+	Source      string      `json:"source"`             // shards | rollback
 	Checksum    string      `json:"checksum,omitempty"` // CRC-32 of the loaded snapshot content
-	Dir         string      `json:"dir,omitempty"`      // -snapshot-dir store root, when serving from one
+	Dir         string      `json:"dir"`                // -snapshot-dir store root
 	PublishedAt string      `json:"published_at"`       // RFC 3339
 	Shards      []shardStat `json:"shards,omitempty"`   // the served partition, in shard order
 }
@@ -596,12 +588,11 @@ func (s *server) handleHypernyms(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"name": name, "hypernyms": s.coco.Hypernyms(name)})
 }
 
-// handleReload swaps in a fresh serving snapshot: the newest generation of
-// the snapshot store when serving from one, otherwise a re-freeze of the
-// live net. The loader verifies every file's checksum and structure before
-// anything is published, so a bad snapshot cannot displace the serving
-// state; queries keep serving the old snapshot throughout, and the swap
-// itself is one atomic pointer store.
+// handleReload swaps in the newest generation of the snapshot store, or
+// with ?shard=i one shard of it. The loader verifies every file's checksum
+// and structure before anything is published, so a bad snapshot cannot
+// displace the serving state; queries keep serving the old snapshot
+// throughout, and the swap itself is one atomic pointer store.
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -612,10 +603,6 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// the breaker, and a good publish re-closes it for the -refresh loop.
 	shard := -1
 	if shardStr := queryParam(r.URL.RawQuery, "shard"); shardStr != "" {
-		if s.store == "" {
-			http.Error(w, "shard reload requires -snapshot-dir", http.StatusBadRequest)
-			return
-		}
 		i, err := strconv.Atoi(shardStr)
 		if err != nil || i < 0 {
 			http.Error(w, "bad shard parameter", http.StatusBadRequest)
@@ -624,7 +611,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		// The index is client input: one the served partition does not
 		// have is refused before any attempt, so it feeds no failure
 		// counter and cannot trip the breaker.
-		if n := s.coco.NumShards(); i >= n {
+		if n := s.coco.ServingInfo().Shards; i >= n {
 			http.Error(w, "shard parameter out of range [0,"+strconv.Itoa(n)+")", http.StatusBadRequest)
 			return
 		}
@@ -642,15 +629,12 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reload publishes a fresh serving snapshot: shard >= 0 force-reloads that
-// shard of the store's newest generation; otherwise the whole net is
-// reloaded from the store, or re-frozen when serving has none.
+// reload publishes a fresh serving snapshot from the store: shard >= 0
+// force-reloads that shard of its newest generation; otherwise the whole
+// net is reloaded, re-reading only the shards whose checksums changed.
 func (s *server) reload(shard int) (source string, err error) {
 	if shard >= 0 {
 		return "shard:" + strconv.Itoa(shard), s.coco.ReloadShard(s.store, shard)
-	}
-	if s.store == "" {
-		return "refreeze", s.coco.Refreeze()
 	}
 	changed, err := s.coco.ReloadShards(s.store)
 	return "shards:" + s.store + " (" + strconv.Itoa(changed) + " reloaded)", err
@@ -678,15 +662,12 @@ func (s *server) mux() *http.ServeMux {
 }
 
 // Main is the cocoserve entry point: it parses flags from the command
-// line, builds or loads the net, and serves until drained.
+// line, loads the store's newest generation, and serves until drained.
 func Main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	scale := flag.String("scale", "small", "build scale: small or default")
 	snapshotDir := flag.String("snapshot-dir", "",
-		"serve the newest generation of this snapshot store instead of building; /reload re-reads only changed shards")
-	shards := flag.Int("shards", 0,
-		"partition a built net into N independently reloadable shards (ignored with -snapshot-dir)")
-	refresh := flag.Duration("refresh", 0, "if > 0, reload the snapshot (or refreeze) on this interval")
+		"serve the newest generation of this snapshot store (required); /reload re-reads only changed shards")
+	refresh := flag.Duration("refresh", 0, "if > 0, reload the snapshot on this interval")
 	cacheSize := flag.Int("cache-size", alicoco.DefaultQueryCacheCapacity,
 		"query cache capacity in entries per cache layer (0 disables caching); past an eighth of it, a key is cached from its second miss")
 	cfg := defaultServeConfig()
@@ -705,36 +686,25 @@ func Main() {
 	drainTimeout := flag.Duration("drain-timeout", defaultDrainTimeout,
 		"how long shutdown waits for in-flight requests before giving up")
 	scrubInterval := flag.Duration("scrub-interval", 0,
-		"if > 0, re-hash the served snapshot files against their manifest on this interval, quarantining and repairing corruption (ignored without -snapshot-dir)")
+		"if > 0, re-hash the served snapshot files against their manifest on this interval, quarantining and repairing corruption")
 	slowQuery := flag.Duration("slow-query", 0,
 		"if > 0, log responses slower than this (endpoint, latency, generation, request ID) and count them in cocoserve_slow_queries_total")
 	pprofAddr := flag.String("pprof-addr", "",
 		"if set, serve net/http/pprof on this address via a separate private listener (never on the serving mux)")
 	flag.Parse()
 
-	var coco *alicoco.CoCo
-	var err error
-	if *snapshotDir != "" {
-		start := time.Now()
-		coco, err = alicoco.LoadShardedFrozen(*snapshotDir)
-		if err != nil {
-			log.Fatalf("load snapshot: %v", err)
-		}
-		log.Printf("loaded %d shards from %s in %v", coco.NumShards(), *snapshotDir, time.Since(start).Round(time.Millisecond))
-	} else {
-		opts := alicoco.Small()
-		if *scale == "default" {
-			opts = alicoco.Default()
-		}
-		log.Printf("building net (scale=%s, shards=%d)...", *scale, *shards)
-		coco, err = alicoco.BuildSharded(opts, *shards)
-		if err != nil {
-			log.Fatalf("build: %v", err)
-		}
+	if *snapshotDir == "" {
+		log.Fatal("-snapshot-dir is required: commit a store first with `alicoco snapshot save -out DIR`")
 	}
+	start := time.Now()
+	coco, err := alicoco.LoadShardedFrozen(*snapshotDir)
+	if err != nil {
+		log.Fatalf("load snapshot: %v", err)
+	}
+	info := coco.ServingInfo()
+	log.Printf("loaded %d shards from %s in %v", info.Shards, *snapshotDir, time.Since(start).Round(time.Millisecond))
 	// Every handler reads the published frozen snapshot lock-free, so
 	// request handling never contends with anything — including reloads.
-	info := coco.ServingInfo()
 	log.Printf("serving from frozen snapshot: %d nodes, %d edges (source %s)", info.Nodes, info.Edges, info.Source)
 	cfg.cacheSize = *cacheSize
 	cfg.deadline = *deadline
@@ -746,12 +716,9 @@ func Main() {
 	cfg.scrubInterval = *scrubInterval
 	cfg.slowQuery = *slowQuery
 	cfg.pprofAddr = *pprofAddr
-	s := newServerCfg(coco, cfg)
-	if *snapshotDir != "" {
-		s.store = *snapshotDir
-		log.Printf("snapstore catalog at %s: serving gen %d, scrub interval %v",
-			s.store, coco.ServingInfo().CatalogGen, *scrubInterval)
-	}
+	s := newServerCfg(coco, *snapshotDir, cfg)
+	log.Printf("snapstore catalog at %s: serving gen %d, scrub interval %v",
+		s.store, info.CatalogGen, *scrubInterval)
 	if *cacheSize > 0 {
 		log.Printf("query caches enabled: %d entries per layer (result + encoded-bytes)", *cacheSize)
 	} else {

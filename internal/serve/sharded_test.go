@@ -13,9 +13,9 @@ import (
 
 // newShardedServer commits the built net as an n-shard generation and
 // starts a server serving from the store (as -snapshot-dir would).
-func newShardedServer(t *testing.T, built *server, n int) (*server, string) {
+func newShardedServer(t *testing.T, n int) (*server, string) {
 	t.Helper()
-	dir := saveStore(t, built.coco, n)
+	dir := saveStore(t, builtNet(t), n)
 	return serveStore(t, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity)), dir
 }
 
@@ -23,8 +23,8 @@ func newShardedServer(t *testing.T, built *server, n int) (*server, string) {
 // must answer every endpoint — including the batch POSTs — byte-identically
 // to the freshly built net the shards were saved from.
 func TestShardedServesIdenticalAnswers(t *testing.T) {
-	built := testServer(t)
-	sharded, _ := newShardedServer(t, built, 4)
+	built := builtServer(t)
+	sharded, _ := newShardedServer(t, 4)
 
 	urls := []string{
 		"/search?q=outdoor+barbecue",
@@ -69,8 +69,7 @@ func TestShardedServesIdenticalAnswers(t *testing.T) {
 // serves from and lists each shard's checksum and publish time, and the
 // per-shard series carry its generation, node count and failures.
 func TestStatsShardedSection(t *testing.T) {
-	built := testServer(t)
-	sharded, dir := newShardedServer(t, built, 4)
+	sharded, dir := newShardedServer(t, 4)
 	type statsResp struct {
 		Snapshot snapshotInfo `json:"snapshot"`
 	}
@@ -99,23 +98,13 @@ func TestStatsShardedSection(t *testing.T) {
 			t.Fatalf("shard %d malformed: %+v (%v), failures %v", i, sh, err, failures)
 		}
 	}
-	// The unsharded built server serves one in-process shard from no store.
-	var bresp statsResp
-	if _, body := get(built, "/stats"); json.Unmarshal([]byte(body), &bresp) != nil {
-		t.Fatal("bad built stats")
-	}
-	if len(bresp.Snapshot.Shards) != 1 || bresp.Snapshot.Shards[0].Checksum != "" || bresp.Snapshot.Dir != "" {
-		t.Fatalf("built server should list one unstored shard: %+v", bresp.Snapshot)
-	}
 }
 
 // TestReloadShardEndpoint exercises POST /reload?shard=i: a valid index
-// reloads one shard, malformed and out-of-range indices are rejected with
-// 400 and no failure counted, and servers without -snapshot-dir refuse
-// shard reloads outright.
+// reloads one shard, and malformed and out-of-range indices are rejected
+// with 400 and no failure counted.
 func TestReloadShardEndpoint(t *testing.T) {
-	built := testServer(t)
-	sharded, _ := newShardedServer(t, built, 3)
+	sharded, _ := newShardedServer(t, 3)
 
 	code, body := post(sharded, "/reload?shard=1", "")
 	if code != http.StatusOK || !strings.Contains(body, `"source":"shard:1"`) {
@@ -138,9 +127,6 @@ func TestReloadShardEndpoint(t *testing.T) {
 	}
 	if failures, state := metricValue(t, sharded, "cocoserve_reload_failures_total"), breakerState(t, sharded); failures != 0 || state != "closed" {
 		t.Fatalf("out-of-range shard reloads: %v reload failures, breaker %s; want 0, closed", failures, state)
-	}
-	if code, _ := post(built, "/reload?shard=0", ""); code != http.StatusBadRequest {
-		t.Fatalf("shard reload without -snapshot-dir: %d, want 400", code)
 	}
 	// A full /reload against an unchanged directory is a no-op diff.
 	code, body = post(sharded, "/reload", "")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -13,13 +12,6 @@ import (
 	"testing"
 
 	"alicoco"
-)
-
-var (
-	snapOnce   sync.Once
-	snapErr    error
-	snapDir    string
-	snapLoaded *server // serves the store's newest generation, reload re-reads it
 )
 
 // cacheCfg is the default policy with a per-layer cache budget of n.
@@ -48,38 +40,15 @@ func serveStore(t testing.TB, dir string, cfg serveConfig) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServerCfg(coco, cfg)
-	s.store = dir
-	return s
+	return newServerCfg(coco, dir, cfg)
 }
 
-// snapshotFixture commits the shared built net to a one-shard store once
-// and loads a second, store-backed server from it.
-func snapshotFixture(t *testing.T) (built *server, loaded *server, dir string) {
+// builtServer wraps the built facade in a server, so answers served from
+// a store can be compared with the net they were saved from. Only its
+// query endpoints are read.
+func builtServer(t *testing.T) *server {
 	t.Helper()
-	built = testServer(t)
-	snapOnce.Do(func() {
-		// The fixture outlives the first test that builds it, so it cannot
-		// live in that test's TempDir.
-		snapDir, snapErr = os.MkdirTemp("", "cocoserve-snap-")
-		if snapErr != nil {
-			return
-		}
-		if _, snapErr = built.coco.SaveShards(snapDir, 1); snapErr != nil {
-			return
-		}
-		coco, err := alicoco.LoadShardedFrozen(snapDir)
-		if err != nil {
-			snapErr = err
-			return
-		}
-		snapLoaded = newServerCfg(coco, serveConfig{})
-		snapLoaded.store = snapDir
-	})
-	if snapErr != nil {
-		t.Fatal(snapErr)
-	}
-	return built, snapLoaded, snapDir
+	return newServerCfg(builtNet(t), testServer(t).store, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 }
 
 func get(s *server, url string) (int, string) {
@@ -92,7 +61,7 @@ func get(s *server, url string) (int, string) {
 // -snapshot-dir must answer every endpoint byte-identically to the freshly built net it
 // was saved from.
 func TestSnapshotServesIdenticalAnswers(t *testing.T) {
-	built, loaded, _ := snapshotFixture(t)
+	built, loaded := builtServer(t), testServer(t)
 
 	urls := []string{
 		"/search?q=outdoor+barbecue",
@@ -135,44 +104,33 @@ func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 }
 
 // TestStatsSnapshotSection checks the operational metadata /stats
-// exposes: a built server reports source "build" with no checksum and no
-// store, a store-loaded one reports source "shards" with the content
-// checksum and the store root, and both serve counts and a sane age
-// through the cocoserve_snapshot_* series.
+// exposes: a store-loaded server reports source "shards" with the content
+// checksum and the store root, and serves the built net's counts and a
+// sane age through the cocoserve_snapshot_* series.
 func TestStatsSnapshotSection(t *testing.T) {
-	built, loaded, dir := snapshotFixture(t)
-	type statsResp struct {
+	loaded := testServer(t)
+	var l struct {
 		Snapshot snapshotInfo `json:"snapshot"`
-	}
-	var b, l statsResp
-	if _, body := get(built, "/stats"); json.Unmarshal([]byte(body), &b) != nil {
-		t.Fatal("bad built stats")
 	}
 	if _, body := get(loaded, "/stats"); json.Unmarshal([]byte(body), &l) != nil {
 		t.Fatal("bad loaded stats")
 	}
-	if b.Snapshot.Source != "build" || b.Snapshot.Checksum != "" || b.Snapshot.Dir != "" {
-		t.Fatalf("built snapshot section: %+v", b.Snapshot)
+	sn := l.Snapshot
+	if sn.Source != "shards" || sn.Checksum == "" || sn.Dir != loaded.store {
+		t.Fatalf("loaded snapshot section: %+v", sn)
 	}
-	if l.Snapshot.Source != "shards" || l.Snapshot.Checksum == "" || l.Snapshot.Dir != dir {
-		t.Fatalf("loaded snapshot section: %+v", l.Snapshot)
+	p := scrape(t, loaded.mux())
+	nodes, _ := p.Value("cocoserve_snapshot_nodes")
+	edges, _ := p.Value("cocoserve_snapshot_edges")
+	gen, _ := p.Value("cocoserve_snapshot_generation")
+	if nodes == 0 || edges == 0 || gen == 0 {
+		t.Fatalf("empty serving counts: %v nodes, %v edges, generation %v", nodes, edges, gen)
 	}
-	var shape [2][2]float64 // nodes and edges, built then loaded
-	for i, sn := range []snapshotInfo{b.Snapshot, l.Snapshot} {
-		p := scrape(t, []*server{built, loaded}[i].mux())
-		nodes, _ := p.Value("cocoserve_snapshot_nodes")
-		edges, _ := p.Value("cocoserve_snapshot_edges")
-		gen, _ := p.Value("cocoserve_snapshot_generation")
-		if nodes == 0 || edges == 0 || gen == 0 {
-			t.Fatalf("empty serving counts: %v nodes, %v edges, generation %v", nodes, edges, gen)
-		}
-		if age, _ := p.Value("cocoserve_snapshot_age_seconds"); age < 0 || sn.PublishedAt == "" {
-			t.Fatalf("bad publish age: %v, %+v", age, sn)
-		}
-		shape[i] = [2]float64{nodes, edges}
+	if age, _ := p.Value("cocoserve_snapshot_age_seconds"); age < 0 || sn.PublishedAt == "" {
+		t.Fatalf("bad publish age: %v, %+v", age, sn)
 	}
-	if shape[0] != shape[1] {
-		t.Fatal("built and loaded servers should serve the same net shape")
+	if info := builtNet(t).ServingInfo(); nodes != float64(info.Nodes) || edges != float64(info.Edges) {
+		t.Fatalf("loaded server serves %v nodes and %v edges, the built net %d and %d", nodes, edges, info.Nodes, info.Edges)
 	}
 }
 
@@ -180,8 +138,8 @@ func TestStatsSnapshotSection(t *testing.T) {
 // reload of a generation with a corrupted shard file must fail without
 // touching the serving state, and the generation must not advance.
 func TestReloadRejectsCorruptSnapshot(t *testing.T) {
-	built := testServer(t)
-	dir := saveStore(t, built.coco, 1)
+	built := builtNet(t)
+	dir := saveStore(t, built, 1)
 	s := serveStore(t, dir, serveConfig{})
 	wantCode, wantSearch := get(s, "/search?q=outdoor+barbecue")
 	genBefore := s.coco.ServingInfo().Generation
@@ -189,7 +147,7 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 	// A differently partitioned generation forces a full load; flip one
 	// byte in the middle of one of its shards: the CRC-32 check (or a
 	// structural validation before it) must reject the load.
-	if _, err := built.coco.SaveShards(dir, 2); err != nil {
+	if _, err := built.SaveShards(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	corruptFile(t, filepath.Join(dir, "gen-000002", "shard-0001.fz"))
@@ -215,8 +173,8 @@ func TestReloadRejectsCorruptSnapshot(t *testing.T) {
 // downtime), and every reload must succeed. Run under -race this also
 // proves the swap is sound.
 func TestReloadHotSwapUnderLoad(t *testing.T) {
-	built := testServer(t)
-	dir := saveStore(t, built.coco, 1)
+	built := builtNet(t)
+	dir := saveStore(t, built, 1)
 	loaded := serveStore(t, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 	_, wantSearch := get(loaded, "/search?q=outdoor+barbecue")
 
@@ -251,7 +209,7 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		shards := 2 - i%2
-		if _, err := built.coco.SaveShards(dir, shards); err != nil {
+		if _, err := built.SaveShards(dir, shards); err != nil {
 			t.Error(err)
 			break
 		}
@@ -287,23 +245,8 @@ func TestReloadHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestReloadRefreezesLiveNet: without a snapshot store the endpoint falls
-// back to re-freezing the live net.
-func TestReloadRefreezesLiveNet(t *testing.T) {
-	built := testServer(t)
-	rec := httptest.NewRecorder()
-	built.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "refreeze") {
-		t.Fatalf("expected refreeze source: %s", rec.Body.String())
-	}
-}
-
 func TestReloadRequiresPOST(t *testing.T) {
-	_, loaded, _ := snapshotFixture(t)
-	if code, _ := get(loaded, "/reload"); code != http.StatusMethodNotAllowed {
+	if code, _ := get(testServer(t), "/reload"); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /reload: status %d, want 405", code)
 	}
 }
@@ -321,7 +264,7 @@ func TestHandleRecommendRejectsNegativeIDs(t *testing.T) {
 
 func TestHandleRecommendValidatesK(t *testing.T) {
 	s := testServer(t)
-	sessions := s.coco.SampleSessions(1)
+	sessions := builtNet(t).SampleSessions(1)
 	if len(sessions) == 0 || len(sessions[0]) == 0 {
 		t.Fatal("no sessions")
 	}

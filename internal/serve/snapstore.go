@@ -7,8 +7,7 @@
 // (-scrub-interval), each counted in metrics.go's registry. The server
 // only reads the store: it lists the catalog (snapstore.ListGenerations,
 // snapstore.Lookup) and never opens, sweeps or prunes it; the facade holds
-// the generation it serves, so a publisher's commit keeps it. A server
-// built live has no store and none of this.
+// the generation it serves, so a publisher's commit keeps it.
 package serve
 
 import (
@@ -56,9 +55,6 @@ func (s *server) markBadLocked(gen uint64) {
 // reloadMu. The returned hold reason is non-empty when the reload should
 // be skipped.
 func (s *server) reloadGateLocked() (hold string) {
-	if s.store == "" {
-		return ""
-	}
 	g, err := snapstore.Lookup(s.store, nil)
 	if err != nil {
 		return ""
@@ -98,9 +94,6 @@ func (s *server) validateSwapLocked(beforeGen uint64) error {
 		return nil
 	}
 	s.validationFailures.Inc()
-	if s.store == "" || info.CatalogGen == 0 {
-		return fmt.Errorf("post-swap validation failed (no catalog to roll back in): %w", verr)
-	}
 	s.markBadLocked(info.CatalogGen)
 	if rerr := s.autoRollbackLocked(info.CatalogGen, "post-swap validation failed: "+verr.Error()); rerr != nil {
 		return fmt.Errorf("post-swap validation failed (%v) and rollback failed: %w", verr, rerr)
@@ -113,9 +106,6 @@ func (s *server) validateSwapLocked(beforeGen uint64) error {
 // than badGen down, skipping known-bad generations, and publishes the
 // first one that loads and verifies clean. Callers hold reloadMu.
 func (s *server) autoRollbackLocked(badGen uint64, reason string) error {
-	if s.store == "" {
-		return errors.New("no generation catalog to roll back in")
-	}
 	gens, err := snapstore.ListGenerations(s.store)
 	if err != nil {
 		return err
@@ -178,10 +168,6 @@ func (s *server) noteRollbackLocked(from, to uint64, reason string) {
 func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.store == "" {
-		http.Error(w, "rollback requires -snapshot-dir", http.StatusBadRequest)
 		return
 	}
 	var gen uint64
@@ -272,11 +258,9 @@ func (s *server) scrubTick() {
 }
 
 // snapstoreInfo is the /stats "snapstore" section: the catalog listing
-// with its skiplist, the last rollback and the last scrub report. Enabled
-// is false (and the rest empty) when the net was built live.
+// with its skiplist, the last rollback and the last scrub report.
 type snapstoreInfo struct {
-	Enabled      bool                   `json:"enabled"`
-	Root         string                 `json:"root,omitempty"`
+	Root         string                 `json:"root"`
 	Generations  []genStat              `json:"generations,omitempty"`
 	LastRollback *rollbackStat          `json:"last_rollback,omitempty"`
 	LastScrub    *snapstore.ScrubReport `json:"last_scrub,omitempty"`
@@ -304,10 +288,6 @@ func (s *server) snapstoreInfo() snapstoreInfo {
 	s.scrubMu.Lock()
 	out.LastScrub = s.lastScrub
 	s.scrubMu.Unlock()
-	if s.store == "" {
-		return out
-	}
-	out.Enabled = true
 	out.Root = s.store
 	gens, err := snapstore.ListGenerations(s.store)
 	if err != nil {

@@ -4,14 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"alicoco"
 	"alicoco/internal/snapstore"
@@ -84,7 +81,7 @@ func TestRollbackEndpoint(t *testing.T) {
 		t.Fatalf("serving gen %d after rollback, want 1", g)
 	}
 	sn := statsSnapstore(t, s)
-	if rollbacks := metricValue(t, s, "cocoserve_rollbacks_total"); !sn.Enabled || servingGen(sn) != 1 || rollbacks != 1 || sn.LastRollback == nil {
+	if rollbacks := metricValue(t, s, "cocoserve_rollbacks_total"); sn.Root != dir || servingGen(sn) != 1 || rollbacks != 1 || sn.LastRollback == nil {
 		t.Fatalf("snapstore stats after rollback: %v rollbacks, %+v", rollbacks, sn)
 	}
 	if sn.LastRollback.From != 2 || sn.LastRollback.To != 1 {
@@ -149,15 +146,6 @@ func TestRollbackEndpoint(t *testing.T) {
 	}
 	if v := metricValue(t, s, "cocoserve_requests_total", "endpoint", "rollback", "class", "5xx"); v != 0 {
 		t.Fatalf("rollback 5xx responses: %v, want 0", v)
-	}
-}
-
-// TestRollbackRequiresCatalog: servers not backed by a generation catalog
-// refuse /rollback outright.
-func TestRollbackRequiresCatalog(t *testing.T) {
-	built := testServer(t)
-	if code, _ := post(built, "/rollback", ""); code != http.StatusBadRequest {
-		t.Fatalf("rollback without catalog: %d, want 400", code)
 	}
 }
 
@@ -317,46 +305,5 @@ func TestScrubTickRepairsAndReports(t *testing.T) {
 	sn = statsSnapstore(t, s)
 	if c := scrubCounts(); c[0] != 2 || c[1] != 1 || sn.LastScrub == nil || !sn.LastScrub.Clean() {
 		t.Fatalf("scrub after clean tick: counts %v, last %+v", c, sn.LastScrub)
-	}
-}
-
-// TestScrubLoopNeedsStore: a server built live has no generation files to
-// scrub, so -scrub-interval starts no scrubber there: under serveListener
-// a 1 ms interval counts no scrub pass and no scrub error.
-func TestScrubLoopNeedsStore(t *testing.T) {
-	cfg := cacheCfg(alicoco.DefaultQueryCacheCapacity)
-	cfg.scrubInterval = time.Millisecond
-	s := newServerCfg(testServer(t).coco, cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigc := make(chan os.Signal, 1)
-	served := make(chan error, 1)
-	go func() { served <- serveListener(s, ln, 0, 10*time.Second, sigc) }()
-	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	time.Sleep(30 * time.Millisecond) // 30 scrub intervals
-	sigc <- syscall.SIGTERM
-	if err := <-served; err != nil {
-		t.Fatalf("serveListener: %v", err)
-	}
-	for _, fam := range []string{"cocoserve_scrub_errors_total", "cocoserve_scrub_passes_total"} {
-		if v := metricValue(t, s, fam); v != 0 {
-			t.Fatalf("%s on a server built live: %v, want 0", fam, v)
-		}
-	}
-}
-
-// TestStatsSnapstoreDisabled: a live-built server has no store, and the
-// section stays inert.
-func TestStatsSnapstoreDisabled(t *testing.T) {
-	built := testServer(t)
-	sn := statsSnapstore(t, built)
-	if sn.Enabled || sn.Root != "" || len(sn.Generations) != 0 {
-		t.Fatalf("snapstore section on a live-built server: %+v", sn)
 	}
 }

@@ -214,7 +214,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 				if err := net.AddEdge(item, prim, core.EdgeItemPrimitive, "", 0.5); err != nil {
 					t.Fatal(err)
 				}
-				if err := live.Refreeze(); err != nil {
+				if err := refreezeLive(live); err != nil {
 					t.Fatal(err)
 				}
 			}

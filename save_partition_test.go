@@ -96,7 +96,7 @@ func TestSaveShardsRefreezesSwappedShard(t *testing.T) {
 	if err := net.AddEdge(item, prim, core.EdgeItemPrimitive, "", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Refreeze(); err != nil {
+	if err := refreezeLive(c); err != nil {
 		t.Fatal(err)
 	}
 	g, err := snapstore.Lookup(dir, nil)

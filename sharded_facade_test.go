@@ -44,8 +44,8 @@ func TestShardedServingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sharded.NumShards(); got != n {
-				t.Fatalf("NumShards = %d, want %d", got, n)
+			if got := sharded.ServingInfo().Shards; got != n {
+				t.Fatalf("ServingInfo().Shards = %d, want %d", got, n)
 			}
 			if got := sharded.ServingInfo().Generation; got != 1 {
 				t.Fatalf("BuildSharded published %d serving states, want 1", got)
@@ -84,13 +84,13 @@ func TestShardedServingEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(base.Stats(), sharded.Stats()) {
 				t.Fatalf("Stats differ:\nunsharded %+v\nsharded   %+v", base.Stats(), sharded.Stats())
 			}
-			// Refreeze re-partitions into the same shard count and still
-			// answers identically.
-			if err := sharded.Refreeze(); err != nil {
+			// A refreeze re-partitions into the same shard count and
+			// still answers identically.
+			if err := refreezeLive(sharded); err != nil {
 				t.Fatal(err)
 			}
-			if got := sharded.NumShards(); got != n {
-				t.Fatalf("NumShards after refreeze = %d, want %d", got, n)
+			if got := sharded.ServingInfo().Shards; got != n {
+				t.Fatalf("ServingInfo().Shards after refreeze = %d, want %d", got, n)
 			}
 			for _, q := range queries[:8] {
 				if !reflect.DeepEqual(mustSearch(t, base, q, 8), mustSearch(t, sharded, q, 8)) {
@@ -156,9 +156,6 @@ func TestShardedSnapshotRoundTripFacade(t *testing.T) {
 				t.Fatal("items differ after round trip")
 			}
 			// Offline-only paths degrade cleanly (no live net behind shards).
-			if err := l.Refreeze(); err == nil {
-				t.Fatal("refreeze on shard-loaded CoCo should error")
-			}
 			if _, err := l.SaveShards(t.TempDir(), n); err == nil {
 				t.Fatal("SaveShards on shard-loaded CoCo should error")
 			}
