@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"alicoco/internal/world"
 )
 
 func buildSmall(t *testing.T) *CoCo {
@@ -22,8 +24,8 @@ func buildSmall(t *testing.T) *CoCo {
 // after it edits the net, for tests that edit it through Internal or that
 // need a republish of unchanged content.
 func refreezeLive(c *CoCo) error {
-	c.offline.Lock()
-	defer c.offline.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.refreeze("refreeze")
 }
 
@@ -324,7 +326,7 @@ func TestLoadFrozenRejectsMissingAndCorrupt(t *testing.T) {
 }
 
 func TestWorldDomains(t *testing.T) {
-	if len(WorldDomains()) != 20 {
+	if len(world.DomainNames()) != 20 {
 		t.Fatal("paper defines 20 domains")
 	}
 }
@@ -342,6 +344,41 @@ func TestInferImplicitRelations(t *testing.T) {
 		if r.Concept == "" || !strings.Contains(r.Primitive, ":") || r.Lift < 1 {
 			t.Fatalf("malformed relation: %+v", r)
 		}
+	}
+}
+
+// TestInferAfterReloadReadsTheBuild: a built facade that reloads a store
+// holding another net serves that net, but keeps its own build, and
+// InferImplicitRelations mines the build alone: its result equals a fresh
+// build's, never relations read off the other net's node IDs.
+func TestInferAfterReloadReadsTheBuild(t *testing.T) {
+	other := Small()
+	other.Seed, other.ItemsPerCategory = 11, 2
+	o, err := Build(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := o.SaveShards(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	c := buildSmall(t)
+	if _, err := c.ReloadShards(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.ServingInfo().Nodes, o.ServingInfo().Nodes; got != want {
+		t.Fatalf("after the reload the facade serves %d nodes, the other net has %d", got, want)
+	}
+	got, err := c.InferImplicitRelations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := buildSmall(t).InferImplicitRelations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("inference after a reload found %d relations, a fresh build %d", len(got), len(want))
 	}
 }
 

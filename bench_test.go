@@ -22,6 +22,7 @@ import (
 	"alicoco/internal/mat"
 	"alicoco/internal/matching"
 	"alicoco/internal/pipeline"
+	"alicoco/internal/serving"
 	"alicoco/internal/snapstore"
 	"alicoco/internal/tagging"
 	"alicoco/internal/text"
@@ -286,20 +287,6 @@ func BenchmarkCoverage(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchRelevance measures the isA-expansion relevance experiment (E9).
-func BenchmarkSearchRelevance(b *testing.B) {
-	net := benchFrozen(b)
-	cases := search.BuildRelevanceCases(net, 300, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plain := search.EvalRelevance(net, cases, false)
-		expanded := search.EvalRelevance(net, cases, true)
-		if expanded.AUC < plain.AUC {
-			b.Fatal("expansion should not hurt")
-		}
-	}
-}
-
 // BenchmarkRecommend measures the concept-card recommender replay (E10).
 func BenchmarkRecommend(b *testing.B) {
 	a := benchArtifacts(b)
@@ -491,18 +478,18 @@ func BenchmarkColdStartLive(b *testing.B) {
 	}
 }
 
-// BenchmarkColdStartFrozen measures cold start from a snapshot: one
-// pipeline.LoadShards of a one-shard generation of the same net
-// BenchmarkColdStartLive builds — manifest, meta.bin and the shard file,
-// each read and verified (the files stay in the page cache across
-// iterations).
+// BenchmarkColdStartFrozen measures cold start from a snapshot: a full
+// load (snapstore.ReadManifest, then snapstore.LoadGen with nothing
+// served) of a one-shard generation of the same net BenchmarkColdStartLive
+// builds — manifest, meta.bin and the shard file, each read and verified
+// (the files stay in the page cache across iterations).
 func BenchmarkColdStartFrozen(b *testing.B) {
 	a, err := pipeline.Build(pipeline.TinyOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	root := b.TempDir()
-	if _, err := a.SaveShards(root, 1); err != nil {
+	if _, _, err := a.SaveShardsRetain(root, 1, 0); err != nil {
 		b.Fatal(err)
 	}
 	dir := newestGenDir(b, root)
@@ -522,11 +509,15 @@ func BenchmarkColdStartFrozen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arts, _, err := pipeline.LoadShards(dir)
+		man, err := snapstore.ReadManifest(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if arts.Shards[0].NumNodes() != a.Net.NumNodes() {
+		shards, _, _, err := snapstore.LoadGen(dir, man, nil, nil, nil, -1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if shards[0].NumNodes() != a.Net.NumNodes() {
 			b.Fatal("loaded net differs")
 		}
 	}
@@ -563,9 +554,8 @@ func BenchmarkFrozenSearchEngine(b *testing.B) {
 func benchCoCo(b *testing.B) *CoCo {
 	arts := *benchArtifacts(b)
 	arts.Shards = benchFrozen(b).Shards()
-	c := &CoCo{}
-	c.arts.Store(&arts)
-	if err := c.publishShards(&arts, "build", "", snapstore.Gen{}, nil, nil); err != nil {
+	c := &CoCo{Core: &serving.Core{}, arts: &arts}
+	if err := c.Publish(arts.Shards, arts.Serving, "build"); err != nil {
 		b.Fatal(err)
 	}
 	return c

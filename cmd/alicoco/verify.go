@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"alicoco/internal/pipeline"
 	"alicoco/internal/snapstore"
 )
 
@@ -54,7 +53,7 @@ func snapshotVerify(args []string) {
 // It reports one line per file and never stops at the first failure — the
 // whole damage report is the point.
 func verifyGeneration(dir, label string, manifestSum uint32) (checked, bad int) {
-	rep := snapstore.VerifyFiles(dir, []snapstore.FileCheck{{Name: pipeline.ShardManifestName, Want: manifestSum}})[0]
+	rep := snapstore.VerifyFiles(dir, []snapstore.FileCheck{{Name: snapstore.ShardManifestName, Want: manifestSum}})[0]
 	checked++
 	bad += printReport(label, rep)
 	if !rep.OK() {
@@ -63,9 +62,9 @@ func verifyGeneration(dir, label string, manifestSum uint32) (checked, bad int) 
 		fmt.Printf("%s: manifest does not match catalog; skipping per-file checks\n", label)
 		return checked, bad
 	}
-	man, err := pipeline.ReadManifest(dir)
+	man, err := snapstore.ReadManifest(dir)
 	if err != nil {
-		fmt.Printf("%s: %s: BAD (%v)\n", label, pipeline.ShardManifestName, err)
+		fmt.Printf("%s: %s: BAD (%v)\n", label, snapstore.ShardManifestName, err)
 		return checked + 1, bad + 1
 	}
 	for _, rep := range snapstore.VerifyFiles(dir, man.FileChecks()) {

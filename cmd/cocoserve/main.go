@@ -27,8 +27,9 @@
 // /metrics renders the server's one metric registry as Prometheus text,
 // and /stats carries the same series as JSON under "metrics" (a histogram
 // as its count, sum, p50 and p99 in seconds) beside what no series can
-// carry: the net shape, "build", and the serving "snapshot" identity
-// (source, checksum and store root, publish times, per-shard checksums).
+// carry: the net shape, "build", the serving "snapshot" identity (source,
+// checksum, publish times, per-shard checksums), and the "snapstore"
+// catalog, named by its store root.
 //
 // Serving is cached at two layers, both stamped with the serving
 // generation so a POST /reload that swaps content invalidates everything

@@ -451,9 +451,9 @@ func expSearch(tb *testbed) {
 		n = 400
 	}
 	// Case scoring fans out across workers against the frozen snapshot.
-	cases := search.BuildRelevanceCases(tb.frozen, n, 3)
-	plain := search.EvalRelevance(tb.frozen, cases, false)
-	expanded := search.EvalRelevance(tb.frozen, cases, true)
+	cases := buildRelevanceCases(tb.frozen, n, 3)
+	plain := evalRelevance(tb.frozen, cases, false)
+	expanded := evalRelevance(tb.frozen, cases, true)
 	fmt.Println("Section 8.1.1 search relevance with isA expansion.")
 	fmt.Println("Paper: +1% AUC offline; -4% relevance bad cases online.")
 	fmt.Println()

@@ -1,7 +1,6 @@
-// Package search implements the Section 8.1 applications on top of the
-// concept net: semantic search with concept cards (Figure 2a), coverage
-// measurement against a CPV-only ontology (Section 7.1), and isA-expanded
-// relevance (Section 8.1.1).
+// Package search implements the Section 8.1 application on top of the
+// concept net: semantic search with concept cards (Figure 2a), and the
+// coverage measurement against a CPV-only ontology (Section 7.1).
 package search
 
 import (
@@ -11,6 +10,7 @@ import (
 	"sync"
 
 	"alicoco/internal/core"
+	"alicoco/internal/par"
 	"alicoco/internal/qcache"
 	"alicoco/internal/text"
 	"alicoco/internal/topk"
@@ -387,4 +387,35 @@ func NewCPVEngine(net *core.ShardSet, stopwords []string) *Engine {
 		}
 	}
 	return e
+}
+
+// CoverageResult is one day's coverage sample (Section 7.1).
+type CoverageResult struct {
+	Covered int
+	Total   int
+}
+
+// Rate returns the covered fraction.
+func (c CoverageResult) Rate() float64 {
+	if c.Total == 0 {
+		return 0
+	}
+	return float64(c.Covered) / float64(c.Total)
+}
+
+// MeasureCoverage counts queries fully covered by the engine's vocabulary.
+// Queries fan out across GOMAXPROCS workers (the engine's segmenter is
+// read-only after construction).
+func MeasureCoverage(e *Engine, queries [][]string) CoverageResult {
+	res := CoverageResult{Total: len(queries)}
+	covered := make([]bool, len(queries))
+	par.For(0, len(queries), func(i int) {
+		covered[i] = e.Covered(queries[i])
+	})
+	for _, c := range covered {
+		if c {
+			res.Covered++
+		}
+	}
+	return res
 }

@@ -143,23 +143,6 @@ func TestCoverageConceptNetBeatsCPV(t *testing.T) {
 	}
 }
 
-func TestRelevanceIsAExpansion(t *testing.T) {
-	a := buildArts(t)
-	net := a.Net.Freeze()
-	cases := BuildRelevanceCases(net, 200, 3)
-	if len(cases) < 50 {
-		t.Fatalf("too few relevance cases: %d", len(cases))
-	}
-	plain := EvalRelevance(net, cases, false)
-	expanded := EvalRelevance(net, cases, true)
-	if expanded.AUC <= plain.AUC {
-		t.Fatalf("isA expansion should raise AUC: %.3f vs %.3f", expanded.AUC, plain.AUC)
-	}
-	if expanded.BadCases >= plain.BadCases {
-		t.Fatalf("isA expansion should cut bad cases: %d vs %d", expanded.BadCases, plain.BadCases)
-	}
-}
-
 func TestCoveredRespectsStopwords(t *testing.T) {
 	a := buildArts(t)
 	e := NewEngine(a.Net.Freeze(), a.World.Stopwords())

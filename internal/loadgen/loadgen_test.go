@@ -25,6 +25,27 @@ func testCorpus(t *testing.T) *Corpus {
 	return cp
 }
 
+// TestCorpusFromRefusesLoadedFacade: a facade loaded from a store has no
+// click log, so CorpusFrom has no sessions to replay and reports an error
+// rather than making some up.
+func TestCorpusFromRefusesLoadedFacade(t *testing.T) {
+	c, err := alicoco.Build(alicoco.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := c.SaveShards(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	l, err := alicoco.LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := CorpusFrom(l, 64); err == nil {
+		t.Fatalf("CorpusFrom on a loaded facade returned %d sessions, want an error", len(cp.Sessions))
+	}
+}
+
 func TestMixDeterministicAndDistinct(t *testing.T) {
 	cp := testCorpus(t)
 	for _, name := range MixNames {

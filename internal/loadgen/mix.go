@@ -26,9 +26,9 @@ type Corpus struct {
 	Sessions [][]int  // viewed-item ID sessions from world.ClickLog
 }
 
-// CorpusFrom samples a corpus from a built facade. Snapshot-loaded nets
-// have no world model (SampleSessions returns nil); the corpus then
-// synthesizes sessions from item IDs so recommend traffic still flows.
+// CorpusFrom samples a corpus from a built facade. A facade loaded from a
+// store has no world model, so no click log to sample sessions from, and
+// is refused.
 func CorpusFrom(c *alicoco.CoCo, sessions int) (*Corpus, error) {
 	cp := &Corpus{}
 	for _, cpt := range c.Concepts() {
@@ -39,17 +39,7 @@ func CorpusFrom(c *alicoco.CoCo, sessions int) (*Corpus, error) {
 	}
 	cp.Sessions = c.SampleSessions(sessions)
 	if len(cp.Sessions) == 0 {
-		// No click log (snapshot-loaded net): synthesize plausible sessions
-		// from small item IDs — item IDs are dense and start low.
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < sessions; i++ {
-			n := 2 + rng.Intn(4)
-			s := make([]int, n)
-			for j := range s {
-				s[j] = rng.Intn(512)
-			}
-			cp.Sessions = append(cp.Sessions, s)
-		}
+		return nil, fmt.Errorf("loadgen: facade has no click log to sample sessions from; build it rather than load it")
 	}
 	return cp, nil
 }

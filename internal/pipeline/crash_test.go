@@ -69,7 +69,7 @@ func listTempDirs(t *testing.T, root string) []string {
 // recoverAndLoad is what the next save does after a crashed one: open
 // the store (running the torn-write sweep) and load the newest committed
 // generation. It returns the loaded manifest and the newest generation ID.
-func recoverAndLoad(t *testing.T, root string) (*ShardManifest, uint64) {
+func recoverAndLoad(t *testing.T, root string) (*snapstore.ShardManifest, uint64) {
 	t.Helper()
 	if _, err := snapstore.Open(root, snapstore.Options{}); err != nil {
 		t.Fatalf("recovery open: %v", err)
@@ -81,7 +81,7 @@ func recoverAndLoad(t *testing.T, root string) (*ShardManifest, uint64) {
 	if err != nil {
 		t.Fatalf("recovery lost every committed generation: %v", err)
 	}
-	_, man, err := LoadShards(filepath.Join(root, g.Dir))
+	_, _, man, err := loadShards(filepath.Join(root, g.Dir))
 	if err != nil {
 		t.Fatalf("recovery load: %v", err)
 	}

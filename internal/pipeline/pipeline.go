@@ -1,10 +1,13 @@
-// Package pipeline orchestrates the end-to-end semi-automatic construction
-// of the concept net (Sections 3-6): generate/ingest corpora, build the
-// taxonomy layer, import and mine primitive concepts, generate and link
-// e-commerce concepts, and associate items — producing a complete core.Net
-// that callers freeze for serving (Net.Freeze, Net.FreezeShards). The
-// served net reads no trained model, so Build trains none; callers that run
-// the paper's models (the experiments) train the embedding substrate with
+// Package pipeline is the build: it orchestrates the end-to-end
+// semi-automatic construction of the concept net (Sections 3-6) —
+// generate/ingest corpora, build the taxonomy layer, import and mine
+// primitive concepts, generate and link e-commerce concepts, and associate
+// items — producing a complete core.Net and the serving metadata derived
+// from its world. SaveShardsRetain freezes the net and commits it as a
+// generation of a snapshot store (internal/snapstore owns that format);
+// serving only ever loads committed generations. The served net reads no
+// trained model, so Build trains none; callers that run the paper's models
+// (the experiments) train the embedding substrate with
 // Artifacts.TrainModels.
 package pipeline
 
@@ -18,6 +21,7 @@ import (
 	"alicoco/internal/core"
 	"alicoco/internal/emb"
 	"alicoco/internal/hypernym"
+	"alicoco/internal/snapstore"
 	"alicoco/internal/text"
 	"alicoco/internal/world"
 )
@@ -31,10 +35,6 @@ type Options struct {
 	// W2V configures the word2vec training of TrainModels; Build trains
 	// nothing.
 	W2V emb.W2VConfig
-
-	// MinePatternIsA additionally runs Hearst-pattern mining over the
-	// guides corpus and adds the discovered isA edges.
-	MinePatternIsA bool
 }
 
 // DefaultOptions returns a laptop-scale build.
@@ -44,12 +44,11 @@ func DefaultOptions() Options {
 	w2v.Epochs = 6
 	w2v.Workers = runtime.GOMAXPROCS(0)
 	return Options{
-		World:          world.DefaultConfig(),
-		Queries:        2000,
-		Reviews:        2000,
-		Guides:         2000,
-		W2V:            w2v,
-		MinePatternIsA: true,
+		World:   world.DefaultConfig(),
+		Queries: 2000,
+		Reviews: 2000,
+		Guides:  2000,
+		W2V:     w2v,
 	}
 }
 
@@ -60,12 +59,11 @@ func TinyOptions() Options {
 	w2v.Epochs = 2
 	w2v.Workers = runtime.GOMAXPROCS(0)
 	return Options{
-		World:          world.TinyConfig(),
-		Queries:        300,
-		Reviews:        300,
-		Guides:         300,
-		W2V:            w2v,
-		MinePatternIsA: true,
+		World:   world.TinyConfig(),
+		Queries: 300,
+		Reviews: 300,
+		Guides:  300,
+		W2V:     w2v,
 	}
 }
 
@@ -75,32 +73,29 @@ type Artifacts struct {
 	World *world.World
 	// Corpus is the text Build generated: it feeds Hearst-pattern
 	// mining during the build and the models TrainModels fits. Nothing in
-	// serving reads it, so the alicoco facade drops it after the build;
-	// it is nil there and on loaded artifacts.
+	// serving reads it, so the alicoco facade drops it after the build.
 	Corpus *world.Corpus
 	Net    *core.Net
 
-	// Shards is the frozen partition serving runs on: the shards of a
-	// loaded generation (LoadGen), or the facade's in-process freeze.
-	// Build leaves it nil. The serving layer assembles them into a
-	// core.ShardSet, and SaveShards writes them without refreezing while
-	// they still hold the live net's current state.
+	// Shards is the frozen partition of Net that the alicoco facade
+	// published last; Build leaves it nil. SaveShardsRetain writes them
+	// without refreezing while they still hold the live net's current
+	// state.
 	Shards []*core.FrozenNet
 
 	// Node maps from world IDs to net node IDs, filled while Build
 	// wires the net. Only the build and the experiments read them; a
-	// snapshot does not carry them, so they are nil on loaded artifacts
-	// (the item table in Serving maps items to nodes for serving).
+	// snapshot does not carry them (the item table in Serving maps items
+	// to nodes for serving).
 	PrimNode  map[int]core.NodeID
 	FrameNode map[int]core.NodeID
 	ItemNode  map[int]core.NodeID
 	DomainCls map[world.Domain]core.NodeID
 
-	// Serving is the world-derived metadata the serving layer needs
-	// (stopwords, item table). Build derives it from World; LoadGen
-	// restores it, which is what lets a snapshot-loaded Artifacts serve
-	// with World == nil.
-	Serving *ServingMeta
+	// Serving is the world-derived metadata serving needs (stopwords,
+	// item table), which a generation stores beside its shards. Build
+	// derives it from World.
+	Serving *snapstore.ServingMeta
 }
 
 // Build runs the full construction of the live net. It freezes nothing:
@@ -265,7 +260,8 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // buildPrimitives imports every primitive concept, its instanceOf link, the
 // planted isA edges (the "existing knowledge" import of Section 7.2), and
-// optionally pattern-mined isA edges (Section 4.2.1).
+// the isA edges Hearst patterns mine from the guides corpus (Section
+// 4.2.1).
 func (a *Artifacts) buildPrimitives() error {
 	for _, p := range a.World.Primitives {
 		node := a.Net.AddNode(core.KindPrimitive, p.Name(), string(p.Domain))
@@ -287,17 +283,14 @@ func (a *Artifacts) buildPrimitives() error {
 			return err
 		}
 	}
-	if a.Opts.MinePatternIsA {
-		pairs := hypernym.MinePatterns(a.Corpus.Guides)
-		for _, pp := range pairs {
-			hypo := a.Net.FirstByNameKind(pp.Hypo, core.KindPrimitive)
-			hyper := a.Net.FirstByNameKind(pp.Hyper, core.KindPrimitive)
-			if hypo == core.InvalidNode || hyper == core.InvalidNode || hypo == hyper {
-				continue
-			}
-			if err := a.Net.AddEdge(hypo, hyper, core.EdgeIsA, "", 0.9); err != nil {
-				return err
-			}
+	for _, pp := range hypernym.MinePatterns(a.Corpus.Guides) {
+		hypo := a.Net.FirstByNameKind(pp.Hypo, core.KindPrimitive)
+		hyper := a.Net.FirstByNameKind(pp.Hyper, core.KindPrimitive)
+		if hypo == core.InvalidNode || hyper == core.InvalidNode || hypo == hyper {
+			continue
+		}
+		if err := a.Net.AddEdge(hypo, hyper, core.EdgeIsA, "", 0.9); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -368,4 +361,41 @@ func (a *Artifacts) buildItems() error {
 		}
 	}
 	return nil
+}
+
+// buildServingMeta derives the serving metadata from the built world.
+func (a *Artifacts) buildServingMeta() *snapstore.ServingMeta {
+	m := &snapstore.ServingMeta{Stopwords: a.World.Stopwords()}
+	for _, it := range a.World.Items {
+		m.Items = append(m.Items, snapstore.ItemMeta{
+			WorldID:  it.ID,
+			Node:     a.ItemNode[it.ID],
+			Title:    strings.Join(it.Title, " "),
+			Category: a.World.Prim(it.Leaf).Name(),
+		})
+	}
+	m.IndexNodes(a.Net.NumNodes())
+	return m
+}
+
+// SaveShardsRetain partitions the live net into count shards and commits
+// them as a new generation of the snapshot store at dir (snapstore.Commit),
+// which keeps retain generations (<= 0 means snapstore.DefaultRetain) and
+// every older one a live process holds. When Shards already holds the live
+// net's current state in count shards (core.Net.IsCurrentPartition), those
+// are written as they are; otherwise the net is frozen afresh. It returns
+// the manifest and the committed generation. Requires a live Net.
+func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*snapstore.ShardManifest, snapstore.Gen, error) {
+	if a.Net == nil {
+		return nil, snapstore.Gen{}, errors.New("pipeline: save shards: no live net (serving-only artifacts)")
+	}
+	if a.Serving == nil {
+		return nil, snapstore.Gen{}, errors.New("pipeline: save shards: no serving metadata")
+	}
+	count = max(count, 1)
+	shards := a.Shards
+	if len(shards) != count || !a.Net.IsCurrentPartition(shards) {
+		shards = a.Net.FreezeShards(count)
+	}
+	return snapstore.Commit(dir, shards, a.Serving, retain)
 }

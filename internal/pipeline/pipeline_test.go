@@ -135,11 +135,11 @@ func TestSchemaEdgesPresent(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	a := buildTiny(t)
 	dir, man := saveShardDir(t, a, 1)
-	loaded, _, err := LoadShards(dir)
+	shards, _, _, err := loadShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := loaded.Shards[0]
+	f := shards[0]
 	if f.NumNodes() != a.Net.NumNodes() || f.NumEdges() != a.Net.NumEdges() {
 		t.Fatal("snapshot round trip lost data")
 	}
@@ -203,12 +203,16 @@ func TestTrainModelsDeterministicSequential(t *testing.T) {
 	}
 }
 
+// TestTrainModelsNeedsWorldAndCorpus: snapshot-loaded artifacts — a
+// generation's shards and metadata, as a loaded facade's Internal holds
+// them — carry no world or corpus to train on.
 func TestTrainModelsNeedsWorldAndCorpus(t *testing.T) {
 	dir, _ := saveShardDir(t, buildTiny(t), 1)
-	loaded, _, err := LoadShards(dir)
+	shards, meta, _, err := loadShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := &Artifacts{Shards: shards, Serving: meta}
 	if m, err := loaded.TrainModels(); err == nil || m != nil {
 		t.Fatalf("TrainModels on snapshot-loaded artifacts = %v, %v; want an error", m, err)
 	}

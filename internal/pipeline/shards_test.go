@@ -1,9 +1,9 @@
 package pipeline
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,18 +16,33 @@ import (
 // saveShardDir commits one generation into a fresh store and returns the
 // committed generation's directory (where the shard files actually live),
 // which the corruption tests mutate directly.
-func saveShardDir(t *testing.T, a *Artifacts, count int) (string, *ShardManifest) {
+func saveShardDir(t *testing.T, a *Artifacts, count int) (string, *snapstore.ShardManifest) {
 	t.Helper()
 	root := t.TempDir()
-	man, err := a.SaveShards(root, count)
+	man, _, err := a.SaveShardsRetain(root, count, 0)
 	if err != nil {
-		t.Fatalf("SaveShards(%d): %v", count, err)
+		t.Fatalf("SaveShardsRetain(%d): %v", count, err)
 	}
 	g, err := snapstore.Lookup(root, nil)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
 	return filepath.Join(root, g.Dir), man
+}
+
+// loadShards loads the generation in dir in full, as a first load does:
+// its manifest, then every shard and the serving metadata through
+// snapstore.LoadGen with nothing served.
+func loadShards(dir string) ([]*core.FrozenNet, *snapstore.ServingMeta, *snapstore.ShardManifest, error) {
+	man, err := snapstore.ReadManifest(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	shards, meta, _, err := snapstore.LoadGen(dir, man, nil, nil, nil, -1)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return shards, meta, man, nil
 }
 
 // TestSaveShardsDeterministic: saving the same net twice must produce
@@ -44,9 +59,9 @@ func TestSaveShardsDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardDirRoundTrip: a sharded save loads back into a serving-only
-// Artifacts whose assembled ShardSet answers exactly like the one-shard
-// freeze of the net, and whose serving metadata survives the round trip.
+// TestShardDirRoundTrip: a sharded save loads back into shards whose
+// assembled ShardSet answers exactly like the one-shard freeze of the net,
+// and serving metadata that survives the round trip.
 func TestShardDirRoundTrip(t *testing.T) {
 	a := buildTiny(t)
 	frozen := a.Net.Freeze()
@@ -55,26 +70,20 @@ func TestShardDirRoundTrip(t *testing.T) {
 		if man.NumShards() != count || man.TotalNodes != frozen.NumNodes() || man.TotalEdges != frozen.NumEdges() {
 			t.Fatalf("count %d: manifest geometry %+v does not match net", count, man)
 		}
-		b, man2, err := LoadShards(dir)
+		shards, meta, man2, err := loadShards(dir)
 		if err != nil {
-			t.Fatalf("LoadShards: %v", err)
+			t.Fatalf("loadShards: %v", err)
 		}
 		if !reflect.DeepEqual(man, man2) {
 			t.Fatal("manifest changed across round trip")
 		}
-		if b.Net != nil || b.World != nil {
-			t.Fatal("loaded artifacts should be serving-only with Shards set")
+		if len(shards) != count {
+			t.Fatalf("loaded %d shards, want %d", len(shards), count)
 		}
-		if len(b.Shards) != count {
-			t.Fatalf("loaded %d shards, want %d", len(b.Shards), count)
-		}
-		if !reflect.DeepEqual(a.Serving, b.Serving) {
+		if !reflect.DeepEqual(a.Serving, meta) {
 			t.Fatal("serving metadata differs after round trip")
 		}
-		if b.PrimNode != nil || b.FrameNode != nil || b.ItemNode != nil || b.DomainCls != nil {
-			t.Fatal("loaded artifacts carry build-time node maps; a snapshot does not persist them")
-		}
-		s, err := core.NewShardSet(b.Shards)
+		s, err := core.NewShardSet(shards)
 		if err != nil {
 			t.Fatalf("NewShardSet: %v", err)
 		}
@@ -99,19 +108,19 @@ func TestShardDirRoundTrip(t *testing.T) {
 // *ShardLoadError naming the failing shard.
 func TestLoadShardVerifiesManifest(t *testing.T) {
 	a := buildTiny(t)
-	dir, _ := saveShardDir(t, a, 3)
+	dir, man := saveShardDir(t, a, 3)
 
 	// Swap shard 1's file for shard 2's: loads fine as a frozen net, but
 	// its checksum and geometry do not match the manifest entry.
-	orig, err := os.ReadFile(filepath.Join(dir, shardFileName(2)))
+	orig, err := os.ReadFile(filepath.Join(dir, man.Shards[2].File))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, shardFileName(1)), orig, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, man.Shards[1].File), orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadShards(dir)
-	var sle *ShardLoadError
+	_, _, _, err = loadShards(dir)
+	var sle *snapstore.ShardLoadError
 	if err == nil || !errors.As(err, &sle) {
 		t.Fatalf("swapped shard file: got %v, want *ShardLoadError", err)
 	}
@@ -140,102 +149,105 @@ func TestLoadShardsRejectsCorruption(t *testing.T) {
 		}
 	}
 	t.Run("shard body", func(t *testing.T) {
-		dir, _ := saveShardDir(t, a, 3)
-		flip(t, dir, shardFileName(1), -5)
-		if _, _, err := LoadShards(dir); err == nil {
+		dir, man := saveShardDir(t, a, 3)
+		flip(t, dir, man.Shards[1].File, -5)
+		if _, _, _, err := loadShards(dir); err == nil {
 			t.Fatal("corrupt shard file loaded")
 		}
 	})
 	t.Run("meta body", func(t *testing.T) {
-		dir, _ := saveShardDir(t, a, 3)
-		flip(t, dir, shardMetaName, 16)
-		if _, _, err := LoadShards(dir); err == nil {
+		dir, man := saveShardDir(t, a, 3)
+		flip(t, dir, man.MetaFile, 16)
+		if _, _, _, err := loadShards(dir); err == nil {
 			t.Fatal("corrupt meta file loaded")
 		}
 	})
 	t.Run("missing shard file", func(t *testing.T) {
-		dir, _ := saveShardDir(t, a, 3)
-		if err := os.Remove(filepath.Join(dir, shardFileName(2))); err != nil {
+		dir, man := saveShardDir(t, a, 3)
+		if err := os.Remove(filepath.Join(dir, man.Shards[2].File)); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := LoadShards(dir)
-		var sle *ShardLoadError
+		_, _, _, err := loadShards(dir)
+		var sle *snapstore.ShardLoadError
 		if err == nil || !errors.As(err, &sle) || sle.Index != 2 {
 			t.Fatalf("missing shard file: got %v, want *ShardLoadError for shard 2", err)
 		}
 	})
 	t.Run("manifest garbage", func(t *testing.T) {
 		dir, _ := saveShardDir(t, a, 3)
-		if err := os.WriteFile(filepath.Join(dir, ShardManifestName), []byte("{"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, snapstore.ShardManifestName), []byte("{"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadShards(dir); err == nil {
+		if _, _, _, err := loadShards(dir); err == nil {
 			t.Fatal("garbage manifest accepted")
 		}
 	})
 	for _, c := range []struct {
 		name string
-		lie  func(man *ShardManifest)
+		lie  func(man *snapstore.ShardManifest)
 	}{
-		{"manifest stride lie", func(man *ShardManifest) { man.Stride++ }},
-		{"manifest meta file escapes", func(man *ShardManifest) { man.MetaFile = "../../victim.txt" }},
-		{"manifest meta file is the parent", func(man *ShardManifest) { man.MetaFile = ".." }},
-		{"manifest shard file escapes", func(man *ShardManifest) { man.Shards[1].File = "../gen-000009/shard-0001.fz" }},
-		{"manifest names a file twice", func(man *ShardManifest) { man.Shards[2].File = man.Shards[0].File }},
-		{"manifest meta file is a shard", func(man *ShardManifest) { man.MetaFile = man.Shards[1].File }},
-		{"manifest names itself", func(man *ShardManifest) { man.MetaFile = ShardManifestName }},
-		{"manifest shard names the manifest", func(man *ShardManifest) { man.Shards[0].File = ShardManifestName }},
+		{"manifest stride lie", func(man *snapstore.ShardManifest) { man.Stride++ }},
+		{"manifest meta file escapes", func(man *snapstore.ShardManifest) { man.MetaFile = "../../victim.txt" }},
+		{"manifest meta file is the parent", func(man *snapstore.ShardManifest) { man.MetaFile = ".." }},
+		{"manifest shard file escapes", func(man *snapstore.ShardManifest) { man.Shards[1].File = "../gen-000009/shard-0001.fz" }},
+		{"manifest names a file twice", func(man *snapstore.ShardManifest) { man.Shards[2].File = man.Shards[0].File }},
+		{"manifest meta file is a shard", func(man *snapstore.ShardManifest) { man.MetaFile = man.Shards[1].File }},
+		{"manifest names itself", func(man *snapstore.ShardManifest) { man.MetaFile = snapstore.ShardManifestName }},
+		{"manifest shard names the manifest", func(man *snapstore.ShardManifest) { man.Shards[0].File = snapstore.ShardManifestName }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir, man := saveShardDir(t, a, 3)
 			c.lie(man)
 			writeManifest(t, dir, man)
-			if _, err := ReadManifest(dir); err == nil {
+			if _, err := snapstore.ReadManifest(dir); err == nil {
 				t.Fatalf("manifest accepted: %+v", man)
 			}
 		})
 	}
 }
 
-// writeManifest overwrites dir's manifest with man.
-func writeManifest(t *testing.T, dir string, man *ShardManifest) {
+// writeManifest overwrites dir's manifest with man and returns the CRC-32
+// of the bytes written, which a catalog entry vouching for it would carry.
+func writeManifest(t *testing.T, dir string, man *snapstore.ShardManifest) uint32 {
 	t.Helper()
 	raw, err := json.Marshal(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ShardManifestName), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapstore.ShardManifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return crc32.ChecksumIEEE(raw)
 }
 
 // TestScrubStaysInsideGeneration: a manifest naming a file outside its
 // generation fails to read, so the scrubber neither hashes nor
 // quarantines that file. The catalog's manifest checksum is no guard when
-// the scrub runs without one.
+// the catalog entry vouches for the bad manifest.
 func TestScrubStaysInsideGeneration(t *testing.T) {
 	a := buildTiny(t)
 	tmp := t.TempDir()
-	if _, err := a.SaveShards(filepath.Join(tmp, "store"), 2); err != nil {
+	store := filepath.Join(tmp, "store")
+	if _, _, err := a.SaveShardsRetain(store, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	g, err := snapstore.Lookup(filepath.Join(tmp, "store"), nil)
+	g, err := snapstore.Lookup(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(tmp, "store", g.Dir)
+	dir := filepath.Join(store, g.Dir)
 	victim := filepath.Join(tmp, "victim.txt")
 	if err := os.WriteFile(victim, []byte("not part of any generation\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	man, err := ReadManifest(dir)
+	man, err := snapstore.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	man.MetaFile = "../../victim.txt"
-	writeManifest(t, dir, man)
+	g.ManifestChecksum = writeManifest(t, dir, man)
 
-	if _, err := ScrubShardDir(dir, ScrubOptions{Meta: a.Serving}); err == nil {
+	if _, err := snapstore.ScrubGen(store, g, nil, a.Serving); err == nil {
 		t.Fatal("scrub accepted a manifest naming a file outside its generation")
 	}
 	got, err := os.ReadFile(victim)
@@ -247,66 +259,35 @@ func TestScrubStaysInsideGeneration(t *testing.T) {
 	}
 }
 
-// FuzzReadManifest: the manifest decoder must never panic, and every
-// manifest it accepts names distinct bare files inside its generation
-// (none of them the manifest) and re-encodes to JSON that decodes to an
-// equal manifest. The committed seeds (testdata/fuzz/FuzzReadManifest)
-// are a SaveShards manifest, its meta file escaping the generation, a
-// file named twice, and truncated JSON.
-func FuzzReadManifest(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		man, err := decodeManifest(bytes.NewReader(raw))
-		if err != nil {
-			return
-		}
-		seen := make(map[string]bool)
-		for _, c := range man.FileChecks() {
-			if c.Name != filepath.Base(c.Name) || c.Name == "." || c.Name == ".." ||
-				c.Name == ShardManifestName || seen[c.Name] {
-				t.Fatalf("accepted manifest names %q: %+v", c.Name, man)
-			}
-			seen[c.Name] = true
-		}
-		again, err := json.Marshal(man)
-		if err != nil {
-			t.Fatalf("accepted manifest does not encode: %v", err)
-		}
-		back, err := decodeManifest(bytes.NewReader(again))
-		if err != nil {
-			t.Fatalf("re-encoded manifest is rejected: %v\n%s", err, again)
-		}
-		if !reflect.DeepEqual(back, man) {
-			t.Fatalf("re-encoded manifest decodes differently:\n%+v\n%+v", man, back)
-		}
-	})
-}
-
 // TestLoadShardSingle: LoadShard re-reads exactly one shard, which is what
 // the serving layer's single-shard reload path builds on.
 func TestLoadShardSingle(t *testing.T) {
 	a := buildTiny(t)
 	dir, man := saveShardDir(t, a, 4)
-	sh, err := LoadShard(dir, man, 2)
+	sh, err := snapstore.LoadShard(dir, man, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int(sh.Base()) != man.Shards[2].Base || sh.NumNodes() != man.Shards[2].Nodes {
 		t.Fatal("LoadShard returned the wrong range")
 	}
-	if _, err := LoadShard(dir, man, 99); err == nil {
+	if _, err := snapstore.LoadShard(dir, man, 99); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
 }
 
-// TestSaveShardsRequiresLiveNet: serving-only artifacts cannot partition.
+// TestSaveShardsRequiresLiveNet: serving-only artifacts — a loaded
+// generation's shards and metadata, as a loaded facade's Internal holds
+// them — cannot partition.
 func TestSaveShardsRequiresLiveNet(t *testing.T) {
 	a := buildTiny(t)
 	dir, _ := saveShardDir(t, a, 2)
-	b, _, err := LoadShards(dir)
+	shards, meta, _, err := loadShards(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SaveShards(t.TempDir(), 2); err == nil {
+	b := &Artifacts{Shards: shards, Serving: meta}
+	if _, _, err := b.SaveShardsRetain(t.TempDir(), 2, 0); err == nil {
 		t.Fatal("SaveShards on serving-only artifacts should fail")
 	}
 }
@@ -315,14 +296,14 @@ func TestSaveShardsRequiresLiveNet(t *testing.T) {
 // without serving metadata, commit no generation.
 func TestSaveSnapshotRequiresFrozen(t *testing.T) {
 	empty := t.TempDir()
-	if _, err := (&Artifacts{}).SaveShards(empty, 1); err == nil {
+	if _, _, err := (&Artifacts{}).SaveShardsRetain(empty, 1, 0); err == nil {
 		t.Fatal("snapshot of artifacts without a net should error")
 	}
 	a := buildTiny(t)
 	noMeta := *a
 	noMeta.Serving = nil
 	bare := t.TempDir()
-	if _, err := noMeta.SaveShards(bare, 2); err == nil {
+	if _, _, err := noMeta.SaveShardsRetain(bare, 2, 0); err == nil {
 		t.Fatal("SaveShards without serving metadata should fail")
 	}
 	for _, dir := range []string{empty, bare} {

@@ -9,8 +9,8 @@ import (
 	"net/http"
 	"time"
 
-	"alicoco"
 	"alicoco/internal/resilience"
+	"alicoco/internal/serving"
 )
 
 // Config is the embedding-facing serving policy. A zero field means the
@@ -34,7 +34,7 @@ type Config struct {
 
 func (c Config) toServeConfig() serveConfig {
 	cfg := defaultServeConfig()
-	cfg.cacheSize = alicoco.DefaultQueryCacheCapacity
+	cfg.cacheSize = serving.DefaultQueryCacheCapacity
 	if c.Deadline != 0 {
 		cfg.deadline = c.Deadline
 	}
@@ -53,12 +53,13 @@ func (c Config) toServeConfig() serveConfig {
 // Server is an embedded cocoserve instance.
 type Server struct{ s *server }
 
-// New wires a server around a facade loaded from the snapshot store
-// cfg.SnapshotDir, which is required: the snapshot lifecycle (reload
-// diffing, rollback, scrubbing) runs on it exactly as under the cocoserve
-// command.
-func New(coco *alicoco.CoCo, cfg Config) *Server {
-	return &Server{s: newServerCfg(coco, cfg.SnapshotDir, cfg.toServeConfig())}
+// New wires a server around the serving core of a facade loaded from the
+// snapshot store cfg.SnapshotDir, which is required: the snapshot
+// lifecycle (reload diffing, rollback, scrubbing) runs on it exactly as
+// under the cocoserve command. coco is a *serving.Core or anything that
+// embeds one, such as the root *alicoco.CoCo; the server keeps the core.
+func New(coco interface{ Serving() *serving.Core }, cfg Config) *Server {
+	return &Server{s: newServerCfg(coco.Serving(), cfg.SnapshotDir, cfg.toServeConfig())}
 }
 
 // Handler is the production handler stack: the full route mux wrapped in

@@ -21,9 +21,9 @@ import (
 	"syscall"
 	"time"
 
-	"alicoco"
-	"alicoco/internal/pipeline"
 	"alicoco/internal/resilience"
+	"alicoco/internal/serving"
+	"alicoco/internal/snapstore"
 )
 
 // serveConfig is the resilience policy knobs; the zero value disables
@@ -70,7 +70,7 @@ type serveConfig struct {
 	// published generation must pass or be rolled back (nil skips
 	// validation).
 	scrubInterval time.Duration
-	validate      func(*alicoco.CoCo) error
+	validate      func(*serving.Core) error
 
 	// slowQuery is the -slow-query threshold: responses at or above it
 	// emit a correlation log line (endpoint, latency, generation, request
@@ -311,7 +311,7 @@ func (s *server) tryReload(shard int) (source string, err error) {
 // reloadMu.
 func (s *server) reloadFailedLocked(err error) {
 	s.reloadFailures.Inc()
-	var sle *pipeline.ShardLoadError
+	var sle *snapstore.ShardLoadError
 	if errors.As(err, &sle) {
 		if s.shardFails == nil {
 			s.shardFails = make(map[int]int)

@@ -54,7 +54,7 @@ func fixtures(t testing.TB) {
 			os.RemoveAll(dir)
 			return
 		}
-		fixtureSrv = newServerCfg(coco, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity))
+		fixtureSrv = newServerCfg(coco.Core, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)

@@ -18,10 +18,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"alicoco"
 	"alicoco/internal/obs"
 	"alicoco/internal/qcache"
 	"alicoco/internal/resilience"
+	"alicoco/internal/serving"
 )
 
 // endpoint indexes the fixed set of instrumented routes. Label values
@@ -245,7 +245,7 @@ func (m *serveMetrics) growShardSeries(s *server) {
 	for ; m.shards < n; m.shards++ {
 		idx := m.shards
 		label := strconv.Itoa(idx)
-		info := func() (si alicoco.ShardServingInfo) {
+		info := func() (si serving.ShardServingInfo) {
 			if all := s.coco.ShardInfos(); idx < len(all) {
 				si = all[idx]
 			}

@@ -10,8 +10,8 @@ import (
 	"sync"
 	"testing"
 
-	"alicoco"
 	"alicoco/internal/qcache"
+	"alicoco/internal/serving"
 )
 
 // The ServeCacheHit/ServeCacheMiss pair measures the end-to-end handler
@@ -36,17 +36,17 @@ func benchServers(b *testing.B) (hit, miss *server) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
 		dir := testServer(b).store
-		cocoHit, err := alicoco.LoadShardedFrozen(dir)
+		cocoHit, err := serving.Load(dir)
 		if err != nil {
 			serveBenchErr = err
 			return
 		}
-		cocoMiss, err := alicoco.LoadShardedFrozen(dir)
+		cocoMiss, err := serving.Load(dir)
 		if err != nil {
 			serveBenchErr = err
 			return
 		}
-		cocoFill, err := alicoco.LoadShardedFrozen(dir)
+		cocoFill, err := serving.Load(dir)
 		if err != nil {
 			serveBenchErr = err
 			return

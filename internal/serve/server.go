@@ -22,10 +22,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"alicoco"
 	"alicoco/internal/obs"
 	"alicoco/internal/qcache"
 	"alicoco/internal/resilience"
+	"alicoco/internal/serving"
 	"alicoco/internal/snapstore"
 )
 
@@ -53,7 +53,7 @@ const maxBatchBody = 1 << 20
 const maxPooledEncodeBuf = 64 << 10
 
 type server struct {
-	coco *alicoco.CoCo
+	coco *serving.Core
 
 	// searchBytes / recBytes cache the *encoded JSON bytes* of the hot
 	// single-query GET endpoints, keyed on the raw query string and
@@ -104,8 +104,8 @@ type server struct {
 	// serving (only shards whose checksums changed are re-read),
 	// /reload?shard=i force-reloads one shard, and rollback and scrub
 	// repair work on it. The server only lists the catalog, and the
-	// facade's reloads, rollbacks and scrubs only read it. Reloads
-	// serialize on the facade's own offline lock; queries are never
+	// core's reloads, rollbacks and scrubs only read it. Reloads
+	// serialize on the core's own offline lock; queries are never
 	// blocked. See snapstore.go in this package.
 	store string
 
@@ -114,7 +114,7 @@ type server struct {
 	lastScrub *snapstore.ScrubReport
 
 	// reloadMu serializes reload attempts with their failure bookkeeping
-	// (the breaker's trip drives the auto-rollback); the facade's offline
+	// (the breaker's trip drives the auto-rollback); the core's offline
 	// lock only serializes the swap itself.
 	reloadMu   sync.Mutex
 	shardFails map[int]int // consecutive failures per shard, guarded by reloadMu
@@ -141,10 +141,10 @@ type server struct {
 	metrics *serveMetrics
 }
 
-// newServerCfg wires a server around a facade loaded from the snapshot
-// store at store, with the given policy; the facade's engine-level caches
-// are resized to cfg.cacheSize entries, like the server's own.
-func newServerCfg(coco *alicoco.CoCo, store string, cfg serveConfig) *server {
+// newServerCfg wires a server around a serving core loaded from the
+// snapshot store at store, with the given policy; the core's engine-level
+// caches are resized to cfg.cacheSize entries, like the server's own.
+func newServerCfg(coco *serving.Core, store string, cfg serveConfig) *server {
 	coco.SetQueryCacheCapacity(cfg.cacheSize)
 	s := &server{coco: coco, store: store, cfg: cfg}
 	if cfg.cacheSize > 0 {
@@ -321,7 +321,7 @@ func (s *server) errorCaching(w http.ResponseWriter, msg string, status int, cac
 // Table-2 net shape, build, the serving snapshot's identity, the catalog)
 // and every runtime number as the registry's JSON view under "metrics".
 type statsResponse struct {
-	alicoco.Stats
+	serving.Stats
 	Build     obs.BuildInfo   `json:"build"`
 	Snapshot  snapshotInfo    `json:"snapshot"`
 	Snapstore snapstoreInfo   `json:"snapstore"`
@@ -333,7 +333,6 @@ type statsResponse struct {
 type snapshotInfo struct {
 	Source      string      `json:"source"`             // shards | rollback
 	Checksum    string      `json:"checksum,omitempty"` // CRC-32 of the loaded snapshot content
-	Dir         string      `json:"dir"`                // -snapshot-dir store root
 	PublishedAt string      `json:"published_at"`       // RFC 3339
 	Shards      []shardStat `json:"shards,omitempty"`   // the served partition, in shard order
 }
@@ -350,7 +349,6 @@ func (s *server) snapshotInfo() snapshotInfo {
 	out := snapshotInfo{
 		Source:      info.Source,
 		Checksum:    info.Checksum,
-		Dir:         s.store,
 		PublishedAt: info.PublishedAt.UTC().Format(time.RFC3339),
 	}
 	for _, si := range s.coco.ShardInfos() {
@@ -668,7 +666,7 @@ func Main() {
 	snapshotDir := flag.String("snapshot-dir", "",
 		"serve the newest generation of this snapshot store (required); /reload re-reads only changed shards")
 	refresh := flag.Duration("refresh", 0, "if > 0, reload the snapshot on this interval")
-	cacheSize := flag.Int("cache-size", alicoco.DefaultQueryCacheCapacity,
+	cacheSize := flag.Int("cache-size", serving.DefaultQueryCacheCapacity,
 		"query cache capacity in entries per cache layer (0 disables caching); past an eighth of it, a key is cached from its second miss")
 	cfg := defaultServeConfig()
 	deadline := flag.Duration("deadline", cfg.deadline,
@@ -697,7 +695,7 @@ func Main() {
 		log.Fatal("-snapshot-dir is required: commit a store first with `alicoco snapshot save -out DIR`")
 	}
 	start := time.Now()
-	coco, err := alicoco.LoadShardedFrozen(*snapshotDir)
+	coco, err := serving.Load(*snapshotDir)
 	if err != nil {
 		log.Fatalf("load snapshot: %v", err)
 	}

@@ -35,7 +35,7 @@ func TestShardedServesIdenticalAnswers(t *testing.T) {
 		"/hypernyms?name=coat",
 		"/hypernyms?name=grill",
 	}
-	sessions := built.coco.SampleSessions(3)
+	sessions := builtNet(t).SampleSessions(3)
 	sessionStrs := make([]string, len(sessions))
 	for i, sess := range sessions {
 		parts := make([]string, len(sess))
@@ -71,15 +71,16 @@ func TestShardedServesIdenticalAnswers(t *testing.T) {
 func TestStatsShardedSection(t *testing.T) {
 	sharded, dir := newShardedServer(t, 4)
 	type statsResp struct {
-		Snapshot snapshotInfo `json:"snapshot"`
+		Snapshot  snapshotInfo  `json:"snapshot"`
+		Snapstore snapstoreInfo `json:"snapstore"`
 	}
 	var resp statsResp
 	if _, body := get(sharded, "/stats"); json.Unmarshal([]byte(body), &resp) != nil {
 		t.Fatal("bad sharded stats")
 	}
 	sn := resp.Snapshot
-	if sn.Source != "shards" || sn.Dir != dir || sn.Checksum == "" {
-		t.Fatalf("sharded snapshot section: %+v", sn)
+	if sn.Source != "shards" || resp.Snapstore.Root != dir || sn.Checksum == "" {
+		t.Fatalf("sharded snapshot section: %+v, store root %q", sn, resp.Snapstore.Root)
 	}
 	if len(sn.Shards) != 4 {
 		t.Fatalf("%d shard stats, want 4", len(sn.Shards))

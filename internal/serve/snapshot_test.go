@@ -40,7 +40,7 @@ func serveStore(t testing.TB, dir string, cfg serveConfig) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServerCfg(coco, dir, cfg)
+	return newServerCfg(coco.Core, dir, cfg)
 }
 
 // builtServer wraps the built facade in a server, so answers served from
@@ -48,7 +48,7 @@ func serveStore(t testing.TB, dir string, cfg serveConfig) *server {
 // query endpoints are read.
 func builtServer(t *testing.T) *server {
 	t.Helper()
-	return newServerCfg(builtNet(t), testServer(t).store, cacheCfg(alicoco.DefaultQueryCacheCapacity))
+	return newServerCfg(builtNet(t).Core, testServer(t).store, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 }
 
 func get(s *server, url string) (int, string) {
@@ -70,7 +70,7 @@ func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 		"/hypernyms?name=coat",
 		"/hypernyms?name=grill",
 	}
-	sessions := built.coco.SampleSessions(3)
+	sessions := builtNet(t).SampleSessions(3)
 	for _, sess := range sessions {
 		parts := make([]string, len(sess))
 		for i, id := range sess {
@@ -110,14 +110,15 @@ func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 func TestStatsSnapshotSection(t *testing.T) {
 	loaded := testServer(t)
 	var l struct {
-		Snapshot snapshotInfo `json:"snapshot"`
+		Snapshot  snapshotInfo  `json:"snapshot"`
+		Snapstore snapstoreInfo `json:"snapstore"`
 	}
 	if _, body := get(loaded, "/stats"); json.Unmarshal([]byte(body), &l) != nil {
 		t.Fatal("bad loaded stats")
 	}
 	sn := l.Snapshot
-	if sn.Source != "shards" || sn.Checksum == "" || sn.Dir != loaded.store {
-		t.Fatalf("loaded snapshot section: %+v", sn)
+	if sn.Source != "shards" || sn.Checksum == "" || l.Snapstore.Root != loaded.store {
+		t.Fatalf("loaded snapshot section: %+v, store root %q", sn, l.Snapstore.Root)
 	}
 	p := scrape(t, loaded.mux())
 	nodes, _ := p.Value("cocoserve_snapshot_nodes")

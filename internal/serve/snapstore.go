@@ -18,7 +18,7 @@ import (
 	"strconv"
 	"time"
 
-	"alicoco"
+	"alicoco/internal/serving"
 	"alicoco/internal/snapstore"
 )
 
@@ -26,7 +26,7 @@ import (
 // generation must pass before the server trusts it: the serving state must
 // actually hold a net. Tests and deployments can tighten this via
 // cfg.validate (golden-query checks, minimum node counts, ...).
-func defaultValidate(c *alicoco.CoCo) error {
+func defaultValidate(c *serving.Core) error {
 	if info := c.ServingInfo(); info.Nodes <= 0 {
 		return errors.New("serving state has no nodes")
 	}

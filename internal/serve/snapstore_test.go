@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"alicoco"
+	"alicoco/internal/serving"
 	"alicoco/internal/snapstore"
 )
 
@@ -156,7 +157,7 @@ func TestRollbackEndpoint(t *testing.T) {
 func TestAutoRollbackOnValidationFailure(t *testing.T) {
 	s, coco, dir := newCatalogServer(t, 1)
 	poison := errors.New("golden query came back empty")
-	s.cfg.validate = func(c *alicoco.CoCo) error {
+	s.cfg.validate = func(c *serving.Core) error {
 		if c.ServingInfo().CatalogGen == 2 {
 			return poison
 		}
@@ -216,7 +217,7 @@ func TestAutoRollbackOnValidationFailure(t *testing.T) {
 // fails validation is rolled back like any other publish.
 func TestReloadShardHeldAfterRollback(t *testing.T) {
 	s, coco, dir := newCatalogServer(t, 1)
-	s.cfg.validate = func(c *alicoco.CoCo) error {
+	s.cfg.validate = func(c *serving.Core) error {
 		if c.ServingInfo().CatalogGen > 1 {
 			return errors.New("golden query came back empty")
 		}

@@ -1,4 +1,4 @@
-package pipeline
+package snapstore
 
 import (
 	"bytes"
@@ -9,18 +9,16 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 
 	"alicoco/internal/core"
 	"alicoco/internal/faultfs"
 	"alicoco/internal/fzio"
-	"alicoco/internal/snapstore"
 )
 
-// Serving metadata: what a loaded Artifacts needs beyond the frozen shards
-// to serve without a World. A generation's meta.bin holds it, written with
-// the shard codec's field primitives (internal/fzio; str = u32 length +
-// bytes):
+// Serving metadata: what serving needs beyond the frozen shards, which the
+// build derives from its world. A generation's meta.bin holds it, written
+// with the shard codec's field primitives (internal/fzio; str = u32 length
+// + bytes):
 //
 //	"ACSM" magic | u8 version
 //	--- body, covered by the trailing CRC-32 (IEEE) ---
@@ -39,7 +37,7 @@ const shardMetaVersion = 2
 // ServingMeta is the world-derived data the serving layer needs beyond the
 // net itself: the stopwords the search engine tokenizes with, and the item
 // table mapping world item IDs to net nodes, titles and categories, with
-// its node index. Build derives it; LoadGen reads it from meta.bin.
+// its node index. The build derives it; LoadGen reads it from meta.bin.
 type ServingMeta struct {
 	Stopwords []string
 	Items     []ItemMeta // in world order: Items[i] has world ID i
@@ -64,9 +62,9 @@ func (m *ServingMeta) ItemOfNode(id core.NodeID) (ItemMeta, bool) {
 	return m.Items[m.byNode[id]], true
 }
 
-// indexNodes builds the node index over a net of total nodes, which must
+// IndexNodes builds the node index over a net of total nodes, which must
 // hold every item's node.
-func (m *ServingMeta) indexNodes(total int) {
+func (m *ServingMeta) IndexNodes(total int) {
 	m.byNode = make([]int32, total)
 	for i := range m.byNode {
 		m.byNode[i] = -1
@@ -88,21 +86,6 @@ func (m *ServingMeta) CheckItemKinds(shards []*core.FrozenNet) error {
 		}
 	}
 	return nil
-}
-
-// buildServingMeta derives the serving metadata from the built world.
-func (a *Artifacts) buildServingMeta() *ServingMeta {
-	m := &ServingMeta{Stopwords: a.World.Stopwords()}
-	for _, it := range a.World.Items {
-		m.Items = append(m.Items, ItemMeta{
-			WorldID:  it.ID,
-			Node:     a.ItemNode[it.ID],
-			Title:    strings.Join(it.Title, " "),
-			Category: a.World.Prim(it.Leaf).Name(),
-		})
-	}
-	m.indexNodes(a.Net.NumNodes())
-	return m
 }
 
 // encode returns the meta body.
@@ -215,7 +198,7 @@ func decodeMeta(body []byte, total int) (*ServingMeta, error) {
 		fr.Err = fmt.Errorf("%d bytes after the last item", r.Len())
 	}
 	if fr.Err != nil {
-		return nil, fmt.Errorf("pipeline: load shard meta: %w", fr.Err)
+		return nil, fmt.Errorf("snapstore: load shard meta: %w", fr.Err)
 	}
 	for i, title := range cut() {
 		items[i].Title = title
@@ -225,7 +208,7 @@ func decodeMeta(body []byte, total int) (*ServingMeta, error) {
 
 // writeMeta writes a meta file: header, body and the body's CRC-32.
 func writeMeta(dir, name string, body []byte) error {
-	return snapstore.WriteFileAtomic(dir, name, func(w io.Writer) error {
+	return WriteFileAtomic(dir, name, func(w io.Writer) error {
 		fw := fzio.Writer{W: w}
 		fw.Bytes(shardMetaMagic[:])
 		fw.U8(shardMetaVersion)
@@ -241,7 +224,7 @@ func loadShardMeta(dir string, man *ShardManifest) (*ServingMeta, error) {
 	path := filepath.Join(dir, man.MetaFile)
 	f, err := faultfs.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: load shard meta: %w", err)
+		return nil, fmt.Errorf("snapstore: load shard meta: %w", err)
 	}
 	defer f.Close()
 	// Sized from a stat, the read costs one allocation however large the
@@ -251,24 +234,24 @@ func loadShardMeta(dir string, man *ShardManifest) (*ServingMeta, error) {
 		file.Grow(int(fi.Size()) + bytes.MinRead)
 	}
 	if _, err := file.ReadFrom(f); err != nil {
-		return nil, fmt.Errorf("pipeline: load shard meta: %w", err)
+		return nil, fmt.Errorf("snapstore: load shard meta: %w", err)
 	}
 	raw := file.Bytes()
 	if len(raw) < 9 {
-		return nil, errors.New("pipeline: load shard meta: file too short")
+		return nil, errors.New("snapstore: load shard meta: file too short")
 	}
 	if [4]byte{raw[0], raw[1], raw[2], raw[3]} != shardMetaMagic {
-		return nil, fmt.Errorf("pipeline: load shard meta: bad magic %q", raw[:4])
+		return nil, fmt.Errorf("snapstore: load shard meta: bad magic %q", raw[:4])
 	}
 	if raw[4] != shardMetaVersion {
-		return nil, fmt.Errorf("pipeline: load shard meta: unsupported version %d", raw[4])
+		return nil, fmt.Errorf("snapstore: load shard meta: unsupported version %d", raw[4])
 	}
 	body, stored := raw[5:len(raw)-4], fzio.GetU32(raw[len(raw)-4:])
 	if sum := crc32.ChecksumIEEE(body); sum != stored {
-		return nil, fmt.Errorf("pipeline: load shard meta: checksum mismatch (stored %08x, computed %08x)", stored, sum)
+		return nil, fmt.Errorf("snapstore: load shard meta: checksum mismatch (stored %08x, computed %08x)", stored, sum)
 	}
 	if stored != man.MetaChecksum {
-		return nil, fmt.Errorf("pipeline: load shard meta: checksum %08x does not match manifest %08x", stored, man.MetaChecksum)
+		return nil, fmt.Errorf("snapstore: load shard meta: checksum %08x does not match manifest %08x", stored, man.MetaChecksum)
 	}
 	return decodeMeta(body, man.TotalNodes)
 }

@@ -1,4 +1,4 @@
-package pipeline
+package snapstore
 
 import (
 	"bufio"
@@ -12,25 +12,24 @@ import (
 	"alicoco/internal/core"
 	"alicoco/internal/faultfs"
 	"alicoco/internal/par"
-	"alicoco/internal/snapstore"
 )
 
-// Snapshot persistence: a snapshot is one generation of a snapstore
-// catalog, and a generation directory holds N independently written,
-// independently reloadable shard files plus the shared serving metadata,
-// tied together by a manifest:
+// Snapshot persistence: a snapshot is one generation of the catalog, and a
+// generation directory holds N independently written, independently
+// reloadable shard files plus the shared serving metadata, tied together
+// by a manifest:
 //
 //	manifest.json   shard count, partition spec, per-file checksums (commit point)
-//	meta.bin        stopwords and item table (see snapshot.go)
+//	meta.bin        stopwords and item table (see meta.go)
 //	shard-0000.fz … frozen-format shard files (see core/persist_frozen.go)
 //
 // The files are written into the store's temp generation directory and the
-// catalog update commits it — a crashed save never leaves a generation that
-// parses as complete. LoadGen is the one way a generation's shards reach
-// serving, for a first load as for a reload: it keeps what the served
-// artifacts already hold — the item table when the meta checksum and node
-// total match, and, in a partition of the same shape, every shard whose
-// checksum matches — and reads and verifies only the rest.
+// catalog update commits it (Commit) — a crashed save never leaves a
+// generation that parses as complete. LoadGen is the one way a
+// generation's shards reach serving, for a first load as for a reload: it
+// keeps what serving already holds — the item table when the meta checksum
+// and node total match, and, in a partition of the same shape, every shard
+// whose checksum matches — and reads and verifies only the rest.
 
 const (
 	// ShardManifestName is the manifest's file name inside a shard
@@ -100,55 +99,31 @@ func (e *ShardLoadError) Unwrap() error { return e.Err }
 // shardFileName is the canonical name of shard i.
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.fz", i) }
 
-// SaveShards partitions the live net into count shards and commits them as
-// a new generation in the snapshot store at dir (creating the store, and
-// its catalog, if dir is new). The shard files are written in parallel into
-// a temp generation directory; the catalog update is the single commit
-// point, so a crashed save leaves only debris the next open sweeps away.
-// When Shards already holds the live net's current state in count shards
-// (core.Net.IsCurrentPartition), those are written as they are; otherwise
-// the net is frozen afresh. Retention defaults to snapstore.DefaultRetain;
-// use SaveShardsRetain to choose. Requires a live Net — a serving-only
-// Artifacts has nothing to partition.
-func (a *Artifacts) SaveShards(dir string, count int) (*ShardManifest, error) {
-	man, _, err := a.SaveShardsRetain(dir, count, 0)
-	return man, err
-}
-
-// SaveShardsRetain is SaveShards with an explicit retention count
-// (<= 0 means snapstore.DefaultRetain); the commit drops the generations
-// past that window that no live process holds, so a generation a reader
-// serves stays. It also returns the committed generation.
-func (a *Artifacts) SaveShardsRetain(dir string, count, retain int) (*ShardManifest, snapstore.Gen, error) {
-	if a.Net == nil {
-		return nil, snapstore.Gen{}, errors.New("pipeline: save shards: no live net (serving-only artifacts)")
-	}
-	if a.Serving == nil {
-		return nil, snapstore.Gen{}, errors.New("pipeline: save shards: no serving metadata")
-	}
-	if count < 1 {
-		count = 1
-	}
-	store, err := snapstore.Open(dir, snapstore.Options{Retain: retain})
+// Commit writes frozen shards and the serving metadata served with them
+// as a new generation of the store at root (creating the store, and its
+// catalog, if root is new). The shard files are written in parallel into a
+// temp generation directory; the catalog update is the single commit point,
+// so a crashed commit leaves only debris the next open sweeps away. The
+// commit drops the generations past the newest retain (<= 0 means
+// DefaultRetain) that no live process holds, so a generation a reader
+// serves stays. It returns the manifest and the committed generation.
+func Commit(root string, shards []*core.FrozenNet, meta *ServingMeta, retain int) (*ShardManifest, Gen, error) {
+	store, err := Open(root, Options{Retain: retain})
 	if err != nil {
-		return nil, snapstore.Gen{}, fmt.Errorf("pipeline: save shards: %w", err)
+		return nil, Gen{}, fmt.Errorf("snapstore: save shards: %w", err)
 	}
 	tx, err := store.Begin()
 	if err != nil {
-		return nil, snapstore.Gen{}, fmt.Errorf("pipeline: save shards: %w", err)
+		return nil, Gen{}, fmt.Errorf("snapstore: save shards: %w", err)
 	}
 	defer tx.Abort()
-	shards := a.Shards
-	if len(shards) != count || !a.Net.IsCurrentPartition(shards) {
-		shards = a.Net.FreezeShards(count)
-	}
-	man, err := writeShardDir(tx.Dir(), shards, a.Serving)
+	man, err := writeShardDir(tx.Dir(), shards, meta)
 	if err != nil {
-		return nil, snapstore.Gen{}, err
+		return nil, Gen{}, err
 	}
 	gen, err := tx.Commit(ShardManifestName)
 	if err != nil {
-		return nil, snapstore.Gen{}, fmt.Errorf("pipeline: save shards: %w", err)
+		return nil, Gen{}, fmt.Errorf("snapstore: save shards: %w", err)
 	}
 	return man, gen, nil
 }
@@ -169,7 +144,7 @@ func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*Sh
 		sh := shards[i]
 		name := shardFileName(i)
 		var sum uint32
-		err := snapstore.WriteFileAtomic(dir, name, func(w io.Writer) error {
+		err := WriteFileAtomic(dir, name, func(w io.Writer) error {
 			var err error
 			sum, err = sh.SaveSum(w)
 			return err
@@ -188,7 +163,7 @@ func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*Sh
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: save shards: %w", err)
+			return nil, fmt.Errorf("snapstore: save shards: %w", err)
 		}
 	}
 	for i := range man.Shards {
@@ -197,20 +172,20 @@ func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*Sh
 
 	body, err := meta.encode()
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: save shards: meta: %w", err)
+		return nil, fmt.Errorf("snapstore: save shards: meta: %w", err)
 	}
 	man.MetaChecksum = crc32.ChecksumIEEE(body)
 	if err := writeMeta(dir, shardMetaName, body); err != nil {
-		return nil, fmt.Errorf("pipeline: save shards: meta: %w", err)
+		return nil, fmt.Errorf("snapstore: save shards: meta: %w", err)
 	}
 
-	err = snapstore.WriteFileAtomic(dir, ShardManifestName, func(w io.Writer) error {
+	err = WriteFileAtomic(dir, ShardManifestName, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(man)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: save shards: manifest: %w", err)
+		return nil, fmt.Errorf("snapstore: save shards: manifest: %w", err)
 	}
 	return man, nil
 }
@@ -220,7 +195,7 @@ func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*Sh
 func ReadManifest(dir string) (*ShardManifest, error) {
 	f, err := faultfs.Open(filepath.Join(dir, ShardManifestName))
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: read manifest: %w", err)
+		return nil, fmt.Errorf("snapstore: read manifest: %w", err)
 	}
 	defer f.Close()
 	return decodeManifest(f)
@@ -234,19 +209,19 @@ func ReadManifest(dir string) (*ShardManifest, error) {
 func decodeManifest(r io.Reader) (*ShardManifest, error) {
 	var man ShardManifest
 	if err := json.NewDecoder(r).Decode(&man); err != nil {
-		return nil, fmt.Errorf("pipeline: read manifest: %w", err)
+		return nil, fmt.Errorf("snapstore: read manifest: %w", err)
 	}
 	if man.Version != shardManifestVersion {
-		return nil, fmt.Errorf("pipeline: read manifest: unsupported version %d", man.Version)
+		return nil, fmt.Errorf("snapstore: read manifest: unsupported version %d", man.Version)
 	}
 	if man.Partition != shardPartitionRange {
-		return nil, fmt.Errorf("pipeline: read manifest: unsupported partition %q", man.Partition)
+		return nil, fmt.Errorf("snapstore: read manifest: unsupported partition %q", man.Partition)
 	}
 	if len(man.Shards) == 0 {
-		return nil, errors.New("pipeline: read manifest: no shards")
+		return nil, errors.New("snapstore: read manifest: no shards")
 	}
 	if man.TotalNodes < 0 || man.Stride != core.ShardStride(man.TotalNodes, len(man.Shards)) {
-		return nil, fmt.Errorf("pipeline: read manifest: stride %d does not fit %d nodes over %d shards",
+		return nil, fmt.Errorf("snapstore: read manifest: stride %d does not fit %d nodes over %d shards",
 			man.Stride, man.TotalNodes, len(man.Shards))
 	}
 	edges := 0
@@ -255,25 +230,25 @@ func decodeManifest(r io.Reader) (*ShardManifest, error) {
 		wantBase := min(i*man.Stride, man.TotalNodes)
 		wantNodes := min(wantBase+man.Stride, man.TotalNodes) - wantBase
 		if e.Base != wantBase || e.Nodes != wantNodes {
-			return nil, fmt.Errorf("pipeline: read manifest: shard %d covers [%d,%d), want [%d,%d)",
+			return nil, fmt.Errorf("snapstore: read manifest: shard %d covers [%d,%d), want [%d,%d)",
 				i, e.Base, e.Base+e.Nodes, wantBase, wantBase+wantNodes)
 		}
 		if e.Edges < 0 {
-			return nil, fmt.Errorf("pipeline: read manifest: shard %d has negative edge count", i)
+			return nil, fmt.Errorf("snapstore: read manifest: shard %d has negative edge count", i)
 		}
 		edges += e.Edges
 	}
 	if edges != man.TotalEdges {
-		return nil, fmt.Errorf("pipeline: read manifest: shard edges sum to %d, manifest claims %d",
+		return nil, fmt.Errorf("snapstore: read manifest: shard edges sum to %d, manifest claims %d",
 			edges, man.TotalEdges)
 	}
 	names := make(map[string]bool, len(man.Shards)+1)
 	for _, c := range man.FileChecks() {
 		if !isGenFileName(c.Name) {
-			return nil, fmt.Errorf("pipeline: read manifest: invalid file name %q", c.Name)
+			return nil, fmt.Errorf("snapstore: read manifest: invalid file name %q", c.Name)
 		}
 		if names[c.Name] {
-			return nil, fmt.Errorf("pipeline: read manifest: file %q is named twice", c.Name)
+			return nil, fmt.Errorf("snapstore: read manifest: file %q is named twice", c.Name)
 		}
 		names[c.Name] = true
 	}
@@ -292,7 +267,7 @@ func isGenFileName(name string) bool {
 // Failures are *ShardLoadError so callers can attribute them.
 func LoadShard(dir string, man *ShardManifest, i int) (*core.FrozenNet, error) {
 	if i < 0 || i >= len(man.Shards) {
-		return nil, fmt.Errorf("pipeline: load shard: index %d out of range (%d shards)", i, len(man.Shards))
+		return nil, fmt.Errorf("snapstore: load shard: index %d out of range (%d shards)", i, len(man.Shards))
 	}
 	entry := &man.Shards[i]
 	fail := func(err error) (*core.FrozenNet, error) {
@@ -322,54 +297,36 @@ func LoadShard(dir string, man *ShardManifest, i int) (*core.FrozenNet, error) {
 	return sh, nil
 }
 
-// LoadShards loads one committed generation in full: the manifest, the
-// serving metadata, and all shard files, each read and verified. dir is
-// the generation's directory (snapstore.Lookup finds it under a store
-// root). It is LoadGen with nothing served.
-func LoadShards(dir string) (*Artifacts, *ShardManifest, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	arts, _, err := LoadGen(dir, man, nil, nil, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return arts, man, nil
-}
-
-// LoadGen loads the generation in dir, whose manifest is man, as a
-// serving-only Artifacts (Net and World nil). served, loaded under
-// servedMan (both nil for none), is what serving holds; LoadGen keeps of
-// it the item table when the meta checksum and node total match (across a
+// LoadGen loads the generation in dir, whose manifest is man: its shards
+// and its serving metadata. served and servedMeta, loaded under servedMan
+// (all nil for none), are what serving holds; LoadGen keeps of them the
+// item table when the meta checksum and node total match (across a
 // shard-count change too) and, in a partition of the same shape, every
 // shard whose checksum matches except shard force (-1 forces none). It
 // reads and verifies the rest in parallel, each against its manifest
 // entry, and checks once that the partition holds every item on an item
-// node. read counts the shard files read; at 0 the result is served's own
+// node. read counts the shard files read; at 0 the result is the served
 // partition and table, checked when they were loaded. A per-file failure
 // is a *ShardLoadError (the first failing shard).
-func LoadGen(dir string, man *ShardManifest, served *Artifacts, servedMan *ShardManifest, force int) (arts *Artifacts, read int, err error) {
+func LoadGen(dir string, man *ShardManifest, served []*core.FrozenNet, servedMeta *ServingMeta, servedMan *ShardManifest, force int) (shards []*core.FrozenNet, meta *ServingMeta, read int, err error) {
 	keepMeta := servedMan != nil && servedMan.MetaChecksum == man.MetaChecksum && servedMan.TotalNodes == man.TotalNodes
-	var meta *ServingMeta
 	if keepMeta {
-		meta = served.Serving
+		meta = servedMeta
 	} else if meta, err = loadShardMeta(dir, man); err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	keepShards := servedMan != nil && servedMan.SameShape(man)
-	shards := make([]*core.FrozenNet, man.NumShards())
+	shards = make([]*core.FrozenNet, man.NumShards())
 	var todo []int
 	for i := range shards {
 		if keepShards && i != force && man.Shards[i].Checksum == servedMan.Shards[i].Checksum {
-			shards[i] = served.Shards[i]
+			shards[i] = served[i]
 		} else {
 			todo = append(todo, i)
 		}
 	}
-	arts = &Artifacts{Shards: shards, Serving: meta}
 	if len(todo) == 0 {
-		return arts, 0, nil
+		return shards, meta, 0, nil
 	}
 	errs := make([]error, len(todo))
 	par.For(0, len(todo), func(j int) {
@@ -377,7 +334,7 @@ func LoadGen(dir string, man *ShardManifest, served *Artifacts, servedMan *Shard
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, 0, fmt.Errorf("pipeline: load shards: %w", err)
+			return nil, nil, 0, fmt.Errorf("snapstore: load shards: %w", err)
 		}
 	}
 	// Every shard now matches its manifest entry, whose layout the manifest
@@ -385,10 +342,10 @@ func LoadGen(dir string, man *ShardManifest, served *Artifacts, servedMan *Shard
 	// total verified: the item kinds are checked, and a fresh table's node
 	// index sized, against shards that delivered that many nodes.
 	if err := meta.CheckItemKinds(shards); err != nil {
-		return nil, 0, fmt.Errorf("pipeline: load shards: %w", err)
+		return nil, nil, 0, fmt.Errorf("snapstore: load shards: %w", err)
 	}
 	if !keepMeta {
-		meta.indexNodes(man.TotalNodes)
+		meta.IndexNodes(man.TotalNodes)
 	}
-	return arts, len(todo), nil
+	return shards, meta, len(todo), nil
 }

@@ -40,10 +40,11 @@
 // drops it. Without flock a commit cannot tell, and drops by the window
 // alone.
 //
-// The package is deliberately manifest-agnostic: it journals directories
-// and verifies (file, checksum) pairs, while the snapshot format itself —
-// manifests, shard files, serving metadata — stays in internal/pipeline,
-// which builds its catalog-aware SaveShards/LoadShards on top of this.
+// The package also owns what a generation holds (shards.go, meta.go,
+// scrub.go): the manifest, the serving metadata in meta.bin, and the
+// loading, verifying and scrubbing of shard files, whose codec stays in
+// internal/core. Commit writes a generation, LoadGen is the one way one
+// reaches serving, and ScrubGen checks and repairs a served one.
 package snapstore
 
 import (

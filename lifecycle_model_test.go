@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"alicoco/internal/core"
-	"alicoco/internal/pipeline"
+	"alicoco/internal/qcache"
 	"alicoco/internal/snapstore"
 )
 
@@ -69,7 +69,7 @@ func TestReadersLeaveSaveInFlight(t *testing.T) {
 			t.Fatalf("%s deleted the save in flight: %v", step.name, err)
 		}
 	}
-	g, err := tx.Commit(pipeline.ShardManifestName)
+	g, err := tx.Commit(snapstore.ShardManifestName)
 	if err != nil {
 		t.Fatalf("held save does not commit: %v", err)
 	}
@@ -82,9 +82,11 @@ func TestReadersLeaveSaveInFlight(t *testing.T) {
 }
 
 // genModel is what the lifecycle model knows of one committed generation:
-// its manifest, and what the live net answered when it was saved.
+// its manifest, the cache stamp a fresh load of it serves under, and what
+// the live net answered when it was saved.
 type genModel struct {
-	man      *pipeline.ShardManifest
+	man      *snapstore.ShardManifest
+	stamp    qcache.Stamp
 	searches []SearchResult
 	recs     []BatchRecommendation
 }
@@ -130,7 +132,11 @@ func TestLifecycleMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("save %d shards: %v", n, err)
 		}
-		gens[g.ID] = &genModel{man, mustSearchBatch(t, live, queries, 8), mustRecommendBatch(t, live, sessions, 5)}
+		fresh, err := LoadShardedFrozen(root)
+		if err != nil {
+			t.Fatalf("fresh load of gen %d: %v", g.ID, err)
+		}
+		gens[g.ID] = &genModel{man, fresh.CacheStamp(), mustSearchBatch(t, live, queries, 8), mustRecommendBatch(t, live, sessions, 5)}
 		ids = append(ids, g.ID)
 	}
 	save(3)
@@ -171,7 +177,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 			if !slices.Equal(g.sums(), sums) || g.man.MetaChecksum != shape.MetaChecksum {
 				continue
 			}
-			if got, want := l.CacheStamp(), shardContentStamp(g.man); got != want {
+			if got, want := l.CacheStamp(), g.stamp; got != want {
 				t.Fatalf("%s: serving gen %d's content under stamp %+v, want %+v", step, id, got, want)
 			}
 			if !reflect.DeepEqual(mustSearchBatch(t, l, queries, 8), g.searches) {
@@ -198,7 +204,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 	for n := 0; n < 60; n++ {
 		newest := gens[ids[len(ids)-1]]
 		before := l.ServingInfo().Generation
-		table := l.serving.Load().meta
+		table := l.Meta()
 		// A reload keeps the item table served while the meta checksum and
 		// the node total match, across a shard-count change too.
 		keepsTable := newest.man.MetaChecksum == shape.MetaChecksum && newest.man.TotalNodes == shape.TotalNodes
@@ -238,7 +244,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 			if republished := l.ServingInfo().Generation != before; republished == noop {
 				t.Fatalf("%s: republished %v, model no-op %v", step, republished, noop)
 			}
-			if kept := l.serving.Load().meta == table; kept != keepsTable {
+			if kept := l.Meta() == table; kept != keepsTable {
 				t.Fatalf("%s: kept the item table %v, model %v", step, kept, keepsTable)
 			}
 			servingGen, shape, sums = ids[len(ids)-1], newest.man, newest.sums()
@@ -265,7 +271,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 			if got := l.ShardInfos()[i].Generation; got != l.ServingInfo().Generation {
 				t.Fatalf("%s: shard %d still carries generation %d, not the publish's %d", step, i, got, l.ServingInfo().Generation)
 			}
-			if l.serving.Load().meta != table {
+			if l.Meta() != table {
 				t.Fatalf("%s: published a new item table", step)
 			}
 			servingGen = ids[len(ids)-1]
@@ -281,7 +287,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 			if want := ids[k-1]; err != nil || g.ID != want {
 				t.Fatalf("%s: gen %d, err %v; model %d", step, g.ID, err, want)
 			}
-			if l.serving.Load().meta == table {
+			if l.Meta() == table {
 				t.Fatalf("%s: kept the item table; a rollback reads every file", step)
 			}
 			servingGen, shape, sums = ids[k-1], gens[ids[k-1]].man, gens[ids[k-1]].sums()
@@ -291,7 +297,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 			if g, err := l.RollbackTo(id); err != nil || g.ID != id {
 				t.Fatalf("%s: gen %d, err %v", step, g.ID, err)
 			}
-			if l.serving.Load().meta == table {
+			if l.Meta() == table {
 				t.Fatalf("%s: kept the item table; a rollback reads every file", step)
 			}
 			servingGen, shape, sums = id, gens[id].man, gens[id].sums()
@@ -326,7 +332,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 		}
 		check(fmt.Sprintf("step %d, %s", n, step))
 	}
-	if _, err := tx.Commit(pipeline.ShardManifestName); err != nil {
+	if _, err := tx.Commit(snapstore.ShardManifestName); err != nil {
 		t.Fatalf("held save does not commit: %v", err)
 	}
 }

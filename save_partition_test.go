@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"alicoco/internal/core"
-	"alicoco/internal/pipeline"
 	"alicoco/internal/snapstore"
 )
 
@@ -71,16 +70,16 @@ func TestSaveShardsSeesLiveEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasEdge(l.serving.Load().shards, item, prim) {
+	if !hasEdge(l.ShardSet(), item, prim) {
 		t.Fatalf("the saved generation lacks the live edge %d -> %d", item, prim)
 	}
 }
 
-// TestSaveShardsRefreezesSwappedShard: a served partition in which one
-// shard was replaced by a copy loaded from disk, the way ReloadShard swaps
-// one, is not written as it is even though its shape still matches: the
-// loaded shard records no source net, so the save refreezes. Here the
-// loaded copy predates an edit, so writing it would lose the edit.
+// TestSaveShardsRefreezesSwappedShard: a build partition in which one
+// shard was replaced by a copy loaded from disk is not written as it is
+// even though its shape still matches: the loaded shard records no source
+// net, so the save refreezes. Here the loaded copy predates an edit, so
+// writing it would lose the edit.
 func TestSaveShardsRefreezesSwappedShard(t *testing.T) {
 	c, err := BuildSharded(Small(), 3)
 	if err != nil {
@@ -104,19 +103,14 @@ func TestSaveShardsRefreezesSwappedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := int(item) / man.Stride // the shard holding the edit's out half
-	stale, err := pipeline.LoadShard(filepath.Join(dir, g.Dir), man, k)
+	stale, err := snapstore.LoadShard(filepath.Join(dir, g.Dir), man, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap the loaded shard in beside the live net, as a reload of that
-	// shard would.
-	arts := *c.arts.Load()
-	arts.Shards = slices.Clone(c.serving.Load().shards.Shards())
-	arts.Shards[k] = stale
-	c.arts.Store(&arts)
-	if err := c.publishShards(&arts, "shards", dir, g, man, nil); err != nil {
-		t.Fatal(err)
-	}
+	// Swap the loaded shard into the build's partition, beside the live
+	// net.
+	c.Internal().Shards = slices.Clone(c.Internal().Shards)
+	c.Internal().Shards[k] = stale
 	if c.Internal().Net != net || c.Internal().Shards[k] != stale {
 		t.Fatal("the swap did not keep the live net beside the loaded shard")
 	}
@@ -127,7 +121,7 @@ func TestSaveShardsRefreezesSwappedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasEdge(l.serving.Load().shards, item, prim) {
+	if !hasEdge(l.ShardSet(), item, prim) {
 		t.Fatalf("the save wrote the swapped-in shard %d, which lacks the edge %d -> %d", k, item, prim)
 	}
 }

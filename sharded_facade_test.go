@@ -184,7 +184,7 @@ func TestRelationNamesSurviveShardedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := namedEdges(c.Internal().Net.Freeze()), namedEdges(l.serving.Load().shards)
+	want, got := namedEdges(c.Internal().Net.Freeze()), namedEdges(l.ShardSet())
 	for _, rel := range []string{"has_property", "used_in", "suitable_when", "has_function", "implied"} {
 		if !slices.ContainsFunc(want, func(e string) bool { return strings.HasSuffix(e, " "+rel) }) {
 			t.Errorf("the built net has no %q edge", rel)
@@ -272,7 +272,7 @@ func TestReloadReusesItemTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := l.serving.Load().meta
+	meta := l.Meta()
 	gen := l.ServingInfo().Generation
 	if err := l.ReloadShard(dir, 1); err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestReloadReusesItemTable(t *testing.T) {
 	if g := l.ServingInfo().Generation; g == gen {
 		t.Fatal("ReloadShard did not republish")
 	}
-	if l.serving.Load().meta != meta {
+	if l.Meta() != meta {
 		t.Fatal("ReloadShard published a new item table")
 	}
 	if _, err := c.SaveShards(dir, 3); err != nil {
@@ -294,7 +294,7 @@ func TestReloadReusesItemTable(t *testing.T) {
 	if g := l.ServingInfo().Generation; g == gen {
 		t.Fatal("reload of a newer generation did not republish its location")
 	}
-	if l.serving.Load().meta != meta {
+	if l.Meta() != meta {
 		t.Fatal("no-op ReloadShards published a new item table")
 	}
 }
@@ -313,13 +313,9 @@ func TestReloadChecksItemKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Put item 0 of the served table on an e-commerce concept.
-	arts := *l.arts.Load()
-	meta := *arts.Serving
-	meta.Items = slices.Clone(meta.Items)
-	meta.Items[0].Node = l.serving.Load().shards.NodesOfKind(core.KindEConcept)[0]
-	arts.Serving = &meta
-	l.arts.Store(&arts)
+	// Put item 0 of the served table on an e-commerce concept; a reload
+	// keeps the served table, and this is it.
+	l.Meta().Items[0].Node = l.ShardSet().NodesOfKind(core.KindEConcept)[0]
 	gen := l.ServingInfo().Generation
 	if err := l.ReloadShard(dir, 0); err == nil || !strings.Contains(err.Error(), "not an item node") {
 		t.Fatalf("ReloadShard under a mismatched item table: %v", err)
