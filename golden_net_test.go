@@ -66,3 +66,34 @@ func TestServedAdjacencyIndexSize(t *testing.T) {
 		t.Fatalf("adjacency index takes %.2f bytes per node and direction, want at most 12", perNode)
 	}
 }
+
+// TestServedEdgeRecordsSize: on the same served partition, the edge
+// records of both directions cost at most 8 bytes per half-edge, counted
+// by capacity, so a wider record or an edge slice reserved past its
+// records fails.
+func TestServedEdgeRecordsSize(t *testing.T) {
+	built, err := BuildSharded(Default(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := built.SaveShards(dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfEdges, size := 0, 0
+	for _, sh := range c.Internal().Shards {
+		// Summed over the partition, the out and the in direction each
+		// hold one half-edge per edge.
+		halfEdges += 2 * sh.NumEdges()
+		size += sh.EdgeRecordBytes()
+	}
+	perHalfEdge := float64(size) / float64(halfEdges)
+	t.Logf("%d half-edges: edge records %d bytes, %.2f bytes per half-edge", halfEdges, size, perHalfEdge)
+	if perHalfEdge > 8 {
+		t.Fatalf("edge records take %.2f bytes per half-edge, want at most 8", perHalfEdge)
+	}
+}

@@ -191,7 +191,7 @@ func (e *Engine) recommendUncached(ctx context.Context, sc *scratch, rec *Recomm
 			return false, err
 		}
 		for _, he := range e.net.EConceptsForItem(item, 0) {
-			sc.votes[he.Peer] += he.Weight
+			sc.votes[he.Peer] += he.Weight()
 		}
 	}
 	if len(sc.votes) == 0 {

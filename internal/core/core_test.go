@@ -97,11 +97,11 @@ func TestDuplicateEdgeUpdatesWeight(t *testing.T) {
 		t.Fatalf("duplicate edge should update, not add: %d edges", n.NumEdges())
 	}
 	out := n.Out(a, EdgeIsA)
-	if len(out) != 1 || out[0].Weight != 0.8 {
+	if len(out) != 1 || out[0].Weight() != 0.8 {
 		t.Fatalf("weight not updated: %+v", out)
 	}
 	in := n.In(b, EdgeIsA)
-	if len(in) != 1 || in[0].Weight != 0.8 {
+	if len(in) != 1 || in[0].Weight() != 0.8 {
 		t.Fatalf("incoming weight not updated: %+v", in)
 	}
 }
@@ -159,7 +159,7 @@ func TestItemsForEConceptSorted(t *testing.T) {
 	if len(items) != 2 {
 		t.Fatalf("items: got %d", len(items))
 	}
-	if items[0].Weight < items[1].Weight {
+	if items[0].Weight() < items[1].Weight() {
 		t.Fatal("items should be sorted best-first")
 	}
 	limited := n.ItemsForEConcept(ids["eWedding"], 1)

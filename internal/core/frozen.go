@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"alicoco/internal/par"
 )
@@ -189,6 +190,13 @@ func (f *FrozenNet) NumNodes() int { return len(f.nodes.recs) }
 // edge records themselves.
 func (f *FrozenNet) AdjacencyIndexBytes() int {
 	return 4 * (cap(f.out.groups) + cap(f.out.starts) + cap(f.in.groups) + cap(f.in.starts))
+}
+
+// EdgeRecordBytes returns the bytes the edge records of both directions
+// take, counted by capacity: the half-edges and any room reserved past
+// them.
+func (f *FrozenNet) EdgeRecordBytes() int {
+	return int(unsafe.Sizeof(HalfEdge{})) * (cap(f.out.edges) + cap(f.in.edges))
 }
 
 // NumEdges returns the edge count.

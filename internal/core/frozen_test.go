@@ -86,10 +86,10 @@ func canonicalEdges(hes []HalfEdge) []HalfEdge {
 		if out[i].Kind != out[j].Kind {
 			return out[i].Kind < out[j].Kind
 		}
-		if out[i].Rel != out[j].Rel {
-			return out[i].Rel.String() < out[j].Rel.String()
+		if out[i].Rel() != out[j].Rel() {
+			return out[i].Rel() < out[j].Rel()
 		}
-		return out[i].Weight < out[j].Weight
+		return out[i].Weight() < out[j].Weight()
 	})
 	return out
 }
@@ -178,7 +178,7 @@ func TestFrozenEquivalenceRandomized(t *testing.T) {
 					t.Fatalf("seed %d: ItemsForEConcept(%d,%d) length differs", seed, ec, limit)
 				}
 				for i := range live {
-					if live[i].Weight != froz[i].Weight {
+					if live[i].Weight() != froz[i].Weight() {
 						t.Fatalf("seed %d: ItemsForEConcept(%d,%d) weight order differs", seed, ec, limit)
 					}
 				}
@@ -193,7 +193,7 @@ func TestFrozenEquivalenceRandomized(t *testing.T) {
 				t.Fatalf("seed %d: EConceptsForItem(%d) length differs", seed, it)
 			}
 			for i := range live {
-				if live[i].Weight != froz[i].Weight {
+				if live[i].Weight() != froz[i].Weight() {
 					t.Fatalf("seed %d: EConceptsForItem(%d) weight order differs", seed, it)
 				}
 			}
@@ -226,7 +226,7 @@ func TestFrozenPostingsSorted(t *testing.T) {
 	for _, ec := range f.NodesOfKind(KindEConcept) {
 		items := f.ItemsForEConcept(ec, 0)
 		for i := 1; i < len(items); i++ {
-			if items[i].Weight > items[i-1].Weight {
+			if items[i].Weight() > items[i-1].Weight() {
 				t.Fatalf("postings of %d not weight-sorted", ec)
 			}
 		}

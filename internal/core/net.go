@@ -45,7 +45,7 @@ func (k NodeKind) String() string {
 }
 
 // EdgeKind identifies the relation type between layers. It is one byte so
-// HalfEdge packs into 16; it is signed so that -1 still means "all kinds"
+// HalfEdge packs into 8; it is signed so that -1 still means "all kinds"
 // to Out and In.
 type EdgeKind int8
 
@@ -108,15 +108,15 @@ type Node struct {
 	Domain string // taxonomy domain for classes/primitives, family for items
 }
 
-// HalfEdge is an outgoing or incoming adjacency record. It is 16 bytes
-// and holds no pointers, the same size as the on-disk record in
-// persist_frozen.go, so the live net's, every freeze's and every loaded
-// shard's edge arrays are never scanned by the garbage collector.
+// HalfEdge is an outgoing or incoming adjacency record. It is 8 bytes and
+// holds no pointers, the layout of the on-disk record in persist_frozen.go,
+// so the live net's, every freeze's and every loaded shard's edge arrays
+// are never scanned by the garbage collector. Its relation name and weight
+// are one interned Label; Rel and Weight read them.
 type HalfEdge struct {
-	Peer   NodeID   // the node at the other end (a global ID)
-	Kind   EdgeKind // relation type
-	Rel    RelID    // named schema relation; 0 ("") otherwise
-	Weight float64  // confidence/probability; 1 for manual edges
+	Peer  NodeID   // the node at the other end (a global ID)
+	Kind  EdgeKind // relation type
+	Label Label    // named schema relation ("" otherwise) and weight
 }
 
 // Net is the concept net under construction. It answers only what the
@@ -132,9 +132,9 @@ type Net struct {
 
 	// version names the net among the process's nets and counts the
 	// AddNode and AddEdge calls that changed it: those that added a node
-	// or an edge, or changed an edge's weight. Every freeze records it, so
-	// IsCurrentPartition can tell a freeze of this state from anything
-	// else without the snapshot keeping the net alive.
+	// or an edge, or changed the bits of an edge's weight. Every freeze
+	// records it, so IsCurrentPartition can tell a freeze of this state
+	// from anything else without the snapshot keeping the net alive.
 	version netVersion
 }
 
@@ -173,7 +173,9 @@ func (n *Net) AddNode(kind NodeKind, name, domain string) NodeID {
 }
 
 // AddEdge inserts a typed edge after validating layer compatibility.
-// Duplicate (from, to, kind, rel) edges update the weight instead.
+// Duplicate (from, to, kind, rel) edges update the weight instead. It fails
+// when the (rel, weight) pair needs a new label and the label table is
+// full.
 func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -191,27 +193,27 @@ func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64
 	if !allowed {
 		return fmt.Errorf("core: edge %s not allowed from %s to %s", kind, fk, tk)
 	}
-	relID, err := internRel(rel)
+	label, err := internLabel(rel, weight)
 	if err != nil {
 		return fmt.Errorf("core: AddEdge %q: %w", rel, err)
 	}
 	for i, he := range n.outAdj[from] {
-		if he.Peer == to && he.Kind == kind && he.Rel == relID {
-			if he.Weight != weight {
+		if he.Peer == to && he.Kind == kind && he.Rel() == rel {
+			if he.Label != label {
 				n.version.mutations++
 			}
-			n.outAdj[from][i].Weight = weight
+			n.outAdj[from][i].Label = label
 			for j, ie := range n.inAdj[to] {
-				if ie.Peer == from && ie.Kind == kind && ie.Rel == relID {
-					n.inAdj[to][j].Weight = weight
+				if ie.Peer == from && ie.Kind == kind && ie.Rel() == rel {
+					n.inAdj[to][j].Label = label
 				}
 			}
 			return nil
 		}
 	}
 	n.version.mutations++
-	n.outAdj[from] = append(n.outAdj[from], HalfEdge{Peer: to, Kind: kind, Rel: relID, Weight: weight})
-	n.inAdj[to] = append(n.inAdj[to], HalfEdge{Peer: from, Kind: kind, Rel: relID, Weight: weight})
+	n.outAdj[from] = append(n.outAdj[from], HalfEdge{Peer: to, Kind: kind, Label: label})
+	n.inAdj[to] = append(n.inAdj[to], HalfEdge{Peer: from, Kind: kind, Label: label})
 	n.edges++
 	return nil
 }
@@ -256,8 +258,8 @@ func (n *Net) FirstByNameKind(name string, kind NodeKind) NodeID {
 
 func sortHalfEdgesByWeight(hes []HalfEdge) {
 	sort.Slice(hes, func(i, j int) bool {
-		if hes[i].Weight != hes[j].Weight {
-			return hes[i].Weight > hes[j].Weight
+		if wi, wj := hes[i].Weight(), hes[j].Weight(); wi != wj {
+			return wi > wj
 		}
 		return hes[i].Peer < hes[j].Peer
 	})

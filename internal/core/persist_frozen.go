@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"alicoco/internal/fzio"
 )
@@ -32,28 +31,30 @@ import (
 //	u32 totalNodes    (whole net's node count; peers are validated against it)
 //	u32 outEdgeCount  (out half-edges this file holds)
 //	u32 inEdgeCount   (in half-edges this file holds)
-//	rel table: u32 count, count × str          (relation names; count <= 1<<16)
+//	label table: u32 count, count × (str relation, u64 float64 bits of
+//	             weight)                       (count <= 1<<16)
 //	nodes:     nodeCount × (u8 kind, str name, str domain)   (ID = base+index)
-//	out edges: nodeCount × u32 degree (bulk), then outEdgeCount 16-byte
+//	out edges: nodeCount × u32 degree (bulk), then outEdgeCount 8-byte
 //	           records (bulk): node by node, each node's in ascending kind
 //	           order; the degrees sum to outEdgeCount
 //	in  edges: the same, summing to inEdgeCount
 //	--- trailer ---
 //	u32 crc32 of body
 //
-// An edge record is 16 bytes: u32 peer | u32 (kind<<24 | relIndex) |
-// u64 float64 bits of weight — the size of the in-memory HalfEdge, which
-// holds the name's RelID where the file holds its index in the rel table.
-// Kind-grouped edge order and the freeze-time weight-sorted postings are
-// preserved byte-for-byte, so LoadFrozen never sorts. The file holds
-// nothing the loader can derive: LoadFrozen builds the name and kind
-// indexes from the node records and each direction's group index from its
-// degrees and edge kinds, with the constructors Freeze uses (newNodeTable,
-// newCSR), so the bytes do not depend on the in-memory layout. Only this
-// version loads: a store saved in an older one must be saved again.
+// An edge record is 8 bytes: u32 peer | u8 kind | u8 zero | u16 label
+// index — the layout of the in-memory HalfEdge, which holds the pair's
+// process Label where the file holds its index in the label table. Every
+// weight is stored with all its bits. Kind-grouped edge order and the
+// freeze-time weight-sorted postings are preserved byte-for-byte, so
+// LoadFrozen never sorts. The file holds nothing the loader can derive:
+// LoadFrozen builds the name and kind indexes from the node records and
+// each direction's group index from its degrees and edge kinds, with the
+// constructors Freeze uses (newNodeTable, newCSR), so the bytes do not
+// depend on the in-memory layout. Only this version loads: a store saved
+// in an older one must be saved again.
 
 const (
-	frozenVersion = 3
+	frozenVersion = 4
 
 	// FrozenHeaderLen and FrozenTrailerLen frame a shard file's
 	// checksummed body: the magic and version before it, its CRC-32 after.
@@ -61,34 +62,37 @@ const (
 	FrozenTrailerLen = 4
 
 	// frozenEdgeRecSize is the fixed on-disk size of one half-edge.
-	frozenEdgeRecSize = 16
+	frozenEdgeRecSize = 8
 )
 
 var frozenMagic = [4]byte{'A', 'C', 'F', 'Z'}
 
-// relTable numbers the relations a snapshot's edges carry in order of
-// first appearance (out edges, then in edges), so each edge record stores
-// a 24-bit file index and the file lists the names. The numbering depends
-// only on the snapshot's edges, never on RelID values, which depend on the
-// order a process interned its names: equal nets write equal bytes.
-type relTable struct {
-	names []string
-	idx   map[RelID]uint32
+// fileLabels numbers the labels a snapshot's edges carry in order of first
+// appearance (out edges, then in edges), so each edge record stores a
+// 16-bit file index and the file lists the (relation, weight) pairs. The
+// numbering depends only on the snapshot's edges, never on Label values,
+// which depend on the order a process interned its pairs: equal nets write
+// equal bytes.
+type fileLabels struct {
+	keys []labelKey
+	idx  map[Label]uint16
 }
 
-func buildRelTable(csrs ...*csr) (*relTable, error) {
-	t := &relTable{idx: make(map[RelID]uint32)}
+func buildFileLabels(csrs ...*csr) (*fileLabels, error) {
+	table := labelTable()
+	t := &fileLabels{idx: make(map[Label]uint16)}
 	for _, c := range csrs {
 		for i := range c.edges {
-			rel := c.edges[i].Rel
-			if _, ok := t.idx[rel]; !ok {
-				t.idx[rel] = uint32(len(t.names))
-				t.names = append(t.names, rel.String())
+			l := c.edges[i].Label
+			if _, ok := t.idx[l]; !ok {
+				// At most maxLabels labels exist, so the index fits.
+				t.idx[l] = uint16(len(t.keys))
+				t.keys = append(t.keys, table[l])
 			}
 		}
 	}
-	for _, name := range t.names {
-		if len(name) > fzio.MaxStr {
+	for _, k := range t.keys {
+		if len(k.rel) > fzio.MaxStr {
 			return nil, fmt.Errorf("core: frozen save: rel string exceeds %d bytes", fzio.MaxStr)
 		}
 	}
@@ -97,7 +101,7 @@ func buildRelTable(csrs ...*csr) (*relTable, error) {
 
 // writeCSR emits one direction: each node's degree, then the edge
 // records, as two bulk writes.
-func writeCSR(fw *fzio.Writer, c *csr, rels *relTable) {
+func writeCSR(fw *fzio.Writer, c *csr, table *fileLabels) {
 	degBuf := make([]byte, 4*len(c.groups))
 	for id := range c.groups {
 		fzio.PutU32(degBuf[4*id:], uint32(len(c.slice(NodeID(id), -1))))
@@ -109,10 +113,8 @@ func writeCSR(fw *fzio.Writer, c *csr, rels *relTable) {
 		he := &c.edges[i]
 		rec := recBuf[frozenEdgeRecSize*i:]
 		fzio.PutU32(rec, uint32(he.Peer))
-		fzio.PutU32(rec[4:], uint32(he.Kind)<<24|rels.idx[he.Rel])
-		w := math.Float64bits(he.Weight)
-		fzio.PutU32(rec[8:], uint32(w))
-		fzio.PutU32(rec[12:], uint32(w>>32))
+		l := table.idx[he.Label]
+		rec[4], rec[5], rec[6], rec[7] = byte(he.Kind), 0, byte(l), byte(l>>8)
 	}
 	fw.Bytes(recBuf)
 }
@@ -120,11 +122,12 @@ func writeCSR(fw *fzio.Writer, c *csr, rels *relTable) {
 // readCSR reads one direction back and validates it: the degrees must sum
 // to the header's edge count before any record is read; each record's peer
 // must be in range (against the whole net's node count — a shard's peers
-// may live in other shards), its kind a valid kind and its rel index below
-// relCount; and newCSR checks that every node's run ascends by kind. Each
-// edge's Rel holds its file index until LoadFrozen, once the checksum
-// verifies, maps the index to the name's RelID.
-func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relCount int) csr {
+// may live in other shards), its kind a valid kind, its pad byte zero and
+// its label index below labelCount; and newCSR checks that every node's run
+// ascends by kind. Each edge's Label holds its file index until
+// LoadFrozen, once the checksum verifies, maps the index to the pair's
+// Label.
+func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, labelCount int) csr {
 	// The node records already read vouch for nodeCount, so the degrees
 	// are read in one piece.
 	degBuf := make([]byte, 4*nodeCount)
@@ -144,7 +147,7 @@ func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relC
 	}
 	// Records are read in bounded chunks and appended, so the slice only
 	// grows as fast as the stream actually delivers data.
-	const chunkRecs = 1 << 15 // 512 KiB per read
+	const chunkRecs = 1 << 16 // 512 KiB per read
 	edges := make([]HalfEdge, 0, fzio.Prealloc(edgeCount))
 	recBuf := make([]byte, frozenEdgeRecSize*min(edgeCount, chunkRecs))
 	for done := 0; done < edgeCount; {
@@ -156,29 +159,29 @@ func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, relC
 		for i := 0; i < n; i++ {
 			rec := recBuf[frozenEdgeRecSize*i:]
 			peer := fzio.GetU32(rec)
-			kindRel := fzio.GetU32(rec[4:])
-			kind := EdgeKind(kindRel >> 24)
-			relIdx := kindRel & 0xFFFFFF
-			if int(peer) >= totalNodes {
+			kind := EdgeKind(rec[4])
+			idx := uint16(rec[6]) | uint16(rec[7])<<8
+			switch {
+			case int(peer) >= totalNodes:
 				fr.Err = fmt.Errorf("%s edge %d: peer %d out of range", dir, done+i, peer)
-				return csr{}
-			}
-			if kind < 0 || kind >= numEdgeKinds {
+			case kind < 0 || kind >= numEdgeKinds:
 				fr.Err = fmt.Errorf("%s edge %d: kind %d out of range", dir, done+i, kind)
+			case rec[5] != 0:
+				fr.Err = fmt.Errorf("%s edge %d: pad byte %#x is not zero", dir, done+i, rec[5])
+			case int(idx) >= labelCount:
+				fr.Err = fmt.Errorf("%s edge %d: label index %d out of range", dir, done+i, idx)
+			}
+			if fr.Err != nil {
 				return csr{}
 			}
-			if int(relIdx) >= relCount {
-				fr.Err = fmt.Errorf("%s edge %d: rel index %d out of range", dir, done+i, relIdx)
-				return csr{}
-			}
-			edges = append(edges, HalfEdge{
-				Peer:   NodeID(peer),
-				Kind:   kind,
-				Rel:    RelID(relIdx), // relCount <= maxRels, so the index fits
-				Weight: math.Float64frombits(uint64(fzio.GetU32(rec[8:])) | uint64(fzio.GetU32(rec[12:]))<<32),
-			})
+			edges = append(edges, HalfEdge{Peer: NodeID(peer), Kind: kind, Label: Label(idx)})
 		}
 		done += n
+	}
+	if cap(edges) > len(edges) {
+		// Past the preallocation cap the slice grew by appending; keep
+		// exactly the records read.
+		edges = append(make([]HalfEdge, 0, len(edges)), edges...)
 	}
 	c, err := newCSR(degrees, edges)
 	if err != nil {
@@ -257,7 +260,7 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 		return 0, fmt.Errorf("core: frozen save: %w", head.Err)
 	}
 
-	rels, err := buildRelTable(&f.out, &f.in)
+	table, err := buildFileLabels(&f.out, &f.in)
 	if err != nil {
 		return 0, err
 	}
@@ -271,17 +274,18 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 	fw.U32(uint32(len(f.out.edges)))
 	fw.U32(uint32(len(f.in.edges)))
 
-	fw.U32(uint32(len(rels.names)))
-	for _, name := range rels.names {
-		fw.Str(name)
+	fw.U32(uint32(len(table.keys)))
+	for _, k := range table.keys {
+		fw.Str(k.rel)
+		fw.U64(k.bits)
 	}
 	for i, r := range t.recs {
 		fw.U8(r.kind)
 		fw.Str(t.name(i))
 		fw.Str(t.domains[r.dom])
 	}
-	writeCSR(&fw, &f.out, rels)
-	writeCSR(&fw, &f.in, rels)
+	writeCSR(&fw, &f.out, table)
+	writeCSR(&fw, &f.in, table)
 	if fw.Err != nil {
 		return 0, fmt.Errorf("core: frozen save: %w", fw.Err)
 	}
@@ -297,8 +301,8 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 // LoadFrozen reads a snapshot written by (*FrozenNet).Save and returns the
 // shard, ready to assemble into a ShardSet (NewShardSet) and serve. Every
 // structural invariant is validated — node and edge kinds, degrees, kind
-// order, peers, rel indexes, the edge counts, the checksum — so corrupt or
-// truncated input yields an error, never a panic later.
+// order, peers, pad bytes, label indexes, the edge counts, the checksum —
+// so corrupt or truncated input yields an error, never a panic later.
 func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 	head := fzio.Reader{R: r}
 	var magic [4]byte
@@ -331,17 +335,17 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		fr.Err = fmt.Errorf("shard [%d,%d) exceeds declared total %d", base, base+nodeCount, totalNodes)
 	}
 
-	// A table larger than the RelID space is rejected before any record
-	// is decoded, so no file index is ever truncated into a RelID.
-	relCount := fr.Count("rel")
-	if fr.Err == nil && relCount > maxRels {
-		fr.Err = fmt.Errorf("rel table of %d names exceeds the %d-name RelID space", relCount, maxRels)
+	// A table larger than the label space is rejected before any record
+	// is decoded, so a file can never need more labels than a process has.
+	labelCount := fr.Count("label")
+	if fr.Err == nil && labelCount > maxLabels {
+		fr.Err = fmt.Errorf("label table of %d pairs exceeds the %d-label space", labelCount, maxLabels)
 	}
-	var relNames []string
+	var keys []labelKey
 	if fr.Err == nil {
-		relNames = make([]string, 0, fzio.Prealloc(relCount))
-		for i := 0; i < relCount && fr.Err == nil; i++ {
-			relNames = append(relNames, fr.Str())
+		keys = make([]labelKey, 0, fzio.Prealloc(labelCount))
+		for i := 0; i < labelCount && fr.Err == nil; i++ {
+			keys = append(keys, labelKey{rel: fr.Str(), bits: fr.U64()})
 		}
 	}
 
@@ -350,10 +354,10 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 		f.nodes = readNodes(&fr, NodeID(base), nodeCount)
 	}
 	if fr.Err == nil {
-		f.out = readCSR(&fr, "out", nodeCount, outEdgeCount, totalNodes, relCount)
+		f.out = readCSR(&fr, "out", nodeCount, outEdgeCount, totalNodes, labelCount)
 	}
 	if fr.Err == nil {
-		f.in = readCSR(&fr, "in", nodeCount, inEdgeCount, totalNodes, relCount)
+		f.in = readCSR(&fr, "in", nodeCount, inEdgeCount, totalNodes, labelCount)
 	}
 	if fr.Err == nil {
 		// The logical edge counter is not trusted beyond the header/degree
@@ -371,15 +375,15 @@ func LoadFrozen(r io.Reader) (*FrozenNet, error) {
 	} else if stored != sum {
 		return nil, fmt.Errorf("core: load frozen: checksum mismatch (stored %08x, computed %08x)", stored, sum)
 	}
-	// Only a file that verified names relations: a corrupt one interns
-	// nothing. Each edge's file index then becomes the name's RelID.
-	ids, err := internRels(relNames)
+	// Only a file that verified interns labels: a corrupt one interns
+	// nothing. Each edge's file index then becomes the pair's Label.
+	ids, err := internLabels(keys)
 	if err != nil {
 		return nil, fmt.Errorf("core: load frozen: %w", err)
 	}
 	for _, c := range [2]*csr{&f.out, &f.in} {
 		for i := range c.edges {
-			c.edges[i].Rel = ids[c.edges[i].Rel]
+			c.edges[i].Label = ids[c.edges[i].Label]
 		}
 	}
 	f.checksum = sum

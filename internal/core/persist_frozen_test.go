@@ -3,7 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,7 +136,7 @@ func TestLoadFrozenPostingsStillSorted(t *testing.T) {
 	for _, ec := range g.NodesOfKind(KindEConcept) {
 		items := g.ItemsForEConcept(ec, 0)
 		for i := 1; i < len(items); i++ {
-			if items[i].Weight > items[i-1].Weight {
+			if items[i].Weight() > items[i-1].Weight() {
 				t.Fatalf("postings of %d not weight-sorted after load", ec)
 			}
 		}
@@ -197,9 +201,10 @@ func TestLoadFrozenChecksum(t *testing.T) {
 	n, _ := buildToyNet(t)
 	full := saveFrozen(t, n.Freeze().Shard(0))
 	bad := append([]byte(nil), full...)
-	// The last 4 bytes are the CRC; the byte just before them is the high
-	// byte of the final in-CSR edge record's weight.
-	bad[len(bad)-5] ^= 0x40
+	// The label table ends with the last pair's weight bits; flip a bit
+	// of its high byte.
+	_, end, _ := labelTableSpan(full)
+	bad[end-1] ^= 0x40
 	_, err := LoadFrozen(bytes.NewReader(bad))
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("checksum corruption: got %v", err)
@@ -239,6 +244,16 @@ func TestLoadFrozenStructuralCorruption(t *testing.T) {
 		{name: "version 2 file", edit: func(data []byte) {
 			data[4], data[5] = 2, 0
 		}, errWant: "unsupported snapshot version 2"},
+		{name: "version 3 file", edit: func(data []byte) {
+			data[4], data[5] = 3, 0
+		}, errWant: "unsupported snapshot version 3"},
+		{name: "nonzero pad byte", edit: func(data []byte) {
+			data[len(data)-4-frozenEdgeRecSize+5] = 1
+		}, errWant: "pad byte"},
+		{name: "label index out of range", edit: func(data []byte) {
+			_, _, keys := labelTableSpan(data)
+			copy(data, withLastLabelIndex(data, uint16(len(keys))))
+		}, errWant: "label index"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,6 +265,7 @@ func TestLoadFrozenStructuralCorruption(t *testing.T) {
 			data := saveFrozen(t, f)
 			if tc.edit != nil {
 				tc.edit(data)
+				fzio.PutU32(data[len(data)-4:], crc32.ChecksumIEEE(data[FrozenHeaderLen:len(data)-4]))
 			}
 			_, err := LoadFrozen(bytes.NewReader(data))
 			if err == nil {
@@ -268,20 +284,20 @@ func TestLoadFrozenStructuralCorruption(t *testing.T) {
 func TestLoadFrozenHugeClaimedCounts(t *testing.T) {
 	huge := []byte{0, 0, 0, 8} // 1<<27, exactly at the cap
 	zero := []byte{0, 0, 0, 0}
-	buf := append([]byte("ACFZ"), 3, 0) // magic + version
+	buf := append([]byte("ACFZ"), 4, 0) // magic + version
 	buf = append(buf, 4, 6)             // numKinds, numEdgeKinds
 	buf = append(buf, huge...)          // nodeCount
 	buf = append(buf, zero...)          // base
 	buf = append(buf, huge...)          // totalNodes
 	buf = append(buf, huge...)          // outEdgeCount
 	buf = append(buf, huge...)          // inEdgeCount
-	buf = append(buf, huge...)          // relCount, then EOF
+	buf = append(buf, huge...)          // labelCount, then EOF
 	if _, err := LoadFrozen(bytes.NewReader(buf)); err == nil {
 		t.Fatal("truncated file with huge claimed counts loaded successfully")
 	}
 	// Above the cap the count itself is rejected.
 	over := []byte{1, 0, 0, 8} // 1<<27 + 1
-	buf = append([]byte("ACFZ"), 3, 0)
+	buf = append([]byte("ACFZ"), 4, 0)
 	buf = append(buf, 4, 6)
 	buf = append(buf, over...)
 	if _, err := LoadFrozen(bytes.NewReader(buf)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
@@ -351,9 +367,9 @@ func TestLoadRejectsAdjacencyShapeMismatch(t *testing.T) {
 }
 
 // outDegreesAt returns the offset of a saved snapshot's out degrees, which
-// follow the rel table and the node records.
+// follow the label table and the node records.
 func outDegreesAt(data []byte) int {
-	_, at, _ := relTableSpan(data)
+	_, at, _ := labelTableSpan(data)
 	for i := fzio.GetU32(data[8:]); i > 0; i-- { // nodeCount follows the two kind counts
 		at++                                  // kind
 		at += 4 + int(fzio.GetU32(data[at:])) // name
@@ -385,7 +401,7 @@ func TestLoadRecomputesEdgeCounter(t *testing.T) {
 }
 
 // FuzzLoadFrozen: LoadFrozen must never panic, what it rejects must add no
-// name to the relation intern table, and whatever it accepts must
+// label to the intern table, and whatever it accepts must
 // round-trip — Save of the loaded net loads back with the checksum Save
 // reported, and saving that again reproduces the same bytes.
 func FuzzLoadFrozen(f *testing.F) {
@@ -401,7 +417,7 @@ func FuzzLoadFrozen(f *testing.F) {
 		g, err := LoadFrozen(bytes.NewReader(data))
 		if err != nil {
 			if grown := internedCount() - held; grown != 0 {
-				t.Fatalf("rejected input interned %d relation names: %v", grown, err)
+				t.Fatalf("rejected input interned %d labels: %v", grown, err)
 			}
 			return
 		}
@@ -422,4 +438,70 @@ func FuzzLoadFrozen(f *testing.F) {
 			t.Fatal("second save differs from the first")
 		}
 	})
+}
+
+// TestFuzzLoadFrozenSeedsReachTheirChecks: each named seed of the
+// FuzzLoadFrozen corpus loads, or fails at the check its name gives, so a
+// format change that leaves a seed failing somewhere earlier shows here.
+// The corpus keeps files of older format versions, each rejected by the
+// version check.
+func TestFuzzLoadFrozenSeedsReachTheirChecks(t *testing.T) {
+	for name, want := range map[string]string{
+		"seed-toy-net":                        "",
+		"seed-toy-shard":                      "",
+		"seed-empty-net":                      "",
+		"seed-crc-fail-fresh-rel-name":        "checksum mismatch",
+		"seed-label-table-beyond-label-space": "exceeds the 65536-label space",
+		"seed-kinds-out-of-order":             "breaks kind order",
+		"seed-degree-overruns-edges":          "out degrees sum to",
+		"seed-pad-byte-nonzero":               "pad byte 0x1 is not zero",
+		"seed-label-index-out-of-range":       "label index 3 out of range",
+		"seed-v3-toy-net":                     "unsupported snapshot version 3",
+		"seed-name-index-omits-entry":         "unsupported snapshot version 2",
+		"seed-kind-index-lists-node-twice":    "unsupported snapshot version 2",
+		"ea96d4e5ef79c1db":                    "unsupported snapshot version 2",
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzLoadFrozen", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		if len(lines) < 2 || lines[0] != "go test fuzz v1" || !strings.HasPrefix(lines[1], "[]byte(") {
+			t.Fatalf("%s: not a one-value corpus file", name)
+		}
+		quoted := strings.TrimPrefix(lines[1], "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err = LoadFrozen(strings.NewReader(data))
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: got %v, want an error containing %q", name, err, want)
+		}
+	}
+}
+
+// TestLoadFrozenEdgeRecordsExactlySized: a direction with more records than
+// the loader reserves up front (fzio's preallocation cap of 1<<16) grows
+// as the records arrive, and is then cut to exactly its records, so a
+// loaded shard's edge records cost 8 bytes a half-edge at any size.
+func TestLoadFrozenEdgeRecordsExactlySized(t *testing.T) {
+	const items = 1<<16 + 1
+	n := NewNet()
+	p := n.AddNode(KindPrimitive, "p", "d")
+	for i := 0; i < items; i++ {
+		if err := n.AddEdge(n.AddNode(KindItem, strconv.Itoa(i), "d"), p, EdgeItemPrimitive, "", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := LoadFrozen(bytes.NewReader(saveFrozen(t, n.Freeze().Shard(0))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.EdgeRecordBytes(), 8*2*items; got != want {
+		t.Fatalf("edge records take %d bytes, want %d", got, want)
+	}
 }

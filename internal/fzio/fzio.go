@@ -66,6 +66,12 @@ func (fw *Writer) U32(v uint32) {
 	fw.Bytes(fw.b[:4])
 }
 
+func (fw *Writer) U64(v uint64) {
+	PutU32(fw.b[:4], uint32(v))
+	PutU32(fw.b[4:], uint32(v>>32))
+	fw.Bytes(fw.b[:8])
+}
+
 func (fw *Writer) Str(s string) {
 	fw.U32(uint32(len(s)))
 	fw.Bytes([]byte(s))
@@ -107,6 +113,11 @@ func (fr *Reader) U16() uint16 {
 func (fr *Reader) U32() uint32 {
 	fr.Bytes(fr.b[:4])
 	return GetU32(fr.b[:4])
+}
+
+func (fr *Reader) U64() uint64 {
+	fr.Bytes(fr.b[:8])
+	return uint64(GetU32(fr.b[:4])) | uint64(GetU32(fr.b[4:]))<<32
 }
 
 // Count reads a u32 element count and rejects anything above MaxElems.

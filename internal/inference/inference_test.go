@@ -59,7 +59,7 @@ func TestInferImplicitRelations(t *testing.T) {
 		}
 		// Must not duplicate an existing interpretation.
 		for _, he := range net.Out(r.Concept, core.EdgeInterpretedBy) {
-			if he.Peer == r.Primitive && he.Rel.String() == "" {
+			if he.Peer == r.Primitive && he.Rel() == "" {
 				t.Fatal("inferred relation duplicates an explicit one")
 			}
 		}
@@ -129,9 +129,9 @@ func TestMaterialize(t *testing.T) {
 	r := rels[0]
 	foundImplied := false
 	for _, he := range a.Net.Freeze().Out(r.Concept, core.EdgeInterpretedBy) {
-		if he.Peer == r.Primitive && he.Rel.String() == "implied" {
+		if he.Peer == r.Primitive && he.Rel() == "implied" {
 			foundImplied = true
-			if he.Weight > 0.99 {
+			if he.Weight() > 0.99 {
 				t.Fatal("implied weight should be capped below manual edges")
 			}
 		}

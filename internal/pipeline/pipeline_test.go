@@ -121,7 +121,7 @@ func TestSchemaEdgesPresent(t *testing.T) {
 	mooncake := a.Net.FirstByNameKind("mooncake", core.KindClass)
 	found := false
 	for _, he := range a.Net.Freeze().Out(mooncake, core.EdgeSchema) {
-		if he.Rel.String() == "suitable_when" && he.Peer == a.DomainCls[world.Time] {
+		if he.Rel() == "suitable_when" && he.Peer == a.DomainCls[world.Time] {
 			found = true
 		}
 	}

@@ -11,6 +11,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -638,6 +639,14 @@ func TestGracefulDrain(t *testing.T) {
 	// The listener is really closed.
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("server still accepting after drain")
+	}
+	// The drained server released its generation: the core still answers
+	// from memory, but no longer reloads.
+	if _, err := s.coco.ReloadShards(s.store); err == nil {
+		t.Fatal("the core reloads after the drain; serveListener did not close it")
+	}
+	if res, err := s.coco.SearchCtx(context.Background(), "outdoor barbecue", 12); err != nil || len(res.Cards) == 0 {
+		t.Fatalf("search after the drain: %+v, %v", res, err)
 	}
 }
 

@@ -380,10 +380,11 @@ func serve(s *server, addr string, refresh, drainTimeout time.Duration, sigc <-c
 // read/write/idle timeouts (a slow or stuck client cannot pin a connection
 // goroutine forever), the stoppable refresh loop, and graceful shutdown —
 // on SIGTERM/SIGINT the server flips /readyz to failing, stops the refresh
-// loop, stops accepting connections, and drains in-flight requests within
-// drainTimeout before returning. sigc overrides the signal source for
-// tests; nil subscribes to the real signals. It returns nil after a clean
-// drain and the underlying error otherwise.
+// loop, stops accepting connections, drains in-flight requests within
+// drainTimeout and releases the served generation's hold before returning.
+// sigc overrides the signal source for tests; nil subscribes to the real
+// signals. It returns nil after a clean drain and the underlying error
+// otherwise.
 func serveListener(s *server, ln net.Listener, refresh, drainTimeout time.Duration, sigc <-chan os.Signal) error {
 	srv := &http.Server{
 		Handler:           s.handler(),
@@ -438,6 +439,7 @@ func serveListener(s *server, ln net.Listener, refresh, drainTimeout time.Durati
 	defer cancel()
 	err := srv.Shutdown(ctx) // stop accepting, wait for in-flight requests
 	wg.Wait()
+	s.coco.Close() // release the served generation's hold
 	if err != nil {
 		return err
 	}

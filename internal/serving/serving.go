@@ -41,6 +41,7 @@ type Core struct {
 	offline    sync.Mutex // serializes loads, scrubs and publishes
 	serving    atomic.Pointer[servingState]
 	generation atomic.Uint64 // counts published serving snapshots
+	closed     bool          // set by Close; guarded by offline
 
 	// The query caches outlive individual serving snapshots: every entry
 	// is stamped with the generation (and checksum) of the snapshot it was
@@ -66,6 +67,25 @@ func New() *Core {
 // facade, which the root alicoco.CoCo has by embedding a Core.
 func (c *Core) Serving() *Core { return c }
 
+// errClosed is what the store operations return after Close.
+var errClosed = errors.New("alicoco: serving core is closed")
+
+// Close releases the hold on the generation serving was loaded from, so
+// the next commit may drop it once it falls out of the retention window.
+// Queries keep answering from memory; ReloadShards, ReloadShard,
+// RollbackTo and ScrubOnce fail from then on. A second Close does nothing.
+func (c *Core) Close() {
+	c.offline.Lock()
+	defer c.offline.Unlock()
+	if c.closed {
+		return
+	}
+	c.closed = true
+	if s := c.serving.Load(); s != nil {
+		s.hold.Release()
+	}
+}
+
 // ShardSet returns the published partition.
 func (c *Core) ShardSet() *core.ShardSet { return c.serving.Load().shards }
 
@@ -89,8 +109,8 @@ type servingState struct {
 	// the catalog entry of the generation served (what RollbackTo and the
 	// scrubber anchor on), the manifest the shards were verified against
 	// and the hold that keeps the generation's directory from retention
-	// until the next publish — all zero for in-process freezes — plus
-	// per-shard serving metadata.
+	// until the next publish or Close — all zero for in-process freezes —
+	// plus per-shard serving metadata.
 	root      string
 	gen       snapstore.Gen
 	manifest  *snapstore.ShardManifest
@@ -184,8 +204,12 @@ func lookup(root string, accept func(snapstore.Gen) bool) (snapstore.Gen, *snaps
 // verifies every file. A reload that reads no shard from the generation
 // already served publishes nothing. It returns how many shards were read.
 // Callers hold c.offline or own a Core that has not escaped yet, so the
-// served state and its hold stay in place until load returns.
+// served state and its hold stay in place until load returns. A closed
+// Core loads nothing.
 func (c *Core) load(root string, g snapstore.Gen, man *snapstore.ShardManifest, source string, reuse bool, force int) (int, error) {
+	if c.closed {
+		return 0, errClosed
+	}
 	prev := c.serving.Load()
 	held := prev != nil && prev.root == root && prev.gen.ID == g.ID
 	var hold *snapstore.Hold
@@ -319,6 +343,9 @@ func (c *Core) RollbackTo(gen uint64) (snapstore.Gen, error) {
 func (c *Core) ScrubOnce() (*snapstore.ScrubReport, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
+	if c.closed {
+		return nil, errClosed
+	}
 	s := c.serving.Load()
 	if s.root == "" {
 		return nil, errors.New("alicoco: scrub: serving is not backed by a snapshot store")

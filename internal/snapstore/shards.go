@@ -121,7 +121,7 @@ func Commit(root string, shards []*core.FrozenNet, meta *ServingMeta, retain int
 	if err != nil {
 		return nil, Gen{}, err
 	}
-	gen, err := tx.Commit(ShardManifestName)
+	gen, err := tx.Commit()
 	if err != nil {
 		return nil, Gen{}, fmt.Errorf("snapstore: save shards: %w", err)
 	}

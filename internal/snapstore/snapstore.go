@@ -399,11 +399,11 @@ func (t *Tx) unlock() {
 // the root, then rewrite the catalog — the single commit point — naming it
 // and dropping the generations retention drops (see retainSplit); their
 // directories are deleted after the catalog lands, so a crash mid-drop
-// only leaves orphans the next sweep removes. manifestName is the
-// generation's manifest file, whose committed bytes are checksummed into
-// the catalog entry. The transaction's lock is released when Commit
-// returns, whatever the outcome.
-func (t *Tx) Commit(manifestName string) (Gen, error) {
+// only leaves orphans the next sweep removes. The generation's manifest
+// (ShardManifestName) must be written by then: its committed bytes are
+// checksummed into the catalog entry. The transaction's lock is released
+// when Commit returns, whatever the outcome.
+func (t *Tx) Commit() (Gen, error) {
 	if t.done {
 		return Gen{}, errors.New("snapstore: commit: transaction already finished")
 	}
@@ -415,7 +415,7 @@ func (t *Tx) Commit(manifestName string) (Gen, error) {
 	if err != nil {
 		return Gen{}, err
 	}
-	manSum, err := fileCRC(filepath.Join(t.dir, manifestName), 0, 0)
+	manSum, err := fileCRC(filepath.Join(t.dir, ShardManifestName), 0, 0)
 	if err != nil {
 		return Gen{}, fmt.Errorf("snapstore: commit: manifest: %w", err)
 	}

@@ -20,10 +20,10 @@ func commitGen(t *testing.T, s *Store, content string) Gen {
 		t.Fatal(err)
 	}
 	defer tx.Abort()
-	if err := os.WriteFile(filepath.Join(tx.Dir(), "manifest.json"), []byte(content), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(tx.Dir(), ShardManifestName), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := tx.Commit("manifest.json")
+	g, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,10 +391,10 @@ func TestCatalogRejectsSharedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Abort()
-	if err := os.WriteFile(filepath.Join(tx.Dir(), "manifest.json"), []byte("three"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(tx.Dir(), ShardManifestName), []byte("three"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if g, err := tx.Commit("manifest.json"); err == nil {
+	if g, err := tx.Commit(); err == nil {
 		t.Fatalf("commit ran on a catalog naming one directory twice, committing %+v", g)
 	}
 	if _, err := os.Stat(filepath.Join(root, "gen-000002", "manifest.json")); err != nil {

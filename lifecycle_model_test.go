@@ -69,7 +69,7 @@ func TestReadersLeaveSaveInFlight(t *testing.T) {
 			t.Fatalf("%s deleted the save in flight: %v", step.name, err)
 		}
 	}
-	g, err := tx.Commit(snapstore.ShardManifestName)
+	g, err := tx.Commit()
 	if err != nil {
 		t.Fatalf("held save does not commit: %v", err)
 	}
@@ -332,7 +332,7 @@ func TestLifecycleMatchesModel(t *testing.T) {
 		}
 		check(fmt.Sprintf("step %d, %s", n, step))
 	}
-	if _, err := tx.Commit(snapstore.ShardManifestName); err != nil {
+	if _, err := tx.Commit(); err != nil {
 		t.Fatalf("held save does not commit: %v", err)
 	}
 }

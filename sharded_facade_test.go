@@ -166,8 +166,9 @@ func TestShardedSnapshotRoundTripFacade(t *testing.T) {
 // TestRelationNamesSurviveShardedRoundTrip: every named relation of the
 // built net — the four schema relations and inference's "implied" — is
 // served under the same name after SaveShards and LoadShardedFrozen,
-// compared edge by edge across all shards. Shard files carry names, not
-// the process-local RelIDs, and each file lists them in its own order.
+// compared edge by edge across all shards. Shard files carry (name,
+// weight) pairs, not the process-local labels, and each file lists them in
+// its own order.
 func TestRelationNamesSurviveShardedRoundTrip(t *testing.T) {
 	c, err := BuildSharded(Small(), 3)
 	if err != nil {
@@ -201,8 +202,8 @@ func namedEdges(r *core.ShardSet) []string {
 	var out []string
 	add := func(id core.NodeID, dir string, hes []core.HalfEdge) {
 		for _, he := range hes {
-			if name := he.Rel.String(); name != "" {
-				out = append(out, fmt.Sprintf("%d %s %d %s %g %s", id, dir, he.Peer, he.Kind, he.Weight, name))
+			if name := he.Rel(); name != "" {
+				out = append(out, fmt.Sprintf("%d %s %d %s %g %s", id, dir, he.Peer, he.Kind, he.Weight(), name))
 			}
 		}
 	}

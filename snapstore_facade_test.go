@@ -1,6 +1,7 @@
 package alicoco
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -459,5 +460,59 @@ func TestNoopReloadTakesNoHold(t *testing.T) {
 	}
 	if rep, err := l.ScrubOnce(); err != nil || !rep.Clean() {
 		t.Fatalf("scrub of the served generation after a commit at retain 1: %+v, %v", rep, err)
+	}
+}
+
+// TestCloseReleasesGeneration: Close releases a loaded facade's hold on
+// its generation at once, so the next commit at retain 1 drops it with no
+// garbage collection involved (the facade stays reachable throughout). The
+// closed facade still answers queries from memory, and its store
+// operations fail.
+func TestCloseReleasesGeneration(t *testing.T) {
+	c := buildSmall(t)
+	root := t.TempDir()
+	save := func() {
+		t.Helper()
+		if _, _, err := c.SaveShardsRetain(root, 3, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save()
+	l, err := LoadShardedFrozen(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save() // gen 2: gen 1 is past the window but held
+	if _, err := os.Stat(filepath.Join(root, "gen-000001")); err != nil {
+		t.Fatalf("the served generation is gone before Close: %v", err)
+	}
+	l.Close()
+	l.Close() // a second Close does nothing
+	save()    // gen 3
+	gens, err := snapstore.ListGenerations(root)
+	if err != nil || len(gens) != 1 || gens[0].ID != 3 {
+		t.Fatalf("catalog after Close and a commit: %+v, %v; want gen 3 alone", gens, err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "gen-000001")); !os.IsNotExist(err) {
+		t.Fatalf("gen 1's directory survived the commit after Close: %v", err)
+	}
+
+	if res, err := l.SearchCtx(context.Background(), "outdoor barbecue", 12); err != nil || len(res.Cards) == 0 {
+		t.Fatalf("search after Close: %+v, %v", res, err)
+	}
+	if g := l.ServingInfo().CatalogGen; g != 1 {
+		t.Fatalf("serving gen %d after Close, want 1", g)
+	}
+	if _, err := l.ReloadShards(root); err == nil {
+		t.Error("ReloadShards after Close succeeded")
+	}
+	if err := l.ReloadShard(root, 0); err == nil {
+		t.Error("ReloadShard after Close succeeded")
+	}
+	if _, err := l.RollbackTo(0); err == nil {
+		t.Error("RollbackTo after Close succeeded")
+	}
+	if _, err := l.ScrubOnce(); err == nil {
+		t.Error("ScrubOnce after Close succeeded")
 	}
 }
