@@ -17,7 +17,6 @@ import (
 	"alicoco/internal/faultfs"
 	"alicoco/internal/loadgen"
 	"alicoco/internal/obs"
-	"alicoco/internal/resilience"
 	"alicoco/internal/serve"
 )
 
@@ -216,8 +215,6 @@ func run(cfg config) (*loadgen.Report, error) {
 			Deadline:      cfg.deadline,
 			BatchDeadline: 4 * cfg.deadline,
 			BatchFraction: cfg.batchFrac,
-			Retry:         true,
-			Budget:        resilience.NewRetryBudget(0, 0),
 			Seed:          loadgen.PhaseSeed(cfg.seed, phaseIdx),
 		}
 	}

@@ -1,3 +1,8 @@
+// Package conceptgen implements the e-commerce concept classifier of
+// Section 5.2: the knowledge-enhanced Wide&Deep model that keeps only
+// candidate concepts meeting the five criteria of Section 5.1 (evaluated
+// as Table 4). The candidates it is trained and scored on come from the
+// synthetic world (world.ConceptCandidatesHoldout).
 package conceptgen
 
 import (

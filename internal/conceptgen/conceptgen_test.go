@@ -1,7 +1,6 @@
 package conceptgen
 
 import (
-	"strings"
 	"testing"
 
 	"alicoco/internal/emb"
@@ -9,92 +8,6 @@ import (
 	"alicoco/internal/text"
 	"alicoco/internal/world"
 )
-
-func TestMinePhrases(t *testing.T) {
-	corpus := [][]string{}
-	for i := 0; i < 5; i++ {
-		corpus = append(corpus, []string{"outdoor", "barbecue", "is", "fun"})
-	}
-	stop := StopwordSet([]string{"is"})
-	phrases := MinePhrases(corpus, 3, stop)
-	found := false
-	for _, p := range phrases {
-		if p.Name() == "outdoor barbecue" {
-			found = true
-			if p.Count != 5 {
-				t.Fatalf("count: got %d", p.Count)
-			}
-		}
-		if strings.HasPrefix(p.Name(), "is ") || strings.HasSuffix(p.Name(), " is") {
-			t.Fatalf("stopword boundary leaked: %q", p.Name())
-		}
-	}
-	if !found {
-		t.Fatal("frequent phrase not mined")
-	}
-}
-
-func TestMinePhrasesMinCount(t *testing.T) {
-	corpus := [][]string{{"rare", "pair"}, {"rare", "pair"}}
-	if got := MinePhrases(corpus, 3, nil); len(got) != 0 {
-		t.Fatalf("minCount not enforced: %v", got)
-	}
-}
-
-func TestCombinerGeneratesFromPatterns(t *testing.T) {
-	c := &Combiner{ByClass: map[string][]string{
-		"Function": {"warm", "waterproof"},
-		"Category": {"hat", "boots"},
-		"Event":    {"traveling"},
-		"Location": {"outdoor"},
-		"Style":    {"casual"},
-		"Time":     {"winter"},
-		"Audience": {"kids"},
-	}}
-	cands := c.Generate(DefaultPatterns(), 12)
-	if len(cands) != 12 {
-		t.Fatalf("candidates: got %d", len(cands))
-	}
-	seen := make(map[string]bool)
-	for _, cand := range cands {
-		seen[strings.Join(cand, " ")] = true
-	}
-	if !seen["warm hat for traveling"] {
-		t.Fatalf("expected 'warm hat for traveling' among %v", seen)
-	}
-	if !seen["outdoor barbecue"] { // Location Event with only outdoor+?? - no barbecue here
-		// barbecue isn't in the Event list; just check the pattern shape exists
-		foundLE := false
-		for s := range seen {
-			if s == "outdoor traveling" {
-				foundLE = true
-			}
-		}
-		if !foundLE {
-			t.Fatalf("Location-Event pattern missing: %v", seen)
-		}
-	}
-}
-
-func TestCombinerExhaustsSpace(t *testing.T) {
-	c := &Combiner{ByClass: map[string][]string{"Location": {"outdoor"}, "Event": {"barbecue"}}}
-	cands := c.Generate([]Pattern{{"Location", "Event"}}, 10)
-	if len(cands) != 1 {
-		t.Fatalf("should exhaust after 1 combination: got %d", len(cands))
-	}
-}
-
-func TestCombinerMultiTokenValues(t *testing.T) {
-	c := &Combiner{ByClass: map[string][]string{"Time": {"mid-autumn festival"}, "Category": {"tea"}, "Audience": {"elders"}}}
-	cands := c.Generate([]Pattern{{"Time", "Category", "for", "Audience"}}, 1)
-	if len(cands) != 1 {
-		t.Fatal("no candidate")
-	}
-	want := "mid-autumn festival tea for elders"
-	if strings.Join(cands[0], " ") != want {
-		t.Fatalf("got %q want %q", strings.Join(cands[0], " "), want)
-	}
-}
 
 // classifierFixture builds the full featurizer stack over a tiny world.
 type classifierFixture struct {

@@ -64,7 +64,6 @@ func TestFrozenReadsZeroAllocs(t *testing.T) {
 	zeroAllocs(t, "Freeze().In", func() { f.In(ec, EdgeItemEConcept) })
 	zeroAllocs(t, "Freeze().ItemsForEConcept", func() { f.ItemsForEConcept(ec, 10) })
 	zeroAllocs(t, "Freeze().EConceptsForItem", func() { f.EConceptsForItem(item, 10) })
-	zeroAllocs(t, "Freeze().FindByName", func() { f.FindByName("concept0") })
 	zeroAllocs(t, "Freeze().FirstByNameKindBytes", func() { f.FirstByNameKindBytes(name, KindEConcept) })
 	zeroAllocs(t, "Freeze().NodesOfKind", func() { f.NodesOfKind(KindItem) })
 	zeroAllocs(t, "Freeze().IsAncestor", func() { f.IsAncestor(item, ec) })

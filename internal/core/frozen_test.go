@@ -22,7 +22,7 @@ func buildRandomNet(t testing.TB, seed int64) *Net {
 	}
 	domains := []string{"Category", "Color", "Function", "Time"}
 	for i := 0; i < nPrims; i++ {
-		// A few shared surfaces so FindByName returns multiple nodes.
+		// A few shared surfaces so a name lookup finds multiple nodes.
 		name := fmt.Sprintf("prim%d", i%max(1, nPrims-3))
 		prims = append(prims, n.AddNode(KindPrimitive, name, domains[rng.Intn(len(domains))]+fmt.Sprint(i)))
 	}
@@ -198,20 +198,16 @@ func TestFrozenEquivalenceRandomized(t *testing.T) {
 				}
 			}
 		}
-		// Name index equivalence.
+		// Name index equivalence, for every kind of every name.
 		for id := NodeID(0); int(id) < n.NumNodes(); id++ {
 			nd, _ := n.Node(id)
-			if !idsEqual(sortedIDs(n.FindByName(nd.Name)), sortedIDs(f.FindByName(nd.Name))) {
-				t.Fatalf("seed %d: FindByName(%q) differs", seed, nd.Name)
-			}
-			if !idsEqual(n.FindByNameKind(nd.Name, nd.Kind), f.FindByNameKind(nd.Name, nd.Kind)) {
-				t.Fatalf("seed %d: FindByNameKind(%q) differs", seed, nd.Name)
-			}
-			if n.FirstByNameKind(nd.Name, nd.Kind) != f.FirstByNameKind(nd.Name, nd.Kind) {
-				t.Fatalf("seed %d: FirstByNameKind(%q) differs", seed, nd.Name)
-			}
-			if n.FirstByNameKindBytes([]byte(nd.Name), nd.Kind) != f.FirstByNameKindBytes([]byte(nd.Name), nd.Kind) {
-				t.Fatalf("seed %d: FirstByNameKindBytes(%q) differs", seed, nd.Name)
+			for kind := NodeKind(0); kind < numKinds; kind++ {
+				if n.FirstByNameKind(nd.Name, kind) != f.FirstByNameKind(nd.Name, kind) {
+					t.Fatalf("seed %d: FirstByNameKind(%q, %v) differs", seed, nd.Name, kind)
+				}
+				if n.FirstByNameKindBytes([]byte(nd.Name), kind) != f.FirstByNameKindBytes([]byte(nd.Name), kind) {
+					t.Fatalf("seed %d: FirstByNameKindBytes(%q, %v) differs", seed, nd.Name, kind)
+				}
 			}
 		}
 		if n.FirstByNameKindBytes([]byte("no such node"), KindItem) != InvalidNode || f.FirstByNameKindBytes([]byte("no such node"), KindItem) != InvalidNode {
@@ -248,7 +244,7 @@ func TestFrozenImmuneToLaterWrites(t *testing.T) {
 	if len(f.Out(ids["item2"], EdgeItemPrimitive)) != outBefore {
 		t.Fatal("snapshot adjacency changed after live-net writes")
 	}
-	if len(f.FindByName("velvet")) != 0 {
+	if f.FirstByNameKind("velvet", KindPrimitive) != InvalidNode {
 		t.Fatal("snapshot name index changed after live-net writes")
 	}
 }
@@ -317,7 +313,7 @@ func TestFrozenConcurrentReads(t *testing.T) {
 				f.EConceptsForItem(id, 5)
 				f.NodesOfKind(KindItem)
 				nd, _ := f.Node(id)
-				f.FindByName(nd.Name)
+				f.FirstByNameKind(nd.Name, nd.Kind)
 			}
 		}(g)
 	}

@@ -233,17 +233,6 @@ func (t *nodeTable) firstOfKind(h uint64, name string, kind NodeKind) NodeID {
 	return InvalidNode
 }
 
-// appendOfKind appends the nodes named name in one layer to dst. h is
-// nameHash(name).
-func (t *nodeTable) appendOfKind(dst []NodeID, h uint64, name string, kind NodeKind) []NodeID {
-	for _, id := range t.find(h, name) {
-		if t.kindOf(id) == kind {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
 // ofKind returns the nodes of one layer in ascending ID order, as a
 // read-only view; nil for an empty layer or an invalid kind.
 func (t *nodeTable) ofKind(kind NodeKind) []NodeID {

@@ -80,14 +80,13 @@ func TestFrozenSaveLoadRoundTripRandomized(t *testing.T) {
 				}
 			}
 			nd, _ := f.Node(id)
-			if !idsEqual(f.FindByName(nd.Name), g.FindByName(nd.Name)) {
-				t.Fatalf("seed %d: FindByName(%q) differs", seed, nd.Name)
-			}
-			if !idsEqual(f.FindByNameKind(nd.Name, nd.Kind), g.FindByNameKind(nd.Name, nd.Kind)) {
-				t.Fatalf("seed %d: FindByNameKind(%q) differs", seed, nd.Name)
-			}
-			if f.FirstByNameKind(nd.Name, nd.Kind) != g.FirstByNameKind(nd.Name, nd.Kind) {
-				t.Fatalf("seed %d: FirstByNameKind(%q) differs", seed, nd.Name)
+			for kind := NodeKind(0); kind < numKinds; kind++ {
+				if f.FirstByNameKind(nd.Name, kind) != g.FirstByNameKind(nd.Name, kind) {
+					t.Fatalf("seed %d: FirstByNameKind(%q, %v) differs", seed, nd.Name, kind)
+				}
+				if f.FirstByNameKindBytes([]byte(nd.Name), kind) != g.FirstByNameKindBytes([]byte(nd.Name), kind) {
+					t.Fatalf("seed %d: FirstByNameKindBytes(%q, %v) differs", seed, nd.Name, kind)
+				}
 			}
 		}
 		for kind := NodeKind(0); kind < numKinds; kind++ {

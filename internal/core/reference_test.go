@@ -8,28 +8,15 @@ package core
 
 // FindByName returns all nodes with the given surface form — several when
 // the form is ambiguous (same name, different domains or layers), which is
-// how the net disambiguates raw text (Section 4.1). Like the frozen store,
-// it returns a shared read-only view rather than a copy: the ids recorded
-// for a name are append-only (AddNode never reorders or rewrites them), so
-// elements visible through the returned header never change even if a
-// concurrent AddNode grows the index.
+// how the net disambiguates raw text (Section 4.1). It returns a shared
+// read-only view rather than a copy: the ids recorded for a name are
+// append-only (AddNode never reorders or rewrites them), so elements
+// visible through the returned header never change even if a concurrent
+// AddNode grows the index.
 func (n *Net) FindByName(name string) []NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.byName[name]
-}
-
-// FindByNameKind returns nodes with the given name in one layer.
-func (n *Net) FindByNameKind(name string, kind NodeKind) []NodeID {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var ids []NodeID
-	for _, id := range n.byName[name] {
-		if n.nodes[id].Kind == kind {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }
 
 // FirstByNameKindBytes is FirstByNameKind keyed by a byte buffer; the map

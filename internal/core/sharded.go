@@ -110,9 +110,6 @@ func (s *ShardSet) Shard(i int) *FrozenNet { return s.shards[i] }
 // Shards returns the shard list as a read-only view.
 func (s *ShardSet) Shards() []*FrozenNet { return s.shards }
 
-// Stride returns the node count each non-trailing shard owns.
-func (s *ShardSet) Stride() int { return s.stride }
-
 // owner returns the shard owning a global node ID, or nil for out-of-range
 // ids. Crossing into the owning shard is a query-time fault-injection
 // boundary (faultfs.QueryProbe — one atomic load when nothing is armed):
@@ -143,44 +140,6 @@ func (s *ShardSet) NumNodes() int { return s.total }
 
 // NumEdges returns the edge count across all shards.
 func (s *ShardSet) NumEdges() int { return s.edges }
-
-// FindByName returns all nodes with the given surface form, in whole-net
-// insertion order. The name is hashed once and every shard's index probed
-// with that hash. When one shard holds every match — the common case — the
-// result is that shard's read-only view and the call allocates nothing;
-// only names straddling a shard boundary pay for a merged copy.
-func (s *ShardSet) FindByName(name string) []NodeID {
-	h := nameHash(name)
-	var single []NodeID
-	n, hits := 0, 0
-	for i, sh := range s.shards {
-		faultfs.QueryProbe(i)
-		if ids := sh.nodes.find(h, name); len(ids) > 0 {
-			single = ids
-			n += len(ids)
-			hits++
-		}
-	}
-	if hits <= 1 {
-		return single
-	}
-	merged := make([]NodeID, 0, n)
-	for _, sh := range s.shards {
-		merged = append(merged, sh.nodes.find(h, name)...)
-	}
-	return merged
-}
-
-// FindByNameKind returns nodes with the given name in one layer.
-func (s *ShardSet) FindByNameKind(name string, kind NodeKind) []NodeID {
-	h := nameHash(name)
-	var ids []NodeID
-	for i, sh := range s.shards {
-		faultfs.QueryProbe(i)
-		ids = sh.nodes.appendOfKind(ids, h, name, kind)
-	}
-	return ids
-}
 
 // FirstByNameKind returns the first matching node or InvalidNode. Shards
 // are scanned in ascending order, which reproduces whole-net insertion

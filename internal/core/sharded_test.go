@@ -123,21 +123,17 @@ func TestShardSetEquivalenceRandomized(t *testing.T) {
 			}
 			for id := NodeID(0); int(id) < f.NumNodes(); id++ {
 				nd, _ := f.Node(id)
-				if !idsEqual(f.FindByName(nd.Name), s.FindByName(nd.Name)) {
-					t.Fatalf("%s: FindByName(%q) differs", ctx, nd.Name)
-				}
-				if !idsEqual(f.FindByNameKind(nd.Name, nd.Kind), s.FindByNameKind(nd.Name, nd.Kind)) {
-					t.Fatalf("%s: FindByNameKind(%q) differs", ctx, nd.Name)
-				}
-				if f.FirstByNameKind(nd.Name, nd.Kind) != s.FirstByNameKind(nd.Name, nd.Kind) {
-					t.Fatalf("%s: FirstByNameKind(%q) differs", ctx, nd.Name)
-				}
-				if f.FirstByNameKindBytes([]byte(nd.Name), nd.Kind) != s.FirstByNameKindBytes([]byte(nd.Name), nd.Kind) {
-					t.Fatalf("%s: FirstByNameKindBytes(%q) differs", ctx, nd.Name)
+				for kind := NodeKind(0); kind < numKinds; kind++ {
+					if f.FirstByNameKind(nd.Name, kind) != s.FirstByNameKind(nd.Name, kind) {
+						t.Fatalf("%s: FirstByNameKind(%q, %v) differs", ctx, nd.Name, kind)
+					}
+					if f.FirstByNameKindBytes([]byte(nd.Name), kind) != s.FirstByNameKindBytes([]byte(nd.Name), kind) {
+						t.Fatalf("%s: FirstByNameKindBytes(%q, %v) differs", ctx, nd.Name, kind)
+					}
 				}
 			}
-			if f.FindByName("no such name") != nil || s.FindByName("no such name") != nil {
-				t.Fatalf("%s: missing name should resolve to nil", ctx)
+			if f.FirstByNameKind("no such name", KindItem) != InvalidNode || s.FirstByNameKind("no such name", KindItem) != InvalidNode {
+				t.Fatalf("%s: missing name should resolve to InvalidNode", ctx)
 			}
 		}
 	}
@@ -285,7 +281,6 @@ func TestShardedReadZeroAllocs(t *testing.T) {
 	zeroAllocs(t, "ShardSet.In", func() { s.In(ec, EdgeItemEConcept) })
 	zeroAllocs(t, "ShardSet.ItemsForEConcept", func() { s.ItemsForEConcept(ec, 10) })
 	zeroAllocs(t, "ShardSet.EConceptsForItem", func() { s.EConceptsForItem(item, 10) })
-	zeroAllocs(t, "ShardSet.FindByName", func() { s.FindByName("concept0") })
 	zeroAllocs(t, "ShardSet.FirstByNameKindBytes", func() { s.FirstByNameKindBytes(name, KindEConcept) })
 	zeroAllocs(t, "ShardSet.NodesOfKind", func() { s.NodesOfKind(KindItem) })
 	zeroAllocs(t, "ShardSet.IsAncestor", func() { s.IsAncestor(item, ec) })
@@ -313,7 +308,7 @@ func TestShardSetConcurrentReads(t *testing.T) {
 				s.EConceptsForItem(id, 5)
 				s.NodesOfKind(KindItem)
 				nd, _ := s.Node(id)
-				s.FindByName(nd.Name)
+				s.FirstByNameKind(nd.Name, nd.Kind)
 			}
 		}(g)
 	}
@@ -374,7 +369,7 @@ func TestTraversalProbesEachAdjacencyReadOnce(t *testing.T) {
 			t.Helper()
 			want := uint64(0)
 			for _, id := range read {
-				if int(id)/s.Stride() == shard {
+				if int(id)/ShardStride(s.NumNodes(), s.NumShards()) == shard {
 					want++
 				}
 			}
@@ -545,13 +540,7 @@ func checkMatchesReference(t *testing.T, view string, n *Net, s *ShardSet) {
 		}
 	}
 	for _, name := range append(fuzzNames, "no such name", "coa") {
-		if got, want := s.FindByName(name), n.FindByName(name); !idsEqual(got, want) {
-			t.Fatalf("%s: FindByName(%q) = %v; reference %v", view, name, got, want)
-		}
 		for kind := NodeKind(-1); kind <= numKinds; kind++ {
-			if got, want := s.FindByNameKind(name, kind), n.FindByNameKind(name, kind); !idsEqual(got, want) {
-				t.Fatalf("%s: FindByNameKind(%q, %v) = %v; reference %v", view, name, kind, got, want)
-			}
 			want := n.FirstByNameKind(name, kind)
 			if got := s.FirstByNameKind(name, kind); got != want {
 				t.Fatalf("%s: FirstByNameKind(%q, %v) = %d; reference %d", view, name, kind, got, want)

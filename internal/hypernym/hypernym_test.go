@@ -42,23 +42,6 @@ func TestMinePatternsDedup(t *testing.T) {
 	}
 }
 
-func TestHeadRule(t *testing.T) {
-	pairs := HeadRule([]string{"dress", "silk dress", "evening silk dress", "unrelated"})
-	found := map[[2]string]bool{}
-	for _, p := range pairs {
-		found[[2]string{p.Hypo, p.Hyper}] = true
-	}
-	if !found[[2]string{"silk dress", "dress"}] {
-		t.Fatal("head rule missed silk dress -> dress")
-	}
-	if !found[[2]string{"evening silk dress", "dress"}] {
-		t.Fatal("head rule missed evening silk dress -> dress")
-	}
-	if found[[2]string{"unrelated", "unrelated"}] {
-		t.Fatal("self pair emitted")
-	}
-}
-
 // fixture builds a world + embeddings + dataset once for the heavier tests.
 type fixture struct {
 	w *world.World

@@ -11,7 +11,7 @@ import "strings"
 // unsupervised rule, with the rule that produced it.
 type PatternPair struct {
 	Hypo, Hyper string
-	Rule        string // "such_as", "kind_of", "head"
+	Rule        string // "such_as" or "kind_of"
 }
 
 // MinePatterns scans a corpus for Hearst patterns: "<Y> such as <X> and
@@ -45,28 +45,6 @@ func MinePatterns(corpus [][]string) []PatternPair {
 			hypo := strings.TrimPrefix(joined[:i], "the ")
 			hyper := joined[i+len(" is a kind of "):]
 			add(hypo, hyper, "kind_of")
-		}
-	}
-	return out
-}
-
-// HeadRule applies the compound-head grammar rule of Section 4.2.1 (the
-// English analogue of “XX裤 must be a 裤”): a multi-token concept whose last
-// token is itself a known concept has that token as hypernym.
-func HeadRule(concepts []string) []PatternPair {
-	known := make(map[string]bool, len(concepts))
-	for _, c := range concepts {
-		known[c] = true
-	}
-	var out []PatternPair
-	for _, c := range concepts {
-		toks := strings.Fields(c)
-		if len(toks) < 2 {
-			continue
-		}
-		head := toks[len(toks)-1]
-		if known[head] && head != c {
-			out = append(out, PatternPair{Hypo: c, Hyper: head, Rule: "head"})
 		}
 	}
 	return out

@@ -27,7 +27,6 @@ type Scraper struct {
 	// Family is the histogram family name to reconstruct
 	// (serve.MetricsHistogramName for the production server).
 	Family string
-	Client *http.Client
 }
 
 // Scrape fetches and strictly parses /metrics, returning the merged
@@ -35,10 +34,7 @@ type Scraper struct {
 // error: the scrape doubles as a live exposition-format test.
 func (s *Scraper) Scrape() (obs.HistSnapshot, error) {
 	var merged obs.HistSnapshot
-	client := s.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
+	client := &http.Client{Timeout: 10 * time.Second}
 	resp, err := client.Get(s.BaseURL + "/metrics")
 	if err != nil {
 		return merged, err

@@ -20,9 +20,6 @@ import (
 type Options struct {
 	// BaseURL is the server under load, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Client issues the requests; its Timeout is overridden to the hang
-	// cap. nil means a fresh client with a large connection pool.
-	Client *http.Client
 
 	Mix      *Mix
 	Rate     float64       // arrivals per second (open loop)
@@ -37,23 +34,19 @@ type Options struct {
 	// (batches legitimately run longer); it also raises the hang cap.
 	BatchDeadline time.Duration
 
-	// BatchFraction of search ops are sent as size-BatchSize POST batches.
+	// BatchFraction of search ops are sent as batchSize-query POST batches.
 	BatchFraction float64
-	BatchSize     int
-
-	// MaxInFlight caps client-side concurrency; arrivals past the cap are
-	// dropped and counted (the open loop never slows down, it sheds
-	// client-side). Default 256.
-	MaxInFlight int
-
-	// Retry enables one budgeted retry of shed (429) requests after a
-	// short jittered delay; Budget throttles it so a shed storm cannot
-	// amplify offered load (nil Budget = unlimited retries; pass one).
-	Retry  bool
-	Budget *resilience.RetryBudget
 
 	Seed int64
 }
+
+// A phase keeps at most maxInFlight requests open; arrivals past the cap
+// are dropped and counted (the open loop never slows down, it sheds
+// client-side). A batch op sends batchSize queries.
+const (
+	maxInFlight = 256
+	batchSize   = 8
+)
 
 // Counts classifies every arrival's outcome. Sent >= the sum of response
 // classes while requests are in flight; after Run returns they balance.
@@ -67,7 +60,7 @@ type Counts struct {
 	ServerErr  uint64 `json:"server_err"`      // 5xx — SLO violation
 	Hang       uint64 `json:"hang"`            // no response within the hang cap — SLO violation
 	NetErr     uint64 `json:"net_err"`         // transport failure below the hang cap
-	ClientDrop uint64 `json:"client_drop"`     // arrival dropped at MaxInFlight
+	ClientDrop uint64 `json:"client_drop"`     // arrival dropped at maxInFlight
 	Retries    uint64 `json:"retries"`         // budgeted retries issued
 	RetryDrops uint64 `json:"retry_drops"`     // retries suppressed by the budget
 	RetryAfter uint64 `json:"retry_after_sum"` // sum of Retry-After secs seen (jitter visibility)
@@ -99,7 +92,7 @@ func HangCap(deadline time.Duration) time.Duration {
 }
 
 // Run drives one open-loop phase and blocks until every in-flight request
-// resolves.
+// resolves. Each phase retries under a fresh RetryBudget.
 func Run(opts Options) (*Result, error) {
 	if opts.Mix == nil {
 		return nil, fmt.Errorf("loadgen: Options.Mix is required")
@@ -107,29 +100,15 @@ func Run(opts Options) (*Result, error) {
 	if opts.Rate <= 0 || opts.Duration <= 0 {
 		return nil, fmt.Errorf("loadgen: Rate and Duration must be positive")
 	}
-	if opts.MaxInFlight <= 0 {
-		opts.MaxInFlight = 256
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 8
-	}
-	client := opts.Client
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = opts.MaxInFlight * 2
-		tr.MaxIdleConnsPerHost = opts.MaxInFlight * 2
-		client = &http.Client{Transport: tr}
-	}
-	capBase := opts.Deadline
-	if opts.BatchDeadline > capBase {
-		capBase = opts.BatchDeadline
-	}
-	client.Timeout = HangCap(capBase)
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = maxInFlight * 2
+	tr.MaxIdleConnsPerHost = maxInFlight * 2
+	client := &http.Client{Transport: tr, Timeout: HangCap(max(opts.Deadline, opts.BatchDeadline))}
 
-	d := &driver{opts: opts, client: client, res: &Result{Name: opts.Mix.Name}}
+	d := &driver{opts: opts, client: client, budget: resilience.NewRetryBudget(), res: &Result{Name: opts.Mix.Name}}
 	d.rng.Store(uint64(opts.Seed)*2 + 1)
 
-	sem := make(chan struct{}, opts.MaxInFlight)
+	sem := make(chan struct{}, maxInFlight)
 	var wg sync.WaitGroup
 	interval := time.Duration(float64(time.Second) / opts.Rate)
 	if interval <= 0 {
@@ -173,6 +152,7 @@ func Run(opts Options) (*Result, error) {
 type driver struct {
 	opts   Options
 	client *http.Client
+	budget *resilience.RetryBudget // throttles retries so a shed storm cannot amplify offered load
 	res    *Result
 	rng    atomic.Uint64 // xorshift for retry jitter (shared by workers)
 }
@@ -190,17 +170,18 @@ func (d *driver) rand() uint64 {
 	}
 }
 
-// do issues one op (plus at most one budgeted retry of a shed).
+// do issues one op, plus at most one budgeted retry of a shed (429) after
+// a short jittered delay.
 func (d *driver) do(op Op) {
-	d.opts.Budget.Attempt()
+	d.budget.Attempt()
 	for attempt := 0; ; attempt++ {
 		status, retryAfter := d.send(op)
-		if status != http.StatusTooManyRequests || !d.opts.Retry || attempt >= 1 {
+		if status != http.StatusTooManyRequests || attempt >= 1 {
 			return
 		}
 		// The server shed us. Retrying is exactly how well-meaning clients
 		// amplify overload — the budget is the brake: no tokens, no retry.
-		if !d.opts.Budget.Spend() {
+		if !d.budget.Spend() {
 			atomic.AddUint64(&d.res.Counts.RetryDrops, 1)
 			return
 		}
@@ -230,7 +211,7 @@ func (d *driver) send(op Op) (status, retryAfter int) {
 		resp, err = d.client.Get(d.opts.BaseURL + "/recommend?items=" + joinInts(op.Session) + "&k=10")
 	} else if d.opts.BatchFraction > 0 && float64(d.rand()%1000)/1000 < d.opts.BatchFraction {
 		batch = true
-		body := batchBody(op.Query, d.opts.BatchSize)
+		body := batchBody(op.Query, batchSize)
 		resp, err = d.client.Post(d.opts.BaseURL+"/search/batch", "application/json", bytes.NewReader(body))
 	} else {
 		resp, err = d.client.Get(d.opts.BaseURL + "/search?q=" + url.QueryEscape(op.Query))

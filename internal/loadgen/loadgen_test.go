@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"alicoco"
-	"alicoco/internal/resilience"
 )
 
 func testCorpus(t *testing.T) *Corpus {
@@ -160,8 +159,6 @@ func TestDriverOpenLoopAgainstStub(t *testing.T) {
 		Rate:     400,
 		Duration: 500 * time.Millisecond,
 		Deadline: 100 * time.Millisecond,
-		Retry:    true,
-		Budget:   resilience.NewRetryBudget(0, 0),
 		Seed:     1,
 	})
 	if err != nil {

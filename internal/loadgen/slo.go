@@ -16,14 +16,14 @@ import (
 //     above GoodputFloor x a no-chaos baseline instead of collapsing.
 type SLO struct {
 	Deadline time.Duration
-	// MaxLateFrac bounds LateOK/(OK+LateOK): admitted-but-late successes.
-	// A little client-side scheduling noise is unavoidable at high
-	// concurrency; default 0.01.
-	MaxLateFrac float64
 	// GoodputFloor is the fraction of baseline goodput a chaos phase must
 	// retain; default 0.5.
 	GoodputFloor float64
 }
+
+// maxLateFrac bounds LateOK/(OK+LateOK), the admitted-but-late successes:
+// a little client-side scheduling noise is unavoidable at high concurrency.
+const maxLateFrac = 0.01
 
 // Check asserts the always-on SLOs on one phase. Returned strings are
 // human-readable violations; empty means the phase passed.
@@ -38,13 +38,9 @@ func (s SLO) Check(r *Result) []string {
 	}
 	ok, late := c.OK, c.LateOK
 	if total := ok + late; total > 0 {
-		maxLate := s.MaxLateFrac
-		if maxLate == 0 {
-			maxLate = 0.01
-		}
-		if frac := float64(late) / float64(total); frac > maxLate {
+		if frac := float64(late) / float64(total); frac > maxLateFrac {
 			v = append(v, fmt.Sprintf("%s: %.1f%% of successes blew the %v deadline (max %.1f%%) — p99 %v",
-				r.Name, frac*100, s.Deadline, maxLate*100, r.Lat.Quantile(0.99)))
+				r.Name, frac*100, s.Deadline, maxLateFrac*100, r.Lat.Quantile(0.99)))
 		}
 	}
 	if ok == 0 && c.Sent > 0 {

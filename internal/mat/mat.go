@@ -218,13 +218,6 @@ func NewMatFrom(rows [][]float64) *Mat {
 	return m
 }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	out := NewMat(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // At returns the element at row r, column c.
 func (m *Mat) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 

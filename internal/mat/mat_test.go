@@ -164,15 +164,6 @@ func TestMatAddOuter(t *testing.T) {
 	}
 }
 
-func TestMatCloneIndependence(t *testing.T) {
-	m := NewMatFrom([][]float64{{1, 2}})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
 func TestMatRowSharesStorage(t *testing.T) {
 	m := NewMat(2, 2)
 	m.Row(1)[0] = 7

@@ -246,17 +246,3 @@ func (c *CRF) Decode(emit []mat.Vec) ([]int, float64) {
 	}
 	return path, best
 }
-
-// Marginals returns per-position label posteriors p(y_t = k | X).
-func (c *CRF) Marginals(emit []mat.Vec) []mat.Vec {
-	dEmit := make([]mat.Vec, len(emit))
-	for t := range dEmit {
-		dEmit[t] = make(mat.Vec, c.K)
-	}
-	// Run forward-backward with sign=1 into a throwaway gradient, then
-	// subtract what we added to keep Trans.G untouched.
-	gBefore := c.Trans.G.Clone()
-	c.forwardBackward(emit, nil, 1, dEmit)
-	c.Trans.G.Data = gBefore.Data
-	return dEmit
-}

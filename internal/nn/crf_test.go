@@ -97,9 +97,9 @@ func TestCRFGradCheck(t *testing.T) {
 
 	// Check transition gradient.
 	loss := func() float64 {
-		gSave := c.Trans.G.Clone()
+		gSave := c.Trans.G.Data.Clone()
 		l, _ := c.Loss(emit, gold)
-		c.Trans.G.Data = gSave.Data
+		c.Trans.G.Data = gSave
 		return l
 	}
 	if _, err := GradCheck(c.Params(), loss, 1e-5); err != nil {
@@ -111,13 +111,13 @@ func TestCRFGradCheck(t *testing.T) {
 	for t0 := range emit {
 		for k := range emit[t0] {
 			orig := emit[t0][k]
-			gSave := c.Trans.G.Clone()
+			gSave := c.Trans.G.Data.Clone()
 			emit[t0][k] = orig + eps
 			lp, _ := c.Loss(emit, gold)
 			emit[t0][k] = orig - eps
 			lm, _ := c.Loss(emit, gold)
 			emit[t0][k] = orig
-			c.Trans.G.Data = gSave.Data
+			c.Trans.G.Data = gSave
 			num := (lp - lm) / (2 * eps)
 			if math.Abs(num-dEmit[t0][k]) > 1e-4*(1+math.Abs(num)) {
 				t.Fatalf("emission grad (%d,%d): analytic %v numeric %v", t0, k, dEmit[t0][k], num)
@@ -138,9 +138,9 @@ func TestFuzzyCRFGradCheck(t *testing.T) {
 	_, dEmit := c.FuzzyLoss(emit, allowed)
 
 	loss := func() float64 {
-		gSave := c.Trans.G.Clone()
+		gSave := c.Trans.G.Data.Clone()
 		l, _ := c.FuzzyLoss(emit, allowed)
-		c.Trans.G.Data = gSave.Data
+		c.Trans.G.Data = gSave
 		return l
 	}
 	if _, err := GradCheck(c.Params(), loss, 1e-5); err != nil {
@@ -151,13 +151,13 @@ func TestFuzzyCRFGradCheck(t *testing.T) {
 	for t0 := range emit {
 		for k := range emit[t0] {
 			orig := emit[t0][k]
-			gSave := c.Trans.G.Clone()
+			gSave := c.Trans.G.Data.Clone()
 			emit[t0][k] = orig + eps
 			lp, _ := c.FuzzyLoss(emit, allowed)
 			emit[t0][k] = orig - eps
 			lm, _ := c.FuzzyLoss(emit, allowed)
 			emit[t0][k] = orig
-			c.Trans.G.Data = gSave.Data
+			c.Trans.G.Data = gSave
 			num := (lp - lm) / (2 * eps)
 			if math.Abs(num-dEmit[t0][k]) > 1e-4*(1+math.Abs(num)) {
 				t.Fatalf("fuzzy emission grad (%d,%d): analytic %v numeric %v", t0, k, dEmit[t0][k], num)
@@ -238,24 +238,6 @@ func TestViterbiMatchesBruteForce(t *testing.T) {
 		}
 		if got := c.pathScore(emit, path, 0, nil); math.Abs(got-best) > 1e-9 {
 			t.Fatalf("viterbi path score %v != brute force %v", got, best)
-		}
-	}
-}
-
-func TestMarginalsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	c := NewCRF("c", 4, rng)
-	emit := randEmissions(rng, 5, 4)
-	gBefore := c.Trans.G.Clone()
-	marg := c.Marginals(emit)
-	for t0, m := range marg {
-		if math.Abs(m.Sum()-1) > 1e-9 {
-			t.Fatalf("marginals at %d sum to %v", t0, m.Sum())
-		}
-	}
-	for i := range gBefore.Data {
-		if c.Trans.G.Data[i] != gBefore.Data[i] {
-			t.Fatal("Marginals must not mutate gradients")
 		}
 	}
 }

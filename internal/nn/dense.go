@@ -96,44 +96,3 @@ func (d *Dense) Backward(dy mat.Vec, c *DenseCache) mat.Vec {
 	d.B.G.Data.Add(dz)
 	return d.W.W.MulVecT(dz)
 }
-
-// Dropout applies inverted dropout with probability p during training.
-type Dropout struct {
-	P   float64
-	rng *rand.Rand
-}
-
-// NewDropout returns a dropout layer with drop probability p.
-func NewDropout(p float64, rng *rand.Rand) *Dropout {
-	return &Dropout{P: p, rng: rng}
-}
-
-// Forward masks x during training; at p=0 or train=false it is the identity.
-// The returned mask must be passed to Backward.
-func (dr *Dropout) Forward(x mat.Vec, train bool) (mat.Vec, mat.Vec) {
-	if !train || dr.P <= 0 {
-		return x, nil
-	}
-	keep := 1 - dr.P
-	out := make(mat.Vec, len(x))
-	mask := make(mat.Vec, len(x))
-	for i := range x {
-		if dr.rng.Float64() < keep {
-			mask[i] = 1 / keep
-			out[i] = x[i] * mask[i]
-		}
-	}
-	return out, mask
-}
-
-// Backward applies the dropout mask to the upstream gradient.
-func (dr *Dropout) Backward(dy mat.Vec, mask mat.Vec) mat.Vec {
-	if mask == nil {
-		return dy
-	}
-	out := make(mat.Vec, len(dy))
-	for i := range dy {
-		out[i] = dy[i] * mask[i]
-	}
-	return out
-}

@@ -138,9 +138,6 @@ func NewBiLSTM(name string, in, hidden int, rng *rand.Rand) *BiLSTM {
 // Params implements Layer.
 func (b *BiLSTM) Params() []*Param { return append(b.Fwd.Params(), b.Bwd.Params()...) }
 
-// OutDim returns the per-position output dimension (2*hidden).
-func (b *BiLSTM) OutDim() int { return 2 * b.Fwd.Hidden }
-
 // BiLSTMCache stores both directions' caches.
 type BiLSTMCache struct {
 	fwd, bwd *LSTMCache

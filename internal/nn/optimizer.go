@@ -6,12 +6,6 @@ import (
 	"alicoco/internal/mat"
 )
 
-// Optimizer updates parameters from their accumulated gradients and clears
-// the gradients afterwards.
-type Optimizer interface {
-	Step(ps []*Param)
-}
-
 // ClipGrads rescales all gradients so their global L2 norm is at most c.
 // It returns the pre-clip norm.
 func ClipGrads(ps []*Param, c float64) float64 {
@@ -31,41 +25,6 @@ func ClipGrads(ps []*Param, c float64) float64 {
 	return norm
 }
 
-// SGD is stochastic gradient descent with optional momentum and gradient
-// clipping.
-type SGD struct {
-	LR, Momentum, Clip float64
-	vel                map[*Param]mat.Vec
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum, clip float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, Clip: clip, vel: make(map[*Param]mat.Vec)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(ps []*Param) {
-	if o.Clip > 0 {
-		ClipGrads(ps, o.Clip)
-	}
-	for _, p := range ps {
-		if o.Momentum > 0 {
-			v, okv := o.vel[p]
-			if !okv {
-				v = mat.NewVec(len(p.W.Data))
-				o.vel[p] = v
-			}
-			for i := range v {
-				v[i] = o.Momentum*v[i] - o.LR*p.G.Data[i]
-				p.W.Data[i] += v[i]
-			}
-		} else {
-			p.W.Data.AddScaled(-o.LR, p.G.Data)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction and optional
 // gradient clipping.
 type Adam struct {
@@ -82,7 +41,8 @@ func NewAdam(lr, clip float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update to ps from their accumulated gradients, then
+// clears the gradients.
 func (o *Adam) Step(ps []*Param) {
 	if o.Clip > 0 {
 		ClipGrads(ps, o.Clip)
@@ -107,40 +67,6 @@ func (o *Adam) Step(ps []*Param) {
 			mh := m[i] / bc1
 			vh := v[i] / bc2
 			p.W.Data[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
-		}
-		p.ZeroGrad()
-	}
-}
-
-// Adagrad is the Adagrad optimizer, a good default for sparse embedding
-// gradients.
-type Adagrad struct {
-	LR, Eps, Clip float64
-	acc           map[*Param]mat.Vec
-}
-
-// NewAdagrad returns an Adagrad optimizer.
-func NewAdagrad(lr, clip float64) *Adagrad {
-	return &Adagrad{LR: lr, Eps: 1e-8, Clip: clip, acc: make(map[*Param]mat.Vec)}
-}
-
-// Step implements Optimizer.
-func (o *Adagrad) Step(ps []*Param) {
-	if o.Clip > 0 {
-		ClipGrads(ps, o.Clip)
-	}
-	for _, p := range ps {
-		a, oka := o.acc[p]
-		if !oka {
-			a = mat.NewVec(len(p.W.Data))
-			o.acc[p] = a
-		}
-		for i, g := range p.G.Data {
-			if g == 0 {
-				continue
-			}
-			a[i] += g * g
-			p.W.Data[i] -= o.LR * g / (math.Sqrt(a[i]) + o.Eps)
 		}
 		p.ZeroGrad()
 	}

@@ -1,15 +1,12 @@
 // Package nn is the neural-network substrate used by every learned module in
 // the AliCoCo reproduction: dense layers, embeddings, (bi)LSTMs, 1-D
-// convolutions, self-attention, linear-chain CRFs (plain and fuzzy), and the
-// optimizers that train them. Everything is stdlib-only float64 code with
+// convolutions, self-attention, linear-chain CRFs (plain and fuzzy), and Adam,
+// the one optimizer that trains them. Everything is stdlib-only float64 code with
 // explicit, hand-derived backward passes; correctness is enforced by
 // finite-difference gradient checks in the test suite.
 package nn
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math/rand"
 
 	"alicoco/internal/mat"
@@ -56,41 +53,4 @@ func ZeroGrads(ps []*Param) {
 	for _, p := range ps {
 		p.ZeroGrad()
 	}
-}
-
-// paramState is the gob wire form of a parameter.
-type paramState struct {
-	Name       string
-	Rows, Cols int
-	Data       []float64
-}
-
-// SaveParams serializes the weights (not gradients) of ps to w.
-func SaveParams(w io.Writer, ps []*Param) error {
-	states := make([]paramState, len(ps))
-	for i, p := range ps {
-		states[i] = paramState{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: p.W.Data}
-	}
-	return gob.NewEncoder(w).Encode(states)
-}
-
-// LoadParams restores weights saved by SaveParams into ps, matching by
-// position and validating name and shape.
-func LoadParams(r io.Reader, ps []*Param) error {
-	var states []paramState
-	if err := gob.NewDecoder(r).Decode(&states); err != nil {
-		return fmt.Errorf("nn: decode params: %w", err)
-	}
-	if len(states) != len(ps) {
-		return fmt.Errorf("nn: param count mismatch: saved %d, model has %d", len(states), len(ps))
-	}
-	for i, s := range states {
-		p := ps[i]
-		if s.Name != p.Name || s.Rows != p.W.Rows || s.Cols != p.W.Cols {
-			return fmt.Errorf("nn: param %d mismatch: saved %s %dx%d, model %s %dx%d",
-				i, s.Name, s.Rows, s.Cols, p.Name, p.W.Rows, p.W.Cols)
-		}
-		copy(p.W.Data, s.Data)
-	}
-	return nil
 }

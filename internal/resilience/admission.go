@@ -22,21 +22,18 @@ var ErrSaturated = errors.New("resilience: admission queue saturated")
 // exactly like ErrSaturated; the two errors differ only in *why*.
 var ErrQueueDelay = errors.New("resilience: queue delay above target")
 
-// Priority classifies admissions for the adaptive controller. While the
-// controller is in dropping mode (standing queue delay above target),
-// PriorityLow work is shed first and continuously, PriorityNormal work is
-// shed on the CoDel control-law schedule, and PriorityHigh work is only
-// ever shed by the hard capacity+queue limit. Callers that answer from a
-// cache before acquiring the gate have an implicit class above all three.
+// Priority classifies admissions for the adaptive controller into two
+// classes. While the controller is in dropping mode (standing queue delay
+// above target), PriorityLow work is shed first and continuously, and
+// PriorityNormal work is shed on the CoDel control-law schedule. Callers
+// that answer from a cache before acquiring the gate have an implicit
+// class above both.
 type Priority uint8
 
 const (
-	// PriorityHigh is for health probes and operator traffic: shed only
-	// when the gate is hard-saturated.
-	PriorityHigh Priority = iota
 	// PriorityNormal is interactive single-query work: shed on the CoDel
 	// control-law schedule while the controller is dropping.
-	PriorityNormal
+	PriorityNormal Priority = iota
 	// PriorityLow is batch/bulk work: the first class to shed, and shed
 	// continuously while the controller is dropping.
 	PriorityLow
@@ -46,8 +43,6 @@ const (
 // String names the class for logs and stats.
 func (p Priority) String() string {
 	switch p {
-	case PriorityHigh:
-		return "high"
 	case PriorityNormal:
 		return "normal"
 	case PriorityLow:
@@ -98,10 +93,10 @@ const (
 // acquisitions: when waiters keep sitting past the target delay for a full
 // interval, the gate flips into dropping mode and sheds new arrivals
 // (ErrQueueDelay) by priority class — low first, normal on the control-law
-// schedule, high never — instead of letting the queue run full and
-// converting overload into worst-case latency for everyone.
+// schedule — instead of letting the queue run full and converting overload
+// into worst-case latency for everyone.
 //
-// Acquire on the uncontended path is one channel send plus two atomic
+// AcquirePri on the uncontended path is one channel send plus two atomic
 // loads — no allocation, no lock. A nil *Gate admits everything.
 type Gate struct {
 	slots chan struct{} // buffered to capacity; a held slot is a buffered element
@@ -144,14 +139,8 @@ type Gate struct {
 	rng atomic.Uint64 // xorshift state for Retry-After jitter
 }
 
-// NewGate returns an adaptive gate admitting capacity concurrent holders
-// with a bounded wait queue of queueDepth behind them, using the default
-// CoDel target and interval.
-func NewGate(capacity, queueDepth int) *Gate {
-	return NewGateCfg(GateConfig{Capacity: capacity, QueueDepth: queueDepth})
-}
-
-// NewGateCfg is NewGate with explicit controller knobs.
+// NewGateCfg returns an adaptive gate admitting cfg.Capacity concurrent
+// holders with a bounded wait queue of cfg.QueueDepth behind them.
 func NewGateCfg(cfg GateConfig) *Gate {
 	if cfg.Capacity < 1 {
 		cfg.Capacity = 1
@@ -183,11 +172,6 @@ func (g *Gate) clock() time.Time {
 		return g.now()
 	}
 	return time.Now()
-}
-
-// Acquire admits the caller at PriorityNormal; see AcquirePri.
-func (g *Gate) Acquire(ctx context.Context) error {
-	return g.AcquirePri(ctx, PriorityNormal)
 }
 
 // AcquirePri admits the caller, waits for a slot in the bounded queue, or
@@ -286,7 +270,7 @@ func (g *Gate) observe(sojourn time.Duration) {
 // controllerSheds decides whether the adaptive controller sheds an arrival
 // of the given priority while every slot is busy.
 func (g *Gate) controllerSheds(pri Priority) bool {
-	if pri == PriorityHigh || !g.armed.Load() {
+	if !g.armed.Load() {
 		return false
 	}
 	g.mu.Lock()
@@ -328,7 +312,7 @@ func (g *Gate) resetLocked() {
 	g.armed.Store(false)
 }
 
-// Release returns a slot taken by a successful Acquire and feeds the
+// Release returns a slot taken by a successful AcquirePri and feeds the
 // drain-rate estimator behind Retry-After.
 func (g *Gate) Release() {
 	if g == nil {
@@ -339,7 +323,7 @@ func (g *Gate) Release() {
 	<-g.slots
 }
 
-// Saturated reports whether an Acquire right now would hard-shed: every
+// Saturated reports whether an AcquirePri right now would hard-shed: every
 // slot held and every queue position taken. A nil gate is never saturated.
 func (g *Gate) Saturated() bool {
 	if g == nil {
@@ -445,7 +429,6 @@ type GateStats struct {
 	Dropping       bool    // controller in dropping mode
 	LastSojournUS  int64   // most recent queued-acquire sojourn
 	ShedOverDelay  uint64  // sheds decided by the controller
-	ShedHigh       uint64  // hard-limit sheds of PriorityHigh
 	ShedNormal     uint64  // sheds of PriorityNormal
 	ShedLow        uint64  // sheds of PriorityLow
 	DrainPerSec    float64 // observed release rate
@@ -474,7 +457,6 @@ func (g *Gate) Stats() GateStats {
 		Dropping:       dropping,
 		LastSojournUS:  sojourn.Microseconds(),
 		ShedOverDelay:  g.overDly.Load(),
-		ShedHigh:       g.shedBy[PriorityHigh].Load(),
 		ShedNormal:     g.shedBy[PriorityNormal].Load(),
 		ShedLow:        g.shedBy[PriorityLow].Load(),
 		DrainPerSec:    rate,

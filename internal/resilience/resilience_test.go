@@ -13,15 +13,15 @@ import (
 // --- Gate ---------------------------------------------------------------
 
 func TestGateAdmitsUpToCapacity(t *testing.T) {
-	g := NewGate(2, 0)
+	g := NewGateCfg(GateConfig{Capacity: 2, QueueDepth: 0})
 	ctx := context.Background()
-	if err := g.Acquire(ctx); err != nil {
+	if err := g.AcquirePri(ctx, PriorityNormal); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Acquire(ctx); err != nil {
+	if err := g.AcquirePri(ctx, PriorityNormal); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Acquire(ctx); !errors.Is(err, ErrSaturated) {
+	if err := g.AcquirePri(ctx, PriorityNormal); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("third acquire with no queue: err=%v, want ErrSaturated", err)
 	}
 	st := g.Stats()
@@ -35,7 +35,7 @@ func TestGateAdmitsUpToCapacity(t *testing.T) {
 	if g.Saturated() {
 		t.Fatal("gate with a free slot reports saturated")
 	}
-	if err := g.Acquire(ctx); err != nil {
+	if err := g.AcquirePri(ctx, PriorityNormal); err != nil {
 		t.Fatal(err)
 	}
 	g.Release()
@@ -46,12 +46,12 @@ func TestGateAdmitsUpToCapacity(t *testing.T) {
 }
 
 func TestGateQueuedAcquireGetsFreedSlot(t *testing.T) {
-	g := NewGate(1, 1)
-	if err := g.Acquire(context.Background()); err != nil {
+	g := NewGateCfg(GateConfig{Capacity: 1, QueueDepth: 1})
+	if err := g.AcquirePri(context.Background(), PriorityNormal); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
-	go func() { got <- g.Acquire(context.Background()) }()
+	go func() { got <- g.AcquirePri(context.Background(), PriorityNormal) }()
 	// Wait until the second acquire is actually queued.
 	for i := 0; i < 1000 && g.Stats().Waiting == 0; i++ {
 		time.Sleep(time.Millisecond)
@@ -72,17 +72,17 @@ func TestGateQueuedAcquireGetsFreedSlot(t *testing.T) {
 }
 
 func TestGateQueueOverflowSheds(t *testing.T) {
-	g := NewGate(1, 1)
-	if err := g.Acquire(context.Background()); err != nil {
+	g := NewGateCfg(GateConfig{Capacity: 1, QueueDepth: 1})
+	if err := g.AcquirePri(context.Background(), PriorityNormal); err != nil {
 		t.Fatal(err)
 	}
 	queued := make(chan error, 1)
-	go func() { queued <- g.Acquire(context.Background()) }()
+	go func() { queued <- g.AcquirePri(context.Background(), PriorityNormal) }()
 	for i := 0; i < 1000 && g.Stats().Waiting == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	// Slot held, queue position held: the next caller is shed immediately.
-	if err := g.Acquire(context.Background()); !errors.Is(err, ErrSaturated) {
+	if err := g.AcquirePri(context.Background(), PriorityNormal); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("overflow acquire: err=%v, want ErrSaturated", err)
 	}
 	g.Release()
@@ -93,13 +93,13 @@ func TestGateQueueOverflowSheds(t *testing.T) {
 }
 
 func TestGateAcquireHonorsContextWhileQueued(t *testing.T) {
-	g := NewGate(1, 4)
-	if err := g.Acquire(context.Background()); err != nil {
+	g := NewGateCfg(GateConfig{Capacity: 1, QueueDepth: 4})
+	if err := g.AcquirePri(context.Background(), PriorityNormal); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := g.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if err := g.AcquirePri(ctx, PriorityNormal); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued acquire past deadline: err=%v", err)
 	}
 	if st := g.Stats(); st.Waiting != 0 || st.Shed != 1 {
@@ -109,7 +109,7 @@ func TestGateAcquireHonorsContextWhileQueued(t *testing.T) {
 }
 
 func TestGateConcurrentHammer(t *testing.T) {
-	g := NewGate(4, 4)
+	g := NewGateCfg(GateConfig{Capacity: 4, QueueDepth: 4})
 	var wg sync.WaitGroup
 	var admitted, shed sync.Map
 	for i := 0; i < 64; i++ {
@@ -118,7 +118,7 @@ func TestGateConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			defer cancel()
-			if err := g.Acquire(ctx); err != nil {
+			if err := g.AcquirePri(ctx, PriorityNormal); err != nil {
 				shed.Store(i, true)
 				return
 			}
@@ -138,7 +138,7 @@ func TestGateConcurrentHammer(t *testing.T) {
 
 func TestNilGateAdmitsEverything(t *testing.T) {
 	var g *Gate
-	if err := g.Acquire(context.Background()); err != nil {
+	if err := g.AcquirePri(context.Background(), PriorityNormal); err != nil {
 		t.Fatal(err)
 	}
 	g.Release()

@@ -12,51 +12,32 @@ import "sync/atomic"
 // the budget out quickly instead of doubling the offered load.
 //
 // The balance is fixed-point millitokens in one atomic, so Attempt and
-// Spend are lock-free and allocation-free. A nil *RetryBudget always
-// allows the retry (no budget configured).
+// Spend are lock-free and allocation-free.
 type RetryBudget struct {
-	deposit int64 // millitokens added per first attempt
-	max     int64 // millitoken cap
-	tokens  atomic.Int64
+	tokens atomic.Int64
 }
 
-// NewRetryBudget returns a budget that earns ratio tokens per first
-// attempt (e.g. 0.1 allows roughly one retry per ten requests) and holds
-// at most burst tokens. Non-positive arguments fall back to 0.1 and 10.
-// The bucket starts full so cold-start failures can still retry.
-func NewRetryBudget(ratio float64, burst float64) *RetryBudget {
-	if ratio <= 0 {
-		ratio = 0.1
-	}
-	if burst <= 0 {
-		burst = 10
-	}
-	b := &RetryBudget{
-		deposit: int64(ratio * 1000),
-		max:     int64(burst * 1000),
-	}
-	if b.deposit < 1 {
-		b.deposit = 1
-	}
-	if b.max < 1000 {
-		b.max = 1000
-	}
-	b.tokens.Store(b.max)
+// A first attempt earns a tenth of a token, which allows roughly one retry
+// per ten requests, and the balance holds at most ten tokens.
+const (
+	retryDeposit = 100    // millitokens added per first attempt
+	retryCap     = 10_000 // millitoken cap
+)
+
+// NewRetryBudget returns a budget that starts full, so cold-start failures
+// can still retry.
+func NewRetryBudget() *RetryBudget {
+	b := &RetryBudget{}
+	b.tokens.Store(retryCap)
 	return b
 }
 
 // Attempt records one first attempt, depositing its fraction of a retry
 // token up to the cap.
 func (b *RetryBudget) Attempt() {
-	if b == nil {
-		return
-	}
 	for {
 		cur := b.tokens.Load()
-		next := cur + b.deposit
-		if next > b.max {
-			next = b.max
-		}
+		next := min(cur+retryDeposit, retryCap)
 		if next == cur || b.tokens.CompareAndSwap(cur, next) {
 			return
 		}
@@ -66,9 +47,6 @@ func (b *RetryBudget) Attempt() {
 // Spend withdraws one retry token; it reports false — and withdraws
 // nothing — when the budget is exhausted and the retry must be dropped.
 func (b *RetryBudget) Spend() bool {
-	if b == nil {
-		return true
-	}
 	for {
 		cur := b.tokens.Load()
 		if cur < 1000 {
@@ -78,12 +56,4 @@ func (b *RetryBudget) Spend() bool {
 			return true
 		}
 	}
-}
-
-// Balance reports the current whole-token balance (for stats/tests).
-func (b *RetryBudget) Balance() float64 {
-	if b == nil {
-		return 0
-	}
-	return float64(b.tokens.Load()) / 1000
 }

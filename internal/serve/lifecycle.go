@@ -49,11 +49,6 @@ type serveConfig struct {
 	targetDelay  time.Duration
 	shedInterval time.Duration
 
-	// minBudget is how much of the deadline must remain after admission to
-	// bother dispatching; with less, the request is refused (degraded
-	// cache-hits-only mode) rather than computed for nobody.
-	minBudget time.Duration
-
 	// Reload hardening: retries failed reloads per refresh trigger with
 	// backoffBase..backoffMax jittered exponential delays; breakerThreshold
 	// consecutive failures open the breaker for breakerCooldown and roll
@@ -83,6 +78,11 @@ type serveConfig struct {
 	pprofAddr string
 }
 
+// minBudget is how much of the deadline must remain after admission to
+// bother dispatching; with less, the request is refused (degraded
+// cache-hits-only mode) rather than computed for nobody.
+const minBudget = time.Millisecond
+
 // defaultDrainTimeout bounds how long shutdown waits for in-flight
 // requests; it deliberately exceeds the default batch deadline so a drain
 // never has to abandon an admitted batch.
@@ -98,7 +98,6 @@ func defaultServeConfig() serveConfig {
 		queueDepth:       16 * nproc,
 		targetDelay:      resilience.DefaultTarget,
 		shedInterval:     resilience.DefaultInterval,
-		minBudget:        time.Millisecond,
 		retries:          3,
 		backoffBase:      200 * time.Millisecond,
 		backoffMax:       5 * time.Second,
@@ -157,7 +156,7 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, deadline time.Dur
 		s.gate.Release()
 		cancel()
 	}
-	if !resilience.Budget(ctx, s.cfg.minBudget) {
+	if !resilience.Budget(ctx, minBudget) {
 		s.degraded.Inc()
 		release()
 		s.shed(w, shedDegraded)

@@ -191,9 +191,6 @@ func (m *serveMetrics) registerGateCollectors(s *server) {
 		func() uint64 { return gs().Admitted })
 	m.reg.NewCounterFunc("cocoserve_gate_shed_total",
 		"Requests shed at the gate by priority class.",
-		func() uint64 { return gs().ShedHigh }, "priority", "high")
-	m.reg.NewCounterFunc("cocoserve_gate_shed_total",
-		"Requests shed at the gate by priority class.",
 		func() uint64 { return gs().ShedNormal }, "priority", "normal")
 	m.reg.NewCounterFunc("cocoserve_gate_shed_total",
 		"Requests shed at the gate by priority class.",

@@ -8,24 +8,17 @@ import (
 )
 
 // Segmenter performs maximum-matching segmentation of a token stream against
-// a lexicon of known (possibly multi-token) phrases. The paper uses exactly
-// this dynamic program to distantly label training sentences with existing
-// primitive concepts (Section 7.2): segments that match the lexicon receive
-// the concept's domain label, everything else is O, and sentences whose
-// matching is ambiguous are discarded. The program itself is SegmentFunc,
-// which the search engine also runs over its own lexicon at serving time;
-// a Segmenter adds the labels and runs it on pooled scratch
+// a lexicon of known (possibly multi-token) phrases, each carrying the
+// labels (concept domains) it was registered under. The program itself is
+// SegmentFunc, which the search engine also runs over its own lexicon at
+// serving time; a Segmenter adds the labels and runs it on pooled scratch
 // (SegmentInto), so it does not allocate per call either.
 type Segmenter struct {
 	// phrases maps the space-joined phrase to the set of labels it can
-	// carry (a surface form may belong to several domains, which is what
-	// makes a sentence ambiguous).
+	// carry (a surface form may belong to several domains).
 	phrases map[string][]string
-	// stopwords are function/template words allowed to stay unlabeled (O)
-	// in a perfectly matched sentence.
-	stopwords map[string]bool
-	maxLen    int
-	pool      sync.Pool // *MatchScratch
+	maxLen  int
+	pool    sync.Pool // *MatchScratch
 }
 
 // MatchScratch is the working memory of one SegmentFunc call: the DP table
@@ -47,17 +40,9 @@ type segState struct {
 
 // NewSegmenter returns an empty segmenter.
 func NewSegmenter() *Segmenter {
-	s := &Segmenter{phrases: make(map[string][]string), stopwords: make(map[string]bool)}
+	s := &Segmenter{phrases: make(map[string][]string)}
 	s.pool.New = func() any { return &MatchScratch{} }
 	return s
-}
-
-// AddStopwords registers function words that may remain unlabeled in a
-// perfectly matched sentence.
-func (s *Segmenter) AddStopwords(words ...string) {
-	for _, w := range words {
-		s.stopwords[w] = true
-	}
 }
 
 // AddPhrase registers a phrase (already tokenized, space-joined internally)
@@ -218,33 +203,4 @@ func appendJoin[T string | []byte](dst []byte, tokens []T) []byte {
 		dst = append(dst, tok...)
 	}
 	return dst
-}
-
-// DistantLabel converts a max-match segmentation into IOB tags. Following
-// Section 7.2, only perfectly matched sentences qualify: every token is
-// covered by exactly one concept label or is a registered stopword (tagged
-// O). Sentences with ambiguous matches (a segment carrying two labels) or
-// with unknown words are rejected.
-func (s *Segmenter) DistantLabel(tokens []string) ([]string, bool) {
-	segs := s.MaxMatch(tokens)
-	anyMatch := false
-	var spans []Span
-	for _, seg := range segs {
-		switch len(seg.Labels) {
-		case 0:
-			if seg.End-seg.Start == 1 && s.stopwords[tokens[seg.Start]] {
-				continue // function word, stays O
-			}
-			return nil, false // unknown word: not a perfect match
-		case 1:
-			anyMatch = true
-			spans = append(spans, Span{Start: seg.Start, End: seg.End, Label: seg.Labels[0]})
-		default:
-			return nil, false // ambiguous
-		}
-	}
-	if !anyMatch {
-		return nil, false
-	}
-	return EncodeIOB(len(tokens), spans), true
 }

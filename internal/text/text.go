@@ -1,6 +1,6 @@
 // Package text provides the text-processing substrate for the AliCoCo
 // reproduction: tokenization, vocabularies, IOB span encoding, the
-// max-matching segmenter used for distant supervision (Section 7.2), an
+// max-matching segmenter that search and the concept matcher run, an
 // interpolated n-gram language model standing in for the paper's BERT
 // perplexity feature (Section 5.2.2), and a lexicon-driven part-of-speech
 // tagger standing in for the Stanford tagger (Section 5.3).

@@ -231,50 +231,6 @@ func TestSegmenterEmptyInput(t *testing.T) {
 	}
 }
 
-func TestDistantLabelPerfectMatch(t *testing.T) {
-	s := NewSegmenter()
-	s.AddPhrase([]string{"warm", "hat"}, "Category")
-	s.AddPhrase([]string{"traveling"}, "Event")
-	s.AddStopwords("for")
-	tags, ok := s.DistantLabel([]string{"warm", "hat", "for", "traveling"})
-	if !ok {
-		t.Fatal("expected a perfect match")
-	}
-	want := []string{"B-Category", "I-Category", "O", "B-Event"}
-	if !reflect.DeepEqual(tags, want) {
-		t.Fatalf("DistantLabel: got %v", tags)
-	}
-}
-
-func TestDistantLabelRejectsUnknownWord(t *testing.T) {
-	s := NewSegmenter()
-	s.AddPhrase([]string{"hat"}, "Category")
-	if _, ok := s.DistantLabel([]string{"zzz", "hat"}); ok {
-		t.Fatal("sentence with unknown non-stopword must be rejected")
-	}
-	s.AddStopwords("zzz")
-	if _, ok := s.DistantLabel([]string{"zzz", "hat"}); !ok {
-		t.Fatal("stopword should be tolerated as O")
-	}
-}
-
-func TestDistantLabelRejectsAmbiguity(t *testing.T) {
-	s := NewSegmenter()
-	s.AddPhrase([]string{"village"}, "Location")
-	s.AddPhrase([]string{"village"}, "Style")
-	if _, ok := s.DistantLabel([]string{"village", "skirt"}); ok {
-		t.Fatal("ambiguous sentence must be rejected")
-	}
-}
-
-func TestDistantLabelRejectsNoMatch(t *testing.T) {
-	s := NewSegmenter()
-	s.AddPhrase([]string{"hat"}, "Category")
-	if _, ok := s.DistantLabel([]string{"zzz", "qqq"}); ok {
-		t.Fatal("sentence without matches must be rejected")
-	}
-}
-
 func TestSegmenterDuplicateLabelIgnored(t *testing.T) {
 	s := NewSegmenter()
 	s.AddPhrase([]string{"hat"}, "Category")

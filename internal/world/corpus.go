@@ -87,8 +87,8 @@ var templateWords = []string{
 }
 
 // Stopwords returns every non-concept word the corpora and frame phrases can
-// contain — the function-word whitelist for perfect-match distant labeling
-// (Section 7.2).
+// contain — the function words a query may carry and still count as
+// covered by the net (Section 7.1).
 func (w *World) Stopwords() []string {
 	seen := make(map[string]bool)
 	var out []string
