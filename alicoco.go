@@ -98,8 +98,8 @@ func Build(opts Options) (*CoCo, error) { return BuildSharded(opts, 1) }
 // and reloaded independently. Every subsequent refreeze
 // (InferImplicitRelations) maintains the same partition. shards <= 1 serves one shard,
 // through the same ShardSet read path as many. The net is frozen into the
-// requested partition once and published once, and the build's corpus is
-// dropped (see Internal).
+// requested partition once and published once. The build keeps no corpus
+// (pipeline.BuildNet; see Internal).
 func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	popts := pipeline.DefaultOptions()
 	popts.World.Seed = opts.Seed
@@ -108,13 +108,12 @@ func BuildSharded(opts Options, shards int) (*CoCo, error) {
 	popts.Queries = opts.CorpusSentences
 	popts.Reviews = opts.CorpusSentences
 	popts.Guides = opts.CorpusSentences
-	arts, err := pipeline.Build(popts)
+	// Serving never reads the corpus once the net is built; only
+	// Artifacts.TrainModels does, and the facade trains no model.
+	arts, err := pipeline.BuildNet(popts)
 	if err != nil {
 		return nil, err
 	}
-	// Serving never reads the corpus once the net is built; only
-	// Artifacts.TrainModels does, and the facade trains no model.
-	arts.Corpus = nil
 	c := &CoCo{Core: serving.New(), arts: arts, shardCount: max(shards, 1)}
 	return c, c.refreeze("build")
 }

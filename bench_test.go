@@ -523,6 +523,37 @@ func BenchmarkColdStartFrozen(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSharded measures the facade build every store publisher
+// and the bench harness's set-up run: BuildSharded(Default(), 4), which
+// builds the live net and freezes it into four shards.
+func BenchmarkBuildSharded(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildSharded(Default(), 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSaveShards measures the commit that follows that build in
+// set-up: SaveShards(dir, 4) of the partition the build froze, so no
+// refreeze, into one store whose retention drops the oldest generation
+// once it is full.
+func BenchmarkSaveShards(b *testing.B) {
+	c, err := BuildSharded(Default(), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.SaveShards(dir, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFrozenSearchEngine measures an end-to-end query through the
 // search engine on the one-shard freeze.
 func BenchmarkFrozenSearchEngine(b *testing.B) {

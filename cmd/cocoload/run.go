@@ -203,7 +203,7 @@ func run(cfg config) (*loadgen.Report, error) {
 	// telemetry that goes wrong under reload churn is worse than none.
 	var scraper *loadgen.Scraper
 	if cfg.inprocess {
-		scraper = &loadgen.Scraper{BaseURL: baseURL, Family: serve.MetricsHistogramName}
+		scraper = &loadgen.Scraper{BaseURL: baseURL}
 	}
 	phaseIdx := 0
 	newOpts := func(mix *loadgen.Mix) loadgen.Options {

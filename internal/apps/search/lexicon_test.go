@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -24,7 +25,7 @@ func referenceSegmenter(net *core.ShardSet, cpv bool) *text.Segmenter {
 		for _, id := range net.NodesOfKind(kind) {
 			nd, _ := net.Node(id)
 			if !cpv || cpvDomain(nd.Domain) {
-				s.AddPhrase(strings.Fields(nd.Name), kind.String())
+				s.AddPhrase(strings.Fields(nd.Name))
 			}
 		}
 	}
@@ -67,11 +68,7 @@ func checkSegmentsLikeSegmenter(t *testing.T, ctx string, e *Engine, ref *text.S
 		got = text.SegmentFunc(&sc, got[:0], tokens, e.maxLen, e.hasPhrase)
 		gotBytes = text.SegmentFunc(&sc, gotBytes[:0], bytesTokens, e.maxLen, e.hasPhrase)
 		for _, segs := range [][]text.Segment{got, gotBytes} {
-			same := len(segs) == len(want)
-			for i := 0; same && i < len(segs); i++ {
-				same = segs[i].Start == want[i].Start && segs[i].End == want[i].End && segs[i].Match == (len(want[i].Labels) > 0)
-			}
-			if !same {
+			if !slices.Equal(segs, want) {
 				t.Fatalf("%s: %q segments as %+v, the reference segmenter as %+v", ctx, tokens, segs, want)
 			}
 		}

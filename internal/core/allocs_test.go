@@ -1,33 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"alicoco/internal/raceflag"
 )
-
-// TestNetFindByNameSharedViewStable pins the contract that lets the locked
-// store hand out its index slice without copying: ids already visible
-// through a returned view never change, even as AddNode keeps growing the
-// same name's entry.
-func TestNetFindByNameSharedViewStable(t *testing.T) {
-	n := NewNet()
-	first := n.AddNode(KindPrimitive, "shared", "D0")
-	view := n.FindByName("shared")
-	if len(view) != 1 || view[0] != first {
-		t.Fatalf("initial view %v", view)
-	}
-	for i := 0; i < 64; i++ {
-		n.AddNode(KindPrimitive, "shared", fmt.Sprintf("D%d", i+1))
-		if view[0] != first {
-			t.Fatalf("view mutated after %d appends", i+1)
-		}
-	}
-	if got := len(n.FindByName("shared")); got != 65 {
-		t.Fatalf("index has %d entries, want 65", got)
-	}
-}
 
 // --- zero-allocation guards --------------------------------------------
 //
@@ -67,11 +44,4 @@ func TestFrozenReadsZeroAllocs(t *testing.T) {
 	zeroAllocs(t, "Freeze().FirstByNameKindBytes", func() { f.FirstByNameKindBytes(name, KindEConcept) })
 	zeroAllocs(t, "Freeze().NodesOfKind", func() { f.NodesOfKind(KindItem) })
 	zeroAllocs(t, "Freeze().IsAncestor", func() { f.IsAncestor(item, ec) })
-}
-
-// TestNetFindByNameZeroAllocs covers the locked store's share of the hot
-// path: the shared read-only view removed its per-call copy.
-func TestNetFindByNameZeroAllocs(t *testing.T) {
-	n := buildRandomNet(t, 5)
-	zeroAllocs(t, "Net.FindByName", func() { n.FindByName("prim0") })
 }

@@ -81,6 +81,27 @@ func TestEdgeValidation(t *testing.T) {
 	if err := n.AddEdge(prim, class, EdgeInstanceOf, "", 1); err != nil {
 		t.Fatalf("valid instanceOf rejected: %v", err)
 	}
+	for _, kind := range []EdgeKind{-1, numEdgeKinds} {
+		if err := n.AddEdge(prim, class, kind, "", 1); err == nil {
+			t.Fatalf("edge kind %d must be rejected", kind)
+		}
+	}
+}
+
+// TestGrowKeepsNodes: Grow only reserves room. Nodes added before and
+// after it resolve by name, and a duplicate still returns the first node.
+func TestGrowKeepsNodes(t *testing.T) {
+	n := NewNet()
+	n.Grow(1)
+	a := n.AddNode(KindPrimitive, "a", "Color")
+	n.Grow(100)
+	b := n.AddNode(KindPrimitive, "b", "Color")
+	if n.NumNodes() != 2 || n.FirstByNameKind("a", KindPrimitive) != a || n.FirstByNameKind("b", KindPrimitive) != b {
+		t.Fatalf("after Grow: %d nodes, a=%d, b=%d", n.NumNodes(), n.FirstByNameKind("a", KindPrimitive), n.FirstByNameKind("b", KindPrimitive))
+	}
+	if dup := n.AddNode(KindPrimitive, "a", "Color"); dup != a {
+		t.Fatalf("duplicate AddNode after Grow = %d, want %d", dup, a)
+	}
 }
 
 func TestDuplicateEdgeUpdatesWeight(t *testing.T) {
@@ -103,21 +124,6 @@ func TestDuplicateEdgeUpdatesWeight(t *testing.T) {
 	in := n.In(b, EdgeIsA)
 	if len(in) != 1 || in[0].Weight() != 0.8 {
 		t.Fatalf("incoming weight not updated: %+v", in)
-	}
-}
-
-func TestFindByName(t *testing.T) {
-	n, ids := buildToyNet(t)
-	found := n.FindByName("dress")
-	if len(found) != 2 { // class + primitive share the surface
-		t.Fatalf("dress should resolve to 2 nodes, got %d", len(found))
-	}
-	prim := n.FirstByNameKind("dress", KindPrimitive)
-	if prim != ids["pDress"] {
-		t.Fatal("FirstByNameKind wrong")
-	}
-	if n.FirstByNameKind("nope", KindItem) != InvalidNode {
-		t.Fatal("missing name should be InvalidNode")
 	}
 }
 
@@ -261,7 +267,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				n.Descendants(root, 0)
 				n.ComputeStats()
-				n.FindByName("root")
+				n.FirstByNameKind("root", KindClass)
 			}
 		}()
 	}

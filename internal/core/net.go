@@ -11,6 +11,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,8 +82,8 @@ func (k EdgeKind) String() string {
 	}
 }
 
-// edgeRule describes the layer pairs an edge kind may connect.
-var edgeRules = map[EdgeKind][][2]NodeKind{
+// edgeRules lists, per edge kind, the layer pairs it may connect.
+var edgeRules = [numEdgeKinds][][2]NodeKind{
 	EdgeIsA:           {{KindClass, KindClass}, {KindPrimitive, KindPrimitive}, {KindEConcept, KindEConcept}},
 	EdgeInstanceOf:    {{KindPrimitive, KindClass}},
 	EdgeInterpretedBy: {{KindEConcept, KindPrimitive}},
@@ -152,6 +154,20 @@ func NewNet() *Net {
 	return &Net{byName: make(map[string][]NodeID), version: netVersion{net: netIDs.Add(1)}}
 }
 
+// Grow reserves room for count more nodes: node slots, their adjacency
+// list headers and name index entries, so a build that knows its size up
+// front adds its nodes without regrowing them.
+func (n *Net) Grow(count int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.nodes = slices.Grow(n.nodes, count)
+	n.outAdj = slices.Grow(n.outAdj, count)
+	n.inAdj = slices.Grow(n.inAdj, count)
+	byName := make(map[string][]NodeID, len(n.byName)+count)
+	maps.Copy(byName, n.byName)
+	n.byName = byName
+}
+
 // AddNode inserts a node and returns its ID. Duplicate (kind, name, domain)
 // triples return the existing node, making loads idempotent.
 func (n *Net) AddNode(kind NodeKind, name, domain string) NodeID {
@@ -183,28 +199,22 @@ func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64
 		return fmt.Errorf("core: AddEdge with invalid node id %d -> %d", from, to)
 	}
 	fk, tk := n.nodes[from].Kind, n.nodes[to].Kind
-	allowed := false
-	for _, rule := range edgeRules[kind] {
-		if rule[0] == fk && rule[1] == tk {
-			allowed = true
-			break
-		}
-	}
-	if !allowed {
+	if kind < 0 || kind >= numEdgeKinds || !slices.Contains(edgeRules[kind], [2]NodeKind{fk, tk}) {
 		return fmt.Errorf("core: edge %s not allowed from %s to %s", kind, fk, tk)
 	}
 	label, err := internLabel(rel, weight)
 	if err != nil {
 		return fmt.Errorf("core: AddEdge %q: %w", rel, err)
 	}
+	table := labelTable()
 	for i, he := range n.outAdj[from] {
-		if he.Peer == to && he.Kind == kind && he.Rel() == rel {
+		if he.Peer == to && he.Kind == kind && table[he.Label].rel == rel {
 			if he.Label != label {
 				n.version.mutations++
 			}
 			n.outAdj[from][i].Label = label
 			for j, ie := range n.inAdj[to] {
-				if ie.Peer == from && ie.Kind == kind && ie.Rel() == rel {
+				if ie.Peer == from && ie.Kind == kind && table[ie.Label].rel == rel {
 					n.inAdj[to][j].Label = label
 				}
 			}

@@ -100,8 +100,10 @@ func TestNodeTableSharedAndStraddlingNames(t *testing.T) {
 		n.AddNode(nd.kind, fmt.Sprintf("other%d", i), nd.domain)
 		shared = append(shared, n.AddNode(nd.kind, "shared", nd.domain))
 	}
-	if got := n.FindByName("shared"); !idsEqual(got, shared) {
-		t.Fatalf("live FindByName = %v, want %v", got, shared)
+	for kind, want := range map[NodeKind]NodeID{KindClass: shared[0], KindPrimitive: shared[1], KindEConcept: shared[3], KindItem: shared[4]} {
+		if got := n.FirstByNameKind("shared", kind); got != want {
+			t.Fatalf("live FirstByNameKind(shared, %v) = %d, want %d", kind, got, want)
+		}
 	}
 	views := frozenViews(t, n)
 	checkNameReads(t, "shared", n, views)

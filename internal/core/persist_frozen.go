@@ -75,19 +75,22 @@ var frozenMagic = [4]byte{'A', 'C', 'F', 'Z'}
 // equal bytes.
 type fileLabels struct {
 	keys []labelKey
-	idx  map[Label]uint16
+	// idx maps a process Label to 1 + its file index; 0 marks a label no
+	// edge of the snapshot carries.
+	idx []uint32
 }
 
 func buildFileLabels(csrs ...*csr) (*fileLabels, error) {
+	// Every edge's label was interned before this load of the table.
 	table := labelTable()
-	t := &fileLabels{idx: make(map[Label]uint16)}
+	t := &fileLabels{idx: make([]uint32, len(table))}
 	for _, c := range csrs {
 		for i := range c.edges {
 			l := c.edges[i].Label
-			if _, ok := t.idx[l]; !ok {
+			if t.idx[l] == 0 {
 				// At most maxLabels labels exist, so the index fits.
-				t.idx[l] = uint16(len(t.keys))
 				t.keys = append(t.keys, table[l])
+				t.idx[l] = uint32(len(t.keys))
 			}
 		}
 	}
@@ -113,7 +116,7 @@ func writeCSR(fw *fzio.Writer, c *csr, table *fileLabels) {
 		he := &c.edges[i]
 		rec := recBuf[frozenEdgeRecSize*i:]
 		fzio.PutU32(rec, uint32(he.Peer))
-		l := table.idx[he.Label]
+		l := table.idx[he.Label] - 1
 		rec[4], rec[5], rec[6], rec[7] = byte(he.Kind), 0, byte(l), byte(l>>8)
 	}
 	fw.Bytes(recBuf)

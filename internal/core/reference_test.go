@@ -6,19 +6,6 @@ package core
 // and fuzz tests compare every ShardSet query with the method of the same
 // name on the Net it was frozen from.
 
-// FindByName returns all nodes with the given surface form — several when
-// the form is ambiguous (same name, different domains or layers), which is
-// how the net disambiguates raw text (Section 4.1). It returns a shared
-// read-only view rather than a copy: the ids recorded for a name are
-// append-only (AddNode never reorders or rewrites them), so elements
-// visible through the returned header never change even if a concurrent
-// AddNode grows the index.
-func (n *Net) FindByName(name string) []NodeID {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.byName[name]
-}
-
 // FirstByNameKindBytes is FirstByNameKind keyed by a byte buffer; the map
 // lookup converts the key without allocating.
 func (n *Net) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {

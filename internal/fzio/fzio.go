@@ -42,6 +42,7 @@ type Writer struct {
 	W   io.Writer
 	Err error
 	b   [8]byte
+	str []byte // Str's copy of its string, reused across calls
 }
 
 func (fw *Writer) Bytes(p []byte) {
@@ -74,7 +75,8 @@ func (fw *Writer) U64(v uint64) {
 
 func (fw *Writer) Str(s string) {
 	fw.U32(uint32(len(s)))
-	fw.Bytes([]byte(s))
+	fw.str = append(fw.str[:0], s...)
+	fw.Bytes(fw.str)
 }
 
 // Reader is a sticky-error little-endian reader: once a read fails, or a

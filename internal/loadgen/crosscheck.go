@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"alicoco/internal/obs"
+	"alicoco/internal/serve"
 )
 
 // CrossCheckEndpoints are the endpoint label values of the serving
@@ -21,12 +22,10 @@ import (
 // POST /search/batch, GET /recommend).
 var CrossCheckEndpoints = []string{"search", "search_batch", "recommend"}
 
-// Scraper snapshots a server's latency telemetry via /metrics.
+// Scraper snapshots a server's latency telemetry via /metrics: the
+// serve.MetricsHistogramName family.
 type Scraper struct {
 	BaseURL string
-	// Family is the histogram family name to reconstruct
-	// (serve.MetricsHistogramName for the production server).
-	Family string
 }
 
 // Scrape fetches and strictly parses /metrics, returning the merged
@@ -52,7 +51,7 @@ func (s *Scraper) Scrape() (obs.HistSnapshot, error) {
 		return merged, fmt.Errorf("/metrics failed strict parse: %w", err)
 	}
 	for _, ep := range CrossCheckEndpoints {
-		snap, err := p.HistogramSnapshot(s.Family, "endpoint", ep)
+		snap, err := p.HistogramSnapshot(serve.MetricsHistogramName, "endpoint", ep)
 		if err != nil {
 			return merged, fmt.Errorf("endpoint %s: %w", ep, err)
 		}

@@ -180,12 +180,12 @@ func (b BM25Squashed) Score(concept, title []string) float64 {
 func KnowledgeFn(w *world.World, glossary *emb.Glossary) func([]string) []mat.Vec {
 	seg := text.NewSegmenter()
 	for _, p := range w.Primitives {
-		seg.AddPhrase(p.Tokens, "x")
+		seg.AddPhrase(p.Tokens)
 	}
 	return func(concept []string) []mat.Vec {
 		var out []mat.Vec
 		for _, s := range seg.MaxMatch(concept) {
-			if len(s.Labels) == 0 {
+			if !s.Match {
 				continue
 			}
 			surface := joinRange(concept, s.Start, s.End)

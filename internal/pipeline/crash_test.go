@@ -185,6 +185,24 @@ func runCrashMatrix(t *testing.T, shardsA, shardsB int) {
 	}
 }
 
+// TestSaveSyncsGenDirOnce: a save fsyncs its generation's directory once,
+// in the commit, before the rename that names the generation; the files
+// written into it do not each fsync it again.
+func TestSaveSyncsGenDirOnce(t *testing.T) {
+	a := buildTiny(t)
+	root := t.TempDir()
+	restore := faultfs.InjectCrash(faultfs.CrashPoint{Op: faultfs.OpSyncDir, PathContains: ".gen-tmp-", After: math.MaxUint64})
+	_, _, err := a.SaveShardsRetain(root, 4, 0)
+	syncs := faultfs.CrashOps()
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 1 {
+		t.Fatalf("a save fsynced its generation directory %d times, want 1", syncs)
+	}
+}
+
 // TestSaveCrashRenameFailure: a save whose generation-directory rename (the
 // step just before the catalog commit) fails leaves the store exactly as it
 // was — the sweep clears the transaction dir and generation A still loads.

@@ -71,14 +71,15 @@ func TinyOptions() Options {
 type Artifacts struct {
 	Opts  Options
 	World *world.World
-	// Corpus is the text Build generated: it feeds Hearst-pattern
-	// mining during the build and the models TrainModels fits. Nothing in
-	// serving reads it, so the alicoco facade drops it after the build.
+	// Corpus is the text Build generated: its guides feed Hearst-pattern
+	// mining during the build, and all of it feeds the models TrainModels
+	// fits. Nothing in serving reads it, so BuildNet, which the alicoco
+	// facade calls, leaves it nil.
 	Corpus *world.Corpus
 	Net    *core.Net
 
 	// Shards is the frozen partition of Net that the alicoco facade
-	// published last; Build leaves it nil. SaveShardsRetain writes them
+	// published last; the build leaves it nil. SaveShardsRetain writes them
 	// without refreezing while they still hold the live net's current
 	// state.
 	Shards []*core.FrozenNet
@@ -98,27 +99,45 @@ type Artifacts struct {
 	Serving *snapstore.ServingMeta
 }
 
-// Build runs the full construction of the live net. It freezes nothing:
-// callers freeze the partition they serve themselves (Net.Freeze for one
-// shard, Net.FreezeShards for several).
-func Build(opts Options) (*Artifacts, error) {
+// Build runs the full construction of the live net and keeps the corpus
+// it generated, which TrainModels needs. It freezes nothing: callers
+// freeze the partition they serve themselves (Net.Freeze for one shard,
+// Net.FreezeShards for several).
+func Build(opts Options) (*Artifacts, error) { return build(opts, true) }
+
+// BuildNet builds the same net as Build, but generates only the guides of
+// the corpus, the one source the net is mined from, and leaves Corpus nil.
+// It makes every random draw Build makes (world.GenGuides), so the net and
+// everything later drawn from the world are Build's. A build that only
+// serves its net (the alicoco facade) calls it.
+func BuildNet(opts Options) (*Artifacts, error) { return build(opts, false) }
+
+func build(opts Options, keepCorpus bool) (*Artifacts, error) {
+	w := world.New(opts.World)
 	a := &Artifacts{
 		Opts:      opts,
-		PrimNode:  make(map[int]core.NodeID),
-		FrameNode: make(map[int]core.NodeID),
-		ItemNode:  make(map[int]core.NodeID),
-		DomainCls: make(map[world.Domain]core.NodeID),
+		World:     w,
+		PrimNode:  make(map[int]core.NodeID, len(w.Primitives)),
+		FrameNode: make(map[int]core.NodeID, len(w.Frames)),
+		ItemNode:  make(map[int]core.NodeID, len(w.Items)),
+		DomainCls: make(map[world.Domain]core.NodeID, len(world.Domains)),
 	}
-	a.World = world.New(opts.World)
-	// The corpus feeds Hearst-pattern mining (Corpus.Guides) and the
-	// models TrainModels fits.
-	a.Corpus = a.World.GenCorpus(opts.Queries, opts.Reviews, opts.Guides)
+	// Hearst-pattern mining reads the guides; TrainModels reads the whole
+	// corpus.
+	var guides [][]string
+	if keepCorpus {
+		a.Corpus = w.GenCorpus(opts.Queries, opts.Reviews, opts.Guides)
+		guides = a.Corpus.Guides
+	} else {
+		guides = w.GenGuides(opts.Queries, opts.Reviews, opts.Guides)
+	}
 
 	a.Net = core.NewNet()
+	a.Net.Grow(a.nodeBound())
 	if err := a.buildTaxonomy(); err != nil {
 		return nil, fmt.Errorf("pipeline: taxonomy: %w", err)
 	}
-	if err := a.buildPrimitives(); err != nil {
+	if err := a.buildPrimitives(guides); err != nil {
 		return nil, fmt.Errorf("pipeline: primitives: %w", err)
 	}
 	if err := a.buildEConcepts(); err != nil {
@@ -129,6 +148,20 @@ func Build(opts Options) (*Artifacts, error) {
 	}
 	a.Serving = a.buildServingMeta()
 	return a, nil
+}
+
+// nodeBound is an upper bound on the nodes the build adds: the root, one
+// class per domain, one per step of every category class path, and one
+// node per primitive, frame and item.
+func (a *Artifacts) nodeBound() int {
+	w := a.World
+	n := 1 + len(world.Domains) + len(w.Primitives) + len(w.Frames) + len(w.Items)
+	for _, p := range w.Primitives {
+		if p.Domain == world.Category {
+			n += len(p.ClassPath)
+		}
+	}
+	return n
 }
 
 // Models is the embedding and language substrate the paper's Sections 4-6
@@ -145,7 +178,7 @@ type Models struct {
 // TrainModels fits the Models from the build's world and corpus under
 // Opts.W2V. Each call trains afresh; with Opts.W2V.Workers <= 1 two calls
 // return bit-identical models. Snapshot-loaded artifacts carry no world or
-// corpus, and the alicoco facade drops the corpus after its build, so
+// corpus, and BuildNet (the alicoco facade's build) keeps no corpus, so
 // TrainModels reports an error for both; use Build.
 func (a *Artifacts) TrainModels() (*Models, error) {
 	if a.World == nil || a.Corpus == nil {
@@ -262,7 +295,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // planted isA edges (the "existing knowledge" import of Section 7.2), and
 // the isA edges Hearst patterns mine from the guides corpus (Section
 // 4.2.1).
-func (a *Artifacts) buildPrimitives() error {
+func (a *Artifacts) buildPrimitives(guides [][]string) error {
 	for _, p := range a.World.Primitives {
 		node := a.Net.AddNode(core.KindPrimitive, p.Name(), string(p.Domain))
 		a.PrimNode[p.ID] = node
@@ -283,7 +316,7 @@ func (a *Artifacts) buildPrimitives() error {
 			return err
 		}
 	}
-	for _, pp := range hypernym.MinePatterns(a.Corpus.Guides) {
+	for _, pp := range hypernym.MinePatterns(guides) {
 		hypo := a.Net.FirstByNameKind(pp.Hypo, core.KindPrimitive)
 		hyper := a.Net.FirstByNameKind(pp.Hyper, core.KindPrimitive)
 		if hypo == core.InvalidNode || hyper == core.InvalidNode || hypo == hyper {
@@ -365,12 +398,14 @@ func (a *Artifacts) buildItems() error {
 
 // buildServingMeta derives the serving metadata from the built world.
 func (a *Artifacts) buildServingMeta() *snapstore.ServingMeta {
-	m := &snapstore.ServingMeta{Stopwords: a.World.Stopwords()}
+	m := &snapstore.ServingMeta{Stopwords: a.World.Stopwords(), Items: make([]snapstore.ItemMeta, 0, len(a.World.Items))}
 	for _, it := range a.World.Items {
+		node := a.ItemNode[it.ID]
+		nd, _ := a.Net.Node(node) // an item node's name is its title
 		m.Items = append(m.Items, snapstore.ItemMeta{
 			WorldID:  it.ID,
-			Node:     a.ItemNode[it.ID],
-			Title:    strings.Join(it.Title, " "),
+			Node:     node,
+			Title:    nd.Name,
 			Category: a.World.Prim(it.Leaf).Name(),
 		})
 	}

@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
 
 	"alicoco/internal/core"
 	"alicoco/internal/mat"
+	"alicoco/internal/raceflag"
 	"alicoco/internal/world"
 )
 
@@ -153,6 +155,53 @@ func TestBuildDeterministic(t *testing.T) {
 	a2 := buildTiny(t)
 	if a1.Net.NumNodes() != a2.Net.NumNodes() || a1.Net.NumEdges() != a2.Net.NumEdges() {
 		t.Fatal("build not deterministic")
+	}
+}
+
+// TestBuildNetMatchesBuild: BuildNet builds the net Build builds — their
+// frozen shard files are byte-identical — but keeps no corpus, so its
+// artifacts cannot train models.
+func TestBuildNetMatchesBuild(t *testing.T) {
+	full := buildTiny(t)
+	lean, err := BuildNet(TinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if _, err := full.Net.FreezeShards(1)[0].SaveSum(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lean.Net.FreezeShards(1)[0].SaveSum(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("BuildNet and Build froze different nets")
+	}
+	if lean.Corpus != nil {
+		t.Fatal("BuildNet kept a corpus")
+	}
+	if _, err := lean.TrainModels(); err == nil {
+		t.Fatal("TrainModels on BuildNet's artifacts succeeded; want an error")
+	}
+}
+
+// TestBuildNetAllocCeiling guards the corpus-free build at default scale.
+// It measured 45,282 allocations (Go 1.24, linux/amd64); Build measured
+// 64,155 before it had a corpus-free twin, sized its node arrays, maps,
+// titles and glosses up front and stopped scanning every frame per review.
+func TestBuildNetAllocCeiling(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation guards are not meaningful under -race")
+	}
+	const ceiling = 47000
+	opts := DefaultOptions()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := BuildNet(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("BuildNet(DefaultOptions()) allocates %.0f times, over its ceiling of %d", allocs, ceiling)
 	}
 }
 

@@ -206,16 +206,22 @@ func decodeMeta(body []byte, total int) (*ServingMeta, error) {
 	return &ServingMeta{Stopwords: stopwords, Items: items}, nil
 }
 
-// writeMeta writes a meta file: header, body and the body's CRC-32.
+// writeMeta writes a meta file into a committed generation's directory.
 func writeMeta(dir, name string, body []byte) error {
-	return WriteFileAtomic(dir, name, func(w io.Writer) error {
+	return WriteFileAtomic(dir, name, emitMeta(body))
+}
+
+// emitMeta returns the emitter of a meta file: header, body and the
+// body's CRC-32.
+func emitMeta(body []byte) func(w io.Writer) error {
+	return func(w io.Writer) error {
 		fw := fzio.Writer{W: w}
 		fw.Bytes(shardMetaMagic[:])
 		fw.U8(shardMetaVersion)
 		fw.Bytes(body)
 		fw.U32(crc32.ChecksumIEEE(body))
 		return fw.Err
-	})
+	}
 }
 
 // loadShardMeta reads the serving-metadata file and verifies its header,

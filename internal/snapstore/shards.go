@@ -129,7 +129,8 @@ func Commit(root string, shards []*core.FrozenNet, meta *ServingMeta, retain int
 }
 
 // writeShardDir persists already-frozen shards plus the serving metadata
-// into one generation directory.
+// into the directory of a transaction, which the transaction's commit
+// fsyncs (see writeGenFile).
 func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*ShardManifest, error) {
 	man := &ShardManifest{
 		Version:    shardManifestVersion,
@@ -144,7 +145,7 @@ func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*Sh
 		sh := shards[i]
 		name := shardFileName(i)
 		var sum uint32
-		err := WriteFileAtomic(dir, name, func(w io.Writer) error {
+		err := writeGenFile(dir, name, func(w io.Writer) error {
 			var err error
 			sum, err = sh.SaveSum(w)
 			return err
@@ -175,11 +176,11 @@ func writeShardDir(dir string, shards []*core.FrozenNet, meta *ServingMeta) (*Sh
 		return nil, fmt.Errorf("snapstore: save shards: meta: %w", err)
 	}
 	man.MetaChecksum = crc32.ChecksumIEEE(body)
-	if err := writeMeta(dir, shardMetaName, body); err != nil {
+	if err := writeGenFile(dir, shardMetaName, emitMeta(body)); err != nil {
 		return nil, fmt.Errorf("snapstore: save shards: meta: %w", err)
 	}
 
-	err = WriteFileAtomic(dir, ShardManifestName, func(w io.Writer) error {
+	err = writeGenFile(dir, ShardManifestName, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(man)

@@ -18,6 +18,20 @@ import (
 // goes through faultfs, so crash-matrix tests can kill the sequence at any
 // operation.
 func WriteFileAtomic(dir, name string, emit func(w io.Writer) error) error {
+	if err := writeGenFile(dir, name, emit); err != nil {
+		return err
+	}
+	if err := faultfs.SyncDir(dir); err != nil {
+		return fmt.Errorf("snapstore: write %s: sync dir: %w", name, err)
+	}
+	return nil
+}
+
+// writeGenFile is WriteFileAtomic without the directory fsync, for the
+// files of a generation being written: Tx.Commit fsyncs the transaction's
+// directory once, before its rename lets anything name the generation, and
+// that makes every rename inside it durable.
+func writeGenFile(dir, name string, emit func(w io.Writer) error) error {
 	f, err := faultfs.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("snapstore: write %s: %w", name, err)
@@ -46,9 +60,6 @@ func WriteFileAtomic(dir, name string, emit func(w io.Writer) error) error {
 	}
 	if err := faultfs.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("snapstore: write %s: %w", name, err)
-	}
-	if err := faultfs.SyncDir(dir); err != nil {
-		return fmt.Errorf("snapstore: write %s: sync dir: %w", name, err)
 	}
 	return nil
 }

@@ -8,15 +8,12 @@ import (
 )
 
 // Segmenter performs maximum-matching segmentation of a token stream against
-// a lexicon of known (possibly multi-token) phrases, each carrying the
-// labels (concept domains) it was registered under. The program itself is
+// a lexicon of known (possibly multi-token) phrases. The program itself is
 // SegmentFunc, which the search engine also runs over its own lexicon at
-// serving time; a Segmenter adds the labels and runs it on pooled scratch
-// (SegmentInto), so it does not allocate per call either.
+// serving time; a Segmenter keeps a phrase set and runs it on pooled
+// scratch (SegmentInto), so it does not allocate per call either.
 type Segmenter struct {
-	// phrases maps the space-joined phrase to the set of labels it can
-	// carry (a surface form may belong to several domains).
-	phrases map[string][]string
+	phrases map[string]struct{} // space-joined phrases
 	maxLen  int
 	pool    sync.Pool // *MatchScratch
 }
@@ -40,21 +37,15 @@ type segState struct {
 
 // NewSegmenter returns an empty segmenter.
 func NewSegmenter() *Segmenter {
-	s := &Segmenter{phrases: make(map[string][]string)}
+	s := &Segmenter{phrases: make(map[string]struct{})}
 	s.pool.New = func() any { return &MatchScratch{} }
 	return s
 }
 
-// AddPhrase registers a phrase (already tokenized, space-joined internally)
-// under a label. Duplicate labels for a phrase are ignored.
-func (s *Segmenter) AddPhrase(tokens []string, label string) {
-	key := strings.Join(tokens, " ")
-	for _, l := range s.phrases[key] {
-		if l == label {
-			return
-		}
-	}
-	s.phrases[key] = append(s.phrases[key], label)
+// AddPhrase registers a phrase (already tokenized, space-joined
+// internally). Adding a phrase twice adds it once.
+func (s *Segmenter) AddPhrase(tokens []string) {
+	s.phrases[strings.Join(tokens, " ")] = struct{}{}
 	if len(tokens) > s.maxLen {
 		s.maxLen = len(tokens)
 	}
@@ -63,48 +54,28 @@ func (s *Segmenter) AddPhrase(tokens []string, label string) {
 // Len returns the number of distinct phrases.
 func (s *Segmenter) Len() int { return len(s.phrases) }
 
-// Segment is one unit of a segmentation: a token range, whether it matched
-// the lexicon, and — from a Segmenter — the candidate labels the lexicon
-// holds for it. Unmatched segments are single tokens with no labels.
+// Segment is one unit of a segmentation: a token range and whether it
+// matched the lexicon. Unmatched segments are single tokens.
 type Segment struct {
 	Start, End int
 	Match      bool
-	Labels     []string
 }
 
 // MaxMatch segments tokens greedily longest-match-first via dynamic
 // programming: among segmentations that maximize total matched tokens it
-// prefers fewer segments. Unmatched positions become single-token segments
-// with no labels. The returned segments own fresh Labels copies; hot
-// callers should reuse a buffer through SegmentInto instead.
-func (s *Segmenter) MaxMatch(tokens []string) []Segment {
-	segs := s.SegmentInto(nil, tokens)
-	for i := range segs {
-		if segs[i].Labels != nil {
-			segs[i].Labels = append([]string(nil), segs[i].Labels...)
-		}
-	}
-	return segs
-}
+// prefers fewer segments. Unmatched positions become single-token
+// segments. It returns a fresh slice; hot callers should reuse a buffer
+// through SegmentInto instead.
+func (s *Segmenter) MaxMatch(tokens []string) []Segment { return s.SegmentInto(nil, tokens) }
 
 // SegmentInto is MaxMatch appending into a caller-owned buffer: the DP
-// table and the phrase-key join buffer come from a pooled scratch, phrase
-// lookups go through the allocation-free map[string(bytes)] form, and the
-// Labels of matched segments are shared read-only views into the lexicon
-// (callers must not modify them — MaxMatch returns copies instead). With a
-// reused dst, steady-state segmentation performs zero allocations.
+// table and the phrase-key join buffer come from a pooled scratch, and
+// phrase lookups go through the allocation-free map[string(bytes)] form.
+// With a reused dst, steady-state segmentation performs zero allocations.
 func (s *Segmenter) SegmentInto(dst []Segment, tokens []string) []Segment {
 	sc := s.pool.Get().(*MatchScratch)
 	defer s.pool.Put(sc)
-	base := len(dst)
-	dst = SegmentFunc(sc, dst, tokens, s.maxLen, s.has)
-	for i := base; i < len(dst); i++ {
-		if dst[i].Match {
-			sc.key = appendJoin(sc.key[:0], tokens[dst[i].Start:dst[i].End])
-			dst[i].Labels = s.phrases[string(sc.key)] // shared read-only view
-		}
-	}
-	return dst
+	return SegmentFunc(sc, dst, tokens, s.maxLen, s.has)
 }
 
 // has reports whether the lexicon holds the space-joined phrase key.
@@ -118,8 +89,8 @@ func (s *Segmenter) has(key []byte) bool {
 // tokens and, among those, has the fewest segments. A window of at most
 // maxLen tokens is a lexicon phrase when has reports its tokens, joined by
 // single spaces, to be one; has must not keep the key, which is a view of
-// sc's buffer. Matched segments have Match set and no Labels; every other
-// token is a segment of its own. sc carries the DP table between calls, so
+// sc's buffer. Matched segments have Match set; every other token is a
+// segment of its own. sc carries the DP table between calls, so
 // with a reused dst and sc the call allocates nothing.
 func SegmentFunc[T string | []byte](sc *MatchScratch, dst []Segment, tokens []T, maxLen int, has func(phrase []byte) bool) []Segment {
 	n := len(tokens)

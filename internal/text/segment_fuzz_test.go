@@ -12,9 +12,9 @@ import (
 var fuzzAlphabet = []string{"a", "b", "c", "ab"}
 
 // fuzzLexicon decodes phrases from bytes: each byte is a token of the
-// current phrase (b%5 < 4) or ends it (b%5 == 4), and the ending byte picks
-// the phrase's label. Empty phrases are dropped.
-func fuzzLexicon(data []byte) (phrases [][]string, labels []string) {
+// current phrase (b%5 < 4) or ends it (b%5 == 4). Empty phrases are
+// dropped.
+func fuzzLexicon(data []byte) (phrases [][]string) {
 	var cur []string
 	for _, b := range data {
 		if b%5 < 4 {
@@ -23,15 +23,13 @@ func fuzzLexicon(data []byte) (phrases [][]string, labels []string) {
 		}
 		if len(cur) > 0 {
 			phrases = append(phrases, cur)
-			labels = append(labels, []string{"x", "y", "z"}[b/5%3])
 		}
 		cur = nil
 	}
 	if len(cur) > 0 {
 		phrases = append(phrases, cur)
-		labels = append(labels, "x")
 	}
-	return phrases, labels
+	return phrases
 }
 
 // bruteForceOptimum returns the best (matched tokens, segments) over every
@@ -64,24 +62,19 @@ func bruteForceOptimum(tokens []string, has func(string) bool) (matched, segs in
 }
 
 // FuzzSegment: over a random lexicon and query, MaxMatch, SegmentInto and
-// SegmentFunc over the same lexicon return the same segments; the segments tile the query, unmatched ones are single tokens,
-// matched ones are phrases carrying exactly their labels; and on queries of
-// at most 8 tokens the segmentation is the brute-force optimum. The seeds
-// are in testdata/fuzz/FuzzSegment.
+// SegmentFunc over the same lexicon return the same segments; the
+// segments tile the query, unmatched ones are single tokens that are not
+// phrases, matched ones are phrases; and on queries of at most 8 tokens
+// the segmentation is the brute-force optimum. The seeds are in
+// testdata/fuzz/FuzzSegment.
 func FuzzSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lexicon, query []byte) {
-		phrases, labels := fuzzLexicon(lexicon)
 		s := NewSegmenter()
 		set := map[string]bool{}
-		want := map[string][]string{} // phrase -> labels in order of first addition
 		maxLen := 0
-		for i, p := range phrases {
-			s.AddPhrase(p, labels[i])
-			key := strings.Join(p, " ")
-			set[key] = true
-			if !slices.Contains(want[key], labels[i]) {
-				want[key] = append(want[key], labels[i])
-			}
+		for _, p := range fuzzLexicon(lexicon) {
+			s.AddPhrase(p)
+			set[strings.Join(p, " ")] = true
 			maxLen = max(maxLen, len(p))
 		}
 		if len(query) > 64 {
@@ -99,14 +92,10 @@ func FuzzSegment(f *testing.F) {
 		if funcSegs[0].Start != -1 {
 			t.Fatal("SegmentFunc overwrote dst's existing elements")
 		}
-		if segs := s.SegmentInto(nil, tokens); !slices.EqualFunc(segs, ref, func(a, b Segment) bool {
-			return a.Start == b.Start && a.End == b.End && a.Match == b.Match && slices.Equal(a.Labels, b.Labels)
-		}) {
+		if segs := s.SegmentInto(nil, tokens); !slices.Equal(segs, ref) {
 			t.Fatalf("SegmentInto %+v, MaxMatch %+v", segs, ref)
 		}
-		if !slices.EqualFunc(funcSegs[1:], ref, func(a, b Segment) bool {
-			return a.Start == b.Start && a.End == b.End && a.Match == b.Match && a.Labels == nil
-		}) {
+		if !slices.Equal(funcSegs[1:], ref) {
 			t.Fatalf("SegmentFunc %+v, MaxMatch %+v", funcSegs[1:], ref)
 		}
 
@@ -116,9 +105,9 @@ func FuzzSegment(f *testing.F) {
 			switch {
 			case seg.Start != at || seg.End <= seg.Start:
 				t.Fatalf("segments %+v do not tile %d tokens", ref, len(tokens))
-			case seg.Match && !slices.Equal(seg.Labels, want[key]):
-				t.Fatalf("segment %q carries labels %v, want %v", key, seg.Labels, want[key])
-			case !seg.Match && (seg.End-seg.Start != 1 || seg.Labels != nil || set[key]):
+			case seg.Match && !set[key]:
+				t.Fatalf("matched segment %q is not a phrase", key)
+			case !seg.Match && (seg.End-seg.Start != 1 || set[key]):
 				t.Fatalf("unmatched segment %+v over %q", seg, key)
 			}
 			if seg.Match {

@@ -3,6 +3,7 @@ package text
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,35 +26,17 @@ func randomLexicon(rng *rand.Rand) (*Segmenter, []string) {
 		for j := range phrase {
 			phrase[j] = alphabet[rng.Intn(len(alphabet))]
 		}
-		labels := []string{"prim", "ecpt", "brand"}
-		s.AddPhrase(phrase, labels[rng.Intn(len(labels))])
-		if rng.Intn(4) == 0 { // some phrases carry a second label
-			s.AddPhrase(phrase, labels[rng.Intn(len(labels))])
+		s.AddPhrase(phrase)
+		if rng.Intn(4) == 0 { // some phrases are added twice
+			s.AddPhrase(phrase)
 		}
 	}
 	return s, alphabet
 }
 
-func segsEqual(a, b []Segment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Start != b[i].Start || a[i].End != b[i].End || len(a[i].Labels) != len(b[i].Labels) {
-			return false
-		}
-		for j := range a[i].Labels {
-			if a[i].Labels[j] != b[i].Labels[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestSegmentIntoMatchesMaxMatch replays a randomized sentence stream
 // through one reused buffer and compares every segmentation (boundaries
-// and labels) against a fresh MaxMatch call — the equivalence leg of the
+// and matches) against a fresh MaxMatch call — the equivalence leg of the
 // pooled-DP-scratch change. Run under -race it also proves concurrent
 // SegmentInto calls never share scratch state.
 func TestSegmentIntoMatchesMaxMatch(t *testing.T) {
@@ -68,7 +51,7 @@ func TestSegmentIntoMatchesMaxMatch(t *testing.T) {
 			}
 			reused = s.SegmentInto(reused[:0], tokens)
 			fresh := s.MaxMatch(tokens)
-			if !segsEqual(reused, fresh) {
+			if !slices.Equal(reused, fresh) {
 				t.Fatalf("trial %d sentence %d %v:\nSegmentInto %+v\nMaxMatch    %+v",
 					trial, sent, tokens, reused, fresh)
 			}
@@ -112,7 +95,7 @@ func TestSegmentIntoConcurrent(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				si := (g + i) % len(sentences)
 				buf = s.SegmentInto(buf[:0], sentences[si])
-				if !segsEqual(buf, want[si]) {
+				if !slices.Equal(buf, want[si]) {
 					t.Errorf("goroutine %d: segmentation of %v drifted", g, sentences[si])
 					return
 				}
@@ -126,7 +109,7 @@ func TestSegmentIntoConcurrent(t *testing.T) {
 // the append builtin, so callers can accumulate segmentations.
 func TestSegmentIntoAppends(t *testing.T) {
 	s := NewSegmenter()
-	s.AddPhrase([]string{"outdoor", "barbecue"}, "ecpt")
+	s.AddPhrase([]string{"outdoor", "barbecue"})
 	first := s.SegmentInto(nil, []string{"outdoor", "barbecue"})
 	both := s.SegmentInto(first, []string{"grill"})
 	if len(both) != 2 || both[0].End != 2 || both[1].Start != 0 || both[1].End != 1 {
@@ -143,9 +126,9 @@ func TestSegmentIntoZeroAllocs(t *testing.T) {
 		t.Skip("allocation guards are not meaningful under -race (sync.Pool drops items)")
 	}
 	s := NewSegmenter()
-	s.AddPhrase([]string{"outdoor", "barbecue"}, "ecpt")
-	s.AddPhrase([]string{"barbecue"}, "prim")
-	s.AddPhrase([]string{"winter", "coat"}, "ecpt")
+	s.AddPhrase([]string{"outdoor", "barbecue"})
+	s.AddPhrase([]string{"barbecue"})
+	s.AddPhrase([]string{"winter", "coat"})
 	tokens := []string{"winter", "coat", "for", "outdoor", "barbecue"}
 	var buf []Segment
 	buf = s.SegmentInto(buf[:0], tokens) // warm the pooled scratch and dst
@@ -165,11 +148,11 @@ func TestSegmentIntoZeroAllocs(t *testing.T) {
 // scripts/bench.sh in BENCH_core.json).
 func BenchmarkSegmentInto(b *testing.B) {
 	s := NewSegmenter()
-	s.AddPhrase([]string{"outdoor", "barbecue"}, "ecpt")
-	s.AddPhrase([]string{"barbecue"}, "prim")
-	s.AddPhrase([]string{"grill"}, "prim")
-	s.AddPhrase([]string{"winter", "coat"}, "ecpt")
-	s.AddPhrase([]string{"coat"}, "prim")
+	s.AddPhrase([]string{"outdoor", "barbecue"})
+	s.AddPhrase([]string{"barbecue"})
+	s.AddPhrase([]string{"grill"})
+	s.AddPhrase([]string{"winter", "coat"})
+	s.AddPhrase([]string{"coat"})
 	tokens := []string{"winter", "coat", "outdoor", "barbecue", "grill"}
 	b.Run("into", func(b *testing.B) {
 		var buf []Segment

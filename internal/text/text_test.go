@@ -206,21 +206,21 @@ func TestPropertyBytesPipelineMatchesStrings(t *testing.T) {
 
 func TestSegmenterMaxMatch(t *testing.T) {
 	s := NewSegmenter()
-	s.AddPhrase([]string{"outdoor", "barbecue"}, "Event")
-	s.AddPhrase([]string{"outdoor"}, "Location")
-	s.AddPhrase([]string{"grill"}, "Category")
+	s.AddPhrase([]string{"outdoor", "barbecue"})
+	s.AddPhrase([]string{"outdoor"})
+	s.AddPhrase([]string{"grill"})
 	segs := s.MaxMatch([]string{"outdoor", "barbecue", "grill", "fun"})
 	if len(segs) != 3 {
 		t.Fatalf("segments: got %v", segs)
 	}
-	if segs[0].End != 2 || segs[0].Labels[0] != "Event" {
+	if segs[0].End != 2 || !segs[0].Match {
 		t.Fatalf("longest match should win: %v", segs[0])
 	}
-	if segs[1].Labels[0] != "Category" {
+	if !segs[1].Match {
 		t.Fatalf("second segment: %v", segs[1])
 	}
-	if segs[2].Labels != nil {
-		t.Fatalf("unmatched token should have no labels: %v", segs[2])
+	if segs[2].Match {
+		t.Fatalf("unmatched token should not match: %v", segs[2])
 	}
 }
 
@@ -231,13 +231,15 @@ func TestSegmenterEmptyInput(t *testing.T) {
 	}
 }
 
-func TestSegmenterDuplicateLabelIgnored(t *testing.T) {
+func TestSegmenterDuplicatePhraseIgnored(t *testing.T) {
 	s := NewSegmenter()
-	s.AddPhrase([]string{"hat"}, "Category")
-	s.AddPhrase([]string{"hat"}, "Category")
-	segs := s.MaxMatch([]string{"hat"})
-	if len(segs[0].Labels) != 1 {
-		t.Fatalf("duplicate label should be ignored: %v", segs[0].Labels)
+	s.AddPhrase([]string{"hat"})
+	s.AddPhrase([]string{"hat"})
+	if s.Len() != 1 {
+		t.Fatalf("a phrase added twice counts %d times, want 1", s.Len())
+	}
+	if segs := s.MaxMatch([]string{"hat"}); len(segs) != 1 || !segs[0].Match {
+		t.Fatalf("segments: got %v", segs)
 	}
 }
 
@@ -336,12 +338,12 @@ func TestPOSStrings(t *testing.T) {
 
 func TestSegmenterPrefersFewerSegments(t *testing.T) {
 	s := NewSegmenter()
-	s.AddPhrase([]string{"a", "b", "c"}, "X")
-	s.AddPhrase([]string{"a"}, "Y")
-	s.AddPhrase([]string{"b"}, "Y")
-	s.AddPhrase([]string{"c"}, "Y")
+	s.AddPhrase([]string{"a", "b", "c"})
+	s.AddPhrase([]string{"a"})
+	s.AddPhrase([]string{"b"})
+	s.AddPhrase([]string{"c"})
 	segs := s.MaxMatch([]string{"a", "b", "c"})
-	if len(segs) != 1 || !strings.Contains(strings.Join(segs[0].Labels, ","), "X") {
+	if len(segs) != 1 || segs[0].End != 3 || !segs[0].Match {
 		t.Fatalf("should prefer single long match: %v", segs)
 	}
 }

@@ -32,20 +32,47 @@ func (c *Corpus) Sentences() int {
 // GenCorpus emits a corpus with roughly the requested number of sentences
 // per source. Titles always include one per item.
 func (w *World) GenCorpus(queries, reviews, guides int) *Corpus {
-	c := &Corpus{}
+	c := &Corpus{Titles: make([][]string, 0, len(w.Items))}
 	for _, item := range w.Items {
 		c.Titles = append(c.Titles, item.Title)
 	}
+	w.genCorpus(c, queries, reviews, guides, true)
+	return c
+}
+
+// GenGuides returns the guides of GenCorpus(queries, reviews, guides) and
+// leaves the world's random stream where GenCorpus leaves it: it makes
+// every draw GenCorpus makes, but builds no title, query or review. A
+// build that mines only the guides (Hearst patterns) calls it, so what it
+// builds and every draw after it match a build that kept the corpus.
+func (w *World) GenGuides(queries, reviews, guides int) [][]string {
+	c := &Corpus{}
+	w.genCorpus(c, queries, reviews, guides, false)
+	return c.Guides
+}
+
+// genCorpus draws queries, reviews and guides into c, in that order. With
+// keep false it builds no query or review but makes the same draws: both
+// modes run the same generators, so their draws cannot drift apart.
+func (w *World) genCorpus(c *Corpus, queries, reviews, guides int, keep bool) {
+	if keep {
+		c.Queries = make([][]string, 0, queries)
+		c.Reviews = make([][]string, 0, reviews)
+	}
 	for i := 0; i < queries; i++ {
-		c.Queries = append(c.Queries, w.genQuery())
+		if q := w.genQuery(keep); keep {
+			c.Queries = append(c.Queries, q)
+		}
 	}
 	for i := 0; i < reviews; i++ {
-		c.Reviews = append(c.Reviews, w.genReview())
+		if r := w.genReview(keep); keep {
+			c.Reviews = append(c.Reviews, r)
+		}
 	}
+	c.Guides = make([][]string, 0, guides)
 	for i := 0; i < guides; i++ {
 		c.Guides = append(c.Guides, w.genGuide())
 	}
-	return c
 }
 
 func (w *World) randomLeaf() int { return w.Leaves[w.rng.Intn(len(w.Leaves))] }
@@ -56,24 +83,28 @@ func (w *World) randomPrimOf(d Domain) int {
 }
 
 // genQuery emits a search query: category, attribute+category, brand, or a
-// scenario phrase.
-func (w *World) genQuery() []string {
+// scenario phrase. With keep false it makes the same draws and returns nil.
+func (w *World) genQuery(keep bool) []string {
+	var first, second []string
 	switch w.rng.Intn(10) {
 	case 0, 1, 2: // bare category
-		return append([]string(nil), w.Primitives[w.randomLeaf()].Tokens...)
+		first = w.Primitives[w.randomLeaf()].Tokens
 	case 3, 4: // attribute + category
 		leafID := w.randomLeaf()
 		fam := w.FamilyOfLeaf[leafID]
 		doms := familyAttributes[fam]
 		attr := w.randomPrimOf(doms[w.rng.Intn(len(doms))])
-		return append(append([]string(nil), w.Primitives[attr].Tokens...), w.Primitives[leafID].Tokens...)
+		first, second = w.Primitives[attr].Tokens, w.Primitives[leafID].Tokens
 	case 5: // brand + category
 		b := w.randomPrimOf(Brand)
-		return append(append([]string(nil), w.Primitives[b].Tokens...), w.Primitives[w.randomLeaf()].Tokens...)
+		first, second = w.Primitives[b].Tokens, w.Primitives[w.randomLeaf()].Tokens
 	default: // scenario phrase
-		f := w.Frames[w.rng.Intn(len(w.Frames))]
-		return append([]string(nil), f.Tokens...)
+		first = w.Frames[w.rng.Intn(len(w.Frames))].Tokens
 	}
+	if !keep {
+		return nil
+	}
+	return append(append(make([]string, 0, len(first)+len(second)), first...), second...)
 }
 
 var reviewOpeners = []string{"great", "lovely", "decent", "awesome", "solid"}
@@ -123,15 +154,19 @@ func (w *World) Stopwords() []string {
 }
 
 // genReview emits a review sentence tying items to scenarios — the context
-// corpus that text-augmented models mine.
-func (w *World) genReview() []string {
+// corpus that text-augmented models mine. With keep false it makes the
+// same draws and returns nil.
+func (w *World) genReview(keep bool) []string {
 	item := w.Items[w.rng.Intn(len(w.Items))]
 	leaf := w.Primitives[item.Leaf]
 	switch w.rng.Intn(3) {
 	case 0:
-		frames := w.ItemFrames(item.ID)
-		if len(frames) > 0 {
-			f := w.Frames[frames[w.rng.Intn(len(frames))]]
+		w.frameBuf = w.appendItemFrames(w.frameBuf[:0], item)
+		if len(w.frameBuf) > 0 {
+			f := w.Frames[w.frameBuf[w.rng.Intn(len(w.frameBuf))]]
+			if !keep {
+				return nil
+			}
 			out := []string{"this"}
 			out = append(out, leaf.Tokens...)
 			out = append(out, "is", "perfect", "for")
@@ -140,14 +175,25 @@ func (w *World) genReview() []string {
 		}
 		fallthrough
 	case 1:
-		out := []string{reviewOpeners[w.rng.Intn(len(reviewOpeners))]}
-		out = append(out, leaf.Tokens...)
+		opener := reviewOpeners[w.rng.Intn(len(reviewOpeners))]
+		var attr *Primitive
 		if len(item.Attrs) > 0 {
+			attr = w.Primitives[item.Attrs[w.rng.Intn(len(item.Attrs))]]
+		}
+		if !keep {
+			return nil
+		}
+		out := []string{opener}
+		out = append(out, leaf.Tokens...)
+		if attr != nil {
 			out = append(out, "love", "the")
-			out = append(out, w.Primitives[item.Attrs[w.rng.Intn(len(item.Attrs))]].Tokens...)
+			out = append(out, attr.Tokens...)
 		}
 		return out
 	default:
+		if !keep {
+			return nil
+		}
 		out := []string{"bought", "this"}
 		for _, a := range item.Attrs {
 			out = append(out, w.Primitives[a].Tokens...)
@@ -234,6 +280,7 @@ func sortedKeys(m map[string][]string) []string {
 // (Section 5.2.2). Crucially, event/time glosses name their required
 // categories: the "Mid-Autumn Festival mentions moon cakes" bridge.
 func (w *World) buildGlosses() {
+	w.Glosses = make(map[int]string, len(w.Primitives))
 	// Reverse indexes: leaf -> events/times needing it.
 	leafEvents := make(map[string][]string)
 	for ev, leaves := range eventRequirements {
@@ -249,6 +296,7 @@ func (w *World) buildGlosses() {
 	}
 	for _, p := range w.Primitives {
 		var b strings.Builder
+		b.Grow(128) // room for nearly every gloss
 		b.WriteString(p.Name())
 		switch p.Domain {
 		case Category:

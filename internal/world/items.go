@@ -7,8 +7,7 @@ import "sort"
 // domains the category's family plausibly carries.
 func (w *World) buildItems() {
 	brands := w.ByDomain[Brand]
-	flat := flatDomainWords()
-	_ = flat
+	w.ItemsByLeaf = make(map[int][]int, len(w.Leaves))
 	for _, leafID := range w.Leaves {
 		fam := w.FamilyOfLeaf[leafID]
 		attrDomains := familyAttributes[fam]
@@ -45,11 +44,19 @@ func (w *World) buildItems() {
 // composeTitle renders an item title the way merchants do: brand first,
 // attributes, then the category noun, occasionally a trailing quantity word.
 func (w *World) composeTitle(item *Item) []string {
-	var title []string
+	n := len(w.Primitives[item.Leaf].Tokens)
+	if item.Brand >= 0 {
+		n += len(w.Primitives[item.Brand].Tokens)
+	}
+	for _, a := range item.Attrs {
+		n += len(w.Primitives[a].Tokens)
+	}
+	title := make([]string, 0, n)
 	if item.Brand >= 0 {
 		title = append(title, w.Primitives[item.Brand].Tokens...)
 	}
-	attrs := append([]int(nil), item.Attrs...)
+	var buf [4]int
+	attrs := append(buf[:0], item.Attrs...)
 	w.rng.Shuffle(len(attrs), func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
 	for _, a := range attrs {
 		title = append(title, w.Primitives[a].Tokens...)
@@ -89,36 +96,40 @@ func (w *World) FrameItems(f *Frame) []int {
 	return out
 }
 
-// ItemFrames returns the ground-truth frames an item belongs to.
+// ItemFrames returns the ground-truth frames an item belongs to, in frame
+// order.
 func (w *World) ItemFrames(itemID int) []int {
-	var out []int
-	item := w.Items[itemID]
-	for _, f := range w.Frames {
-		required := false
-		for _, leafID := range f.Required {
-			if leafID == item.Leaf {
-				required = true
-				break
-			}
+	return w.appendItemFrames(nil, w.Items[itemID])
+}
+
+// appendItemFrames appends to dst the frames item belongs to: those that
+// require its leaf (leafFrames) and whose audience constraint, if any, the
+// item either targets or is audience-neutral to.
+func (w *World) appendItemFrames(dst []int, item *Item) []int {
+	aud := w.itemAudience(item)
+	for _, fid := range w.leafFrames[item.Leaf] {
+		if fa := w.Frames[fid].Audience; fa < 0 || aud < 0 || aud == fa {
+			dst = append(dst, fid)
 		}
-		if !required {
-			continue
-		}
-		if f.Audience >= 0 {
-			if aud := w.itemAudience(item); aud >= 0 && aud != f.Audience {
-				continue
-			}
-		}
-		out = append(out, f.ID)
 	}
-	return out
+	return dst
+}
+
+// indexFrames fills leafFrames from the frames' required leaves.
+func (w *World) indexFrames() {
+	w.leafFrames = make([][]int, len(w.Primitives))
+	for _, f := range w.Frames {
+		for _, leafID := range f.Required {
+			w.leafFrames[leafID] = append(w.leafFrames[leafID], f.ID)
+		}
+	}
 }
 
 // ItemPrimitives returns the ground-truth primitive concepts of an item:
 // its base category, brand, and attribute values.
 func (w *World) ItemPrimitives(itemID int) []int {
 	item := w.Items[itemID]
-	out := []int{item.Leaf}
+	out := append(make([]int, 0, 2+len(item.Attrs)), item.Leaf)
 	if item.Brand >= 0 {
 		out = append(out, item.Brand)
 	}

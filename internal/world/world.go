@@ -84,6 +84,12 @@ type World struct {
 	Items       []*Item
 	ItemsByLeaf map[int][]int
 
+	// leafFrames lists, per primitive ID, the frames that require it, in
+	// frame order; only base categories have any. frameBuf is genReview's
+	// scratch, used like rng by one generator at a time.
+	leafFrames [][]int
+	frameBuf   []int
+
 	Glosses map[int]string // primitive ID -> generated gloss
 
 	// HypernymPairs is the ground-truth isA set within Category:
@@ -101,14 +107,13 @@ func New(cfg Config) *World {
 		LeafByName:   make(map[string]int),
 		FamilyOfLeaf: make(map[int]string),
 		FamilyPrims:  make(map[string]int),
-		ItemsByLeaf:  make(map[int][]int),
-		Glosses:      make(map[int]string),
 	}
 	w.buildCategory()
 	w.buildFlatDomains()
 	w.buildNamedDomains()
 	w.ensureAmbiguity()
 	w.buildFrames()
+	w.indexFrames()
 	w.buildItems()
 	w.buildGlosses()
 	return w

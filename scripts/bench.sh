@@ -16,7 +16,9 @@
 # BenchmarkSharded* set (reads through a 1-shard vs a 4-shard ShardSet,
 # the one frozen read path, and a whole-net vs a 4-shard freeze), and
 # BenchmarkReload (a no-op, a single-shard and a reshard reload of a
-# committed generation, the per-layer twin of the churn publish) — and
+# committed generation, the per-layer twin of the churn publish), and
+# BenchmarkBuildSharded and BenchmarkSaveShards (the facade build and the
+# commit that make up most of the bench harness's set-up) — and
 # writes BENCH_core.json at the repo root: one record per benchmark with
 # ns/op, B/op, and allocs/op. The FrozenVsLocked* rows keep the names
 # they had when each was paired with a "/locked" read of the live net,
@@ -45,7 +47,7 @@ else
 fi
 
 go test -run '^$' \
-    -bench 'FrozenVsLocked|FrozenSearchEngine|ColdStart|ParallelFrozen|BatchServe|SearchIntoReused|SegmentInto|ServeCache|BatchDecode|Sharded|Reload' \
+    -bench 'FrozenVsLocked|FrozenSearchEngine|ColdStart|ParallelFrozen|BatchServe|SearchIntoReused|SegmentInto|ServeCache|BatchDecode|Sharded|Reload|SaveShards' \
     -benchmem -benchtime="$BENCHTIME" \
     . ./internal/text ./internal/serve | tee "$RAW"
 
@@ -83,7 +85,8 @@ for required in \
     BenchmarkServeCacheFill/search BenchmarkServeCacheFill/recommend \
     BenchmarkBatchDecode BenchmarkShardedSearch/N=1 BenchmarkShardedSearch/N=4 \
     BenchmarkShardedRecommend/N=4 BenchmarkShardedFreeze \
-    BenchmarkReload/noop BenchmarkReload/shard BenchmarkReload/reshard; do
+    BenchmarkReload/noop BenchmarkReload/shard BenchmarkReload/reshard \
+    BenchmarkBuildSharded BenchmarkSaveShards; do
     if ! grep -q "\"name\": \"$required" "$OUT"; then
         echo "bench.sh: required benchmark $required missing from $OUT" >&2
         exit 1
