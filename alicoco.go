@@ -144,8 +144,10 @@ func (c *CoCo) SaveShardsRetain(dir string, count, retain int) (*snapstore.Shard
 }
 
 // LoadShardedFrozen builds a CoCo from the newest committed generation of
-// the snapshot store at dir (written by SaveShards), skipping world and
-// corpus generation, net construction and freezing. Anything other than a
+// the snapshot store at dir (written by SaveShards) that loads and
+// validates, skipping world and corpus generation, net construction and
+// freezing; newer generations that do not load are marked bad, and only a
+// store where none loads is an error (serving.Load). Anything other than a
 // store root is an error. Shards load and verify in parallel; the CoCo
 // serves every query path, while the offline paths that need the live net
 // or the world (InferImplicitRelations, SampleSessions, Glosses) report

@@ -136,7 +136,6 @@ func startInprocess(cfg config) (*inproc, error) {
 		BatchDeadline: 4 * cfg.deadline,
 		MaxInflight:   cfg.maxInflight,
 		QueueDepth:    cfg.queueDepth,
-		SnapshotDir:   snapDir,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

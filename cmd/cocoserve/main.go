@@ -55,7 +55,13 @@
 // never builds one. Startup loads the newest committed generation of a
 // snapshot store written by `alicoco snapshot save` or SaveShards — no
 // rebuild, so cold start is proportional to disk bandwidth; without a
-// store, cocoserve exits before listening. Every partition, one shard or
+// store, cocoserve exits before listening. Startup takes the walk a
+// rollback takes: when the newest generation does not load or validate
+// (a damaged shard file, a file a crashed scrub left quarantined), it
+// serves the newest older one that does, lists each one it skipped as
+// "bad" in /stats, and holds reloads on them until a newer commit lands;
+// it exits only when no generation loads, naming the newest one's
+// failure. Every partition, one shard or
 // many, is queried through the same scatter-gather read path
 // (core.ShardSet). A generation is a partition of N independently frozen
 // shards (a manifest plus one file per shard) committed by an atomic
@@ -85,8 +91,9 @@
 // generation serving throughout. The cocoserve_gate_* and
 // cocoserve_reload_* series count all of it.
 //
-// The crash-safe snapshot lifecycle runs on top of all of the above. The
-// server only reads the store: it never sweeps a torn or uncommitted save
+// The crash-safe snapshot lifecycle runs on top of all of the above; the
+// serving core (internal/serving) owns it, and the server maps HTTP onto
+// it. The server only reads the store: it never sweeps a torn or uncommitted save
 // (the publisher's next save does, and loads never look at uncommitted
 // directories) and never drops a generation (the publisher's commits do,
 // by their own -retain window, but keep the generation this server serves:

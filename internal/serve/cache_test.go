@@ -16,7 +16,7 @@ import (
 // test store.
 func cachedFixture(t *testing.T) *server {
 	t.Helper()
-	return serveStore(t, testServer(t).store, cacheCfg(1024))
+	return serveStore(t, storeOf(testServer(t)), cacheCfg(1024))
 }
 
 // TestCachedResponsesByteIdentical is the regression guard for the
@@ -27,7 +27,7 @@ func cachedFixture(t *testing.T) *server {
 // X-Content-Type-Options headers http.Error sets, and their body.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	s := cachedFixture(t)
-	uncached := serveStore(t, s.store, cacheCfg(0))
+	uncached := serveStore(t, storeOf(testServer(t)), cacheCfg(0))
 
 	sessions := builtNet(t).SampleSessions(2)
 	if len(sessions) == 0 {

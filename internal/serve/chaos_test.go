@@ -50,7 +50,7 @@ func chaosServer(t *testing.T, mutate func(*serveConfig)) *server {
 // different shard count, so reloading it reads every shard file.
 func commitShards(t *testing.T, s *server, n int) uint64 {
 	t.Helper()
-	_, g, err := builtNet(t).SaveShardsRetain(s.store, n, 0)
+	_, g, err := builtNet(t).SaveShardsRetain(storeOf(s), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +76,11 @@ func corruptFile(t *testing.T, path string) {
 // last good generation, /healthz must never miss, and once the breaker
 // trips serving is re-anchored on the last clean generation and holds
 // there — a manual reload is held too — until a newer commit arrives,
-// whose reload closes the breaker again.
+// whose reload closes the breaker again. The reload policy runs at its
+// production values: the breaker opens at the fifth failure, after at
+// most 1.4 s of backoff, and its 30 s cooldown outlasts the test.
 func TestChaosCorruptReloadKeepsServing(t *testing.T) {
-	s := chaosServer(t, func(cfg *serveConfig) {
-		cfg.retries = 2
-		cfg.backoffBase = time.Millisecond
-		cfg.backoffMax = 4 * time.Millisecond
-		cfg.breakerThreshold = 3
-		cfg.breakerCooldown = time.Hour // stays open until the manual probe
-	})
+	s := chaosServer(t, nil)
 	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
 
 	// Generation 2 is the same net in four shards, so a reload must read
@@ -103,7 +99,7 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.refreshLoop(2*time.Millisecond, done)
+		s.coco.RefreshLoop(2*time.Millisecond, done)
 	}()
 
 	errc := make(chan error, 8)
@@ -150,7 +146,7 @@ func TestChaosCorruptReloadKeepsServing(t *testing.T) {
 	}
 	// The breaker trip rolled serving back to the last clean generation
 	// and skiplisted the corrupt one.
-	sn := s.snapstoreInfo()
+	sn := s.coco.StoreInfo()
 	if rollbacks := metricValue(t, s, "cocoserve_rollbacks_total"); servingGen(sn) != 1 || rollbacks != 1 ||
 		sn.LastRollback == nil || !strings.Contains(sn.LastRollback.Reason, "breaker") {
 		t.Fatalf("no breaker rollback to gen 1: %v rollbacks, %+v", rollbacks, sn)
@@ -228,111 +224,43 @@ func TestChaosSlowReloadKeepsServing(t *testing.T) {
 	}
 }
 
-// TestChaosQuarantineAndRecovery drives the full bad-file story: the
-// newest generation is corrupted on disk, reloads of it fail until the
-// breaker trips, serving rolls back to the last clean generation (newer
-// than the one it started on) and holds there; corruption of a served file
-// is quarantined and repaired by the scrubber without disturbing serving;
-// and a newer commit re-closes the breaker on the next publish.
-func TestChaosQuarantineAndRecovery(t *testing.T) {
-	s := chaosServer(t, func(cfg *serveConfig) {
-		cfg.breakerThreshold = 2
-		cfg.breakerCooldown = time.Hour
-	})
-	_, wantSearch := get(s, "/search?q=outdoor+barbecue")
-	clean := commitShards(t, s, 4)
-	bad := commitShards(t, s, 4)
-	corruptFile(t, filepath.Join(s.store, fmt.Sprintf("gen-%06d", bad), "shard-0002.fz"))
+// TestStatsAndMetricsDuringSlowReload: /metrics and /stats read the
+// lifecycle record the core publishes, so neither waits for a reload in
+// flight. The reload is held inside delayed reads of a new generation's
+// files while both endpoints answer, and the generation it loads is not
+// published yet when they have.
+func TestStatsAndMetricsDuringSlowReload(t *testing.T) {
+	s := chaosServer(t, nil)
+	gen := commitShards(t, s, 4) // a new partition: the reload reads every shard file
+	before := faultfs.Injected()
+	defer faultfs.Inject(faultfs.Fault{PathContains: fmt.Sprintf("gen-%06d", gen), Delay: 200 * time.Millisecond})()
 
-	for i := 0; i < 2; i++ {
-		if _, err := s.tryReload(-1); err == nil {
-			t.Fatalf("reload %d of corrupt generation succeeded", i)
+	reloaded := make(chan struct{})
+	go func() {
+		defer close(reloaded)
+		if code, body := post(s, "/reload", ""); code != http.StatusOK {
+			t.Errorf("slow reload: %d %s", code, body)
+		}
+	}()
+	defer func() { <-reloaded }()      // a failing test still waits for the reload
+	for faultfs.Injected() == before { // until the reload sleeps in a read
+		select {
+		case <-reloaded:
+			t.Fatal("the reload finished without a delayed read")
+		case <-time.After(time.Millisecond):
 		}
 	}
-	// The second consecutive failure tripped the breaker: serving skipped
-	// the corrupt generation and rolled back to the newest clean one.
-	if state, failures := breakerState(t, s), metricValue(t, s, "cocoserve_reload_failures_total"); state != "open" || failures != 2 {
-		t.Fatalf("after corrupt reloads: breaker %s, %v failures", state, failures)
+	for _, url := range []string{"/metrics", "/stats"} {
+		if code, body := get(s, url); code != http.StatusOK {
+			t.Fatalf("%s during a reload: %d %s", url, code, body)
+		}
 	}
-	if g := s.coco.ServingInfo().CatalogGen; g != clean {
-		t.Fatalf("serving gen %d after breaker rollback, want %d", g, clean)
+	if g := s.coco.ServingInfo().CatalogGen; g == gen {
+		t.Fatalf("/metrics and /stats answered only once the reload had published gen %d", g)
 	}
-	// Further reloads hold instead of retrying the skiplisted generation.
-	if src, err := s.tryReload(-1); err != nil || !strings.HasPrefix(src, "held:") {
-		t.Fatalf("reload after rollback: %q err=%v, want a hold", src, err)
-	}
-	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
-		t.Fatalf("search after rollback: status %d", code)
-	}
-
-	// A served file rots on disk: the scrubber quarantines it and repairs
-	// it, and serving never notices.
-	victim := filepath.Join(s.store, fmt.Sprintf("gen-%06d", clean), "shard-0001.fz")
-	corruptFile(t, victim)
-	genBefore := s.coco.ServingInfo().Generation
-	s.scrubTick()
-	p := scrape(t, s.mux())
-	quarantines, _ := p.Value("cocoserve_scrub_quarantines_total")
-	repairs, _ := p.Value("cocoserve_scrub_repairs_total")
-	unrepaired, _ := p.Value("cocoserve_scrub_unrepaired_total")
-	if quarantines != 1 || repairs != 1 || unrepaired != 0 {
-		t.Fatalf("scrub after corruption: %v quarantines, %v repairs, %v unrepaired", quarantines, repairs, unrepaired)
-	}
-	if _, err := os.Stat(victim + ".quarantined"); err != nil {
-		t.Fatalf("rotten file not quarantined: %v", err)
-	}
-	if got := s.coco.ServingInfo().Generation; got != genBefore {
-		t.Fatalf("scrub republished serving: generation %d -> %d", genBefore, got)
-	}
-
-	// A newer commit: the next reload publishes it and closes the breaker.
-	next := commitShards(t, s, 3)
-	if _, err := s.tryReload(-1); err != nil {
-		t.Fatalf("reload of newer commit: %v", err)
-	}
-	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_breaker_consecutive_failures"); state != "closed" || consec != 0 {
-		t.Fatalf("breaker did not recover: %s, %v consecutive reload failures", state, consec)
-	}
-	if g := s.coco.ServingInfo().CatalogGen; g != next {
-		t.Fatalf("serving gen %d after newer commit, want %d", g, next)
-	}
-	if code, body := get(s, "/search?q=outdoor+barbecue"); code != http.StatusOK || body != wantSearch {
-		t.Fatalf("search after recovery: status %d", code)
-	}
-}
-
-// TestShardReloadFailureSparesBreaker: a failed single-shard reload counts
-// against its shard alone. Only whole-net failures feed the breaker, and
-// the one that opens it rolls serving back.
-func TestShardReloadFailureSparesBreaker(t *testing.T) {
-	s := chaosServer(t, func(cfg *serveConfig) {
-		cfg.breakerThreshold = 2
-		cfg.breakerCooldown = time.Hour
-	})
-	bad := commitShards(t, s, 4) // over the 3-shard partition serving
-	corruptFile(t, filepath.Join(s.store, fmt.Sprintf("gen-%06d", bad), "shard-0002.fz"))
-
-	if _, err := s.tryReload(0); err == nil {
-		t.Fatal("shard reload across a shard-count change succeeded")
-	}
-	if _, err := s.tryReload(-1); err == nil {
-		t.Fatal("reload of the corrupt generation succeeded")
-	}
-	if state, consec := breakerState(t, s), metricValue(t, s, "cocoserve_reload_breaker_consecutive_failures"); state != "closed" || consec != 1 {
-		t.Fatalf("after a shard and a whole-net failure: breaker %s with %v failures, want closed with 1", state, consec)
-	}
-	if rollbacks := metricValue(t, s, "cocoserve_rollbacks_total"); rollbacks != 0 {
-		t.Fatalf("%v rollbacks before the breaker opened", rollbacks)
-	}
-
-	if _, err := s.tryReload(-1); err == nil {
-		t.Fatal("second reload of the corrupt generation succeeded")
-	}
-	if state, rollbacks := breakerState(t, s), metricValue(t, s, "cocoserve_rollbacks_total"); state != "open" || rollbacks != 1 {
-		t.Fatalf("after a second whole-net failure: breaker %s, %v rollbacks; want open and 1", state, rollbacks)
-	}
-	if g := s.coco.ServingInfo().CatalogGen; g == bad {
-		t.Fatalf("serving the corrupt generation %d", g)
+	<-reloaded
+	if g := s.coco.ServingInfo().CatalogGen; g != gen {
+		t.Fatalf("the slow reload serves gen %d, want %d", g, gen)
 	}
 }
 
@@ -543,7 +471,7 @@ func TestChaosOverloadNeverServesStale(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := cocos[1-i%2].SaveShards(s.store, 1); err != nil {
+		if _, err := cocos[1-i%2].SaveShards(storeOf(s), 1); err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
@@ -642,7 +570,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	// The drained server released its generation: the core still answers
 	// from memory, but no longer reloads.
-	if _, err := s.coco.ReloadShards(s.store); err == nil {
+	if _, err := s.coco.ReloadShards(storeOf(s)); err == nil {
 		t.Fatal("the core reloads after the drain; serveListener did not close it")
 	}
 	if res, err := s.coco.SearchCtx(context.Background(), "outdoor barbecue", 12); err != nil || len(res.Cards) == 0 {
@@ -685,7 +613,7 @@ func TestStatsResilienceSection(t *testing.T) {
 	}
 	// A corrupt reload moves the failure counter through the HTTP surface.
 	gen := commitShards(t, s, 4)
-	corruptFile(t, filepath.Join(s.store, fmt.Sprintf("gen-%06d", gen), "shard-0000.fz"))
+	corruptFile(t, filepath.Join(storeOf(s), fmt.Sprintf("gen-%06d", gen), "shard-0000.fz"))
 	rec := httptest.NewRecorder()
 	s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
 	if rec.Code != http.StatusInternalServerError {

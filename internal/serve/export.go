@@ -27,8 +27,8 @@ type Config struct {
 	// means the defaults (4x / 16x GOMAXPROCS).
 	MaxInflight int
 	QueueDepth  int
-	// SnapshotDir is the snapshot store the facade was loaded from, and is
-	// required: reload, rollback and scrub run against its catalog.
+	// SnapshotDir is ignored: the server runs the snapshot lifecycle
+	// (reload, rollback, scrub) on the store the core was loaded from.
 	SnapshotDir string
 }
 
@@ -53,13 +53,13 @@ func (c Config) toServeConfig() serveConfig {
 // Server is an embedded cocoserve instance.
 type Server struct{ s *server }
 
-// New wires a server around the serving core of a facade loaded from the
-// snapshot store cfg.SnapshotDir, which is required: the snapshot
-// lifecycle (reload diffing, rollback, scrubbing) runs on it exactly as
-// under the cocoserve command. coco is a *serving.Core or anything that
-// embeds one, such as the root *alicoco.CoCo; the server keeps the core.
+// New wires a server around the serving core of a facade loaded from a
+// snapshot store: the snapshot lifecycle (reload diffing, rollback,
+// scrubbing) runs on that store exactly as under the cocoserve command.
+// coco is a *serving.Core or anything that embeds one, such as the root
+// *alicoco.CoCo; the server keeps the core.
 func New(coco interface{ Serving() *serving.Core }, cfg Config) *Server {
-	return &Server{s: newServerCfg(coco.Serving(), cfg.SnapshotDir, cfg.toServeConfig())}
+	return &Server{s: newServerCfg(coco.Serving(), cfg.toServeConfig())}
 }
 
 // Handler is the production handler stack: the full route mux wrapped in

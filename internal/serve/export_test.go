@@ -15,7 +15,7 @@ import (
 // the cocoserve defaults.
 func TestNewNegativeConfigTurnsOff(t *testing.T) {
 	s := testServer(t)
-	off := New(s.coco, Config{MaxInflight: -1, Deadline: -1, BatchDeadline: -1, SnapshotDir: s.store}).s
+	off := New(s.coco, Config{MaxInflight: -1, Deadline: -1, BatchDeadline: -1}).s
 	if off.gate != nil {
 		t.Fatalf("MaxInflight -1 built a gate: %+v", off.gate.Stats())
 	}
@@ -31,7 +31,7 @@ func TestNewNegativeConfigTurnsOff(t *testing.T) {
 			t.Fatalf("deadline %v attached a deadline to the request", d)
 		}
 	}
-	def := New(s.coco, Config{SnapshotDir: s.store}).s
+	def := New(s.coco, Config{}).s
 	if want := defaultServeConfig(); def.gate == nil || def.cfg.deadline != want.deadline || def.cfg.batchDeadline != want.batchDeadline {
 		t.Fatalf("zero Config lost the defaults: gate %v, deadlines %v / %v", def.gate != nil, def.cfg.deadline, def.cfg.batchDeadline)
 	}

@@ -1,14 +1,13 @@
 // Request-lifecycle and process-lifecycle policy for cocoserve: admission
 // control with load shedding, per-endpoint deadlines, health/readiness
-// probes, hardened snapshot refresh (stoppable ticker, jittered backoff
-// retries, circuit breaker), and graceful SIGTERM/SIGINT drain. The mechanisms live in
-// internal/resilience; this file is the wiring.
+// probes, the serving core's refresh and scrub loops, and graceful
+// SIGTERM/SIGINT drain. The mechanisms live in internal/resilience and the
+// generation lifecycle in internal/serving; this file is the wiring.
 package serve
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -22,12 +21,11 @@ import (
 	"time"
 
 	"alicoco/internal/resilience"
-	"alicoco/internal/serving"
-	"alicoco/internal/snapstore"
 )
 
 // serveConfig is the resilience policy knobs; the zero value disables
-// everything (no deadlines, no gate, no breaker).
+// everything (no deadlines, no gate). The reload policy (retries, backoff,
+// breaker, validation) is the serving core's.
 type serveConfig struct {
 	cacheSize int
 
@@ -49,23 +47,9 @@ type serveConfig struct {
 	targetDelay  time.Duration
 	shedInterval time.Duration
 
-	// Reload hardening: retries failed reloads per refresh trigger with
-	// backoffBase..backoffMax jittered exponential delays; breakerThreshold
-	// consecutive failures open the breaker for breakerCooldown and roll
-	// serving back to the newest clean generation. breakerThreshold 0
-	// disables the breaker.
-	retries          int
-	backoffBase      time.Duration
-	backoffMax       time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
-
-	// Snapstore lifecycle: scrubInterval > 0 runs the background integrity
-	// scrubber on that period; validate is the post-swap check every newly
-	// published generation must pass or be rolled back (nil skips
-	// validation).
+	// scrubInterval > 0 runs the background integrity scrubber on that
+	// period.
 	scrubInterval time.Duration
-	validate      func(*serving.Core) error
 
 	// slowQuery is the -slow-query threshold: responses at or above it
 	// emit a correlation log line (endpoint, latency, generation, request
@@ -91,19 +75,13 @@ const defaultDrainTimeout = 20 * time.Second
 func defaultServeConfig() serveConfig {
 	nproc := runtime.GOMAXPROCS(0)
 	return serveConfig{
-		cacheSize:        0, // callers fill in
-		deadline:         2 * time.Second,
-		batchDeadline:    15 * time.Second,
-		maxInflight:      4 * nproc,
-		queueDepth:       16 * nproc,
-		targetDelay:      resilience.DefaultTarget,
-		shedInterval:     resilience.DefaultInterval,
-		retries:          3,
-		backoffBase:      200 * time.Millisecond,
-		backoffMax:       5 * time.Second,
-		breakerThreshold: 5,
-		breakerCooldown:  30 * time.Second,
-		validate:         defaultValidate,
+		cacheSize:     0, // callers fill in
+		deadline:      2 * time.Second,
+		batchDeadline: 15 * time.Second,
+		maxInflight:   4 * nproc,
+		queueDepth:    16 * nproc,
+		targetDelay:   resilience.DefaultTarget,
+		shedInterval:  resilience.DefaultInterval,
 	}
 }
 
@@ -256,116 +234,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte("ready\n"))
 }
 
-// tryReload performs one reload attempt — of the whole net, or of one
-// shard of the store's newest generation when shard >= 0 — with the
-// resilience bookkeeping: the skiplist hold (a shard of a rolled-back
-// generation is held like the whole of it), post-swap validation, the
-// breaker, failure counters and backoff. A whole-net failure feeds the
-// breaker, and the failure that trips it rolls serving back; a shard's
-// failure counts against that shard alone. Serving keeps the last good
-// snapshot through any number of failures — a reload only ever publishes
-// after full verification.
-func (s *server) tryReload(shard int) (source string, err error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	// While the newest catalog generation is skiplisted (it failed
-	// validation and was rolled back), hold rather than republish it; a
-	// newer generation clears the hold. See snapstore.go.
-	if hold := s.reloadGateLocked(); hold != "" {
-		return "held: " + hold, nil
-	}
-	before := s.coco.ServingInfo().Generation
-	source, err = s.reload(shard)
-	if err == nil {
-		err = s.validateSwapLocked(before)
-	}
-	if err == nil {
-		s.breaker.Success()
-		s.backoff.Reset()
-		if shard >= 0 {
-			delete(s.shardFails, shard)
-		} else {
-			clear(s.shardFails)
-		}
-		return source, nil
-	}
-	s.reloadFailedLocked(err)
-	if shard >= 0 {
-		return source, err
-	}
-	// Catalog-backed serving does not freeze on "last good in memory":
-	// when whole-net reloads keep failing until the breaker trips,
-	// re-anchor on the newest older generation that still loads and
-	// validates clean.
-	if s.breaker.Failure() {
-		if rerr := s.autoRollbackLocked(0, fmt.Sprintf("reload breaker tripped: %v", err)); rerr != nil {
-			log.Printf("auto-rollback: %v", rerr)
-		}
-	}
-	return source, err
-}
-
-// reloadFailedLocked counts a failed reload and charges it to the shard
-// whose file failed when the loader could attribute it. Callers hold
-// reloadMu.
-func (s *server) reloadFailedLocked(err error) {
-	s.reloadFailures.Inc()
-	var sle *snapstore.ShardLoadError
-	if errors.As(err, &sle) {
-		if s.shardFails == nil {
-			s.shardFails = make(map[int]int)
-		}
-		s.shardFails[sle.Index]++
-	}
-}
-
-// refreshLoop reloads on a stoppable ticker. A failed reload is retried up
-// to cfg.retries times with jittered exponential backoff before waiting
-// for the next tick; while the breaker is open the loop skips attempts
-// entirely instead of hammering a file that keeps failing. The loop exits
-// when done closes (shutdown), which also interrupts any backoff sleep —
-// the goroutine can never leak the way the old time.Tick version did.
-func (s *server) refreshLoop(interval time.Duration, done <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-		}
-		if !s.breaker.Allow() {
-			continue
-		}
-		src, err := s.tryReload(-1)
-		if err == nil {
-			info := s.coco.ServingInfo()
-			log.Printf("periodic reload from %s: %d nodes, %d edges", src, info.Nodes, info.Edges)
-			continue
-		}
-		log.Printf("periodic reload: %v", err)
-		for attempt := 0; attempt < s.cfg.retries; attempt++ {
-			timer := time.NewTimer(s.backoff.Next())
-			select {
-			case <-done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			if !s.breaker.Allow() {
-				break
-			}
-			s.reloadRetries.Inc()
-			if _, err = s.tryReload(-1); err == nil {
-				info := s.coco.ServingInfo()
-				log.Printf("reload retry %d succeeded: %d nodes, %d edges", attempt+1, info.Nodes, info.Edges)
-				break
-			}
-			log.Printf("reload retry %d: %v", attempt+1, err)
-		}
-	}
-}
-
 // serve runs the hardened server lifecycle on addr; see serveListener.
 func serve(s *server, addr string, refresh, drainTimeout time.Duration, sigc <-chan os.Signal) error {
 	ln, err := net.Listen("tcp", addr)
@@ -405,14 +273,14 @@ func serveListener(s *server, ln net.Listener, refresh, drainTimeout time.Durati
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.refreshLoop(refresh, done)
+			s.coco.RefreshLoop(refresh, done)
 		}()
 	}
 	if s.cfg.scrubInterval > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.scrubLoop(s.cfg.scrubInterval, done)
+			s.coco.ScrubLoop(s.cfg.scrubInterval, done)
 		}()
 	}
 	if sigc == nil {

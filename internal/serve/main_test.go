@@ -20,13 +20,14 @@ var (
 	fixtureOnce sync.Once
 	fixtureErr  error
 	fixtureNet  *alicoco.CoCo
+	fixtureDir  string
 	fixtureSrv  *server
 )
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if fixtureSrv != nil {
-		os.RemoveAll(fixtureSrv.store)
+	if fixtureDir != "" {
+		os.RemoveAll(fixtureDir)
 	}
 	os.Exit(code)
 }
@@ -39,22 +40,18 @@ func fixtures(t testing.TB) {
 		}
 		// The store outlives the first test that asks for it, so it cannot
 		// live in that test's TempDir; TestMain removes it.
-		dir, err := os.MkdirTemp("", "cocoserve-test-")
+		if fixtureDir, fixtureErr = os.MkdirTemp("", "cocoserve-test-"); fixtureErr != nil {
+			return
+		}
+		if _, fixtureErr = fixtureNet.SaveShards(fixtureDir, 1); fixtureErr != nil {
+			return
+		}
+		coco, err := alicoco.LoadShardedFrozen(fixtureDir)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		if _, fixtureErr = fixtureNet.SaveShards(dir, 1); fixtureErr != nil {
-			os.RemoveAll(dir)
-			return
-		}
-		coco, err := alicoco.LoadShardedFrozen(dir)
-		if err != nil {
-			fixtureErr = err
-			os.RemoveAll(dir)
-			return
-		}
-		fixtureSrv = newServerCfg(coco.Core, dir, cacheCfg(alicoco.DefaultQueryCacheCapacity))
+		fixtureSrv = newServerCfg(coco.Core, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -77,6 +74,9 @@ func testServer(t testing.TB) *server {
 	fixtures(t)
 	return fixtureSrv
 }
+
+// storeOf is the root of the snapshot store s serves from.
+func storeOf(s *server) string { return s.coco.StoreInfo().Root }
 
 func TestHandleStats(t *testing.T) {
 	s := testServer(t)

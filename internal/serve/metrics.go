@@ -259,11 +259,7 @@ func (m *serveMetrics) growShardSeries(s *server) {
 			}, "shard", label)
 		m.reg.NewGaugeFunc("cocoserve_shard_load_failures",
 			"Consecutive reload failures attributed to one shard.",
-			func() float64 {
-				s.reloadMu.Lock()
-				defer s.reloadMu.Unlock()
-				return float64(s.shardFails[idx])
-			}, "shard", label)
+			func() float64 { return float64(s.coco.Lifecycle().ShardFails[idx]) }, "shard", label)
 		m.reg.NewGaugeFunc("cocoserve_shard_nodes",
 			"Nodes in one shard of the serving partition.",
 			func() float64 { return float64(info().Nodes) }, "shard", label)
@@ -273,45 +269,49 @@ func (m *serveMetrics) growShardSeries(s *server) {
 	}
 }
 
-// registerLifecycleCollectors creates the lifecycle counters the server
-// increments and exposes the reload pipeline's backoff and breaker state.
+// registerLifecycleCollectors exposes the serving core's lifecycle record
+// (reload, breaker, rollback and scrub counts, which a scrape reads
+// without waiting for a load) and creates the handler counters the server
+// increments.
 func (m *serveMetrics) registerLifecycleCollectors(s *server) {
-	s.reloadFailures = m.reg.NewCounter("cocoserve_reload_failures_total",
-		"Reload attempts that returned an error.")
-	s.reloadRetries = m.reg.NewCounter("cocoserve_reload_retries_total",
-		"Backoff retries after a failed reload.")
+	lc := s.coco.Lifecycle
+	counter := func(name, help string, v func(serving.Lifecycle) uint64) {
+		m.reg.NewCounterFunc(name, help, func() uint64 { return v(lc()) })
+	}
+	counter("cocoserve_reload_failures_total", "Reload attempts that returned an error.",
+		func(l serving.Lifecycle) uint64 { return l.ReloadFailures })
+	counter("cocoserve_reload_retries_total", "Backoff retries after a failed reload.",
+		func(l serving.Lifecycle) uint64 { return l.ReloadRetries })
 	m.reg.NewGaugeFunc("cocoserve_reload_backoff_attempt",
 		"Retry delays handed out since the last good reload: the position in the backoff schedule.",
-		func() float64 { return float64(s.backoff.Attempt()) })
+		func() float64 { return float64(lc().BackoffAttempt) })
 	for _, state := range []string{"closed", "open", "half-open"} {
 		state := state
 		m.reg.NewGaugeFunc("cocoserve_reload_breaker_state",
 			"1 for the reload breaker's current state, 0 for the others.",
-			func() float64 { return oneIf(s.breaker.Stats().State == state) }, "state", state)
+			func() float64 { return oneIf(lc().Breaker.State == state) }, "state", state)
 	}
 	m.reg.NewGaugeFunc("cocoserve_reload_breaker_consecutive_failures",
 		"Whole-net reload failures since the last good reload; at the threshold the breaker opens and serving rolls back.",
-		func() float64 { return float64(s.breaker.Stats().ConsecutiveFailures) })
-	m.reg.NewCounterFunc("cocoserve_reload_breaker_opens_total",
-		"Times the reload breaker tripped open.",
-		func() uint64 { return s.breaker.Stats().Opens })
-	m.reg.NewCounterFunc("cocoserve_reload_breaker_denied_total",
-		"Reload attempts the open breaker refused.",
-		func() uint64 { return s.breaker.Stats().Denied })
-	s.rollbacks = m.reg.NewCounter("cocoserve_rollbacks_total",
-		"Completed rollbacks (automatic and operator).")
-	s.validationFailures = m.reg.NewCounter("cocoserve_validation_failures_total",
-		"Post-swap validation rejections.")
-	s.scrubPasses = m.reg.NewCounter("cocoserve_scrub_passes_total",
-		"Completed scrub passes.")
-	s.scrubRepairs = m.reg.NewCounter("cocoserve_scrub_repairs_total",
-		"Files re-materialized by the scrubber.")
-	s.scrubQuarantines = m.reg.NewCounter("cocoserve_scrub_quarantines_total",
-		"Files quarantined by the scrubber.")
-	s.scrubUnrepaired = m.reg.NewCounter("cocoserve_scrub_unrepaired_total",
-		"Scrub mismatches no repair source covered.")
-	s.scrubErrors = m.reg.NewCounter("cocoserve_scrub_errors_total",
-		"Scrub passes that failed outright.")
+		func() float64 { return float64(lc().Breaker.ConsecutiveFailures) })
+	counter("cocoserve_reload_breaker_opens_total", "Times the reload breaker tripped open.",
+		func(l serving.Lifecycle) uint64 { return l.Breaker.Opens })
+	counter("cocoserve_reload_breaker_denied_total", "Reload attempts the open breaker refused.",
+		func(l serving.Lifecycle) uint64 { return l.Breaker.Denied })
+	counter("cocoserve_rollbacks_total", "Completed rollbacks (automatic and operator).",
+		func(l serving.Lifecycle) uint64 { return l.Rollbacks })
+	counter("cocoserve_validation_failures_total", "Post-swap validation rejections.",
+		func(l serving.Lifecycle) uint64 { return l.ValidationFailures })
+	counter("cocoserve_scrub_passes_total", "Completed scrub passes.",
+		func(l serving.Lifecycle) uint64 { return l.ScrubPasses })
+	counter("cocoserve_scrub_repairs_total", "Files re-materialized by the scrubber.",
+		func(l serving.Lifecycle) uint64 { return l.ScrubRepairs })
+	counter("cocoserve_scrub_quarantines_total", "Files quarantined by the scrubber.",
+		func(l serving.Lifecycle) uint64 { return l.ScrubQuarantines })
+	counter("cocoserve_scrub_unrepaired_total", "Scrub mismatches no repair source covered.",
+		func(l serving.Lifecycle) uint64 { return l.ScrubUnrepaired })
+	counter("cocoserve_scrub_errors_total", "Scrub passes that failed outright.",
+		func(l serving.Lifecycle) uint64 { return l.ScrubErrors })
 	s.panics = m.reg.NewCounter("cocoserve_panics_recovered_total",
 		"Handler panics converted to 500s.")
 	s.degraded = m.reg.NewCounter("cocoserve_degraded_refusals_total",

@@ -7,13 +7,18 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"alicoco"
+	"alicoco/internal/core"
 	"alicoco/internal/obs"
 	"alicoco/internal/raceflag"
+	"alicoco/internal/snapstore"
 )
 
 // scrape parses the server's /metrics strictly, failing the test on any
@@ -191,7 +196,7 @@ func TestValidRequestID(t *testing.T) {
 func TestSlowQueryLog(t *testing.T) {
 	cfg := cacheCfg(alicoco.DefaultQueryCacheCapacity)
 	cfg.slowQuery = time.Nanosecond // everything is slow
-	s := serveStore(t, testServer(t).store, cfg)
+	s := serveStore(t, storeOf(testServer(t)), cfg)
 	h := s.handler()
 
 	var buf bytes.Buffer
@@ -356,7 +361,7 @@ func TestStatsIsRegistryView(t *testing.T) {
 	if code, body := post(s, "/reload", ""); code != http.StatusOK {
 		t.Fatalf("reload: %d %s", code, body)
 	}
-	s.scrubTick()
+	s.coco.ScrubOnce()
 
 	// /stats renders before its own request is counted, so a scrape taken
 	// just before it must match it exactly. The runtime's GC counter can
@@ -376,6 +381,106 @@ func TestStatsIsRegistryView(t *testing.T) {
 		}
 	}
 	t.Fatal(err)
+}
+
+// TestLifecycleSeriesReadTheRecord: each /metrics series of the
+// generation lifecycle reads its own field of the record the serving core
+// publishes. The steps leave most of those fields at different values, so
+// a series that reads the wrong field reads the wrong number; only the
+// refresh loop's retry count and backoff position stay 0, as a failing
+// refresh tick waits out production backoff before it moves them.
+func TestLifecycleSeriesReadTheRecord(t *testing.T) {
+	s := chaosServer(t, nil) // gen 1: three shards
+	root := storeOf(s)
+	do := func(url string, want int) {
+		t.Helper()
+		if code, body := post(s, url, ""); code != want {
+			t.Fatalf("POST %s: %d %s, want %d", url, code, body, want)
+		}
+	}
+	// Gen 2 holds no nodes: it loads, fails validation, and serving rolls
+	// back to gen 1.
+	if _, _, err := snapstore.Commit(root, core.NewNet().FreezeShards(1), &snapstore.ServingMeta{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	do("/reload", http.StatusInternalServerError)
+	// Gen 3 has four shards and a damaged shard 1. A shard reload refuses
+	// the new shape; the fourth whole-net failure is the breaker's fifth,
+	// which opens it and rolls back again. An operator rollback follows.
+	gen := commitShards(t, s, 4)
+	corruptFile(t, filepath.Join(root, fmt.Sprintf("gen-%06d", gen), "shard-0001.fz"))
+	do("/reload?shard=0", http.StatusInternalServerError)
+	for i := 0; i < 4; i++ {
+		do("/reload", http.StatusInternalServerError)
+	}
+	do("/rollback?gen=1", http.StatusOK)
+	// The open breaker denies the refresh loop's ticks.
+	done, stopped := make(chan struct{}), make(chan struct{})
+	go func() { defer close(stopped); s.coco.RefreshLoop(time.Millisecond, done) }()
+	for s.coco.Lifecycle().Breaker.Denied == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(done)
+	<-stopped
+	// Scrubs of gen 1: two clean passes; two damaged shards and a missing
+	// one (two quarantined, three repaired); a damaged manifest
+	// (unrepaired).
+	gen1 := filepath.Join(root, "gen-000001")
+	s.coco.ScrubOnce()
+	s.coco.ScrubOnce()
+	corruptFile(t, filepath.Join(gen1, "shard-0000.fz"))
+	corruptFile(t, filepath.Join(gen1, "shard-0001.fz"))
+	if err := os.Remove(filepath.Join(gen1, "shard-0002.fz")); err != nil {
+		t.Fatal(err)
+	}
+	s.coco.ScrubOnce()
+	corruptFile(t, filepath.Join(gen1, snapstore.ShardManifestName))
+	s.coco.ScrubOnce()
+
+	lc := s.coco.Lifecycle()
+	want := struct {
+		failures, validation, rollbacks, passes, quarantines, repairs, unrepaired uint64
+		consecutive, shard1Fails                                                  int
+	}{6, 1, 3, 4, 2, 3, 1, 5, 4}
+	if lc.ReloadFailures != want.failures || lc.ValidationFailures != want.validation ||
+		lc.Rollbacks != want.rollbacks || lc.ScrubPasses != want.passes ||
+		lc.ScrubQuarantines != want.quarantines || lc.ScrubRepairs != want.repairs ||
+		lc.ScrubUnrepaired != want.unrepaired || lc.Breaker.ConsecutiveFailures != want.consecutive ||
+		lc.ShardFails[1] != want.shard1Fails || lc.Breaker.State != "open" || lc.Breaker.Opens != 1 {
+		t.Fatalf("the steps left the record at %+v, want %+v", lc, want)
+	}
+	type series struct {
+		name   string
+		labels []string
+		want   float64
+	}
+	all := []series{
+		{"cocoserve_reload_failures_total", nil, float64(lc.ReloadFailures)},
+		{"cocoserve_reload_retries_total", nil, float64(lc.ReloadRetries)},
+		{"cocoserve_reload_backoff_attempt", nil, float64(lc.BackoffAttempt)},
+		{"cocoserve_reload_breaker_consecutive_failures", nil, float64(lc.Breaker.ConsecutiveFailures)},
+		{"cocoserve_reload_breaker_opens_total", nil, float64(lc.Breaker.Opens)},
+		{"cocoserve_reload_breaker_denied_total", nil, float64(lc.Breaker.Denied)},
+		{"cocoserve_rollbacks_total", nil, float64(lc.Rollbacks)},
+		{"cocoserve_validation_failures_total", nil, float64(lc.ValidationFailures)},
+		{"cocoserve_scrub_passes_total", nil, float64(lc.ScrubPasses)},
+		{"cocoserve_scrub_repairs_total", nil, float64(lc.ScrubRepairs)},
+		{"cocoserve_scrub_quarantines_total", nil, float64(lc.ScrubQuarantines)},
+		{"cocoserve_scrub_unrepaired_total", nil, float64(lc.ScrubUnrepaired)},
+		{"cocoserve_scrub_errors_total", nil, float64(lc.ScrubErrors)},
+	}
+	for _, state := range []string{"closed", "open", "half-open"} {
+		all = append(all, series{"cocoserve_reload_breaker_state", []string{"state", state}, oneIf(lc.Breaker.State == state)})
+	}
+	for i := 0; i < 3; i++ {
+		all = append(all, series{"cocoserve_shard_load_failures", []string{"shard", strconv.Itoa(i)}, float64(lc.ShardFails[i])})
+	}
+	p := scrape(t, s.mux())
+	for _, sr := range all {
+		if got, ok := p.Value(sr.name, sr.labels...); !ok || got != sr.want {
+			t.Errorf("%s%q = %v (present %v), want %v from the record", sr.name, sr.labels, got, ok, sr.want)
+		}
+	}
 }
 
 // sameRegistry compares a strict scrape of /metrics with the /stats

@@ -35,7 +35,7 @@ var (
 func benchServers(b *testing.B) (hit, miss *server) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
-		dir := testServer(b).store
+		dir := storeOf(testServer(b))
 		cocoHit, err := serving.Load(dir)
 		if err != nil {
 			serveBenchErr = err
@@ -51,9 +51,9 @@ func benchServers(b *testing.B) (hit, miss *server) {
 			serveBenchErr = err
 			return
 		}
-		serveHit = newServerCfg(cocoHit, dir, cacheCfg(4096))
-		serveMiss = newServerCfg(cocoMiss, dir, cacheCfg(0))
-		serveFill = newServerCfg(cocoFill, dir, cacheCfg(4096))
+		serveHit = newServerCfg(cocoHit, cacheCfg(4096))
+		serveMiss = newServerCfg(cocoMiss, cacheCfg(0))
+		serveFill = newServerCfg(cocoFill, cacheCfg(4096))
 		sessions := builtNet(b).SampleSessions(1)
 		if len(sessions) == 0 {
 			serveBenchErr = fmt.Errorf("no sessions")

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -26,7 +27,6 @@ import (
 	"alicoco/internal/qcache"
 	"alicoco/internal/resilience"
 	"alicoco/internal/serving"
-	"alicoco/internal/snapstore"
 )
 
 // maxRecommendK caps the k parameter of /recommend so a single request
@@ -64,9 +64,8 @@ type server struct {
 	searchBytes *qcache.Cache
 	recBytes    *qcache.Cache
 
-	// cfg holds the resilience policy; the zero value means no deadlines,
-	// no gating and no reload breaker — the gate and the breaker tolerate
-	// staying nil.
+	// cfg holds the resilience policy; the zero value means no deadlines
+	// and no gating — the gate tolerates staying nil.
 	cfg serveConfig
 
 	// gate admits cache-missing engine dispatches: a bounded number run,
@@ -74,60 +73,14 @@ type server struct {
 	// bypass it entirely, which is the degraded cache-hits-only mode.
 	gate *resilience.Gate
 
-	// breaker + backoff harden the snapshot reload path: consecutive
-	// reload failures open the breaker (the -refresh loop stops hammering
-	// the broken file) and retries within one refresh trigger space out
-	// with jittered exponential backoff.
-	breaker *resilience.Breaker
-	backoff *resilience.Backoff
-
 	// draining flips when shutdown starts: /readyz fails so load
 	// balancers stop routing here while in-flight requests finish.
 	draining atomic.Bool
 
-	// Lifecycle counters, created in the metrics registry by
-	// newServeMetrics (metrics.go).
-	panics             *obs.Counter // handler panics converted to 500s
-	degraded           *obs.Counter // misses refused for lack of deadline budget
-	reloadFailures     *obs.Counter // reload attempts that returned an error
-	reloadRetries      *obs.Counter // backoff retries after a failed reload
-	rollbacks          *obs.Counter // completed rollbacks (automatic + operator)
-	validationFailures *obs.Counter // post-swap validation rejections
-	scrubPasses        *obs.Counter // completed scrub passes
-	scrubRepairs       *obs.Counter // files re-materialized by the scrubber
-	scrubQuarantines   *obs.Counter // files quarantined by the scrubber
-	scrubUnrepaired    *obs.Counter // mismatches no repair source covered
-	scrubErrors        *obs.Counter // scrub passes that failed outright
-
-	// store is the root of the generation catalog behind -snapshot-dir,
-	// fixed at construction: /reload diffs its newest generation against
-	// serving (only shards whose checksums changed are re-read),
-	// /reload?shard=i force-reloads one shard, and rollback and scrub
-	// repair work on it. The server only lists the catalog, and the
-	// core's reloads, rollbacks and scrubs only read it. Reloads
-	// serialize on the core's own offline lock; queries are never
-	// blocked. See snapstore.go in this package.
-	store string
-
-	// scrubMu guards the most recent scrub report for /stats.
-	scrubMu   sync.Mutex
-	lastScrub *snapstore.ScrubReport
-
-	// reloadMu serializes reload attempts with their failure bookkeeping
-	// (the breaker's trip drives the auto-rollback); the core's offline
-	// lock only serializes the swap itself.
-	reloadMu   sync.Mutex
-	shardFails map[int]int // consecutive failures per shard, guarded by reloadMu
-
-	// badGens skiplists catalog generations that loaded but failed
-	// post-swap validation (or failed to load during a rollback walk):
-	// the refresh loop holds instead of republishing them, until a
-	// generation newer than every bad one lands. Guarded by reloadMu.
-	badGens map[uint64]bool
-
-	// lastRollback describes the most recent rollback for /stats.
-	// Guarded by reloadMu.
-	lastRollback *rollbackStat
+	// Handler counters, created in the metrics registry by newServeMetrics
+	// (metrics.go); the snapshot lifecycle's counts are the core's.
+	panics   *obs.Counter // handler panics converted to 500s
+	degraded *obs.Counter // misses refused for lack of deadline budget
 
 	// hook, when set before serving starts, is called at the top of the
 	// query handlers ("search", "recommend", ...) and again after
@@ -141,12 +94,13 @@ type server struct {
 	metrics *serveMetrics
 }
 
-// newServerCfg wires a server around a serving core loaded from the
-// snapshot store at store, with the given policy; the core's engine-level
-// caches are resized to cfg.cacheSize entries, like the server's own.
-func newServerCfg(coco *serving.Core, store string, cfg serveConfig) *server {
+// newServerCfg wires a server around a serving core, with the given
+// policy; the core's engine-level caches are resized to cfg.cacheSize
+// entries, like the server's own. The snapshot lifecycle endpoints run on
+// the store the core was loaded from.
+func newServerCfg(coco *serving.Core, cfg serveConfig) *server {
 	coco.SetQueryCacheCapacity(cfg.cacheSize)
-	s := &server{coco: coco, store: store, cfg: cfg}
+	s := &server{coco: coco, cfg: cfg}
 	if cfg.cacheSize > 0 {
 		s.searchBytes = qcache.New(cfg.cacheSize)
 		s.recBytes = qcache.New(cfg.cacheSize)
@@ -159,10 +113,6 @@ func newServerCfg(coco *serving.Core, store string, cfg serveConfig) *server {
 			Interval:   cfg.shedInterval,
 		})
 	}
-	if cfg.breakerThreshold > 0 {
-		s.breaker = resilience.NewBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
-	}
-	s.backoff = resilience.NewBackoff(cfg.backoffBase, cfg.backoffMax, time.Now().UnixNano())
 	s.metrics = newServeMetrics(s)
 	return s
 }
@@ -322,10 +272,10 @@ func (s *server) errorCaching(w http.ResponseWriter, msg string, status int, cac
 // and every runtime number as the registry's JSON view under "metrics".
 type statsResponse struct {
 	serving.Stats
-	Build     obs.BuildInfo   `json:"build"`
-	Snapshot  snapshotInfo    `json:"snapshot"`
-	Snapstore snapstoreInfo   `json:"snapstore"`
-	Metrics   json.RawMessage `json:"metrics"`
+	Build     obs.BuildInfo     `json:"build"`
+	Snapshot  snapshotInfo      `json:"snapshot"`
+	Snapstore serving.StoreInfo `json:"snapstore"`
+	Metrics   json.RawMessage   `json:"metrics"`
 }
 
 // snapshotInfo is the serving snapshot's identity. Its generation, age and
@@ -366,7 +316,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Stats:     s.coco.Stats(),
 		Build:     obs.CurrentBuildInfo(),
 		Snapshot:  s.snapshotInfo(),
-		Snapstore: s.snapstoreInfo(),
+		Snapstore: s.coco.StoreInfo(),
 		Metrics:   s.metrics.reg.AppendJSON(nil),
 	})
 }
@@ -587,8 +537,9 @@ func (s *server) handleHypernyms(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReload swaps in the newest generation of the snapshot store, or
-// with ?shard=i one shard of it. The loader verifies every file's checksum
-// and structure before anything is published, so a bad snapshot cannot
+// with ?shard=i one shard of it, under the core's reload policy
+// (serving.Core.Reload). The loader verifies every file's checksum and
+// structure before anything is published, so a bad snapshot cannot
 // displace the serving state; queries keep serving the old snapshot
 // throughout, and the swap itself is one atomic pointer store.
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -615,7 +566,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		shard = i
 	}
-	source, err := s.tryReload(shard)
+	source, err := s.coco.Reload(shard)
 	if err != nil {
 		http.Error(w, "reload failed: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -627,15 +578,38 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reload publishes a fresh serving snapshot from the store: shard >= 0
-// force-reloads that shard of its newest generation; otherwise the whole
-// net is reloaded, re-reading only the shards whose checksums changed.
-func (s *server) reload(shard int) (source string, err error) {
-	if shard >= 0 {
-		return "shard:" + strconv.Itoa(shard), s.coco.ReloadShard(s.store, shard)
+// handleRollback is POST /rollback: republish an earlier committed
+// generation (see serving.Core.RollbackTo). An optional gen parameter
+// names it; by default the newest generation older than the one serving
+// is used. A target the catalog does not list answers 404; one that is
+// listed but fails to load answers 500.
+func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return
 	}
-	changed, err := s.coco.ReloadShards(s.store)
-	return "shards:" + s.store + " (" + strconv.Itoa(changed) + " reloaded)", err
+	var gen uint64
+	if genStr := queryParam(r.URL.RawQuery, "gen"); genStr != "" {
+		v, err := strconv.ParseUint(genStr, 10, 64)
+		if err != nil || v == 0 {
+			http.Error(w, "bad gen parameter", http.StatusBadRequest)
+			return
+		}
+		gen = v
+	}
+	g, err := s.coco.RollbackTo(gen)
+	switch {
+	case errors.Is(err, serving.ErrNotCommitted):
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case err != nil:
+		http.Error(w, "rollback failed: "+err.Error(), http.StatusInternalServerError)
+	default:
+		s.writeJSON(w, map[string]any{
+			"status":   "rolled_back",
+			"gen":      g.ID,
+			"snapshot": s.snapshotInfo(),
+		})
+	}
 }
 
 // mux builds the route table. Query, lifecycle, and stats routes run
@@ -714,9 +688,9 @@ func Main() {
 	cfg.scrubInterval = *scrubInterval
 	cfg.slowQuery = *slowQuery
 	cfg.pprofAddr = *pprofAddr
-	s := newServerCfg(coco, *snapshotDir, cfg)
+	s := newServerCfg(coco, cfg)
 	log.Printf("snapstore catalog at %s: serving gen %d, scrub interval %v",
-		s.store, info.CatalogGen, *scrubInterval)
+		*snapshotDir, info.CatalogGen, *scrubInterval)
 	if *cacheSize > 0 {
 		log.Printf("query caches enabled: %d entries per layer (result + encoded-bytes)", *cacheSize)
 	} else {

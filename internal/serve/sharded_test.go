@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"alicoco"
+	"alicoco/internal/serving"
 )
 
 // newShardedServer commits the built net as an n-shard generation and
@@ -71,8 +72,8 @@ func TestShardedServesIdenticalAnswers(t *testing.T) {
 func TestStatsShardedSection(t *testing.T) {
 	sharded, dir := newShardedServer(t, 4)
 	type statsResp struct {
-		Snapshot  snapshotInfo  `json:"snapshot"`
-		Snapstore snapstoreInfo `json:"snapstore"`
+		Snapshot  snapshotInfo      `json:"snapshot"`
+		Snapstore serving.StoreInfo `json:"snapstore"`
 	}
 	var resp statsResp
 	if _, body := get(sharded, "/stats"); json.Unmarshal([]byte(body), &resp) != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"alicoco"
+	"alicoco/internal/serving"
 )
 
 // cacheCfg is the default policy with a per-layer cache budget of n.
@@ -40,7 +41,7 @@ func serveStore(t testing.TB, dir string, cfg serveConfig) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServerCfg(coco.Core, dir, cfg)
+	return newServerCfg(coco.Core, cfg)
 }
 
 // builtServer wraps the built facade in a server, so answers served from
@@ -48,7 +49,7 @@ func serveStore(t testing.TB, dir string, cfg serveConfig) *server {
 // query endpoints are read.
 func builtServer(t *testing.T) *server {
 	t.Helper()
-	return newServerCfg(builtNet(t).Core, testServer(t).store, cacheCfg(alicoco.DefaultQueryCacheCapacity))
+	return newServerCfg(builtNet(t).Core, cacheCfg(alicoco.DefaultQueryCacheCapacity))
 }
 
 func get(s *server, url string) (int, string) {
@@ -110,14 +111,14 @@ func TestSnapshotServesIdenticalAnswers(t *testing.T) {
 func TestStatsSnapshotSection(t *testing.T) {
 	loaded := testServer(t)
 	var l struct {
-		Snapshot  snapshotInfo  `json:"snapshot"`
-		Snapstore snapstoreInfo `json:"snapstore"`
+		Snapshot  snapshotInfo      `json:"snapshot"`
+		Snapstore serving.StoreInfo `json:"snapstore"`
 	}
 	if _, body := get(loaded, "/stats"); json.Unmarshal([]byte(body), &l) != nil {
 		t.Fatal("bad loaded stats")
 	}
 	sn := l.Snapshot
-	if sn.Source != "shards" || sn.Checksum == "" || l.Snapstore.Root != loaded.store {
+	if sn.Source != "shards" || sn.Checksum == "" || l.Snapstore.Root != fixtureDir {
 		t.Fatalf("loaded snapshot section: %+v, store root %q", sn, l.Snapstore.Root)
 	}
 	p := scrape(t, loaded.mux())

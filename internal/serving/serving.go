@@ -1,8 +1,9 @@
 // Package serving is the serving core of the AliCoCo facade: it loads
-// committed generations of a snapshot store (internal/snapstore), reloads,
-// rolls back and scrubs them, and answers every query over the one it
-// publishes. It links no build or model code; the root alicoco package
-// embeds a Core and adds the build on top.
+// committed generations of a snapshot store (internal/snapstore), answers
+// every query over the one it publishes, and owns the generation
+// lifecycle of that store — startup, reloads, rollbacks and scrubs, with
+// their policy and state (lifecycle.go). It links no build or model code;
+// the root alicoco package embeds a Core and adds the build on top.
 package serving
 
 import (
@@ -22,6 +23,7 @@ import (
 	"alicoco/internal/core"
 	"alicoco/internal/par"
 	"alicoco/internal/qcache"
+	"alicoco/internal/resilience"
 	"alicoco/internal/snapstore"
 )
 
@@ -34,11 +36,14 @@ const DefaultQueryCacheCapacity = 4096
 
 // Core serves one published state: a generation or an in-process freeze.
 // All query methods read one servingState loaded atomically, so they are
-// safe to call concurrently with Publish, ReloadShards and RollbackTo
-// (each publishes a fresh snapshot by swapping the pointer, never by
-// mutating one in place).
+// safe to call concurrently with Publish, the reloads, RollbackTo and
+// ScrubOnce (each publishes a fresh snapshot by swapping the pointer,
+// never by mutating one in place). It is also the one owner of the
+// generation lifecycle of the store it was loaded from (lifecycle.go).
 type Core struct {
-	offline    sync.Mutex // serializes loads, scrubs and publishes
+	// offline serializes loads, scrubs, publishes and every lifecycle
+	// operation with the lifecycle state below it.
+	offline    sync.Mutex
 	serving    atomic.Pointer[servingState]
 	generation atomic.Uint64 // counts published serving snapshots
 	closed     bool          // set by Close; guarded by offline
@@ -52,14 +57,21 @@ type Core struct {
 	// nothing.
 	searchCache *qcache.Cache
 	recCache    *qcache.Cache
+
+	lifecycle
 }
 
-// New returns a Core with its query caches allocated; it serves once a
-// state is published.
+// New returns a Core with its query caches allocated and the lifecycle
+// policy at its production values; it serves once a state is published.
 func New() *Core {
 	return &Core{
 		searchCache: qcache.New(DefaultQueryCacheCapacity),
 		recCache:    qcache.New(DefaultQueryCacheCapacity),
+		lifecycle: lifecycle{
+			validate: validServing,
+			breaker:  resilience.NewBreaker(breakerThreshold, breakerCooldown),
+			backoff:  resilience.NewBackoff(backoffBase, backoffMax, time.Now().UnixNano()),
+		},
 	}
 }
 
@@ -163,40 +175,26 @@ func (c *Core) ShardInfos() []ShardServingInfo {
 	return append([]ShardServingInfo(nil), c.serving.Load().shardInfo...)
 }
 
-// Load builds a Core from the newest committed generation of the
-// snapshot store at dir (written by alicoco's SaveShards or
-// pipeline.SaveShardsRetain). Anything other than a store root is an
-// error. Shards load and verify in parallel.
+// Load builds a Core from the snapshot store at dir (written by alicoco's
+// SaveShards or pipeline.SaveShardsRetain) the way a breaker trip rolls
+// back: it publishes the newest committed generation that loads and
+// validates, and marks every newer one bad, so reloads hold until a newer
+// commit lands (see Reload). It fails only when no generation loads, with
+// the newest one's failure. Anything other than a store root is an error.
+// Shards load and verify in parallel.
 func Load(dir string) (*Core, error) {
-	g, man, err := lookup(dir, nil)
-	if err != nil {
-		return nil, err
-	}
 	c := New()
-	if _, err := c.load(dir, g, man, "shards", false, -1); err != nil {
+	if err := c.start(dir); err != nil {
+		c.Close() // releases a hold a generation that failed validation took
 		return nil, err
 	}
 	return c, nil
 }
 
-// lookup finds the newest committed generation of the store at root that
-// accept takes (nil takes the newest) and reads its manifest. It never
-// opens the store, whose sweep would delete a publisher's save in flight.
-func lookup(root string, accept func(snapstore.Gen) bool) (snapstore.Gen, *snapstore.ShardManifest, error) {
-	g, err := snapstore.Lookup(root, accept)
-	if err != nil {
-		return snapstore.Gen{}, nil, err
-	}
-	man, err := snapstore.ReadManifest(filepath.Join(root, g.Dir))
-	if err != nil {
-		return snapstore.Gen{}, nil, err
-	}
-	return g, man, nil
-}
-
-// load reads generation g of the store at root, whose manifest is man,
-// through snapstore.LoadGen and publishes it: the one path by which a
-// generation reaches serving. It holds g (snapstore.HoldGen) before it
+// load reads generation g of the store at root through snapstore.LoadGen
+// and publishes it: the one path by which a generation reaches serving. A
+// nil man is read from g's directory; a shard reload passes the effective
+// manifest it publishes under. load holds g (snapstore.HoldGen) before it
 // reads g's files, so no commit drops the generation while it is loaded or
 // served; when serving holds g already, that hold covers the read, and
 // load takes its own only once it knows it publishes. With reuse the
@@ -209,6 +207,12 @@ func lookup(root string, accept func(snapstore.Gen) bool) (snapstore.Gen, *snaps
 func (c *Core) load(root string, g snapstore.Gen, man *snapstore.ShardManifest, source string, reuse bool, force int) (int, error) {
 	if c.closed {
 		return 0, errClosed
+	}
+	if man == nil {
+		var err error
+		if man, err = snapstore.ReadManifest(filepath.Join(root, g.Dir)); err != nil {
+			return 0, err
+		}
 	}
 	prev := c.serving.Load()
 	held := prev != nil && prev.root == root && prev.gen.ID == g.ID
@@ -256,101 +260,72 @@ func (c *Core) load(root string, g snapstore.Gen, man *snapstore.ShardManifest, 
 // partition-shape change (shard count, stride, node total, or serving
 // metadata) reads every shard. Queries running concurrently keep
 // answering from the old partition until the single atomic swap, so no
-// request ever sees a mix of generations.
+// request ever sees a mix of generations. It applies no lifecycle policy:
+// Reload does, on the store serving was loaded from.
 func (c *Core) ReloadShards(dir string) (int, error) {
 	c.offline.Lock()
 	defer c.offline.Unlock()
-	g, man, err := lookup(dir, nil)
+	g, err := snapstore.Lookup(dir, nil)
 	if err != nil {
 		return 0, err
 	}
-	return c.load(dir, g, man, "shards", true, -1)
+	return c.reloadGen(dir, g, -1)
 }
 
 // ReloadShard force-reloads one shard from the newest generation of the
 // snapshot store at dir, regardless of whether its checksum changed; the
-// rest of the partition keeps serving its in-memory shards. The manifest is
-// re-read first so the shard is verified against the store's current
-// commit point; if the partition shape on disk no longer matches serving,
-// the reload is refused (use ReloadShards, which handles shape changes).
+// rest of the partition keeps serving its in-memory shards. The shard is
+// verified against the store's current commit point; if the partition
+// shape on disk no longer matches serving, the reload is refused (use
+// ReloadShards, which handles shape changes).
 func (c *Core) ReloadShard(dir string, i int) error {
 	c.offline.Lock()
 	defer c.offline.Unlock()
-	prev := c.serving.Load()
-	if prev.manifest == nil {
-		return errors.New("alicoco: reload shard: serving is not backed by a snapshot store")
+	g, err := snapstore.Lookup(dir, nil)
+	if err == nil && i < 0 {
+		err = fmt.Errorf("alicoco: reload shard: index %d out of range", i)
 	}
-	g, man, err := lookup(dir, nil)
 	if err != nil {
 		return err
 	}
-	if i < 0 || i >= man.NumShards() {
-		return fmt.Errorf("alicoco: reload shard: index %d out of range [0,%d)", i, man.NumShards())
-	}
-	if !prev.manifest.SameShape(man) {
-		return errors.New("alicoco: reload shard: partition shape on disk changed; use ReloadShards")
-	}
-	// Publish under an *effective* manifest: the served manifest with only
-	// entry i replaced. The directory's manifest may already describe newer
-	// content for shards this reload did not touch (an operator rolling the
-	// partition one shard at a time); recording it verbatim would stamp the
-	// query caches with content that is not being served yet and make a
-	// later ReloadShards diff believe those shards are already current.
-	eff := *prev.manifest
-	eff.Shards = append([]snapstore.ShardEntry(nil), prev.manifest.Shards...)
-	eff.TotalEdges += man.Shards[i].Edges - eff.Shards[i].Edges
-	eff.Shards[i] = man.Shards[i]
-	_, err = c.load(dir, g, &eff, "shards", true, i)
+	_, err = c.reloadGen(dir, g, i)
 	return err
 }
 
-// RollbackTo republishes an earlier committed generation of the snapshot
-// store serving was loaded from: the named generation (0 means the newest
-// committed generation older than the one being served) is fully loaded
-// and verified, then swapped in atomically — the recovery path for a
-// generation that loads clean but misbehaves once live. It returns the
-// generation actually published.
-func (c *Core) RollbackTo(gen uint64) (snapstore.Gen, error) {
-	c.offline.Lock()
-	defer c.offline.Unlock()
+// reloadGen reloads generation g of the store at root: the whole
+// partition, reading only the shards that changed, or with shard >= 0
+// that one shard. It returns how many shards were read. Callers hold
+// c.offline.
+func (c *Core) reloadGen(root string, g snapstore.Gen, shard int) (int, error) {
+	if shard < 0 {
+		return c.load(root, g, nil, "shards", true, -1)
+	}
 	prev := c.serving.Load()
-	if prev.root == "" {
-		return snapstore.Gen{}, errors.New("alicoco: rollback: serving is not backed by a snapshot store")
+	if prev.manifest == nil {
+		return 0, errors.New("alicoco: reload shard: serving is not backed by a snapshot store")
 	}
-	accept := func(g snapstore.Gen) bool { return g.ID == gen }
-	if gen == 0 {
-		accept = func(g snapstore.Gen) bool { return g.ID < prev.gen.ID }
-	}
-	g, man, err := lookup(prev.root, accept)
+	man, err := snapstore.ReadManifest(filepath.Join(root, g.Dir))
 	if err != nil {
-		return snapstore.Gen{}, fmt.Errorf("alicoco: rollback (requested gen %d, serving gen %d): %w", gen, prev.gen.ID, err)
+		return 0, err
 	}
-	if _, err := c.load(prev.root, g, man, "rollback", false, -1); err != nil {
-		return snapstore.Gen{}, err
+	if shard >= man.NumShards() {
+		return 0, fmt.Errorf("alicoco: reload shard: index %d out of range [0,%d)", shard, man.NumShards())
 	}
-	return g, nil
-}
-
-// ScrubOnce runs one integrity pass over the generation directory serving
-// was loaded from: every file is re-hashed against the on-disk manifest
-// (itself verified against the served catalog entry), mismatches are
-// quarantined, and each quarantined file is repaired from the newest clean
-// source — another catalog generation with matching content first, the
-// served in-memory shard or item table second. Repair touches only the
-// disk copy; serving reads the in-memory shards throughout, so traffic
-// keeps answering byte-identically and warm cache entries survive. Holding
-// the offline lock serializes the pass with reloads and publishes.
-func (c *Core) ScrubOnce() (*snapstore.ScrubReport, error) {
-	c.offline.Lock()
-	defer c.offline.Unlock()
-	if c.closed {
-		return nil, errClosed
+	if !prev.manifest.SameShape(man) {
+		return 0, errors.New("alicoco: reload shard: partition shape on disk changed; use ReloadShards")
 	}
-	s := c.serving.Load()
-	if s.root == "" {
-		return nil, errors.New("alicoco: scrub: serving is not backed by a snapshot store")
-	}
-	return snapstore.ScrubGen(s.root, s.gen, s.shards.Shards(), s.meta)
+	// Publish under an *effective* manifest: the served manifest with only
+	// entry shard replaced. The directory's manifest may already describe
+	// newer content for shards this reload did not touch (an operator
+	// rolling the partition one shard at a time); recording it verbatim
+	// would stamp the query caches with content that is not being served
+	// yet and make a later ReloadShards diff believe those shards are
+	// already current.
+	eff := *prev.manifest
+	eff.Shards = append([]snapstore.ShardEntry(nil), prev.manifest.Shards...)
+	eff.TotalEdges += man.Shards[shard].Edges - eff.Shards[shard].Edges
+	eff.Shards[shard] = man.Shards[shard]
+	return c.load(root, g, &eff, "shards", true, shard)
 }
 
 // shardContentStamp derives the cache stamp of a disk-loaded shard

@@ -213,22 +213,30 @@ func ListGenerations(root string) ([]Gen, error) {
 
 func genDirName(id uint64) string { return fmt.Sprintf("%s%06d", genDirPrefix, id) }
 
-// Lookup returns the newest committed generation of the store at root
-// that accept takes; a nil accept takes the newest. It only reads the
-// catalog and never sweeps, so a reader cannot delete a save in flight.
-// Anything that is not a store root — a generation directory, a plain
-// directory — is an error, as is a catalog with no generation accept
-// takes.
-func Lookup(root string, accept func(Gen) bool) (Gen, error) {
+// Committed lists the committed generations of the store at root,
+// ascending by ID, reading the catalog once and never sweeping, so a
+// reader cannot delete a save in flight. Anything that is not a store
+// root — a generation directory, a plain directory — is an error, as is a
+// catalog with no generation.
+func Committed(root string) ([]Gen, error) {
 	if !IsStore(root) {
-		return Gen{}, fmt.Errorf("snapstore: %s is not a snapshot store (no %s)", root, CatalogName)
+		return nil, fmt.Errorf("snapstore: %s is not a snapshot store (no %s)", root, CatalogName)
 	}
 	gens, err := ListGenerations(root)
+	if err == nil && len(gens) == 0 {
+		err = fmt.Errorf("snapstore: %s: catalog has no committed generations", root)
+	}
+	return gens, err
+}
+
+// Lookup returns the newest committed generation of the store at root
+// that accept takes; a nil accept takes the newest. It reads the catalog
+// through Committed, and a catalog with no generation accept takes is an
+// error.
+func Lookup(root string, accept func(Gen) bool) (Gen, error) {
+	gens, err := Committed(root)
 	if err != nil {
 		return Gen{}, err
-	}
-	if len(gens) == 0 {
-		return Gen{}, fmt.Errorf("snapstore: %s: catalog has no committed generations", root)
 	}
 	for i := len(gens) - 1; i >= 0; i-- {
 		if accept == nil || accept(gens[i]) {

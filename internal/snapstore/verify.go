@@ -112,37 +112,27 @@ func VerifyFiles(dir string, checks []FileCheck) []FileReport {
 
 // fileCRC hashes a file's body — everything between headerLen bytes of
 // leading framing and trailerLen bytes of trailing framing — with
-// CRC-32 (IEEE), streaming so shard files never load whole into memory.
+// CRC-32 (IEEE), streaming through one 64 KiB buffer so shard files never
+// load whole into memory. The hash lags the read by trailerLen bytes, which
+// wait at the front of the buffer, so the trailer never enters it.
 func fileCRC(path string, headerLen, trailerLen int) (uint32, error) {
 	f, err := faultfs.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	if headerLen > 0 {
-		if _, err := io.CopyN(io.Discard, br, int64(headerLen)); err != nil {
-			return 0, fmt.Errorf("header: %w", err)
-		}
+	buf := make([]byte, 1<<16)
+	if _, err := io.ReadFull(f, buf[:headerLen]); err != nil {
+		return 0, fmt.Errorf("header: %w", err)
 	}
 	h := crc32.NewIEEE()
-	if trailerLen == 0 {
-		if _, err := io.Copy(h, br); err != nil {
-			return 0, err
-		}
-		return h.Sum32(), nil
-	}
-	// Lag the hash by trailerLen bytes so the trailer never enters it.
-	hold := make([]byte, 0, trailerLen)
-	buf := make([]byte, 1<<16)
+	held := 0 // bytes read but not hashed yet, at most trailerLen
 	for {
-		n, err := br.Read(buf)
-		if n > 0 {
-			hold = append(hold, buf[:n]...)
-			if over := len(hold) - trailerLen; over > 0 {
-				h.Write(hold[:over])
-				hold = append(hold[:0], hold[over:]...)
-			}
+		n, err := f.Read(buf[held:])
+		held += n
+		if over := held - trailerLen; over > 0 {
+			h.Write(buf[:over])
+			held = copy(buf, buf[over:held])
 		}
 		if err == io.EOF {
 			break
@@ -151,7 +141,7 @@ func fileCRC(path string, headerLen, trailerLen int) (uint32, error) {
 			return 0, err
 		}
 	}
-	if len(hold) < trailerLen {
+	if held < trailerLen {
 		return 0, fmt.Errorf("file shorter than its %d-byte trailer", trailerLen)
 	}
 	return h.Sum32(), nil
