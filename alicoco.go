@@ -189,8 +189,9 @@ func (c *CoCo) Glosses(name string) []string {
 		return nil
 	}
 	var out []string
-	for _, pid := range c.arts.World.BySurface[strings.ToLower(name)] {
-		out = append(out, c.arts.World.Glosses[pid])
+	w := c.arts.World
+	for _, pid := range w.BySurface[strings.ToLower(name)] {
+		out = append(out, w.Glosses()[pid])
 	}
 	return out
 }

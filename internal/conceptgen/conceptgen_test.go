@@ -29,7 +29,7 @@ func buildClassifierFixture(t *testing.T, cfg Config, nData int) *classifierFixt
 	w2vCfg.Epochs = 2
 	w2v := emb.TrainWord2Vec(corpus.All(), w2vCfg)
 	d2v := emb.NewDoc2Vec(w2v)
-	glossary := emb.BuildGlossary(w.Glosses, d2v)
+	glossary := emb.BuildGlossary(w.Glosses(), d2v)
 
 	pos := text.NewPOSTagger()
 	domainIdx := make(map[world.Domain]int)

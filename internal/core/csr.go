@@ -74,39 +74,6 @@ func (c *csr) slice(id NodeID, kind EdgeKind) []HalfEdge {
 	return c.edges[c.starts[a]:c.starts[a+n]]
 }
 
-// buildCSR converts slice-of-slices adjacency into kind-grouped CSR,
-// preserving insertion order within each (node, kind) group. A direction
-// may hold at most maxGroups non-empty groups; building more panics, so
-// partition such a net into more shards.
-func buildCSR(adj [][]HalfEdge) csr {
-	total := 0
-	for _, hes := range adj {
-		total += len(hes)
-	}
-	degrees := make([]uint32, len(adj))
-	edges := make([]HalfEdge, total)
-	pos := 0
-	for id, hes := range adj {
-		degrees[id] = uint32(len(hes))
-		var at [numEdgeKinds]int // each kind's next slot
-		for _, he := range hes {
-			at[he.Kind]++
-		}
-		for k, n := range at {
-			at[k], pos = pos, pos+n
-		}
-		for _, he := range hes {
-			edges[at[he.Kind]] = he
-			at[he.Kind]++
-		}
-	}
-	c, err := newCSR(degrees, edges)
-	if err != nil {
-		panic("core: freeze: " + err.Error())
-	}
-	return c
-}
-
 // newCSR indexes a direction whose edges hold each node's run in turn:
 // degrees[id] edges of node id, in ascending kind order. It is the only
 // constructor of a csr: Freeze and LoadFrozen both call it. It rejects a

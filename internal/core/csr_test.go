@@ -67,6 +67,7 @@ func checkGroupIndex(t *testing.T, ctx string, c *csr, adj [][]HalfEdge) {
 func TestGroupIndexMatchesDenseOffsets(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		n := buildRandomNet(t, seed)
+		_, out, in := n.lists()
 		for count := 1; count <= 5; count++ {
 			for i, sh := range n.FreezeShards(count) {
 				loaded, err := LoadFrozen(bytes.NewReader(saveFrozen(t, sh)))
@@ -76,8 +77,8 @@ func TestGroupIndexMatchesDenseOffsets(t *testing.T) {
 				lo, hi := int(sh.Base()), int(sh.Base())+sh.NumNodes()
 				for form, f := range map[string]*FrozenNet{"frozen": sh, "loaded": loaded} {
 					ctx := fmt.Sprintf("seed %d shard %d/%d %s", seed, i, count, form)
-					checkGroupIndex(t, ctx+" out", &f.out, n.outAdj[lo:hi])
-					checkGroupIndex(t, ctx+" in", &f.in, n.inAdj[lo:hi])
+					checkGroupIndex(t, ctx+" out", &f.out, out[lo:hi])
+					checkGroupIndex(t, ctx+" in", &f.in, in[lo:hi])
 				}
 			}
 		}
@@ -105,13 +106,14 @@ func TestGroupIndexIsContentSized(t *testing.T) {
 	}
 	n := buildRandomNet(t, 3)
 	f := n.Freeze().Shard(0)
+	_, out, in := n.lists()
 	for dir, c := range map[string]*csr{"out": &f.out, "in": &f.in} {
 		groups := 0
 		for id := 0; id < n.NumNodes(); id++ {
 			kinds := map[EdgeKind]bool{}
-			adj := n.outAdj[id]
+			adj := out[id]
 			if dir == "in" {
-				adj = n.inAdj[id]
+				adj = in[id]
 			}
 			for _, he := range adj {
 				kinds[he.Kind] = true

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"unsafe"
 
 	"alicoco/internal/par"
@@ -85,7 +84,7 @@ func (n *Net) FreezeShards(count int) []*FrozenNet {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	total := len(n.nodes)
+	total := len(n.nodes.recs)
 	stride := ShardStride(total, count)
 	shards := make([]*FrozenNet, count)
 	par.For(0, count, func(i int) {
@@ -108,7 +107,7 @@ func (n *Net) IsCurrentPartition(shards []*FrozenNet) bool {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	total := len(n.nodes)
+	total := len(n.nodes.recs)
 	stride := ShardStride(total, len(shards))
 	for i, sh := range shards {
 		base := min(i*stride, total)
@@ -137,9 +136,9 @@ func ShardStride(total, count int) int {
 // insertion order because node IDs are assigned sequentially.
 func (n *Net) freezeRangeLocked(base, end, total int) *FrozenNet {
 	f := &FrozenNet{
-		nodes:  freezeNodes(NodeID(base), n.nodes[base:end]),
-		out:    buildCSR(n.outAdj[base:end]),
-		in:     buildCSR(n.inAdj[base:end]),
+		nodes:  newNodeTable(NodeID(base), n.nodes.copyRange(base, end)),
+		out:    n.freezeListsLocked(base, end, dirOut),
+		in:     n.freezeListsLocked(base, end, dirIn),
 		total:  total,
 		source: n.version,
 	}
@@ -149,25 +148,49 @@ func (n *Net) freezeRangeLocked(base, end, total int) *FrozenNet {
 	return f
 }
 
-// freezeNodes copies live nodes into a node table, their names into one
-// arena of exactly their size. A shard's names may total at most 4 GiB (the
-// arena's offsets are 32-bit); freezing more panics, so partition such a
-// net into more shards.
-func freezeNodes(base NodeID, nodes []Node) nodeTable {
-	size := 0
-	for i := range nodes {
-		size += len(nodes[i].Name)
+// freezeListsLocked builds the CSR of direction d for the node range
+// [base, end) from the nodes' lists. Each node's run holds its edges
+// grouped by kind, in insertion order within a kind: one walk of its list,
+// which runs newest first, fills a scratch run from the end, and each kind
+// is then copied to its group. A direction may hold at most maxGroups
+// non-empty groups; freezing more panics, so partition such a net into
+// more shards. Callers hold n.mu.
+func (n *Net) freezeListsLocked(base, end, d int) csr {
+	degrees := make([]uint32, end-base)
+	total, most := 0, 0
+	for i := range degrees {
+		deg := n.links[base+i].lists[d].len
+		degrees[i] = deg
+		total += int(deg)
+		most = max(most, int(deg))
 	}
-	if uint64(size) > maxArena {
-		panic(fmt.Sprintf("core: freeze: shard at node %d holds %d name bytes, more than %d", base, size, uint64(maxArena)))
+	edges := make([]HalfEdge, total)
+	run := make([]HalfEdge, most)
+	pos := 0
+	for i, deg := range degrees {
+		if deg == 0 {
+			continue
+		}
+		var at [numEdgeKinds]int // each kind's next slot
+		j := int(deg)
+		for e := n.links[base+i].lists[d].head; e != 0; e = n.edges[e].next[d] {
+			j--
+			run[j] = n.edges[e].half(d)
+			at[run[j].Kind]++
+		}
+		for k, c := range at {
+			at[k], pos = pos, pos+c
+		}
+		for _, he := range run[:deg] {
+			edges[at[he.Kind]] = he
+			at[he.Kind]++
+		}
 	}
-	b := tableBuilder{recs: make([]nodeRec, 0, len(nodes)), arena: make([]byte, 0, size)}
-	for i := range nodes {
-		off := len(b.arena)
-		b.arena = append(b.arena, nodes[i].Name...)
-		b.addNode(nodes[i].Kind, off, nodes[i].Domain)
+	c, err := newCSR(degrees, edges)
+	if err != nil {
+		panic("core: freeze: " + err.Error())
 	}
-	return newNodeTable(base, &b)
+	return c
 }
 
 // Node returns the node for id; ok is false for invalid ids (including ids

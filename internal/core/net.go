@@ -5,15 +5,17 @@
 // relation validation, and Freeze and FreezeShards turn it into immutable
 // CSR shards (FrozenNet, the unit of snapshot persistence) that a ShardSet
 // serves as the one query surface: name and adjacency lookups, traversals
-// and statistics. All Net methods and all ShardSet reads are safe for
-// concurrent use.
+// and statistics. A Net and a frozen shard hold their nodes in one layout
+// (nodetable.go), and a Net holds its edges in one slab of records linked
+// per node, so neither keeps a heap object per node, name or edge. All Net
+// methods and all ShardSet reads are safe for concurrent use.
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -98,11 +100,10 @@ type NodeID int32
 // InvalidNode is returned by lookups that find nothing.
 const InvalidNode NodeID = -1
 
-// Node is one vertex of the net. A Node read from a frozen net (a ShardSet
-// or one of its shards) does not own its Name: the string is a view of the
-// shard's name arena, so a caller that keeps it keeps all of that shard's
-// names alive. Copy it (strings.Clone) to keep a name past the snapshot's
-// life.
+// Node is one vertex of the net. A Node does not own its Name: the string
+// is a view of the name arena of the net or shard it was read from, so a
+// caller that keeps it keeps all of that arena's names alive. Copy it
+// (strings.Clone) to keep a name past the net's or the snapshot's life.
 type Node struct {
 	ID     NodeID
 	Kind   NodeKind
@@ -112,9 +113,9 @@ type Node struct {
 
 // HalfEdge is an outgoing or incoming adjacency record. It is 8 bytes and
 // holds no pointers, the layout of the on-disk record in persist_frozen.go,
-// so the live net's, every freeze's and every loaded shard's edge arrays
-// are never scanned by the garbage collector. Its relation name and weight
-// are one interned Label; Rel and Weight read them.
+// so every freeze's and every loaded shard's edge arrays are never scanned
+// by the garbage collector. Its relation name and weight are one interned
+// Label; Rel and Weight read them.
 type HalfEdge struct {
 	Peer  NodeID   // the node at the other end (a global ID)
 	Kind  EdgeKind // relation type
@@ -124,13 +125,29 @@ type HalfEdge struct {
 // Net is the concept net under construction. It answers only what the
 // build and the freeze ask of it; every query reads a ShardSet frozen from
 // it.
+//
+// It is laid out like a frozen shard, with nothing per node or per edge for
+// the garbage collector to scan: its nodes are a node table's records, name
+// arena and domain table, found by name through an open-addressing index,
+// and its edges are one slab of records, each linked into the out-list of
+// its tail and the in-list of its head. So a net of any size is a handful
+// of heap objects. A net's names may total at most 4 GiB (the arena's
+// offsets are 32-bit); adding more panics.
 type Net struct {
-	mu     sync.RWMutex
-	nodes  []Node
-	outAdj [][]HalfEdge
-	inAdj  [][]HalfEdge
-	byName map[string][]NodeID
-	edges  int
+	mu    sync.RWMutex
+	nodes tableBuilder
+	links []nodeLinks // one per node
+
+	// slots indexes the nodes by name: an open-addressing table at most
+	// half full, probed linearly from nameHash, where 0 is an empty slot
+	// and id+1 points at the first node of a name. names counts the
+	// distinct names.
+	slots []uint32
+	names int
+
+	// edges is the slab; edges[0] is a sentinel no list holds, so 0 ends
+	// a list.
+	edges []edgeRec
 
 	// version names the net among the process's nets and counts the
 	// AddNode and AddEdge calls that changed it: those that added a node
@@ -139,6 +156,51 @@ type Net struct {
 	// from anything else without the snapshot keeping the net alive.
 	version netVersion
 }
+
+// The two directions of an edge list: a node's out-list holds the edges it
+// is the tail of, its in-list the edges it is the head of.
+const (
+	dirOut = 0
+	dirIn  = 1
+)
+
+// nodeLinks ties a node into the net's lists.
+type nodeLinks struct {
+	nextName NodeID      // the next node with this node's name, or InvalidNode
+	lists    [2]edgeList // the out-list and the in-list
+}
+
+// edgeList is one direction of a node's edges, linked newest first.
+type edgeList struct {
+	head uint32 // the newest edge, 0 for none
+	len  uint32
+}
+
+// edgeRec is one edge in 20 bytes with no pointers, the one record both of
+// its half-edges read. The lists link it newest first: ends[dirOut] is its
+// tail, whose out-list continues at next[dirOut], and ends[dirIn] its head,
+// whose in-list continues at next[dirIn].
+type edgeRec struct {
+	ends  [2]NodeID
+	next  [2]uint32
+	label Label
+	kind  EdgeKind
+}
+
+// half returns the edge as its direction-d list holds it: the peer is the
+// other end.
+func (r *edgeRec) half(d int) HalfEdge {
+	return HalfEdge{Peer: r.ends[1-d], Kind: r.kind, Label: r.label}
+}
+
+// What Grow reserves per node: name bytes and edges. The facade's build
+// grows by an upper bound on its nodes and then adds 15 name bytes and 3.9
+// edges per node of that bound (20 and 5.3 per node it adds), so it
+// regrows neither.
+const (
+	growNameBytes = 16
+	growEdges     = 5
+)
 
 // netVersion is a net's identity and mutation count.
 type netVersion struct {
@@ -151,21 +213,53 @@ var netIDs atomic.Uint64
 
 // NewNet returns an empty net.
 func NewNet() *Net {
-	return &Net{byName: make(map[string][]NodeID), version: netVersion{net: netIDs.Add(1)}}
+	return &Net{slots: make([]uint32, 1), edges: make([]edgeRec, 1), version: netVersion{net: netIDs.Add(1)}}
 }
 
-// Grow reserves room for count more nodes: node slots, their adjacency
-// list headers and name index entries, so a build that knows its size up
-// front adds its nodes without regrowing them.
+// Grow reserves room for count more nodes: their records, list heads and
+// name index slots, growNameBytes of name arena each, and growEdges edge
+// records each in the slab. A build that knows its size up front then adds
+// its nodes and edges without regrowing any of them.
 func (n *Net) Grow(count int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.nodes = slices.Grow(n.nodes, count)
-	n.outAdj = slices.Grow(n.outAdj, count)
-	n.inAdj = slices.Grow(n.inAdj, count)
-	byName := make(map[string][]NodeID, len(n.byName)+count)
-	maps.Copy(byName, n.byName)
-	n.byName = byName
+	n.nodes.recs = slices.Grow(n.nodes.recs, count)
+	n.nodes.arena = slices.Grow(n.nodes.arena, count*growNameBytes)
+	n.links = slices.Grow(n.links, count)
+	n.edges = slices.Grow(n.edges, count*growEdges)
+	if size := tableSize(n.names + count); size > len(n.slots) {
+		n.indexNames(size)
+	}
+}
+
+// nameSlot returns the slot of name in the name index: the one that points
+// at its first node, or the empty slot where that pointer would go. A
+// slot's node is NodeID(slot value) - 1, so an empty slot reads as
+// InvalidNode.
+func (n *Net) nameSlot(name string) uint64 {
+	mask := uint64(len(n.slots) - 1)
+	for s := nameHash(name) & mask; ; s = (s + 1) & mask {
+		if j := n.slots[s]; j == 0 || n.nodes.name(int(j-1)) == name {
+			return s
+		}
+	}
+}
+
+// indexNames rebuilds the name index with size slots.
+func (n *Net) indexNames(size int) {
+	old := n.slots
+	n.slots = make([]uint32, size)
+	mask := uint64(size - 1)
+	for _, j := range old {
+		if j == 0 {
+			continue
+		}
+		s := nameHash(n.nodes.name(int(j-1))) & mask
+		for n.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		n.slots[s] = j
+	}
 }
 
 // AddNode inserts a node and returns its ID. Duplicate (kind, name, domain)
@@ -173,32 +267,46 @@ func (n *Net) Grow(count int) {
 func (n *Net) AddNode(kind NodeKind, name, domain string) NodeID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, id := range n.byName[name] {
-		nd := n.nodes[id]
-		if nd.Kind == kind && nd.Domain == domain {
+	slot, last := n.nameSlot(name), InvalidNode
+	for id := NodeID(n.slots[slot]) - 1; id != InvalidNode; id = n.links[id].nextName {
+		if r := n.nodes.recs[id]; NodeKind(r.kind) == kind && n.nodes.domains[r.dom] == domain {
 			return id
 		}
+		last = id
 	}
-	id := NodeID(len(n.nodes))
+	if uint64(len(n.nodes.arena))+uint64(len(name)) > maxArena {
+		panic(fmt.Sprintf("core: AddNode: the net's names would exceed %d bytes", uint64(maxArena)))
+	}
+	id := NodeID(len(n.nodes.recs))
 	n.version.mutations++
-	n.nodes = append(n.nodes, Node{ID: id, Kind: kind, Name: name, Domain: domain})
-	n.outAdj = append(n.outAdj, nil)
-	n.inAdj = append(n.inAdj, nil)
-	n.byName[name] = append(n.byName[name], id)
+	off := len(n.nodes.arena)
+	n.nodes.arena = append(n.nodes.arena, name...)
+	n.nodes.addNode(kind, off, domain)
+	n.links = append(n.links, nodeLinks{nextName: InvalidNode})
+	if last != InvalidNode {
+		n.links[last].nextName = id
+		return id
+	}
+	if 2*(n.names+1) > len(n.slots) {
+		n.indexNames(2 * len(n.slots))
+		slot = n.nameSlot(name)
+	}
+	n.slots[slot] = uint32(id) + 1
+	n.names++
 	return id
 }
 
 // AddEdge inserts a typed edge after validating layer compatibility.
-// Duplicate (from, to, kind, rel) edges update the weight instead. It fails
-// when the (rel, weight) pair needs a new label and the label table is
-// full.
+// Duplicate (from, to, kind, rel) edges update the weight instead, on the
+// one record both directions read. It fails when the (rel, weight) pair
+// needs a new label and the label table is full.
 func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.valid(from) || !n.valid(to) {
 		return fmt.Errorf("core: AddEdge with invalid node id %d -> %d", from, to)
 	}
-	fk, tk := n.nodes[from].Kind, n.nodes[to].Kind
+	fk, tk := NodeKind(n.nodes.recs[from].kind), NodeKind(n.nodes.recs[to].kind)
 	if kind < 0 || kind >= numEdgeKinds || !slices.Contains(edgeRules[kind], [2]NodeKind{fk, tk}) {
 		return fmt.Errorf("core: edge %s not allowed from %s to %s", kind, fk, tk)
 	}
@@ -207,70 +315,79 @@ func (n *Net) AddEdge(from, to NodeID, kind EdgeKind, rel string, weight float64
 		return fmt.Errorf("core: AddEdge %q: %w", rel, err)
 	}
 	table := labelTable()
-	for i, he := range n.outAdj[from] {
-		if he.Peer == to && he.Kind == kind && table[he.Label].rel == rel {
-			if he.Label != label {
+	for e := n.links[from].lists[dirOut].head; e != 0; e = n.edges[e].next[dirOut] {
+		if r := &n.edges[e]; r.ends[dirIn] == to && r.kind == kind && table[r.label].rel == rel {
+			if r.label != label {
 				n.version.mutations++
-			}
-			n.outAdj[from][i].Label = label
-			for j, ie := range n.inAdj[to] {
-				if ie.Peer == from && ie.Kind == kind && table[ie.Label].rel == rel {
-					n.inAdj[to][j].Label = label
-				}
+				r.label = label
 			}
 			return nil
 		}
 	}
+	if uint64(len(n.edges)) > math.MaxUint32 {
+		return fmt.Errorf("core: AddEdge: the net holds %d edges, as many as its lists can link", len(n.edges)-1)
+	}
 	n.version.mutations++
-	n.outAdj[from] = append(n.outAdj[from], HalfEdge{Peer: to, Kind: kind, Label: label})
-	n.inAdj[to] = append(n.inAdj[to], HalfEdge{Peer: from, Kind: kind, Label: label})
-	n.edges++
+	e := uint32(len(n.edges))
+	out, in := &n.links[from].lists[dirOut], &n.links[to].lists[dirIn]
+	n.edges = append(n.edges, edgeRec{ends: [2]NodeID{from, to}, next: [2]uint32{out.head, in.head}, label: label, kind: kind})
+	out.head, in.head = e, e
+	out.len++
+	in.len++
 	return nil
 }
 
-func (n *Net) valid(id NodeID) bool { return id >= 0 && int(id) < len(n.nodes) }
+func (n *Net) valid(id NodeID) bool { return id >= 0 && int(id) < len(n.nodes.recs) }
 
-// Node returns the node for id; ok is false for invalid ids.
+// Node returns the node for id; ok is false for invalid ids. The Name is a
+// view of the net's name arena.
 func (n *Net) Node(id NodeID) (Node, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if !n.valid(id) {
 		return Node{}, false
 	}
-	return n.nodes[id], true
+	return n.nodes.node(int(id)), true
 }
 
 // NumNodes returns the node count.
 func (n *Net) NumNodes() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return len(n.nodes)
+	return len(n.nodes.recs)
 }
 
 // NumEdges returns the edge count.
 func (n *Net) NumEdges() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.edges
+	return len(n.edges) - 1
 }
 
 // FirstByNameKind returns the first matching node or InvalidNode.
 func (n *Net) FirstByNameKind(name string, kind NodeKind) NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, id := range n.byName[name] {
-		if n.nodes[id].Kind == kind {
+	for id := NodeID(n.slots[n.nameSlot(name)]) - 1; id != InvalidNode; id = n.links[id].nextName {
+		if NodeKind(n.nodes.recs[id].kind) == kind {
 			return id
 		}
 	}
 	return InvalidNode
 }
 
+// sortHalfEdgesByWeight orders postings best weight first, ties by peer.
+// slices.SortFunc is the pattern-defeating quicksort sort.Slice runs, so
+// postings that tie on both keys keep the order saved shard files hold,
+// and unlike sort.Slice it allocates nothing.
 func sortHalfEdgesByWeight(hes []HalfEdge) {
-	sort.Slice(hes, func(i, j int) bool {
-		if wi, wj := hes[i].Weight(), hes[j].Weight(); wi != wj {
-			return wi > wj
+	slices.SortFunc(hes, func(a, b HalfEdge) int {
+		if wa, wb := a.Weight(), b.Weight(); wa != wb {
+			if wa > wb {
+				return -1
+			}
+			return 1
 		}
-		return hes[i].Peer < hes[j].Peer
+		return cmp.Compare(a.Peer, b.Peer)
 	})
 }

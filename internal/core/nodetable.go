@@ -12,15 +12,9 @@ import (
 // collector never scans them, and a table costs the same few allocations
 // whatever its node count: there is no string, map or slice per node or
 // per name.
-//
-// Names live back to back in one byte arena, in node order. A name read
-// from the table is an unsafe.String over the arena, so whoever keeps one
-// keeps the shard's whole arena alive.
 type nodeTable struct {
-	base    NodeID    // global ID of recs[0]; node IDs are base+index
-	recs    []nodeRec // one per node, indexed by id-base
-	arena   []byte    // every name, in node order, sized exactly
-	domains []string  // the shard's distinct domains, in order of first use
+	base     NodeID // global ID of recs[0]; node IDs are base+index
+	nodeList        // the shard's nodes, indexed by id-base; the arena is sized exactly
 
 	// The name index has one entry per distinct name, numbered in order of
 	// first appearance. Entry e lists its nodes in post[first[e]:first[e+1]]
@@ -37,16 +31,28 @@ type nodeTable struct {
 	kindOff [numKinds + 1]uint32
 }
 
+// nodeList is nodes in ID order, laid out the same in a live net and in a
+// frozen shard: 12-byte records, their names back to back in one byte
+// arena, and the distinct domains. A name read from it is an unsafe.String
+// over the arena, so whoever keeps one keeps the whole arena alive. No
+// name's bytes ever change (a live net only appends to its arena), so such
+// a view stays valid for as long as it is held.
+type nodeList struct {
+	recs    []nodeRec
+	arena   []byte
+	domains []string // in order of first use
+}
+
 // nodeRec is one node in 12 bytes with no pointers. The node's name is
 // arena[name:e], where e is the next record's name offset, or the arena's
 // end for the last record.
 type nodeRec struct {
 	name uint32 // arena offset of the name
-	dom  uint32 // index into the shard's domain table
+	dom  uint32 // index into the domain table
 	kind uint8
 }
 
-// maxArena bounds a shard's name bytes: arena offsets are uint32.
+// maxArena bounds a node list's name bytes: arena offsets are uint32.
 const maxArena = math.MaxUint32
 
 // nameSeed keys every name index. It is one seed for the whole process, so
@@ -59,13 +65,11 @@ func nameHash(name string) uint64 { return maphash.String(nameSeed, name) }
 // not keep the string, and b must not change while it is in use.
 func bytesView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// tableBuilder collects a shard's nodes in ID order, from a live net or
-// straight from a snapshot file, for newNodeTable to index.
+// tableBuilder collects nodes in ID order: a live net's, or a shard's
+// straight from a snapshot file for newNodeTable to index.
 type tableBuilder struct {
-	recs    []nodeRec
-	arena   []byte
-	domains []string
-	domIdx  map[string]uint32
+	nodeList
+	domIdx map[string]uint32
 }
 
 // addNode appends a node whose name is already at the arena's tail,
@@ -85,12 +89,30 @@ func (b *tableBuilder) addNode(kind NodeKind, off int, domain string) {
 	b.recs = append(b.recs, nodeRec{name: uint32(off), dom: dom, kind: uint8(kind)})
 }
 
-// newNodeTable indexes the nodes a builder collected for the shard whose
-// first global ID is base. It is the only constructor of a node table:
-// Freeze and LoadFrozen both call it, so a loaded shard's name and kind
-// indexes are derived from its nodes, as a frozen shard's are.
-func newNodeTable(base NodeID, b *tableBuilder) nodeTable {
-	t := nodeTable{base: base, recs: b.recs, arena: b.arena, domains: b.domains}
+// copyRange copies nodes [lo, hi) into a list of their own: the records
+// with their name offsets rebased, their names in an arena of exactly
+// their size, and only the domains they use, in order of first use.
+func (l *nodeList) copyRange(lo, hi int) nodeList {
+	start, end := l.nameOff(lo), l.nameOff(hi)
+	c := nodeList{recs: make([]nodeRec, hi-lo), arena: make([]byte, end-start)}
+	copy(c.arena, l.arena[start:end])
+	dom := make([]uint32, len(l.domains)) // 1 + the copy's index of a domain, 0 until used
+	for i, r := range l.recs[lo:hi] {
+		if dom[r.dom] == 0 {
+			c.domains = append(c.domains, l.domains[r.dom])
+			dom[r.dom] = uint32(len(c.domains))
+		}
+		c.recs[i] = nodeRec{name: r.name - start, dom: dom[r.dom] - 1, kind: r.kind}
+	}
+	return c
+}
+
+// newNodeTable indexes the nodes of the shard whose first global ID is
+// base. It is the only constructor of a node table: Freeze and LoadFrozen
+// both call it, so a loaded shard's name and kind indexes are derived from
+// its nodes, as a frozen shard's are.
+func newNodeTable(base NodeID, nodes nodeList) nodeTable {
+	t := nodeTable{base: base, nodeList: nodes}
 	n := len(t.recs)
 
 	// Group the nodes by name. Until the entries are counted, a slot holds
@@ -182,21 +204,35 @@ func tableSize(entries int) int {
 }
 
 // name returns the name of the node at index i, a view of the arena.
-func (t *nodeTable) name(i int) string {
-	start, end := t.recs[i].name, uint32(len(t.arena))
-	if i+1 < len(t.recs) {
-		end = t.recs[i+1].name
-	}
+func (l *nodeList) name(i int) string {
+	start, end := l.recs[i].name, l.nameOff(i+1)
 	if start == end {
 		return "" // never index the arena for an empty name: it may end here
 	}
-	return unsafe.String(&t.arena[start], end-start)
+	return unsafe.String(&l.arena[start], end-start)
+}
+
+// nameOff returns the arena offset where the name of the node at index i
+// starts, or the arena's end for i = len(recs): node i's name ends where
+// node i+1's starts.
+func (l *nodeList) nameOff(i int) uint32 {
+	if i < len(l.recs) {
+		return l.recs[i].name
+	}
+	return uint32(len(l.arena))
+}
+
+// node returns the node at index i, whose ID is i.
+func (l *nodeList) node(i int) Node {
+	r := l.recs[i]
+	return Node{ID: NodeID(i), Kind: NodeKind(r.kind), Name: l.name(i), Domain: l.domains[r.dom]}
 }
 
 // node returns the node at index i.
 func (t *nodeTable) node(i int) Node {
-	r := t.recs[i]
-	return Node{ID: t.base + NodeID(i), Kind: NodeKind(r.kind), Name: t.name(i), Domain: t.domains[r.dom]}
+	nd := t.nodeList.node(i)
+	nd.ID += t.base
+	return nd
 }
 
 // kindOf returns the kind of a node the table holds.

@@ -201,10 +201,10 @@ func readCSR(fr *fzio.Reader, dir string, nodeCount, edgeCount, totalNodes, labe
 func readNodes(fr *fzio.Reader, base NodeID, nodeCount int) nodeTable {
 	// 16 bytes a name is a first guess at the arena's size; it grows only
 	// with names actually read and is trimmed to size below.
-	b := tableBuilder{
+	b := tableBuilder{nodeList: nodeList{
 		recs:  make([]nodeRec, 0, fzio.Prealloc(nodeCount)),
 		arena: make([]byte, 0, 16*fzio.Prealloc(nodeCount)),
-	}
+	}}
 	var dom []byte
 	for i := 0; i < nodeCount && fr.Err == nil; i++ {
 		kind := NodeKind(fr.U8())
@@ -224,7 +224,7 @@ func readNodes(fr *fzio.Reader, base NodeID, nodeCount int) nodeTable {
 	if cap(b.arena) > len(b.arena) {
 		b.arena = append([]byte(nil), b.arena...)
 	}
-	return newNodeTable(base, &b)
+	return newNodeTable(base, b.nodeList)
 }
 
 // Save writes a versioned, checksummed binary snapshot of the shard (of a

@@ -159,12 +159,13 @@ func TestLoadFrozenTruncated(t *testing.T) {
 // rejected with an error instead of being decoded or panicking.
 func TestLoadTruncatedGob(t *testing.T) {
 	n, _ := buildToyNet(t)
+	nodes, out, _ := n.lists()
 	legacy := struct {
 		Version int
 		Nodes   []Node
 		Out     [][]HalfEdge
 		Edges   int
-	}{1, n.nodes, n.outAdj, n.edges}
+	}{1, nodes, out, n.NumEdges()}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
 		t.Fatal(err)

@@ -1,19 +1,53 @@
 package core
 
-// The live net's read half. Serving reads only a frozen ShardSet, so these
-// lock-guarded scans of the mutable adjacency lists live here, as the
-// reference the frozen store is checked against: the equivalence, stats
-// and fuzz tests compare every ShardSet query with the method of the same
-// name on the Net it was frozen from.
+import "slices"
 
-// FirstByNameKindBytes is FirstByNameKind keyed by a byte buffer; the map
-// lookup converts the key without allocating.
+// The live net's read half. Serving reads only a frozen ShardSet, so these
+// lock-guarded scans of the live net live here, as the reference the
+// frozen store is checked against: the equivalence, stats and fuzz tests
+// compare every ShardSet query with the method of the same name on the Net
+// it was frozen from. They read the edge slab only through
+// adjacencyLocked, and only the fuzz model (net_model_test.go) checks what
+// it reads.
+
+// adjacencyLocked returns node id's half-edges in direction d (dirOut or
+// dirIn) in insertion order, or nil for an ID the net does not hold.
+// Callers hold n.mu.
+func (n *Net) adjacencyLocked(id NodeID, d int) []HalfEdge {
+	if !n.valid(id) {
+		return nil
+	}
+	var hes []HalfEdge
+	for e := n.links[id].lists[d].head; e != 0; e = n.edges[e].next[d] {
+		hes = append(hes, n.edges[e].half(d))
+	}
+	slices.Reverse(hes) // lists run newest first
+	return hes
+}
+
+// lists returns a copy of the live net's nodes and each node's half-edges
+// in both directions, for the tests that compare a freeze with the whole
+// net.
+func (n *Net) lists() (nodes []Node, out, in [][]HalfEdge) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	nodes = make([]Node, len(n.nodes.recs))
+	out, in = make([][]HalfEdge, len(nodes)), make([][]HalfEdge, len(nodes))
+	for id := range nodes {
+		nodes[id] = n.nodes.node(id)
+		out[id], in[id] = n.adjacencyLocked(NodeID(id), dirOut), n.adjacencyLocked(NodeID(id), dirIn)
+	}
+	return nodes, out, in
+}
+
+// FirstByNameKindBytes is FirstByNameKind keyed by a byte buffer, found by
+// a scan of the nodes in ID order rather than through the name index.
 func (n *Net) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, id := range n.byName[string(name)] {
-		if n.nodes[id].Kind == kind {
-			return id
+	for id := range n.nodes.recs {
+		if nd := n.nodes.node(id); nd.Kind == kind && nd.Name == string(name) {
+			return nd.ID
 		}
 	}
 	return InvalidNode
@@ -23,22 +57,19 @@ func (n *Net) FirstByNameKindBytes(name []byte, kind NodeKind) NodeID {
 func (n *Net) Out(id NodeID, kind EdgeKind) []HalfEdge {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return filterAdj(n.outAdj, id, kind, len(n.nodes))
+	return filterKind(n.adjacencyLocked(id, dirOut), kind)
 }
 
 // In returns incoming half-edges of a kind (all kinds if kind < 0).
 func (n *Net) In(id NodeID, kind EdgeKind) []HalfEdge {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return filterAdj(n.inAdj, id, kind, len(n.nodes))
+	return filterKind(n.adjacencyLocked(id, dirIn), kind)
 }
 
-func filterAdj(adj [][]HalfEdge, id NodeID, kind EdgeKind, n int) []HalfEdge {
-	if id < 0 || int(id) >= n {
-		return nil
-	}
+func filterKind(hes []HalfEdge, kind EdgeKind) []HalfEdge {
 	var out []HalfEdge
-	for _, he := range adj[id] {
+	for _, he := range hes {
 		if kind < 0 || he.Kind == kind {
 			out = append(out, he)
 		}
@@ -55,18 +86,18 @@ func filterAdj(adj [][]HalfEdge, id NodeID, kind EdgeKind, n int) []HalfEdge {
 func (n *Net) Ancestors(id NodeID, maxDepth int) []NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return bfsHierarchy(n.outAdj, id, maxDepth, len(n.nodes))
+	return n.bfsHierarchyLocked(id, maxDepth, dirOut)
 }
 
 // Descendants walks EdgeIsA/EdgeInstanceOf downward (incoming edges).
 func (n *Net) Descendants(id NodeID, maxDepth int) []NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return bfsHierarchy(n.inAdj, id, maxDepth, len(n.nodes))
+	return n.bfsHierarchyLocked(id, maxDepth, dirIn)
 }
 
-func bfsHierarchy(adj [][]HalfEdge, id NodeID, maxDepth, n int) []NodeID {
-	if id < 0 || int(id) >= n {
+func (n *Net) bfsHierarchyLocked(id NodeID, maxDepth, d int) []NodeID {
+	if !n.valid(id) {
 		return nil
 	}
 	type qe struct {
@@ -82,8 +113,9 @@ func bfsHierarchy(adj [][]HalfEdge, id NodeID, maxDepth, n int) []NodeID {
 		if maxDepth > 0 && cur.depth >= maxDepth {
 			continue
 		}
+		hes := n.adjacencyLocked(cur.id, d)
 		for _, kind := range [2]EdgeKind{EdgeIsA, EdgeInstanceOf} {
-			for _, he := range adj[cur.id] {
+			for _, he := range hes {
 				if he.Kind != kind || seen[he.Peer] {
 					continue
 				}
@@ -111,9 +143,9 @@ func (n *Net) NodesOfKind(kind NodeKind) []NodeID {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	var out []NodeID
-	for _, nd := range n.nodes {
-		if nd.Kind == kind {
-			out = append(out, nd.ID)
+	for id, r := range n.nodes.recs {
+		if NodeKind(r.kind) == kind {
+			out = append(out, NodeID(id))
 		}
 	}
 	return out
@@ -151,15 +183,16 @@ func (n *Net) ComputeStats() Stats {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	s := Stats{
-		Nodes:           len(n.nodes),
-		Edges:           n.edges,
+		Nodes:           len(n.nodes.recs),
+		Edges:           len(n.edges) - 1,
 		PerKind:         make(map[string]int),
 		PrimitivesByDom: make(map[string]int),
 		EdgesByKind:     make(map[string]int),
 	}
 	items, econcepts := 0, 0
 	var itemPrim, itemEcpt, ecptPrim int
-	for id, nd := range n.nodes {
+	for id := range n.nodes.recs {
+		nd := n.nodes.node(id)
 		s.PerKind[nd.Kind.String()]++
 		if nd.Kind == KindPrimitive {
 			s.PrimitivesByDom[nd.Domain]++
@@ -170,7 +203,7 @@ func (n *Net) ComputeStats() Stats {
 		if nd.Kind == KindEConcept {
 			econcepts++
 		}
-		for _, he := range n.outAdj[id] {
+		for _, he := range n.adjacencyLocked(nd.ID, dirOut) {
 			s.EdgesByKind[he.Kind.String()]++
 			switch he.Kind {
 			case EdgeIsA:

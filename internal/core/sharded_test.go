@@ -319,12 +319,14 @@ func TestShardSetConcurrentReads(t *testing.T) {
 // Descendants on the live net and returns the nodes whose adjacency lists
 // it reads, in order, stopping after the read that discovers target.
 func refAdjacencyReads(n *Net, up bool, start NodeID, maxDepth int, target NodeID) []NodeID {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if !n.valid(start) {
 		return nil
 	}
-	adj := n.inAdj
+	d := dirIn
 	if up {
-		adj = n.outAdj
+		d = dirOut
 	}
 	type entry struct {
 		id    NodeID
@@ -340,8 +342,9 @@ func refAdjacencyReads(n *Net, up bool, start NodeID, maxDepth int, target NodeI
 			continue
 		}
 		read = append(read, cur.id)
+		hes := n.adjacencyLocked(cur.id, d)
 		for _, kind := range [2]EdgeKind{EdgeIsA, EdgeInstanceOf} {
-			for _, he := range adj[cur.id] {
+			for _, he := range hes {
 				if he.Kind != kind || seen[he.Peer] {
 					continue
 				}

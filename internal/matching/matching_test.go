@@ -151,7 +151,7 @@ func buildFix(t *testing.T) *fix {
 	cfg.Dim = 32
 	cfg.Epochs = 10
 	w2v := emb.TrainWord2Vec(corpus, cfg)
-	glossary := emb.BuildGlossary(w.Glosses, emb.NewDoc2Vec(w2v))
+	glossary := emb.BuildGlossary(w.Glosses(), emb.NewDoc2Vec(w2v))
 	return &fix{
 		w: w, train: train, test: test,
 		embed: w2v.Vec, dim: 32,

@@ -187,7 +187,7 @@ func (a *Artifacts) TrainModels() (*Models, error) {
 	m := &Models{}
 	m.W2V = emb.TrainWord2Vec(a.Corpus.All(), a.Opts.W2V)
 	m.D2V = emb.NewDoc2Vec(m.W2V)
-	m.Glossary = emb.BuildGlossary(a.World.Glosses, m.D2V)
+	m.Glossary = emb.BuildGlossary(a.World.Glosses(), m.D2V)
 	m.LM = text.NewNGramLM()
 	m.LM.Train(a.Corpus.All())
 	m.POS = text.NewPOSTagger()

@@ -280,7 +280,7 @@ func sortedKeys(m map[string][]string) []string {
 // (Section 5.2.2). Crucially, event/time glosses name their required
 // categories: the "Mid-Autumn Festival mentions moon cakes" bridge.
 func (w *World) buildGlosses() {
-	w.Glosses = make(map[int]string, len(w.Primitives))
+	w.glosses = make(map[int]string, len(w.Primitives))
 	// Reverse indexes: leaf -> events/times needing it.
 	leafEvents := make(map[string][]string)
 	for ev, leaves := range eventRequirements {
@@ -367,7 +367,7 @@ func (w *World) buildGlosses() {
 		default:
 			b.WriteString(" is a " + strings.ToLower(string(p.Domain)) + " used to describe items")
 		}
-		w.Glosses[p.ID] = strings.ToLower(b.String())
+		w.glosses[p.ID] = strings.ToLower(b.String())
 	}
 }
 

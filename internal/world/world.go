@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Primitive is a ground-truth primitive concept (Section 4): a surface form
@@ -90,7 +91,10 @@ type World struct {
 	leafFrames [][]int
 	frameBuf   []int
 
-	Glosses map[int]string // primitive ID -> generated gloss
+	// glosses maps a primitive ID to its generated gloss; Glosses builds
+	// it on first use.
+	glosses     map[int]string
+	glossesOnce sync.Once
 
 	// HypernymPairs is the ground-truth isA set within Category:
 	// (hyponym, hypernym) primitive ID pairs, both directions of the tree.
@@ -115,8 +119,16 @@ func New(cfg Config) *World {
 	w.buildFrames()
 	w.indexFrames()
 	w.buildItems()
-	w.buildGlosses()
 	return w
+}
+
+// Glosses returns the generated gloss of every primitive, keyed by
+// primitive ID. It builds them on first use (buildGlosses draws nothing
+// from the random stream, so when does not matter) and returns the same
+// read-only map after that; it is safe for concurrent use.
+func (w *World) Glosses() map[int]string {
+	w.glossesOnce.Do(w.buildGlosses)
+	return w.glosses
 }
 
 // addPrimitive registers a primitive and returns its ID.

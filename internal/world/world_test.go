@@ -203,8 +203,8 @@ func TestSemanticDriftPlanted(t *testing.T) {
 	}
 	// And the gloss must mention it (the knowledge bridge).
 	tm := w.PrimByName(Time, "mid-autumn festival")
-	if !strings.Contains(w.Glosses[tm], "mooncake") {
-		t.Fatalf("mid-autumn gloss should mention mooncake: %q", w.Glosses[tm])
+	if !strings.Contains(w.Glosses()[tm], "mooncake") {
+		t.Fatalf("mid-autumn gloss should mention mooncake: %q", w.Glosses()[tm])
 	}
 }
 
@@ -329,15 +329,15 @@ func TestGuideContainsHearstPatterns(t *testing.T) {
 func TestGlossesCoverAllPrimitives(t *testing.T) {
 	w := tinyWorld(t)
 	for _, p := range w.Primitives {
-		g, ok := w.Glosses[p.ID]
+		g, ok := w.Glosses()[p.ID]
 		if !ok || g == "" {
 			t.Fatalf("primitive %q has no gloss", p.Name())
 		}
 	}
 	// Event glosses must name required categories.
 	bb := w.PrimByName(Event, "barbecue")
-	if !strings.Contains(w.Glosses[bb], "grill") {
-		t.Fatalf("barbecue gloss should mention grill: %q", w.Glosses[bb])
+	if !strings.Contains(w.Glosses()[bb], "grill") {
+		t.Fatalf("barbecue gloss should mention grill: %q", w.Glosses()[bb])
 	}
 }
 
