@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -63,6 +64,13 @@ const (
 
 	// frozenEdgeRecSize is the fixed on-disk size of one half-edge.
 	frozenEdgeRecSize = 8
+
+	// saveBuffer bounds the buffer SaveSum writes a file through, the size
+	// snapstore.LoadShard reads with; a smaller file gets a buffer of its
+	// own size. saveChunk is the chunk writeCSR encodes degrees and edge
+	// records into.
+	saveBuffer = 64 << 10
+	saveChunk  = 4 << 10
 )
 
 var frozenMagic = [4]byte{'A', 'C', 'F', 'Z'}
@@ -103,23 +111,30 @@ func buildFileLabels(csrs ...*csr) (*fileLabels, error) {
 }
 
 // writeCSR emits one direction: each node's degree, then the edge
-// records, as two bulk writes.
-func writeCSR(fw *fzio.Writer, c *csr, table *fileLabels) {
-	degBuf := make([]byte, 4*len(c.groups))
+// records, encoded through chunk and written a chunk at a time.
+func writeCSR(fw *fzio.Writer, c *csr, table *fileLabels, chunk []byte) {
+	n := 0 // bytes of chunk in use
 	for id := range c.groups {
-		fzio.PutU32(degBuf[4*id:], uint32(len(c.slice(NodeID(id), -1))))
+		if n+4 > len(chunk) {
+			fw.Bytes(chunk[:n])
+			n = 0
+		}
+		fzio.PutU32(chunk[n:], uint32(len(c.slice(NodeID(id), -1))))
+		n += 4
 	}
-	fw.Bytes(degBuf)
-
-	recBuf := make([]byte, frozenEdgeRecSize*len(c.edges))
 	for i := range c.edges {
+		if n+frozenEdgeRecSize > len(chunk) {
+			fw.Bytes(chunk[:n])
+			n = 0
+		}
 		he := &c.edges[i]
-		rec := recBuf[frozenEdgeRecSize*i:]
+		rec := chunk[n:]
 		fzio.PutU32(rec, uint32(he.Peer))
 		l := table.idx[he.Label] - 1
 		rec[4], rec[5], rec[6], rec[7] = byte(he.Kind), 0, byte(l), byte(l>>8)
+		n += frozenEdgeRecSize
 	}
-	fw.Bytes(recBuf)
+	fw.Bytes(chunk[:n])
 }
 
 // readCSR reads one direction back and validates it: the degrees must sum
@@ -239,7 +254,9 @@ func (f *FrozenNet) Save(w io.Writer) error {
 
 // SaveSum is Save that also returns the body CRC-32 it wrote — the same
 // value LoadFrozen records as Checksum() — so multi-shard writers can build
-// a manifest of per-shard checksums without re-reading the files.
+// a manifest of per-shard checksums without re-reading the files. It
+// buffers its writes itself, in one buffer sized to the file and at most
+// saveBuffer bytes, so w needs no buffer of its own.
 func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 	t := &f.nodes
 	if len(t.recs) > fzio.MaxElems {
@@ -256,19 +273,19 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 			return 0, fmt.Errorf("core: frozen save: node %d name/domain exceeds %d bytes", i, fzio.MaxStr)
 		}
 	}
-	head := fzio.Writer{W: w}
-	head.Bytes(frozenMagic[:])
-	head.U16(frozenVersion)
-	if head.Err != nil {
-		return 0, fmt.Errorf("core: frozen save: %w", head.Err)
-	}
-
 	table, err := buildFileLabels(&f.out, &f.in)
 	if err != nil {
 		return 0, err
 	}
+	// Every write goes through bw, whose first error sticks: the Flush at
+	// the end reports it.
+	bw := bufio.NewWriterSize(w, min(f.fileSize(table), saveBuffer))
+	frame := fzio.Writer{W: bw} // the header and trailer around the body
+	frame.Bytes(frozenMagic[:])
+	frame.U16(frozenVersion)
+
 	crc := crc32.NewIEEE()
-	fw := fzio.Writer{W: io.MultiWriter(w, crc)}
+	fw := fzio.Writer{W: io.MultiWriter(bw, crc)}
 	fw.U8(uint8(numKinds))
 	fw.U8(uint8(numEdgeKinds))
 	fw.U32(uint32(len(t.recs)))
@@ -287,18 +304,32 @@ func (f *FrozenNet) SaveSum(w io.Writer) (uint32, error) {
 		fw.Str(t.name(i))
 		fw.Str(t.domains[r.dom])
 	}
-	writeCSR(&fw, &f.out, table)
-	writeCSR(&fw, &f.in, table)
-	if fw.Err != nil {
-		return 0, fmt.Errorf("core: frozen save: %w", fw.Err)
-	}
+	chunk := make([]byte, saveChunk)
+	writeCSR(&fw, &f.out, table, chunk)
+	writeCSR(&fw, &f.in, table, chunk)
 	sum := crc.Sum32()
-	tail := fzio.Writer{W: w}
-	tail.U32(sum)
-	if tail.Err != nil {
-		return 0, fmt.Errorf("core: frozen save: %w", tail.Err)
+	frame.U32(sum)
+	if err := bw.Flush(); err != nil {
+		return 0, fmt.Errorf("core: frozen save: %w", err)
 	}
 	return sum, nil
+}
+
+// fileSize returns the size of the file SaveSum writes for the shard with
+// the label table table.
+func (f *FrozenNet) fileSize(table *fileLabels) int {
+	t := &f.nodes
+	size := FrozenHeaderLen + 2 + 5*4 // header, kind counts, node and edge counts
+	size += 4 + 12*len(table.keys)    // label table: count, then str rel and u64 weight
+	for _, k := range table.keys {
+		size += len(k.rel)
+	}
+	size += 9*len(t.recs) + len(t.arena) // nodes: u8 kind, str name, str domain
+	for _, r := range t.recs {
+		size += len(t.domains[r.dom])
+	}
+	size += 2*4*len(t.recs) + frozenEdgeRecSize*(len(f.out.edges)+len(f.in.edges)) // degrees and records
+	return size + FrozenTrailerLen
 }
 
 // LoadFrozen reads a snapshot written by (*FrozenNet).Save and returns the

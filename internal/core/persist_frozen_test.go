@@ -127,6 +127,24 @@ func TestFrozenSaveDeterministic(t *testing.T) {
 	}
 }
 
+// TestFrozenFileSize: fileSize, which sizes SaveSum's write buffer, is the
+// size of the file Save writes, for every shard of a partition and for
+// nets with empty names and no edges.
+func TestFrozenFileSize(t *testing.T) {
+	empty := NewNet()
+	empty.AddNode(KindItem, "", "")
+	shards := append(buildRandomNet(t, 5).FreezeShards(3), empty.FreezeShards(1)...)
+	for i, f := range shards {
+		table, err := buildFileLabels(&f.out, &f.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := f.fileSize(table), len(saveFrozen(t, f)); got != want {
+			t.Fatalf("shard %d: fileSize says %d bytes, Save writes %d", i, got, want)
+		}
+	}
+}
+
 // TestLoadFrozenPostingsStillSorted: the freeze-time weight sort survives
 // the round trip without LoadFrozen re-sorting anything.
 func TestLoadFrozenPostingsStillSorted(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 // (scanned across shards in ascending order, which reproduces whole-net
 // insertion order) and the isA/instanceOf traversals (run at the set level
 // so they cross shard boundaries) touch more than one shard. Every step
-// into a shard's storage is a faultfs.QueryProbe, so a query fault armed on
-// one shard reaches every query that reads it.
+// into a shard's storage but Name is a faultfs.QueryProbe, so a query fault
+// armed on one shard reaches every query that reads it.
 //
 // Slices a ShardSet returns are read-only views: callers must not modify
 // them. Most are sub-slices of its shards' layout, which is what keeps
@@ -133,6 +133,19 @@ func (s *ShardSet) Node(id NodeID) (Node, bool) {
 		return Node{}, false
 	}
 	return sh.nodes.node(int(id - sh.nodes.base)), true
+}
+
+// Name returns the name of node id, or "" for an invalid id: a view of the
+// owning shard's name arena, as Node's is. It is the one read that crosses
+// into a shard without a faultfs.QueryProbe. It labels what a query has
+// already found, such as the items a result lists, and a probe per listed
+// item would multiply a drill's injected delay by the result's length.
+func (s *ShardSet) Name(id NodeID) string {
+	if !s.valid(id) {
+		return ""
+	}
+	sh := s.shards[int(id)/s.stride]
+	return sh.nodes.name(int(id - sh.nodes.base))
 }
 
 // NumNodes returns the node count across all shards.

@@ -400,14 +400,9 @@ func (a *Artifacts) buildItems() error {
 func (a *Artifacts) buildServingMeta() *snapstore.ServingMeta {
 	m := &snapstore.ServingMeta{Stopwords: a.World.Stopwords(), Items: make([]snapstore.ItemMeta, 0, len(a.World.Items))}
 	for _, it := range a.World.Items {
-		node := a.ItemNode[it.ID]
-		nd, _ := a.Net.Node(node) // an item node's name is its title
-		m.Items = append(m.Items, snapstore.ItemMeta{
-			WorldID:  it.ID,
-			Node:     node,
-			Title:    nd.Name,
-			Category: a.World.Prim(it.Leaf).Name(),
-		})
+		// The item node's name is its title, and its leaf primitive's
+		// name its category.
+		m.Items = append(m.Items, snapstore.ItemMeta{WorldID: it.ID, Node: a.ItemNode[it.ID], Category: a.PrimNode[it.Leaf]})
 	}
 	m.IndexNodes(a.Net.NumNodes())
 	return m

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
+	"regexp"
 	"testing"
 
 	"alicoco/internal/core"
@@ -123,15 +124,13 @@ func rewriteMeta(t *testing.T, dir string, edit func(body []byte) []byte) {
 }
 
 // itemsAt returns the offset of a meta body's item count: past the
-// stopword and category lists.
+// stopwords.
 func itemsAt(t testing.TB, body []byte) int {
 	t.Helper()
 	r := bytes.NewReader(body)
 	fr := fzio.Reader{R: r}
-	for list := 0; list < 2; list++ {
-		for n := fr.Count("list"); n > 0 && fr.Err == nil; n-- {
-			fr.Str()
-		}
+	for n := fr.Count("stopword"); n > 0 && fr.Err == nil; n-- {
+		fr.Str()
 	}
 	if fr.Err != nil {
 		t.Fatal(fr.Err)
@@ -139,35 +138,49 @@ func itemsAt(t testing.TB, body []byte) int {
 	return len(body) - r.Len()
 }
 
+// metaNodes are the node IDs metaCorruptions write into a meta body: the
+// net's node count, a node that is not an item, one that is not a
+// primitive, and a primitive outside the Category domain.
+type metaNodes struct {
+	total, nonItem, nonPrimitive, otherDomain uint32
+}
+
 // metaCorruptions turn a good meta body into one that must not load: the
 // rows of TestLoadShardMetaStructuralCorruption and, in internal/snapstore,
-// the seeds of FuzzLoadMeta. items is the offset of the item count,
-// nonItem a node in range that is not an item, total the net's node count.
+// the v3 seeds of FuzzLoadMeta. items is the offset of the item count;
+// item 0's node follows it, then item 0's category node.
 var metaCorruptions = []struct {
 	name string
-	want string // in the load error
-	edit func(body []byte, items int, nonItem, total uint32) []byte
+	want string // a pattern the load error matches
+	edit func(body []byte, items int, n metaNodes) []byte
 }{
-	{"non-item node", "not an item node", func(b []byte, items int, nonItem, _ uint32) []byte {
-		fzio.PutU32(b[items+4:], nonItem) // item 0's node
+	{"non-item node", `item 0: node \d+ is not an item node`, func(b []byte, items int, n metaNodes) []byte {
+		fzio.PutU32(b[items+4:], n.nonItem)
 		return b
 	}},
-	{"node past total", "out of range [0,", func(b []byte, items int, _, total uint32) []byte {
-		fzio.PutU32(b[items+4:], total)
+	{"node past total", `item 0: node \d+ out of range \[0,`, func(b []byte, items int, n metaNodes) []byte {
+		fzio.PutU32(b[items+4:], n.total)
 		return b
 	}},
-	{"category out of range", "categories)", func(b []byte, items int, _, _ uint32) []byte {
-		title := int(fzio.GetU32(b[items+8:])) // item 0's title length
-		fzio.PutU32(b[items+12+title:], 1<<20)
+	{"category out of range", `item 0: category node \d+ out of range \[0,`, func(b []byte, items int, n metaNodes) []byte {
+		fzio.PutU32(b[items+8:], n.total)
 		return b
 	}},
-	{"title past body", "unexpected EOF", func(b []byte, _ int, _, _ uint32) []byte {
-		return b[:len(b)-6] // the last item's category and two bytes of its title
+	{"category on non-primitive node", `item 0: category node \d+ is not a Category primitive`, func(b []byte, items int, n metaNodes) []byte {
+		fzio.PutU32(b[items+8:], n.nonPrimitive)
+		return b
 	}},
-	{"bytes after last item", "after the last item", func(b []byte, _ int, _, _ uint32) []byte {
+	{"category on non-Category primitive", `item 0: category node \d+ is not a Category primitive`, func(b []byte, items int, n metaNodes) []byte {
+		fzio.PutU32(b[items+8:], n.otherDomain)
+		return b
+	}},
+	{"item past body", "unexpected EOF", func(b []byte, _ int, _ metaNodes) []byte {
+		return b[:len(b)-6] // the last item's category and two bytes of its node
+	}},
+	{"bytes after last item", "1 bytes after the last item", func(b []byte, _ int, _ metaNodes) []byte {
 		return append(b, 0)
 	}},
-	{"item count above limit", "exceeds limit", func(b []byte, items int, _, _ uint32) []byte {
+	{"item count above limit", `item count \d+ exceeds limit`, func(b []byte, items int, _ metaNodes) []byte {
 		fzio.PutU32(b[items:], fzio.MaxElems+1)
 		return b
 	}},
@@ -176,19 +189,36 @@ var metaCorruptions = []struct {
 // TestLoadShardMetaStructuralCorruption: a meta body that verifies against
 // its CRC and the manifest but breaks the format's structure never loads —
 // in particular an item on a node that is not an item, which would hand
-// that node to the recommend engine as a viewed item.
+// that node to the recommend engine as a viewed item, and a category node
+// that is not a leaf category, whose name would be served as the item's
+// category.
 func TestLoadShardMetaStructuralCorruption(t *testing.T) {
 	a := buildTiny(t)
-	nonItem := uint32(a.Net.Freeze().NodesOfKind(core.KindEConcept)[0])
-	total := uint32(a.Net.NumNodes())
+	frozen := a.Net.Freeze()
+	nodes := metaNodes{
+		total:        uint32(a.Net.NumNodes()),
+		nonItem:      uint32(frozen.NodesOfKind(core.KindEConcept)[0]),
+		nonPrimitive: uint32(frozen.NodesOfKind(core.KindClass)[0]),
+		otherDomain:  math.MaxUint32,
+	}
+	for _, id := range frozen.NodesOfKind(core.KindPrimitive) {
+		if nd, _ := frozen.Node(id); nd.Domain != "Category" {
+			nodes.otherDomain = uint32(id)
+			break
+		}
+	}
+	if nodes.otherDomain == math.MaxUint32 {
+		t.Fatal("the tiny net has no primitive outside the Category domain")
+	}
 	for _, row := range metaCorruptions {
 		t.Run(row.name, func(t *testing.T) {
 			dir, _ := saveShardDir(t, a, 2)
 			rewriteMeta(t, dir, func(body []byte) []byte {
-				return row.edit(body, itemsAt(t, body), nonItem, total)
+				return row.edit(body, itemsAt(t, body), nodes)
 			})
-			if _, _, _, err := loadShards(dir); err == nil || !strings.Contains(err.Error(), row.want) {
-				t.Fatalf("got %v, want an error containing %q", err, row.want)
+			_, _, _, err := loadShards(dir)
+			if err == nil || !regexp.MustCompile(row.want).MatchString(err.Error()) {
+				t.Fatalf("got %v, want an error matching %q", err, row.want)
 			}
 		})
 	}

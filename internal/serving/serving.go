@@ -506,7 +506,10 @@ func (s Stats) Render() string {
 	return b.String()
 }
 
-// Item is a sellable unit in the net.
+// Item is a sellable unit in the net. Its Title and Category are the
+// names of its node and of its leaf category's node, views of the served
+// shards' name arenas as core.Node names are: a caller that keeps one
+// keeps those shards' names alive.
 type Item struct {
 	ID       int
 	Title    string
@@ -515,16 +518,19 @@ type Item struct {
 
 // Items lists every item, in world order.
 func (c *Core) Items() []Item {
-	items := c.serving.Load().meta.Items
-	out := make([]Item, len(items))
-	for i, im := range items {
-		out[i] = itemOf(im)
+	s := c.serving.Load()
+	out := make([]Item, len(s.meta.Items))
+	for i, im := range s.meta.Items {
+		out[i] = s.itemOf(im)
 	}
 	return out
 }
 
-func itemOf(im snapstore.ItemMeta) Item {
-	return Item{ID: im.WorldID, Title: im.Title, Category: im.Category}
+// itemOf returns the Item of an item table entry: its title and category
+// are the names of its node and of its category node, views of the served
+// shards' name arenas read with no fault-injection probe (ShardSet.Name).
+func (s *servingState) itemOf(im snapstore.ItemMeta) Item {
+	return Item{ID: im.WorldID, Title: s.shards.Name(im.Node), Category: s.shards.Name(im.Category)}
 }
 
 // ConceptCard is a shopping-scenario card: the concept name and the titles
@@ -601,7 +607,7 @@ func (s *servingState) itemsOf(ids []core.NodeID) []Item {
 	var out []Item
 	for _, id := range ids {
 		if im, ok := s.meta.ItemOfNode(id); ok {
-			out = append(out, itemOf(im))
+			out = append(out, s.itemOf(im))
 		}
 	}
 	return out

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"alicoco/internal/core"
 	"alicoco/internal/faultfs"
@@ -20,24 +19,31 @@ import (
 // with the shard codec's field primitives (internal/fzio; str = u32 length
 // + bytes):
 //
-//	"ACSM" magic | u8 version
+//	"ACSM" magic | u8 version (3)
 //	--- body, covered by the trailing CRC-32 (IEEE) ---
-//	stopwords:  u32 count, count × str
-//	categories: u32 count, count × str   (distinct, in order of first use)
-//	items:      u32 count, count × (u32 node, str title, u32 category index)
+//	stopwords: u32 count, count × str
+//	items:     u32 count, count × (u32 item node, u32 category node)
 //	--- u32 crc32 of body ---
 //
-// Item i has world ID i. The decoder accepts only what encode writes, so
-// MetaChecksum is a pure content hash.
+// Item i has world ID i. An item's title and category are the names of its
+// two nodes, which the shards hold, so the file stores no name. The
+// decoder accepts only what encode writes, so MetaChecksum is a pure
+// content hash; the kinds of the nodes are checked once the shards have
+// loaded (CheckItemKinds). Only this version loads: a store saved in an
+// older one must be saved again.
 
 var shardMetaMagic = [4]byte{'A', 'C', 'S', 'M'}
 
-const shardMetaVersion = 2
+const shardMetaVersion = 3
+
+// categoryDomain is the domain of the primitives an item's category node
+// may be: the build's leaf categories (world.Category).
+const categoryDomain = "Category"
 
 // ServingMeta is the world-derived data the serving layer needs beyond the
 // net itself: the stopwords the search engine tokenizes with, and the item
-// table mapping world item IDs to net nodes, titles and categories, with
-// its node index. The build derives it; LoadGen reads it from meta.bin.
+// table mapping world item IDs to net nodes, with its node index. The
+// build derives it; LoadGen reads it from meta.bin.
 type ServingMeta struct {
 	Stopwords []string
 	Items     []ItemMeta // in world order: Items[i] has world ID i
@@ -45,12 +51,14 @@ type ServingMeta struct {
 	byNode []int32 // node ID -> index in Items of the last item on it, or -1
 }
 
-// ItemMeta is one sellable item's serving-facing identity.
+// ItemMeta is one sellable item's serving-facing identity: its world ID,
+// its node, whose name is its title, and its category node, the leaf
+// category primitive whose name is its category. It holds no pointer: the
+// names live in the shards served with the table.
 type ItemMeta struct {
 	WorldID  int
 	Node     core.NodeID
-	Title    string
-	Category string
+	Category core.NodeID
 }
 
 // ItemOfNode returns the item on node id — the last in world order when
@@ -74,15 +82,25 @@ func (m *ServingMeta) IndexNodes(total int) {
 	}
 }
 
-// CheckItemKinds reports an error unless every item lies on an item node of
-// shards, the verified partition it is served with, whose node total holds
-// every item's node. It reads the shards directly rather than through a
+// CheckItemKinds reports an error unless every item lies on an item node,
+// and its category on a primitive of the Category domain, of shards: the
+// verified partition it is served with, whose node total holds every node
+// the table names. It reads the shards directly rather than through a
 // ShardSet, whose lookups are a query-time fault-injection boundary.
 func (m *ServingMeta) CheckItemKinds(shards []*core.FrozenNet) error {
 	stride := core.ShardStride(shards[0].TotalNodes(), len(shards))
+	node := func(id core.NodeID) (core.Node, bool) {
+		if id < 0 || int(id)/stride >= len(shards) {
+			return core.Node{}, false
+		}
+		return shards[int(id)/stride].Node(id)
+	}
 	for i, it := range m.Items {
-		if nd, ok := shards[int(it.Node)/stride].Node(it.Node); !ok || nd.Kind != core.KindItem {
+		if nd, ok := node(it.Node); !ok || nd.Kind != core.KindItem {
 			return fmt.Errorf("item %d: node %d is not an item node", i, it.Node)
+		}
+		if nd, ok := node(it.Category); !ok || nd.Kind != core.KindPrimitive || nd.Domain != categoryDomain {
+			return fmt.Errorf("item %d: category node %d is not a %s primitive", i, it.Category, categoryDomain)
 		}
 	}
 	return nil
@@ -90,118 +108,76 @@ func (m *ServingMeta) CheckItemKinds(shards []*core.FrozenNet) error {
 
 // encode returns the meta body.
 func (m *ServingMeta) encode() ([]byte, error) {
-	catIdx := make(map[string]uint32)
-	var cats []string
+	size := 8 + 8*len(m.Items)
+	for _, s := range m.Stopwords {
+		size += 4 + len(s)
+	}
+	body := bytes.NewBuffer(make([]byte, 0, size))
+	fw := fzio.Writer{W: body}
+	fw.U32(uint32(len(m.Stopwords)))
+	for _, s := range m.Stopwords {
+		fw.Str(s)
+	}
+	fw.U32(uint32(len(m.Items)))
 	for i, it := range m.Items {
 		if it.WorldID != i {
 			return nil, fmt.Errorf("item %d has world ID %d; world IDs must be dense", i, it.WorldID)
 		}
-		if _, ok := catIdx[it.Category]; !ok {
-			catIdx[it.Category] = uint32(len(cats))
-			cats = append(cats, it.Category)
-		}
-	}
-	var body bytes.Buffer
-	fw := fzio.Writer{W: &body}
-	for _, list := range [][]string{m.Stopwords, cats} {
-		fw.U32(uint32(len(list)))
-		for _, s := range list {
-			fw.Str(s)
-		}
-	}
-	fw.U32(uint32(len(m.Items)))
-	for _, it := range m.Items {
 		fw.U32(uint32(it.Node))
-		fw.Str(it.Title)
-		fw.U32(catIdx[it.Category])
+		fw.U32(uint32(it.Category))
 	}
 	return body.Bytes(), nil
 }
 
 // decodeMeta decodes a meta body whose CRC has verified, for a net of total
-// nodes, accepting only what encode writes: item nodes below total,
-// categories distinct and in order of first use, nothing after the last
-// item. Item kinds are checked once the shards have loaded.
+// nodes, accepting only what encode writes: every node below total and
+// nothing after the last item. Node kinds are checked once the shards have
+// loaded.
 func decodeMeta(body []byte, total int) (*ServingMeta, error) {
 	r := bytes.NewReader(body)
 	fr := fzio.Reader{R: r}
-	// A section's strings are read back to back into buf, ends marking where
-	// each stops; cut then copies them once into a string of exactly their
-	// size, which each of them slices. Nothing is allocated per string.
+
+	// The stopwords are read back to back into buf, ends marking where
+	// each stops; then one string of exactly their size is made, which
+	// each of them slices. Nothing is allocated per word.
+	n := fr.Count("stopword")
 	var buf []byte
 	var ends []int
-	count := func(what string) int {
-		n := fr.Count(what)
-		if fr.Err != nil {
-			return 0
-		}
-		if buf == nil {
-			buf = make([]byte, 0, len(body)) // no section outgrows the body
-		}
-		ends = slices.Grow(ends, fzio.Prealloc(n))
-		return n
+	if fr.Err == nil {
+		buf, ends = make([]byte, 0, len(body)), make([]int, 0, fzio.Prealloc(n))
 	}
-	str := func() {
+	for ; n > 0 && fr.Err == nil; n-- {
 		buf = fr.AppendStr(buf, uint64(len(body)))
 		ends = append(ends, len(buf))
 	}
-	cut := func() []string {
-		all, start := string(buf), 0
-		out := make([]string, len(ends))
-		for i, end := range ends {
-			out[i], start = all[start:end], end
-		}
-		buf, ends = buf[:0], ends[:0]
-		return out
-	}
-	strs := func(what string) []string {
-		for n := count(what); n > 0 && fr.Err == nil; n-- {
-			str()
-		}
-		return cut()
+	all, start := string(buf), 0
+	stopwords := make([]string, len(ends))
+	for i, end := range ends {
+		stopwords[i], start = all[start:end], end
 	}
 
-	stopwords, cats := strs("stopword"), strs("category")
-	seen := make(map[string]bool, len(cats))
-	for _, c := range cats {
-		if seen[c] && fr.Err == nil {
-			fr.Err = fmt.Errorf("category %q listed twice", c)
-		}
-		seen[c] = true
+	n = fr.Count("item")
+	var items []ItemMeta
+	if fr.Err == nil {
+		items = make([]ItemMeta, 0, fzio.Prealloc(n))
 	}
-	n := count("item")
-	items := make([]ItemMeta, 0, fzio.Prealloc(n))
-	used := uint32(0) // categories in use so far; the next new one must be cats[used]
 	for i := 0; i < n && fr.Err == nil; i++ {
-		node := fr.U32()
-		str()
-		cat := fr.U32()
+		node, cat := fr.U32(), fr.U32()
 		switch {
 		case fr.Err != nil:
 		case int64(node) >= int64(total):
 			fr.Err = fmt.Errorf("item %d: node %d out of range [0,%d)", i, node, total)
-		case cat >= uint32(len(cats)):
-			fr.Err = fmt.Errorf("item %d: category %d out of range (%d categories)", i, cat, len(cats))
-		case cat > used:
-			fr.Err = fmt.Errorf("item %d: category %d used before category %d", i, cat, used)
+		case int64(cat) >= int64(total):
+			fr.Err = fmt.Errorf("item %d: category node %d out of range [0,%d)", i, cat, total)
 		default:
-			if cat == used {
-				used++
-			}
-			items = append(items, ItemMeta{WorldID: i, Node: core.NodeID(node), Category: cats[cat]})
+			items = append(items, ItemMeta{WorldID: i, Node: core.NodeID(node), Category: core.NodeID(cat)})
 		}
-	}
-	if fr.Err == nil && int(used) < len(cats) {
-		fr.Err = fmt.Errorf("%d categories no item uses", len(cats)-int(used))
 	}
 	if fr.Err == nil && r.Len() > 0 {
 		fr.Err = fmt.Errorf("%d bytes after the last item", r.Len())
 	}
 	if fr.Err != nil {
 		return nil, fmt.Errorf("snapstore: load shard meta: %w", fr.Err)
-	}
-	for i, title := range cut() {
-		items[i].Title = title
 	}
 	return &ServingMeta{Stopwords: stopwords, Items: items}, nil
 }
@@ -212,15 +188,15 @@ func writeMeta(dir, name string, body []byte) error {
 }
 
 // emitMeta returns the emitter of a meta file: header, body and the
-// body's CRC-32.
+// body's CRC-32, in one write.
 func emitMeta(body []byte) func(w io.Writer) error {
 	return func(w io.Writer) error {
-		fw := fzio.Writer{W: w}
-		fw.Bytes(shardMetaMagic[:])
-		fw.U8(shardMetaVersion)
-		fw.Bytes(body)
-		fw.U32(crc32.ChecksumIEEE(body))
-		return fw.Err
+		file := make([]byte, 0, len(shardMetaMagic)+1+len(body)+4)
+		file = append(append(append(file, shardMetaMagic[:]...), shardMetaVersion), body...)
+		file = append(file, 0, 0, 0, 0)
+		fzio.PutU32(file[len(file)-4:], crc32.ChecksumIEEE(body))
+		_, err := w.Write(file)
+		return err
 	}
 }
 

@@ -1,22 +1,25 @@
 package snapstore
 
 import (
-	"bufio"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"path/filepath"
 
 	"alicoco/internal/faultfs"
 )
 
 // WriteFileAtomic writes dir/name with full crash-safety discipline: emit
-// into a temp file in the same directory, flush, fsync the file, close
-// (checking the error — a buffered NFS/overlay close can be the first
-// place a write error surfaces), rename over the target, then fsync the
-// parent directory so the rename itself survives a power loss. Every step
-// goes through faultfs, so crash-matrix tests can kill the sequence at any
-// operation.
+// into a temp file in the same directory, fsync the file, close (checking
+// the error — a buffered NFS/overlay close can be the first place a write
+// error surfaces), rename over the target, then fsync the parent directory
+// so the rename itself survives a power loss. Every step goes through
+// faultfs, so crash-matrix tests can kill the sequence at any operation.
+// emit's writes go straight to the file, unbuffered: an emitter writes in
+// a few large pieces (a JSON encoder writes its document in one, and
+// core's SaveSum buffers itself in a buffer sized to its file), so no file
+// pays for a buffer larger than itself.
 func WriteFileAtomic(dir, name string, emit func(w io.Writer) error) error {
 	if err := writeGenFile(dir, name, emit); err != nil {
 		return err
@@ -39,15 +42,7 @@ func writeGenFile(dir, name string, emit func(w io.Writer) error) error {
 	tmp := f.Name()
 	defer faultfs.Remove(tmp) // no-op after the rename succeeds
 
-	// 64 KiB, the size LoadShard reads with: a default-scale generation's
-	// files are all under 300 KB, and a write larger than the buffer goes
-	// straight to the file.
-	bw := bufio.NewWriterSize(f, 64<<10)
-	if err := emit(bw); err != nil {
-		f.Close()
-		return fmt.Errorf("snapstore: write %s: %w", name, err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := emit(f); err != nil {
 		f.Close()
 		return fmt.Errorf("snapstore: write %s: %w", name, err)
 	}
@@ -112,16 +107,22 @@ func VerifyFiles(dir string, checks []FileCheck) []FileReport {
 
 // fileCRC hashes a file's body — everything between headerLen bytes of
 // leading framing and trailerLen bytes of trailing framing — with
-// CRC-32 (IEEE), streaming through one 64 KiB buffer so shard files never
-// load whole into memory. The hash lags the read by trailerLen bytes, which
-// wait at the front of the buffer, so the trailer never enters it.
+// CRC-32 (IEEE), streaming through one buffer of at most 64 KiB, sized to
+// a smaller file, so shard files never load whole into memory. The hash
+// lags the read by trailerLen bytes, which wait at the front of the
+// buffer, so the trailer never enters it.
 func fileCRC(path string, headerLen, trailerLen int) (uint32, error) {
 	f, err := faultfs.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	buf := make([]byte, 1<<16)
+	size := 1 << 16
+	if fi, err := os.Stat(path); err == nil && fi.Size() < int64(size) {
+		// One byte past the file, so one read reaches its end.
+		size = max(int(fi.Size())+1, headerLen, trailerLen+1)
+	}
+	buf := make([]byte, size)
 	if _, err := io.ReadFull(f, buf[:headerLen]); err != nil {
 		return 0, fmt.Errorf("header: %w", err)
 	}

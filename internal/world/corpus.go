@@ -205,12 +205,13 @@ func (w *World) genReview(keep bool) []string {
 
 // genGuide emits shopping-guide prose: Hearst-pattern isA sentences and
 // scenario-requirement sentences, the raw material for pattern-based
-// hypernym discovery (Section 4.2.1) and for the knowledge glosses.
+// hypernym discovery (Section 4.2.1) and for the knowledge glosses. Each
+// guide's tokens go into a slice made to their size.
 func (w *World) genGuide() []string {
 	switch w.rng.Intn(4) {
 	case 0: // "<family> such as <leaf> and <leaf>"
-		fam := categoryFamilies[w.rng.Intn(len(categoryFamilies))]
-		leaves := familyLeafNames(fam)
+		k := w.rng.Intn(len(categoryFamilies))
+		leaves := familyLeaves[k]
 		if len(leaves) < 2 {
 			return w.genGuide()
 		}
@@ -218,7 +219,7 @@ func (w *World) genGuide() []string {
 		for j == i {
 			j = w.rng.Intn(len(leaves))
 		}
-		return []string{fam.Name, "such", "as", leaves[i], "and", leaves[j]}
+		return []string{categoryFamilies[k].Name, "such", "as", leaves[i], "and", leaves[j]}
 	case 1: // "the <compound> is a kind of <leaf>"
 		id := w.ByDomain[Category][w.rng.Intn(len(w.ByDomain[Category]))]
 		p := w.Primitives[id]
@@ -226,11 +227,11 @@ func (w *World) genGuide() []string {
 			return w.genGuide()
 		}
 		hyper := w.Primitives[p.Hypernyms[0]]
-		out := []string{"the"}
+		out := make([]string, 0, 5+len(p.Tokens)+len(hyper.Tokens))
+		out = append(out, "the")
 		out = append(out, p.Tokens...)
 		out = append(out, "is", "a", "kind", "of")
-		out = append(out, hyper.Tokens...)
-		return out
+		return append(out, hyper.Tokens...)
 	case 2: // "every <event> needs <leaf> and <leaf>"
 		f := w.Frames[w.rng.Intn(len(w.Frames))]
 		if len(f.Required) < 2 {
@@ -240,31 +241,38 @@ func (w *World) genGuide() []string {
 		for j == i {
 			j = w.rng.Intn(len(f.Required))
 		}
-		out := []string{"every"}
+		a, b := w.Primitives[f.Required[i]], w.Primitives[f.Required[j]]
+		out := make([]string, 0, 3+len(f.Tokens)+len(a.Tokens)+len(b.Tokens))
+		out = append(out, "every")
 		out = append(out, f.Tokens...)
 		out = append(out, "needs")
-		out = append(out, w.Primitives[f.Required[i]].Tokens...)
+		out = append(out, a.Tokens...)
 		out = append(out, "and")
-		out = append(out, w.Primitives[f.Required[j]].Tokens...)
-		return out
+		return append(out, b.Tokens...)
 	default: // "for <scenario> you should prepare <leaf>"
 		f := w.Frames[w.rng.Intn(len(w.Frames))]
-		out := []string{"for"}
+		leaf := w.Primitives[f.Required[w.rng.Intn(len(f.Required))]]
+		out := make([]string, 0, 4+len(f.Tokens)+len(leaf.Tokens))
+		out = append(out, "for")
 		out = append(out, f.Tokens...)
 		out = append(out, "you", "should", "prepare")
-		out = append(out, w.Primitives[f.Required[w.rng.Intn(len(f.Required))]].Tokens...)
-		return out
+		return append(out, leaf.Tokens...)
 	}
 }
 
-func familyLeafNames(fam categoryFamily) []string {
-	var out []string
-	for _, mid := range sortedKeys(fam.Mid) {
-		out = append(out, fam.Mid[mid]...)
+// familyLeaves lists each category family's leaf names, in
+// categoryFamilies order: the leaves of its intermediate classes, classes
+// in name order, then its own. The "<family> such as" guides draw from it.
+var familyLeaves = func() [][]string {
+	out := make([][]string, len(categoryFamilies))
+	for k, fam := range categoryFamilies {
+		for _, mid := range sortedKeys(fam.Mid) {
+			out[k] = append(out[k], fam.Mid[mid]...)
+		}
+		out[k] = append(out[k], fam.Leaves...)
 	}
-	out = append(out, fam.Leaves...)
 	return out
-}
+}()
 
 func sortedKeys(m map[string][]string) []string {
 	out := make([]string, 0, len(m))

@@ -326,6 +326,73 @@ func TestReloadChecksItemKinds(t *testing.T) {
 	}
 }
 
+// TestLoadedItemNamesMatchBuild: a loaded facade reads an item's title and
+// category as the names of its node and of its category node in the
+// shards, and they are the built facade's: Items() is equal, and so is
+// every item of every card and every item hit that a search or a
+// recommendation returns. The built facade's are the world's: an item's
+// title is its title tokens joined and its category the name of its leaf
+// primitive.
+func TestLoadedItemNamesMatchBuild(t *testing.T) {
+	c, err := BuildSharded(Small(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := c.Internal().World
+	built := c.Items()
+	if len(built) != len(w.Items) {
+		t.Fatalf("%d items served, the world has %d", len(built), len(w.Items))
+	}
+	for i, it := range built {
+		wi := w.Items[i]
+		if want := (Item{ID: wi.ID, Title: strings.Join(wi.Title, " "), Category: w.Prim(wi.Leaf).Name()}); it != want {
+			t.Fatalf("built item %d is %+v, want %+v", i, it, want)
+		}
+	}
+	dir := t.TempDir()
+	if _, err := c.SaveShards(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	l, err := LoadShardedFrozen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(l.Items(), built) {
+		t.Fatal("loaded Items() differ from the built facade's")
+	}
+	check := func(what string, items []Item) {
+		t.Helper()
+		for _, it := range items {
+			if it != built[it.ID] {
+				t.Fatalf("%s: loaded item %+v, built %+v", what, it, built[it.ID])
+			}
+		}
+	}
+	cards := 0
+	for _, q := range equivalenceQueries(c) {
+		br, lr := mustSearch(t, c, q, 12), mustSearch(t, l, q, 12)
+		if !reflect.DeepEqual(br, lr) {
+			t.Fatalf("Search(%q) differs after the round trip", q)
+		}
+		for _, card := range lr.Cards {
+			check(fmt.Sprintf("Search(%q) card %q", q, card.Name), card.Items)
+			cards++
+		}
+		check(fmt.Sprintf("Search(%q) items", q), lr.Items)
+	}
+	if cards == 0 {
+		t.Fatal("no search returned a card")
+	}
+	for _, sess := range c.SampleSessions(8) {
+		br, bok := mustRecommend(t, c, sess, 5)
+		lr, lok := mustRecommend(t, l, sess, 5)
+		if bok != lok || !reflect.DeepEqual(br, lr) {
+			t.Fatalf("Recommend(%v) differs after the round trip", sess)
+		}
+		check(fmt.Sprintf("Recommend(%v)", sess), lr.Card.Items)
+	}
+}
+
 // TestReloadShardsDiff: after the net changes and is re-saved, ReloadShards
 // re-reads exactly the shards whose checksums changed, keeps the in-memory
 // form (and publication metadata) of unchanged ones, and serves the new
